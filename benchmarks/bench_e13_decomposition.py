@@ -40,7 +40,8 @@ from repro.api import certify
 from repro.experiments import Table
 from repro.graphs import Graph
 from repro.graphs.generators import random_pathwidth_graph
-from repro.pathwidth import branch_and_bound_ordering, exact_pathwidth
+from repro.pathwidth import branch_and_bound_ordering
+from repro.pathwidth.exact import subset_dp_pathwidth
 from repro.pathwidth.heuristics import heuristic_path_decomposition
 
 SMALL_SIZES = tuple(
@@ -80,7 +81,7 @@ def _small_series():
         for seed in range(SMALL_TRIALS):
             g = _gnp(seed, n, 0.3)
             t0 = time.perf_counter()
-            dp_width = exact_pathwidth(g, engine="dp")
+            dp_width = subset_dp_pathwidth(g)
             dp_s = time.perf_counter() - t0
             t0 = time.perf_counter()
             result = branch_and_bound_ordering(g)

@@ -15,13 +15,11 @@ property-level *evaluation* stages; this package exposes that split:
   nodes are skipped against an :class:`ArtifactCache`
   (:mod:`repro.api.artifacts`) whose disk layer persists structural
   artifacts next to the certificates;
-* :class:`ParallelProver` (:mod:`repro.api.prover`) — pool-resident
-  dispatch of the independent per-property evaluate/label nodes;
 * :class:`VerificationEngine` + executors (:mod:`repro.api.runtime`,
   :mod:`repro.api.vectorized`) — the verification round with pluggable
-  scheduling (serial / process pool / batched numpy kernels /
-  shared-memory workers, see :func:`make_executor`), fail-fast
-  short-circuiting, and structured :class:`VerificationReport` output;
+  scheduling (the serial reference or the batched numpy kernels, see
+  :func:`make_executor`), fail-fast short-circuiting, and structured
+  :class:`VerificationReport` output;
 * :class:`AuditPlan` / :class:`AuditReport` (:mod:`repro.api.audit`) —
   declarative soundness campaigns over the adversary generators, driven
   by named seed streams;
@@ -52,7 +50,6 @@ from repro.api.plan import (
     lanewidth_plan,
     theorem1_plan,
 )
-from repro.api.prover import ParallelProver, PropertyOutcome
 from repro.api.pipeline import (
     DEFAULT_EXACT_DECOMPOSITION_LIMIT,
     PROPERTY_STAGES,
@@ -91,7 +88,6 @@ from repro.api.audit import (
 from repro.api.results import CertificationReport, StageTiming
 from repro.api.runtime import (
     ChunkTiming,
-    ParallelExecutor,
     SerialExecutor,
     VerificationEngine,
     VerificationExecutor,
@@ -101,7 +97,7 @@ from repro.api.runtime import (
     register_executor,
     verify_labeling,
 )
-from repro.api.vectorized import SharedMemoryExecutor, VectorizedExecutor
+from repro.api.vectorized import VectorizedExecutor
 from repro.api.session import CertificationSession
 from repro.api.store import CertificateStore, StoreError, StoreMetrics
 
@@ -125,15 +121,11 @@ __all__ = [
     "lanewidth_plan",
     "ArtifactCache",
     "ArtifactEntry",
-    "ParallelProver",
-    "PropertyOutcome",
     # Verification runtime.
     "VerificationEngine",
     "VerificationExecutor",
     "SerialExecutor",
-    "ParallelExecutor",
     "VectorizedExecutor",
-    "SharedMemoryExecutor",
     "make_executor",
     "register_executor",
     "executor_names",

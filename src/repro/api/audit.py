@@ -480,13 +480,12 @@ class AuditPlan:
     engine:
         Default verification engine for :meth:`run` — either a
         :class:`~repro.api.runtime.VerificationEngine` or a registered
-        executor name (``"serial"``, ``"parallel"``, ``"vectorized"``,
-        ``"shared-memory"``), which is wrapped in a ``fail_fast``
-        engine.  ``None`` keeps the classic fail-fast serial default.
-        Whatever the engine, soundness verdicts are identical — the
-        vectorized executors re-check every kernel-flagged vertex
-        through the reference path — so campaigns can run under the
-        fast round without weakening the audit.
+        executor name (``"serial"``, ``"vectorized"``), which is wrapped
+        in a ``fail_fast`` engine.  ``None`` keeps the classic fail-fast
+        serial default.  Whatever the engine, soundness verdicts are
+        identical — the vectorized executor re-checks every
+        kernel-flagged vertex through the reference path — so campaigns
+        can run under the fast round without weakening the audit.
     """
 
     case_factory: Callable[[int, random.Random], AuditCase]

@@ -41,14 +41,12 @@ def certify(
     rng: Optional[random.Random] = None,
     decomposer: Optional[Callable] = None,
     exact_limit: Optional[int] = None,
-    exact_engine: Optional[str] = None,
     exact_budget_ms: Optional[float] = None,
     session: Optional[CertificationSession] = None,
     verify: bool = True,
     engine: Optional[VerificationEngine] = None,
     store=None,
     artifacts=None,
-    prover=None,
 ):
     """Certify MSO₂ ``properties`` on ``target`` and report the results.
 
@@ -72,9 +70,6 @@ def certify(
     exact_limit:
         Exact-decomposition cutoff for the default decomposer (see
         :class:`repro.api.pipeline.DecomposeStage`).
-    exact_engine:
-        Exact decomposition engine — ``"bnb"`` (branch-and-bound,
-        default) or ``"dp"`` (legacy subset DP).
     exact_budget_ms:
         Wall-clock budget authorizing exact branch-and-bound attempts on
         graphs above ``exact_limit``; a timeout falls back to the best
@@ -88,7 +83,7 @@ def certify(
         later with ``session.verify(report)``.
     engine:
         The :class:`~repro.api.runtime.VerificationEngine` running the
-        round — pick the executor (serial/parallel) and ``fail_fast``
+        round — pick the executor (serial/vectorized) and ``fail_fast``
         policy here.  Defaults to a serial engine.
     store:
         Optional :class:`~repro.api.store.CertificateStore`.  Every
@@ -103,10 +98,6 @@ def certify(
         Optional :class:`~repro.api.artifacts.ArtifactCache` override
         for the prover-artifact cache (``None``: derived from ``store``,
         else in-memory).
-    prover:
-        Optional :class:`~repro.api.prover.ParallelProver`; batches
-        dispatch their independent per-property evaluate/label work
-        through its pool-resident workers.
 
     Returns a single :class:`CertificationReport` when ``properties`` is
     a single key, else ``{key: report}``.  Prover refusals are reported,
@@ -119,13 +110,11 @@ def certify(
             k=k,
             decomposer=decomposer,
             exact_limit=exact_limit,
-            exact_engine=exact_engine,
             exact_budget_ms=exact_budget_ms,
             rng=rng,
             engine=engine,
             store=store,
             artifacts=artifacts,
-            prover=prover,
         )
     else:
         # Explicit arguments must not be silently dropped: adopt them on
@@ -135,11 +124,9 @@ def certify(
             ("k", k),
             ("decomposer", decomposer),
             ("exact_limit", exact_limit),
-            ("exact_engine", exact_engine),
             ("exact_budget_ms", exact_budget_ms),
             ("engine", engine),
             ("store", store),
-            ("prover", prover),
         ):
             if value is None:
                 continue

@@ -44,12 +44,12 @@ from repro.core.lanewidth import (
     construction_sequence_from_completion,
 )
 from repro.core.scheme import CertifyingScheme
+from repro.courcelle.algebra import ArityLimitExceeded
 from repro.courcelle.registry import resolve_algebra
 from repro.pathwidth.branch_and_bound import (
     branch_and_bound_decomposition,
     ordering_from_decomposition,
 )
-from repro.pathwidth.exact import exact_path_decomposition
 from repro.pathwidth.heuristics import heuristic_path_decomposition
 from repro.pls.bits import ClassIndexer, SizeContext
 from repro.pls.model import Configuration
@@ -65,10 +65,6 @@ from repro.api.results import StageTiming
 #: (``Theorem1Scheme(..., exact_limit=...)``), and through the
 #: facade/session ``exact_limit`` keyword.
 DEFAULT_EXACT_DECOMPOSITION_LIMIT = 14
-
-#: Default exact decomposition engine: the branch-and-bound vertex
-#: separation search (``"bnb"``); ``"dp"`` selects the legacy subset DP.
-DEFAULT_EXACT_ENGINE = "bnb"
 
 #: Stage names whose artifacts depend only on the graph (memoizable).
 STRUCTURAL_STAGES = ("decompose", "lanes", "completion", "match", "hierarchy")
@@ -181,20 +177,16 @@ class DecomposeStage(Stage):
         Optional override ``graph -> PathDecomposition`` (generators that
         already know a witness pass it here and skip the search).
     exact_limit:
-        Instances with ``n <= exact_limit`` always get a *complete* exact
-        search.  Larger ones get a budgeted branch-and-bound attempt when
-        ``exact_budget_ms`` is set, and the heuristic portfolio
-        otherwise.  ``None`` means
+        Instances with ``n <= exact_limit`` always get a *complete*
+        branch-and-bound vertex-separation search.  Larger ones get a
+        budgeted attempt when ``exact_budget_ms`` is set, and the
+        heuristic portfolio otherwise.  ``None`` means
         :data:`DEFAULT_EXACT_DECOMPOSITION_LIMIT`.
-    exact_engine:
-        ``"bnb"`` (default) — the branch-and-bound vertex-separation
-        search, no intrinsic size cap; ``"dp"`` — the legacy O(2^n)
-        subset DP, still hard-gated at ``exact_limit``.
     exact_budget_ms:
-        Wall-clock budget for exact search above ``exact_limit``
-        (``"bnb"`` only).  The search is seeded with the heuristic
-        incumbent, so a timeout falls back to an ordering at least as
-        good as the heuristic's, with the attempt recorded in the
+        Wall-clock budget for exact search above ``exact_limit``.  The
+        search is seeded with the heuristic incumbent, so a timeout
+        falls back to an ordering at least as good as the heuristic's,
+        with the attempt recorded in the
         ``decomposition_stats`` artifact.  ``None`` (default) disables
         exact attempts above the limit.
     """
@@ -208,7 +200,6 @@ class DecomposeStage(Stage):
         k: int,
         decomposer: Optional[Callable] = None,
         exact_limit: Optional[int] = None,
-        exact_engine: Optional[str] = None,
         exact_budget_ms: Optional[float] = None,
     ):
         if k < 1:
@@ -217,24 +208,16 @@ class DecomposeStage(Stage):
             exact_limit = DEFAULT_EXACT_DECOMPOSITION_LIMIT
         if exact_limit < 0:
             raise ValueError("exact_limit must be non-negative")
-        if exact_engine is None:
-            exact_engine = DEFAULT_EXACT_ENGINE
-        if exact_engine not in ("bnb", "dp"):
-            raise ValueError(
-                f"unknown exact_engine {exact_engine!r}; expected 'bnb' or 'dp'"
-            )
         if exact_budget_ms is not None and exact_budget_ms <= 0:
             raise ValueError("exact_budget_ms must be positive")
         self.k = k
         self.decomposer = decomposer
         self.exact_limit = exact_limit
-        self.exact_engine = exact_engine
         self.exact_budget_ms = exact_budget_ms
 
     def _engine_params(self):
         return (
             "k", self.k, "exact_limit", self.exact_limit,
-            "exact_engine", self.exact_engine,
             "exact_budget_ms", self.exact_budget_ms,
         )
 
@@ -256,30 +239,16 @@ class DecomposeStage(Stage):
         )
 
     def default_decomposer(self, graph):
-        """Return ``(decomposition, stats)`` for the configured engine.
+        """Return ``(decomposition, stats)`` for this graph.
 
         ``stats`` is a plain dict recording which engine produced the
-        witness, the achieved vs heuristic width, and (for the
-        branch-and-bound) the search counters.  It travels through the
-        plan cache as the ``decomposition_stats`` artifact and surfaces
-        in :class:`~repro.api.results.CertificationReport`.
+        witness (``"bnb"`` or ``"heuristic"``), the achieved vs
+        heuristic width, and (for the branch-and-bound) the search
+        counters.  It travels through the plan cache as the
+        ``decomposition_stats`` artifact and surfaces in
+        :class:`~repro.api.results.CertificationReport`.
         """
-        if self.exact_engine == "dp":
-            if graph.n <= self.exact_limit:
-                decomposition = exact_path_decomposition(graph, engine="dp")
-                return decomposition, {
-                    "engine": "dp",
-                    "optimal": True,
-                    "width": decomposition.width(),
-                }
-            decomposition = heuristic_path_decomposition(graph)
-            return decomposition, {
-                "engine": "heuristic",
-                "optimal": False,
-                "width": decomposition.width(),
-                "heuristic_width": decomposition.width(),
-            }
-        # engine == "bnb": complete search below the size gate, budgeted
+        # Complete branch-and-bound below the size gate, a budgeted
         # attempt above it when authorized, heuristic otherwise.
         if graph.n > self.exact_limit and self.exact_budget_ms is None:
             decomposition = heuristic_path_decomposition(graph)
@@ -458,7 +427,12 @@ class EvaluateStage(Stage):
         if algebra is None:
             raise ValueError("EvaluateStage needs an algebra (stage or context)")
         ctx.algebra = resolve_algebra(algebra)
-        ctx.evaluation = evaluate_hierarchy(ctx.root, ctx.algebra)
+        try:
+            ctx.evaluation = evaluate_hierarchy(ctx.root, ctx.algebra)
+        except ArityLimitExceeded as exc:
+            # A capacity limit of the algebra, not a false property:
+            # refuse with the algebra's own explanation.
+            raise ProverFailure(str(exc)) from exc
         if not ctx.evaluation.accepts(ctx.root):
             raise ProverFailure("property does not hold on the real subgraph")
 
@@ -544,7 +518,6 @@ def theorem1_stages(
     algebra=None,
     decomposer: Optional[Callable] = None,
     exact_limit: Optional[int] = None,
-    exact_engine: Optional[str] = None,
     exact_budget_ms: Optional[float] = None,
 ) -> list:
     """The full Theorem 1 stage list for pathwidth-bounded certification."""
@@ -553,7 +526,6 @@ def theorem1_stages(
             k,
             decomposer=decomposer,
             exact_limit=exact_limit,
-            exact_engine=exact_engine,
             exact_budget_ms=exact_budget_ms,
         ),
         LaneStage(),

@@ -295,7 +295,6 @@ def theorem1_plan(
     algebra=None,
     decomposer=None,
     exact_limit: Optional[int] = None,
-    exact_engine: Optional[str] = None,
     exact_budget_ms: Optional[float] = None,
 ) -> CertificationPlan:
     """The full Theorem 1 stage DAG for pathwidth-bounded certification."""
@@ -305,7 +304,6 @@ def theorem1_plan(
                 k,
                 decomposer=decomposer,
                 exact_limit=exact_limit,
-                exact_engine=exact_engine,
                 exact_budget_ms=exact_budget_ms,
             ),
             LaneStage(),

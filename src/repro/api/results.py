@@ -98,7 +98,7 @@ class CertificationReport:
     structure_cached: bool = False
     #: How the witness decomposition was obtained (``None`` in lanewidth
     #: mode or on refusal before the decompose stage): engine name
-    #: ("bnb"/"dp"/"heuristic"/"witness"), achieved vs heuristic width,
+    #: ("bnb"/"heuristic"/"witness"), achieved vs heuristic width,
     #: and — for the branch-and-bound — nodes expanded, memo hits,
     #: optimality/timeout flags.
     decomposition_stats: Optional[dict] = None

@@ -300,48 +300,7 @@ def _eval_node(node, algebra, evaluation) -> NodeEvaluation:
             state, boundary, dict(node.t_in), dict(node.t_out), node.lanes
         )
     elif node.kind == "T":
-        children: dict = {index: [] for index in range(len(node.children))}
-        for index, parent in node.member_parent.items():
-            if parent is not None:
-                children[parent].append(index)
-
-        def subtree(index: int) -> NodeEvaluation:
-            member = node.children[index]
-            acc = _eval_node(member, algebra, evaluation)
-            acc_state, acc_boundary = acc.state, acc.boundary
-            t_in, t_out = dict(acc.t_in), dict(acc.t_out)
-            for kid_index in sorted(children[index]):
-                kid = subtree(kid_index)
-                # Parent-merge: glue the kid's in-terminals (same vertex
-                # names) onto the current out-terminals, lane-wise.
-                identify = []
-                for lane in kid.lanes:
-                    left_pos = acc_boundary.index(t_out[lane])
-                    right_pos = kid.boundary.index(kid.t_in[lane])
-                    identify.append((left_pos, right_pos))
-                acc_state = algebra.join(
-                    acc_state,
-                    len(acc_boundary),
-                    kid.state,
-                    len(kid.boundary),
-                    tuple(identify),
-                )
-                glued = {kid.t_in[lane] for lane in kid.lanes}
-                acc_boundary = acc_boundary + tuple(
-                    v for v in kid.boundary if v not in glued
-                )
-                for lane in kid.lanes:
-                    t_out[lane] = kid.t_out[lane]
-                acc_state, acc_boundary = _project(
-                    algebra, acc_state, acc_boundary, acc.lanes, t_in, t_out
-                )
-            sub_result = NodeEvaluation(
-                acc_state, acc_boundary, t_in, t_out, acc.lanes
-            )
-            evaluation.subtree_eval[member.node_id] = sub_result
-            return sub_result
-
-        result = subtree(node.root_member)
+        result = _fold_members(node, algebra, evaluation)
         result = NodeEvaluation(
             result.state, result.boundary, dict(node.t_in), dict(node.t_out), node.lanes
         )
@@ -349,6 +308,60 @@ def _eval_node(node, algebra, evaluation) -> NodeEvaluation:
         raise ValueError(f"unknown node kind {node.kind!r}")
     evaluation.node_eval[node.node_id] = result
     return result
+
+
+def _fold_members(node, algebra, evaluation) -> NodeEvaluation:
+    """Fold a T-node's member tree bottom-up (the f_P of Prop 6.1).
+
+    A member's subtree result is its own evaluation with every kid
+    subtree glued on, kids in sorted order.  The member tree is as deep
+    as the member chain is long (≈200 at n=1024), so the fold runs on an
+    explicit stack of ``(member index, accumulator, pending kids)``
+    frames rather than one Python frame per level.
+    """
+    children: dict = {index: [] for index in range(len(node.children))}
+    for index, parent in node.member_parent.items():
+        if parent is not None:
+            children[parent].append(index)
+
+    def enter(index: int) -> tuple:
+        own = _eval_node(node.children[index], algebra, evaluation)
+        acc = NodeEvaluation(
+            own.state, own.boundary, dict(own.t_in), dict(own.t_out), own.lanes
+        )
+        return index, acc, iter(sorted(children[index]))
+
+    stack = [enter(node.root_member)]
+    while True:
+        index, acc, kids = stack[-1]
+        kid_index = next(kids, None)
+        if kid_index is not None:
+            stack.append(enter(kid_index))
+            continue
+        stack.pop()
+        evaluation.subtree_eval[node.children[index].node_id] = acc
+        if not stack:
+            return acc
+        _parent_merge(algebra, stack[-1][1], acc)
+
+
+def _parent_merge(algebra, acc: NodeEvaluation, kid: NodeEvaluation) -> None:
+    """Glue ``kid``'s in-terminals (same vertex names) onto ``acc``'s
+    current out-terminals, lane-wise, updating ``acc`` in place."""
+    identify = tuple(
+        (acc.boundary.index(acc.t_out[lane]), kid.boundary.index(kid.t_in[lane]))
+        for lane in kid.lanes
+    )
+    state = algebra.join(
+        acc.state, len(acc.boundary), kid.state, len(kid.boundary), identify
+    )
+    glued = {kid.t_in[lane] for lane in kid.lanes}
+    boundary = acc.boundary + tuple(v for v in kid.boundary if v not in glued)
+    for lane in kid.lanes:
+        acc.t_out[lane] = kid.t_out[lane]
+    acc.state, acc.boundary = _project(
+        algebra, state, boundary, acc.lanes, acc.t_in, acc.t_out
+    )
 
 
 def _project(algebra, state, boundary, lanes, t_in, t_out):

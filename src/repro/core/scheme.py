@@ -75,8 +75,8 @@ class CertifyingScheme(ProofLabelingScheme):
         width = len(label.certificate.stack[0].info.lanes)
         # One accounting memo per size context: labels of one labeling
         # share record objects heavily, and the report sizes the whole
-        # labeling back to back.  The memo is transient prover-side
-        # state, dropped on pickling like the rest (verifier_only).
+        # labeling back to back.  The memo is transient state, dropped
+        # on pickling.
         memo = self.__dict__.get("_bits_memo")
         if memo is None or memo[0] is not ctx:
             memo = (ctx, {})
@@ -88,18 +88,6 @@ class CertifyingScheme(ProofLabelingScheme):
         state.pop("_bits_memo", None)
         return state
 
-    def verifier_only(self):
-        """The verify/measure half without any prover-side state.
-
-        Witness decomposers may be closures and match stages carry cached
-        graphs; neither survives pickling, and neither is needed by the
-        verification round — ``verify`` depends only on the algebra and
-        the certified width.
-        """
-        from repro.api.pipeline import PipelineScheme
-
-        return PipelineScheme(self.algebra, self.max_width, ())
-
 
 # Historical (pre-pipeline) name, kept for external subclasses.
 _CertifyingScheme = CertifyingScheme
@@ -110,10 +98,9 @@ class Theorem1Scheme(CertifyingScheme):
 
     ``exact_limit`` bounds the instance size up to which the default
     decomposer runs a complete exact search (default:
-    ``repro.api.pipeline.DEFAULT_EXACT_DECOMPOSITION_LIMIT``);
-    ``exact_engine`` picks the engine (``"bnb"`` branch-and-bound by
-    default, ``"dp"`` the legacy subset DP) and ``exact_budget_ms``
-    authorizes a budgeted branch-and-bound attempt above the limit.
+    ``repro.api.pipeline.DEFAULT_EXACT_DECOMPOSITION_LIMIT``), and
+    ``exact_budget_ms`` authorizes a budgeted branch-and-bound attempt
+    above the limit.
     """
 
     def __init__(
@@ -122,7 +109,6 @@ class Theorem1Scheme(CertifyingScheme):
         k: int,
         decomposer: Optional[Callable] = None,
         exact_limit: Optional[int] = None,
-        exact_engine: Optional[str] = None,
         exact_budget_ms: Optional[float] = None,
     ):
         if k < 1:
@@ -131,7 +117,6 @@ class Theorem1Scheme(CertifyingScheme):
         self.k = k
         self.decomposer = decomposer
         self.exact_limit = exact_limit
-        self.exact_engine = exact_engine
         self.exact_budget_ms = exact_budget_ms
 
     def prove(self, config: Configuration) -> Labeling:
@@ -147,7 +132,6 @@ class Theorem1Scheme(CertifyingScheme):
             algebra=self.algebra,
             decomposer=self.decomposer,
             exact_limit=self.exact_limit,
-            exact_engine=self.exact_engine,
             exact_budget_ms=self.exact_budget_ms,
         )
         CertificationPipeline(stages).run(ctx)

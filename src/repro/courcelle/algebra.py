@@ -28,6 +28,15 @@ from typing import Optional
 from repro.courcelle.boundary import VIRTUAL, BoundariedGraph
 
 
+class ArityLimitExceeded(ValueError):
+    """A state would exceed the boundary arity an algebra supports.
+
+    Table- and profile-based algebras grow exponentially in the boundary
+    arity, so each guards a fixed cap.  Hitting it is a capacity limit of
+    the prover, not a bug: the pipeline reports it as a refusal.
+    """
+
+
 class BoundedAlgebra(ABC):
     """Finite-state algebra over boundaried graphs for one property."""
 

@@ -31,7 +31,11 @@ suite against brute-force search over randomized composition sequences.
 
 from __future__ import annotations
 
-from repro.courcelle.algebra import BoundedAlgebra, join_slot_map
+from repro.courcelle.algebra import (
+    ArityLimitExceeded,
+    BoundedAlgebra,
+    join_slot_map,
+)
 
 STUCK = -1
 CLOSED = ("CLOSED",)
@@ -44,7 +48,7 @@ _ARITY_LIMIT = 12
 
 def _guard(arity: int, key: str) -> None:
     if arity > _ARITY_LIMIT:
-        raise ValueError(
+        raise ArityLimitExceeded(
             f"algebra {key!r} supports boundary arity <= {_ARITY_LIMIT} "
             f"(got {arity}); use a smaller lanewidth for this property"
         )

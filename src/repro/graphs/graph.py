@@ -179,8 +179,8 @@ class Graph:
         Structural mutation is observable through the :meth:`csr`
         snapshot identity; label mutation deliberately is not (labels
         are not part of the snapshot), so consumers that capture label
-        state — the pool-resident parallel executor ships it to workers
-        once per pool — key their caches on this counter instead.
+        state — the vectorized executor holds a compiled round across
+        calls — key their caches on this counter instead.
         """
         return self._labels_version
 

@@ -186,7 +186,6 @@ class IncrementalCertifier:
         store=None,
         decomposer=None,
         exact_limit: Optional[int] = None,
-        exact_engine: Optional[str] = None,
         exact_budget_ms: Optional[float] = None,
         rng: Optional[random.Random] = None,
         max_dirty_fraction: float = DEFAULT_MAX_DIRTY_FRACTION,
@@ -207,7 +206,6 @@ class IncrementalCertifier:
                 k=k,
                 decomposer=decomposer,
                 exact_limit=exact_limit,
-                exact_engine=exact_engine,
                 exact_budget_ms=exact_budget_ms,
                 rng=rng,
                 store=store,

@@ -1,24 +1,25 @@
-"""Exact pathwidth: branch-and-bound default, subset-DP reference.
+"""Exact pathwidth: branch-and-bound, with a subset-DP reference.
 
 Pathwidth equals the *vertex separation number* (Kinnersley 1992): the
 minimum over linear orderings ``v_1, ..., v_n`` of the maximum, over
 prefixes, of the number of prefix vertices with a neighbor outside the
-prefix.  Two exact engines share the bitset substrate in
+prefix.  Two exact searches share the bitset substrate in
 :mod:`repro.pathwidth.bitsets`:
 
-* ``engine="bnb"`` (default) — the Coudert–Mazauric–Nisse
-  branch-and-bound in :mod:`repro.pathwidth.branch_and_bound`.  No size
-  cap; bounded-pathwidth inputs at n ≈ 50–100 typically prove optimal in
+* every function here except :func:`subset_dp_pathwidth` runs the
+  Coudert–Mazauric–Nisse branch-and-bound in
+  :mod:`repro.pathwidth.branch_and_bound`.  No size cap;
+  bounded-pathwidth inputs at n ≈ 50–100 typically prove optimal in
   well under a second.  An optional ``budget_ms`` deadline turns it into
   a strict attempt: on timeout a ``ValueError`` is raised (callers who
   want the anytime incumbent instead should use
   :func:`~repro.pathwidth.branch_and_bound.branch_and_bound_ordering`
-  directly, as ``DecomposeStage`` does).
-* ``engine="dp"`` — the Held–Karp-style subset DP below:
+  directly, as ``DecomposeStage`` does);
+* :func:`subset_dp_pathwidth` — the Held–Karp-style subset DP
   ``f(S) = min_{v in S} max(f(S - v), boundary(S))``, O(2^n * n) time
   and O(2^n) memory, capped at ``_EXACT_LIMIT`` vertices.  Kept as the
-  independent ground truth the equivalence suite checks the
-  branch-and-bound against.
+  independent ground truth the equivalence suite and the E13 bench
+  check the branch-and-bound against.
 """
 
 from __future__ import annotations
@@ -32,54 +33,48 @@ from repro.pathwidth.path_decomposition import PathDecomposition
 
 _EXACT_LIMIT = 24
 
-#: Engine names accepted by every function in this module.
-ENGINES = ("bnb", "dp")
-DEFAULT_ENGINE = "bnb"
 
-
-def _check_engine(engine: str) -> str:
-    if engine not in ENGINES:
-        raise ValueError(f"unknown exact engine {engine!r}; expected one of {ENGINES}")
-    return engine
-
-
-def exact_pathwidth(
-    graph: Graph, engine: str = DEFAULT_ENGINE, budget_ms: Optional[float] = None
-) -> int:
+def exact_pathwidth(graph: Graph, budget_ms: Optional[float] = None) -> int:
     """Return the exact pathwidth of ``graph``.
 
-    Raises ``ValueError`` when the chosen engine cannot certify
-    optimality: the ``"dp"`` engine above its hard size limit, or the
-    ``"bnb"`` engine when a ``budget_ms`` deadline expires first.
+    Raises ``ValueError`` when a ``budget_ms`` deadline expires before
+    optimality is proven.
     """
     if graph.n == 0:
         return -1
-    ordering = optimal_vertex_ordering(graph, engine=engine, budget_ms=budget_ms)
+    ordering = optimal_vertex_ordering(graph, budget_ms=budget_ms)
     return _vertex_separation_of(graph, ordering)
 
 
 def optimal_vertex_ordering(
-    graph: Graph, engine: str = DEFAULT_ENGINE, budget_ms: Optional[float] = None
+    graph: Graph, budget_ms: Optional[float] = None
 ) -> list:
     """Return a vertex ordering achieving the minimum vertex separation."""
-    _check_engine(engine)
     if graph.n == 0:
         return []
-    if engine == "bnb":
-        from repro.pathwidth.branch_and_bound import branch_and_bound_ordering
+    from repro.pathwidth.branch_and_bound import branch_and_bound_ordering
 
-        result = branch_and_bound_ordering(graph, budget_ms=budget_ms)
-        if not result.optimal:
-            raise ValueError(
-                "branch-and-bound budget of %r ms expired before optimality "
-                "was proven (incumbent width %d)" % (budget_ms, result.width)
-            )
-        return result.ordering
-    return _dp_vertex_ordering(graph)
+    result = branch_and_bound_ordering(graph, budget_ms=budget_ms)
+    if not result.optimal:
+        raise ValueError(
+            "branch-and-bound budget of %r ms expired before optimality "
+            "was proven (incumbent width %d)" % (budget_ms, result.width)
+        )
+    return result.ordering
+
+
+def subset_dp_pathwidth(graph: Graph) -> int:
+    """Exact pathwidth by the O(2^n * n) subset DP (reference only).
+
+    Raises ``ValueError`` above ``_EXACT_LIMIT`` vertices.
+    """
+    if graph.n == 0:
+        return -1
+    return _vertex_separation_of(graph, _dp_vertex_ordering(graph))
 
 
 def _dp_vertex_ordering(graph: Graph) -> list:
-    """The O(2^n * n) subset-DP reference engine."""
+    """An optimal ordering by the subset DP."""
     n = graph.n
     if n > _EXACT_LIMIT:
         raise ValueError(
@@ -126,7 +121,7 @@ def _vertex_separation_of(graph: Graph, ordering: list) -> int:
 
 
 def exact_path_decomposition(
-    graph: Graph, engine: str = DEFAULT_ENGINE, budget_ms: Optional[float] = None
+    graph: Graph, budget_ms: Optional[float] = None
 ) -> PathDecomposition:
     """Return an optimal-width path decomposition.
 
@@ -136,34 +131,33 @@ def exact_path_decomposition(
     """
     if graph.n == 0:
         return PathDecomposition(graph, [], validate=False)
-    ordering = optimal_vertex_ordering(graph, engine=engine, budget_ms=budget_ms)
+    ordering = optimal_vertex_ordering(graph, budget_ms=budget_ms)
     rep = IntervalRepresentation.from_ordering(graph, ordering)
     return PathDecomposition.from_interval_representation(rep)
 
 
 def pathwidth_at_most(
-    graph: Graph, k: int, engine: str = DEFAULT_ENGINE,
-    budget_ms: Optional[float] = None,
+    graph: Graph, k: int, budget_ms: Optional[float] = None
 ) -> bool:
     """Return whether ``pw(graph) <= k`` (exact)."""
     if graph.n == 0:
         return True
-    return exact_pathwidth(graph, engine=engine, budget_ms=budget_ms) <= k
+    return exact_pathwidth(graph, budget_ms=budget_ms) <= k
 
 
 def exact_pathwidth_of_components(
-    graph: Graph, engine: str = DEFAULT_ENGINE, budget_ms: Optional[float] = None
+    graph: Graph, budget_ms: Optional[float] = None
 ) -> int:
     """Return pathwidth of a possibly disconnected graph (max over parts).
 
-    The ``"bnb"`` engine splits components internally; this wrapper keeps
-    the per-component contract for the ``"dp"`` engine (and callers that
-    iterate components themselves).
+    The branch-and-bound splits components internally; this wrapper
+    keeps the per-component contract for callers that iterate components
+    themselves.
     """
     if graph.n == 0:
         return -1
     best = 0
     for component in graph.connected_components():
         sub = graph.induced_subgraph(component)
-        best = max(best, exact_pathwidth(sub, engine=engine, budget_ms=budget_ms))
+        best = max(best, exact_pathwidth(sub, budget_ms=budget_ms))
     return best

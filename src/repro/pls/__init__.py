@@ -24,13 +24,7 @@ from repro.pls.model import (
     ViewFactory,
     view_factory_for,
 )
-from repro.pls.arrays import (
-    HAVE_NUMPY,
-    NotVectorizable,
-    RoundArrays,
-    pack_round_arrays,
-    unpack_round_arrays,
-)
+from repro.pls.arrays import HAVE_NUMPY, NotVectorizable, RoundArrays
 from repro.pls.scheme import Labeling, ProofLabelingScheme, VerificationResult
 from repro.pls.simulator import run_verification
 from repro.pls.bits import uint_bits, id_bits_for
@@ -47,8 +41,6 @@ __all__ = [
     "HAVE_NUMPY",
     "NotVectorizable",
     "RoundArrays",
-    "pack_round_arrays",
-    "unpack_round_arrays",
     "Labeling",
     "ProofLabelingScheme",
     "VerificationResult",

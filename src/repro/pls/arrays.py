@@ -8,20 +8,15 @@ round snapshot as flat ``int64`` arrays instead: CSR ``indptr`` /
 (no certificate knowledge, no imports from ``repro.core``; the
 dependency arrow runs ``repro.core -> repro.pls`` and must not reverse).
 
-The module also provides a packed single-buffer representation
-(:func:`pack_round_arrays` / :func:`unpack_round_arrays`) so a parent
-process can publish one ``multiprocessing.shared_memory`` segment and
-workers can rebuild zero-copy array views from it.
-
-numpy is an optional dependency of the repo; importing this module
-raises ``RuntimeError`` when it is absent so callers can gate cleanly
-(``repro.api.vectorized`` catches this and falls back to the reference
-executors).
+numpy is an optional dependency of the repo; building a
+:class:`RoundArrays` raises ``RuntimeError`` when it is absent, and
+``repro.api.vectorized`` checks :data:`HAVE_NUMPY` first and falls back
+to the reference verifier.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence
 
 try:  # pragma: no cover - exercised indirectly via HAVE_NUMPY
     import numpy as _np
@@ -30,7 +25,7 @@ except Exception:  # pragma: no cover - numpy is present in CI
 
 HAVE_NUMPY = _np is not None
 
-#: Sentinel for "no identifier" slots inside packed buffers.  Chosen far
+#: Sentinel for "no identifier" slots in the kernel columns.  Chosen far
 #: outside the validated identifier range (see ``_check_int``) so it can
 #: never collide with a real vertex id.
 NONE_ID = -(1 << 61)
@@ -48,7 +43,7 @@ def _require_numpy():
     if _np is None:  # pragma: no cover - numpy is present in CI
         raise RuntimeError(
             "numpy is required for repro.pls.arrays; install it or use "
-            "the serial/parallel executors"
+            "the serial executor"
         )
     return _np
 
@@ -94,7 +89,7 @@ class RoundArrays:
         ``identifiers[i]`` is the integer id of dense vertex ``i`` (the
         order of ``csr.vertices``).  Raises :class:`NotVectorizable` if
         any identifier is not a plain bounded int or collides with the
-        packing sentinel.
+        :data:`NONE_ID` sentinel.
         """
         np = _require_numpy()
         ids = [_check_int(x, "vertex identifier") for x in identifiers]
@@ -113,56 +108,3 @@ class RoundArrays:
             incident=np.asarray(csr.incident, dtype=np.int64),
             identifiers=np.asarray(ids, dtype=np.int64),
         )
-
-    def degree(self, dense_index: int) -> int:
-        return int(self.indptr[dense_index + 1] - self.indptr[dense_index])
-
-
-_PACK_MAGIC = 0x52415252  # "RARR"
-
-
-def pack_round_arrays(arrays: RoundArrays, order: Optional[Sequence[int]] = None):
-    """Serialise a :class:`RoundArrays` (+ optional vertex order) into one
-    contiguous int64 buffer suitable for a shared-memory segment.
-
-    Layout: ``[magic, n, m, len(order)] ++ indptr ++ neighbors ++
-    incident ++ identifiers ++ order``.  Lengths of the CSR arrays are
-    implied by ``n``/``m`` (indptr is ``n+1``, neighbors/incident are
-    ``2m``).
-    """
-    np = _require_numpy()
-    order_arr = (
-        np.asarray(list(order), dtype=np.int64)
-        if order is not None
-        else np.zeros(0, dtype=np.int64)
-    )
-    header = np.array(
-        [_PACK_MAGIC, arrays.n, arrays.m, order_arr.shape[0]], dtype=np.int64
-    )
-    return np.concatenate(
-        [header, arrays.indptr, arrays.neighbors, arrays.incident,
-         arrays.identifiers, order_arr]
-    )
-
-
-def unpack_round_arrays(buf) -> Tuple[RoundArrays, "object"]:
-    """Inverse of :func:`pack_round_arrays`.
-
-    ``buf`` is any int64 array-like (typically ``np.frombuffer`` over a
-    shared-memory segment).  Returns ``(RoundArrays, order)`` where the
-    array fields are zero-copy views into ``buf``.
-    """
-    np = _require_numpy()
-    buf = np.asarray(buf, dtype=np.int64)
-    if buf.shape[0] < 4 or int(buf[0]) != _PACK_MAGIC:
-        raise ValueError("not a packed RoundArrays buffer")
-    n, m, olen = int(buf[1]), int(buf[2]), int(buf[3])
-    pos = 4
-    indptr = buf[pos:pos + n + 1]; pos += n + 1
-    neighbors = buf[pos:pos + 2 * m]; pos += 2 * m
-    incident = buf[pos:pos + 2 * m]; pos += 2 * m
-    identifiers = buf[pos:pos + n]; pos += n
-    order = buf[pos:pos + olen]; pos += olen
-    if pos != buf.shape[0]:
-        raise ValueError("packed RoundArrays buffer has trailing bytes")
-    return RoundArrays(n, m, indptr, neighbors, incident, identifiers), order

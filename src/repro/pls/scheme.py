@@ -104,17 +104,6 @@ class ProofLabelingScheme(ABC):
     def label_size_bits(self, label, ctx: SizeContext) -> int:
         """Return the encoded size of one certificate in bits."""
 
-    def verifier_only(self) -> "ProofLabelingScheme":
-        """Return a pickle-safe scheme exposing the same verifier half.
-
-        The verification runtime ships ``(config, verifier, labeling)``
-        across process boundaries; prover state (witness decomposer
-        closures, cached stage objects) often is not picklable, so
-        schemes carrying such state override this to strip it.  The
-        default returns ``self`` — most schemes are plain data.
-        """
-        return self
-
 
 class ProverFailure(Exception):
     """Raised by provers on configurations violating the predicate."""

@@ -2,7 +2,7 @@
 
 The pieces the API layer grew in PRs 1–5 (facade, sessions, the
 persistent :class:`~repro.api.store.CertificateStore` + artifact cache,
-pool-resident prover/executor) were all single-process and blocking.
+verification engine) were all single-process and blocking.
 This package is the serving tier on top of them:
 
 * :mod:`repro.service.protocol` — newline-delimited JSON wire protocol
@@ -11,7 +11,7 @@ This package is the serving tier on top of them:
   and ``update`` serves edit streams through :mod:`repro.incremental`;
 * :mod:`repro.service.service` — :class:`CertificationService`, the
   asyncio front-end: request coalescing, store-hit fast path, executor
-  bridge onto thread-local sessions with resident process pools;
+  bridge onto thread-local sessions;
 * :mod:`repro.service.coalesce` — in-flight deduplication (M identical
   concurrent requests → one prover run, M responses);
 * :mod:`repro.service.metrics` — counters, gauges, and latency

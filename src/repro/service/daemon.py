@@ -10,9 +10,8 @@ per-connection lock, so they may interleave *across* requests but never
 
 Graceful shutdown (SIGTERM/SIGINT or a ``shutdown`` request): stop
 accepting connections, wait up to ``config.drain_timeout`` seconds for
-in-flight request tasks, close the service (worker threads drained,
-resident prover/verifier pools released — no leaked worker processes),
-and emit one final ``SERVICE_METRICS {json}`` line on stdout so the
+in-flight request tasks, close the service (worker threads drained —
+no leaked worker processes), and emit one final ``SERVICE_METRICS {json}`` line on stdout so the
 last metrics snapshot survives the process.
 """
 

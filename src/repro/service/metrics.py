@@ -97,16 +97,16 @@ class ServiceMetrics:
     * kernel counters (PR 8): ``kernel_rounds`` — verification rounds
       whose report carried :attr:`VerificationReport.kernel_stats`,
       with summed ``kernel_accepted`` / ``fallback_vertices`` /
-      ``compiled_vertices`` across them — the observable proof that a
-      ``vectorized`` / ``shared-memory`` engine actually decided
-      vertices in the batched kernels rather than the reference path;
+      ``compiled_vertices`` across them — the observable proof that the
+      ``vectorized`` engine actually decided vertices in the batched
+      kernels rather than the reference path;
     * incremental counters (the ``update`` op): ``updates`` applied,
       ``bags_dirtied`` across their decomposition repairs,
       ``artifacts_reused`` from the plan DAG instead of re-run, and
       ``full_fallbacks`` — updates whose repair gave up and re-ran the
       full decomposition search;
     * decomposition counters (PR 9): per-engine run counts
-      (``bnb``/``dp``/``heuristic``/``witness``), branch-and-bound
+      (``bnb``/``heuristic``/``witness``), branch-and-bound
       ``nodes expanded`` / ``memo hits`` totals, ``timeouts`` (budget
       expiries that fell back to the incumbent), and
       ``width_improvements`` — runs whose exact width beat the

@@ -29,6 +29,7 @@ from repro.core import (
     apply_construction,
     random_lanewidth_sequence,
 )
+from repro.experiments import lanewidth_workload
 from repro.graphs import Graph
 from repro.graphs.generators import (
     caterpillar_graph,
@@ -73,6 +74,18 @@ class TestProverFailureReports:
         # The structural work succeeded; only evaluation refused.
         assert report.hierarchy_depth is not None
         assert report.stage_seconds("evaluate") >= 0.0
+
+    def test_algebra_capacity_limit_refused(self):
+        """A table algebra past its boundary-arity cap is a capacity
+        limit of the prover: the report refuses with the algebra's own
+        message instead of raising out of the session."""
+        sequence, _graph = lanewidth_workload(3, 64, 1)
+        report = CertificationSession().certify(sequence, "colorable-3")
+        assert report.refused and not report.accepted
+        assert "boundary arity <= 8 (got 9)" in report.refusal
+        # The structural work succeeded; only evaluation refused.
+        assert report.hierarchy_depth is not None
+        assert report.stage_counters["evaluate"] == 1
 
     def test_structural_refusal_covers_whole_batch(self):
         g = Graph(edges=[(0, 1), (2, 3)])

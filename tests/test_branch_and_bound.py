@@ -9,8 +9,8 @@ Three layers of assurance for the new default exact engine:
   constructors (which re-check the structural invariants);
 * **regression corpus** — graph families with known pathwidth, sized
   well past the old ``_EXACT_LIMIT`` wall, must come back optimal;
-* **knob threading** — ``exact_engine`` / ``exact_budget_ms`` reach the
-  decompose stage through the facade/session, and the run's
+* **knob threading** — ``exact_budget_ms`` reaches the decompose stage
+  through the facade/session, and the run's
   ``decomposition_stats`` survive the report round-trip and feed the
   service metrics.
 """
@@ -41,6 +41,7 @@ from repro.pathwidth import (
     branch_and_bound_ordering,
     exact_pathwidth,
 )
+from repro.pathwidth.exact import subset_dp_pathwidth
 from repro.pathwidth.heuristics import heuristic_path_decomposition
 from repro.service.metrics import ServiceMetrics
 
@@ -61,9 +62,7 @@ class TestEquivalenceWithDP:
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 14))
     def test_width_matches_subset_dp(self, seed, n):
         g = _random_graph(random.Random(seed), n)
-        assert exact_pathwidth(g, engine="bnb") == exact_pathwidth(
-            g, engine="dp"
-        )
+        assert exact_pathwidth(g) == subset_dp_pathwidth(g)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 12))
@@ -75,7 +74,7 @@ class TestEquivalenceWithDP:
         rep = IntervalRepresentation.from_ordering(g, result.ordering)
         decomposition = PathDecomposition.from_interval_representation(rep)
         assert decomposition.width() == result.width
-        assert result.width == exact_pathwidth(g, engine="dp")
+        assert result.width == subset_dp_pathwidth(g)
 
     def test_seed_never_beaten_by_result(self):
         # Anytime contract: the returned width is never worse than the
@@ -167,11 +166,6 @@ class TestKnobThreading:
         assert stats["optimal"] is True
         assert stats["width"] == 1
         assert "bnb width 1" in report.summary()
-
-    def test_dp_engine_still_selectable(self):
-        g = path_graph(10)
-        report = certify(g, "connected", k=2, verify=False, exact_engine="dp")
-        assert report.decomposition_stats["engine"] == "dp"
 
     def test_large_graph_defaults_to_heuristic(self):
         g, _bags = random_pathwidth_graph(40, 3, rng=random.Random(2))

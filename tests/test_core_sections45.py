@@ -2,6 +2,7 @@
 merges, hierarchies — every bound the paper states, asserted."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,7 @@ from repro.core.klane_graph import KLaneGraph
 from repro.core.lanewidth import final_designated
 from repro.courcelle import algebra_for
 from repro.courcelle.boundary import REAL, VIRTUAL
+from repro.experiments import lanewidth_workload
 from repro.graphs import Graph
 from repro.graphs.generators import (
     caterpillar_graph,
@@ -311,6 +313,30 @@ class TestProposition56:
             for key, want in cases.items():
                 evaluation = evaluate_hierarchy(root, algebra_for(key))
                 assert evaluation.accepts(root) == want
+
+    def test_evaluation_stack_depth_is_independent_of_member_chains(self):
+        """Member chains grow with n (≈200 deep at n=1024); the T-node
+        fold must not spend a Python frame per chain level.  Evaluate
+        under a recursion limit a few dozen frames above the caller and
+        compare with the unconstrained evaluation, class for class."""
+        seq, _graph = lanewidth_workload(3, 256, 1)
+        root = build_hierarchy(seq)
+        algebra = algebra_for("connected")
+        expected = evaluate_hierarchy(root, algebra)
+
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 40)
+        try:
+            constrained = evaluate_hierarchy(root, algebra)
+        finally:
+            sys.setrecursionlimit(limit)
+
+        assert constrained.node_eval == expected.node_eval
+        assert constrained.subtree_eval == expected.subtree_eval
+        assert constrained.accepts(root)
 
     def test_full_chain_from_pathwidth(self):
         rng = random.Random(8)

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.courcelle import (
+    ArityLimitExceeded,
     BoundariedGraph,
     ProductAlgebra,
     WholeGraphAlgebra,
@@ -331,3 +332,11 @@ class TestArityGuards:
     def test_hamiltonian_guard(self):
         with pytest.raises(ValueError):
             algebra_for("hamiltonian-path").new_vertices(13)
+
+    def test_guards_raise_the_typed_capacity_error(self):
+        # A ValueError subclass, so direct callers keep their contract
+        # while the pipeline can tell capacity limits from bugs.
+        assert issubclass(ArityLimitExceeded, ValueError)
+        for key, arity in (("colorable-3", 12), ("hamiltonian-path", 13)):
+            with pytest.raises(ArityLimitExceeded, match="boundary arity"):
+                algebra_for(key).new_vertices(arity)

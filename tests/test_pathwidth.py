@@ -33,6 +33,7 @@ from repro.pathwidth.exact import (
     exact_path_decomposition,
     exact_pathwidth_of_components,
     pathwidth_at_most,
+    subset_dp_pathwidth,
 )
 from repro.pathwidth.heuristics import bfs_ordering, greedy_boundary_ordering
 
@@ -171,15 +172,11 @@ class TestExactPathwidth:
 
     def test_dp_size_limit(self):
         with pytest.raises(ValueError):
-            exact_pathwidth(path_graph(30), engine="dp")
+            subset_dp_pathwidth(path_graph(30))
 
     def test_default_engine_passes_old_dp_limit(self):
         # The branch-and-bound default has no size cap.
         assert exact_pathwidth(path_graph(30)) == 1
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            exact_pathwidth(path_graph(4), engine="milp")
 
     def test_trees_have_low_pathwidth(self):
         rng = random.Random(9)

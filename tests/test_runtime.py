@@ -1,10 +1,10 @@
 """Tests for the verification runtime (engine, executors, audits).
 
 Covers the invariants the API redesign promises: executor-independent
-verdicts (serial == parallel), observable fail-fast savings, separate
-accounting of exception rejections, pickle-safe cross-process dispatch,
-JSON round-trips, and the AuditPlan campaign surface — including the
-transplant ("right proof, wrong graph") attack as a library call.
+verdicts (serial == vectorized), observable fail-fast savings, separate
+accounting of exception rejections, JSON round-trips, and the AuditPlan
+campaign surface — including the transplant ("right proof, wrong
+graph") attack as a library call.
 """
 
 import json
@@ -21,7 +21,6 @@ from repro.api import (
     CertificationReport,
     CertificationSession,
     MutationAttack,
-    ParallelExecutor,
     SerialExecutor,
     StageTiming,
     SwapAttack,
@@ -31,6 +30,7 @@ from repro.api import (
     certify,
     derive_rng,
     derive_seed,
+    make_executor,
     verify_labeling,
 )
 from repro.core import certify_lanewidth_graph, random_lanewidth_sequence
@@ -97,23 +97,10 @@ class TestVerificationEngine:
         assert sum(c.views_built for c in report.chunks) == report.views_built
         assert len(report.chunks) == -(-config.graph.n // 4)
 
-    def test_parallel_matches_serial(self):
-        config, scheme, labeling = _honest_case(3)
-        serial = VerificationEngine(SerialExecutor()).verify(
-            config, scheme, labeling
-        )
-        parallel = VerificationEngine(
-            ParallelExecutor(max_workers=2, chunk_size=3)
-        ).verify(config, scheme, labeling)
-        assert parallel.executor == "parallel"
-        assert parallel.verdicts == serial.verdicts
-        assert parallel.accepted == serial.accepted
-        assert parallel.views_built == serial.views_built
-
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=6, deadline=None)
     def test_executors_agree_property(self, seed):
-        """Serial and parallel verdicts are identical on the same
+        """Serial and vectorized verdicts are identical on the same
         configuration — honest or corrupted."""
         config, scheme, labeling = _honest_case(seed, extra=8)
         rng = random.Random(seed)
@@ -122,11 +109,11 @@ class TestVerificationEngine:
             serial = VerificationEngine(SerialExecutor()).verify(
                 config, scheme, candidate
             )
-            parallel = VerificationEngine(
-                ParallelExecutor(max_workers=2, chunk_size=3)
+            vectorized = VerificationEngine(
+                make_executor("vectorized")
             ).verify(config, scheme, candidate)
-            assert serial.verdicts == parallel.verdicts
-            assert serial.accepted == parallel.accepted
+            assert serial.verdicts == vectorized.verdicts
+            assert serial.accepted == vectorized.accepted
 
     def test_fail_fast_short_circuits(self):
         config, scheme, labeling = _honest_case(4, extra=20)
@@ -144,16 +131,6 @@ class TestVerificationEngine:
         assert report.short_circuited
         assert report.rejecting_vertices  # at least the triggering vertex
         assert not report.as_result().accepted
-
-    def test_fail_fast_parallel_agrees_on_verdict(self):
-        config, scheme, labeling = _honest_case(5, extra=20)
-        rng = random.Random(5)
-        bad = corrupt_one_label(labeling, rng)
-        assert bad.mapping != labeling.mapping
-        report = VerificationEngine(
-            ParallelExecutor(max_workers=2, chunk_size=2), fail_fast=True
-        ).verify(config, scheme, bad)
-        assert not report.accepted
 
     def test_fail_fast_accepting_instance_builds_all_views(self):
         config, scheme, labeling = _honest_case(6)
@@ -186,140 +163,9 @@ class TestVerificationEngine:
         with pytest.raises(ValueError, match="location"):
             VerificationEngine().verify(config, scheme, wrong)
 
-    def test_parallel_handles_unpicklable_prover_state(self):
-        """verifier_only() strips closures the pool cannot pickle."""
-        graph, decomposition = pathwidth_workload(12, 2, seed=9)
-        report = certify(
-            graph,
-            "connected",
-            k=2,
-            decomposer=lambda _g: decomposition,
-            rng=random.Random(9),
-        )
-        parallel = VerificationEngine(
-            ParallelExecutor(max_workers=2)
-        ).verify(report.config, report.scheme, report.labeling)
-        assert parallel.accepted
-
     def test_verify_labeling_helper(self):
         config, scheme, labeling = _honest_case(10)
         assert verify_labeling(config, scheme, labeling).accepted
-
-    def test_parallel_pool_is_reused_across_rounds(self):
-        config, scheme, labeling = _honest_case(24)
-        with ParallelExecutor(max_workers=2, chunk_size=4) as executor:
-            engine = VerificationEngine(executor)
-            assert engine.verify(config, scheme, labeling).accepted
-            pool = executor._pool
-            assert pool is not None
-            assert engine.verify(config, scheme, labeling).accepted
-            assert executor._pool is pool  # no per-round pool churn
-        assert executor._pool is None  # context exit closed it
-        # A closed executor transparently restarts.
-        assert engine.verify(config, scheme, labeling).accepted
-        executor.close()
-
-    def test_payload_pickled_exactly_once_per_pool(self, monkeypatch):
-        """The pool-resident design's core promise: one ``pickle.dumps``
-        of the (config, verifier, labeling) payload per pool lifetime,
-        however many rounds run on it — and zero re-ships per chunk."""
-        import pickle as real_pickle
-        import types
-
-        from repro.api import runtime as runtime_mod
-
-        dumps_calls = []
-
-        def counting_dumps(obj, *args, **kwargs):
-            dumps_calls.append(obj)
-            return real_pickle.dumps(obj, *args, **kwargs)
-
-        # Patch only the runtime module's view of pickle: the pool's own
-        # machinery (ForkingPickler) is deliberately out of scope.
-        monkeypatch.setattr(
-            runtime_mod,
-            "pickle",
-            types.SimpleNamespace(
-                dumps=counting_dumps, loads=real_pickle.loads
-            ),
-        )
-        config, scheme, labeling = _honest_case(26, extra=12)
-        with ParallelExecutor(max_workers=2, chunk_size=2) as executor:
-            engine = VerificationEngine(executor)
-            for _ in range(3):  # many rounds, same payload, one pool
-                assert engine.verify(config, scheme, labeling).accepted
-            assert len(dumps_calls) == 1
-            assert executor.payload_ships == 1
-            # A different payload retires the pool and ships once more.
-            other_config, other_scheme, other_labeling = _honest_case(27)
-            assert engine.verify(
-                other_config, other_scheme, other_labeling
-            ).accepted
-            assert len(dumps_calls) == 2
-            assert executor.payload_ships == 2
-
-    def test_pool_reships_after_structural_graph_mutation(self):
-        """A pool is bound to one payload *snapshot*: editing the graph
-        between rounds (same objects throughout) must retire the
-        resident workers, keeping parallel verdicts equal to serial."""
-        config, scheme, labeling = _honest_case(29)
-        graph = config.graph
-        with ParallelExecutor(max_workers=2, chunk_size=4) as executor:
-            engine = VerificationEngine(executor)
-            assert engine.verify(config, scheme, labeling).accepted
-            ships = executor.payload_ships
-            non_edge = next(
-                (u, v)
-                for u in graph.vertices()
-                for v in graph.vertices()
-                if u < v and not graph.has_edge(u, v)
-            )
-            graph.add_edge(*non_edge)  # in place: identity unchanged
-            parallel_report = engine.verify(config, scheme, labeling)
-            assert executor.payload_ships == ships + 1  # stale pool retired
-            serial_report = VerificationEngine(SerialExecutor()).verify(
-                config, scheme, labeling
-            )
-            # The unlabeled new edge makes vertices reject — on both
-            # schedules identically.
-            assert parallel_report.verdicts == serial_report.verdicts
-            assert parallel_report.accepted == serial_report.accepted
-            # Input-label edits are invisible to the CSR snapshot but
-            # bump the label version — also a re-ship.
-            graph.set_edge_label(*non_edge, "mutated")
-            engine.verify(config, scheme, labeling)
-            assert executor.payload_ships == ships + 2
-
-    def test_fail_fast_does_not_dispatch_remaining_chunks(self):
-        """Regression for submit-everything-then-cancel: after the first
-        rejection surfaces, no further chunk may be dispatched, so the
-        number of executed chunks is bounded by the dispatch window —
-        not by the chunk count."""
-        config, scheme, labeling = _honest_case(28, extra=30)
-        vertices = sorted(config.graph.vertices(), key=repr)
-        first = vertices[0]
-        # Corrupt an edge incident to the canonically-first vertex so the
-        # very first chunk rejects.
-        bad_mapping = dict(labeling.mapping)
-        key = next(k for k in sorted(bad_mapping, key=repr) if first in k)
-        bad_mapping[key] = "garbage"
-        bad = Labeling("edges", bad_mapping, labeling.size_context)
-        window = 2
-        with ParallelExecutor(
-            max_workers=1, chunk_size=1, dispatch_window=window
-        ) as executor:
-            report = VerificationEngine(executor, fail_fast=True).verify(
-                config, scheme, bad
-            )
-        total_chunks = len(vertices)
-        assert total_chunks > window + 1
-        assert not report.accepted
-        assert report.short_circuited
-        # Executed chunks never exceed the window; in particular the
-        # remaining chunks were not dispatched after the rejection.
-        assert len(report.chunks) <= window
-        assert report.views_built <= window
-        assert len(report.chunks) < total_chunks
 
 
 class TestReportSerialization:

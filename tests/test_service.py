@@ -498,26 +498,21 @@ class TestServiceHandle:
     def test_config_validation(self, tmp_path):
         with pytest.raises(ValueError):
             ServiceConfig(store_root=tmp_path, worker_threads=0)
-        with pytest.raises(ValueError):
-            ServiceConfig(store_root=tmp_path, prover_workers=-1)
+        for engine in ("bogus", "parallel", "shared-memory"):
+            with pytest.raises(ValueError, match="unknown engine"):
+                ServiceConfig(store_root=tmp_path, engine=engine)
 
 
 class TestResidentPools:
     def test_close_leaves_no_worker_processes(self, tmp_path):
-        """The graceful-shutdown satellite: a service configured with
-        resident prover/executor pools must reap every worker process
-        when closed."""
-        service = _service(
-            tmp_path, worker_threads=1, prover_workers=2, engine_workers=2
-        )
+        """Graceful shutdown leaves no worker process behind: a request
+        proves and verifies in-process on a service worker thread."""
+        service = _service(tmp_path)
         graph = _graph(seed=51)
         try:
             response = asyncio.run(service.handle(_certify_request(graph, 1)))
             assert response["ok"], response
             assert response["result"]["reports"]["connected"]["accepted"]
-            # The thread-local session spun its pools up.
-            spawned = multiprocessing.active_children()
-            assert spawned, "resident pools should own worker processes"
         finally:
             service.close_blocking()
         deadline = time.time() + 30

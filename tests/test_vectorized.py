@@ -1,21 +1,19 @@
 """Tests for the PR 8 vectorized verification hot path.
 
 The contract under test is *verdict identity*: the batched numpy
-kernels (:class:`repro.api.VectorizedExecutor`) and the shared-memory
-process-pool executor (:class:`repro.api.SharedMemoryExecutor`) must
-return exactly the reference executor's (accepted, per-vertex verdicts,
-rejecting set) on every configuration and labeling — honest or
-adversarially mutated — because kernels only *accept* when every
-reference check provably passes and everything else falls back to the
-reference ``LocalView`` path.  The differential harness runs the
+kernels (:class:`repro.api.VectorizedExecutor`) must return exactly the
+reference executor's (accepted, per-vertex verdicts, rejecting set) on
+every configuration and labeling — honest or adversarially mutated —
+because kernels only *accept* when every reference check provably
+passes and everything else falls back to the reference ``LocalView``
+path.  The differential harness runs the
 vectorized executor in ``audit`` mode, which re-checks every
 kernel-accept against the reference verifier and raises on divergence.
 
 Also covered: the executor registry (:func:`repro.api.make_executor`),
-shared-memory segment lifecycle (unlink on close / context exit / after
-an injected worker crash; attach from a fresh interpreter), the
-``AuditPlan`` engine override with the transplant-attack regression,
-the columnar bulk decoder, and the service-level engine selection.
+the ``AuditPlan`` engine override with the transplant-attack regression,
+the columnar bulk decoder, the service-level engine selection, and the
+persisted compiled-round envelope.
 """
 
 import json
@@ -36,7 +34,6 @@ from repro.api import (
     AuditPlan,
     CertificationSession,
     SerialExecutor,
-    SharedMemoryExecutor,
     TransplantAttack,
     VectorizedExecutor,
     VerificationEngine,
@@ -49,7 +46,7 @@ from repro.codec import decode_labeling_columnar, encode_labeling
 from repro.core import certify_lanewidth_graph, random_lanewidth_sequence
 from repro.experiments import lanewidth_workload, seed_stream
 from repro.graphs.generators import cycle_graph
-from repro.pls import HAVE_NUMPY, RoundArrays, pack_round_arrays
+from repro.pls import HAVE_NUMPY
 from repro.pls.adversary import (
     corrupt_one_label,
     drop_one_label,
@@ -116,15 +113,17 @@ class VertexScheme(ProofLabelingScheme):
 class TestExecutorRegistry:
     def test_names(self):
         names = executor_names()
-        for kind in ("serial", "parallel", "vectorized", "shared-memory"):
+        for kind in ("serial", "vectorized"):
             assert kind in names
+        for removed in ("parallel", "shared-memory"):
+            assert removed not in names
 
     def test_make_executor_kinds(self):
         assert isinstance(make_executor("serial"), SerialExecutor)
         assert isinstance(make_executor("vectorized"), VectorizedExecutor)
-        shm = make_executor("shared_memory", max_workers=2)
-        assert isinstance(shm, SharedMemoryExecutor)  # canonicalized
-        shm.close()
+        # Names are canonicalized: case-folded and stripped.
+        assert isinstance(make_executor(" Vectorized "), VectorizedExecutor)
+        assert isinstance(make_executor("SERIAL"), SerialExecutor)
 
     def test_unknown_kind_raises(self):
         with pytest.raises(ValueError, match="unknown executor"):
@@ -206,121 +205,6 @@ class TestVectorizedDifferential:
         back = VerificationReport.from_dict(data)
         assert back.kernel_stats == report.kernel_stats
         assert back.kernel_stats["mode"] == "kernel"
-
-
-@needs_numpy
-class TestSharedMemoryExecutor:
-    def test_verdicts_match_serial(self):
-        config, scheme, labeling = _case(31, extra=12)
-        rng = random.Random(31)
-        with SharedMemoryExecutor(max_workers=2) as executor:
-            for candidate in (labeling, corrupt_one_label(labeling, rng)):
-                _assert_equivalent(config, scheme, candidate, executor)
-
-    def test_close_unlinks_segments(self):
-        from multiprocessing import shared_memory
-
-        config, scheme, labeling = _case(32)
-        executor = SharedMemoryExecutor(max_workers=2)
-        report = VerificationEngine(executor).verify(config, scheme, labeling)
-        assert report.accepted
-        names = executor.segment_names()
-        assert len(names) == 2  # arrays segment + verifier blob segment
-        executor.close()
-        assert executor.segment_names() == []
-        for name in names:
-            # The no-leak assertion: the named segment is gone.
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-
-    def test_context_exit_unlinks_segments(self):
-        from multiprocessing import shared_memory
-
-        config, scheme, labeling = _case(33)
-        with SharedMemoryExecutor(max_workers=2) as executor:
-            VerificationEngine(executor).verify(config, scheme, labeling)
-            names = executor.segment_names()
-            assert names
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-
-    def test_worker_crash_recovers_and_unlinks(self, monkeypatch):
-        """An injected worker crash (os._exit) must not leak segments:
-        the round recovers serially in the parent with correct verdicts
-        and every published segment is unlinked."""
-        from multiprocessing import shared_memory
-
-        monkeypatch.setenv("REPRO_SHM_CRASH", "1")
-        config, scheme, labeling = _case(34)
-        executor = SharedMemoryExecutor(max_workers=2)
-        try:
-            report = VerificationEngine(executor).verify(
-                config, scheme, labeling
-            )
-            names_after = executor.segment_names()
-            assert names_after == []  # crash path closed them already
-            assert report.accepted
-            assert report.kernel_stats["mode"] == "reference"
-            assert report.kernel_stats["reason"] == "worker pool crashed"
-            serial = VerificationEngine(SerialExecutor()).verify(
-                config, scheme, labeling
-            )
-            assert report.verdicts == serial.verdicts
-        finally:
-            executor.close()
-
-    def test_fresh_interpreter_attaches_by_name(self):
-        """A brand-new python process can attach to a published segment
-        by name alone and rebuild the round arrays zero-copy."""
-        import numpy as np
-        from multiprocessing import shared_memory
-
-        arrays = RoundArrays(
-            n=3,
-            m=2,
-            indptr=np.asarray([0, 1, 2, 4], dtype=np.int64),
-            neighbors=np.asarray([1, 2, 0, 1], dtype=np.int64),
-            incident=np.asarray([0, 1, 0, 1], dtype=np.int64),
-            identifiers=np.asarray([10, 20, 30], dtype=np.int64),
-        )
-        packed = pack_round_arrays(arrays, [2, 0, 1])
-        segment = shared_memory.SharedMemory(
-            create=True, size=int(packed.nbytes)
-        )
-        try:
-            np.frombuffer(segment.buf, dtype=np.int64)[
-                : packed.shape[0]
-            ] = packed
-            script = (
-                "import sys, numpy as np\n"
-                "from repro.api.vectorized import _shm_attach\n"
-                "from repro.pls import unpack_round_arrays\n"
-                "segment = _shm_attach(sys.argv[1])\n"
-                "flat = np.frombuffer(segment.buf, dtype=np.int64)\n"
-                "arrays, order = unpack_round_arrays(flat)\n"
-                "out = (arrays.n, arrays.m, [int(x) for x in order])\n"
-                "print(*out[:2], out[2])\n"
-                "del arrays, order, flat\n"
-                "segment.close()\n"
-            )
-            src_root = str(Path(__file__).resolve().parents[1] / "src")
-            env = dict(os.environ)
-            env["PYTHONPATH"] = os.pathsep.join(
-                [src_root, env.get("PYTHONPATH", "")]
-            )
-            result = subprocess.run(
-                [sys.executable, "-c", script, segment.name],
-                capture_output=True,
-                text=True,
-                env=env,
-                timeout=60,
-            )
-            assert result.returncode == 0, result.stderr
-            assert result.stdout.strip() == "3 2 [2, 0, 1]"
-        finally:
-            segment.close()
-            segment.unlink()
 
 
 @needs_numpy
@@ -431,8 +315,8 @@ class TestServiceEngine:
     def test_config_validates_and_canonicalizes(self, tmp_path):
         with pytest.raises(ValueError, match="unknown engine"):
             ServiceConfig(store_root=tmp_path, engine="bogus")
-        config = ServiceConfig(store_root=tmp_path, engine="Shared_Memory")
-        assert config.engine == "shared-memory"
+        config = ServiceConfig(store_root=tmp_path, engine=" Vectorized ")
+        assert config.engine == "vectorized"
 
     def test_vectorized_service_reverify(self, tmp_path):
         config = ServiceConfig(store_root=tmp_path, engine="vectorized")
@@ -458,43 +342,8 @@ class TestServiceEngine:
 
 @needs_numpy
 class TestRoundArraysPersistence:
-    """PR 9 satellite: packed RoundArrays survive process restarts."""
-
-    def test_fresh_executor_reuses_persisted_pack(self, tmp_path):
-        config, scheme, labeling = _case(3)
-        first = VerificationEngine(
-            VectorizedExecutor(artifacts=ArtifactCache(root=tmp_path))
-        ).verify(config, scheme, labeling)
-        assert first.kernel_stats["mode"] == "kernel"
-        assert first.kernel_stats["arrays_cached"] is False
-        # A fresh executor + fresh cache object over the same directory
-        # models a restarted process: the pack comes back from disk.
-        restarted = VectorizedExecutor(
-            artifacts=ArtifactCache(root=tmp_path)
-        )
-        second = VerificationEngine(restarted).verify(
-            config, scheme, labeling
-        )
-        assert second.kernel_stats["arrays_cached"] is True
-        assert second.verdicts == first.verdicts
-        assert second.accepted == first.accepted
-
-    def test_corrupt_pack_is_rebuilt_not_fatal(self, tmp_path):
-        from repro.api.vectorized import _arrays_cache_key
-
-        config, scheme, labeling = _case(4)
-        cache = ArtifactCache(root=tmp_path)
-        cache.put(
-            _arrays_cache_key(config),
-            "round-arrays",
-            {"pack": [1, 2, 3]},
-            0.0,
-        )
-        report = VerificationEngine(
-            VectorizedExecutor(artifacts=cache)
-        ).verify(config, scheme, labeling)
-        assert report.kernel_stats["mode"] == "kernel"
-        assert report.kernel_stats["arrays_cached"] is False
+    """The session lends its artifact cache to the vectorized executor,
+    which persists compiled rounds there; an explicit cache wins."""
 
     def test_session_lends_cache_to_vectorized_executor(self):
         sequence, _graph = lanewidth_workload(3, 16, 9)
@@ -515,24 +364,6 @@ class TestRoundArraysPersistence:
         )
         session.certify(sequence, "connected")
         assert engine.executor.artifacts is own
-
-    def test_shared_memory_executor_adopts_cache(self, tmp_path):
-        config, scheme, labeling = _case(5)
-        cache = ArtifactCache(root=tmp_path)
-        with SharedMemoryExecutor(max_workers=2, artifacts=cache) as first:
-            report = VerificationEngine(first).verify(
-                config, scheme, labeling
-            )
-        assert report.kernel_stats.get("arrays_cached") is False
-        with SharedMemoryExecutor(
-            max_workers=2, artifacts=ArtifactCache(root=tmp_path)
-        ) as restarted:
-            second = VerificationEngine(restarted).verify(
-                config, scheme, labeling
-            )
-        assert second.kernel_stats.get("arrays_cached") is True
-        assert second.verdicts == report.verdicts
-
 
 @needs_numpy
 class TestCompiledRoundPersistence:
@@ -581,7 +412,7 @@ class TestCompiledRoundPersistence:
 
     def test_digestless_labeling_bypasses_envelope(self, tmp_path):
         """No wire digest -> no content key -> the envelope layer stays
-        out of the way (arrays still persist; verdicts unchanged)."""
+        out of the way (verdicts unchanged)."""
         config, scheme, labeling = _case(6)
         for _ in range(2):
             report = VerificationEngine(
@@ -590,25 +421,30 @@ class TestCompiledRoundPersistence:
             assert report.kernel_stats["mode"] == "kernel"
             assert report.kernel_stats["compiled_round_cached"] is False
 
-    def test_shared_memory_ships_persisted_round(self, tmp_path):
-        """The pool parent validates + ships the envelope blob; workers
-        attach instead of compiling."""
-        config, scheme, labeling = self._stamped_case(5)
-        with SharedMemoryExecutor(
-            max_workers=2, artifacts=ArtifactCache(root=tmp_path)
-        ) as first:
-            cold = VerificationEngine(first).verify(config, scheme, labeling)
-        assert cold.kernel_stats.get("compiled_round_cached") is False
-        with SharedMemoryExecutor(
-            max_workers=2, artifacts=ArtifactCache(root=tmp_path)
-        ) as restarted:
-            warm = VerificationEngine(restarted).verify(
-                config, scheme, labeling
-            )
-        assert warm.kernel_stats.get("compiled_round_cached") is True
-        assert warm.kernel_stats.get("compile_seconds") == 0.0
-        assert warm.verdicts == cold.verdicts
-        assert warm.accepted == cold.accepted
+    def test_store_backed_certify_persists_one_round_envelope(self, tmp_path):
+        """The compiled round is the only verification state a
+        store-backed certify persists: the CSR + identifier columns it
+        compiles against are rebuilt per round, not cached beside it."""
+        import pickle
+
+        from repro.api import CertificateStore
+        from repro.api.artifacts import ARTIFACT_MAGIC
+
+        sequence, _graph = lanewidth_workload(3, 32, 4)
+        session = CertificationSession(
+            rng=seed_stream(8, "ids").rng(4),
+            store=CertificateStore(tmp_path),
+            engine=VerificationEngine(VectorizedExecutor()),
+        )
+        report = session.certify(sequence, "connected")
+        assert report.verification.kernel_stats["mode"] == "kernel"
+        stages = sorted(
+            pickle.loads(path.read_bytes()[len(ARTIFACT_MAGIC):])["stage"]
+            for path in tmp_path.rglob("*.art")
+        )
+        assert stages == [
+            "compiled-round", "evaluate", "hierarchy", "label", "match"
+        ]
 
     # -- envelope guards (PR 10 satellite): stale/corrupt == miss ------
     @staticmethod

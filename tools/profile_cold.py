@@ -82,7 +82,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--engine",
         default="vectorized",
-        help="executor kind (serial/parallel/vectorized/shared-memory)",
+        help="executor kind (serial/vectorized)",
     )
     parser.add_argument("--json", default="profile_cold.json")
     parser.add_argument(
