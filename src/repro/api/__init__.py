@@ -87,7 +87,6 @@ from repro.api.audit import (
 )
 from repro.api.results import CertificationReport, StageTiming
 from repro.api.runtime import (
-    ChunkTiming,
     SerialExecutor,
     VerificationEngine,
     VerificationExecutor,
@@ -130,7 +129,6 @@ __all__ = [
     "register_executor",
     "executor_names",
     "VerificationReport",
-    "ChunkTiming",
     "verify_labeling",
     # Adversarial audits.
     "AuditPlan",

@@ -15,9 +15,9 @@ local view).  The design mirrors the distributed reality:
   identical verdicts for the same configuration — the checks are
   independent by the locality guarantee, so scheduling cannot change
   semantics;
-* ``fail_fast`` short-circuits on the first rejection (at chunk
-  granularity), which is the right mode for soundness audits where only
-  the accept/reject bit matters.  The report's ``views_built`` counter
+* ``fail_fast`` short-circuits on the first rejection, which is the
+  right mode for soundness audits where only the accept/reject bit
+  matters.  The report's ``views_built`` counter
   makes the saving observable.
 
 Executors build views through one per-round
@@ -45,33 +45,6 @@ from repro.pls.scheme import Labeling, ProofLabelingScheme, VerificationResult
 
 # ----------------------------------------------------------------------
 # Structured results.
-
-
-@dataclass(frozen=True)
-class ChunkTiming:
-    """Wall-clock cost of one chunk of per-vertex checks."""
-
-    index: int
-    size: int  # vertices assigned to the chunk
-    views_built: int  # views actually constructed (< size under fail_fast)
-    seconds: float
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "size": self.size,
-            "views_built": self.views_built,
-            "seconds": self.seconds,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ChunkTiming":
-        return cls(
-            index=data["index"],
-            size=data["size"],
-            views_built=data["views_built"],
-            seconds=data["seconds"],
-        )
 
 
 def _vertex_to_json(vertex):
@@ -112,7 +85,6 @@ class VerificationReport:
     fail_fast: bool = False
     #: True when ``fail_fast`` actually skipped work.
     short_circuited: bool = False
-    chunks: tuple = ()  # ChunkTiming, in chunk order
     elapsed_seconds: float = 0.0
     #: Executor-specific counters (the vectorized executors report
     #: kernel coverage, fallback counts, and compile/kernel timing here;
@@ -162,7 +134,6 @@ class VerificationReport:
             "executor": self.executor,
             "fail_fast": self.fail_fast,
             "short_circuited": self.short_circuited,
-            "chunks": [chunk.to_dict() for chunk in self.chunks],
             "elapsed_seconds": self.elapsed_seconds,
             "kernel_stats": self.kernel_stats,
         }
@@ -172,6 +143,8 @@ class VerificationReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "VerificationReport":
+        # Reports stored by older builds carry a "chunks" list; it is
+        # ignored.
         return cls(
             accepted=data["accepted"],
             verdicts={
@@ -188,9 +161,6 @@ class VerificationReport:
             executor=data.get("executor", "serial"),
             fail_fast=data.get("fail_fast", False),
             short_circuited=data.get("short_circuited", False),
-            chunks=tuple(
-                ChunkTiming.from_dict(c) for c in data.get("chunks", ())
-            ),
             elapsed_seconds=data.get("elapsed_seconds", 0.0),
             kernel_stats=data.get("kernel_stats"),
         )
@@ -212,41 +182,32 @@ class VerificationReport:
 
 
 # ----------------------------------------------------------------------
-# The unit of scheduled work.
+# What an executor returns.
 
 
 @dataclass(frozen=True)
-class _ChunkOutcome:
-    """What one chunk of per-vertex checks produced."""
+class _Outcome:
+    """What one executor's pass over a round produced."""
 
-    index: int
-    size: int
     verdicts: dict
     exception_vertices: tuple
     views_built: int
-    seconds: float
-    rejected: bool  # saw at least one rejection (fail_fast trigger)
     kernel_stats: Optional[dict] = None  # vectorized executors only
 
 
-def _run_range(
+def _run_views(
     factory: ViewFactory,
     scheme,
     order: list,
-    start: int,
-    stop: int,
-    index: int,
     fail_fast: bool,
-) -> _ChunkOutcome:
-    """Check canonical-order positions ``start..stop`` of one round."""
+    kernel_stats: Optional[dict] = None,
+) -> _Outcome:
+    """Check the dense vertices ``order`` through reference views."""
     names = factory.vertices
-    began = perf_counter()
     verdicts: dict = {}
     exceptions: list = []
     views = 0
-    rejected = False
-    for position in range(start, stop):
-        dense = order[position]
+    for dense in order:
         view = factory.view_at(dense)
         views += 1
         vertex = names[dense]
@@ -258,26 +219,14 @@ def _run_range(
             ok = False
             exceptions.append(vertex)
         verdicts[vertex] = ok
-        if not ok:
-            rejected = True
-            if fail_fast:
-                break
-    return _ChunkOutcome(
-        index=index,
-        size=stop - start,
+        if not ok and fail_fast:
+            break
+    return _Outcome(
         verdicts=verdicts,
         exception_vertices=tuple(exceptions),
         views_built=views,
-        seconds=perf_counter() - began,
-        rejected=rejected,
+        kernel_stats=kernel_stats,
     )
-
-
-def _ranges(total: int, chunk_size: int) -> list:
-    return [
-        (start, min(start + chunk_size, total))
-        for start in range(0, total, chunk_size)
-    ]
 
 
 # ----------------------------------------------------------------------
@@ -287,8 +236,8 @@ def _ranges(total: int, chunk_size: int) -> list:
 class VerificationExecutor:
     """Scheduling strategy for the independent per-vertex checks.
 
-    ``execute`` returns the list of :class:`_ChunkOutcome` actually run,
-    in chunk order.  Implementations must preserve verdict semantics —
+    ``execute`` returns one :class:`_Outcome` for the round.
+    Implementations must preserve verdict semantics —
     the same configuration yields the same per-vertex verdicts
     regardless of scheduling — which the tier-1 property tests assert.
     """
@@ -303,35 +252,19 @@ class VerificationExecutor:
 
 
 class SerialExecutor(VerificationExecutor):
-    """In-process execution, one chunk at a time.
+    """In-process execution through the reference ``LocalView`` path.
 
-    ``chunk_size=None`` means one chunk per round — the legacy loop.
-    Smaller chunks only add timing resolution; verdicts are unaffected.
     One :class:`ViewFactory` serves the whole round.
     """
 
     name = "serial"
 
-    def __init__(self, chunk_size: Optional[int] = None):
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError("chunk_size must be positive")
-        self.chunk_size = chunk_size
-
     def execute(self, config, scheme, mapping, location, vertices, fail_fast):
         if not vertices:
-            return []
+            return _Outcome({}, (), 0)
         factory = ViewFactory(config, mapping, location)
         order = [factory.index_of(v) for v in vertices]
-        chunk_size = self.chunk_size or max(1, len(vertices))
-        outcomes = []
-        for index, (start, stop) in enumerate(_ranges(len(order), chunk_size)):
-            outcome = _run_range(
-                factory, scheme, order, start, stop, index, fail_fast
-            )
-            outcomes.append(outcome)
-            if fail_fast and outcome.rejected:
-                break
-        return outcomes
+        return _run_views(factory, scheme, order, fail_fast)
 
 
 # ----------------------------------------------------------------------
@@ -388,7 +321,7 @@ class VerificationEngine:
 
         engine = VerificationEngine(make_executor("vectorized"))
         report = engine.verify(config, scheme, labeling)
-        report.accepted, report.views_built, report.chunks
+        report.accepted, report.views_built, report.kernel_stats
 
     The inputs can come from a live ``certify`` call *or* from a
     :class:`~repro.api.store.CertificateStore` load — the engine only
@@ -433,7 +366,7 @@ class VerificationEngine:
                 f"the scheme's {scheme.label_location!r}"
             )
         # Deterministic order: executors must agree on which vertex a
-        # fail_fast round reaches first, up to chunk granularity.
+        # fail_fast round reaches first.
         vertices = sorted(config.graph.vertices(), key=repr)
         # Executors that persist compiled rounds key them on the
         # labeling's wire digest; offer it before the round (duck-typed,
@@ -442,7 +375,7 @@ class VerificationEngine:
         if callable(offer):
             offer(labeling)
         start = perf_counter()
-        outcomes = self.executor.execute(
+        outcome = self.executor.execute(
             config,
             scheme,
             labeling.mapping,
@@ -452,32 +385,15 @@ class VerificationEngine:
         )
         elapsed = perf_counter() - start
 
-        verdicts: dict = {}
-        exception_rejections: list = []
-        kernel_stats: Optional[dict] = None
-        for outcome in outcomes:
-            verdicts.update(outcome.verdicts)
-            exception_rejections.extend(outcome.exception_vertices)
-            if outcome.kernel_stats is not None:
-                if kernel_stats is None:
-                    kernel_stats = dict(outcome.kernel_stats)
-                else:
-                    for key, value in outcome.kernel_stats.items():
-                        if isinstance(value, (int, float)) and isinstance(
-                            kernel_stats.get(key), (int, float)
-                        ):
-                            kernel_stats[key] += value
-                        else:
-                            kernel_stats.setdefault(key, value)
+        verdicts = outcome.verdicts
         rejecting = [v for v, ok in verdicts.items() if not ok]
-        exception_set = set(exception_rejections)
+        exception_set = set(outcome.exception_vertices)
         accepted = not rejecting and len(verdicts) == len(vertices)
-        views_built = sum(o.views_built for o in outcomes)
         return VerificationReport(
             accepted=accepted,
             verdicts=verdicts,
             vertices_total=len(vertices),
-            views_built=views_built,
+            views_built=outcome.views_built,
             verdict_rejections=tuple(
                 sorted(
                     (v for v in rejecting if v not in exception_set),
@@ -490,12 +406,8 @@ class VerificationEngine:
             # Verdict coverage, not views_built: the vectorized
             # executors decide most vertices without building a view.
             short_circuited=self.fail_fast and len(verdicts) < len(vertices),
-            chunks=tuple(
-                ChunkTiming(o.index, o.size, o.views_built, o.seconds)
-                for o in outcomes
-            ),
             elapsed_seconds=elapsed,
-            kernel_stats=kernel_stats,
+            kernel_stats=outcome.kernel_stats,
         )
 
 

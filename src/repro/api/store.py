@@ -58,6 +58,7 @@ import pickle
 import re
 import threading
 import time
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional
 
@@ -66,6 +67,7 @@ from repro.codec import (
     CodecError,
     EncodedLabel,
     EncodedLabeling,
+    WireHeader,
     decode_labeling_columnar,
     encode_labeling_columnar,
     stamp_wire_digest,
@@ -85,6 +87,26 @@ SHARD_PREFIX_LEN = 2
 
 #: Temp files older than this are crash orphans, not writes in flight.
 ORPHAN_AGE_SECONDS = 300.0
+
+#: Manifest field -> the type :meth:`CertificateStore._read` requires.
+_MANIFEST_FIELDS = {
+    "fingerprint": str,
+    "property_key": str,
+    "graph": object,
+    "ids": dict,
+    "algebra": object,
+    "algebra_key": object,
+    "max_width": object,
+    "header": WireHeader,
+    "labels": dict,
+    "location": str,
+    "report": dict,
+}
+
+#: What rebuilding a corrupt entry's graph, identifiers, algebra or
+#: report raises; :meth:`CertificateStore.load` turns each into a
+#: :class:`StoreError`.
+_PARSE_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
 
 _SLUG_RE = re.compile(r"[^A-Za-z0-9._-]+")
 _SHARD_RE = re.compile(r"^[0-9a-f]{%d}$" % SHARD_PREFIX_LEN)
@@ -542,27 +564,42 @@ class CertificateStore:
                 f"unsupported store version {manifest.get('store_version')} "
                 f"in {path} (this build speaks v{STORE_VERSION})"
             )
-        missing = [
-            key
-            for key in (
-                "fingerprint",
-                "property_key",
-                "graph",
-                "ids",
-                "algebra",
-                "algebra_key",
-                "max_width",
-                "header",
-                "labels",
-                "location",
-                "report",
-            )
-            if key not in manifest
-        ]
+        missing = [key for key in _MANIFEST_FIELDS if key not in manifest]
         if missing:
             raise StoreError(
                 f"store entry {path} is missing fields: {', '.join(missing)}"
             )
+        mistyped = [
+            key
+            for key, kind in _MANIFEST_FIELDS.items()
+            if not isinstance(manifest[key], kind)
+        ]
+        if not mistyped and not all(
+            isinstance(entry, tuple)
+            and len(entry) == 2
+            and isinstance(entry[0], bytes)
+            and isinstance(entry[1], int)
+            for entry in manifest["labels"].values()
+        ):
+            mistyped.append("labels")
+        if mistyped:
+            raise StoreError(
+                f"store entry {path} has mistyped fields: {', '.join(mistyped)}"
+            )
+        # Unpickling restores a header's fields without running its
+        # constructor, so a corrupt envelope can yield a header missing
+        # one; rebuilding it checks every field is present.
+        header = manifest["header"]
+        try:
+            manifest["header"] = WireHeader(
+                **{
+                    f.name: getattr(header, f.name)
+                    for f in fields(WireHeader)
+                    if f.compare
+                }
+            )
+        except (AttributeError, CodecError) as exc:
+            raise StoreError(f"corrupted wire header in {path}: {exc}") from exc
         return manifest
 
     def load(
@@ -598,23 +635,22 @@ class CertificateStore:
         path = path or self._locate(fingerprint, property_key)
         try:
             manifest = self._read(path)
+            if manifest["property_key"] != property_key:
+                raise StoreError(
+                    f"{path} holds property {manifest['property_key']!r}, "
+                    f"not {property_key!r}"
+                )
+            if manifest["fingerprint"] != fingerprint:
+                raise StoreError(
+                    f"{path} holds fingerprint "
+                    f"{manifest['fingerprint'][:16]}..., caller asked for "
+                    f"{fingerprint[:16]}..."
+                )
+            report = self._rehydrate(manifest, path, decode=decode)
         except StoreError:
+            # Absent, mismatched or corrupt: the entry is unusable.
             self.metrics.add("misses")
             raise
-        if manifest["property_key"] != property_key:
-            self.metrics.add("misses")
-            raise StoreError(
-                f"{path} holds property {manifest['property_key']!r}, "
-                f"not {property_key!r}"
-            )
-        if manifest["fingerprint"] != fingerprint:
-            self.metrics.add("misses")
-            raise StoreError(
-                f"{path} holds fingerprint "
-                f"{manifest['fingerprint'][:16]}..., caller asked for "
-                f"{fingerprint[:16]}..."
-            )
-        report = self._rehydrate(manifest, path, decode=decode)
         self.metrics.add("hits")
         try:
             os.utime(path)  # LRU recency bump (shared, cross-process)
@@ -623,17 +659,24 @@ class CertificateStore:
         return report
 
     def _rehydrate(self, manifest: dict, path: Path, decode: bool = True):
-        """Build the ready-to-verify report from a validated manifest."""
+        """Build the ready-to-verify report from a validated manifest.
+
+        Raises :class:`StoreError` when the graph, identifiers, algebra,
+        report or certificate payload of the entry do not parse.
+        """
         from repro.api.pipeline import PipelineScheme
         from repro.api.results import CertificationReport
 
         graph = manifest["graph"]
-        observed = graph.fingerprint()
+        try:
+            observed = graph.fingerprint()
+        except _PARSE_ERRORS as exc:
+            raise StoreError(f"corrupted graph in {path}: {exc!r}") from exc
         if observed != manifest["fingerprint"]:
             raise StoreError(
                 f"graph fingerprint mismatch in {path}: entry claims "
                 f"{manifest['fingerprint'][:16]}..., graph hashes to "
-                f"{observed[:16]}..."
+                f"{str(observed)[:16]}..."
             )
         encoded = EncodedLabeling(
             header=manifest["header"],
@@ -643,26 +686,29 @@ class CertificateStore:
             },
             location=manifest["location"],
         )
+        try:
+            algebra = manifest["algebra"]
+            if algebra is None and manifest["algebra_key"] is not None:
+                algebra = resolve_algebra(manifest["algebra_key"])
+            config = Configuration(graph, manifest["ids"])
+            scheme = PipelineScheme(algebra, manifest["max_width"], ())
+            report = CertificationReport.from_dict(manifest["report"])
+        except _PARSE_ERRORS as exc:
+            raise StoreError(f"corrupted store entry {path}: {exc!r}") from exc
         labeling = None
         if decode:
             try:
-                # Columnar bulk decode: equal to encoded.decode() but
-                # shares sub-structure across edges, so downstream
+                # Shares sub-structure across edges, so downstream
                 # rounds (and kernel compiles) see interned objects.
                 labeling = decode_labeling_columnar(encoded)
-            except CodecError as exc:
+            except (CodecError, TypeError) as exc:
+                # TypeError: a header field of the wrong type.
                 raise StoreError(
                     f"corrupted certificate payload in {path}: {exc}"
                 ) from exc
             # Re-stamp the wire identity so a reverify round can attach
             # a persisted compiled round with zero compile work.
             stamp_wire_digest(labeling, encoded)
-        algebra = manifest["algebra"]
-        if algebra is None and manifest["algebra_key"] is not None:
-            algebra = resolve_algebra(manifest["algebra_key"])
-        config = Configuration(graph, manifest["ids"])
-        scheme = PipelineScheme(algebra, manifest["max_width"], ())
-        report = CertificationReport.from_dict(manifest["report"])
         report.config = config
         report.scheme = scheme
         report.labeling = labeling

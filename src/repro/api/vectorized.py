@@ -47,8 +47,8 @@ except Exception:  # pragma: no cover
 
 from repro.api.runtime import (
     VerificationExecutor,
-    _ChunkOutcome,
-    _run_range,
+    _Outcome,
+    _run_views,
     register_executor,
 )
 from repro.core.certificates import (
@@ -1640,24 +1640,6 @@ def _store_compiled_round(cache, key, round_) -> None:
         return
 
 
-def _reference_outcome(factory, scheme, order, fail_fast, stats):
-    outcome = _run_range(
-        factory, scheme, order, 0, len(order), 0, fail_fast
-    )
-    return [
-        _ChunkOutcome(
-            index=outcome.index,
-            size=outcome.size,
-            verdicts=outcome.verdicts,
-            exception_vertices=outcome.exception_vertices,
-            views_built=outcome.views_built,
-            seconds=outcome.seconds,
-            rejected=outcome.rejected,
-            kernel_stats=stats,
-        )
-    ]
-
-
 class VectorizedExecutor(VerificationExecutor):
     """Whole-round numpy kernels with reference fallback.
 
@@ -1748,8 +1730,7 @@ class VectorizedExecutor(VerificationExecutor):
 
     def execute(self, config, scheme, mapping, location, vertices, fail_fast):
         if not vertices:
-            return []
-        began = perf_counter()
+            return _Outcome({}, (), 0)
         factory = ViewFactory(config, mapping, location)
         order = [factory.index_of(v) for v in vertices]
         round_, reason = self._round_for(
@@ -1758,18 +1739,14 @@ class VectorizedExecutor(VerificationExecutor):
         base_stats = {"engine": self.name}
         if round_ is None:
             base_stats.update({"mode": "reference", "reason": reason})
-            return _reference_outcome(
-                factory, scheme, order, fail_fast, base_stats
-            )
+            return _run_views(factory, scheme, order, fail_fast, base_stats)
         try:
             accept, stats = round_.run(order)
         except Unvectorizable as exc:
             self._held_key = None
             self._held_round = None
             base_stats.update({"mode": "reference", "reason": exc.reason})
-            return _reference_outcome(
-                factory, scheme, order, fail_fast, base_stats
-            )
+            return _run_views(factory, scheme, order, fail_fast, base_stats)
         base_stats.update(stats)
         base_stats["mode"] = "kernel"
         base_stats["compiled_round_cached"] = self._held_compiled_cached
@@ -1802,22 +1779,14 @@ class VectorizedExecutor(VerificationExecutor):
                         "vectorized kernel accepted vertex "
                         f"{names[dense]!r} that the reference rejects"
                     )
-        fallback = _run_range(
-            factory, scheme, flagged, 0, len(flagged), 0, fail_fast
-        )
+        fallback = _run_views(factory, scheme, flagged, fail_fast)
         verdicts.update(fallback.verdicts)
-        return [
-            _ChunkOutcome(
-                index=0,
-                size=len(order),
-                verdicts=verdicts,
-                exception_vertices=fallback.exception_vertices,
-                views_built=fallback.views_built,
-                seconds=perf_counter() - began,
-                rejected=fallback.rejected,
-                kernel_stats=base_stats,
-            )
-        ]
+        return _Outcome(
+            verdicts=verdicts,
+            exception_vertices=fallback.exception_vertices,
+            views_built=fallback.views_built,
+            kernel_stats=base_stats,
+        )
 
 
 register_executor("vectorized", VectorizedExecutor)

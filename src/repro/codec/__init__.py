@@ -10,7 +10,14 @@ them.  This package materializes every
   :class:`WireHeader` per labeling plus per-edge encodings, with
   ``decode(encode(label)) == label`` guaranteed by tier-1 property
   tests and the measured bit counts feeding
-  :class:`~repro.api.results.CertificationReport`.
+  :class:`~repro.api.results.CertificationReport`.  It holds the one
+  decoder (:meth:`EncodedLabeling.decode`, :func:`decode_label`), which
+  interns structure shared across edges, and the per-label reference
+  writer (:func:`encode_label`, :func:`encode_labeling`) that tests
+  use as the byte-identity oracle;
+* :mod:`repro.codec.columnar` — :class:`ColumnarEncoder` behind
+  :func:`encode_labeling_columnar`, the one encoder the library runs,
+  byte-identical to the reference writer.
 
 The byte-level layout is specified in ``docs/FORMAT.md``; persistence of
 encoded labelings lives in :class:`repro.api.store.CertificateStore`.
@@ -30,16 +37,14 @@ from repro.codec.wire import (
     EncodedLabeling,
     WireHeader,
     decode_label,
-    decode_labeling,
+    decode_labeling_columnar,
     encode_label,
     encode_labeling,
     labeling_digest,
     stamp_wire_digest,
 )
 from repro.codec.columnar import (
-    ColumnarDecoder,
     ColumnarEncoder,
-    decode_labeling_columnar,
     encode_labeling_columnar,
 )
 
@@ -57,10 +62,8 @@ __all__ = [
     "encode_label",
     "decode_label",
     "encode_labeling",
-    "decode_labeling",
     "labeling_digest",
     "stamp_wire_digest",
-    "ColumnarDecoder",
     "ColumnarEncoder",
     "decode_labeling_columnar",
     "encode_labeling_columnar",

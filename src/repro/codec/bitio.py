@@ -84,8 +84,7 @@ class BitWriter:
             )
         acc = (self._acc << width) | value
         bits = self._acc_bits + width
-        # Drain whole bytes in one C-level conversion: wide fields (the
-        # codec replays memoized multi-kilobit runs as single writes)
+        # Drain whole bytes in one C-level conversion: a wide field
         # would otherwise pay a quadratic python shift loop.
         whole, rest = bits >> 3, bits & 7
         if whole:
@@ -93,10 +92,6 @@ class BitWriter:
             acc &= (1 << rest) - 1
         self._acc = acc
         self._acc_bits = rest
-
-    def write_flag(self, flag: bool) -> None:
-        """Append a single bit."""
-        self.write(1 if flag else 0, 1)
 
     def write_many(self, values, widths) -> None:
         """Append many fixed-width fields in one vectorized pass.
@@ -203,10 +198,6 @@ class BitReader:
             need -= take
         self._pos = pos
         return value
-
-    def read_flag(self) -> bool:
-        """Consume and return a single bit."""
-        return bool(self.read(1))
 
 
 def width_for(count: int) -> int:

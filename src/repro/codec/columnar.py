@@ -1,29 +1,8 @@
-"""Columnar bulk codec: one interning pass over a whole labeling.
+"""Columnar bulk encoder: one interning pass over a whole labeling.
 
-:meth:`EncodedLabeling.decode` rebuilds each edge's label independently,
-so equal-content :class:`~repro.core.certificates.BasicInfo` and record
-objects come back as *distinct* python objects — one fresh object graph
-per edge even though certificates overwhelmingly share sub-structure
-(the same tree node's info appears on every incident edge of its
-subtree).  That costs decode time, resident memory, and — since PR 8 —
-kernel compile time: the vectorized executors intern certificates by
-content, and interning distinct-but-equal objects pays a deep dataclass
-hash per occurrence where an identity hit would be a dict lookup.
-
-This module decodes a labeling *columnarly*: every component is keyed
-by the raw wire codes that encode it (infos by their code tuple,
-pointers by their code tuple, records by component identities plus
-scalars, certificate stacks by record-identity tuples) and constructed
-exactly once.  Because interned sub-objects are unique per content, the
-identity-based record and stack keys are content-faithful without ever
-hashing a dataclass.  The result is ``==`` to the reference decode —
-pinned by tier-1 tests — but maximally shared: the kernel compiler's
-``id()`` memo then hits once per distinct certificate instead of once
-per edge.
-
-:class:`ColumnarEncoder` is the encode-direction twin (PR 10): instead
-of running one pure-Python :class:`~repro.codec.bitio.BitWriter` loop
-per label, it packs every field of every label into one flat
+:class:`ColumnarEncoder` is the encoder the library runs: instead of
+running one pure-Python :class:`~repro.codec.bitio.BitWriter` loop per
+label, it packs every field of every label into one flat
 interleaved column of ``(payload << 6) | payload_bits`` integers —
 memoizing each distinct info / record / certificate object's packed
 run by identity, so shared sub-structure is walked once and replayed
@@ -31,274 +10,36 @@ as an O(1) list extend — and emits the whole labeling in a single
 numpy pass (:meth:`~repro.codec.bitio.BitWriter.write_many`).  Each
 label is zero-padded to a byte boundary inside the column (exactly the
 padding :meth:`BitWriter.to_bytes` would emit), so the per-label byte
-strings are *byte-identical* to
+strings are *byte-identical* to the reference writer
 :func:`repro.codec.wire.encode_labeling` — property-tested in tier-1.
-Any representability surprise (numpy missing, a field wider than the
-57-bit packing limit, codec errors) falls back to the reference
-encoder wholesale.
+There is no fallback: without numpy the same column goes through
+``write_many``'s scalar loop, a field wider than one column entry is
+split across entries, and a value missing from the header's
+dictionaries raises :class:`~repro.codec.wire.CodecError`.
 """
 
 from __future__ import annotations
 
 from repro.core.certificates import (
-    BasicInfo,
     BLevelRecord,
-    EdgeCertificate,
     ELevelRecord,
-    EmbeddedRecord,
     PLevelRecord,
     Theorem1Label,
     TLevelRecord,
 )
-from repro.codec.bitio import BitReader, BitStreamError, BitWriter
+from repro.codec.bitio import BitStreamError, BitWriter
 from repro.codec.bitio import _np
 from repro.courcelle.algebra import canonical_state_repr
 from repro.codec.wire import (
     _KIND_BITS,
     _KIND_CODES,
-    _KIND_NAMES,
     CodecError,
     EncodedLabel,
     EncodedLabeling,
     WireHeader,
     _EncodeMemo,
-    encode_labeling,
 )
-from repro.pls.pointer import PointerLabel
 from repro.pls.scheme import Labeling
-
-
-class ColumnarDecoder:
-    """Shared interning state for one bulk decode (one header)."""
-
-    __slots__ = ("header", "_infos", "_pointers", "_records", "_certs")
-
-    def __init__(self, header: WireHeader):
-        self.header = header
-        self._infos = {}
-        self._pointers = {}
-        self._records = {}
-        self._certs = {}
-
-    # Raw-code readers: consume exactly the same bits as the reference
-    # ``_decode_*`` functions, but intern before constructing.
-
-    def _read_info(self, r: BitReader) -> BasicInfo:
-        h = self.header
-        kind_code = r.read(_KIND_BITS)
-        if kind_code not in _KIND_NAMES:
-            raise CodecError(f"invalid kind code {kind_code}")
-        node_raw = r.read(h.node_width)
-        mask = r.read(h.lane_bits)
-        lane_count = bin(mask).count("1")
-        in_codes = tuple(
-            r.read(h.id_index_bits) for _ in range(lane_count)
-        )
-        out_codes = tuple(
-            r.read(h.id_index_bits) for _ in range(lane_count)
-        )
-        state_code = r.read(h.class_bits)
-        key = (kind_code, node_raw, mask, in_codes, out_codes, state_code)
-        info = self._infos.get(key)
-        if info is None:
-            lanes = tuple(
-                lane for lane in range(h.lane_bits) if mask & (1 << lane)
-            )
-            info = BasicInfo(
-                kind=_KIND_NAMES[kind_code],
-                node_id=node_raw - 1,
-                lanes=lanes,
-                in_ids=tuple(
-                    (lane, h.id_table[code])
-                    for lane, code in zip(lanes, in_codes)
-                ),
-                out_ids=tuple(
-                    (lane, h.id_table[code])
-                    for lane, code in zip(lanes, out_codes)
-                ),
-                state=h.states[state_code],
-            )
-            self._infos[key] = info
-        return info
-
-    def _read_pointer(self, r: BitReader) -> PointerLabel:
-        h = self.header
-        key = (
-            r.read(h.id_index_bits),
-            r.read(h.id_index_bits),
-            r.read(h.counter_width),
-            r.read(h.id_index_bits),
-            r.read(h.counter_width),
-        )
-        pointer = self._pointers.get(key)
-        if pointer is None:
-            pointer = PointerLabel(
-                target_id=h.id_table[key[0]],
-                id_a=h.id_table[key[1]],
-                dist_a=key[2],
-                id_b=h.id_table[key[3]],
-                dist_b=key[4],
-            )
-            self._pointers[key] = pointer
-        return pointer
-
-    def _read_record(self, r: BitReader):
-        h = self.header
-        info = self._read_info(r)
-        if info.kind == "T":
-            member_info = self._read_info(r)
-            member_subtree = self._read_info(r)
-            children = tuple(
-                self._read_info(r) for _ in range(r.read(h.child_width))
-            )
-            pointer = self._read_pointer(r)
-            root_raw = r.read(h.node_width)
-            # Interned components are unique per content, so identity
-            # keys are content keys — no dataclass hashing anywhere.
-            key = (
-                "T",
-                id(info),
-                id(member_info),
-                id(member_subtree),
-                tuple(id(child) for child in children),
-                id(pointer),
-                root_raw,
-            )
-            record = self._records.get(key)
-            if record is None:
-                record = TLevelRecord(
-                    info=info,
-                    member_info=member_info,
-                    member_subtree=member_subtree,
-                    child_subtrees=children,
-                    pointer=pointer,
-                    root_member_id=root_raw - 1,
-                )
-                self._records[key] = record
-            return record
-        if info.kind == "B":
-            left = self._read_info(r)
-            right = self._read_info(r)
-            bridge = (r.read(h.lane_index_bits), r.read(h.lane_index_bits))
-            tag_code = r.read(h.tag_bits)
-            side_raw = r.read(2)
-            key = (
-                "B", id(info), id(left), id(right), bridge, tag_code,
-                side_raw,
-            )
-            record = self._records.get(key)
-            if record is None:
-                record = BLevelRecord(
-                    info=info,
-                    left=left,
-                    right=right,
-                    bridge=bridge,
-                    bridge_tag=h.tags[tag_code],
-                    side=side_raw - 1,
-                )
-                self._records[key] = record
-            return record
-        if info.kind == "E":
-            key = (
-                "E",
-                id(info),
-                r.read(h.id_index_bits),
-                r.read(h.id_index_bits),
-                r.read(h.tag_bits),
-            )
-            record = self._records.get(key)
-            if record is None:
-                record = ELevelRecord(
-                    info=info,
-                    in_id=h.id_table[key[2]],
-                    out_id=h.id_table[key[3]],
-                    tag=h.tags[key[4]],
-                )
-                self._records[key] = record
-            return record
-        if info.kind == "P":
-            id_codes = tuple(
-                r.read(h.id_index_bits)
-                for _ in range(r.read(h.path_width))
-            )
-            tag_codes = tuple(
-                r.read(h.tag_bits) for _ in range(r.read(h.path_width))
-            )
-            position = r.read(h.counter_width)
-            key = ("P", id(info), id_codes, tag_codes, position)
-            record = self._records.get(key)
-            if record is None:
-                record = PLevelRecord(
-                    info=info,
-                    vertex_ids=tuple(
-                        h.id_table[code] for code in id_codes
-                    ),
-                    tags=tuple(h.tags[code] for code in tag_codes),
-                    position=position,
-                )
-                self._records[key] = record
-            return record
-        raise CodecError(
-            f"record cannot start with a {info.kind!r} node info"
-        )
-
-    def _read_certificate(self, r: BitReader) -> EdgeCertificate:
-        depth = r.read(self.header.depth_width)
-        if depth < 1:
-            raise CodecError("certificate stack cannot be empty")
-        records = tuple(self._read_record(r) for _ in range(depth))
-        key = tuple(id(record) for record in records)
-        cert = self._certs.get(key)
-        if cert is None:
-            cert = EdgeCertificate(records)
-            self._certs[key] = cert
-        return cert
-
-    def decode_label(self, data: bytes, bit_length=None) -> Theorem1Label:
-        """Interning twin of :func:`repro.codec.wire.decode_label`."""
-        h = self.header
-        try:
-            r = BitReader(data, bit_length)
-            certificate = self._read_certificate(r)
-            embedded = []
-            for _ in range(r.read(h.embed_width)):
-                embedded.append(
-                    EmbeddedRecord(
-                        u_id=h.id_table[r.read(h.id_index_bits)],
-                        v_id=h.id_table[r.read(h.id_index_bits)],
-                        forward=r.read(h.counter_width),
-                        backward=r.read(h.counter_width),
-                        payload=self._read_certificate(r),
-                    )
-                )
-            if bit_length is not None and r.position != bit_length:
-                raise CodecError(
-                    f"trailing data: read {r.position} of {bit_length} bits"
-                )
-        except (BitStreamError, IndexError) as exc:
-            raise CodecError(f"malformed label encoding: {exc}") from exc
-        return Theorem1Label(
-            certificate=certificate, embedded=tuple(embedded)
-        )
-
-
-def decode_labeling_columnar(encoded: EncodedLabeling) -> Labeling:
-    """Decode a whole labeling with cross-edge structure sharing.
-
-    Equal (``==``) to :meth:`EncodedLabeling.decode`'s result; differs
-    only in object identity — shared sub-structure is decoded once and
-    referenced everywhere it occurs.
-    """
-    decoder = ColumnarDecoder(encoded.header)
-    mapping = {
-        key: decoder.decode_label(e.data, e.bit_length)
-        for key, e in encoded.labels.items()
-    }
-    return Labeling(
-        location=encoded.location,
-        mapping=mapping,
-        size_context=encoded.header.size_context(),
-    )
 
 
 _PACK_LIMIT = 57  # max payload bits per interleaved column entry
@@ -312,11 +53,10 @@ def _pack_fields(values, widths, out) -> int:
     ``(payload << 6) | payload_bits``.  Splitting points are invisible
     on the wire — concatenating the entries' payloads MSB-first yields
     exactly the raw field sequence — so any grouping preserves byte
-    identity.  Returns the total payload bit count.  Raises
+    identity.  A field wider than the limit spans several entries,
+    MSB-first.  Returns the total payload bit count.  Raises
     :class:`BitStreamError` on a value/width mismatch (mirroring
-    :meth:`BitWriter.write`) and :class:`CodecError` for a single field
-    wider than the packing limit (the caller falls back to the
-    reference encoder).
+    :meth:`BitWriter.write`).
     """
     acc = 0
     bits = 0
@@ -324,18 +64,18 @@ def _pack_fields(values, widths, out) -> int:
     for v, w in zip(values, widths):
         if v < 0 or v >> w:
             raise BitStreamError(f"value {v} does not fit in {w} bits")
+        total += w
         if bits + w > _PACK_LIMIT:
             if bits:
                 out.append((acc << 6) | bits)
                 acc = 0
                 bits = 0
-            if w > _PACK_LIMIT:
-                raise CodecError(
-                    f"{w}-bit field exceeds the bulk packing limit"
-                )
+            while w > _PACK_LIMIT:
+                w -= _PACK_LIMIT
+                out.append(((v >> w) << 6) | _PACK_LIMIT)
+                v &= (1 << w) - 1
         acc = (acc << w) | v
         bits += w
-        total += w
     if bits:
         out.append((acc << 6) | bits)
     return total
@@ -355,7 +95,6 @@ class ColumnarEncoder:
 
     __slots__ = (
         "header",
-        "_memo",
         "_runs",
         "_record_runs",
         "_cert_runs",
@@ -379,10 +118,9 @@ class ColumnarEncoder:
 
     def __init__(self, header: WireHeader, memo=None):
         self.header = header
-        # Only the canonical-state cache of the reference memo is used;
-        # holding one keeps ``state_code`` lookups identical.
-        self._memo = memo if memo is not None else _EncodeMemo()
-        self._canonical = self._memo.canonical
+        # Only the canonical-state cache of the header walk's memo is
+        # used; sharing it resolves each state's canonical form once.
+        self._canonical = (memo or _EncodeMemo()).canonical
         # Identity-keyed packed runs (see _pack_fields for the entry
         # format).  id(info) / id(record) / id(cert) -> (obj, packed
         # tuple, payload bits).  Element 0 pins the keyed object so the
@@ -493,9 +231,10 @@ class ColumnarEncoder:
             count = len(record.child_subtrees)
             width = h.child_width
             if count >> width or width > _PACK_LIMIT:
-                _pack_fields((count,), (width,), out)  # raise as generic
-            out.append((count << 6) | width)
-            bits += width
+                bits += _pack_fields((count,), (width,), out)
+            else:
+                out.append((count << 6) | width)
+                bits += width
             for child in record.child_subtrees:
                 hit = runs.get(id(child)) or info_run(child)
                 out += hit[1]
@@ -611,9 +350,10 @@ class ColumnarEncoder:
             depth = len(cert.stack)
             width = self.header.depth_width
             if depth >> width or width > _PACK_LIMIT:
-                _pack_fields((depth,), (width,), out)  # raise as generic
-            out.append((depth << 6) | width)
-            bits = width
+                bits = _pack_fields((depth,), (width,), out)
+            else:
+                out.append((depth << 6) | width)
+                bits = width
             record_runs = self._record_runs
             record_run = self._record_run
             for record in cert.stack:
@@ -626,7 +366,46 @@ class ColumnarEncoder:
 
     # ------------------------------------------------------------------
     def encode(self, labeling: Labeling) -> EncodedLabeling:
-        """Bulk-encode ``labeling`` against this encoder's header."""
+        """Bulk-encode ``labeling`` against this encoder's header.
+
+        Raises :class:`CodecError` for a label that is not a
+        ``Theorem1Label`` or mentions an identifier, tag or state the
+        header's dictionaries do not hold.
+        """
+        try:
+            keys, bit_lengths, column = self._column(labeling)
+        except KeyError as exc:
+            raise CodecError(
+                f"{exc.args[0]!r} is not in the header's dictionaries"
+            ) from None
+        if _np is None:
+            # BitWriter's scalar loop writes the same stream.
+            values = [entry >> 6 for entry in column]
+            widths = [entry & 63 for entry in column]
+        else:
+            col = _np.fromiter(column, _np.int64, len(column))
+            values, widths = col >> 6, col & 63
+        writer = BitWriter()
+        writer.write_many(values, widths)
+        data = writer.to_bytes()
+        labels = {}
+        offset = 0
+        for key, bits in zip(keys, bit_lengths):
+            nbytes = (bits + 7) // 8
+            labels[key] = EncodedLabel(
+                data=data[offset:offset + nbytes], bit_length=bits
+            )
+            offset += nbytes
+        return EncodedLabeling(
+            header=self.header, labels=labels, location=labeling.location
+        )
+
+    def _column(self, labeling: Labeling):
+        """Every label's packed fields, in one byte-aligned column.
+
+        Returns ``(keys, bit lengths, column)``; each label's run is
+        zero-padded to a byte boundary inside the column.
+        """
         h = self.header
         counter_width = h.counter_width
         embed_width = h.embed_width
@@ -635,7 +414,6 @@ class ColumnarEncoder:
         column = []
         keys = []
         bit_lengths = []
-        byte_counts = []
         cert_runs = self._cert_runs
         cert_run = self._cert_run
         tails = self._tails
@@ -656,9 +434,10 @@ class ColumnarEncoder:
             if label.embedded:
                 count = len(label.embedded)
                 if count >> embed_width or embed_width > _PACK_LIMIT:
-                    _pack_fields((count,), (embed_width,), column)
-                column.append((count << 6) | embed_width)
-                bits += embed_width
+                    bits += _pack_fields((count,), (embed_width,), column)
+                else:
+                    column.append((count << 6) | embed_width)
+                    bits += embed_width
                 for record in label.embedded:
                     fwd = record.forward
                     bwd = record.backward
@@ -720,22 +499,7 @@ class ColumnarEncoder:
                     tails[pad] = tail
                 column += tail
             bit_lengths.append(bits)
-            byte_counts.append((bits + (-bits % 8)) // 8)
-        writer = BitWriter()
-        if column:
-            col = _np.fromiter(column, _np.int64, len(column))
-            writer.write_many(col >> 6, col & 63)
-        data = writer.to_bytes()
-        labels = {}
-        offset = 0
-        for key, bits, nbytes in zip(keys, bit_lengths, byte_counts):
-            labels[key] = EncodedLabel(
-                data=data[offset:offset + nbytes], bit_length=bits
-            )
-            offset += nbytes
-        return EncodedLabeling(
-            header=self.header, labels=labels, location=labeling.location
-        )
+        return keys, bit_lengths, column
 
 
 def encode_labeling_columnar(labeling: Labeling, header=None):
@@ -744,17 +508,9 @@ def encode_labeling_columnar(labeling: Labeling, header=None):
     Byte-identical output (same header, same per-label bytes and bit
     lengths); the only difference is cost — one interned field-column
     pass plus a single vectorized packing instead of a per-label bit
-    loop.  Falls back to the reference encoder wholesale when numpy is
-    unavailable or the labeling trips anything the bulk path cannot
-    represent (so callers never need to care which path ran).
+    loop.  This is the encoder the library runs.
     """
-    if _np is None:
-        return encode_labeling(labeling, header)
-    try:
-        memo = _EncodeMemo()
-        built = header
-        if built is None:
-            built = WireHeader.for_labeling(labeling, memo)
-        return ColumnarEncoder(built, memo).encode(labeling)
-    except Exception:
-        return encode_labeling(labeling, header)
+    memo = _EncodeMemo()
+    if header is None:
+        header = WireHeader.for_labeling(labeling, memo)
+    return ColumnarEncoder(header, memo).encode(labeling)

@@ -17,13 +17,17 @@ layout is specified in ``docs/FORMAT.md``; the short version:
   stand-alone MSB-first bit string: the ownership-path record stack,
   then the embedded virtual-edge records.  :func:`decode_label` inverts
   it exactly — ``decode(encode(label)) == label`` is a tier-1 property
-  test, not an aspiration.
-* :func:`encode_labeling` encodes a whole
+  test, not an aspiration.  That per-label writer is the reference: the
+  library encodes through the bulk encoder of :mod:`repro.codec.columnar`,
+  which is tested byte-identical to it.
+* :class:`EncodedLabeling` holds a whole encoded
   :class:`~repro.pls.scheme.Labeling` and reports *measured* sizes (the
   exact bit counts of the encodings, padding excluded), which
   :class:`~repro.api.results.CertificationReport` now quotes instead of
   the arithmetic estimate of ``label_bits``.  The measured figure is
   asserted ``<=`` the accounted one in the tier-1 suite.
+  :meth:`EncodedLabeling.decode` runs the one decoder, which interns
+  structure shared across edges.
 
 Identifier fields deserve a note.  The simulator draws identifiers from
 a ``2^32`` universe to model adversarial freedom, while the paper (and
@@ -79,28 +83,27 @@ class CodecError(ValueError):
 
 
 # ----------------------------------------------------------------------
-# Identity-keyed memoization for one encode pass.
+# Identity-keyed memoization for one header walk.
 #
 # The prover shares certificate sub-objects aggressively: one
 # ``BasicInfo`` appears in every record stack that passes over its
 # hierarchy node (measured: ~18 references per unique info on a
 # 128-vertex labeling), and whole ``EdgeCertificate`` stacks recur as
 # embedded payloads.  Without memoization the collector re-validates
-# and the encoder re-serializes each shared object once per reference —
-# the canonical-state recursion alone dominates ``encode_labeling``.
-# Keying on ``id()`` is sound here because every memo value keeps a
-# strong reference to its key object (no id reuse while the memo
-# lives), the object graph is immutable during the pass, and the memo
-# never outlives the pass.  Output is bit-identical to the direct path.
+# each shared object once per reference — the canonical-state recursion
+# alone dominates the header walk.  Keying on ``id()`` is sound here
+# because every memo value keeps a strong reference to its key object
+# (no id reuse while the memo lives), the object graph is immutable
+# during the pass, and the memo never outlives the pass.  The header is
+# identical to the memo-free walk's.
 # ----------------------------------------------------------------------
 class _EncodeMemo:
-    """Per-pass caches shared by the collector and the encoder."""
+    """Per-pass caches shared by the collector and the bulk encoder."""
 
-    __slots__ = ("canon", "runs", "seen")
+    __slots__ = ("canon", "seen")
 
     def __init__(self):
         self.canon = {}  # id(state) -> (state, canonical_state_repr)
-        self.runs = {}  # id(obj)   -> (obj, combined value, bit width)
         self.seen = {}  # id(obj)   -> obj   (collector visited set)
 
     def canonical(self, state) -> str:
@@ -109,31 +112,6 @@ class _EncodeMemo:
             hit = (state, canonical_state_repr(state))
             self.canon[id(state)] = hit
         return hit[1]
-
-
-class _FieldRun:
-    """Accumulates fixed-width fields into one combined (value, width).
-
-    Quacks like :class:`~repro.codec.bitio.BitWriter` for the encoding
-    helpers, but keeps the bits as a single big-endian integer so the
-    run can be replayed into a real writer with one ``write`` call.
-    """
-
-    __slots__ = ("value", "width")
-
-    def __init__(self):
-        self.value = 0
-        self.width = 0
-
-    def write(self, value: int, width: int) -> None:
-        if width < 0:
-            raise BitStreamError("field width must be non-negative")
-        if value < 0 or value >> width:
-            raise BitStreamError(
-                f"value {value} does not fit in {width} bits"
-            )
-        self.value = (self.value << width) | value
-        self.width += width
 
 
 # ----------------------------------------------------------------------
@@ -418,16 +396,11 @@ class WireHeader:
                 f"identifier {identifier!r} is not in the header table"
             ) from None
 
-    def state_code(self, state, memo: "Optional[_EncodeMemo]" = None) -> int:
-        key = (
-            memo.canonical(state)
-            if memo is not None
-            else canonical_state_repr(state)
-        )
+    def state_code(self, state) -> int:
         try:
             return self._lookup(
                 "_state_index", self.states, canonical_state_repr
-            )[key]
+            )[canonical_state_repr(state)]
         except KeyError:
             raise CodecError(
                 "homomorphism-class state is not in the header table"
@@ -447,33 +420,9 @@ class WireHeader:
 
 
 # ----------------------------------------------------------------------
-# Encoding.
+# Encoding: the reference writer, one label at a time through BitWriter.
 # ----------------------------------------------------------------------
-def _memoized(memo, obj, w, encode_direct) -> None:
-    """Replay ``obj``'s combined bit run, computing it on first sight."""
-    hit = memo.runs.get(id(obj))
-    if hit is None:
-        run = _FieldRun()
-        encode_direct(run)
-        hit = (obj, run.value, run.width)
-        memo.runs[id(obj)] = hit
-    w.write(hit[1], hit[2])
-
-
-def _encode_info(
-    w, info: BasicInfo, h: WireHeader, memo: Optional[_EncodeMemo] = None
-) -> None:
-    if memo is not None:
-        _memoized(
-            memo, info, w, lambda run: _encode_info_direct(run, info, h, memo)
-        )
-        return
-    _encode_info_direct(w, info, h, None)
-
-
-def _encode_info_direct(
-    w, info: BasicInfo, h: WireHeader, memo: Optional[_EncodeMemo]
-) -> None:
+def _encode_info(w: BitWriter, info: BasicInfo, h: WireHeader) -> None:
     w.write(_KIND_CODES[info.kind], _KIND_BITS)
     w.write(info.node_id + 1, h.node_width)
     mask = 0
@@ -483,7 +432,7 @@ def _encode_info_direct(
     for ids in (info.in_ids, info.out_ids):
         for _lane, x in ids:
             w.write(h.id_code(x), h.id_index_bits)
-    w.write(h.state_code(info.state, memo), h.class_bits)
+    w.write(h.state_code(info.state), h.class_bits)
 
 
 def _encode_pointer(w: BitWriter, p: PointerLabel, h: WireHeader) -> None:
@@ -494,35 +443,19 @@ def _encode_pointer(w: BitWriter, p: PointerLabel, h: WireHeader) -> None:
     w.write(p.dist_b, h.counter_width)
 
 
-def _encode_record(
-    w, record, h: WireHeader, memo: Optional[_EncodeMemo] = None
-) -> None:
-    if memo is not None:
-        _memoized(
-            memo,
-            record,
-            w,
-            lambda run: _encode_record_direct(run, record, h, memo),
-        )
-        return
-    _encode_record_direct(w, record, h, None)
-
-
-def _encode_record_direct(
-    w, record, h: WireHeader, memo: Optional[_EncodeMemo]
-) -> None:
-    _encode_info(w, record.info, h, memo)
+def _encode_record(w: BitWriter, record, h: WireHeader) -> None:
+    _encode_info(w, record.info, h)
     if isinstance(record, TLevelRecord):
-        _encode_info(w, record.member_info, h, memo)
-        _encode_info(w, record.member_subtree, h, memo)
+        _encode_info(w, record.member_info, h)
+        _encode_info(w, record.member_subtree, h)
         w.write(len(record.child_subtrees), h.child_width)
         for child in record.child_subtrees:
-            _encode_info(w, child, h, memo)
+            _encode_info(w, child, h)
         _encode_pointer(w, record.pointer, h)
         w.write(record.root_member_id + 1, h.node_width)
     elif isinstance(record, BLevelRecord):
-        _encode_info(w, record.left, h, memo)
-        _encode_info(w, record.right, h, memo)
+        _encode_info(w, record.left, h)
+        _encode_info(w, record.right, h)
         i, j = record.bridge
         w.write(i, h.lane_index_bits)
         w.write(j, h.lane_index_bits)
@@ -544,29 +477,10 @@ def _encode_record_direct(
         raise CodecError(f"unknown record type {type(record).__name__}")
 
 
-def _encode_certificate(
-    w,
-    cert: EdgeCertificate,
-    h: WireHeader,
-    memo: Optional[_EncodeMemo] = None,
-):
-    if memo is not None:
-        _memoized(
-            memo,
-            cert,
-            w,
-            lambda run: _encode_certificate_direct(run, cert, h, memo),
-        )
-        return
-    _encode_certificate_direct(w, cert, h, None)
-
-
-def _encode_certificate_direct(
-    w, cert: EdgeCertificate, h: WireHeader, memo: Optional[_EncodeMemo]
-):
+def _encode_certificate(w: BitWriter, cert: EdgeCertificate, h: WireHeader):
     w.write(len(cert.stack), h.depth_width)
     for record in cert.stack:
-        _encode_record(w, record, h, memo)
+        _encode_record(w, record, h)
 
 
 @dataclass(frozen=True)
@@ -577,162 +491,254 @@ class EncodedLabel:
     bit_length: int
 
 
-def encode_label(
-    label: Theorem1Label,
-    header: WireHeader,
-    memo: Optional[_EncodeMemo] = None,
-) -> EncodedLabel:
+def encode_label(label: Theorem1Label, header: WireHeader) -> EncodedLabel:
     """Encode one physical label against ``header``."""
     if not isinstance(label, Theorem1Label):
         raise CodecError(
             f"expected a Theorem1Label, got {type(label).__name__}"
         )
     w = BitWriter()
-    _encode_certificate(w, label.certificate, header, memo)
+    _encode_certificate(w, label.certificate, header)
     w.write(len(label.embedded), header.embed_width)
     for record in label.embedded:
         w.write(header.id_code(record.u_id), header.id_index_bits)
         w.write(header.id_code(record.v_id), header.id_index_bits)
         w.write(record.forward, header.counter_width)
         w.write(record.backward, header.counter_width)
-        _encode_certificate(w, record.payload, header, memo)
+        _encode_certificate(w, record.payload, header)
     return EncodedLabel(data=w.to_bytes(), bit_length=w.bit_length)
 
 
 # ----------------------------------------------------------------------
 # Decoding.
+#
+# Certificates share sub-structure overwhelmingly (the same tree node's
+# info appears on every incident edge of its subtree), so the decoder
+# interns: every component is keyed by the raw wire codes that encode it
+# (infos by their code tuple, pointers by their code tuple, records by
+# component identities plus scalars, certificate stacks by
+# record-identity tuples) and constructed exactly once per decoder.
+# Because interned sub-objects are unique per content, the
+# identity-based record and stack keys are content-faithful without
+# ever hashing a dataclass, and the kernel compiler's ``id()`` memo then
+# hits once per distinct certificate instead of once per edge.
 # ----------------------------------------------------------------------
-def _decode_info(r: BitReader, h: WireHeader) -> BasicInfo:
-    kind_code = r.read(_KIND_BITS)
-    if kind_code not in _KIND_NAMES:
-        raise CodecError(f"invalid kind code {kind_code}")
-    node_id = r.read(h.node_width) - 1
-    mask = r.read(h.lane_bits)
-    lanes = tuple(
-        lane for lane in range(h.lane_bits) if mask & (1 << lane)
-    )
-    in_ids = tuple(
-        (lane, h.id_table[r.read(h.id_index_bits)]) for lane in lanes
-    )
-    out_ids = tuple(
-        (lane, h.id_table[r.read(h.id_index_bits)]) for lane in lanes
-    )
-    state = h.states[r.read(h.class_bits)]
-    return BasicInfo(
-        kind=_KIND_NAMES[kind_code],
-        node_id=node_id,
-        lanes=lanes,
-        in_ids=in_ids,
-        out_ids=out_ids,
-        state=state,
-    )
+class _LabelDecoder:
+    """Shared interning state for decoding labels against one header."""
 
+    __slots__ = ("header", "_infos", "_pointers", "_records", "_certs")
 
-def _decode_pointer(r: BitReader, h: WireHeader) -> PointerLabel:
-    return PointerLabel(
-        target_id=h.id_table[r.read(h.id_index_bits)],
-        id_a=h.id_table[r.read(h.id_index_bits)],
-        dist_a=r.read(h.counter_width),
-        id_b=h.id_table[r.read(h.id_index_bits)],
-        dist_b=r.read(h.counter_width),
-    )
+    def __init__(self, header: WireHeader):
+        self.header = header
+        self._infos = {}
+        self._pointers = {}
+        self._records = {}
+        self._certs = {}
 
+    def _read_info(self, r: BitReader) -> BasicInfo:
+        h = self.header
+        kind_code = r.read(_KIND_BITS)
+        if kind_code not in _KIND_NAMES:
+            raise CodecError(f"invalid kind code {kind_code}")
+        node_raw = r.read(h.node_width)
+        mask = r.read(h.lane_bits)
+        lane_count = bin(mask).count("1")
+        in_codes = tuple(
+            r.read(h.id_index_bits) for _ in range(lane_count)
+        )
+        out_codes = tuple(
+            r.read(h.id_index_bits) for _ in range(lane_count)
+        )
+        state_code = r.read(h.class_bits)
+        key = (kind_code, node_raw, mask, in_codes, out_codes, state_code)
+        info = self._infos.get(key)
+        if info is None:
+            lanes = tuple(
+                lane for lane in range(h.lane_bits) if mask & (1 << lane)
+            )
+            info = BasicInfo(
+                kind=_KIND_NAMES[kind_code],
+                node_id=node_raw - 1,
+                lanes=lanes,
+                in_ids=tuple(
+                    (lane, h.id_table[code])
+                    for lane, code in zip(lanes, in_codes)
+                ),
+                out_ids=tuple(
+                    (lane, h.id_table[code])
+                    for lane, code in zip(lanes, out_codes)
+                ),
+                state=h.states[state_code],
+            )
+            self._infos[key] = info
+        return info
 
-def _decode_record(r: BitReader, h: WireHeader):
-    info = _decode_info(r, h)
-    if info.kind == "T":
-        member_info = _decode_info(r, h)
-        member_subtree = _decode_info(r, h)
-        children = tuple(
-            _decode_info(r, h) for _ in range(r.read(h.child_width))
+    def _read_pointer(self, r: BitReader) -> PointerLabel:
+        h = self.header
+        key = (
+            r.read(h.id_index_bits),
+            r.read(h.id_index_bits),
+            r.read(h.counter_width),
+            r.read(h.id_index_bits),
+            r.read(h.counter_width),
         )
-        pointer = _decode_pointer(r, h)
-        root_member_id = r.read(h.node_width) - 1
-        return TLevelRecord(
-            info=info,
-            member_info=member_info,
-            member_subtree=member_subtree,
-            child_subtrees=children,
-            pointer=pointer,
-            root_member_id=root_member_id,
-        )
-    if info.kind == "B":
-        left = _decode_info(r, h)
-        right = _decode_info(r, h)
-        bridge = (r.read(h.lane_index_bits), r.read(h.lane_index_bits))
-        bridge_tag = h.tags[r.read(h.tag_bits)]
-        side = r.read(2) - 1
-        return BLevelRecord(
-            info=info,
-            left=left,
-            right=right,
-            bridge=bridge,
-            bridge_tag=bridge_tag,
-            side=side,
-        )
-    if info.kind == "E":
-        return ELevelRecord(
-            info=info,
-            in_id=h.id_table[r.read(h.id_index_bits)],
-            out_id=h.id_table[r.read(h.id_index_bits)],
-            tag=h.tags[r.read(h.tag_bits)],
-        )
-    if info.kind == "P":
-        vertex_ids = tuple(
-            h.id_table[r.read(h.id_index_bits)]
-            for _ in range(r.read(h.path_width))
-        )
-        tags = tuple(
-            h.tags[r.read(h.tag_bits)] for _ in range(r.read(h.path_width))
-        )
-        return PLevelRecord(
-            info=info,
-            vertex_ids=vertex_ids,
-            tags=tags,
-            position=r.read(h.counter_width),
-        )
-    raise CodecError(f"record cannot start with a {info.kind!r} node info")
+        pointer = self._pointers.get(key)
+        if pointer is None:
+            pointer = PointerLabel(
+                target_id=h.id_table[key[0]],
+                id_a=h.id_table[key[1]],
+                dist_a=key[2],
+                id_b=h.id_table[key[3]],
+                dist_b=key[4],
+            )
+            self._pointers[key] = pointer
+        return pointer
 
+    def _read_record(self, r: BitReader):
+        h = self.header
+        info = self._read_info(r)
+        if info.kind == "T":
+            member_info = self._read_info(r)
+            member_subtree = self._read_info(r)
+            children = tuple(
+                self._read_info(r) for _ in range(r.read(h.child_width))
+            )
+            pointer = self._read_pointer(r)
+            root_raw = r.read(h.node_width)
+            # Interned components are unique per content, so identity
+            # keys are content keys — no dataclass hashing anywhere.
+            key = (
+                "T",
+                id(info),
+                id(member_info),
+                id(member_subtree),
+                tuple(id(child) for child in children),
+                id(pointer),
+                root_raw,
+            )
+            record = self._records.get(key)
+            if record is None:
+                record = TLevelRecord(
+                    info=info,
+                    member_info=member_info,
+                    member_subtree=member_subtree,
+                    child_subtrees=children,
+                    pointer=pointer,
+                    root_member_id=root_raw - 1,
+                )
+                self._records[key] = record
+            return record
+        if info.kind == "B":
+            left = self._read_info(r)
+            right = self._read_info(r)
+            bridge = (r.read(h.lane_index_bits), r.read(h.lane_index_bits))
+            tag_code = r.read(h.tag_bits)
+            side_raw = r.read(2)
+            key = (
+                "B", id(info), id(left), id(right), bridge, tag_code,
+                side_raw,
+            )
+            record = self._records.get(key)
+            if record is None:
+                record = BLevelRecord(
+                    info=info,
+                    left=left,
+                    right=right,
+                    bridge=bridge,
+                    bridge_tag=h.tags[tag_code],
+                    side=side_raw - 1,
+                )
+                self._records[key] = record
+            return record
+        if info.kind == "E":
+            key = (
+                "E",
+                id(info),
+                r.read(h.id_index_bits),
+                r.read(h.id_index_bits),
+                r.read(h.tag_bits),
+            )
+            record = self._records.get(key)
+            if record is None:
+                record = ELevelRecord(
+                    info=info,
+                    in_id=h.id_table[key[2]],
+                    out_id=h.id_table[key[3]],
+                    tag=h.tags[key[4]],
+                )
+                self._records[key] = record
+            return record
+        if info.kind == "P":
+            id_codes = tuple(
+                r.read(h.id_index_bits)
+                for _ in range(r.read(h.path_width))
+            )
+            tag_codes = tuple(
+                r.read(h.tag_bits) for _ in range(r.read(h.path_width))
+            )
+            position = r.read(h.counter_width)
+            key = ("P", id(info), id_codes, tag_codes, position)
+            record = self._records.get(key)
+            if record is None:
+                record = PLevelRecord(
+                    info=info,
+                    vertex_ids=tuple(
+                        h.id_table[code] for code in id_codes
+                    ),
+                    tags=tuple(h.tags[code] for code in tag_codes),
+                    position=position,
+                )
+                self._records[key] = record
+            return record
+        raise CodecError(
+            f"record cannot start with a {info.kind!r} node info"
+        )
 
-def _decode_certificate(r: BitReader, h: WireHeader) -> EdgeCertificate:
-    depth = r.read(h.depth_width)
-    if depth < 1:
-        raise CodecError("certificate stack cannot be empty")
-    return EdgeCertificate(
-        tuple(_decode_record(r, h) for _ in range(depth))
-    )
+    def _read_certificate(self, r: BitReader) -> EdgeCertificate:
+        depth = r.read(self.header.depth_width)
+        if depth < 1:
+            raise CodecError("certificate stack cannot be empty")
+        records = tuple(self._read_record(r) for _ in range(depth))
+        key = tuple(id(record) for record in records)
+        cert = self._certs.get(key)
+        if cert is None:
+            cert = EdgeCertificate(records)
+            self._certs[key] = cert
+        return cert
+
+    def decode_label(self, data: bytes, bit_length=None) -> Theorem1Label:
+        """Decode one label, sharing structure with earlier ones."""
+        h = self.header
+        try:
+            r = BitReader(data, bit_length)
+            certificate = self._read_certificate(r)
+            embedded = []
+            for _ in range(r.read(h.embed_width)):
+                embedded.append(
+                    EmbeddedRecord(
+                        u_id=h.id_table[r.read(h.id_index_bits)],
+                        v_id=h.id_table[r.read(h.id_index_bits)],
+                        forward=r.read(h.counter_width),
+                        backward=r.read(h.counter_width),
+                        payload=self._read_certificate(r),
+                    )
+                )
+            if bit_length is not None and r.position != bit_length:
+                raise CodecError(
+                    f"trailing data: read {r.position} of {bit_length} bits"
+                )
+        except (BitStreamError, IndexError) as exc:
+            raise CodecError(f"malformed label encoding: {exc}") from exc
+        return Theorem1Label(
+            certificate=certificate, embedded=tuple(embedded)
+        )
 
 
 def decode_label(
     data: bytes, header: WireHeader, bit_length: Optional[int] = None
 ) -> Theorem1Label:
-    """Decode one label encoded by :func:`encode_label`."""
-    try:
-        r = BitReader(data, bit_length)
-        certificate = _decode_certificate(r, header)
-        embedded = []
-        for _ in range(r.read(header.embed_width)):
-            u_id = header.id_table[r.read(header.id_index_bits)]
-            v_id = header.id_table[r.read(header.id_index_bits)]
-            forward = r.read(header.counter_width)
-            backward = r.read(header.counter_width)
-            payload = _decode_certificate(r, header)
-            embedded.append(
-                EmbeddedRecord(
-                    u_id=u_id,
-                    v_id=v_id,
-                    forward=forward,
-                    backward=backward,
-                    payload=payload,
-                )
-            )
-        if bit_length is not None and r.position != bit_length:
-            raise CodecError(
-                f"trailing data: read {r.position} of {bit_length} bits"
-            )
-    except (BitStreamError, IndexError) as exc:
-        raise CodecError(f"malformed label encoding: {exc}") from exc
-    return Theorem1Label(certificate=certificate, embedded=tuple(embedded))
+    """Decode one label encoded against ``header``."""
+    return _LabelDecoder(header).decode_label(data, bit_length)
 
 
 # ----------------------------------------------------------------------
@@ -777,9 +783,14 @@ class EncodedLabeling:
         return self.labels[key].bit_length
 
     def decode(self) -> Labeling:
-        """Rebuild the structured :class:`Labeling` this was encoded from."""
+        """Rebuild the structured :class:`Labeling` this was encoded from.
+
+        One decoder serves every edge, so sub-structure shared across
+        edges is decoded once and referenced everywhere it occurs.
+        """
+        decoder = _LabelDecoder(self.header)
         mapping = {
-            key: decode_label(e.data, self.header, e.bit_length)
+            key: decoder.decode_label(e.data, e.bit_length)
             for key, e in self.labels.items()
         }
         return Labeling(
@@ -794,25 +805,33 @@ def encode_labeling(
 ) -> EncodedLabeling:
     """Encode every label of ``labeling`` against one shared header.
 
+    The reference writer: one :func:`encode_label` per edge, with no
+    memo and no numpy.  It is the byte-identity oracle the bulk encoder
+    (:func:`repro.codec.columnar.encode_labeling_columnar`) is tested
+    against; the library itself always encodes through the bulk path.
+
     ``header`` defaults to :meth:`WireHeader.for_labeling`; pass an
     existing header only when re-encoding labels drawn from the same
     labeling (all dictionaries must cover the labels' fields).
     """
-    memo = _EncodeMemo()
     if header is None:
-        header = WireHeader.for_labeling(labeling, memo)
+        header = WireHeader.for_labeling(labeling)
     return EncodedLabeling(
         header=header,
         labels={
-            key: encode_label(label, header, memo)
+            key: encode_label(label, header)
             for key, label in labeling.mapping.items()
         },
         location=labeling.location,
     )
 
 
-def decode_labeling(encoded: EncodedLabeling) -> Labeling:
-    """Inverse of :func:`encode_labeling` (delegates to ``encoded.decode``)."""
+def decode_labeling_columnar(encoded: EncodedLabeling) -> Labeling:
+    """Decode a whole labeling: ``encoded.decode()``.
+
+    The name :class:`~repro.api.store.CertificateStore` decodes through
+    when it rehydrates an entry.
+    """
     return encoded.decode()
 
 

@@ -10,7 +10,7 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.api import CertificationSession, certify
@@ -19,13 +19,17 @@ from repro.codec import (
     BitStreamError,
     BitWriter,
     CodecError,
+    ColumnarEncoder,
     WireHeader,
     decode_label,
     encode_label,
     encode_labeling,
+    encode_labeling_columnar,
+    labeling_digest,
     width_for,
     width_for_value,
 )
+from repro.codec.wire import _EncodeMemo
 from repro.core.certificates import label_bits
 from repro.experiments import lanewidth_workload, pathwidth_workload
 
@@ -285,13 +289,7 @@ class TestColumnarEncoderByteIdentity:
     )
     @settings(max_examples=12, deadline=None)
     def test_direct_encoder_byte_identity(self, width, n, seed):
-        """The *direct* ColumnarEncoder path (no fallback safety net —
-        `encode_labeling_columnar` would silently mask a bulk-path bug
-        by falling back to the reference encoder)."""
-        numpy = pytest.importorskip("numpy")  # noqa: F841
-        from repro.codec import ColumnarEncoder
-        from repro.codec.wire import _EncodeMemo
-
+        """ColumnarEncoder driven directly, with the header walk's memo."""
         labeling = _lanewidth_labeling(width, n, seed).labeling
         ref = encode_labeling(labeling)
         memo = _EncodeMemo()
@@ -300,8 +298,6 @@ class TestColumnarEncoderByteIdentity:
         _assert_byte_identical(bulk, ref)
 
     def test_wrapper_byte_identity_and_round_trip(self):
-        from repro.codec import encode_labeling_columnar
-
         labeling = _lanewidth_labeling(3, 40, seed=17).labeling
         ref = encode_labeling(labeling)
         bulk = encode_labeling_columnar(labeling)
@@ -309,10 +305,6 @@ class TestColumnarEncoderByteIdentity:
         assert bulk.decode().mapping == labeling.mapping
 
     def test_pathwidth_mode_byte_identity(self):
-        pytest.importorskip("numpy")
-        from repro.codec import ColumnarEncoder
-        from repro.codec.wire import _EncodeMemo
-
         graph, decomposition = pathwidth_workload(24, 2, seed=5)
         report = certify(
             graph,
@@ -327,3 +319,92 @@ class TestColumnarEncoderByteIdentity:
         header = WireHeader.for_labeling(report.labeling, memo)
         bulk = ColumnarEncoder(header, memo).encode(report.labeling)
         _assert_byte_identical(bulk, ref)
+
+
+# ----------------------------------------------------------------------
+# The bulk encoder's error contract: it has no fallback, so it must
+# raise the codec's own errors and carry every field width itself.
+# ----------------------------------------------------------------------
+class TestColumnarEncoderContract:
+    def test_foreign_identifier_raises_codec_error(self):
+        a = _lanewidth_labeling(2, 12, seed=24)
+        b = _lanewidth_labeling(2, 12, seed=941)
+        header_a = WireHeader.for_labeling(a.labeling)
+        with pytest.raises(CodecError):
+            ColumnarEncoder(header_a, _EncodeMemo()).encode(b.labeling)
+
+    @given(
+        st.lists(
+            st.integers(min_value=1, max_value=200).flatmap(
+                lambda w: st.tuples(
+                    st.integers(min_value=0, max_value=2**w - 1), st.just(w)
+                )
+            ),
+            max_size=30,
+        )
+    )
+    @example([(3, 2), (2**130 - 3, 130), (1, 1)])
+    @settings(max_examples=60, deadline=None)
+    def test_pack_fields_matches_bit_writer(self, fields):
+        """Fields wider than one column entry (57 bits) are split
+        MSB-first; the packed stream equals BitWriter.write's."""
+        from repro.codec.columnar import _PACK_LIMIT, _pack_fields
+
+        out = []
+        total = _pack_fields(
+            [v for v, _w in fields], [w for _v, w in fields], out
+        )
+        assert all(0 < entry & 63 <= _PACK_LIMIT for entry in out)
+        packed = BitWriter()
+        for entry in out:
+            packed.write(entry >> 6, entry & 63)
+        reference = BitWriter()
+        for value, width in fields:
+            reference.write(value, width)
+        assert total == packed.bit_length == reference.bit_length
+        assert packed.to_bytes() == reference.to_bytes()
+
+    def test_without_numpy_matches_reference_writer(self, monkeypatch):
+        import repro.codec.bitio as bitio
+        import repro.codec.columnar as columnar
+
+        labeling = _lanewidth_labeling(3, 40, seed=17).labeling
+        ref = encode_labeling(labeling)
+        monkeypatch.setattr(columnar, "_np", None)
+        monkeypatch.setattr(bitio, "_np", None)
+        _assert_byte_identical(encode_labeling_columnar(labeling), ref)
+
+
+# ----------------------------------------------------------------------
+# Wire v1 pinned by golden digests.  The digests cover the header and
+# every label's bytes, and were fixed once; both encoders must keep
+# reproducing them.
+# ----------------------------------------------------------------------
+class TestWireV1Golden:
+    @staticmethod
+    def _assert_digest(labeling, expected):
+        assert labeling_digest(encode_labeling_columnar(labeling)) == expected
+        assert labeling_digest(encode_labeling(labeling)) == expected
+
+    def test_lanewidth_mode_digest(self):
+        sequence, _ = lanewidth_workload(3, 64, 5)
+        report = certify(
+            sequence, "connected", rng=random.Random(6), verify=False
+        )
+        self._assert_digest(
+            report.labeling, "0e039c77789e7b3ecacf8c64e1f1c342"
+        )
+
+    def test_pathwidth_mode_digest(self):
+        graph, decomposition = pathwidth_workload(24, 2, seed=5)
+        report = certify(
+            graph,
+            "connected",
+            k=2,
+            rng=random.Random(6),
+            decomposer=lambda _g: decomposition,
+            verify=False,
+        )
+        self._assert_digest(
+            report.labeling, "c5c08f3ca58a65fb2441757a9a922d67"
+        )

@@ -37,6 +37,32 @@ def _certified(tmp_path, seed=51, n=20, store=None):
     return report, graph
 
 
+def _rewrite_manifest(path, edit):
+    """Unpickle the entry at ``path``, apply ``edit``, write it back."""
+    manifest = pickle.loads(path.read_bytes()[len(STORE_MAGIC):])
+    edit(manifest)
+    path.write_bytes(STORE_MAGIC + pickle.dumps(manifest, protocol=4))
+
+
+def _drop_report_key(manifest):
+    del manifest["report"]["accepted"]
+
+
+def _drop_vertex_id(manifest):
+    manifest["ids"].popitem()
+
+
+def _drop_header_field(manifest):
+    # Pickles a header whose state lacks one field.
+    object.__delattr__(manifest["header"], "path_width")
+
+
+def _list_bit_length(manifest):
+    key = next(iter(manifest["labels"]))
+    data, bits = manifest["labels"][key]
+    manifest["labels"][key] = (data, [bits])
+
+
 class TestSaveLoad:
     def test_save_load_round_trip(self, tmp_path):
         store = CertificateStore(tmp_path)
@@ -197,6 +223,45 @@ class TestIntegrity:
                 "connected",
                 path=store.path_for(graph.fingerprint(), "connected"),
             )
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [_drop_report_key, _drop_vertex_id, _drop_header_field, _list_bit_length],
+    )
+    def test_corrupt_manifest_is_a_counted_store_error(self, tmp_path, corrupt):
+        # Fields that unpickle but do not parse (a report without
+        # "accepted", identifiers missing a vertex, a header missing a
+        # field, a non-integer bit length) are StoreErrors and misses.
+        store = CertificateStore(tmp_path)
+        report, graph = _certified(tmp_path, seed=68, store=store)
+        path = store.path_for(graph.fingerprint(), "connected")
+        _rewrite_manifest(path, corrupt)
+        with pytest.raises(StoreError):
+            store.load(graph.fingerprint(), "connected")
+        assert store.metrics.snapshot()["misses"] == 1
+
+    def test_bit_flips_load_or_raise_store_error(self, tmp_path):
+        # Seeded 1-2 bit flips anywhere in an entry: each load returns
+        # a report or raises StoreError, and each StoreError is a miss.
+        store = CertificateStore(tmp_path)
+        report, graph = _certified(tmp_path, seed=69, n=24, store=store)
+        fingerprint = graph.fingerprint()
+        path = store.path_for(fingerprint, "connected")
+        clean = path.read_bytes()
+        rng = random.Random(0)
+        errors = 0
+        for _ in range(400):
+            data = bytearray(clean)
+            for _flip in range(rng.randint(1, 2)):
+                bit = rng.randrange(8 * len(data))
+                data[bit >> 3] ^= 1 << (bit & 7)
+            path.write_bytes(bytes(data))
+            try:
+                store.load(fingerprint, "connected")
+            except StoreError:
+                errors += 1
+        assert errors > 0
+        assert store.metrics.snapshot()["misses"] == errors
 
     def test_corrupted_label_payload_rejected(self, tmp_path):
         store = CertificateStore(tmp_path)

@@ -8,6 +8,7 @@ byte budget evicts least-recently-used entries.
 """
 
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -22,7 +23,7 @@ from repro.api import (
     StoreMetrics,
     certify,
 )
-from repro.api.store import SHARD_PREFIX_LEN
+from repro.api.store import SHARD_PREFIX_LEN, STORE_MAGIC
 from repro.experiments import lanewidth_workload
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -353,10 +354,19 @@ class TestSharedMetrics:
         store.load(graph.fingerprint(), "connected")
         with pytest.raises(StoreError):
             store.load("0" * 64, "connected")
+        # A corrupt certificate payload is unusable too: one more miss.
+        path = store.path_for(graph.fingerprint(), "connected")
+        manifest = pickle.loads(path.read_bytes()[len(STORE_MAGIC):])
+        key = next(iter(manifest["labels"]))
+        data, bits = manifest["labels"][key]
+        manifest["labels"][key] = (data[:1], bits)
+        path.write_bytes(STORE_MAGIC + pickle.dumps(manifest, protocol=4))
+        with pytest.raises(StoreError):
+            store.load(graph.fingerprint(), "connected")
         snap = metrics.snapshot()
         assert snap["saves"] == 1
         assert snap["hits"] == 1
-        assert snap["misses"] == 1
+        assert snap["misses"] == 2
 
     def test_shared_instance_aggregates_two_stores(self, tmp_path):
         metrics = StoreMetrics()
