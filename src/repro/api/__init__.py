@@ -1,4 +1,4 @@
-"""Public certification API: staged pipeline, sessions, and the facade.
+"""Public certification API: prover plans, sessions, and the facade.
 
 The Theorem 1 machinery factors into graph-level *structural* stages and
 property-level *evaluation* stages; this package exposes that split:
@@ -7,14 +7,15 @@ property-level *evaluation* stages; this package exposes that split:
   :class:`CertificationReport` objects;
 * :class:`CertificationSession` — memoizes structural artifacts per
   graph fingerprint and proves property batches against one hierarchy;
-* :class:`CertificationPipeline` + the stage classes — explicit,
-  swappable steps with per-stage timings for experiments;
+* the stage classes (:mod:`repro.api.pipeline`) — explicit steps that
+  declare the context fields they read and write;
 * :class:`CertificationPlan` / :class:`PlanRunner` (:mod:`repro.api.plan`)
-  — the stages as a content-addressed artifact DAG: nodes declare typed
-  inputs/outputs, artifacts carry chained fingerprints, and resolved
-  nodes are skipped against an :class:`ArtifactCache`
+  — the stages as a content-addressed artifact DAG and the one runner
+  that executes every proof: artifacts carry chained fingerprints, and
+  resolved nodes are skipped against an :class:`ArtifactCache`
   (:mod:`repro.api.artifacts`) whose disk layer persists structural
-  artifacts next to the certificates;
+  artifacts next to the certificates; :func:`run_plan` is a from-scratch
+  run over a throwaway cache;
 * :class:`VerificationEngine` + executors (:mod:`repro.api.runtime`,
   :mod:`repro.api.vectorized`) — the verification round with pluggable
   scheduling (the serial reference or the batched numpy kernels, see
@@ -29,8 +30,8 @@ property-level *evaluation* stages; this package exposes that split:
   workflows with zero prover stages on the stored path.
 
 The legacy entry points (``Theorem1Scheme``, ``LanewidthScheme``,
-``certify_lanewidth_graph``) live in :mod:`repro.core` and delegate to
-these stages; they are re-exported here for convenience.
+``certify_lanewidth_graph``) live in :mod:`repro.core`; their provers
+call :func:`run_plan`, and they are re-exported here for convenience.
 """
 
 from repro.api.artifacts import ArtifactCache, ArtifactEntry
@@ -44,17 +45,15 @@ from repro.api.plan import (
     CertificationPlan,
     NodeKey,
     PlanError,
-    PlanNode,
     PlanRun,
     PlanRunner,
     lanewidth_plan,
+    run_plan,
     theorem1_plan,
 )
 from repro.api.pipeline import (
     DEFAULT_EXACT_DECOMPOSITION_LIMIT,
     PROPERTY_STAGES,
-    STRUCTURAL_STAGES,
-    CertificationPipeline,
     CompletionStage,
     DecomposeStage,
     EvaluateStage,
@@ -63,10 +62,7 @@ from repro.api.pipeline import (
     LaneStage,
     MatchSequenceStage,
     PipelineContext,
-    PipelineScheme,
     Stage,
-    lanewidth_stages,
-    theorem1_stages,
 )
 from repro.api.audit import (
     AdversarialInstance,
@@ -111,13 +107,13 @@ __all__ = [
     "StoreMetrics",
     # Plan-based proving + artifact cache.
     "CertificationPlan",
-    "PlanNode",
     "PlanRunner",
     "PlanRun",
     "PlanError",
     "NodeKey",
     "theorem1_plan",
     "lanewidth_plan",
+    "run_plan",
     "ArtifactCache",
     "ArtifactEntry",
     # Verification runtime.
@@ -146,9 +142,7 @@ __all__ = [
     "EdgeAdditionAttack",
     "derive_seed",
     "derive_rng",
-    "CertificationPipeline",
     "PipelineContext",
-    "PipelineScheme",
     "Stage",
     "DecomposeStage",
     "LaneStage",
@@ -157,10 +151,7 @@ __all__ = [
     "HierarchyStage",
     "EvaluateStage",
     "LabelStage",
-    "theorem1_stages",
-    "lanewidth_stages",
     "DEFAULT_EXACT_DECOMPOSITION_LIMIT",
-    "STRUCTURAL_STAGES",
     "PROPERTY_STAGES",
     "Theorem1Scheme",
     "LanewidthScheme",

@@ -18,17 +18,20 @@ artifacts the node produced, in two layers:
   how sessions with a store get persistence for free.
 
 Envelope format (see ``docs/FORMAT.md`` § "Artifact envelopes"): a magic
-prefix, then a pickled manifest ``{artifact_version, key, stage,
-outputs, seconds}``.  The payload is arbitrary prover state (graphs,
-decompositions, hierarchies, evaluations), so the container uses pickle
-exactly like the certificate store envelope; the recorded ``key`` is
-re-checked on load and a mismatched, truncated, or unreadable entry is
+prefix, a 16-byte blake2b digest of the payload, then the payload — a
+pickled manifest ``{artifact_version, key, stage, outputs, seconds}``.
+The payload is arbitrary prover state (graphs, decompositions,
+hierarchies, evaluations), so the container uses pickle exactly like the
+certificate store envelope.  The digest is checked before unpickling
+(a bit-flipped pickle can still load, with changed values) and the
+recorded ``key`` after; a mismatched, truncated, or unreadable entry is
 treated as a **miss** — a corrupt cache must never break certification,
 only slow it down.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import os
 import pickle
@@ -39,7 +42,9 @@ _TMP_COUNTER = itertools.count()
 
 #: Envelope magic + version; bumped when the manifest layout changes.
 ARTIFACT_MAGIC = b"repro-artifact\x00"
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2
+#: Bytes of the blake2b payload digest between the magic and the payload.
+ARTIFACT_DIGEST_SIZE = 16
 
 #: Version folded into every node key by the plan layer; bumping it
 #: invalidates all previously persisted artifacts at once (used when a
@@ -167,7 +172,7 @@ class ArtifactCache:
             "seconds": entry.seconds,
         }
         try:
-            payload = ARTIFACT_MAGIC + pickle.dumps(manifest, protocol=4)
+            body = pickle.dumps(manifest, protocol=4)
         except Exception:
             # Unpicklable prover state (exotic custom algebras): the
             # memory layer still serves this session; disk just misses.
@@ -179,8 +184,9 @@ class ArtifactCache:
         tmp = path.parent / (
             f"{path.name}.{os.getpid()}.{next(_TMP_COUNTER):x}.tmp"
         )
+        digest = hashlib.blake2b(body, digest_size=ARTIFACT_DIGEST_SIZE)
         try:
-            tmp.write_bytes(payload)
+            tmp.write_bytes(ARTIFACT_MAGIC + digest.digest() + body)
             os.replace(tmp, path)  # atomic publish
         except BaseException:
             try:
@@ -199,10 +205,15 @@ class ArtifactCache:
             return None
         if not payload.startswith(ARTIFACT_MAGIC):
             return None
-        try:
-            manifest = pickle.loads(payload[len(ARTIFACT_MAGIC):])
-        except Exception:
+        start = len(ARTIFACT_MAGIC) + ARTIFACT_DIGEST_SIZE
+        body = payload[start:]
+        digest = hashlib.blake2b(body, digest_size=ARTIFACT_DIGEST_SIZE)
+        if payload[len(ARTIFACT_MAGIC):start] != digest.digest():
             return None  # truncated / bit-flipped: recompute
+        try:
+            manifest = pickle.loads(body)
+        except Exception:
+            return None  # written by an incompatible build
         if not isinstance(manifest, dict):
             return None
         if manifest.get("artifact_version") != ARTIFACT_VERSION:

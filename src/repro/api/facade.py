@@ -5,16 +5,15 @@
     report = certify(graph, "connected", k=2)
     reports = certify(sequence, ["connected", "acyclic", "even-order"])
 
-``certify`` builds a throwaway :class:`CertificationSession` (or reuses a
-caller-supplied one) and returns structured
-:class:`~repro.api.results.CertificationReport` objects.  For repeated
-certification — many properties, many graphs — construct a session once
-and call ``session.certify`` directly so the structural stages are
-shared.
+``certify`` builds a throwaway :class:`CertificationSession` and returns
+structured :class:`~repro.api.results.CertificationReport` objects.  For
+repeated certification — many properties, many graphs — construct a
+session once and call ``session.certify`` directly so the structural
+stages are shared.
 
 The legacy entry points (``Theorem1Scheme``, ``LanewidthScheme``,
-``certify_lanewidth_graph``) are re-exported here; they are thin shims
-whose provers delegate to the same pipeline stages.
+``certify_lanewidth_graph``) are re-exported here; their provers run the
+same plans through the same runner.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Optional
 
-# Back-compat shims: same objects as repro.core, pipeline-backed.
+# Back-compat re-exports: same objects as repro.core.
 from repro.core.scheme import (  # noqa: F401  (re-exported)
     LanewidthScheme,
     Theorem1Scheme,
@@ -40,9 +39,7 @@ def certify(
     *,
     rng: Optional[random.Random] = None,
     decomposer: Optional[Callable] = None,
-    exact_limit: Optional[int] = None,
     exact_budget_ms: Optional[float] = None,
-    session: Optional[CertificationSession] = None,
     verify: bool = True,
     engine: Optional[VerificationEngine] = None,
     store=None,
@@ -67,20 +64,15 @@ def certify(
     decomposer:
         Optional witness decomposition override, ``graph ->
         PathDecomposition``.
-    exact_limit:
-        Exact-decomposition cutoff for the default decomposer (see
-        :class:`repro.api.pipeline.DecomposeStage`).
     exact_budget_ms:
         Wall-clock budget authorizing exact branch-and-bound attempts on
-        graphs above ``exact_limit``; a timeout falls back to the best
-        incumbent (never worse than the heuristic), recorded in
-        ``report.decomposition_stats``.
-    session:
-        Reuse an existing session (and its structural cache) instead of
-        creating a fresh one.
+        graphs above the exact cutoff (see
+        :class:`repro.api.pipeline.DecomposeStage`); a timeout falls back
+        to the best incumbent (never worse than the heuristic), recorded
+        in ``report.decomposition_stats``.
     verify:
         ``False`` skips the verification round (prove only); replay it
-        later with ``session.verify(report)``.
+        later with ``CertificationSession.verify``.
     engine:
         The :class:`~repro.api.runtime.VerificationEngine` running the
         round — pick the executor (serial/vectorized) and ``fail_fast``
@@ -105,52 +97,13 @@ def certify(
     measured wire-encoding bit lengths; the arithmetic estimate is kept
     in ``accounted_*_label_bits``.
     """
-    if session is None:
-        session = CertificationSession(
-            k=k,
-            decomposer=decomposer,
-            exact_limit=exact_limit,
-            exact_budget_ms=exact_budget_ms,
-            rng=rng,
-            engine=engine,
-            store=store,
-            artifacts=artifacts,
-        )
-    else:
-        # Explicit arguments must not be silently dropped: adopt them on
-        # a session that has none, refuse when they conflict (the cached
-        # structures were built under the session's settings).
-        for name, value in (
-            ("k", k),
-            ("decomposer", decomposer),
-            ("exact_limit", exact_limit),
-            ("exact_budget_ms", exact_budget_ms),
-            ("engine", engine),
-            ("store", store),
-        ):
-            if value is None:
-                continue
-            current = getattr(session, name)
-            if current is None:
-                if name == "store":
-                    # Re-derives a lazily created store-less artifact
-                    # cache so the store's persistence takes effect.
-                    session.adopt_store(value)
-                else:
-                    setattr(session, name, value)
-            elif current != value:
-                raise ValueError(
-                    f"session was configured with {name}={current!r}, got "
-                    f"{name}={value!r}; use a separate session per setting"
-                )
-        if artifacts is not None:
-            # ``session.artifacts`` is a lazily derived property; adopt
-            # the explicit cache only while it is still unset.
-            if session._artifacts is None:
-                session._artifacts = artifacts
-            elif session._artifacts is not artifacts:
-                raise ValueError(
-                    "session already carries an artifact cache; use a "
-                    "separate session per cache"
-                )
-    return session.certify(target, properties, rng=rng, verify=verify)
+    session = CertificationSession(
+        k=k,
+        decomposer=decomposer,
+        exact_budget_ms=exact_budget_ms,
+        rng=rng,
+        engine=engine,
+        store=store,
+        artifacts=artifacts,
+    )
+    return session.certify(target, properties, verify=verify)

@@ -1,31 +1,28 @@
-"""The staged certification pipeline.
+"""The prover stages of Theorem 1.
 
 Theorem 1's prover factors into reusable structural stages (path
 decomposition → lane partition → completion → construction sequence →
 hierarchy) followed by property-specific stages (algebra evaluation →
-certificate labels).  This module makes each stage an explicit, swappable
-object operating on a shared :class:`PipelineContext`, with a
-:class:`CertificationPipeline` runner that records per-stage wall-clock
-timings and run counts.
+certificate labels).  This module makes each stage an explicit object
+operating on a shared :class:`PipelineContext`; every stage declares the
+context fields it reads and writes and the parameters that determine
+its outputs.
 
-The split is what enables batch multi-property proving: the structural
-stages depend only on the graph, so a :class:`repro.api.CertificationSession`
-runs them once and replays :class:`EvaluateStage`/:class:`LabelStage`
-per property (Bousquet–Feuilloley–Pierron's decomposition/evaluation
-separation, made operational).
-
-Two stage lists cover the two proving modes:
-
-* :func:`theorem1_stages` — the full Section 4→6 pipeline for a graph
-  with a pathwidth bound ``k``;
-* :func:`lanewidth_stages` — native lanewidth constructions, where a
-  :class:`MatchSequenceStage` replaces the Section 4 front end.
+:mod:`repro.api.plan` wires the stages into the two proving modes
+(:func:`~repro.api.plan.theorem1_plan` and
+:func:`~repro.api.plan.lanewidth_plan`) and runs them with its
+:class:`~repro.api.plan.PlanRunner`, the only code that runs a proof.
+The structural/property split is what enables batch multi-property
+proving: the structural stages depend only on the graph, so a
+:class:`repro.api.CertificationSession` resolves them once and replays
+:class:`EvaluateStage`/:class:`LabelStage` per property
+(Bousquet–Feuilloley–Pierron's decomposition/evaluation separation, made
+operational).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from time import perf_counter
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from repro.core.certificates import CertificateBuilder
@@ -43,7 +40,6 @@ from repro.core.lanewidth import (
     apply_construction,
     construction_sequence_from_completion,
 )
-from repro.core.scheme import CertifyingScheme
 from repro.courcelle.algebra import ArityLimitExceeded
 from repro.courcelle.registry import resolve_algebra
 from repro.pathwidth.branch_and_bound import (
@@ -55,20 +51,14 @@ from repro.pls.bits import ClassIndexer, SizeContext
 from repro.pls.model import Configuration
 from repro.pls.scheme import Labeling, ProverFailure
 
-from repro.api.results import StageTiming
-
-#: Default instance-size cutoff below which :class:`DecomposeStage`
-#: always runs an exact engine to completion.  Above it, exact search
-#: only happens when an ``exact_budget_ms`` deadline authorizes a
-#: budgeted branch-and-bound attempt.  Overridable per stage
-#: (``DecomposeStage(exact_limit=...)``), per scheme
-#: (``Theorem1Scheme(..., exact_limit=...)``), and through the
-#: facade/session ``exact_limit`` keyword.
+#: Instance-size cutoff up to which :class:`DecomposeStage` always runs
+#: an exact engine to completion.  Above it, exact search only happens
+#: when an ``exact_budget_ms`` deadline authorizes a budgeted
+#: branch-and-bound attempt.
 DEFAULT_EXACT_DECOMPOSITION_LIMIT = 14
 
-#: Stage names whose artifacts depend only on the graph (memoizable).
-STRUCTURAL_STAGES = ("decompose", "lanes", "completion", "match", "hierarchy")
-#: Stage names that must rerun for every property.
+#: Stage names that must rerun for every property; every other stage's
+#: artifacts depend only on the graph.
 PROPERTY_STAGES = ("evaluate", "label")
 
 
@@ -99,9 +89,6 @@ class PipelineContext:
     class_count: Optional[int] = None
     labeling: Optional[Labeling] = None
 
-    #: Timings of every stage run against this context, in order.
-    timings: list = field(default_factory=list)
-
     @property
     def graph(self):
         return self.config.graph
@@ -111,11 +98,11 @@ class PipelineContext:
     ) -> "PipelineContext":
         """Clone the structural artifacts for another property (or config).
 
-        The per-property fields (evaluation, labeling, timings) start
-        fresh; the expensive graph-level artifacts are shared by
-        reference — stages never mutate them after creation.
+        The per-property fields (evaluation, labeling) start fresh; the
+        expensive graph-level artifacts are shared by reference — stages
+        never mutate them after creation.
         """
-        clone = replace(self, timings=[])
+        clone = replace(self)
         clone.config = config or self.config
         clone.algebra = algebra
         clone.evaluation = None
@@ -176,19 +163,18 @@ class DecomposeStage(Stage):
     decomposer:
         Optional override ``graph -> PathDecomposition`` (generators that
         already know a witness pass it here and skip the search).
-    exact_limit:
-        Instances with ``n <= exact_limit`` always get a *complete*
-        branch-and-bound vertex-separation search.  Larger ones get a
-        budgeted attempt when ``exact_budget_ms`` is set, and the
-        heuristic portfolio otherwise.  ``None`` means
-        :data:`DEFAULT_EXACT_DECOMPOSITION_LIMIT`.
+        Without one, instances with ``n <=``
+        :data:`DEFAULT_EXACT_DECOMPOSITION_LIMIT` always get a
+        *complete* branch-and-bound vertex-separation search; larger
+        ones get a budgeted attempt when ``exact_budget_ms`` is set, and
+        the heuristic portfolio otherwise.
     exact_budget_ms:
-        Wall-clock budget for exact search above ``exact_limit``.  The
+        Wall-clock budget for exact search above the cutoff.  The
         search is seeded with the heuristic incumbent, so a timeout
         falls back to an ordering at least as good as the heuristic's,
         with the attempt recorded in the
         ``decomposition_stats`` artifact.  ``None`` (default) disables
-        exact attempts above the limit.
+        exact attempts above the cutoff.
     """
 
     name = "decompose"
@@ -199,25 +185,21 @@ class DecomposeStage(Stage):
         self,
         k: int,
         decomposer: Optional[Callable] = None,
-        exact_limit: Optional[int] = None,
         exact_budget_ms: Optional[float] = None,
     ):
         if k < 1:
             raise ValueError("pathwidth bound must be at least 1")
-        if exact_limit is None:
-            exact_limit = DEFAULT_EXACT_DECOMPOSITION_LIMIT
-        if exact_limit < 0:
-            raise ValueError("exact_limit must be non-negative")
         if exact_budget_ms is not None and exact_budget_ms <= 0:
             raise ValueError("exact_budget_ms must be positive")
         self.k = k
         self.decomposer = decomposer
-        self.exact_limit = exact_limit
         self.exact_budget_ms = exact_budget_ms
 
     def _engine_params(self):
+        # The cutoff stays in the key so node keys (and persisted
+        # artifacts) match those written while it was a parameter.
         return (
-            "k", self.k, "exact_limit", self.exact_limit,
+            "k", self.k, "exact_limit", DEFAULT_EXACT_DECOMPOSITION_LIMIT,
             "exact_budget_ms", self.exact_budget_ms,
         )
 
@@ -250,7 +232,8 @@ class DecomposeStage(Stage):
         """
         # Complete branch-and-bound below the size gate, a budgeted
         # attempt above it when authorized, heuristic otherwise.
-        if graph.n > self.exact_limit and self.exact_budget_ms is None:
+        exact = graph.n <= DEFAULT_EXACT_DECOMPOSITION_LIMIT
+        if not exact and self.exact_budget_ms is None:
             decomposition = heuristic_path_decomposition(graph)
             return decomposition, {
                 "engine": "heuristic",
@@ -260,7 +243,7 @@ class DecomposeStage(Stage):
             }
         seed_ordering = None
         heuristic_width = None
-        if graph.n > self.exact_limit:
+        if not exact:
             seeded = heuristic_path_decomposition(graph)
             heuristic_width = seeded.width()
             seed_ordering = ordering_from_decomposition(seeded)
@@ -419,14 +402,10 @@ class EvaluateStage(Stage):
     inputs = ("root", "algebra")
     outputs = ("evaluation",)
 
-    def __init__(self, algebra=None):
-        self.algebra = resolve_algebra(algebra) if algebra is not None else None
-
     def run(self, ctx: PipelineContext) -> None:
-        algebra = self.algebra if self.algebra is not None else ctx.algebra
-        if algebra is None:
-            raise ValueError("EvaluateStage needs an algebra (stage or context)")
-        ctx.algebra = resolve_algebra(algebra)
+        if ctx.algebra is None:
+            raise ValueError("EvaluateStage needs an algebra on the context")
+        ctx.algebra = resolve_algebra(ctx.algebra)
         try:
             ctx.evaluation = evaluate_hierarchy(ctx.root, ctx.algebra)
         except ArityLimitExceeded as exc:
@@ -457,94 +436,3 @@ class LabelStage(Stage):
         size_ctx = SizeContext(ctx.config.n, class_count=indexer.class_count)
         ctx.class_count = indexer.class_count
         ctx.labeling = Labeling("edges", mapping, size_ctx)
-
-
-class CertificationPipeline:
-    """Run a stage list in order, recording timings and run counts.
-
-    ``counters`` (optional) is a mutable ``{stage name: runs}`` mapping —
-    sessions pass their cumulative counter so cache behavior is
-    observable from reports.
-    """
-
-    def __init__(self, stages):
-        self.stages = list(stages)
-
-    def stage_names(self) -> list:
-        return [stage.name for stage in self.stages]
-
-    def run(self, ctx: PipelineContext, counters: Optional[dict] = None) -> list:
-        """Execute every stage against ``ctx``; return this run's timings."""
-        timings = []
-        for stage in self.stages:
-            start = perf_counter()
-            try:
-                stage.run(ctx)
-            finally:
-                # Refusals count as runs too: a ProverFailure in
-                # EvaluateStage is a completed (negative) evaluation, and
-                # the counters must reflect every attempt.
-                timing = StageTiming(stage.name, perf_counter() - start)
-                timings.append(timing)
-                ctx.timings.append(timing)
-                if counters is not None:
-                    counters[stage.name] = counters.get(stage.name, 0) + 1
-        return timings
-
-
-class PipelineScheme(CertifyingScheme):
-    """A :class:`ProofLabelingScheme` wired to an explicit stage list.
-
-    The verifier half is inherited (and identical to the legacy
-    schemes'); ``prove`` simply runs the stages.  Sessions hand these
-    out inside reports so legacy helpers (``run_verification``,
-    adversarial label attacks) keep working against pipeline output.
-    """
-
-    def __init__(self, algebra, max_width: int, stages=()):
-        super().__init__(algebra, max_width)
-        self.stages = tuple(stages)
-
-    def prove(self, config: Configuration) -> Labeling:
-        ctx = PipelineContext(config=config, algebra=self.algebra)
-        CertificationPipeline(self.stages).run(ctx)
-        if ctx.labeling is None:
-            raise ProverFailure("stage list produced no labeling")
-        return ctx.labeling
-
-
-def theorem1_stages(
-    k: int,
-    algebra=None,
-    decomposer: Optional[Callable] = None,
-    exact_limit: Optional[int] = None,
-    exact_budget_ms: Optional[float] = None,
-) -> list:
-    """The full Theorem 1 stage list for pathwidth-bounded certification."""
-    return [
-        DecomposeStage(
-            k,
-            decomposer=decomposer,
-            exact_limit=exact_limit,
-            exact_budget_ms=exact_budget_ms,
-        ),
-        LaneStage(),
-        CompletionStage(),
-        HierarchyStage(),
-        EvaluateStage(algebra),
-        LabelStage(),
-    ]
-
-
-def lanewidth_stages(
-    sequence: ConstructionSequence,
-    algebra=None,
-    match_stage: Optional[MatchSequenceStage] = None,
-) -> list:
-    """The native-lanewidth stage list (no Section 4 front end)."""
-    return [
-        match_stage or MatchSequenceStage(sequence),
-        HierarchyStage(),
-        EvaluateStage(algebra),
-        LabelStage(),
-    ]

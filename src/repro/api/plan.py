@@ -1,29 +1,29 @@
-"""Plan-based proving: the pipeline as a content-addressed artifact DAG.
+"""Plan-based proving: the prover as a content-addressed artifact DAG.
 
-The staged pipeline (:mod:`repro.api.pipeline`) runs its stages as a
-rigid linear list; this module makes the *dataflow* explicit.  A
-:class:`CertificationPlan` is a DAG of :class:`PlanNode` objects — each
-wraps one stage and declares which context fields it consumes and
-produces — and every produced artifact gets a **content fingerprint**:
+A :class:`CertificationPlan` is a list of stages
+(:mod:`repro.api.pipeline`) wired by each stage's declared ``inputs``
+and ``outputs``, and every produced artifact gets a **content
+fingerprint**:
 
     node key = H(plan version, stage name, stage params,
                  keys of the input artifacts)
 
 rooted in the *source* keys (the graph fingerprint, the configuration
 fingerprint, the algebra key).  Equal keys mean equal artifacts, so the
-:class:`PlanRunner` executes nodes in topological order and simply
-*skips* any node whose key is already resolved in an
-:class:`~repro.api.artifacts.ArtifactCache` — the paper's structure made
-operational: one path decomposition / lane partition / completion /
-hierarchy per graph feeds arbitrarily many per-property evaluations
+:class:`PlanRunner` — the only code that runs a proof — executes stages
+in order and simply *skips* any stage whose key is already resolved in
+an :class:`~repro.api.artifacts.ArtifactCache`: the paper's structure
+made operational.  One path decomposition / lane partition / completion
+/ hierarchy per graph feeds arbitrarily many per-property evaluations
 (Bousquet–Feuilloley–Pierron's "certify a property family over one
 decomposition"), across properties, sessions, *and processes* when the
-cache has a disk layer.
+cache has a disk layer.  A from-scratch proof (:func:`run_plan`, which
+``Theorem1Scheme.prove`` and ``LanewidthScheme.prove`` call) is the same
+run over a throwaway in-memory cache.
 
 Skipped nodes do not touch the stage counters (counters stay truthful:
 they count stages that actually ran) and contribute their originally
-recorded wall-clock as ``cached`` :class:`StageTiming` entries, exactly
-like the session's old in-memory memoization did.
+recorded wall-clock as ``cached`` :class:`StageTiming` entries.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Optional
 
-from repro.pls.scheme import ProverFailure
+from repro.pls.scheme import Labeling, ProverFailure
 
 from repro.api.artifacts import PLAN_CACHE_VERSION, ArtifactCache
 from repro.api.pipeline import (
@@ -57,30 +57,6 @@ class PlanError(ValueError):
     """Raised on malformed plans (missing producers, duplicate outputs)."""
 
 
-class PlanNode:
-    """One DAG node: a stage plus its declared inputs and outputs.
-
-    The declarations default to the stage's own (:attr:`Stage.inputs` /
-    :attr:`Stage.outputs`) and can be overridden per node when a plan
-    wires a stage differently from its class-level contract.
-    """
-
-    def __init__(self, stage, inputs: Optional[tuple] = None,
-                 outputs: Optional[tuple] = None):
-        self.stage = stage
-        self.name = stage.name
-        self.inputs = tuple(inputs if inputs is not None else stage.inputs)
-        self.outputs = tuple(outputs if outputs is not None else stage.outputs)
-        if not self.outputs:
-            raise PlanError(f"plan node {self.name!r} declares no outputs")
-
-    def __repr__(self) -> str:
-        return (
-            f"PlanNode({self.name!r}, {list(self.inputs)} -> "
-            f"{list(self.outputs)})"
-        )
-
-
 @dataclass(frozen=True)
 class NodeKey:
     """The resolved content fingerprint of one plan node."""
@@ -92,22 +68,23 @@ class NodeKey:
 
 
 class CertificationPlan:
-    """A validated DAG of plan nodes in topological order.
+    """A validated list of stages in topological order.
 
-    The constructor checks the dataflow: every input must be a source
-    (:data:`PLAN_SOURCES`) or the output of an earlier node, and no two
-    nodes may produce the same artifact.  Nodes are kept in the given
-    order, which the check guarantees is topological.
+    Each stage is one DAG node, wired by its class-level ``inputs`` and
+    ``outputs``.  The constructor checks the dataflow: every node must
+    declare outputs, every input must be a source (:data:`PLAN_SOURCES`)
+    or the output of an earlier node, and no two nodes may produce the
+    same artifact.  Nodes are kept in the given order, which the check
+    guarantees is topological.
     """
 
-    def __init__(self, nodes):
-        self.nodes = [
-            node if isinstance(node, PlanNode) else PlanNode(node)
-            for node in nodes
-        ]
+    def __init__(self, stages):
+        self.nodes = list(stages)
         produced = set(PLAN_SOURCES)
         names = set()
         for node in self.nodes:
+            if not node.outputs:
+                raise PlanError(f"plan node {node.name!r} declares no outputs")
             if node.name in names:
                 raise PlanError(f"duplicate plan node name {node.name!r}")
             names.add(node.name)
@@ -156,7 +133,7 @@ class CertificationPlan:
             for name, key in source_keys.items()
         }
         for node in nodes if nodes is not None else self.nodes:
-            params, persistable = node.stage.plan_params()
+            params, persistable = node.plan_params()
             input_keys = []
             for name in node.inputs:
                 upstream = artifact_keys.get(name)
@@ -175,13 +152,6 @@ class CertificationPlan:
             for name in node.outputs:
                 artifact_keys[name] = node_key
         return artifact_keys
-
-    def resolve_keys(self, source_keys: dict) -> dict:
-        """Return ``{node name: NodeKey}`` for the whole plan."""
-        artifact_keys = self.chain_keys(source_keys)
-        return {
-            node.name: artifact_keys[node.outputs[0]] for node in self.nodes
-        }
 
 
 @dataclass
@@ -256,21 +226,20 @@ class PlanRunner:
                 continue
             start = perf_counter()
             try:
-                node.stage.run(ctx)
+                node.run(ctx)
             except ProverFailure as failure:
-                # Refusals count as runs (same contract as the linear
-                # pipeline): the attempt happened and must be observable.
-                timing = StageTiming(node.name, perf_counter() - start)
-                run.timings.append(timing)
-                ctx.timings.append(timing)
+                # Refusals count as runs: a ProverFailure in EvaluateStage
+                # is a completed (negative) evaluation, and the counters
+                # must reflect every attempt.
+                run.timings.append(
+                    StageTiming(node.name, perf_counter() - start)
+                )
                 run.executed.append(node.name)
                 self._bump(node.name)
                 failure.stage_timings = tuple(run.timings)
                 raise
             seconds = perf_counter() - start
-            timing = StageTiming(node.name, seconds)
-            run.timings.append(timing)
-            ctx.timings.append(timing)
+            run.timings.append(StageTiming(node.name, seconds))
             run.executed.append(node.name)
             self._bump(node.name)
             self.cache.put(
@@ -292,24 +261,19 @@ class PlanRunner:
 # ----------------------------------------------------------------------
 def theorem1_plan(
     k: int,
-    algebra=None,
     decomposer=None,
-    exact_limit: Optional[int] = None,
     exact_budget_ms: Optional[float] = None,
 ) -> CertificationPlan:
     """The full Theorem 1 stage DAG for pathwidth-bounded certification."""
     return CertificationPlan(
         [
             DecomposeStage(
-                k,
-                decomposer=decomposer,
-                exact_limit=exact_limit,
-                exact_budget_ms=exact_budget_ms,
+                k, decomposer=decomposer, exact_budget_ms=exact_budget_ms
             ),
             LaneStage(),
             CompletionStage(),
             HierarchyStage(),
-            EvaluateStage(algebra),
+            EvaluateStage(),
             LabelStage(),
         ]
     )
@@ -317,7 +281,6 @@ def theorem1_plan(
 
 def lanewidth_plan(
     sequence,
-    algebra=None,
     match_stage: Optional[MatchSequenceStage] = None,
 ) -> CertificationPlan:
     """The native-lanewidth stage DAG (no Section 4 front end)."""
@@ -325,10 +288,26 @@ def lanewidth_plan(
         [
             match_stage or MatchSequenceStage(sequence),
             HierarchyStage(),
-            EvaluateStage(algebra),
+            EvaluateStage(),
             LabelStage(),
         ]
     )
+
+
+def run_plan(plan: CertificationPlan, config, algebra) -> Labeling:
+    """Prove ``algebra`` on ``config`` from scratch: run every node of
+    ``plan`` through a :class:`PlanRunner` over a throwaway cache.
+
+    Raises :class:`ProverFailure` when the honest prover refuses.
+    """
+    ctx = PipelineContext(config=config, algebra=algebra)
+    source_keys = {
+        "graph": config.graph.fingerprint("edges"),
+        "config": config_fingerprint(config),
+        "algebra": algebra_source_key(algebra)[0],
+    }
+    PlanRunner().run(plan, ctx, source_keys)
+    return ctx.labeling
 
 
 def config_fingerprint(config) -> str:

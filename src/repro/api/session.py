@@ -34,19 +34,14 @@ from typing import Callable, Optional
 
 from repro.codec import encode_labeling_columnar, stamp_wire_digest
 from repro.core.lanewidth import ConstructionSequence, apply_construction
+from repro.core.scheme import LanewidthScheme, Theorem1Scheme
 from repro.courcelle.algebra import BoundedAlgebra
 from repro.courcelle.registry import resolve_algebra
 from repro.pls.model import Configuration
 from repro.pls.scheme import ProverFailure
 
 from repro.api.artifacts import ArtifactCache
-from repro.api.pipeline import (
-    MatchSequenceStage,
-    PipelineContext,
-    PipelineScheme,
-    lanewidth_stages,
-    theorem1_stages,
-)
+from repro.api.pipeline import MatchSequenceStage, PipelineContext
 from repro.api.plan import (
     CertificationPlan,
     NodeKey,
@@ -89,10 +84,12 @@ class CertificationSession:
         Pathwidth bound used when certifying :class:`Graph` /
         :class:`Configuration` targets (Theorem 1 mode).  Sequence
         targets carry their own width and ignore ``k``.
-    decomposer, exact_limit, exact_budget_ms:
+    decomposer, exact_budget_ms:
         Forwarded to :class:`repro.api.pipeline.DecomposeStage` —
         ``exact_budget_ms`` authorizes a budgeted exact attempt above
-        ``exact_limit``.
+        the exact cutoff.  ``decomposer`` may be reassigned between
+        calls; structures cached under another decomposer never satisfy
+        it.
     rng:
         Source of vertex identifiers for bare-graph targets.
     engine:
@@ -106,14 +103,13 @@ class CertificationSession:
         session's cache, making structural artifacts persistent too.
     artifacts:
         Optional :class:`~repro.api.artifacts.ArtifactCache` override
-        (``None``: derived from the store, else a fresh in-memory cache).
+        (``None``: the store's, else a fresh in-memory cache).
     """
 
     def __init__(
         self,
         k: Optional[int] = None,
         decomposer: Optional[Callable] = None,
-        exact_limit: Optional[int] = None,
         rng: Optional[random.Random] = None,
         engine: Optional[VerificationEngine] = None,
         store=None,
@@ -122,21 +118,15 @@ class CertificationSession:
     ):
         self.k = k
         self.decomposer = decomposer
-        self.exact_limit = exact_limit
         self.exact_budget_ms = exact_budget_ms
         self.rng = rng or random.Random()
-        self.engine = engine
+        self.engine = engine if engine is not None else VerificationEngine()
         self.store = store
-        # Lazy fallback kept apart from ``engine``: the facade adopts
-        # explicit arguments onto unset session fields, and a cached
-        # default must not masquerade as user configuration there.
-        self._default_engine: Optional[VerificationEngine] = None
-        # Likewise lazy: a store adopted by the facade after
-        # construction must still contribute its artifact directory.
-        # ``_artifacts_lazy`` records that the cache was derived (not
-        # user-supplied), so adoption can re-derive it.
-        self._artifacts = artifacts
-        self._artifacts_lazy = False
+        if artifacts is None:
+            artifacts = (
+                store.artifact_cache() if store is not None else ArtifactCache()
+            )
+        self.artifacts = artifacts
         #: Cumulative {stage name: times run} over the session's lifetime.
         self.stage_counters: dict = {}
         #: Mode keys whose structural phase completed (cache-hit or run).
@@ -149,33 +139,6 @@ class CertificationSession:
         self._sequence_keys: dict = {}  # id(seq) -> (seq, fingerprint, graph)
 
     # ------------------------------------------------------------------
-    @property
-    def artifacts(self) -> ArtifactCache:
-        """The session's artifact cache (derived from the store lazily)."""
-        if self._artifacts is None:
-            factory = getattr(self.store, "artifact_cache", None)
-            self._artifacts = (
-                factory() if callable(factory) else ArtifactCache()
-            )
-            self._artifacts_lazy = True
-        return self._artifacts
-
-    def adopt_store(self, store) -> None:
-        """Attach ``store`` (facade adoption path).
-
-        A lazily derived, store-less artifact cache is re-derived so the
-        adopted store's persistent artifact directory takes effect — an
-        explicitly supplied cache is never replaced.
-        """
-        self.store = store
-        if (
-            self._artifacts_lazy
-            and self._artifacts is not None
-            and self._artifacts.root is None
-        ):
-            self._artifacts = None
-            self._artifacts_lazy = False
-
     @property
     def cached_graphs(self) -> int:
         """Number of distinct (graph, mode) structures resolved so far."""
@@ -267,7 +230,7 @@ class CertificationSession:
                 "report carries no artifacts to verify (was it rebuilt "
                 "from JSON?)"
             )
-        engine = engine or self._engine()
+        engine = engine or self.engine
         self._offer_artifacts(engine)
         verification = engine.verify(
             report.config, report.scheme, report.labeling
@@ -276,13 +239,6 @@ class CertificationSession:
         report.result = verification.as_result()
         report.accepted = verification.accepted
         return verification
-
-    def _engine(self) -> VerificationEngine:
-        if self.engine is not None:
-            return self.engine
-        if self._default_engine is None:
-            self._default_engine = VerificationEngine()
-        return self._default_engine
 
     def _offer_artifacts(self, engine) -> None:
         """Lend the session's artifact cache to cache-aware executors.
@@ -350,7 +306,6 @@ class CertificationSession:
         return theorem1_plan(
             self.k,
             decomposer=self.decomposer,
-            exact_limit=self.exact_limit,
             exact_budget_ms=self.exact_budget_ms,
         )
 
@@ -370,7 +325,6 @@ class CertificationSession:
                 "theorem1",
                 self.k,
                 self.decomposer,
-                self.exact_limit,
                 self.exact_budget_ms,
                 fingerprint,
             )
@@ -397,22 +351,17 @@ class CertificationSession:
         )
 
     def _scheme_for(self, structure, algebra):
-        """A verifier-half scheme whose ``prove`` replays the full pipeline."""
+        """The report's scheme: its ``prove`` reruns this mode's plan."""
         if structure.sequence is not None:
-            stages = lanewidth_stages(
-                structure.sequence,
-                algebra=algebra,
-                match_stage=structure.match_stage,
-            )
-        else:
-            stages = theorem1_stages(
-                self.k,
-                algebra=algebra,
-                decomposer=self.decomposer,
-                exact_limit=self.exact_limit,
-                exact_budget_ms=self.exact_budget_ms,
-            )
-        return PipelineScheme(algebra, structure.ctx.max_width, stages)
+            scheme = LanewidthScheme(algebra, structure.sequence)
+            scheme.match_stage = structure.match_stage
+            return scheme
+        return Theorem1Scheme(
+            algebra,
+            self.k,
+            decomposer=self.decomposer,
+            exact_budget_ms=self.exact_budget_ms,
+        )
 
     # ------------------------------------------------------------------
     def _property_keys(self, structure, algebra) -> dict:
@@ -496,9 +445,8 @@ class CertificationSession:
         # key their envelopes on this digest.
         stamp_wire_digest(labeling, encoded)
         if verify:
-            engine = self._engine()
-            self._offer_artifacts(engine)
-            verification = engine.verify(config, scheme, labeling)
+            self._offer_artifacts(self.engine)
+            verification = self.engine.verify(config, scheme, labeling)
             result = verification.as_result()
             accepted = verification.accepted
         else:

@@ -72,6 +72,7 @@ from repro.codec import (
     encode_labeling_columnar,
     stamp_wire_digest,
 )
+from repro.core.scheme import CertifyingScheme
 from repro.courcelle.registry import resolve_algebra
 from repro.pls.model import Configuration
 
@@ -664,7 +665,6 @@ class CertificateStore:
         Raises :class:`StoreError` when the graph, identifiers, algebra,
         report or certificate payload of the entry do not parse.
         """
-        from repro.api.pipeline import PipelineScheme
         from repro.api.results import CertificationReport
 
         graph = manifest["graph"]
@@ -691,7 +691,7 @@ class CertificateStore:
             if algebra is None and manifest["algebra_key"] is not None:
                 algebra = resolve_algebra(manifest["algebra_key"])
             config = Configuration(graph, manifest["ids"])
-            scheme = PipelineScheme(algebra, manifest["max_width"], ())
+            scheme = CertifyingScheme(algebra, manifest["max_width"])
             report = CertificationReport.from_dict(manifest["report"])
         except _PARSE_ERRORS as exc:
             raise StoreError(f"corrupted store entry {path}: {exc!r}") from exc

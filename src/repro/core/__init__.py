@@ -7,8 +7,9 @@ bounded depth (Observation 5.5), and the T-node construction
 (Proposition 5.6).  Section 6: O(log n)-bit certification of k-lane
 recursive graphs (Lemmas 6.4/6.5) and the Theorem 1 scheme.
 
-The schemes here are the stable legacy entry points; their provers
-delegate to the staged pipeline in :mod:`repro.api`, which is the
+The schemes here are the stable legacy entry points and the verifier
+halves session reports carry; their provers run the plans of
+:mod:`repro.api.plan` through its one runner.  :mod:`repro.api` is the
 preferred surface for new code (structured reports, per-stage timings,
 and cross-property structural caching via ``CertificationSession``).
 """

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Optional
 
+from repro.api.plan import theorem1_plan
 from repro.api.session import CertificationSession
 from repro.graphs import Graph
 from repro.graphs.edits import EditBatch, apply_edits
@@ -185,7 +186,6 @@ class IncrementalCertifier:
         session: Optional[CertificationSession] = None,
         store=None,
         decomposer=None,
-        exact_limit: Optional[int] = None,
         exact_budget_ms: Optional[float] = None,
         rng: Optional[random.Random] = None,
         max_dirty_fraction: float = DEFAULT_MAX_DIRTY_FRACTION,
@@ -205,7 +205,6 @@ class IncrementalCertifier:
             session = CertificationSession(
                 k=k,
                 decomposer=decomposer,
-                exact_limit=exact_limit,
                 exact_budget_ms=exact_budget_ms,
                 rng=rng,
                 store=store,
@@ -487,10 +486,9 @@ class IncrementalCertifier:
 
     def _expected_stage_runs(self) -> int:
         """Stage runs a cold certify of the current batch would cost."""
-        # theorem1 plan: 4 structural nodes + (evaluate, label) per
-        # property.  Kept in sync with repro.api.plan.theorem1_plan by
-        # the metrics tests.
-        return 4 + 2 * len(self.properties)
+        plan = theorem1_plan(self.k)
+        per_property = len(plan.property_nodes()) * len(self.properties)
+        return len(plan.structural_nodes()) + per_property
 
     def _resolve_decomposition(self, config: Configuration):
         """Fetch the decomposition the session just used (cache-warm)."""

@@ -62,10 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="default pathwidth bound for certify requests (default: 2)",
     )
     parser.add_argument(
-        "--exact-limit", type=int, default=None, metavar="N",
-        help="exact-decomposition cutoff override (see DecomposeStage)",
-    )
-    parser.add_argument(
         "--workers", type=int, default=2, metavar="N",
         help="blocking worker threads (default: 2)",
     )
@@ -90,7 +86,6 @@ def main(argv=None) -> int:
     config = ServiceConfig(
         store_root=args.store,
         k=args.k,
-        exact_limit=args.exact_limit,
         worker_threads=args.workers,
         engine=args.engine,
         byte_budget=args.byte_budget,

@@ -114,12 +114,12 @@ def graph_from_wire(payload) -> Graph:
         vertices = payload.get("vertices", [])
         edges = payload.get("edges", [])
         graph = Graph(vertices, ((u, v) for u, v in edges))
-    except (TypeError, ValueError) as exc:
+        for v, label in payload.get("vertex_labels", []):
+            graph.set_vertex_label(v, label)
+        for u, v, label in payload.get("edge_labels", []):
+            graph.set_edge_label(u, v, label)
+    except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"malformed graph payload: {exc}") from exc
-    for v, label in payload.get("vertex_labels", []):
-        graph.set_vertex_label(v, label)
-    for u, v, label in payload.get("edge_labels", []):
-        graph.set_edge_label(u, v, label)
     return graph
 
 

@@ -53,6 +53,7 @@ from repro.api import (
     executor_names,
     make_executor,
 )
+from repro.courcelle.registry import algebra_for
 from repro.graphs.edits import EditBatch, EditError
 from repro.incremental import IncrementalCertifier
 from repro.pls.model import Configuration
@@ -83,6 +84,25 @@ class ServiceError(ValueError):
     """A request the service understood but must refuse."""
 
 
+def _int_param(params: dict, name: str, default: int) -> int:
+    """``params[name]`` as an int; anything else is a ProtocolError."""
+    value = params.get(name, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(
+            f"{name!r} must be an integer (got {value!r})"
+        ) from exc
+
+
+def _check_property(key: str) -> None:
+    """Refuse a property key the algebra registry does not know."""
+    try:
+        algebra_for(key)
+    except KeyError as exc:
+        raise ProtocolError(f"unknown property {key!r}") from exc
+
+
 @dataclass
 class ServiceConfig:
     """Everything a daemon instance is parameterized by.
@@ -93,7 +113,6 @@ class ServiceConfig:
 
     store_root: Path
     k: int = 2
-    exact_limit: Optional[int] = None
     worker_threads: int = 2
     #: Verification executor kind: any :func:`repro.api.runtime
     #: .executor_names` entry ("serial" or "vectorized").
@@ -160,10 +179,7 @@ class CertificationService:
         session = sessions.get(k)
         if session is None:
             session = CertificationSession(
-                k=k,
-                exact_limit=self.config.exact_limit,
-                engine=self._engine(),
-                store=self.store,
+                k=k, engine=self._engine(), store=self.store
             )
             sessions[k] = session
             with self._lock:
@@ -235,6 +251,8 @@ class CertificationService:
             raise ProtocolError("property keys must be strings on the wire")
         if len(set(properties)) != len(properties):
             raise ProtocolError("duplicate property keys in one request")
+        for key in properties:
+            _check_property(key)
         return properties
 
     async def _dispatch(self, key, job):
@@ -249,7 +267,7 @@ class CertificationService:
             raise ProtocolError("certify needs a 'graph' payload")
         graph = graph_from_wire(request["graph"])
         properties = self._properties_of(request)
-        k = int(request.get("k", self.config.k))
+        k = _int_param(request, "k", self.config.k)
         fresh = bool(request.get("fresh", False))
         verify = bool(request.get("verify", True))
         fingerprint = graph.fingerprint()
@@ -358,9 +376,9 @@ class CertificationService:
 
     async def _update(self, request: dict):
         properties = self._properties_of(request)
-        k = int(request.get("k", self.config.k))
+        k = _int_param(request, "k", self.config.k)
         force_full = bool(request.get("force_full", False))
-        full_round_every = int(request.get("full_round_every", 0))
+        full_round_every = _int_param(request, "full_round_every", 0)
         edits_wire = request.get("edits", [])
         if not isinstance(edits_wire, list):
             raise ProtocolError("'edits' must be a list of wire edits")
@@ -420,11 +438,7 @@ class CertificationService:
                     graph,
                     list(properties),
                     k=k,
-                    session=CertificationSession(
-                        k=k,
-                        exact_limit=self.config.exact_limit,
-                        store=self.store,
-                    ),
+                    session=CertificationSession(k=k, store=self.store),
                     full_round_every=full_round_every,
                 )
                 entry = (threading.Lock(), certifier)
@@ -478,15 +492,16 @@ class CertificationService:
         prop = request.get("property")
         if not isinstance(prop, str):
             raise ProtocolError("audit needs a string 'property'")
-        k = int(request.get("k", self.config.k))
-        trials = int(request.get("trials", 3))
-        seed = int(request.get("seed", 0))
+        _check_property(prop)
+        k = _int_param(request, "k", self.config.k)
+        trials = _int_param(request, "trials", 3)
+        seed = _int_param(request, "seed", 0)
+        attacks_wire = request.get("attacks", ["mutation"])
+        if not isinstance(attacks_wire, list):
+            raise ProtocolError("'attacks' must be a list of attack specs")
         # Specs normalize to hashable (name, per_case) pairs: the dict
         # spelling must coalesce with its string shorthand.
-        specs = tuple(
-            self._normalize_spec(spec)
-            for spec in request.get("attacks", ("mutation",))
-        )
+        specs = tuple(self._normalize_spec(spec) for spec in attacks_wire)
         attacks = [self._attack_from_spec(spec) for spec in specs]
         fingerprint = graph.fingerprint()
         key = ("audit", fingerprint, prop, k, trials, seed, specs)
@@ -500,13 +515,8 @@ class CertificationService:
     def _normalize_spec(self, spec):
         if isinstance(spec, str):
             return spec, 1
-        if isinstance(spec, dict):
-            try:
-                return spec.get("name"), int(spec.get("per_case", 1))
-            except (TypeError, ValueError) as exc:
-                raise ProtocolError(
-                    f"malformed attack spec: {spec!r}"
-                ) from exc
+        if isinstance(spec, dict) and isinstance(spec.get("name"), str):
+            return spec["name"], _int_param(spec, "per_case", 1)
         raise ProtocolError(f"malformed attack spec: {spec!r}")
 
     def _attack_from_spec(self, spec):

@@ -3,7 +3,7 @@
 Covers the prover failure paths as structured reports, the session's
 structural-artifact cache (stage counters must show decompose/lanes/
 hierarchy running exactly once per graph), fingerprint caching in the
-lanewidth matcher, and the exact-decomposition cutoff parameter.
+lanewidth matcher, and the decomposition stage's parameter checks.
 """
 
 import random
@@ -12,7 +12,6 @@ import pytest
 
 import repro.api.pipeline as pipeline_module
 from repro.api import (
-    CertificationPipeline,
     CertificationReport,
     CertificationSession,
     DecomposeStage,
@@ -20,8 +19,9 @@ from repro.api import (
     LabelStage,
     MatchSequenceStage,
     PipelineContext,
+    PlanRunner,
     certify,
-    theorem1_stages,
+    theorem1_plan,
 )
 from repro.core import (
     LanewidthScheme,
@@ -229,32 +229,23 @@ class TestFingerprintCaching:
 
 
 class TestDecomposeStageParameters:
-    def test_exact_limit_is_overridable(self):
-        # exact_limit=0 forces the heuristic even on tiny graphs; the
-        # heuristic finds the optimal decomposition of a path.
-        report = certify(path_graph(6), "connected", k=1, exact_limit=0)
-        assert report.accepted
-
-    def test_exact_limit_threads_through_scheme(self):
-        scheme = Theorem1Scheme("connected", 1, exact_limit=0)
-        config = Configuration.with_random_ids(path_graph(6), random.Random(9))
-        labeling = scheme.prove(config)
-        assert run_verification(config, scheme, labeling).accepted
-
     def test_stage_validates_parameters(self):
         with pytest.raises(ValueError):
             DecomposeStage(0)
         with pytest.raises(ValueError):
-            DecomposeStage(1, exact_limit=-1)
+            DecomposeStage(1, exact_budget_ms=0)
         with pytest.raises(ValueError):
             Theorem1Scheme("connected", 0)
+
+
+SOURCES = {"graph": "g", "config": "c", "algebra": "a"}
 
 
 class TestPipelineDirectly:
     def test_theorem1_stage_list_produces_labeling(self):
         config = Configuration.with_random_ids(cycle_graph(8), random.Random(10))
         ctx = PipelineContext(config=config, algebra="connected")
-        timings = CertificationPipeline(theorem1_stages(2)).run(ctx)
+        timings = PlanRunner().run(theorem1_plan(2), ctx, SOURCES).timings
         assert ctx.labeling is not None
         assert [t.name for t in timings] == [
             "decompose",
@@ -278,7 +269,7 @@ class TestPipelineDirectly:
         config = Configuration.with_random_ids(cycle_graph(7), random.Random(2))
         ctx = PipelineContext(config=config, algebra="bipartite")
         with pytest.raises(ProverFailure):
-            CertificationPipeline(theorem1_stages(2)).run(ctx, counters=counters)
+            PlanRunner(counters=counters).run(theorem1_plan(2), ctx, SOURCES)
         assert counters["evaluate"] == 1  # the refusing stage still counts
         assert "label" not in counters  # downstream stages never ran
 
@@ -304,25 +295,6 @@ class TestBatchKeyAndArgumentHandling:
         # Exact duplicates still get distinct (suffixed) reports.
         dup = session.certify(seq, ["connected", "connected"])
         assert set(dup) == {"connected", "connected#2"}
-
-    def test_facade_rejects_conflicting_session_settings(self):
-        session = CertificationSession(k=1)
-        with pytest.raises(ValueError, match="k=1"):
-            certify(path_graph(5), "connected", k=2, session=session)
-
-    def test_facade_adopts_decomposer_on_bare_session(self):
-        calls = []
-
-        def witness(graph):
-            calls.append(graph)
-            return DecomposeStage(1).default_decomposer(graph)
-
-        session = CertificationSession()
-        report = certify(
-            path_graph(5), "connected", k=1, session=session, decomposer=witness
-        )
-        assert report.accepted
-        assert calls, "explicit decomposer was silently dropped"
 
     def test_mode_collision_does_not_share_structures(self):
         # The same graph reached as a sequence target must not satisfy a
@@ -351,11 +323,10 @@ class TestBatchKeyAndArgumentHandling:
 
         session = CertificationSession(k=2, rng=random.Random(53))
         graph = caterpillar_graph(3, 2)
-        first = certify(graph, "connected", session=session)
+        first = session.certify(graph, "connected")
         assert first.accepted and not calls
-        second = certify(
-            graph, "acyclic", session=session, decomposer=witness
-        )
+        session.decomposer = witness
+        second = session.certify(graph, "acyclic")
         assert second.accepted
         assert calls, "explicit decomposer ignored on cached structure"
         assert not second.structure_cached
@@ -364,13 +335,8 @@ class TestBatchKeyAndArgumentHandling:
         session = CertificationSession(rng=random.Random(51))
         seq = random_lanewidth_sequence(2, 8, random.Random(13))
         reports = session.certify(seq, ["connected", "even-order"])
-        stages = [
-            s
-            for r in reports.values()
-            for s in r.scheme.stages
-            if isinstance(s, MatchSequenceStage)
-        ]
-        assert len(stages) == 2
+        stages = [r.scheme.match_stage for r in reports.values()]
+        assert all(isinstance(s, MatchSequenceStage) for s in stages)
         # Same memoized matcher everywhere: replaying report.scheme.prove
         # compares fingerprints instead of rebuilding the graph.
         assert stages[0] is stages[1]

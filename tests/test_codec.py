@@ -30,8 +30,10 @@ from repro.codec import (
     width_for_value,
 )
 from repro.codec.wire import _EncodeMemo
+from repro.core import LanewidthScheme, Theorem1Scheme
 from repro.core.certificates import label_bits
 from repro.experiments import lanewidth_workload, pathwidth_workload
+from repro.pls.model import Configuration
 
 
 # ----------------------------------------------------------------------
@@ -381,18 +383,33 @@ class TestColumnarEncoderContract:
 # reproducing them.
 # ----------------------------------------------------------------------
 class TestWireV1Golden:
+    """Every prove path pins the same bytes: ``certify``, the scheme's
+    own ``prove`` on the same configuration, and ``report.scheme.prove``."""
+
     @staticmethod
     def _assert_digest(labeling, expected):
         assert labeling_digest(encode_labeling_columnar(labeling)) == expected
         assert labeling_digest(encode_labeling(labeling)) == expected
 
+    def _assert_every_path(self, report, scheme, graph, expected):
+        config = Configuration.with_random_ids(graph, random.Random(6))
+        for labeling in (
+            report.labeling,
+            scheme.prove(config),
+            report.scheme.prove(report.config),
+        ):
+            self._assert_digest(labeling, expected)
+
     def test_lanewidth_mode_digest(self):
-        sequence, _ = lanewidth_workload(3, 64, 5)
+        sequence, graph = lanewidth_workload(3, 64, 5)
         report = certify(
             sequence, "connected", rng=random.Random(6), verify=False
         )
-        self._assert_digest(
-            report.labeling, "0e039c77789e7b3ecacf8c64e1f1c342"
+        self._assert_every_path(
+            report,
+            LanewidthScheme("connected", sequence),
+            graph,
+            "0e039c77789e7b3ecacf8c64e1f1c342",
         )
 
     def test_pathwidth_mode_digest(self):
@@ -405,6 +422,9 @@ class TestWireV1Golden:
             decomposer=lambda _g: decomposition,
             verify=False,
         )
-        self._assert_digest(
-            report.labeling, "c5c08f3ca58a65fb2441757a9a922d67"
+        self._assert_every_path(
+            report,
+            Theorem1Scheme("connected", 2, decomposer=lambda _g: decomposition),
+            graph,
+            "c5c08f3ca58a65fb2441757a9a922d67",
         )

@@ -2,10 +2,11 @@
 
 The acceptance contract of the plan refactor:
 
-* **plan ≡ legacy pipeline** — a hypothesis suite asserts the plan-based
-  session produces reports identical to the legacy linear stage list
-  (verdict, measured encoded bits, class counts) on random lanewidth
-  hosts and random pathwidth graphs;
+* **session batch ≡ from-scratch proofs** — a hypothesis suite asserts
+  the session's batch, which shares one structure across properties,
+  produces reports identical to one independent from-scratch proof per
+  property (verdict, measured encoded bits, class counts) on random
+  lanewidth hosts and random pathwidth graphs;
 * **warm cache runs zero structural nodes** — stage-counter assertions
   in-session, across sessions sharing a cache, and from a **fresh
   interpreter** over a disk-backed cache;
@@ -27,7 +28,6 @@ from hypothesis import strategies as st
 from repro.api import (
     ArtifactCache,
     CertificateStore,
-    CertificationPipeline,
     CertificationPlan,
     CertificationSession,
     LabelStage,
@@ -35,10 +35,9 @@ from repro.api import (
     PlanError,
     PlanRunner,
     lanewidth_plan,
+    run_plan,
     theorem1_plan,
-    theorem1_stages,
 )
-from repro.api.pipeline import lanewidth_stages
 from repro.codec import encode_labeling
 from repro.core import apply_construction, random_lanewidth_sequence
 from repro.experiments import lanewidth_workload
@@ -52,23 +51,22 @@ STRUCTURAL_T1 = ("decompose", "lanes", "completion", "hierarchy")
 ZOO = ["connected", "acyclic", "bipartite", "even-order", "max-degree-2"]
 
 
-def _legacy_report_facts(config, stages, algebra_key):
-    """Run the legacy linear pipeline; return comparable facts."""
+def _from_scratch_facts(config, plan, algebra_key):
+    """One independent from-scratch proof (fresh cache); comparable facts."""
     from repro.pls.scheme import ProverFailure
 
-    ctx = PipelineContext(config=config, algebra=algebra_key)
     try:
-        CertificationPipeline(stages).run(ctx)
+        labeling = run_plan(plan, config, algebra_key)
     except ProverFailure as failure:
         return {"refused": True, "refusal": str(failure)}
-    encoded = encode_labeling(ctx.labeling)
+    encoded = encode_labeling(labeling)
     return {
         "refused": False,
-        "class_count": ctx.class_count,
+        "class_count": labeling.size_context.class_count,
         "max_bits": encoded.max_bits,
         "mean_bits": encoded.mean_bits,
         "total_bits": encoded.total_bits,
-        "mapping": ctx.labeling.mapping,
+        "mapping": labeling.mapping,
     }
 
 
@@ -86,6 +84,9 @@ def _assert_report_matches(report, facts, key):
 
 
 class TestPlanEquivalentToLegacyPipeline:
+    """The reference is what the legacy linear pipeline computed: one
+    from-scratch proof per property, sharing nothing."""
+
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_lanewidth_mode_identical_reports(self, seed):
@@ -100,9 +101,7 @@ class TestPlanEquivalentToLegacyPipeline:
             rng=random.Random(seed + 1)
         ).certify(seq, ZOO, verify=False)
         for key in ZOO:
-            facts = _legacy_report_facts(
-                config, lanewidth_stages(seq, algebra=key), key
-            )
+            facts = _from_scratch_facts(config, lanewidth_plan(seq), key)
             _assert_report_matches(session_reports[key], facts, key)
 
     @settings(max_examples=8, deadline=None)
@@ -115,9 +114,7 @@ class TestPlanEquivalentToLegacyPipeline:
             k=2, rng=random.Random(seed + 1)
         ).certify(graph, ZOO, verify=False)
         for key in ZOO:
-            facts = _legacy_report_facts(
-                config, theorem1_stages(2, algebra=key), key
-            )
+            facts = _from_scratch_facts(config, theorem1_plan(2), key)
             _assert_report_matches(reports[key], facts, key)
 
     @settings(max_examples=10, deadline=None)
@@ -257,22 +254,34 @@ class TestWarmCacheStageCounters:
         assert report.accepted
         assert session.stage_counters  # something had to rerun
 
-    def test_facade_store_adoption_rederives_artifact_cache(self, tmp_path):
-        """A store adopted onto a session after its lazily derived
-        in-memory cache exists must still contribute its persistent
-        artifact directory (regression: adoption used to keep the
-        store-less cache silently)."""
-        from repro.api import certify
-
-        seq, _graph = lanewidth_workload(2, 14, 45)
-        session = CertificationSession(rng=random.Random(46))
-        certify(seq, "connected", session=session, verify=False)
-        assert session.artifacts.root is None  # lazily derived, memory-only
-        store = CertificateStore(tmp_path)
-        certify(seq, "even-order", session=session, store=store, verify=False)
-        assert session.artifacts.root is not None
-        # The structural artifacts landed on disk for the next process.
-        assert list((tmp_path / "artifacts").glob("*.art"))
+    def test_bit_flipped_envelopes_are_misses(self, tmp_path):
+        """A flipped envelope may load as a pickle with changed values;
+        the payload digest must turn every flip into a miss, never a
+        wrong verdict, a refusal or a raise.  Even trials reuse the
+        stored identifiers (every node resolves, the label too); odd
+        trials draw fresh ones (the hierarchy and the evaluation are
+        read, the label is rebuilt from them)."""
+        seq, _graph = lanewidth_workload(3, 24, 5)
+        art_dir = tmp_path / "artifacts"
+        CertificationSession(
+            rng=random.Random(6), artifacts=ArtifactCache(art_dir)
+        ).certify(seq, "connected", verify=False)
+        originals = {p: p.read_bytes() for p in sorted(art_dir.glob("*.art"))}
+        assert len(originals) == 4  # match, hierarchy, evaluate, label
+        rng = random.Random(1)
+        for trial in range(200):
+            path = rng.choice(sorted(originals))
+            payload = bytearray(originals[path])
+            for _ in range(rng.randint(1, 2)):
+                bit = rng.randrange(len(payload) * 8)
+                payload[bit // 8] ^= 1 << (bit % 8)
+            path.write_bytes(bytes(payload))
+            ids = random.Random(6 if trial % 2 == 0 else 1000 + trial)
+            report = CertificationSession(
+                rng=ids, artifacts=ArtifactCache(art_dir)
+            ).certify(seq, "connected")
+            assert report.accepted and not report.refused, (trial, path)
+            path.write_bytes(originals[path])
 
     def test_canonical_state_repr_is_injective_across_container_types(self):
         from repro.courcelle.algebra import canonical_state_repr
@@ -359,23 +368,18 @@ class TestPlanValidation:
         assert [n.name for n in plan.property_nodes()] == ["evaluate", "label"]
 
     def test_unpersistable_decomposer_poisons_descendants(self):
-        plan = theorem1_plan(2, decomposer=lambda g: None)
-        keys = plan.resolve_keys({"graph": "fp", "config": "cfp",
-                                  "algebra": "connected"})
-        assert not keys["decompose"].persistable
-        assert not keys["hierarchy"].persistable
-        assert not keys["label"].persistable
-        default = theorem1_plan(2).resolve_keys(
-            {"graph": "fp", "config": "cfp", "algebra": "connected"}
-        )
+        sources = {"graph": "fp", "config": "cfp", "algebra": "connected"}
+        keys = theorem1_plan(2, decomposer=lambda g: None).chain_keys(sources)
+        assert not keys["decomposition"].persistable
+        assert not keys["root"].persistable
+        assert not keys["labeling"].persistable
+        default = theorem1_plan(2).chain_keys(sources)
         assert all(k.persistable for k in default.values())
         # Distinct parameters, distinct keys; equal parameters, equal keys.
-        assert default["decompose"].key != keys["decompose"].key
-        again = theorem1_plan(2).resolve_keys(
-            {"graph": "fp", "config": "cfp", "algebra": "connected"}
+        assert default["decomposition"].key != keys["decomposition"].key
+        again = theorem1_plan(2).chain_keys(sources)
+        assert again["labeling"].key == default["labeling"].key
+        other_graph = theorem1_plan(2).chain_keys(dict(sources, graph="fp2"))
+        assert (
+            other_graph["decomposition"].key != default["decomposition"].key
         )
-        assert again["label"].key == default["label"].key
-        other_graph = theorem1_plan(2).resolve_keys(
-            {"graph": "fp2", "config": "cfp", "algebra": "connected"}
-        )
-        assert other_graph["decompose"].key != default["decompose"].key

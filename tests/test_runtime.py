@@ -240,18 +240,6 @@ class TestSessionVerification:
         with pytest.raises(ValueError, match="refused"):
             session.verify(report)
 
-    def test_lazy_default_engine_does_not_block_later_adoption(self):
-        """A default engine created on first use is not configuration:
-        the facade must still accept an explicit engine afterwards."""
-        session = CertificationSession(k=2, rng=random.Random(22))
-        graph, _dec = pathwidth_workload(10, 2, seed=22)
-        certify(graph, "connected", session=session)  # default engine runs
-        assert session.engine is None
-        engine = VerificationEngine(SerialExecutor())
-        report = certify(graph, "acyclic", session=session, engine=engine)
-        assert session.engine is engine
-        assert report.verification is not None
-
     def test_certify_threads_engine_and_attaches_verification(self):
         engine = VerificationEngine(SerialExecutor(), fail_fast=True)
         graph, _dec = pathwidth_workload(10, 2, seed=18)

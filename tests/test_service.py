@@ -72,6 +72,39 @@ def _certify_request(graph, request_id=1, **params):
     return request
 
 
+#: Malformed requests that must get an error reply: (op, overrides).
+#: ``*_labels`` overrides go into the graph payload, the rest into the
+#: request itself.
+MALFORMED = {
+    "certify-unknown-property": ("certify", {"properties": ["no-such-prop"]}),
+    "update-unknown-property": ("update", {"properties": ["no-such-prop"]}),
+    "audit-unknown-property": ("audit", {"property": "no-such-prop"}),
+    "label-on-missing-vertex": ("certify", {"vertex_labels": [[999, "x"]]}),
+    "label-on-missing-edge": ("certify", {"edge_labels": [[0, 999, "x"]]}),
+    "vertex-labels-not-a-list": ("certify", {"vertex_labels": 5}),
+    "edge-labels-not-a-list": ("certify", {"edge_labels": 5}),
+    "certify-list-k": ("certify", {"k": [2]}),
+    "update-list-k": ("update", {"k": [2]}),
+    "audit-list-k": ("audit", {"k": [2]}),
+    "list-full-round-every": ("update", {"full_round_every": [1]}),
+    "list-trials": ("audit", {"trials": [1]}),
+    "attacks-not-a-list": ("audit", {"attacks": 5}),
+    "attack-name-not-a-string": ("audit", {"attacks": [{"name": ["x"]}]}),
+}
+
+
+def _malformed_request(graph, op, overrides):
+    wire = graph_to_wire(graph)
+    request = {"id": 7, "op": op, "graph": wire}
+    if op == "audit":
+        request.update(property="connected", trials=1)
+    else:
+        request["properties"] = ["connected"]
+    for name, value in overrides.items():
+        (wire if name.endswith("_labels") else request)[name] = value
+    return request
+
+
 # ----------------------------------------------------------------------
 # Protocol.
 # ----------------------------------------------------------------------
@@ -450,6 +483,20 @@ class TestServiceHandle:
             assert response["id"] == request["id"]
             assert response["error"]
 
+    @pytest.mark.parametrize(
+        "op, overrides", list(MALFORMED.values()), ids=list(MALFORMED)
+    )
+    def test_malformed_request_gets_error_reply(self, tmp_path, op, overrides):
+        service = _service(tmp_path, worker_threads=1)
+        request = _malformed_request(_graph(seed=49), op, overrides)
+        try:
+            response = asyncio.run(service.handle(request))
+        finally:
+            service.close_blocking()
+        assert response["ok"] is False, response
+        assert response["error"]
+        assert service.metrics.snapshot()["in_flight"] == 0
+
     def test_snapshot_shape(self, tmp_path):
         service = _service(tmp_path, worker_threads=1)
         graph = _graph(seed=50)
@@ -600,6 +647,32 @@ class TestDaemonEndToEnd:
             await asyncio.wait_for(runner, timeout=60)
 
         asyncio.run(scenario())
+
+    def test_unknown_property_gets_an_error_reply(self, tmp_path):
+        socket_path = str(tmp_path / "repro.sock")
+        service = _service(tmp_path, worker_threads=1)
+        daemon = Daemon(service, socket_path=socket_path)
+
+        async def scenario():
+            runner = asyncio.ensure_future(daemon.run())
+            while daemon.address is None:
+                await asyncio.sleep(0.01)
+            client = await ServiceClient.connect(socket_path=socket_path)
+            try:
+                response = await asyncio.wait_for(
+                    client.certify(_graph(seed=53), ["no-such-prop"]),
+                    timeout=30,
+                )
+            finally:
+                await client.close()
+            daemon.request_stop()
+            await asyncio.wait_for(runner, timeout=60)
+            return response
+
+        response = asyncio.run(scenario())
+        assert response["ok"] is False
+        assert "no-such-prop" in response["error"]
+        assert service.metrics.snapshot()["in_flight"] == 0
 
     def test_daemon_requires_an_endpoint(self, tmp_path):
         service = _service(tmp_path)

@@ -423,10 +423,7 @@ class TestCompiledRoundPersistence:
         """The compiled round is the only verification state a
         store-backed certify persists: the CSR + identifier columns it
         compiles against are rebuilt per round, not cached beside it."""
-        import pickle
-
         from repro.api import CertificateStore
-        from repro.api.artifacts import ARTIFACT_MAGIC
 
         sequence, _graph = lanewidth_workload(3, 32, 4)
         session = CertificationSession(
@@ -437,8 +434,7 @@ class TestCompiledRoundPersistence:
         report = session.certify(sequence, "connected")
         assert report.verification.kernel_stats["mode"] == "kernel"
         stages = sorted(
-            pickle.loads(path.read_bytes()[len(ARTIFACT_MAGIC):])["stage"]
-            for path in tmp_path.rglob("*.art")
+            self._manifest(path)["stage"] for path in tmp_path.rglob("*.art")
         )
         assert stages == [
             "compiled-round", "evaluate", "hierarchy", "label", "match"
@@ -446,16 +442,34 @@ class TestCompiledRoundPersistence:
 
     # -- envelope guards (PR 10 satellite): stale/corrupt == miss ------
     @staticmethod
-    def _envelopes(root):
-        """All (path, manifest) artifact files holding compiled rounds."""
+    def _manifest(path):
+        """An artifact envelope's manifest, read past the payload digest."""
         import pickle
 
-        from repro.api.artifacts import ARTIFACT_MAGIC
+        from repro.api.artifacts import ARTIFACT_DIGEST_SIZE, ARTIFACT_MAGIC
 
+        start = len(ARTIFACT_MAGIC) + ARTIFACT_DIGEST_SIZE
+        return pickle.loads(path.read_bytes()[start:])
+
+    @staticmethod
+    def _signed(manifest) -> bytes:
+        """A re-signed envelope, so tampering tests reach the guards
+        behind the payload digest."""
+        import hashlib
+        import pickle
+
+        from repro.api.artifacts import ARTIFACT_DIGEST_SIZE, ARTIFACT_MAGIC
+
+        body = pickle.dumps(manifest, protocol=4)
+        digest = hashlib.blake2b(body, digest_size=ARTIFACT_DIGEST_SIZE)
+        return ARTIFACT_MAGIC + digest.digest() + body
+
+    @classmethod
+    def _envelopes(cls, root):
+        """All (path, manifest) artifact files holding compiled rounds."""
         found = []
         for path in Path(root).glob("*.art"):
-            payload = path.read_bytes()
-            manifest = pickle.loads(payload[len(ARTIFACT_MAGIC):])
+            manifest = cls._manifest(path)
             if str(manifest.get("key", "")).startswith("compiled-round:"):
                 found.append((path, manifest))
         return found
@@ -466,10 +480,6 @@ class TestCompiledRoundPersistence:
         Returns the restarted report; asserts it recompiled cleanly
         with the cold run's exact verdicts.
         """
-        import pickle
-
-        from repro.api.artifacts import ARTIFACT_MAGIC
-
         config, scheme, labeling = self._stamped_case(9)
         cold = VerificationEngine(
             VectorizedExecutor(artifacts=ArtifactCache(root=tmp_path))
@@ -479,9 +489,7 @@ class TestCompiledRoundPersistence:
         assert envelopes, "cold run stored no compiled-round envelope"
         for path, manifest in envelopes:
             mutate(manifest["outputs"]["state"])
-            path.write_bytes(
-                ARTIFACT_MAGIC + pickle.dumps(manifest, protocol=4)
-            )
+            path.write_bytes(self._signed(manifest))
         report = VerificationEngine(
             VectorizedExecutor(artifacts=ArtifactCache(root=tmp_path))
         ).verify(config, scheme, labeling)
