@@ -411,6 +411,19 @@ class VerificationEngine:
         )
 
 
+def lend_artifacts(engine, cache) -> None:
+    """Lend an artifact cache to the engine's executor if it takes one.
+
+    Executors that persist compiled rounds (``vectorized``) expose
+    ``adopt_artifacts`` and keep a cache they were configured with;
+    everything else is left alone.  Duck-typed so custom engines and
+    executors need no base-class change.
+    """
+    adopt = getattr(getattr(engine, "executor", None), "adopt_artifacts", None)
+    if adopt is not None:
+        adopt(cache)
+
+
 def verify_labeling(
     config: Configuration,
     scheme: ProofLabelingScheme,

@@ -52,7 +52,11 @@ from repro.api.plan import (
     theorem1_plan,
 )
 from repro.api.results import CertificationReport
-from repro.api.runtime import VerificationEngine, VerificationReport
+from repro.api.runtime import (
+    VerificationEngine,
+    VerificationReport,
+    lend_artifacts,
+)
 
 
 @dataclass
@@ -231,7 +235,7 @@ class CertificationSession:
                 "from JSON?)"
             )
         engine = engine or self.engine
-        self._offer_artifacts(engine)
+        lend_artifacts(engine, self.artifacts)
         verification = engine.verify(
             report.config, report.scheme, report.labeling
         )
@@ -239,19 +243,6 @@ class CertificationSession:
         report.result = verification.as_result()
         report.accepted = verification.accepted
         return verification
-
-    def _offer_artifacts(self, engine) -> None:
-        """Lend the session's artifact cache to cache-aware executors.
-
-        Executors that persist compiled rounds (``vectorized``) expose
-        ``adopt_artifacts``; everything else is left alone.  Duck-typed so custom engines/executors need no
-        base-class change.
-        """
-        adopt = getattr(
-            getattr(engine, "executor", None), "adopt_artifacts", None
-        )
-        if adopt is not None:
-            adopt(self.artifacts)
 
     # ------------------------------------------------------------------
     def _key_of(self, prop) -> str:
@@ -445,7 +436,7 @@ class CertificationSession:
         # key their envelopes on this digest.
         stamp_wire_digest(labeling, encoded)
         if verify:
-            self._offer_artifacts(self.engine)
+            lend_artifacts(self.engine, self.artifacts)
             verification = self.engine.verify(config, scheme, labeling)
             result = verification.as_result()
             accepted = verification.accepted

@@ -25,6 +25,9 @@ reports measure.  Entries record the graph fingerprint they were proven
 against and :meth:`load` recomputes it, so a corrupted or swapped graph
 is rejected instead of silently verified.
 
+Decoding the labels is most of what a load costs, so :meth:`reverify`
+defers it to the first read (:class:`StoredLabels`).
+
 Layout (v2, service-grade)
 --------------------------
 Entries live in **fingerprint-prefix shards**: ``<root>/<fp[:2]>/<fp
@@ -58,6 +61,7 @@ import pickle
 import re
 import threading
 import time
+from collections.abc import Mapping
 from dataclasses import fields
 from pathlib import Path
 from typing import Optional
@@ -75,6 +79,7 @@ from repro.codec import (
 from repro.core.scheme import CertifyingScheme
 from repro.courcelle.registry import resolve_algebra
 from repro.pls.model import Configuration
+from repro.pls.scheme import Labeling
 
 #: File magic + envelope version; bumped when the manifest layout changes
 #: (the label payload format is versioned separately by WIRE_VERSION).
@@ -123,17 +128,20 @@ class StoreMetrics:
 
     ``hits``/``misses`` count :meth:`CertificateStore.load` outcomes
     (a miss is a lookup of an absent entry; corruption raises *and*
-    counts as a miss — the entry is unusable either way), ``saves``
-    successful publishes, ``evictions``/``bytes_evicted`` what
+    counts as a miss — the entry is unusable either way; a
+    :meth:`~CertificateStore.reverify` round that reads a payload which
+    does not decode adds one more miss), ``saves`` successful
+    publishes, ``evictions``/``bytes_evicted`` what
     :meth:`~CertificateStore.compact` removed, ``orphans_cleaned``
-    stale temp files removed, and ``migrated`` flat-layout entries
-    moved into their shard.  The incremental layer
-    (:mod:`repro.incremental`) records its reuse against the store that
-    backs it — :data:`INCREMENTAL_FIELDS`: ``updates`` edit batches
-    applied, ``bags_dirtied`` by their decomposition repairs,
-    ``artifacts_reused`` resolved from the artifact cache instead of
-    re-proven, and ``full_fallbacks`` (repairs that gave up and re-ran
-    the full search).  :meth:`snapshot` returns a JSON-safe dict; the
+    stale temp files removed, ``migrated`` flat-layout entries moved
+    into their shard, and ``decodes`` stored labelings actually decoded
+    (by a load, or by a reverify round that read its labels).  The
+    incremental layer (:mod:`repro.incremental`) records its reuse
+    against the store that backs it — :data:`INCREMENTAL_FIELDS`:
+    ``updates`` edit batches applied, ``bags_dirtied`` by their
+    decomposition repairs, ``artifacts_reused`` resolved from the
+    artifact cache instead of re-proven, and ``full_fallbacks``
+    (repairs that gave up and re-ran the full search).  :meth:`snapshot` returns a JSON-safe dict; the
     service layer embeds it in its own metrics snapshot.
     """
 
@@ -152,6 +160,7 @@ class StoreMetrics:
         "bytes_evicted",
         "orphans_cleaned",
         "migrated",
+        "decodes",
     ) + INCREMENTAL_FIELDS
 
     def __init__(self):
@@ -170,6 +179,54 @@ class StoreMetrics:
     def __repr__(self) -> str:
         pairs = ", ".join(f"{k}={v}" for k, v in self.snapshot().items())
         return f"StoreMetrics({pairs})"
+
+
+class StoredLabels(Mapping):
+    """A stored labeling's ``edge -> label`` mapping, decoded on first read.
+
+    ``len()`` answers from the wire form; the first key lookup or
+    iteration runs the one decoder, ``decode_labeling_columnar``
+    (looked up by name at read time), and keeps its mapping in
+    :attr:`decoded`.  A payload that does not decode raises
+    :class:`StoreError`.  It holds only the wire form and the entry's
+    path, so it pickles.
+
+    A reverify round that attaches a persisted compiled round and
+    kernel-accepts every vertex never reads it, so nothing is decoded.
+    The attach itself vouches for the bytes: the compiled round is keyed
+    on the labeling's wire digest, and only a round that compiled labels
+    encoded to, or decoded from, exactly these bytes stored it.
+    """
+
+    __slots__ = ("encoded", "source", "decoded")
+
+    def __init__(self, encoded: EncodedLabeling, source: str):
+        self.encoded = encoded
+        self.source = source
+        self.decoded: Optional[dict] = None
+
+    def read(self) -> dict:
+        """The decoded mapping (decoding it on the first call)."""
+        if self.decoded is None:
+            try:
+                # Shares sub-structure across edges, so rounds (and
+                # kernel compiles) see interned objects.
+                labeling = decode_labeling_columnar(self.encoded)
+            except (CodecError,) + _PARSE_ERRORS as exc:
+                raise StoreError(
+                    f"corrupted certificate payload in {self.source}: {exc}"
+                ) from exc
+            self.decoded = labeling.mapping
+        return self.decoded
+
+    def __getitem__(self, key):
+        return self.read()[key]
+
+    def __iter__(self):
+        return iter(self.read())
+
+    def __len__(self) -> int:
+        return len(self.encoded.labels)
 
 
 def _slug(text: str) -> str:
@@ -621,13 +678,16 @@ class CertificateStore:
         re-fingerprinted on load and must match both the requested and
         the recorded fingerprint.
 
-        ``decode=False`` skips decoding the per-edge certificates —
-        ``report.labeling`` stays ``None`` while ``report.encoded`` and
-        the report metadata are fully populated.  Decoding dominates
-        rehydration cost, so this is the fast path for callers that
-        serve the certificate without replaying the round (the service
-        layer's ``verify: false`` certify requests); completeness makes
-        that safe, and ``reverify`` replays the round on demand.
+        ``decode=False`` leaves the per-edge certificates undecoded:
+        ``report.labeling`` is a :class:`~repro.pls.scheme.Labeling`
+        whose mapping is a :class:`StoredLabels`, decoded the first time
+        anything reads a label (and then raising :class:`StoreError` if
+        the payload is corrupt).  Decoding dominates rehydration cost,
+        so this serves callers that never read the labels (the service
+        layer's ``verify: false`` certify requests) and
+        :meth:`reverify`, whose round reads them only when it compiles
+        or builds a view.  The default decodes before returning, so a
+        corrupt payload is a :class:`StoreError` and a miss here.
 
         Flat-layout (pre-shard) entries are found and migrated into
         their shard; serving an entry bumps its mtime, which is the
@@ -663,7 +723,8 @@ class CertificateStore:
         """Build the ready-to-verify report from a validated manifest.
 
         Raises :class:`StoreError` when the graph, identifiers, algebra,
-        report or certificate payload of the entry do not parse.
+        report or (with ``decode``) certificate payload of the entry do
+        not parse.
         """
         from repro.api.results import CertificationReport
 
@@ -693,22 +754,19 @@ class CertificateStore:
             config = Configuration(graph, manifest["ids"])
             scheme = CertifyingScheme(algebra, manifest["max_width"])
             report = CertificationReport.from_dict(manifest["report"])
+            labeling = Labeling(
+                location=encoded.location,
+                mapping=StoredLabels(encoded, str(path)),
+                size_context=encoded.header.size_context(),
+            )
         except _PARSE_ERRORS as exc:
             raise StoreError(f"corrupted store entry {path}: {exc!r}") from exc
-        labeling = None
         if decode:
-            try:
-                # Shares sub-structure across edges, so downstream
-                # rounds (and kernel compiles) see interned objects.
-                labeling = decode_labeling_columnar(encoded)
-            except (CodecError, TypeError) as exc:
-                # TypeError: a header field of the wrong type.
-                raise StoreError(
-                    f"corrupted certificate payload in {path}: {exc}"
-                ) from exc
-            # Re-stamp the wire identity so a reverify round can attach
-            # a persisted compiled round with zero compile work.
-            stamp_wire_digest(labeling, encoded)
+            labeling.mapping = labeling.mapping.read()
+            self.metrics.add("decodes")
+        # Re-stamp the wire identity so a reverify round can attach a
+        # persisted compiled round with zero compile work.
+        stamp_wire_digest(labeling, encoded)
         report.config = config
         report.scheme = scheme
         report.labeling = labeling
@@ -736,14 +794,30 @@ class CertificateStore:
         Returns the loaded report with ``report.verification`` /
         ``report.accepted`` refreshed by the round — the certify-once /
         re-verify-many fast path, with no prover stage anywhere.
-        """
-        from repro.api.runtime import VerificationEngine
 
-        report = self.load(fingerprint, property_key)
+        The entry is loaded undecoded (``load(decode=False)``), so the
+        labels are decoded only if the round reads them: a compile, a
+        fallback view, audit mode or the serial engine do, an attached
+        round whose kernels accept every vertex does not.  The store
+        lends its artifact cache to an executor that has none, so a bare
+        vectorized engine attaches too.  A payload that does not decode
+        raises :class:`StoreError` and counts as a miss; once this
+        returns, ``report.labeling`` reads without error.
+        """
+        from repro.api.runtime import VerificationEngine, lend_artifacts
+
+        report = self.load(fingerprint, property_key, decode=False)
         engine = engine or VerificationEngine()
-        verification = engine.verify(
-            report.config, report.scheme, report.labeling
-        )
+        lend_artifacts(engine, self.artifact_cache())
+        try:
+            verification = engine.verify(
+                report.config, report.scheme, report.labeling
+            )
+        except StoreError:
+            self.metrics.add("misses")
+            raise
+        if report.labeling.mapping.decoded is not None:
+            self.metrics.add("decodes")
         report.verification = verification
         report.result = verification.as_result()
         report.accepted = verification.accepted

@@ -1770,8 +1770,11 @@ class VectorizedExecutor(VerificationExecutor):
             for position, dense in enumerate(order):
                 if not accept_list[position]:
                     continue
+                # Built outside the try: a stored labeling that fails to
+                # decode is a StoreError, not a verifier rejection.
+                view = factory.view_at(dense)
                 try:
-                    ok = bool(scheme.verify(factory.view_at(dense)))
+                    ok = bool(scheme.verify(view))
                 except Exception:
                     ok = False
                 if not ok:

@@ -31,6 +31,16 @@ indexed access is the workload, and the package stays dependency-free.
 from __future__ import annotations
 
 
+def nul_terminated(texts) -> bytes:
+    """UTF-8 of each string followed by a NUL byte, concatenated.
+
+    One ``update`` with this feeds a hash the same bytes as an
+    ``update(text.encode())`` plus ``update(b"\\x00")`` per string, at a
+    fraction of the calls.
+    """
+    return "".join([text + "\x00" for text in texts]).encode()
+
+
 class CSRAdjacency:
     """One immutable CSR snapshot of a graph's structure.
 
@@ -155,13 +165,9 @@ class CSRAdjacency:
             import hashlib
 
             digest = hashlib.blake2b(digest_size=16)
-            for v in self.vertices:
-                digest.update(repr(v).encode())
-                digest.update(b"\x00")
+            digest.update(nul_terminated(map(repr, self.vertices)))
             digest.update(b"\x01")
-            for key in self.edges:
-                digest.update(repr(key).encode())
-                digest.update(b"\x00")
+            digest.update(nul_terminated(map(repr, self.edges)))
             self._fingerprint_base = digest
         return self._fingerprint_base
 

@@ -24,10 +24,13 @@ from collections import deque
 from collections.abc import Hashable, Iterable, Iterator
 from typing import Optional
 
-from repro.graphs.csr import CSRAdjacency
+from repro.graphs.csr import CSRAdjacency, nul_terminated
 
 Vertex = Hashable
 Edge = tuple
+
+#: The :class:`Graph` slots a pickle carries; the rest are derived.
+_PICKLED_SLOTS = ("_adj", "_vertex_labels", "_edge_labels", "_labels_version")
 
 
 def edge_key(u: Vertex, v: Vertex) -> Edge:
@@ -106,6 +109,24 @@ class Graph:
         if self._csr is None:
             self._csr = CSRAdjacency(self._adj)
         return self._csr
+
+    def __getstate__(self):
+        # Only the construction-time state travels.  The CSR snapshot
+        # and the fingerprint memo are derived, and a memo read back
+        # from a pickle would vouch for whatever structure it arrived
+        # with; an unpickled graph rebuilds both from its adjacency.
+        return {slot: getattr(self, slot) for slot in _PICKLED_SLOTS}
+
+    def __setstate__(self, state):
+        if isinstance(state, tuple):
+            # Pickles written before __getstate__ existed carry the
+            # default ``(None, {slot: value})``, derived slots included.
+            state = state[1]
+        for slot in _PICKLED_SLOTS:
+            setattr(self, slot, state[slot])
+        self._m = sum(len(nbrs) for nbrs in self._adj.values()) // 2
+        self._csr = None
+        self._fp_cache = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -547,15 +568,14 @@ class Graph:
             return cached[2]
         digest = csr.fingerprint_base().copy()
         if include_labels:
+            # Each ``(name, label)`` pair as its repr, in repr order.
             if include_labels != "edges":
                 digest.update(b"\x02")
-                for v, label in sorted(self._vertex_labels.items(), key=repr):
-                    digest.update(repr((v, label)).encode())
-                    digest.update(b"\x00")
+                pairs = map(repr, self._vertex_labels.items())
+                digest.update(nul_terminated(sorted(pairs)))
             digest.update(b"\x03")
-            for key, label in sorted(self._edge_labels.items(), key=repr):
-                digest.update(repr((key, label)).encode())
-                digest.update(b"\x00")
+            pairs = map(repr, self._edge_labels.items())
+            digest.update(nul_terminated(sorted(pairs)))
         value = digest.hexdigest()
         self._fp_cache[include_labels] = (csr, self._labels_version, value)
         return value

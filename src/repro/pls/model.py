@@ -151,7 +151,8 @@ class ViewFactory:
     resolved into arrays parallel to the graph's CSR vertex order, edge
     input labels and edge certificates resolved by stable edge index —
     and then each view is a pair of array slices with zero per-vertex
-    dictionary traffic.
+    dictionary traffic.  The certificate column is read from the
+    mapping on first use, not up front.
 
     The factory deliberately still emits the same :class:`LocalView`
     type: the verifier's locality boundary (one vertex sees its ports and
@@ -178,8 +179,8 @@ class ViewFactory:
         "_identifiers",
         "_vertex_inputs",
         "_edge_inputs",
-        "_vertex_certs",
-        "_edge_certs",
+        "_mapping",
+        "_certs",
     )
 
     def __init__(self, config: Configuration, mapping: dict, location: str):
@@ -197,12 +198,23 @@ class ViewFactory:
         self._vertex_inputs = [vertex_labels.get(v) for v in csr.vertices]
         edge_labels = graph.edge_labels()
         self._edge_inputs = [edge_labels.get(e) for e in csr.edges]
-        if location == "vertices":
-            self._vertex_certs = [mapping.get(v) for v in csr.vertices]
-            self._edge_certs = None
-        else:
-            self._vertex_certs = None
-            self._edge_certs = [mapping.get(e) for e in csr.edges]
+        self._mapping = mapping
+        self._certs = None
+
+    def _certificates(self) -> list:
+        """The certificate column, read from the mapping on first use.
+
+        Parallel to ``csr.vertices`` or ``csr.edges`` (by location).  A
+        round that neither compiles nor builds a view (an attached
+        compiled round whose kernels accept every vertex) never reads
+        the mapping, so a lazily decoded labeling stays undecoded.
+        """
+        if self._certs is None:
+            csr = self._csr
+            keys = csr.vertices if self.location == "vertices" else csr.edges
+            mapping = self._mapping
+            self._certs = [mapping.get(key) for key in keys]
+        return self._certs
 
     @property
     def vertices(self) -> tuple:
@@ -230,7 +242,7 @@ class ViewFactory:
         Aligned with ``csr.edges``: entry ``k`` is the certificate on the
         canonical edge with stable index ``k`` (``None`` if unlabeled).
         """
-        return self._edge_certs
+        return self._certificates() if self.location == "edges" else None
 
     def round_arrays(self):
         """Numpy :class:`repro.pls.arrays.RoundArrays` mirror of this round.
@@ -249,8 +261,8 @@ class ViewFactory:
         neighbors = csr.neighbors
         incident = csr.incident
         edge_inputs = self._edge_inputs
+        certs = self._certificates()
         if self.location == "vertices":
-            certs = self._vertex_certs
             ports = tuple(
                 EdgePort(
                     input_label=edge_inputs[incident[p]],
@@ -269,7 +281,6 @@ class ViewFactory:
                 ),
                 ports=ports,
             )
-        certs = self._edge_certs
         ports = tuple(
             EdgePort(
                 input_label=edge_inputs[incident[p]],

@@ -305,9 +305,10 @@ class CertificationService:
                             )
                         )
                     else:
-                        # Serving without the round: skip decoding the
-                        # per-edge certificates too — the report JSON
-                        # rides in the envelope, and decode dominates
+                        # Serving without the round: the report JSON
+                        # rides in the envelope, and this path never
+                        # reads the labeling, which load(decode=False)
+                        # returns undecoded — decode dominates
                         # rehydration cost.
                         report = self.store.load(
                             fingerprint, prop, decode=False

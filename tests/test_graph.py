@@ -303,3 +303,58 @@ class TestFingerprintCacheInvalidation:
         baseline = g.fingerprint()
         clone = pickle.loads(pickle.dumps(g))
         assert clone.fingerprint() == baseline
+
+    def test_fingerprint_values_are_pinned(self):
+        # Store entries, artifact keys and compiled-round keys are all
+        # addressed by these digests, so their bytes must never drift.
+        g = path_graph(6)
+        g.set_vertex_label(2, "mid")
+        g.set_vertex_label(0, ("x", 1))
+        g.set_edge_label(1, 2, "tag")
+        g.set_edge_label(4, 5, "real")
+        g.add_vertex(9)
+        assert g.fingerprint() == "cbb616fbc91ca36849ccd6e194511568"
+        assert g.fingerprint("edges") == "80c19dd99f70468d3e61ed4662ff4215"
+        assert g.fingerprint(False) == "168786f593fb6f18c5da37685b3d85bf"
+        named = Graph(edges=[("a", "b"), ("b", "c")])
+        assert named.fingerprint() == "7511e4eb0a348a44b0473ca9d8e728b2"
+        assert Graph().fingerprint() == "3918c58061547dffc0618e6bf1d46ea2"
+
+    def test_pickle_rebuilds_derived_state(self):
+        # A pickle must not carry a CSR snapshot or a fingerprint memo
+        # that disagrees with the adjacency: the loaded graph indexes
+        # and fingerprints like one built fresh from the same edges.
+        import pickle
+
+        g = path_graph(5)
+        g.set_edge_label(1, 2, "tag")
+        fresh = g.copy()
+        fresh._csr = None
+        other = star_graph(4)
+        g._csr = other.csr
+        g._fp_cache = {True: (g._csr, g.labels_version, other.fingerprint())}
+        clone = pickle.loads(pickle.dumps(g))
+        assert clone.csr.vertices == fresh.csr.vertices
+        assert clone.csr.index == fresh.csr.index
+        assert clone.csr.edges == fresh.csr.edges
+        assert clone.fingerprint() == fresh.fingerprint()
+        assert clone.m == fresh.m == 4
+        assert clone.edge_label(1, 2) == "tag"
+
+    def test_unpickles_default_slot_state(self):
+        # Pickles written before Graph had __getstate__ carry the default
+        # (None, {slot: value}) state, derived slots included.
+        import pickle
+
+        g = cycle_graph(5)
+        g.set_vertex_label(0, "x")
+        baseline = g.fingerprint()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.delattr(Graph, "__getstate__")
+            blob = pickle.dumps(g, protocol=4)
+        assert b"_fp_cache" in blob
+        clone = pickle.loads(blob)
+        assert clone._csr is None and clone._fp_cache == {}
+        assert clone.same_graph(g)
+        assert clone.m == g.m
+        assert clone.fingerprint() == baseline

@@ -21,8 +21,9 @@ from repro.api import (
     StoreError,
     VerificationEngine,
     certify,
+    make_executor,
 )
-from repro.api.store import STORE_MAGIC
+from repro.api.store import STORE_MAGIC, StoredLabels
 from repro.experiments import lanewidth_workload
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -35,6 +36,34 @@ def _certified(tmp_path, seed=51, n=20, store=None):
     )
     assert report.accepted and not report.refused
     return report, graph
+
+
+def _certified_vectorized(store):
+    """Certify ``lanewidth_workload(3, 24, 5)`` through a store-backed
+    vectorized session, so the store also holds its compiled round."""
+    sequence, graph = lanewidth_workload(3, 24, 5)
+    session = CertificationSession(
+        store=store,
+        engine=VerificationEngine(make_executor("vectorized")),
+        rng=random.Random(5),
+    )
+    assert session.certify(sequence, "connected").accepted
+    return graph.fingerprint()
+
+
+def _flip_bits(clean, rng):
+    """``clean`` with 1-2 seeded bit flips."""
+    data = bytearray(clean)
+    for _flip in range(rng.randint(1, 2)):
+        bit = rng.randrange(8 * len(data))
+        data[bit >> 3] ^= 1 << (bit & 7)
+    return bytes(data)
+
+
+def _truncate_one_payload(manifest):
+    key = next(iter(manifest["labels"]))
+    data, bits = manifest["labels"][key]
+    manifest["labels"][key] = (data[: max(1, len(data) // 4)], bits)
 
 
 def _rewrite_manifest(path, edit):
@@ -263,6 +292,27 @@ class TestIntegrity:
         assert errors > 0
         assert store.metrics.snapshot()["misses"] == errors
 
+    @pytest.mark.parametrize("kind", ["serial", "vectorized"])
+    def test_bit_flips_reverify_or_raise_store_error(self, tmp_path, kind):
+        # The same sweep through store.reverify, whose round decodes
+        # the labels late or never: each call returns a report or raises
+        # StoreError, and each StoreError is a miss.
+        store = CertificateStore(tmp_path)
+        fingerprint = _certified_vectorized(store)
+        path = store.path_for(fingerprint, "connected")
+        clean = path.read_bytes()
+        rng = random.Random(0)
+        errors = 0
+        for _ in range(300):
+            path.write_bytes(_flip_bits(clean, rng))
+            engine = VerificationEngine(make_executor(kind))
+            try:
+                store.reverify(fingerprint, "connected", engine=engine)
+            except StoreError:
+                errors += 1
+        assert errors > 0
+        assert store.metrics.snapshot()["misses"] == errors
+
     def test_corrupted_label_payload_rejected(self, tmp_path):
         store = CertificateStore(tmp_path)
         report, graph = _certified(tmp_path, seed=65, store=store)
@@ -275,3 +325,93 @@ class TestIntegrity:
         path.write_bytes(STORE_MAGIC + pickle.dumps(manifest, protocol=4))
         with pytest.raises(StoreError):
             store.load(graph.fingerprint(), "connected")
+
+
+class TestDeferredDecode:
+    """When a stored labeling is decoded: only when a round reads it."""
+
+    def _reverify(self, store, fingerprint, kind="vectorized"):
+        engine = VerificationEngine(make_executor(kind))
+        report = store.reverify(fingerprint, "connected", engine=engine)
+        assert report.accepted
+        return report
+
+    def test_attached_reverify_decodes_nothing(self, tmp_path):
+        # A fresh store and a bare vectorized engine: the store lends
+        # its artifact cache, the round attaches the persisted compiled
+        # round, and no label is decoded.
+        fingerprint = _certified_vectorized(CertificateStore(tmp_path))
+        store = CertificateStore(tmp_path)
+        report = self._reverify(store, fingerprint)
+        stats = report.verification.kernel_stats
+        assert stats["compiled_round_cached"] is True
+        assert stats["compile_seconds"] == 0
+        assert report.verification.views_built == 0
+        assert store.metrics.snapshot()["decodes"] == 0
+        mapping = report.labeling.mapping
+        assert isinstance(mapping, StoredLabels) and mapping.decoded is None
+        # The attach vouched for the bytes: reading them afterwards works.
+        assert mapping == store.load(fingerprint, "connected").labeling.mapping
+
+    def test_reverify_without_persisted_round_decodes_once(self, tmp_path):
+        # A serial certify persists no compiled round, so the vectorized
+        # round compiles, and compiling reads every label once.
+        _report, graph = _certified(
+            tmp_path, seed=70, n=24, store=CertificateStore(tmp_path)
+        )
+        store = CertificateStore(tmp_path)
+        report = self._reverify(store, graph.fingerprint())
+        assert report.verification.kernel_stats["compiled_round_cached"] is False
+        assert store.metrics.snapshot()["decodes"] == 1
+        # That round persisted its compiled form: the next one attaches.
+        fresh = CertificateStore(tmp_path)
+        self._reverify(fresh, graph.fingerprint())
+        assert fresh.metrics.snapshot()["decodes"] == 0
+
+    def test_serial_reverify_decodes_once(self, tmp_path):
+        fingerprint = _certified_vectorized(CertificateStore(tmp_path))
+        store = CertificateStore(tmp_path)
+        report = self._reverify(store, fingerprint, kind="serial")
+        assert report.verification.views_built == 24
+        assert store.metrics.snapshot()["decodes"] == 1
+
+    def test_load_decodes_once(self, tmp_path):
+        fingerprint = _certified_vectorized(CertificateStore(tmp_path))
+        store = CertificateStore(tmp_path)
+        loaded = store.load(fingerprint, "connected")
+        assert isinstance(loaded.labeling.mapping, dict)
+        assert store.metrics.snapshot()["decodes"] == 1
+        unread = store.load(fingerprint, "connected", decode=False)
+        assert store.metrics.snapshot()["decodes"] == 1
+        # The unread labeling pickles as its wire form, and decodes to
+        # the same labels on either side of the pickle.
+        copy = pickle.loads(pickle.dumps(unread.labeling))
+        assert copy.mapping.decoded is None
+        assert len(copy.mapping) == len(loaded.labeling.mapping)
+        assert copy.mapping == unread.labeling.mapping == loaded.labeling.mapping
+
+    def test_audit_mode_reverify_decodes_once(self, tmp_path, monkeypatch):
+        # Audit mode re-checks every kernel accept through reference
+        # views, so even an attached round reads the labels.
+        fingerprint = _certified_vectorized(CertificateStore(tmp_path))
+        monkeypatch.setenv("REPRO_VECTORIZED_AUDIT", "1")
+        store = CertificateStore(tmp_path)
+        report = self._reverify(store, fingerprint)
+        assert report.verification.kernel_stats["compiled_round_cached"] is True
+        assert store.metrics.snapshot()["decodes"] == 1
+
+    @pytest.mark.parametrize("kind", ["serial", "vectorized"])
+    def test_truncated_payload_reverify_raises(self, tmp_path, kind):
+        fingerprint = _certified_vectorized(CertificateStore(tmp_path))
+        store = CertificateStore(tmp_path)
+        _rewrite_manifest(
+            store.path_for(fingerprint, "connected"), _truncate_one_payload
+        )
+        with pytest.raises(StoreError, match="certificate payload"):
+            store.reverify(
+                fingerprint,
+                "connected",
+                engine=VerificationEngine(make_executor(kind)),
+            )
+        counts = store.metrics.snapshot()
+        assert (counts["hits"], counts["misses"], counts["decodes"]) == (1, 1, 0)

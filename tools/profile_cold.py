@@ -17,12 +17,22 @@ mode:
 * the **top-N profile rows** by cumulative time, for drilling into
   whatever stage dominates.
 
+After the cold runs, the lanewidth certificate is saved into a
+temporary store and re-verified twice with a vectorized executor, each
+time from a fresh ``CertificateStore``: the first ``store.reverify``
+compiles the round and persists it, the second attaches it.  These run
+without cProfile; each leg prints rows for load, decode,
+compile/attach, kernel and fallback views (self times), plus the
+number of labelings decoded and ``compiled_round_cached``.
+
 Output is human-readable on stdout plus one machine-readable JSON file
 (``--json``, default ``profile_cold.json``) and a ``PROFILE_JSON`` line,
-each with one block per mode — the same trajectory convention the
-E-series benchmarks use.  The exit status is 1 when either mode refuses
-or its verification round rejects.  CI runs this as a smoke step on a
-small workload; locally, crank ``--n`` up.
+with one block per mode and one for the reverify legs — the same
+trajectory convention the E-series benchmarks use.  The exit status is
+1 when either mode refuses or its verification round rejects, when a
+reverify round rejects, or when a reverify that attached the compiled
+round decoded any label.  CI runs this as a smoke step on a small
+workload; locally, crank ``--n`` up.
 
 Usage::
 
@@ -36,9 +46,18 @@ import io
 import json
 import pstats
 import sys
+import tempfile
 import time
+from contextlib import contextmanager
 
-from repro.api import CertificationSession, VerificationEngine, make_executor
+import repro.api.store as store_module
+import repro.api.vectorized as vectorized_module
+from repro.api import (
+    CertificateStore,
+    CertificationSession,
+    VerificationEngine,
+    make_executor,
+)
 from repro.experiments import lanewidth_workload, pathwidth_workload, seed_stream
 
 #: Pipeline stages folded into the "prove" row of the summary table —
@@ -50,6 +69,16 @@ PROVE_STAGES = ("lanes", "completion", "match", "hierarchy", "evaluate", "label"
 THEOREM1_K = 8
 
 MODES = ("lanewidth", "theorem1")
+
+#: Reverify layers timed by wrapping the callable that runs them:
+#: (row, owner, attribute).  Compile and kernel time come from the
+#: round's own ``kernel_stats``.
+REVERIFY_LAYERS = (
+    ("load", CertificateStore, "load"),
+    ("decode", store_module, "decode_labeling_columnar"),
+    ("attach", vectorized_module, "_attach_compiled_round"),
+    ("fallback views", vectorized_module, "_run_views"),
+)
 
 
 def run_cold(mode: str, n: int, seed: int, engine_kind: str):
@@ -91,8 +120,11 @@ def stage_rows(report, total_s: float):
     return rows
 
 
-def profile_mode(mode: str, args) -> dict:
-    """Profile one mode, print its tables, and return its JSON block."""
+def profile_mode(mode: str, args):
+    """Profile one mode and print its tables.
+
+    Returns its JSON block and the report (``None`` when it refused).
+    """
     profiler = cProfile.Profile()
     profiler.enable()
     report, total_s = run_cold(mode, args.n, args.seed, args.engine)
@@ -100,7 +132,8 @@ def profile_mode(mode: str, args) -> dict:
     print(f"cold path, mode={mode}, n={args.n}, engine={args.engine}")
     if report.refused:
         print(f"prover refused: {report.refusal}", file=sys.stderr)
-        return {"refused": True, "refusal": report.refusal, "accepted": False}
+        block = {"refused": True, "refusal": report.refusal, "accepted": False}
+        return block, None
 
     rows = stage_rows(report, total_s)
     print(f"{'stage':<12}{'seconds':>10}{'share':>8}")
@@ -122,7 +155,7 @@ def profile_mode(mode: str, args) -> dict:
         if report.verification is not None
         else None
     ) or {}
-    return {
+    block = {
         "refused": False,
         "accepted": report.accepted,
         "total_s": round(total_s, 6),
@@ -132,6 +165,92 @@ def profile_mode(mode: str, args) -> dict:
         ),
         "kernel_mode": kernel_stats.get("mode"),
     }
+    return block, report
+
+
+@contextmanager
+def self_seconds(layers):
+    """Sum each layer's self time (nested layers charged to themselves)."""
+    seconds = {row: 0.0 for row, _owner, _attribute in layers}
+    children = []  # time spent in timed layers below the current one
+    originals = []
+    for row, owner, attribute in layers:
+        function = getattr(owner, attribute)
+
+        def timed(*args, _row=row, _function=function, **kwargs):
+            children.append(0.0)
+            began = time.perf_counter()
+            try:
+                return _function(*args, **kwargs)
+            finally:
+                elapsed = time.perf_counter() - began
+                seconds[_row] += elapsed - children.pop()
+                if children:
+                    children[-1] += elapsed
+
+        originals.append((owner, attribute, function))
+        setattr(owner, attribute, timed)
+    try:
+        yield seconds
+    finally:
+        for owner, attribute, function in originals:
+            setattr(owner, attribute, function)
+
+
+def reverify_leg(root, fingerprint: str) -> dict:
+    """One fresh-store ``store.reverify`` with a vectorized executor."""
+    store = CertificateStore(root)
+    engine = VerificationEngine(make_executor("vectorized"))
+    with self_seconds(REVERIFY_LAYERS) as seconds:
+        started = time.perf_counter()
+        report = store.reverify(fingerprint, "connected", engine=engine)
+        total_s = time.perf_counter() - started
+    stats = report.verification.kernel_stats or {}
+    rows = [
+        ("load", seconds["load"]),
+        ("decode", seconds["decode"]),
+        ("compile/attach", stats.get("compile_seconds", 0.0) + seconds["attach"]),
+        ("kernel", stats.get("kernel_seconds", 0.0)),
+        ("fallback views", seconds["fallback views"]),
+    ]
+    rows.append(("other", max(0.0, total_s - sum(s for _r, s in rows))))
+    return {
+        "accepted": report.accepted,
+        "total_s": round(total_s, 6),
+        "stages": {row: round(s, 6) for row, s in rows},
+        "decodes": store.metrics.snapshot()["decodes"],
+        "compiled_round_cached": bool(stats.get("compiled_round_cached", False)),
+    }
+
+
+def profile_reverify(report) -> dict:
+    """Store ``report`` and time a compiling, then an attaching, reverify."""
+    fingerprint = report.config.graph.fingerprint()
+    legs = {}
+    with tempfile.TemporaryDirectory() as root:
+        CertificateStore(root).save(report)
+        for leg in ("compile", "attach"):
+            block = legs[leg] = reverify_leg(root, fingerprint)
+            print(f"stored reverify, leg={leg}, engine=vectorized")
+            print(f"{'stage':<16}{'seconds':>10}")
+            for row, seconds in block["stages"].items():
+                print(f"{row:<16}{seconds:>10.4f}")
+            print(f"{'total':<16}{block['total_s']:>10.4f}")
+            print(
+                f"accepted={block['accepted']} decodes={block['decodes']} "
+                f"compiled_round_cached={block['compiled_round_cached']}"
+            )
+            print()
+    return legs
+
+
+def reverify_ok(legs: dict) -> bool:
+    """Every leg accepts, and a leg that attached decoded nothing."""
+    return all(
+        leg["accepted"]
+        and not (leg["compiled_round_cached"] and leg["decodes"])
+        for leg in legs.values()
+    )
 
 
 def main(argv=None) -> int:
@@ -149,19 +268,26 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    modes = {mode: profile_mode(mode, args) for mode in MODES}
+    modes = {}
+    reverify = {}
+    for mode in MODES:
+        modes[mode], report = profile_mode(mode, args)
+        if mode == "lanewidth" and report is not None:
+            reverify = profile_reverify(report)
     payload = {
         "tool": "profile_cold",
         "n": args.n,
         "seed": args.seed,
         "engine": args.engine,
         "modes": modes,
+        "reverify": reverify,
     }
     with open(args.json, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
     print("PROFILE_JSON " + json.dumps(payload, sort_keys=True))
-    return 0 if all(block["accepted"] for block in modes.values()) else 1
+    accepted = all(block["accepted"] for block in modes.values())
+    return 0 if accepted and reverify and reverify_ok(reverify) else 1
 
 
 if __name__ == "__main__":
