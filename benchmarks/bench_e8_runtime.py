@@ -15,9 +15,11 @@ microseconds, so its row carries **two** numbers:
 
 * ``cold_s`` — first verification of a never-seen round (compile +
   kernels; what a one-shot CLI run pays);
-* ``steady_s`` — re-verifying the same resident round (what the daemon
-  and the store's re-verify-many loop pay after warm-up; best of
-  ``STEADY_REPEATS``).
+* ``steady_s`` — re-verifying the same labels (what the daemon and the
+  store's re-verify-many loop pay after warm-up; best of
+  ``STEADY_REPEATS``): the executor has no artifact cache, so it
+  re-attaches its last compiled state, found under the content key of
+  the wire form the report's labels carry.
 
 Every executor row records its ``kind``, and the kernel rows their
 ``kernel_stats`` counters, so the trajectory file is self-describing.
@@ -81,7 +83,7 @@ def _timed_verify(engine, config, scheme, labeling):
 
 
 def _steady(engine, config, scheme, labeling):
-    """Best-of re-verification time for an already-resident round."""
+    """Best-of re-verification time for labels verified before."""
     best = None
     for _ in range(STEADY_REPEATS):
         _, seconds = _timed_verify(engine, config, scheme, labeling)
@@ -108,7 +110,8 @@ def test_e8_runtime(benchmark):
         store = CertificateStore(root)
         for n in SIZES:
             # The kernel executor is per-n so every cold row really is
-            # cold (its round cache is keyed by round identity).
+            # cold (it keeps its last compiled state for the steady
+            # rows).
             vectorized = VerificationEngine(make_executor("vectorized"))
             t0 = time.perf_counter()
             report = _prove(n, seed=n, store=store)
@@ -214,8 +217,8 @@ def test_e8_runtime(benchmark):
         table.show()
 
     if os.environ.get("E8_REQUIRE_PARALLEL_WIN"):
-        # CI gate: at the largest n, the resident vectorized round must
-        # beat the serial reference round.
+        # CI gate: at the largest n, the re-attached vectorized round
+        # must beat the serial reference round.
         top = payload["series"][-1]
         vec_row = next(
             row for row in top["executors"] if row["kind"] == "vectorized"

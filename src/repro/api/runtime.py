@@ -359,7 +359,15 @@ class VerificationEngine:
         scheme: ProofLabelingScheme,
         labeling: Labeling,
     ) -> VerificationReport:
-        """Run one verification round and report it."""
+        """Run one verification round and report it.
+
+        The executor sees the configuration, the verifier and the
+        labeling's mapping, nothing else.  A vectorized executor keys
+        compiled rounds on the wire form a read-only
+        :class:`~repro.api.store.StoredLabels` mapping carries, so the
+        verdicts follow the labels the mapping serves; a plain ``dict``
+        mapping is always compiled afresh.
+        """
         if labeling.location != scheme.label_location:
             raise ValueError(
                 f"labeling location {labeling.location!r} does not match "
@@ -368,12 +376,6 @@ class VerificationEngine:
         # Deterministic order: executors must agree on which vertex a
         # fail_fast round reaches first.
         vertices = sorted(config.graph.vertices(), key=repr)
-        # Executors that persist compiled rounds key them on the
-        # labeling's wire digest; offer it before the round (duck-typed,
-        # mirroring the session's artifact-cache handoff).
-        offer = getattr(self.executor, "offer_labeling", None)
-        if callable(offer):
-            offer(labeling)
         start = perf_counter()
         outcome = self.executor.execute(
             config,

@@ -22,7 +22,10 @@ Every successful labeling is wire-encoded (:mod:`repro.codec`), so the
 report's ``max/mean/total_label_bits`` are measured byte-string sizes;
 the encoded form rides along with the labeling artifact, and — when the
 session carries a store — is persisted for later re-verification with
-zero prover stages.
+zero prover stages.  The report's labeling maps through a read-only
+:class:`~repro.api.store.StoredLabels` that holds the prover's own
+label objects and the digest of their wire form, so verification rounds
+key compiled rounds on the labels themselves.
 """
 
 from __future__ import annotations
@@ -32,13 +35,13 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Optional
 
-from repro.codec import encode_labeling_columnar, stamp_wire_digest
+from repro.codec import encode_labeling_columnar
 from repro.core.lanewidth import ConstructionSequence, apply_construction
 from repro.core.scheme import LanewidthScheme, Theorem1Scheme
 from repro.courcelle.algebra import BoundedAlgebra
 from repro.courcelle.registry import resolve_algebra
 from repro.pls.model import Configuration
-from repro.pls.scheme import ProverFailure
+from repro.pls.scheme import Labeling, ProverFailure
 
 from repro.api.artifacts import ArtifactCache
 from repro.api.pipeline import MatchSequenceStage, PipelineContext
@@ -57,6 +60,7 @@ from repro.api.runtime import (
     VerificationReport,
     lend_artifacts,
 )
+from repro.api.store import StoredLabels
 
 
 @dataclass
@@ -226,6 +230,10 @@ class CertificationSession:
         Uses ``engine`` (default: the session's) against the report's
         own artifacts, attaches the structured outcome to the report
         (``verification``/``result``/``accepted``), and returns it.
+        The verdicts depend on the report's labels alone: a vectorized
+        engine attaches a compiled round only under the digest of the
+        wire form those labels carry, and a mapping replaced by a plain
+        ``dict`` (the way to tamper with a report) always compiles.
         """
         if report.refused:
             raise ValueError("cannot verify a refused report (no labeling)")
@@ -431,10 +439,14 @@ class CertificationSession:
     ) -> CertificationReport:
         root = structure.ctx.root
         scheme = self._scheme_for(structure, algebra)
-        # Tie the wire identity to the labeling object *before* the
-        # verification round: executors that persist compiled rounds
-        # key their envelopes on this digest.
-        stamp_wire_digest(labeling, encoded)
+        # The report's labels carry their wire form, read-only: rounds
+        # key compiled rounds on its digest, and no edit can reach the
+        # labels behind that key.
+        labeling = Labeling(
+            labeling.location,
+            StoredLabels._from_prover(encoded, labeling.mapping),
+            labeling.size_context,
+        )
         if verify:
             lend_artifacts(self.engine, self.artifacts)
             verification = self.engine.verify(config, scheme, labeling)

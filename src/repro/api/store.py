@@ -26,7 +26,11 @@ against and :meth:`load` recomputes it, so a corrupted or swapped graph
 is rejected instead of silently verified.
 
 Decoding the labels is most of what a load costs, so :meth:`reverify`
-defers it to the first read (:class:`StoredLabels`).
+defers it to the first read (:class:`StoredLabels`).  That read-only
+mapping also carries the digest of its wire form, which keys the
+vectorized executor's compiled rounds: :meth:`reverify` attaches the
+round a certify persisted, while a default :meth:`load` hands back a
+plain decoded ``dict``, which has no wire identity and compiles.
 
 Layout (v2, service-grade)
 --------------------------
@@ -64,6 +68,7 @@ import time
 from collections.abc import Mapping
 from dataclasses import fields
 from pathlib import Path
+from types import MappingProxyType
 from typing import Optional
 
 from repro.codec import (
@@ -74,7 +79,7 @@ from repro.codec import (
     WireHeader,
     decode_labeling_columnar,
     encode_labeling_columnar,
-    stamp_wire_digest,
+    labeling_digest,
 )
 from repro.core.scheme import CertifyingScheme
 from repro.courcelle.registry import resolve_algebra
@@ -181,52 +186,93 @@ class StoreMetrics:
         return f"StoreMetrics({pairs})"
 
 
+def _decode_labels(encoded: EncodedLabeling, source: str) -> dict:
+    """Decode a stored labeling's labels; :class:`StoreError` if corrupt."""
+    try:
+        # Shares sub-structure across edges, so rounds (and kernel
+        # compiles) see interned objects.
+        return decode_labeling_columnar(encoded).mapping
+    except (CodecError,) + _PARSE_ERRORS as exc:
+        raise StoreError(
+            f"corrupted certificate payload in {source}: {exc}"
+        ) from exc
+
+
 class StoredLabels(Mapping):
-    """A stored labeling's ``edge -> label`` mapping, decoded on first read.
+    """A read-only ``edge -> label`` mapping that carries its wire form.
 
-    ``len()`` answers from the wire form; the first key lookup or
+    It holds a private copy of an encoded labeling and that labeling's
+    content :attr:`digest` (:func:`~repro.codec.labeling_digest`),
+    computed when the mapping is built.  The first key lookup or
     iteration runs the one decoder, ``decode_labeling_columnar``
-    (looked up by name at read time), and keeps its mapping in
-    :attr:`decoded`.  A payload that does not decode raises
-    :class:`StoreError`.  It holds only the wire form and the entry's
-    path, so it pickles.
+    (looked up by name at read time), and a payload that does not
+    decode raises :class:`StoreError`.  ``len()`` answers from the
+    wire form.  A session builds its reports' mappings with
+    :meth:`_from_prover`, which serves the prover's own label objects,
+    so nothing is decoded there.
 
-    A reverify round that attaches a persisted compiled round and
-    kernel-accepts every vertex never reads it, so nothing is decoded.
-    The attach itself vouches for the bytes: the compiled round is keyed
-    on the labeling's wire digest, and only a round that compiled labels
-    encoded to, or decoded from, exactly these bytes stored it.
+    No public path changes the labels it serves: item assignment raises
+    ``TypeError`` and :attr:`decoded` is a read-only view.  So the
+    digest always names the labels served, and the vectorized executor
+    keys compiled rounds on it: a reverify round that attaches a
+    persisted compiled round and kernel-accepts every vertex never
+    reads the labels, and nothing is decoded.  To tamper with the
+    labels, copy them into a plain ``dict``; a plain mapping has no
+    wire identity, so its rounds always compile.
+
+    It pickles as its wire form and source alone.
     """
 
-    __slots__ = ("encoded", "source", "decoded")
+    __slots__ = ("_encoded", "_digest", "_decoded", "source")
 
     def __init__(self, encoded: EncodedLabeling, source: str):
-        self.encoded = encoded
+        self._encoded = EncodedLabeling(
+            encoded.header, dict(encoded.labels), encoded.location
+        )
+        self._digest = labeling_digest(self._encoded)
+        self._decoded = None
         self.source = source
-        self.decoded: Optional[dict] = None
 
-    def read(self) -> dict:
-        """The decoded mapping (decoding it on the first call)."""
-        if self.decoded is None:
-            try:
-                # Shares sub-structure across edges, so rounds (and
-                # kernel compiles) see interned objects.
-                labeling = decode_labeling_columnar(self.encoded)
-            except (CodecError,) + _PARSE_ERRORS as exc:
-                raise StoreError(
-                    f"corrupted certificate payload in {self.source}: {exc}"
-                ) from exc
-            self.decoded = labeling.mapping
-        return self.decoded
+    @classmethod
+    def _from_prover(cls, encoded: EncodedLabeling, labels) -> "StoredLabels":
+        """Serve ``labels``, which ``encoded`` was just encoded from.
+
+        Nothing checks that the two agree, so only the session calls
+        this, on the labels it has just encoded; everyone else builds
+        the mapping from the wire form alone.
+        """
+        stored = cls(encoded, "prover")
+        stored._decoded = dict(labels)
+        return stored
+
+    def __reduce__(self):
+        return StoredLabels, (self._encoded, self.source)
+
+    @property
+    def digest(self) -> str:
+        """Content digest of the wire form: the compiled-round key's link."""
+        return self._digest
+
+    @property
+    def decoded(self):
+        """A read-only view of the labels once held, else ``None``."""
+        if self._decoded is None:
+            return None
+        return MappingProxyType(self._decoded)
+
+    def _labels(self) -> dict:
+        if self._decoded is None:
+            self._decoded = _decode_labels(self._encoded, self.source)
+        return self._decoded
 
     def __getitem__(self, key):
-        return self.read()[key]
+        return self._labels()[key]
 
     def __iter__(self):
-        return iter(self.read())
+        return iter(self._labels())
 
     def __len__(self) -> int:
-        return len(self.encoded.labels)
+        return len(self._encoded.labels)
 
 
 def _slug(text: str) -> str:
@@ -686,8 +732,11 @@ class CertificateStore:
         so this serves callers that never read the labels (the service
         layer's ``verify: false`` certify requests) and
         :meth:`reverify`, whose round reads them only when it compiles
-        or builds a view.  The default decodes before returning, so a
-        corrupt payload is a :class:`StoreError` and a miss here.
+        or builds a view, and which attaches a persisted compiled round
+        through the mapping's digest.  The default decodes before
+        returning, so a corrupt payload is a :class:`StoreError` and a
+        miss here; its mapping is a plain ``dict``, so a round over it
+        compiles rather than attaches.
 
         Flat-layout (pre-shard) entries are found and migrated into
         their shard; serving an entry bumps its mtime, which is the
@@ -756,17 +805,14 @@ class CertificateStore:
             report = CertificationReport.from_dict(manifest["report"])
             labeling = Labeling(
                 location=encoded.location,
-                mapping=StoredLabels(encoded, str(path)),
+                mapping=None if decode else StoredLabels(encoded, str(path)),
                 size_context=encoded.header.size_context(),
             )
         except _PARSE_ERRORS as exc:
             raise StoreError(f"corrupted store entry {path}: {exc!r}") from exc
         if decode:
-            labeling.mapping = labeling.mapping.read()
+            labeling.mapping = _decode_labels(encoded, str(path))
             self.metrics.add("decodes")
-        # Re-stamp the wire identity so a reverify round can attach a
-        # persisted compiled round with zero compile work.
-        stamp_wire_digest(labeling, encoded)
         report.config = config
         report.scheme = scheme
         report.labeling = labeling

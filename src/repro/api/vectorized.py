@@ -28,9 +28,12 @@ module evaluates a *whole round* as flat array kernels instead:
    reference executors' by construction.  The hypothesis differential
    suite in ``tests/test_vectorized.py`` pins this equivalence.
 
-A compiled round persists through the artifact cache as a versioned
-``compiled-round`` envelope (:meth:`KernelRound.export_state`), so a
-restarted process attaches it instead of recompiling.
+Every round has one life cycle: :meth:`RoundCompiler.compile` turns
+the labels into a versioned ``compiled-round`` envelope state,
+:meth:`KernelRound.from_state` validates and attaches a state, and
+:meth:`KernelRound.run` evaluates the kernels.  A fresh compile runs
+from its own state; a state found under the labeling's content key (in
+the artifact cache, so also in a restarted process) skips the compile.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from repro.api.runtime import (
     _run_views,
     register_executor,
 )
+from repro.api.store import StoredLabels
 from repro.core.certificates import (
     BasicInfo,
     BLevelRecord,
@@ -90,8 +94,12 @@ _MISS = NONE_ID
 
 _SEG_SHIFT = 1 << 31
 
+#: Tag ids of the REAL and VIRTUAL port tags: the compiler interns them
+#: first, in this order, and the kernels read them as constants.
+_REAL_TAG, _VIRTUAL_TAG = 0, 1
+
 #: Version of the persisted compiled-round envelope
-#: (:meth:`KernelRound.export_state`).  Bumped whenever the kernel table
+#: (:meth:`RoundCompiler.compile`).  Bumped whenever the kernel table
 #: layout or semantics change: a mismatched envelope is a cache *miss*
 #: (the round recompiles), never an error.
 COMPILED_ROUND_VERSION = 1
@@ -211,8 +219,8 @@ class _Tables:
     """Finalized numpy columns (plain attribute bag)."""
 
 
-class KernelRound:
-    """One round compiled for the kernels.
+class RoundCompiler:
+    """Compiles one round's labels into a compiled-round envelope state.
 
     Parameters
     ----------
@@ -224,22 +232,16 @@ class KernelRound:
     algebra, max_width:
         The Theorem 1 verifier profile of the scheme.
 
-    ``run(order)`` returns ``(accept, stats)``: ``accept[i]`` is True
-    iff the kernels *prove* the reference verifier accepts dense vertex
-    ``order[i]``; every other vertex must go through the reference
-    fallback.  Compilation is incremental — only edges incident to
-    requested vertices are ever interned — so subset rounds (the
-    incremental recertifier's dirty regions) pay proportional cost.
+    :meth:`compile` interns every edge's certificate, pre-evaluates
+    every virtual-port grouping and returns the state that
+    :meth:`KernelRound.from_state` attaches.
     """
 
     def __init__(self, arrays: RoundArrays, edge_labels, algebra, max_width):
-        if np is None:  # pragma: no cover
-            raise Unvectorizable("numpy unavailable")
         self._n = arrays.n
         self._m = arrays.m
         self._indptr = arrays.indptr
         self._incident = arrays.incident
-        self._ids_np = arrays.identifiers
         self._ids_py = [int(x) for x in arrays.identifiers.tolist()]
         self._edge_labels = edge_labels
         self._algebra = algebra
@@ -248,8 +250,8 @@ class KernelRound:
         self._infos = _Interner()
         self._tags = _Interner()
         self._misc = _Interner()
-        self._real_cid = self._tags.intern(REAL)
-        self._virtual_cid = self._tags.intern(VIRTUAL)
+        self._tags.intern(REAL)  # _REAL_TAG
+        self._tags.intern(VIRTUAL)  # _VIRTUAL_TAG
 
         self._rec_by_id = {}
         self._rec_by_key = {}
@@ -323,15 +325,6 @@ class KernelRound:
 
         self._edge_sid = np.full(self._m, -3, dtype=np.int64)
         self._edge_emb = {}
-        self._t: Optional[_Tables] = None
-        self._dirty = True
-        self.compile_seconds = 0.0
-        # Attached (persisted-envelope) rounds skip the compile path:
-        # the tables, edge stacks, and virtual-port results below were
-        # restored by :meth:`from_state` instead of being compiled.
-        self._attached = False
-        self._vp_map: dict = {}
-        self._vp_bad: set = set()
 
     # -- value/paths interning ------------------------------------------
 
@@ -404,7 +397,6 @@ class KernelRound:
             # Unrepresentable record: every stack holding it is flagged
             # and its vertices take the reference path.
             self._r_type[cid] = -1
-        self._dirty = True
         return cid
 
     def _intern_record(self, rec) -> int:
@@ -771,7 +763,6 @@ class KernelRound:
         self._s_path.append(tuple(paths))
         self._s_next.append(tuple(nexts))
         self._s_flag.append(flagged)
-        self._dirty = True
         return sid
 
     def _intern_cert(self, cert) -> int:
@@ -805,17 +796,6 @@ class KernelRound:
         self._edge_sid[index] = self._intern_cert(label.certificate)
         if embedded:
             self._edge_emb[index] = embedded
-
-    def prepare(self, req) -> None:
-        """Compile every edge incident to the requested dense vertices."""
-        req = np.asarray(req, dtype=np.int64)
-        if req.size == 0:
-            return
-        deg = self._indptr[req + 1] - self._indptr[req]
-        pos = np.repeat(self._indptr[req], deg) + _grouped_arange(deg)
-        for k in np.unique(self._incident[pos]).tolist():
-            if self._edge_sid[k] == -3:
-                self._compile_edge(k)
 
     # -- the embedded / virtual-port pass (python; rare) ----------------
 
@@ -869,7 +849,7 @@ class KernelRound:
 
     # -- finalize -------------------------------------------------------
 
-    def _finalize(self) -> None:
+    def _finalize(self) -> _Tables:
         if (
             len(self._infos) >= (1 << 24)
             or len(self._r_type) >= _SEG_SHIFT
@@ -970,10 +950,9 @@ class KernelRound:
         t.me_code = np.array(
             [self._idcode.get(x, -1) for x in self._ids_py], i64
         )
-        self._t = t
-        self._dirty = False
+        return t
 
-    # -- persisted compiled rounds --------------------------------------
+    # -- the envelope state ---------------------------------------------
 
     def _emb_vertices(self):
         """Dense vertices incident to an edge with embedded records."""
@@ -985,29 +964,30 @@ class KernelRound:
         )
         return np.unique(vertex_of_pos[edge_has[self._incident]])
 
-    def export_state(self) -> dict:
-        """Serializable snapshot of the *fully* compiled round.
+    def compile(self) -> dict:
+        """Compile the whole round into its envelope state.
 
         Every edge is compiled and every virtual-port grouping is
-        pre-evaluated, so a process that restores the snapshot through
-        :meth:`from_state` runs the kernels with zero compile work.
-        The envelope carries the compiled-round and wire format
-        versions plus the numpy dtype signature; mismatches at restore
-        time raise, which callers treat as a cache miss.
+        pre-evaluated, so :meth:`KernelRound.from_state` runs the
+        kernels with no compile work.  The state carries the
+        compiled-round and wire format versions plus the numpy dtype
+        signature; ``from_state`` raises on a mismatch, which callers
+        treat as a cache miss.
         """
-        self.prepare(np.arange(self._n, dtype=np.int64))
+        for index in range(self._m):
+            self._compile_edge(index)
         vp_map = {}
         vp_bad = []
         if self._edge_emb:
             for dense in self._emb_vertices().tolist():
                 sids, ok = self._virtual_ports(dense)
-                if not ok:
+                # A payload that is no certificate interns as -1; the
+                # state holds only real stack ids, so flag the vertex.
+                if not ok or any(sid < 0 for sid in sids):
                     vp_bad.append(dense)
                 elif sids:
                     vp_map[dense] = tuple(sids)
-        if self._dirty or self._t is None:
-            self._finalize()
-        t = self._t
+        t = self._finalize()
         tables = {
             name: getattr(t, name)
             for name in _STATE_I64_COLS + _STATE_BOOL_COLS
@@ -1018,21 +998,44 @@ class KernelRound:
             "dtypes": _dtype_signature(),
             "n": self._n,
             "m": self._m,
-            "edge_sid": self._edge_sid.copy(),
+            "edge_sid": self._edge_sid,
             "tables": tables,
             "vp_map": vp_map,
-            "vp_bad": sorted(vp_bad),
+            "vp_bad": vp_bad,
         }
 
+
+class KernelRound:
+    """One compiled round attached for the kernels.
+
+    Built only by :meth:`from_state`, from the
+    :class:`~repro.pls.arrays.RoundArrays` (CSR + identifiers) of the
+    round and an envelope state.  ``run(order)`` returns
+    ``(accept, stats)``: ``accept[i]`` is True iff the kernels *prove*
+    the reference verifier accepts dense vertex ``order[i]``; every
+    other vertex must go through the reference fallback.
+    """
+
+    def __init__(self, arrays: RoundArrays):
+        self._n = arrays.n
+        self._m = arrays.m
+        self._indptr = arrays.indptr
+        self._incident = arrays.incident
+        self._ids_np = arrays.identifiers
+        self._t: Optional[_Tables] = None
+        self._edge_sid = None
+        self._vp_map: dict = {}
+        self._vp_bad: set = set()
+
     @classmethod
-    def from_state(cls, arrays, state, algebra, max_width):
-        """Attach to a persisted compiled round.
+    def from_state(cls, arrays, state):
+        """Attach to a compiled round's envelope state.
 
         Raises on *any* version, dtype, shape, or structural mismatch —
         the caller maps every failure to a recompile, so a stale or
         corrupt envelope can only cost time, never correctness.
         """
-        round_ = cls(arrays, None, algebra, max_width)
+        round_ = cls(arrays)
         round_._attach(state)
         return round_
 
@@ -1159,8 +1162,6 @@ class KernelRound:
             clean_bad.add(dense)
         self._t = t
         self._edge_sid = edge_sid
-        self._dirty = False
-        self._attached = True
         self._vp_map = clean_map
         self._vp_bad = clean_bad
 
@@ -1172,43 +1173,19 @@ class KernelRound:
         req = np.asarray(list(order), dtype=np.int64)
         vports = {}
         flagged_py = set()
-        if self._attached:
-            # Restored rounds are fully compiled: virtual ports were
-            # pre-evaluated at export time, so the whole cold path
-            # reduces to dictionary filtering.
-            if self._vp_map or self._vp_bad:
-                req_set = set(req.tolist())
-                for dense, sids in self._vp_map.items():
-                    if dense in req_set:
-                        vports[dense] = list(sids)
-                flagged_py = self._vp_bad & req_set
-            compile_seconds = 0.0
-        else:
-            self.prepare(req)
-            if self._edge_emb:
-                emb_vertices = self._emb_vertices()
-                req_mask = np.zeros(self._n, dtype=bool)
-                req_mask[req] = True
-                for dense in emb_vertices[req_mask[emb_vertices]].tolist():
-                    sids, ok = self._virtual_ports(dense)
-                    if not ok:
-                        flagged_py.add(dense)
-                    elif sids:
-                        vports[dense] = sids
-            if self._dirty or self._t is None:
-                self._finalize()
-            compile_seconds = perf_counter() - began
-        self.compile_seconds += compile_seconds
-        began = perf_counter()
+        if self._vp_map or self._vp_bad:
+            req_set = set(req.tolist())
+            for dense, sids in self._vp_map.items():
+                if dense in req_set:
+                    vports[dense] = list(sids)
+            flagged_py = self._vp_bad & req_set
         accept = self._kernels(req, vports, flagged_py)
-        kernel_seconds = perf_counter() - began
         kernel_accepted = int(accept.sum())
         stats = {
             "compiled_vertices": int(req.size),
             "kernel_accepted": kernel_accepted,
             "fallback_vertices": int(req.size) - kernel_accepted,
-            "compile_seconds": compile_seconds,
-            "kernel_seconds": kernel_seconds,
+            "kernel_seconds": perf_counter() - began,
             "records": int(self._t.r_type.shape[0]),
             "stacks": int(self._t.st_flag.shape[0]),
         }
@@ -1236,7 +1213,7 @@ class KernelRound:
         port_vertex = np.repeat(req, deg)
         pos = np.repeat(indptr[req], deg) + _grouped_arange(deg)
         port_sid = self._edge_sid[self._incident[pos]]
-        port_tag = np.full(port_vertex.shape[0], self._real_cid, np.int64)
+        port_tag = np.full(port_vertex.shape[0], _REAL_TAG, np.int64)
         if vports:
             vv = []
             vs = []
@@ -1249,7 +1226,7 @@ class KernelRound:
             )
             port_sid = np.concatenate([port_sid, np.array(vs, np.int64)])
             port_tag = np.concatenate(
-                [port_tag, np.full(len(vs), self._virtual_cid, np.int64)]
+                [port_tag, np.full(len(vs), _VIRTUAL_TAG, np.int64)]
             )
         bad_port = port_sid < 0
         flag[port_vertex[bad_port]] = True
@@ -1553,38 +1530,16 @@ def _theorem1_profile(scheme):
     return scheme.algebra, scheme.max_width
 
 
-def _round_key(config, scheme, mapping, location):
-    return (
-        config,
-        scheme,
-        mapping,
-        location,
-        config.graph.csr,
-        config.graph.labels_version,
-    )
-
-
-def _same_key(held, key) -> bool:
-    return (
-        held is not None
-        and held[0] is key[0]
-        and held[1] is key[1]
-        and held[2] is key[2]
-        and held[3] == key[3]
-        and held[4] is key[4]
-        and held[5] == key[5]
-    )
-
-
 def _compiled_round_cache_key(config, scheme, digest):
-    """Content key of a persisted compiled round, or ``None``.
+    """Content key of a compiled round, or ``None``.
 
     The compiled tables depend on the graph (``config_fingerprint``),
-    the exact labeling (its wire digest), the verifier profile, and the
-    envelope/wire format versions — any of these changing must produce
-    a different key, so stale envelopes are simply never looked up.
-    Returns ``None`` when the labeling has no digest or the algebra has
-    no stable key: identity-keyed state cannot survive a restart.
+    the exact labeling (the digest of the wire form its labels carry),
+    the verifier profile, and the envelope/wire format versions — any
+    of these changing must produce a different key, so stale envelopes
+    are simply never looked up.  Returns ``None`` when the labels carry
+    no wire form (``digest`` is ``None``) or the algebra has no stable
+    key: such a round always compiles.
     """
     if digest is None:
         return None
@@ -1607,37 +1562,14 @@ def _compiled_round_cache_key(config, scheme, digest):
     return f"compiled-round:{token}"
 
 
-def _attach_compiled_round(cache, key, arrays, algebra, max_width):
-    """Restore a persisted compiled round; ``None`` on any mismatch."""
-    if cache is None or key is None:
-        return None
-    entry = cache.get(key)
-    if entry is None:
-        return None
-    state = entry.outputs.get("state")
+def _attach_compiled_round(state, arrays):
+    """Attach an envelope state; ``None`` when absent or on any mismatch."""
     if not isinstance(state, dict):
         return None
     try:
-        return KernelRound.from_state(arrays, state, algebra, max_width)
+        return KernelRound.from_state(arrays, state)
     except Exception:
         return None
-
-
-def _store_compiled_round(cache, key, round_) -> None:
-    """Persist one freshly compiled round under its content key."""
-    if cache is None or key is None:
-        return
-    began = perf_counter()
-    try:
-        state = round_.export_state()
-        cache.put(
-            key, "compiled-round", {"state": state},
-            perf_counter() - began,
-        )
-    except Exception:
-        # Export is best-effort: an unvectorizable tail or unpicklable
-        # field only loses the cache entry, never the round.
-        return
 
 
 class VectorizedExecutor(VerificationExecutor):
@@ -1651,6 +1583,16 @@ class VectorizedExecutor(VerificationExecutor):
     verifier is not the Theorem 1 profile run entirely on the
     reference path (``kernel_stats["mode"] == "reference"``).
 
+    Compiled rounds are keyed on the wire form the labels carry: a
+    :class:`~repro.api.store.StoredLabels` mapping holds its encoded
+    labeling's digest, and that mapping is read-only, so the key
+    changes whenever the labels do.  A plain ``dict`` mapping has no
+    wire identity and always compiles.  With an artifact cache
+    (configured, or lent by a session or store) rounds are found and
+    kept only there, across processes too; without one the executor
+    keeps only its last compiled state, and must not be shared across
+    threads.
+
     ``audit=True`` cross-checks every kernel-accepted vertex against
     the reference verifier and raises on divergence — the differential
     test harness runs under it to localize any kernel bug.
@@ -1663,11 +1605,7 @@ class VectorizedExecutor(VerificationExecutor):
         #: Optional :class:`~repro.api.artifacts.ArtifactCache` holding
         #: compiled rounds across rounds *and processes*.
         self.artifacts = artifacts
-        self._held_key = None
-        self._held_round: Optional[KernelRound] = None
-        self._held_compiled_cached = False
-        self._pending_store = None
-        self._offered = None
+        self._last_state = None  # (key, state) when there is no cache
 
     def adopt_artifacts(self, cache) -> None:
         """Accept a session's artifact cache unless one was configured.
@@ -1679,84 +1617,88 @@ class VectorizedExecutor(VerificationExecutor):
         if self.artifacts is None:
             self.artifacts = cache
 
-    def offer_labeling(self, labeling) -> None:
-        """Digest handoff: the engine offers the labeling it is about to
-        verify, and persisted compiled rounds are keyed on its wire
-        digest (stamped by the encode path).  Identity of the mapping
-        ties the offer to the exact ``execute`` call that follows."""
-        digest = getattr(labeling, "wire_digest", None)
-        mapping = getattr(labeling, "mapping", None)
-        if digest is not None and mapping is not None:
-            self._offered = (id(mapping), digest)
-        else:
-            self._offered = None
-
-    def _digest_for(self, mapping):
-        offered = self._offered
-        if offered is not None and offered[0] == id(mapping):
-            return offered[1]
+    def _stored_state(self, key):
+        """The envelope state kept under ``key``, or ``None``."""
+        if key is None:
+            return None
+        if self.artifacts is not None:
+            entry = self.artifacts.get(key)
+            return None if entry is None else entry.outputs.get("state")
+        last = self._last_state  # read once: the key and state must pair
+        if last is not None and last[0] == key:
+            return last[1]
         return None
 
-    def _round_for(self, config, scheme, mapping, location, factory):
+    def _keep_state(self, key, state, seconds: float) -> None:
+        if key is None:
+            return
+        if self.artifacts is None:
+            self._last_state = (key, state)
+            return
+        try:
+            self.artifacts.put(
+                key, "compiled-round", {"state": state}, seconds
+            )
+        except Exception:
+            # A state the cache cannot store only loses the entry,
+            # never the round.
+            return
+
+    def _round_for(self, config, scheme, mapping, factory):
+        """``(round, compile_seconds, cached)`` for one round.
+
+        Raises :class:`Unvectorizable` when the round must run on the
+        reference path.
+        """
         profile = _theorem1_profile(scheme)
         if profile is None:
-            return None, "scheme is not the Theorem 1 edge-labeled profile"
+            raise Unvectorizable(
+                "scheme is not the Theorem 1 edge-labeled profile"
+            )
         if np is None:
-            return None, "numpy unavailable"
-        key = _round_key(config, scheme, mapping, location)
-        if _same_key(self._held_key, key):
-            return self._held_round, None
+            raise Unvectorizable("numpy unavailable")
         try:
             arrays = factory.round_arrays()
         except NotVectorizable as exc:
-            return None, str(exc)
+            raise Unvectorizable(str(exc)) from None
+        digest = mapping.digest if isinstance(mapping, StoredLabels) else None
+        key = _compiled_round_cache_key(config, scheme, digest)
+        round_ = _attach_compiled_round(self._stored_state(key), arrays)
+        if round_ is not None:
+            return round_, 0.0, True
         algebra, max_width = profile
-        compiled_key = _compiled_round_cache_key(
-            config, scheme, self._digest_for(mapping)
-        )
-        round_ = _attach_compiled_round(
-            self.artifacts, compiled_key, arrays, algebra, max_width
-        )
-        self._pending_store = None
-        if round_ is None:
-            round_ = KernelRound(
-                arrays, factory.edge_certificates, algebra, max_width
-            )
-            self._pending_store = compiled_key
-        self._held_key = key
-        self._held_round = round_
-        self._held_compiled_cached = round_._attached
-        return round_, None
+        edge_labels = factory.edge_certificates
+        began = perf_counter()
+        state = RoundCompiler(arrays, edge_labels, algebra, max_width).compile()
+        compile_seconds = perf_counter() - began
+        round_ = KernelRound.from_state(arrays, state)
+        self._keep_state(key, state, compile_seconds)
+        return round_, compile_seconds, False
 
     def execute(self, config, scheme, mapping, location, vertices, fail_fast):
         if not vertices:
             return _Outcome({}, (), 0)
         factory = ViewFactory(config, mapping, location)
         order = [factory.index_of(v) for v in vertices]
-        round_, reason = self._round_for(
-            config, scheme, mapping, location, factory
-        )
-        base_stats = {"engine": self.name}
-        if round_ is None:
-            base_stats.update({"mode": "reference", "reason": reason})
-            return _run_views(factory, scheme, order, fail_fast, base_stats)
         try:
-            accept, stats = round_.run(order)
-        except Unvectorizable as exc:
-            self._held_key = None
-            self._held_round = None
-            base_stats.update({"mode": "reference", "reason": exc.reason})
-            return _run_views(factory, scheme, order, fail_fast, base_stats)
-        base_stats.update(stats)
-        base_stats["mode"] = "kernel"
-        base_stats["compiled_round_cached"] = self._held_compiled_cached
-        if self._pending_store is not None:
-            # The round just verified successfully from a fresh compile:
-            # persist its compiled form so the next process attaches.
-            _store_compiled_round(
-                self.artifacts, self._pending_store, round_
+            round_, compile_seconds, cached = self._round_for(
+                config, scheme, mapping, factory
             )
-            self._pending_store = None
+        except Unvectorizable as exc:
+            base_stats = {
+                "engine": self.name,
+                "mode": "reference",
+                "reason": exc.reason,
+            }
+            return _run_views(factory, scheme, order, fail_fast, base_stats)
+        accept, stats = round_.run(order)
+        base_stats = {
+            "engine": self.name,
+            **stats,
+            "compile_seconds": compile_seconds,
+            "mode": "kernel",
+            "compiled_round_cached": cached,
+        }
         names = factory.vertices
         verdicts = {}
         flagged = []

@@ -41,7 +41,6 @@ from repro.codec.wire import (
     encode_label,
     encode_labeling,
     labeling_digest,
-    stamp_wire_digest,
 )
 from repro.codec.columnar import (
     ColumnarEncoder,
@@ -63,7 +62,6 @@ __all__ = [
     "decode_label",
     "encode_labeling",
     "labeling_digest",
-    "stamp_wire_digest",
     "ColumnarEncoder",
     "decode_labeling_columnar",
     "encode_labeling_columnar",

@@ -845,6 +845,8 @@ def labeling_digest(encoded: EncodedLabeling) -> str:
     accept without re-deriving anything from the certificates, so the
     digest that vouches "same certificates" must be
     collision-resistant — hence blake2b, not a structural fingerprint.
+    A :class:`~repro.api.store.StoredLabels` mapping computes it once,
+    when it is built, over its own copy of the wire form.
     """
     h = encoded.header
     digest = hashlib.blake2b(digest_size=16)
@@ -876,19 +878,3 @@ def labeling_digest(encoded: EncodedLabeling) -> str:
         digest.update(str(entry.bit_length).encode())
     return digest.hexdigest()
 
-
-def stamp_wire_digest(labeling: Labeling, encoded: EncodedLabeling) -> None:
-    """Attach ``encoded``'s content digest to ``labeling``.
-
-    The verification engines hand executors only the mapping dict, so
-    the digest rides on the labeling object
-    (``labeling.wire_digest``) and is offered to cache-aware executors
-    via their ``offer_labeling`` hook — the handle that lets a
-    restarted process attach a persisted compiled round.  Best-effort:
-    a labeling that cannot be digested simply never gets the
-    compiled-round cache.
-    """
-    try:
-        labeling.wire_digest = labeling_digest(encoded)
-    except Exception:
-        pass

@@ -31,15 +31,6 @@ class CompletionResult:
     e1: list = field(default_factory=list)  # in-lane path edges
     e2: list = field(default_factory=list)  # lane-head path edges
 
-    @property
-    def virtual_edges(self) -> list:
-        """Return the completion edges absent from the original graph."""
-        return sorted(
-            key
-            for key in set(self.e1) | set(self.e2)
-            if self.graph.edge_label(*key) == VIRTUAL
-        )
-
     def real_subgraph(self) -> Graph:
         """Return the original graph ``(V, E)`` (real edges only)."""
         real = [

@@ -56,14 +56,6 @@ class Embedding:
                 load[edge_key(a, b)] += 1
         return max(load.values(), default=0)
 
-    def edge_loads(self) -> dict:
-        """Return the per-edge path counts (for the congestion tables)."""
-        load: Counter = Counter()
-        for path in self.paths.values():
-            for a, b in zip(path, path[1:]):
-                load[edge_key(a, b)] += 1
-        return dict(load)
-
     def merged_with(self, other: "Embedding") -> "Embedding":
         """Return the union of two embeddings over the same host graph."""
         merged = Embedding(self.graph, dict(self.paths))

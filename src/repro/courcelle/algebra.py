@@ -264,36 +264,3 @@ def canonical_partition(blocks) -> tuple:
 def singleton_partition(count: int) -> tuple:
     """Return the partition of ``0..count-1`` into singletons."""
     return tuple((i,) for i in range(count))
-
-
-def merge_partition_blocks(partition: tuple, a: int, b: int) -> tuple:
-    """Return the partition with the blocks of ``a`` and ``b`` united."""
-    block_a = next(block for block in partition if a in block)
-    if b in block_a:
-        return partition
-    block_b = next(block for block in partition if b in block)
-    rest = [block for block in partition if block not in (block_a, block_b)]
-    rest.append(tuple(sorted(set(block_a) | set(block_b))))
-    return canonical_partition(rest)
-
-
-def same_block(partition: tuple, a: int, b: int) -> bool:
-    """Return whether slots ``a`` and ``b`` share a block."""
-    return any(a in block and b in block for block in partition)
-
-
-def relabel_partition(partition: tuple, mapping: dict) -> tuple:
-    """Apply ``mapping`` to every slot; slots absent from it are dropped.
-
-    Returns ``(new_partition, dropped_blocks)`` where ``dropped_blocks``
-    counts the blocks that lost *all* their slots.
-    """
-    new_blocks = []
-    dropped = 0
-    for block in partition:
-        mapped = tuple(sorted(mapping[s] for s in block if s in mapping))
-        if mapped:
-            new_blocks.append(mapped)
-        else:
-            dropped += 1
-    return canonical_partition(new_blocks), dropped

@@ -74,7 +74,3 @@ def orient_by_degeneracy(graph: Graph) -> tuple:
             orientation[edge_key(u, v)] = (v, u)
     return orientation, degeneracy
 
-
-def out_neighbors(orientation: dict, vertex) -> list:
-    """Return the heads of the edges oriented out of ``vertex``."""
-    return sorted(head for tail, head in orientation.values() if tail == vertex)

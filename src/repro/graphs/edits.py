@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Tuple
 
-from repro.graphs.graph import Graph, edge_key
+from repro.graphs.graph import Graph
 
 #: The edit vocabulary, in wire order.
 EDIT_KINDS = (
@@ -189,14 +189,6 @@ class EditBatch:
         for edit in self.edits:
             out.update(edit.touched())
         return out
-
-    def touched_edges(self) -> set:
-        """Canonical keys of edges added, removed, or relabeled."""
-        return {
-            edge_key(e.u, e.v)
-            for e in self.edits
-            if e.kind != "set_vertex_label"
-        }
 
     # -- wire form -----------------------------------------------------
     def to_wire(self) -> list:

@@ -37,7 +37,11 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Optional
 
-from repro.api.runtime import VerificationEngine, VerificationReport
+from repro.api.runtime import (
+    VerificationEngine,
+    VerificationReport,
+    _run_views,
+)
 from repro.pls.model import Configuration, ViewFactory
 
 #: Default frontier radius: the touched vertices plus their neighbors.
@@ -126,19 +130,12 @@ class DirtyRegionExecutor:
         region = sorted(
             self.region_for(graph, dirty_vertices), key=repr
         )
+        # The engine's reference loop: a raising verifier rejects, and
+        # a view that cannot be built raises.
         factory = ViewFactory(config, labeling.mapping, labeling.location)
-        verdicts: dict = {}
-        rejections: list = []
-        for vertex in region:
-            try:
-                ok = bool(scheme.verify(factory.view(vertex)))
-            except Exception:
-                # Same contract as the engine: a raising verifier is a
-                # rejection, not an error.
-                ok = False
-            verdicts[vertex] = ok
-            if not ok:
-                rejections.append(vertex)
+        order = [factory.index_of(v) for v in region]
+        verdicts = _run_views(factory, scheme, order, fail_fast=False).verdicts
+        rejections = [v for v, ok in verdicts.items() if not ok]
         accepted = not rejections and len(verdicts) == len(region)
         return RegionReport(
             accepted=accepted,

@@ -67,11 +67,6 @@ class GraphProperty:
 # ----------------------------------------------------------------------
 # Formula builders
 # ----------------------------------------------------------------------
-def _vertex_set_nonempty(S: VertexSetVar) -> Formula:
-    x = VertexVar("_x_ne")
-    return Exists(x, In(x, S))
-
-
 def _crossing_edge(S: VertexSetVar) -> Formula:
     """Some edge leaves S (one endpoint in, one out)."""
     u, v = VertexVar("_u_cr"), VertexVar("_v_cr")

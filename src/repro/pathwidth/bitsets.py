@@ -76,18 +76,6 @@ def boundary_size(subset_mask: int, masks: Sequence[int]) -> int:
     return count
 
 
-def boundary_mask(subset_mask: int, masks: Sequence[int]) -> int:
-    """Return the bitset of subset vertices with a neighbor outside it."""
-    result = 0
-    remaining = subset_mask
-    while remaining:
-        low = remaining & -remaining
-        if masks[low.bit_length() - 1] & ~subset_mask:
-            result |= low
-        remaining ^= low
-    return result
-
-
 def vertex_separation_of_order(order: Sequence[int], masks: Sequence[int]) -> int:
     """Return the vertex separation of a dense-index ordering.
 

@@ -108,7 +108,3 @@ def heuristic_path_decomposition(
     assert best is not None
     return best
 
-
-def path_decomposition_from_bags(graph: Graph, bags) -> PathDecomposition:
-    """Wrap generator-provided witness bags into a validated decomposition."""
-    return PathDecomposition(graph, bags)

@@ -137,7 +137,3 @@ class PointerScheme(ProofLabelingScheme):
         # target + two (id, dist) records.
         return 3 * ctx.id_bits + 2 * ctx.counter_bits
 
-
-def pointer_label_size_bits(ctx: SizeContext) -> int:
-    """Size of one embedded pointer record (shared with Lemma 6.5 labels)."""
-    return 3 * ctx.id_bits + 2 * ctx.counter_bits

@@ -1,0 +1,124 @@
+"""Byte-level fuzz of the untrusted parsers.
+
+Every boundary that reads outside input returns either a parsed value
+or one typed error: the label decoder behind a stored labeling
+(:class:`~repro.codec.CodecError`), edit batches off the wire
+(:class:`~repro.graphs.edits.EditError`) and service graph payloads
+(:class:`~repro.service.protocol.ProtocolError`).  A stored labeling's
+wire form is also its identity — it keys compiled rounds — so the
+decoder behind it must be total: any other exception is a bug.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.api import certify
+from repro.codec import CodecError, decode_label
+from repro.core.certificates import Theorem1Label
+from repro.experiments import lanewidth_workload
+from repro.graphs import Graph
+from repro.graphs.edits import EditBatch, EditError
+from repro.service.protocol import ProtocolError, graph_from_wire
+
+
+@pytest.fixture(scope="module")
+def encoded():
+    """A real encoded labeling: its header and per-edge encodings."""
+    sequence, _graph = lanewidth_workload(2, 12, 3)
+    report = certify(sequence, "connected", rng=random.Random(3))
+    return report.encoded.header, list(report.encoded.labels.values())
+
+
+def _decodes_or_codec_error(data, header, bit_length):
+    try:
+        label = decode_label(data, header, bit_length)
+    except CodecError:
+        return
+    assert isinstance(label, Theorem1Label)
+
+
+class TestLabelDecoderTotal:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.binary(max_size=48),
+        bit_length=st.none() | st.integers(-8, 400),
+    )
+    def test_arbitrary_bytes(self, encoded, data, bit_length):
+        header, _labels = encoded
+        _decodes_or_codec_error(data, header, bit_length)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        pick=st.integers(min_value=0),
+        flips=st.lists(st.integers(min_value=0), min_size=1, max_size=4),
+        keep_length=st.booleans(),
+    )
+    def test_bit_flipped_labels(self, encoded, pick, flips, keep_length):
+        header, labels = encoded
+        label = labels[pick % len(labels)]
+        data = bytearray(label.data)
+        for flip in flips:
+            bit = flip % (8 * len(data))
+            data[bit >> 3] ^= 0x80 >> (bit & 7)
+        bit_length = label.bit_length if keep_length else None
+        _decodes_or_codec_error(bytes(data), header, bit_length)
+
+
+#: JSON scalars, biased towards edit kinds and small vertex names.
+_SCALAR = (
+    st.none()
+    | st.booleans()
+    | st.integers(-4, 12)
+    | st.floats(allow_nan=True)
+    | st.sampled_from(["", "add_edge", "remove_edge", "set_vertex_label",
+                       "set_edge_label", "x"])
+)
+
+#: JSON values, as a service frame or wire batch carries them.
+_JSON = st.recursive(
+    _SCALAR,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["", "u", "v"]), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+class TestEditBatchWireTotal:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.lists(st.lists(_SCALAR, max_size=5) | _JSON, max_size=3)
+           | _JSON)
+    def test_batch_or_edit_error(self, data):
+        try:
+            batch = EditBatch.from_wire(data)
+        except EditError:
+            return
+        assert isinstance(batch, EditBatch)
+
+
+def _rows(width):
+    return st.lists(st.lists(_SCALAR, max_size=width), max_size=4) | _JSON
+
+
+class TestGraphWireTotal:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        payload=st.fixed_dictionaries(
+            {},
+            optional={
+                "vertices": st.lists(_SCALAR, max_size=5) | _JSON,
+                "edges": _rows(3),
+                "vertex_labels": _rows(3),
+                "edge_labels": _rows(4),
+            },
+        )
+        | _JSON
+    )
+    def test_graph_or_protocol_error(self, payload):
+        try:
+            graph = graph_from_wire(payload)
+        except ProtocolError:
+            return
+        assert isinstance(graph, Graph)

@@ -12,8 +12,9 @@ kernel-accept against the reference verifier and raises on divergence.
 
 Also covered: the executor registry (:func:`repro.api.make_executor`),
 the ``AuditPlan`` engine override with the transplant-attack regression,
-the interning wire decoder, the service-level engine selection, and the
-persisted compiled-round envelope.
+the interning wire decoder, the service-level engine selection, the
+persisted compiled-round envelope, and verdicts under labels tampered
+with after certify.
 """
 
 import json
@@ -44,6 +45,7 @@ from repro.api import (
 )
 from repro.codec import decode_labeling_columnar, encode_labeling
 from repro.core import certify_lanewidth_graph, random_lanewidth_sequence
+from repro.core.certificates import EmbeddedRecord, Theorem1Label
 from repro.experiments import lanewidth_workload, seed_stream
 from repro.graphs.generators import cycle_graph
 from repro.pls import HAVE_NUMPY
@@ -184,6 +186,32 @@ class TestVectorizedDifferential:
         assert report.kernel_stats["mode"] == "kernel"
         assert report.kernel_stats["fallback_vertices"] >= 1
         assert not report.accepted
+
+    def test_embedded_record_without_payload_agrees(self):
+        """An embedded record that names the vertex but carries no
+        certificate gives it a port with no stack: the compile must flag
+        the vertex into the reference path, not emit an unattachable
+        state."""
+        config, scheme, labeling = _case(31)
+        edge = sorted(labeling.mapping, key=repr)[0]
+        me, other = edge
+        honest = labeling.mapping[edge]
+        record = EmbeddedRecord(
+            u_id=config.ids[me],
+            v_id=config.ids[other],
+            forward=1,
+            backward=1,
+            payload=None,
+        )
+        mapping = dict(labeling.mapping)
+        mapping[edge] = Theorem1Label(
+            honest.certificate, tuple(honest.embedded) + (record,)
+        )
+        bad = Labeling(labeling.location, mapping, labeling.size_context)
+        serial, report = _assert_equivalent(config, scheme, bad)
+        assert report.kernel_stats["mode"] == "kernel"
+        assert report.kernel_stats["fallback_vertices"] >= 1
+        assert not serial.accepted
 
     def test_non_theorem1_scheme_runs_on_reference(self):
         scheme = VertexScheme()
@@ -377,12 +405,18 @@ class TestCompiledRoundPersistence:
 
     @staticmethod
     def _stamped_case(seed: int, extra: int = 24):
-        """A `_case` whose labeling carries its wire digest (the
+        """A `_case` whose labels carry their wire form (the
         compiled-round cache key requires one)."""
-        from repro.codec import encode_labeling_columnar, stamp_wire_digest
+        from repro.api.store import StoredLabels
+        from repro.codec import encode_labeling_columnar
 
         config, scheme, labeling = _case(seed, extra=extra)
-        stamp_wire_digest(labeling, encode_labeling_columnar(labeling))
+        encoded = encode_labeling_columnar(labeling)
+        labeling = Labeling(
+            labeling.location,
+            StoredLabels(encoded, "test"),
+            labeling.size_context,
+        )
         return config, scheme, labeling
 
     def test_restarted_executor_attaches_compiled_round(self, tmp_path):
@@ -544,8 +578,9 @@ class TestCompiledRoundPersistence:
             "import json, random, sys\n"
             "from repro.api import (ArtifactCache, VectorizedExecutor,\n"
             "                       VerificationEngine)\n"
-            "from repro.codec import (encode_labeling_columnar,\n"
-            "                         stamp_wire_digest)\n"
+            "from repro.api.store import StoredLabels\n"
+            "from repro.codec import encode_labeling_columnar\n"
+            "from repro.pls.scheme import Labeling\n"
             "from repro.core import (certify_lanewidth_graph,\n"
             "                        random_lanewidth_sequence)\n"
             "rng = random.Random(7)\n"
@@ -553,7 +588,10 @@ class TestCompiledRoundPersistence:
             "    3, 16, rng, edge_probability=0.15)\n"
             "config, scheme, labeling, _res = certify_lanewidth_graph(\n"
             "    sequence, 'connected', rng)\n"
-            "stamp_wire_digest(labeling, encode_labeling_columnar(labeling))\n"
+            "encoded = encode_labeling_columnar(labeling)\n"
+            "labeling = Labeling(labeling.location,\n"
+            "    StoredLabels(encoded, 'test'),\n"
+            "    labeling.size_context)\n"
             "report = VerificationEngine(VectorizedExecutor(\n"
             "    artifacts=ArtifactCache(root=sys.argv[1]))).verify(\n"
             "    config, scheme, labeling)\n"
@@ -593,3 +631,115 @@ class TestCompiledRoundPersistence:
         assert second["compile_seconds"] == 0
         assert second["accepted"] is first["accepted"]
         assert second["verdicts"] == first["verdicts"]
+
+
+@needs_numpy
+class TestTamperAfterCertify:
+    """A report's verdicts follow its labels, even after certify.
+
+    Compiled rounds are keyed on the wire form the labels carry, and a
+    report's mapping is read-only: tampering means assigning a plain
+    ``dict`` copy, which has no wire identity, so no executor can reuse
+    a round compiled from the honest labels.
+    """
+
+    @staticmethod
+    def _certified(root):
+        from repro.api import CertificateStore
+
+        sequence, _graph = lanewidth_workload(3, 48, 5)
+        store = CertificateStore(root)
+        session = CertificationSession(
+            rng=random.Random(5),
+            store=store,
+            engine=VerificationEngine(VectorizedExecutor()),
+        )
+        report = session.certify(sequence, "connected")
+        assert report.accepted
+        return store, session, report
+
+    @staticmethod
+    def _swap_first_and_last(report):
+        mapping = dict(report.labeling.mapping)
+        keys = sorted(mapping, key=repr)
+        first, last = keys[0], keys[-1]
+        mapping[first], mapping[last] = mapping[last], mapping[first]
+        report.labeling.mapping = mapping
+
+    @staticmethod
+    def _assert_cached_round(verification):
+        stats = verification.kernel_stats
+        assert stats["mode"] == "kernel"
+        assert stats["compiled_round_cached"] is True
+        assert stats["compile_seconds"] == 0
+
+    def test_in_place_edit_raises(self, tmp_path):
+        _store, _session, report = self._certified(tmp_path)
+        mapping = report.labeling.mapping
+        key = next(iter(mapping))
+        with pytest.raises(TypeError):
+            mapping[key] = mapping[key]
+        with pytest.raises(TypeError):
+            mapping.decoded[key] = mapping[key]
+
+    def test_swapped_copy_rejected_by_every_engine(self, tmp_path):
+        store, session, report = self._certified(tmp_path)
+        self._swap_first_and_last(report)
+        serial = VerificationEngine(SerialExecutor()).verify(
+            report.config, report.scheme, report.labeling
+        )
+        assert not serial.accepted
+        fresh_session = CertificationSession(
+            rng=random.Random(5),
+            store=store,
+            engine=VerificationEngine(VectorizedExecutor()),
+        )
+        lent = VerificationEngine(
+            VectorizedExecutor(artifacts=store.artifact_cache())
+        )
+        rounds = [
+            fresh_session.verify(report),
+            lent.verify(report.config, report.scheme, report.labeling),
+            session.verify(report),
+        ]
+        for verification in rounds:
+            assert verification.kernel_stats["mode"] == "kernel"
+            assert verification.kernel_stats["compiled_round_cached"] is False
+            assert not verification.accepted
+            assert verification.verdicts == serial.verdicts
+            assert (
+                verification.rejecting_vertices == serial.rejecting_vertices
+            )
+
+    def test_edited_wire_form_is_not_served(self, tmp_path):
+        # The mapping keeps its own copy of the wire form, so an edit to
+        # ``report.encoded`` changes neither its labels nor its key.
+        store, _session, report = self._certified(tmp_path)
+        loaded = store.load(
+            report.config.graph.fingerprint(), "connected", decode=False
+        )
+        digest = loaded.labeling.mapping.digest
+        labels = loaded.encoded.labels
+        keys = sorted(labels, key=repr)
+        labels[keys[0]], labels[keys[-1]] = labels[keys[-1]], labels[keys[0]]
+        assert loaded.labeling.mapping.digest == digest
+        assert loaded.labeling.mapping == report.labeling.mapping
+
+    def test_untouched_report_attaches_with_lent_cache(self, tmp_path):
+        _store, session, report = self._certified(tmp_path)
+        first = report.verification
+        assert first.kernel_stats["compiled_round_cached"] is False
+        again = session.verify(report)
+        self._assert_cached_round(again)
+        assert again.verdicts == first.verdicts
+
+    def test_untouched_report_attaches_without_cache(self, tmp_path):
+        _store, _session, report = self._certified(tmp_path)
+        engine = VerificationEngine(VectorizedExecutor())
+        cold = engine.verify(report.config, report.scheme, report.labeling)
+        assert cold.kernel_stats["compiled_round_cached"] is False
+        assert cold.kernel_stats["compile_seconds"] > 0
+        warm = engine.verify(report.config, report.scheme, report.labeling)
+        self._assert_cached_round(warm)
+        assert warm.verdicts == cold.verdicts
+        assert warm.accepted

@@ -21,18 +21,20 @@ After the cold runs, the lanewidth certificate is saved into a
 temporary store and re-verified twice with a vectorized executor, each
 time from a fresh ``CertificateStore``: the first ``store.reverify``
 compiles the round and persists it, the second attaches it.  These run
-without cProfile; each leg prints rows for load, decode,
+without cProfile; each leg prints rows for load, decode, artifact get,
 compile/attach, kernel and fallback views (self times), plus the
-number of labelings decoded and ``compiled_round_cached``.
+number of labelings decoded, ``compiled_round_cached`` and the round's
+``compile_seconds``.
 
 Output is human-readable on stdout plus one machine-readable JSON file
 (``--json``, default ``profile_cold.json``) and a ``PROFILE_JSON`` line,
 with one block per mode and one for the reverify legs — the same
 trajectory convention the E-series benchmarks use.  The exit status is
 1 when either mode refuses or its verification round rejects, when a
-reverify round rejects, or when a reverify that attached the compiled
-round decoded any label.  CI runs this as a smoke step on a small
-workload; locally, crank ``--n`` up.
+reverify round rejects, or when the attach leg did not attach: it must
+report ``compiled_round_cached=True``, zero compile seconds and no
+decoded label, so a leg that silently recompiles fails.  CI runs this
+as a smoke step on a small workload; locally, crank ``--n`` up.
 
 Usage::
 
@@ -53,6 +55,7 @@ from contextlib import contextmanager
 import repro.api.store as store_module
 import repro.api.vectorized as vectorized_module
 from repro.api import (
+    ArtifactCache,
     CertificateStore,
     CertificationSession,
     VerificationEngine,
@@ -76,6 +79,7 @@ MODES = ("lanewidth", "theorem1")
 REVERIFY_LAYERS = (
     ("load", CertificateStore, "load"),
     ("decode", store_module, "decode_labeling_columnar"),
+    ("artifact get", ArtifactCache, "get"),
     ("attach", vectorized_module, "_attach_compiled_round"),
     ("fallback views", vectorized_module, "_run_views"),
 )
@@ -209,6 +213,7 @@ def reverify_leg(root, fingerprint: str) -> dict:
     rows = [
         ("load", seconds["load"]),
         ("decode", seconds["decode"]),
+        ("artifact get", seconds["artifact get"]),
         ("compile/attach", stats.get("compile_seconds", 0.0) + seconds["attach"]),
         ("kernel", stats.get("kernel_seconds", 0.0)),
         ("fallback views", seconds["fallback views"]),
@@ -220,6 +225,7 @@ def reverify_leg(root, fingerprint: str) -> dict:
         "stages": {row: round(s, 6) for row, s in rows},
         "decodes": store.metrics.snapshot()["decodes"],
         "compiled_round_cached": bool(stats.get("compiled_round_cached", False)),
+        "compile_seconds": stats.get("compile_seconds", 0.0),
     }
 
 
@@ -238,18 +244,25 @@ def profile_reverify(report) -> dict:
             print(f"{'total':<16}{block['total_s']:>10.4f}")
             print(
                 f"accepted={block['accepted']} decodes={block['decodes']} "
-                f"compiled_round_cached={block['compiled_round_cached']}"
+                f"compiled_round_cached={block['compiled_round_cached']} "
+                f"compile_seconds={block['compile_seconds']:.4f}"
             )
             print()
     return legs
 
 
 def reverify_ok(legs: dict) -> bool:
-    """Every leg accepts, and a leg that attached decoded nothing."""
-    return all(
-        leg["accepted"]
-        and not (leg["compiled_round_cached"] and leg["decodes"])
-        for leg in legs.values()
+    """Every leg accepts, and the attach leg really attached.
+
+    The attach leg must report the round cached, no compile time and no
+    decoded label: a leg that silently recompiles fails.
+    """
+    attach = legs["attach"]
+    return (
+        all(leg["accepted"] for leg in legs.values())
+        and attach["compiled_round_cached"]
+        and attach["compile_seconds"] == 0
+        and attach["decodes"] == 0
     )
 
 
