@@ -17,9 +17,9 @@ microseconds, so its row carries **two** numbers:
   kernels; what a one-shot CLI run pays);
 * ``steady_s`` — re-verifying the same labels (what the daemon and the
   store's re-verify-many loop pay after warm-up; best of
-  ``STEADY_REPEATS``): the executor has no artifact cache, so it
-  re-attaches its last compiled state, found under the content key of
-  the wire form the report's labels carry.
+  ``STEADY_REPEATS``): the executor is lent an in-memory artifact
+  cache, so it re-attaches the compiled round it kept there, found
+  under the content key of the wire form the report's labels carry.
 
 Every executor row records its ``kind``, and the kernel rows their
 ``kernel_stats`` counters, so the trajectory file is self-describing.
@@ -109,10 +109,12 @@ def test_e8_runtime(benchmark):
     with tempfile.TemporaryDirectory() as root:
         store = CertificateStore(root)
         for n in SIZES:
-            # The kernel executor is per-n so every cold row really is
-            # cold (it keeps its last compiled state for the steady
-            # rows).
-            vectorized = VerificationEngine(make_executor("vectorized"))
+            # The kernel executor and its in-memory cache are per-n so
+            # every cold row really is cold (the cache keeps the
+            # compiled round for the steady rows).
+            vectorized = VerificationEngine(
+                make_executor("vectorized", artifacts=ArtifactCache())
+            )
             t0 = time.perf_counter()
             report = _prove(n, seed=n, store=store)
             t1 = time.perf_counter()

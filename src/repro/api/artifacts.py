@@ -149,10 +149,10 @@ class ArtifactCache:
     def annotate(self, key: str, name: str, value) -> None:
         """Attach a derived output to an existing entry (both layers).
 
-        The session uses this to ride the wire-encoded form of a
-        labeling along with the labeling artifact itself, so warm runs
-        skip re-encoding.  Unknown keys are ignored — annotation is an
-        optimization, never a correctness requirement.
+        Rewrites the entry's envelope.  The library no longer calls it:
+        the label node emits its wire form as an output, written once.
+        Unknown keys are ignored — annotation is an optimization, never
+        a correctness requirement.
         """
         entry = self._memory.get(key)
         if entry is None:

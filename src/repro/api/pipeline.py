@@ -23,9 +23,11 @@ operational).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from time import perf_counter
 from typing import Callable, Optional
 
-from repro.core.certificates import CertificateBuilder
+from repro.codec import WIRE_VERSION, encode_labeling_columnar
+from repro.core.certificates import CertificateBuilder, accounted_label_bits
 from repro.core.completion import build_completion
 from repro.core.construction import build_hierarchy
 from repro.core.embedding import Embedding
@@ -50,6 +52,8 @@ from repro.pathwidth.heuristics import heuristic_path_decomposition
 from repro.pls.bits import ClassIndexer, SizeContext
 from repro.pls.model import Configuration
 from repro.pls.scheme import Labeling, ProverFailure
+
+from repro.api.store import StoredLabels
 
 #: Instance-size cutoff up to which :class:`DecomposeStage` always runs
 #: an exact engine to completion.  Above it, exact search only happens
@@ -87,7 +91,12 @@ class PipelineContext:
     # Property-specific artifacts.
     evaluation: object = None  # HierarchyEvaluation
     class_count: Optional[int] = None
-    labeling: Optional[Labeling] = None
+    labeling: Optional[Labeling] = None  # its mapping: StoredLabels
+    #: (max, mean, total) of the ``label_bits`` arithmetic.
+    accounted_bits: Optional[tuple] = None
+    #: Seconds of the label node's run spent encoding (not an artifact:
+    #: 0.0 when the node was resolved from a cache).
+    encode_seconds: float = 0.0
 
     @property
     def graph(self):
@@ -108,6 +117,8 @@ class PipelineContext:
         clone.evaluation = None
         clone.class_count = None
         clone.labeling = None
+        clone.accounted_bits = None
+        clone.encode_seconds = 0.0
         return clone
 
 
@@ -417,22 +428,44 @@ class EvaluateStage(Stage):
 
 
 class LabelStage(Stage):
-    """Lemmas 6.4/6.5: build the physical edge certificates.
+    """Lemmas 6.4/6.5: build the physical edge certificates, in final form.
 
     Label assembly is batch-wise: the builder materializes each
     embedding path's records in one sweep and assembles the full
     ``edge -> Theorem1Label`` mapping in a single pass, so the cold
-    path pays per-batch rather than per-edge overheads (PR 10).
+    path pays per-batch rather than per-edge overheads (PR 10).  The
+    node then encodes the labels once and serves them through a
+    read-only :class:`~repro.api.store.StoredLabels`, which pickles as
+    its wire form, and sizes them with the ``label_bits`` arithmetic:
+    the artifact holds the wire bytes once, and a hit yields every size
+    figure without reading a label.  The wire form is part of the
+    output, so the key names the wire version.
     """
 
     name = "label"
     inputs = ("root", "evaluation", "embedding", "config")
-    outputs = ("class_count", "labeling")
+    outputs = ("class_count", "labeling", "accounted_bits")
+
+    def plan_params(self):
+        return (("wire_version", WIRE_VERSION), True)
 
     def run(self, ctx: PipelineContext) -> None:
         indexer = ClassIndexer()
         builder = CertificateBuilder(ctx.config, ctx.root, ctx.evaluation, indexer)
         mapping = builder.physical_labels(ctx.embedding)
         size_ctx = SizeContext(ctx.config.n, class_count=indexer.class_count)
+        began = perf_counter()
+        encoded = encode_labeling_columnar(Labeling("edges", mapping, size_ctx))
+        ctx.encode_seconds = perf_counter() - began
+        memo: dict = {}
+        sizes = [
+            accounted_label_bits(x, size_ctx, memo) for x in mapping.values()
+        ]
+        total = sum(sizes)
+        ctx.accounted_bits = (
+            max(sizes, default=0), total / max(len(sizes), 1), total
+        )
         ctx.class_count = indexer.class_count
-        ctx.labeling = Labeling("edges", mapping, size_ctx)
+        ctx.labeling = Labeling(
+            "edges", StoredLabels._from_prover(encoded, mapping), size_ctx
+        )

@@ -298,6 +298,8 @@ def run_plan(plan: CertificationPlan, config, algebra) -> Labeling:
     """Prove ``algebra`` on ``config`` from scratch: run every node of
     ``plan`` through a :class:`PlanRunner` over a throwaway cache.
 
+    The labeling's mapping is the label node's read-only
+    :class:`~repro.api.store.StoredLabels`, which carries its wire form.
     Raises :class:`ProverFailure` when the honest prover refuses.
     """
     ctx = PipelineContext(config=config, algebra=algebra)

@@ -103,8 +103,9 @@ class CertificationReport:
     #: optimality/timeout flags.
     decomposition_stats: Optional[dict] = None
 
-    # Cold-path observability: wall-clock spent wire-encoding the
-    # labeling (0.0 when the encoded form came from the artifact cache),
+    # Cold-path observability: wall-clock the label node spent
+    # wire-encoding the labeling (0.0 when the node came from the
+    # artifact cache; an executed ``label`` stage row is net of it),
     # kernel compile time of the verification round, and whether that
     # round attached to a persisted compiled-round envelope instead of
     # compiling.

@@ -18,30 +18,31 @@ dict:
   per-property evaluations resolve too, leaving only work keyed to the
   new configuration's identifiers.
 
-Every successful labeling is wire-encoded (:mod:`repro.codec`), so the
-report's ``max/mean/total_label_bits`` are measured byte-string sizes;
-the encoded form rides along with the labeling artifact, and — when the
-session carries a store — is persisted for later re-verification with
-zero prover stages.  The report's labeling maps through a read-only
-:class:`~repro.api.store.StoredLabels` that holds the prover's own
-label objects and the digest of their wire form, so verification rounds
-key compiled rounds on the labels themselves.
+The label node (:class:`~repro.api.pipeline.LabelStage`) emits every
+labeling in final form: wire-encoded (:mod:`repro.codec`), mapped
+through a read-only :class:`~repro.api.store.StoredLabels` that pickles
+as that wire form, and sized by the ``label_bits`` arithmetic.  So the
+label artifact holds the certificate bytes once, the report's
+``max/mean/total_label_bits`` are measured byte-string sizes read off
+the wire form, its ``accounted_*`` figures come with the node, and a
+label-node hit builds its report without reading a label.  Rounds key
+compiled rounds on the digest of that wire form, and — when the session
+carries a store — the report is persisted for later re-verification
+with zero prover stages.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from time import perf_counter
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
-from repro.codec import encode_labeling_columnar
 from repro.core.lanewidth import ConstructionSequence, apply_construction
 from repro.core.scheme import LanewidthScheme, Theorem1Scheme
 from repro.courcelle.algebra import BoundedAlgebra
 from repro.courcelle.registry import resolve_algebra
 from repro.pls.model import Configuration
-from repro.pls.scheme import Labeling, ProverFailure
+from repro.pls.scheme import ProverFailure
 
 from repro.api.artifacts import ArtifactCache
 from repro.api.pipeline import MatchSequenceStage, PipelineContext
@@ -60,7 +61,6 @@ from repro.api.runtime import (
     VerificationReport,
     lend_artifacts,
 )
-from repro.api.store import StoredLabels
 
 
 @dataclass
@@ -176,10 +176,11 @@ class CertificationSession:
         (``report.refused``), not raised — a false property must not
         abort the rest of the batch.
 
-        Successful labelings are wire-encoded (:mod:`repro.codec`): the
-        report's size figures are measured encoding lengths, the
-        encoded form is attached as ``report.encoded``, and — when the
-        session carries a store — persisted for later re-verification.
+        Successful labelings carry their wire form (:mod:`repro.codec`):
+        the report's size figures are measured encoding lengths, a copy
+        of the encoded form is attached as ``report.encoded``, and —
+        when the session carries a store — persisted for later
+        re-verification.
         """
         single = isinstance(properties, (str, BoundedAlgebra))
         try:
@@ -396,57 +397,32 @@ class CertificationSession:
             report.stage_counters = dict(self.stage_counters)
             return report
 
-        # The wire encoding is the ground truth for every size figure;
-        # it rides along with the labeling artifact so warm-cache runs
-        # skip re-encoding too.
-        encoded = None
-        encode_seconds = 0.0
-        label_key = prop_keys["label"].key
-        if "label" in run.cache_hits:
-            entry = self.artifacts.get(label_key)
-            if entry is not None:
-                encoded = entry.outputs.get("encoded")
-        if encoded is None:
-            began = perf_counter()
-            encoded = encode_labeling_columnar(ctx.labeling)
-            encode_seconds = perf_counter() - began
-            self.artifacts.annotate(label_key, "encoded", encoded)
+        # The label node encodes its labels: report that time as its own
+        # row beside the node's.  A hit encoded nothing (0.0), so its
+        # cached row replays the node's full cost.
+        timings = tuple(
+            replace(t, seconds=t.seconds - ctx.encode_seconds)
+            if t.name == "label"
+            else t
+            for t in run.timings
+        )
         return self._finish_report(
-            structure,
-            config,
-            key,
-            algebra,
-            ctx.labeling,
-            ctx.class_count,
-            encoded,
-            structure.timings + tuple(run.timings),
-            verify,
-            encode_seconds=encode_seconds,
+            structure, config, key, algebra, ctx,
+            structure.timings + timings, verify,
         )
 
     def _finish_report(
-        self,
-        structure,
-        config,
-        key,
-        algebra,
-        labeling,
-        class_count,
-        encoded,
-        stage_timings,
-        verify,
-        encode_seconds: float = 0.0,
+        self, structure, config, key, algebra, ctx, stage_timings, verify
     ) -> CertificationReport:
         root = structure.ctx.root
         scheme = self._scheme_for(structure, algebra)
-        # The report's labels carry their wire form, read-only: rounds
-        # key compiled rounds on its digest, and no edit can reach the
-        # labels behind that key.
-        labeling = Labeling(
-            labeling.location,
-            StoredLabels._from_prover(encoded, labeling.mapping),
-            labeling.size_context,
-        )
+        # The label node's labels carry their wire form, read-only:
+        # rounds key compiled rounds on its digest.  Each report gets its
+        # own shell, so a mapping assigned to one report never reaches
+        # the cached artifact.
+        labeling = replace(ctx.labeling)
+        encoded = labeling.mapping.encoded()
+        accounted_max, accounted_mean, accounted_total = ctx.accounted_bits
         if verify:
             lend_artifacts(self.engine, self.artifacts)
             verification = self.engine.verify(config, scheme, labeling)
@@ -467,18 +443,18 @@ class CertificationSession:
             max_width=structure.ctx.max_width,
             lane_count=len(root.lanes),
             hierarchy_depth=structure.ctx.hierarchy_depth,
-            class_count=class_count,
+            class_count=ctx.class_count,
             max_label_bits=encoded.max_bits,
             mean_label_bits=encoded.mean_bits,
             total_label_bits=encoded.total_bits,
-            accounted_max_label_bits=labeling.max_label_bits(scheme),
-            accounted_mean_label_bits=labeling.mean_label_bits(scheme),
-            accounted_total_label_bits=labeling.total_label_bits(scheme),
+            accounted_max_label_bits=accounted_max,
+            accounted_mean_label_bits=accounted_mean,
+            accounted_total_label_bits=accounted_total,
             stage_timings=tuple(stage_timings),
             stage_counters=dict(self.stage_counters),
             structure_cached=structure.all_cached,
             decomposition_stats=structure.ctx.decomposition_stats,
-            encode_seconds=encode_seconds,
+            encode_seconds=ctx.encode_seconds,
             compile_seconds=(
                 (verification.kernel_stats or {}).get("compile_seconds", 0.0)
                 if verification is not None

@@ -207,9 +207,11 @@ class StoredLabels(Mapping):
     iteration runs the one decoder, ``decode_labeling_columnar``
     (looked up by name at read time), and a payload that does not
     decode raises :class:`StoreError`.  ``len()`` answers from the
-    wire form.  A session builds its reports' mappings with
-    :meth:`_from_prover`, which serves the prover's own label objects,
-    so nothing is decoded there.
+    wire form.  The label stage builds every honest labeling's mapping
+    with :meth:`_from_prover`, which serves the prover's own label
+    objects, so nothing is decoded there; the same mapping read back
+    from a label artifact on disk decodes on first read, like a stored
+    one.  :meth:`encoded` hands out a copy of the wire form.
 
     No public path changes the labels it serves: item assignment raises
     ``TypeError`` and :attr:`decoded` is a read-only view.  So the
@@ -237,9 +239,10 @@ class StoredLabels(Mapping):
     def _from_prover(cls, encoded: EncodedLabeling, labels) -> "StoredLabels":
         """Serve ``labels``, which ``encoded`` was just encoded from.
 
-        Nothing checks that the two agree, so only the session calls
-        this, on the labels it has just encoded; everyone else builds
-        the mapping from the wire form alone.
+        Nothing checks that the two agree, so only the label stage
+        (:class:`~repro.api.pipeline.LabelStage`) calls this, on the
+        labels it has just encoded; everyone else builds the mapping
+        from the wire form alone.
         """
         stored = cls(encoded, "prover")
         stored._decoded = dict(labels)
@@ -252,6 +255,11 @@ class StoredLabels(Mapping):
     def digest(self) -> str:
         """Content digest of the wire form: the compiled-round key's link."""
         return self._digest
+
+    def encoded(self) -> EncodedLabeling:
+        """A copy of the wire form; editing it changes nothing served."""
+        enc = self._encoded
+        return EncodedLabeling(enc.header, dict(enc.labels), enc.location)
 
     @property
     def decoded(self):

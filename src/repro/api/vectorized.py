@@ -1537,12 +1537,9 @@ def _compiled_round_cache_key(config, scheme, digest):
     the exact labeling (the digest of the wire form its labels carry),
     the verifier profile, and the envelope/wire format versions — any
     of these changing must produce a different key, so stale envelopes
-    are simply never looked up.  Returns ``None`` when the labels carry
-    no wire form (``digest`` is ``None``) or the algebra has no stable
-    key: such a round always compiles.
+    are simply never looked up.  Returns ``None`` when the algebra has
+    no stable key: such a round always compiles.
     """
-    if digest is None:
-        return None
     algebra_key = getattr(getattr(scheme, "algebra", None), "key", None)
     if algebra_key is None:
         return None
@@ -1587,11 +1584,9 @@ class VectorizedExecutor(VerificationExecutor):
     :class:`~repro.api.store.StoredLabels` mapping holds its encoded
     labeling's digest, and that mapping is read-only, so the key
     changes whenever the labels do.  A plain ``dict`` mapping has no
-    wire identity and always compiles.  With an artifact cache
-    (configured, or lent by a session or store) rounds are found and
-    kept only there, across processes too; without one the executor
-    keeps only its last compiled state, and must not be shared across
-    threads.
+    wire identity and always compiles.  Rounds are found and kept only
+    in an artifact cache (configured, or lent by a session or store),
+    across processes too; an executor without one compiles every round.
 
     ``audit=True`` cross-checks every kernel-accepted vertex against
     the reference verifier and raises on divergence — the differential
@@ -1605,7 +1600,6 @@ class VectorizedExecutor(VerificationExecutor):
         #: Optional :class:`~repro.api.artifacts.ArtifactCache` holding
         #: compiled rounds across rounds *and processes*.
         self.artifacts = artifacts
-        self._last_state = None  # (key, state) when there is no cache
 
     def adopt_artifacts(self, cache) -> None:
         """Accept a session's artifact cache unless one was configured.
@@ -1618,22 +1612,14 @@ class VectorizedExecutor(VerificationExecutor):
             self.artifacts = cache
 
     def _stored_state(self, key):
-        """The envelope state kept under ``key``, or ``None``."""
+        """The envelope state the cache keeps under ``key``, or ``None``."""
         if key is None:
             return None
-        if self.artifacts is not None:
-            entry = self.artifacts.get(key)
-            return None if entry is None else entry.outputs.get("state")
-        last = self._last_state  # read once: the key and state must pair
-        if last is not None and last[0] == key:
-            return last[1]
-        return None
+        entry = self.artifacts.get(key)
+        return None if entry is None else entry.outputs.get("state")
 
     def _keep_state(self, key, state, seconds: float) -> None:
         if key is None:
-            return
-        if self.artifacts is None:
-            self._last_state = (key, state)
             return
         try:
             self.artifacts.put(
@@ -1661,8 +1647,9 @@ class VectorizedExecutor(VerificationExecutor):
             arrays = factory.round_arrays()
         except NotVectorizable as exc:
             raise Unvectorizable(str(exc)) from None
-        digest = mapping.digest if isinstance(mapping, StoredLabels) else None
-        key = _compiled_round_cache_key(config, scheme, digest)
+        key = None  # no cache, or labels without a wire form: compile
+        if self.artifacts is not None and isinstance(mapping, StoredLabels):
+            key = _compiled_round_cache_key(config, scheme, mapping.digest)
         round_ = _attach_compiled_round(self._stored_state(key), arrays)
         if round_ is not None:
             return round_, 0.0, True

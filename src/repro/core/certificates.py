@@ -495,3 +495,12 @@ def label_bits(
         total += 2 * ctx.id_bits + 2 * ctx.counter_bits
         total += certificate_bits(record.payload, ctx, width, memo)
     return total
+
+
+def accounted_label_bits(label, ctx: SizeContext, memo=None) -> int:
+    """:func:`label_bits` at the label's own width; a non-label (what an
+    attack may leave on an edge) is accounted as one identifier."""
+    if not isinstance(label, Theorem1Label):
+        return ctx.id_bits
+    width = len(label.certificate.stack[0].info.lanes)
+    return label_bits(label, ctx, width, memo)

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.core.certificates import Theorem1Label, label_bits
+from repro.core.certificates import accounted_label_bits
 from repro.core.lane_partition import f_bound
 from repro.core.lanewidth import ConstructionSequence, apply_construction
 from repro.core.verifier import verify_theorem1
@@ -71,18 +71,14 @@ class CertifyingScheme(ProofLabelingScheme):
         return verify_theorem1(view, self.algebra, self.max_width)
 
     def label_size_bits(self, label, ctx: SizeContext) -> int:
-        if not isinstance(label, Theorem1Label):
-            return ctx.id_bits
-        width = len(label.certificate.stack[0].info.lanes)
         # One accounting memo per size context: labels of one labeling
-        # share record objects heavily, and the report sizes the whole
-        # labeling back to back.  The memo is transient state, dropped
-        # on pickling.
+        # share record objects heavily.  The memo is transient state,
+        # dropped on pickling.
         memo = self.__dict__.get("_bits_memo")
         if memo is None or memo[0] is not ctx:
             memo = (ctx, {})
             self.__dict__["_bits_memo"] = memo
-        return label_bits(label, ctx, width, memo[1])
+        return accounted_label_bits(label, ctx, memo[1])
 
     def __getstate__(self):
         state = self.__dict__.copy()

@@ -29,35 +29,20 @@ class Labeling:
         if self.location not in ("vertices", "edges"):
             raise ValueError("location must be 'vertices' or 'edges'")
 
-    def __getstate__(self):
-        # The sizes cache holds a scheme, which may close over
-        # unpicklable prover state; drop it at process boundaries.
-        state = self.__dict__.copy()
-        state.pop("_sizes_cache", None)
-        return state
-
-    def _label_sizes(self, scheme: "ProofLabelingScheme") -> tuple:
-        """Per-label sizes, computed once per scheme (the report asks
-        for max, mean, and total back to back over the same walk)."""
-        cached = self.__dict__.get("_sizes_cache")
-        if cached is not None and cached[0] is scheme:
-            return cached[1]
-        sizes = tuple(
-            scheme.label_size_bits(label, self.size_context)
-            for label in self.mapping.values()
-        )
-        self.__dict__["_sizes_cache"] = (scheme, sizes)
-        return sizes
-
     def max_label_bits(self, scheme: "ProofLabelingScheme") -> int:
         """Return the maximum encoded certificate size in bits."""
-        if not self.mapping:
-            return 0
-        return max(self._label_sizes(scheme))
+        ctx = self.size_context
+        return max(
+            (scheme.label_size_bits(x, ctx) for x in self.mapping.values()),
+            default=0,
+        )
 
     def total_label_bits(self, scheme: "ProofLabelingScheme") -> int:
         """Return the total certificate volume in bits."""
-        return sum(self._label_sizes(scheme))
+        ctx = self.size_context
+        return sum(
+            scheme.label_size_bits(x, ctx) for x in self.mapping.values()
+        )
 
     def mean_label_bits(self, scheme: "ProofLabelingScheme") -> float:
         """Return the average encoded certificate size in bits."""

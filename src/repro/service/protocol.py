@@ -141,7 +141,9 @@ def decode_line(line: bytes) -> dict:
         )
     try:
         message = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and over-long integer
+        # literals; RecursionError, nesting deeper than the parser goes.
         raise ProtocolError(f"malformed JSON frame: {exc}") from exc
     if not isinstance(message, dict):
         raise ProtocolError("frame must be a JSON object")

@@ -85,14 +85,12 @@ class ServiceError(ValueError):
 
 
 def _int_param(params: dict, name: str, default: int) -> int:
-    """``params[name]`` as an int; anything else is a ProtocolError."""
+    """``params[name]``, which must be a JSON integer (not a float, a
+    boolean or a string); anything else is a ProtocolError."""
     value = params.get(name, default)
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(
-            f"{name!r} must be an integer (got {value!r})"
-        ) from exc
+    if type(value) is not int:
+        raise ProtocolError(f"{name!r} must be an integer (got {value!r})")
+    return value
 
 
 def _check_property(key: str) -> None:

@@ -3,12 +3,14 @@
 Every boundary that reads outside input returns either a parsed value
 or one typed error: the label decoder behind a stored labeling
 (:class:`~repro.codec.CodecError`), edit batches off the wire
-(:class:`~repro.graphs.edits.EditError`) and service graph payloads
+(:class:`~repro.graphs.edits.EditError`), and service frames, request
+envelopes and graph payloads
 (:class:`~repro.service.protocol.ProtocolError`).  A stored labeling's
 wire form is also its identity — it keys compiled rounds — so the
 decoder behind it must be total: any other exception is a bug.
 """
 
+import json
 import random
 
 import pytest
@@ -21,7 +23,13 @@ from repro.core.certificates import Theorem1Label
 from repro.experiments import lanewidth_workload
 from repro.graphs import Graph
 from repro.graphs.edits import EditBatch, EditError
-from repro.service.protocol import ProtocolError, graph_from_wire
+from repro.service.protocol import (
+    OPS,
+    ProtocolError,
+    decode_line,
+    graph_from_wire,
+    validate_request,
+)
 
 
 @pytest.fixture(scope="module")
@@ -122,3 +130,56 @@ class TestGraphWireTotal:
         except ProtocolError:
             return
         assert isinstance(graph, Graph)
+
+
+#: Frame bytes: arbitrary, JSON-ish token soup, or nested deeper than
+#: the JSON parser recurses.
+_FRAME_BYTES = (
+    st.binary(max_size=64)
+    | st.lists(
+        st.sampled_from([b"[", b"]", b"{", b"}", b'"', b":", b",", b"1",
+                         b"-", b"e", b"\\", b"\xff", b"null", b'"op"']),
+        max_size=40,
+    ).map(b"".join)
+    | st.builds(
+        lambda depth, opener: opener * depth,
+        st.integers(0, 3000),
+        st.sampled_from([b"[", b'{"op":']),
+    )
+)
+
+#: Decoded frames: objects whose ``op`` is often a real one.
+_FRAME_JSON = (
+    st.dictionaries(
+        st.sampled_from(["op", "id", "", "graph"]),
+        st.sampled_from(OPS) | _JSON,
+        max_size=3,
+    )
+    | _JSON
+)
+
+
+def _request_or_protocol_error(line):
+    """A frame parses to a dict and a known op, or raises ProtocolError."""
+    try:
+        request = decode_line(line)
+    except ProtocolError:
+        return
+    assert isinstance(request, dict)
+    try:
+        op = validate_request(request)
+    except ProtocolError:
+        return
+    assert op in OPS
+
+
+class TestServiceFrameTotal:
+    @settings(max_examples=150, deadline=None)
+    @given(line=_FRAME_BYTES)
+    def test_arbitrary_bytes(self, line):
+        _request_or_protocol_error(line)
+
+    @settings(max_examples=100, deadline=None)
+    @given(value=_FRAME_JSON)
+    def test_encoded_json_values(self, value):
+        _request_or_protocol_error(json.dumps(value).encode())

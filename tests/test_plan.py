@@ -34,11 +34,14 @@ from repro.api import (
     PipelineContext,
     PlanError,
     PlanRunner,
+    VectorizedExecutor,
+    VerificationEngine,
     lanewidth_plan,
     run_plan,
     theorem1_plan,
 )
-from repro.codec import encode_labeling
+from repro.api.store import StoredLabels
+from repro.codec import WIRE_VERSION, encode_labeling
 from repro.core import apply_construction, random_lanewidth_sequence
 from repro.experiments import lanewidth_workload
 from repro.graphs.generators import random_pathwidth_graph
@@ -49,6 +52,16 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 STRUCTURAL_T1 = ("decompose", "lanes", "completion", "hierarchy")
 
 ZOO = ["connected", "acyclic", "bipartite", "even-order", "max-degree-2"]
+
+#: A report's measured and accounted label-size figures.
+BIT_FIGURES = (
+    "max_label_bits",
+    "mean_label_bits",
+    "total_label_bits",
+    "accounted_max_label_bits",
+    "accounted_mean_label_bits",
+    "accounted_total_label_bits",
+)
 
 
 def _from_scratch_facts(config, plan, algebra_key):
@@ -199,26 +212,38 @@ class TestWarmCacheStageCounters:
         """The tentpole acceptance, literally: a separate process with a
         warm disk cache batch-certifies a previously seen graph with
         zero structural stage runs (and, with the same identifier draw,
-        zero stage runs at all)."""
+        zero stage runs at all).  Both processes verify on a store-backed
+        vectorized session; the fresh one attaches the persisted
+        compiled round and builds its reports without reading a label."""
         store = CertificateStore(tmp_path)
         seq, _graph = lanewidth_workload(2, 20, 41)
-        session = CertificationSession(rng=random.Random(42), store=store)
-        reports = session.certify(seq, ["connected", "even-order"], verify=False)
+        session = CertificationSession(
+            rng=random.Random(42),
+            store=store,
+            engine=VerificationEngine(VectorizedExecutor()),
+        )
+        reports = session.certify(seq, ["connected", "even-order"])
         assert all(r.accepted for r in reports.values())
         assert session.stage_counters["match"] == 1
         script = (
             "import random, sys\n"
-            "from repro.api import CertificateStore, CertificationSession\n"
+            "from repro.api import (CertificateStore, CertificationSession,\n"
+            "                       VectorizedExecutor, VerificationEngine)\n"
             "from repro.experiments import lanewidth_workload\n"
             "store = CertificateStore(sys.argv[1])\n"
             "seq, _graph = lanewidth_workload(2, 20, 41)\n"
-            "session = CertificationSession(rng=random.Random(42), store=store)\n"
-            "reports = session.certify(seq, ['connected', 'even-order'], verify=False)\n"
+            "session = CertificationSession(\n"
+            "    rng=random.Random(42), store=store,\n"
+            "    engine=VerificationEngine(VectorizedExecutor()))\n"
+            "reports = session.certify(seq, ['connected', 'even-order'])\n"
             "assert all(r.accepted for r in reports.values())\n"
             "assert all(r.structure_cached for r in reports.values())\n"
             "# Same graph, same identifier draw: every node resolves.\n"
             "assert session.stage_counters == {}, session.stage_counters\n"
-            "print('WARM', reports['connected'].max_label_bits)\n"
+            "for key, r in sorted(reports.items()):\n"
+            "    assert r.compiled_round_cached, key\n"
+            "    assert r.labeling.mapping.decoded is None, key\n"
+            f"    print('WARM', key, *(getattr(r, f) for f in {BIT_FIGURES}))\n"
         )
         env = dict(os.environ)
         env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
@@ -230,7 +255,10 @@ class TestWarmCacheStageCounters:
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert f"WARM {reports['connected'].max_label_bits}" in proc.stdout
+        for key, r in sorted(reports.items()):
+            figures = [getattr(r, f) for f in BIT_FIGURES]
+            line = " ".join(str(x) for x in ("WARM", key, *figures))
+            assert line in proc.stdout.splitlines(), (line, proc.stdout)
 
     def test_corrupted_artifact_is_a_miss_not_a_failure(self, tmp_path):
         cache = ArtifactCache(tmp_path / "artifacts")
@@ -334,6 +362,106 @@ class TestWarmCacheStageCounters:
         ev2 = pickle.loads(pickle.dumps(ev))
         assert ev2.for_node(root2).state == ev.for_node(ctx.root).state
         assert ev2.for_node(root2).boundary == ev.for_node(ctx.root).boundary
+
+
+class TestLabelNode:
+    """The label node emits its labels in final form: encoded once,
+    served read-only through ``StoredLabels``, sized, and keyed on the
+    wire version."""
+
+    @staticmethod
+    def _manifest(path):
+        from repro.api.artifacts import ARTIFACT_DIGEST_SIZE, ARTIFACT_MAGIC
+
+        start = len(ARTIFACT_MAGIC) + ARTIFACT_DIGEST_SIZE
+        return pickle.loads(path.read_bytes()[start:])
+
+    def test_label_artifact_is_written_once_in_wire_form(self, tmp_path):
+        seq, _graph = lanewidth_workload(3, 48, 5)
+        report = CertificationSession(
+            rng=random.Random(5), store=CertificateStore(tmp_path)
+        ).certify(seq, "connected")
+        (entry,) = tmp_path.rglob("*.cert")
+        (label,) = [
+            path for path in tmp_path.rglob("*.art")
+            if self._manifest(path)["stage"] == "label"
+        ]
+        # Wire bytes, not label objects: the whole node output is no
+        # larger than the store entry holding the same certificates.
+        assert label.stat().st_size <= entry.stat().st_size
+        key = self._manifest(label)["key"]
+        outputs = ArtifactCache(label.parent).get(key).outputs
+        mapping = outputs["labeling"].mapping
+        assert isinstance(mapping, StoredLabels)
+        assert mapping.decoded is None
+        assert mapping.digest == report.labeling.mapping.digest
+        assert mapping == report.labeling.mapping
+        assert outputs["accounted_bits"] == (
+            report.accounted_max_label_bits,
+            report.accounted_mean_label_bits,
+            report.accounted_total_label_bits,
+        )
+
+    def test_only_the_label_key_names_the_wire_version(self, monkeypatch):
+        import repro.api.pipeline as pipeline
+
+        seq, _graph = lanewidth_workload(3, 32, 1)
+        sources = {"graph": "fp", "config": "cfp", "algebra": "connected"}
+        plans = {"theorem1": theorem1_plan(3), "lanewidth": lanewidth_plan(seq)}
+        # Every structural and evaluate key is the one written before the
+        # label node carried wire bytes (pinned through the evaluate key,
+        # which chains every structural node); the label key is not.
+        pinned = {
+            "theorem1": ("c691ca04731f6f1bbe364fae6dfc7235cdc50295",
+                         "350192c9b4219347b30533d5470fcafc94f6b186"),
+            "lanewidth": ("dcf0300235c59ad2f039dd39f335f5099a95cbb9",
+                          "8f98297e49c55236b755aa71c907f0e725619095"),
+        }
+        before = {}
+        for mode, plan in plans.items():
+            before[mode] = plan.chain_keys(sources)
+            evaluation, old_label = pinned[mode]
+            assert before[mode]["evaluation"].key == evaluation
+            assert before[mode]["labeling"].key != old_label
+        monkeypatch.setattr(pipeline, "WIRE_VERSION", WIRE_VERSION + 1)
+        for mode, plan in plans.items():
+            after = plan.chain_keys(sources)
+            changed = {
+                name for name in after if after[name] != before[mode][name]
+            }
+            assert changed == set(LabelStage.outputs), mode
+
+    def test_label_row_is_net_of_the_encode(self):
+        seq, _graph = lanewidth_workload(3, 48, 5)
+        cache = ArtifactCache()
+        cold = CertificationSession(
+            rng=random.Random(5), artifacts=cache
+        ).certify(seq, "connected", verify=False)
+        # Same identifiers: the label node hits, encodes nothing, and its
+        # cached row replays the node's full cost.
+        warm = CertificationSession(
+            rng=random.Random(5), artifacts=cache
+        ).certify(seq, "connected", verify=False)
+        (cold_row,) = [t for t in cold.stage_timings if t.name == "label"]
+        (warm_row,) = [t for t in warm.stage_timings if t.name == "label"]
+        assert not cold_row.cached and warm_row.cached
+        assert cold.encode_seconds > 0 and warm.encode_seconds == 0.0
+        assert cold_row.seconds + cold.encode_seconds == pytest.approx(
+            warm_row.seconds
+        )
+        for report in (cold, warm):
+            # The node's accounted figures are the scheme's arithmetic.
+            labeling, scheme = report.labeling, report.scheme
+            assert report.accounted_max_label_bits == labeling.max_label_bits(
+                scheme
+            )
+            assert report.accounted_mean_label_bits == pytest.approx(
+                labeling.mean_label_bits(scheme)
+            )
+            assert (
+                report.accounted_total_label_bits
+                == labeling.total_label_bits(scheme)
+            )
 
 
 class TestPlanValidation:

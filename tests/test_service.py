@@ -90,6 +90,13 @@ MALFORMED = {
     "list-trials": ("audit", {"trials": [1]}),
     "attacks-not-a-list": ("audit", {"attacks": 5}),
     "attack-name-not-a-string": ("audit", {"attacks": [{"name": ["x"]}]}),
+    # Integer parameters take JSON integers only: Python's json.loads
+    # reads ``Infinity`` as a float, and int() would truncate 2.7 or
+    # read True and "3" as numbers.
+    "certify-infinite-k": ("certify", {"k": float("inf")}),
+    "certify-fractional-k": ("certify", {"k": 2.7}),
+    "audit-boolean-trials": ("audit", {"trials": True}),
+    "update-string-full-round-every": ("update", {"full_round_every": "3"}),
 }
 
 
@@ -138,6 +145,20 @@ class TestProtocol:
             decode_line(b"[1,2,3]\n")  # JSON, but not an object
         with pytest.raises(ProtocolError):
             decode_line(b"\xff\xfe\n")  # not UTF-8
+
+    def test_deeply_nested_frame_rejected(self):
+        # Far under MAX_LINE_BYTES, but deeper than the JSON parser
+        # recurses: an error reply, not a RecursionError in the daemon.
+        with pytest.raises(ProtocolError):
+            decode_line(b"[" * 100_000)
+
+    def test_overlong_integer_frame_rejected(self):
+        # json.loads refuses integer literals past Python's digit limit
+        # with a plain ValueError, not a JSONDecodeError.
+        if not hasattr(sys, "get_int_max_str_digits"):
+            pytest.skip("this interpreter has no integer digit limit")
+        with pytest.raises(ProtocolError):
+            decode_line(b'{"id": ' + b"1" * 5000 + b"}")
 
     def test_oversized_frame_rejected(self, monkeypatch):
         import repro.service.protocol as protocol

@@ -12,6 +12,7 @@ kernel-accept against the reference verifier and raises on divergence.
 
 Also covered: the executor registry (:func:`repro.api.make_executor`),
 the ``AuditPlan`` engine override with the transplant-attack regression,
+the full attack catalogue on both engines and both input modes,
 the interning wire decoder, the service-level engine selection, the
 persisted compiled-round envelope, and verdicts under labels tampered
 with after certify.
@@ -34,7 +35,12 @@ from repro.api import (
     AuditCase,
     AuditPlan,
     CertificationSession,
+    DropAttack,
+    EdgeAdditionAttack,
+    EdgeRemovalAttack,
+    MutationAttack,
     SerialExecutor,
+    SwapAttack,
     TransplantAttack,
     VectorizedExecutor,
     VerificationEngine,
@@ -46,7 +52,11 @@ from repro.api import (
 from repro.codec import decode_labeling_columnar, encode_labeling
 from repro.core import certify_lanewidth_graph, random_lanewidth_sequence
 from repro.core.certificates import EmbeddedRecord, Theorem1Label
-from repro.experiments import lanewidth_workload, seed_stream
+from repro.experiments import (
+    lanewidth_workload,
+    pathwidth_workload,
+    seed_stream,
+)
 from repro.graphs.generators import cycle_graph
 from repro.pls import HAVE_NUMPY
 from repro.pls.adversary import (
@@ -291,6 +301,69 @@ class TestAuditPlanEngine:
         assert plan.resolve_engine(custom) is custom
 
 
+@needs_numpy
+class TestAttackCatalogueEngines:
+    """The whole attack catalogue, on a lanewidth-mode and a Theorem-1
+    host, replays to the same per-attempt outcomes on the serial engine
+    and on the audit-mode vectorized engine."""
+
+    @staticmethod
+    def _plan(target, graph, k=None):
+        def case_factory(trial, rng):
+            report = CertificationSession(k=k, rng=rng).certify(
+                target, "connected", verify=False
+            )
+            assert not report.refused, report.refusal
+            return AuditCase(
+                report.config, report.scheme, report.labeling, trial
+            )
+
+        def targets(trial, rng):
+            # The host with its vertices shuffled: the same edge count,
+            # so every transplant lands, on a wrong graph.
+            names = sorted(graph.vertices(), key=repr)
+            shuffled = rng.sample(names, len(names))
+            return Configuration.with_random_ids(
+                graph.relabeled(dict(zip(names, shuffled))), rng
+            )
+
+        return AuditPlan(
+            case_factory=case_factory,
+            attacks=[
+                MutationAttack(per_case=2),
+                SwapAttack(),
+                DropAttack(),
+                TransplantAttack(targets),
+                EdgeRemovalAttack(still_true=lambda g: g.is_connected()),
+                EdgeAdditionAttack(),
+            ],
+            trials=3,
+            root_seed=1,
+            name="catalogue",
+        )
+
+    @pytest.mark.parametrize("mode", ["lanewidth", "theorem1"])
+    def test_catalogue_outcomes_match_across_engines(self, mode):
+        if mode == "lanewidth":
+            sequence, graph = lanewidth_workload(3, 14, 1)
+            plan = self._plan(sequence, graph)
+        else:
+            graph, _decomposition = pathwidth_workload(14, 2, 1)
+            plan = self._plan(graph, graph, k=2)
+        reports = [
+            plan.run(VerificationEngine(executor, fail_fast=False))
+            for executor in (SerialExecutor(), VectorizedExecutor(audit=True))
+        ]
+        serial, vectorized = (
+            [(a.attack, a.trial, a.outcome, a.note) for a in r.attempts]
+            for r in reports
+        )
+        assert serial == vectorized
+        for attack in plan.attacks:
+            assert reports[1].tally(attack.name).attempted >= 1, attack.name
+        assert all(r.all_rejected for r in reports)
+
+
 class TestColumnarDecode:
     def test_equals_reference_decode_with_sharing(self):
         """The decode equals the labeling that was encoded, and every
@@ -446,6 +519,9 @@ class TestCompiledRoundPersistence:
         """No wire digest -> no content key -> the envelope layer stays
         out of the way (verdicts unchanged)."""
         config, scheme, labeling = _case(6)
+        labeling = Labeling(
+            labeling.location, dict(labeling.mapping), labeling.size_context
+        )
         for _ in range(2):
             report = VerificationEngine(
                 VectorizedExecutor(artifacts=ArtifactCache(root=tmp_path))
@@ -711,6 +787,23 @@ class TestTamperAfterCertify:
                 verification.rejecting_vertices == serial.rejecting_vertices
             )
 
+    def test_tampered_report_leaves_the_label_artifact(self, tmp_path):
+        # Each report has its own labeling shell: a mapping assigned to
+        # one report reaches neither the cached label artifact nor the
+        # next report the label node serves from it.
+        from repro.api.store import StoredLabels
+
+        _store, session, report = self._certified(tmp_path)
+        honest = report.labeling.mapping
+        self._swap_first_and_last(report)
+        sequence, _graph = lanewidth_workload(3, 48, 5)
+        again = session.certify(sequence, "connected", rng=random.Random(5))
+        (label_row,) = [t for t in again.stage_timings if t.name == "label"]
+        assert label_row.cached
+        assert isinstance(again.labeling.mapping, StoredLabels)
+        assert again.labeling.mapping.digest == honest.digest
+        assert again.accepted
+
     def test_edited_wire_form_is_not_served(self, tmp_path):
         # The mapping keeps its own copy of the wire form, so an edit to
         # ``report.encoded`` changes neither its labels nor its key.
@@ -733,13 +826,18 @@ class TestTamperAfterCertify:
         self._assert_cached_round(again)
         assert again.verdicts == first.verdicts
 
-    def test_untouched_report_attaches_without_cache(self, tmp_path):
+    def test_cacheless_executor_compiles_every_round(self, tmp_path):
+        # Compiled rounds live only in an artifact cache: an executor
+        # without one compiles the same labels again.
         _store, _session, report = self._certified(tmp_path)
         engine = VerificationEngine(VectorizedExecutor())
-        cold = engine.verify(report.config, report.scheme, report.labeling)
-        assert cold.kernel_stats["compiled_round_cached"] is False
-        assert cold.kernel_stats["compile_seconds"] > 0
-        warm = engine.verify(report.config, report.scheme, report.labeling)
-        self._assert_cached_round(warm)
-        assert warm.verdicts == cold.verdicts
-        assert warm.accepted
+        rounds = [
+            engine.verify(report.config, report.scheme, report.labeling)
+            for _ in range(2)
+        ]
+        for verification in rounds:
+            assert verification.kernel_stats["mode"] == "kernel"
+            assert verification.kernel_stats["compiled_round_cached"] is False
+            assert verification.kernel_stats["compile_seconds"] > 0
+            assert verification.accepted
+        assert rounds[0].verdicts == rounds[1].verdicts
