@@ -36,7 +36,13 @@ from repro.core.hierarchy import (
     hierarchy_depth,
     validate_hierarchy,
 )
-from repro.core.lane_partition import build_lane_partition, f_bound
+from repro.core.lane_partition import (
+    build_lane_partition,
+    check_lane_bounds,
+    f_bound,
+    greedy_lanes,
+    h_bound,
+)
 from repro.core.lanewidth import (
     ConstructionSequence,
     apply_construction,
@@ -87,6 +93,9 @@ class PipelineContext:
     #: How the witness decomposition was obtained (engine, widths,
     #: search counters) — see :meth:`DecomposeStage.default_decomposer`.
     decomposition_stats: Optional[dict] = None
+    #: Which lane builder ran and the bounds it met — see
+    #: :class:`LaneStage`.
+    lane_stats: Optional[dict] = None
 
     # Property-specific artifacts.
     evaluation: object = None  # HierarchyEvaluation
@@ -309,16 +318,54 @@ class DecomposeStage(Stage):
 
 
 class LaneStage(Stage):
-    """Proposition 4.6: lane partition + low-congestion embedding."""
+    """Lane partition + embedding: Observation 4.3 first, Proposition 4.6
+    as the fallback.
+
+    With ``w`` the interval representation's width (decomposition width
+    + 1), the stage builds Observation 4.3's greedy lanes
+    (:func:`~repro.core.lane_partition.greedy_lanes`, at most ``w``)
+    and keeps them when they have at most ``f(w)`` lanes and completion
+    congestion at most ``h(w)``; otherwise it runs the Proposition 4.6
+    recursion.  Theorem 1's size argument uses exactly those two bounds,
+    which Proposition 4.6 guarantees: the lane count bounds the
+    hierarchy depth (at most twice the lanes, Observation 5.5) and so
+    each certificate's record stack, and the congestion bounds the
+    embedded certificates each real edge carries.  Either partition kept
+    therefore keeps the paper's worst case, and the stage asserts both
+    bounds on it.  Greedy always meets the lane bound (``w <= f(w)``);
+    the congestion check is the one that can send it to the fallback.
+
+    ``lane_stats`` records which builder ran, ``w``, the completion
+    congestion and ``h(w)``.  The choice depends only on the
+    graph and its decomposition, and the policy names the node key.
+    """
 
     name = "lanes"
     inputs = ("decomposition",)
-    outputs = ("lanes", "embedding")
+    outputs = ("lanes", "embedding", "lane_stats")
+
+    def plan_params(self):
+        return (("builder", "greedy-then-prop-4.6"), True)
 
     def run(self, ctx: PipelineContext) -> None:
         rep = ctx.decomposition.to_interval_representation()
-        ctx.lanes = build_lane_partition(ctx.graph, rep)
-        ctx.embedding = ctx.lanes.full_embedding()
+        width = rep.width()
+        lanes, builder = greedy_lanes(ctx.graph, rep), "greedy"
+        embedding = lanes.full_embedding()
+        congestion = embedding.congestion()
+        if lanes.partition.width > f_bound(width) or congestion > h_bound(width):
+            lanes, builder = build_lane_partition(ctx.graph, rep), "prop-4.6"
+            embedding = lanes.full_embedding()
+            congestion = embedding.congestion()
+        check_lane_bounds(lanes, congestion, width)
+        ctx.lanes = lanes
+        ctx.embedding = embedding
+        ctx.lane_stats = {
+            "builder": builder,
+            "width": width,
+            "congestion": congestion,
+            "h_bound": h_bound(width),
+        }
 
 
 class CompletionStage(Stage):
@@ -389,7 +436,12 @@ class MatchSequenceStage(Stage):
 
 class HierarchyStage(Stage):
     """Proposition 5.6: build (and, in pathwidth mode, validate) the
-    hierarchical decomposition."""
+    hierarchical decomposition.
+
+    In pathwidth mode the one-pass :func:`validate_hierarchy` measures
+    the depth as it checks the Observation 5.5 bound; lanewidth mode
+    builds from the caller's own sequence and only measures it.
+    """
 
     name = "hierarchy"
     inputs = ("sequence",)
@@ -398,11 +450,10 @@ class HierarchyStage(Stage):
     def run(self, ctx: PipelineContext) -> None:
         root = build_hierarchy(ctx.sequence)
         if ctx.completion is not None:
-            validate_hierarchy(root, ctx.completion.graph)
-            if hierarchy_depth(root) > 2 * ctx.lanes.partition.width:
-                raise AssertionError("Observation 5.5 depth bound violated")
+            ctx.hierarchy_depth = validate_hierarchy(root, ctx.completion.graph)
+        else:
+            ctx.hierarchy_depth = hierarchy_depth(root)
         ctx.root = root
-        ctx.hierarchy_depth = hierarchy_depth(root)
 
 
 class EvaluateStage(Stage):

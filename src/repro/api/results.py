@@ -102,6 +102,12 @@ class CertificationReport:
     #: and — for the branch-and-bound — nodes expanded, memo hits,
     #: optimality/timeout flags.
     decomposition_stats: Optional[dict] = None
+    #: Which lane builder the Theorem-1 prover kept (``None`` in
+    #: lanewidth mode or on refusal): ``builder`` ("greedy" for
+    #: Observation 4.3's lanes, "prop-4.6" for the fallback), the
+    #: representation ``width`` w, the completion ``congestion`` and the
+    #: ``h_bound`` h(w) it met.
+    lane_stats: Optional[dict] = None
 
     # Cold-path observability: wall-clock the label node spent
     # wire-encoding the labeling (0.0 when the node came from the
@@ -149,7 +155,7 @@ class CertificationReport:
         handles, not data — they are deliberately not serialized; the
         structured ``verification`` record is.
         """
-        return {
+        data = {
             "property_key": self.property_key,
             "accepted": self.accepted,
             "refused": self.refused,
@@ -183,6 +189,11 @@ class CertificationReport:
                 else None
             ),
         }
+        # Store entries embed this dict: leaving the key out when there
+        # is nothing to say keeps lanewidth-mode entries byte-identical.
+        if self.lane_stats is not None:
+            data["lane_stats"] = dict(self.lane_stats)
+        return data
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.to_dict(), **kwargs)
@@ -213,6 +224,7 @@ class CertificationReport:
             stage_counters=dict(data.get("stage_counters", {})),
             structure_cached=data.get("structure_cached", False),
             decomposition_stats=data.get("decomposition_stats"),
+            lane_stats=data.get("lane_stats"),
             encode_seconds=data.get("encode_seconds", 0.0),
             compile_seconds=data.get("compile_seconds", 0.0),
             compiled_round_cached=data.get("compiled_round_cached", False),

@@ -454,6 +454,7 @@ class CertificationSession:
             stage_counters=dict(self.stage_counters),
             structure_cached=structure.all_cached,
             decomposition_stats=structure.ctx.decomposition_stats,
+            lane_stats=structure.ctx.lane_stats,
             encode_seconds=ctx.encode_seconds,
             compile_seconds=(
                 (verification.kernel_stats or {}).get("compile_seconds", 0.0)

@@ -22,42 +22,48 @@ from repro.core.lanewidth import ConstructionSequence
 
 
 class _TreeState:
-    """Mutable top-level tree bookkeeping."""
+    """Mutable top-level tree bookkeeping.
+
+    Every node records its depth, so LCAs and child-ancestors come from
+    parent walks that stop at the meeting point.  The nodes walked lie
+    below the LCA, in the subtree the E-insert then detaches, so the
+    walks cost no more than the packaging (linear over the build).
+    """
 
     def __init__(self, root: HierarchyNode):
         self.root = root
         self.parent: dict = {id(root): None}
         self.children: dict = {id(root): []}
-        self.nodes: dict = {id(root): root}
+        self.depth: dict = {id(root): 0}
 
     def attach(self, node: HierarchyNode, parent: HierarchyNode) -> None:
         self.parent[id(node)] = parent
         self.children[id(node)] = []
         self.children[id(parent)].append(node)
-        self.nodes[id(node)] = node
-
-    def ancestors(self, node: HierarchyNode) -> list:
-        chain = [node]
-        while self.parent[id(chain[-1])] is not None:
-            chain.append(self.parent[id(chain[-1])])
-        return chain
+        self.depth[id(node)] = self.depth[id(parent)] + 1
 
     def lca(self, a: HierarchyNode, b: HierarchyNode) -> HierarchyNode:
-        seen = {id(x) for x in self.ancestors(a)}
-        for node in self.ancestors(b):
-            if id(node) in seen:
-                return node
-        raise AssertionError("nodes share no ancestor — tree corrupted")
+        parent, depth = self.parent, self.depth
+        while depth[id(a)] > depth[id(b)]:
+            a = parent[id(a)]
+        while depth[id(b)] > depth[id(a)]:
+            b = parent[id(b)]
+        while a is not b:
+            a, b = parent[id(a)], parent[id(b)]
+            if a is None or b is None:
+                raise AssertionError("nodes share no ancestor — tree corrupted")
+        return a
 
     def child_ancestor_of(
         self, top: HierarchyNode, descendant: HierarchyNode
     ) -> HierarchyNode:
         """Return the child of ``top`` on the path down to ``descendant``."""
-        chain = self.ancestors(descendant)
-        for node, above in zip(chain, chain[1:]):
-            if above is top:
-                return node
-        raise AssertionError(f"{descendant!r} is not below {top!r}")
+        node = descendant
+        for _ in range(self.depth[id(descendant)] - self.depth[id(top)] - 1):
+            node = self.parent[id(node)]
+        if node is top or self.parent[id(node)] is not top:
+            raise AssertionError(f"{descendant!r} is not below {top!r}")
+        return node
 
     def subtree_members(self, node: HierarchyNode) -> list:
         """Return the subtree of ``node`` in DFS order (node first)."""
@@ -73,11 +79,11 @@ class _TreeState:
     def detach_subtree(self, node: HierarchyNode) -> list:
         """Remove ``node``'s subtree from the tree; return its members."""
         members = self.subtree_members(node)
-        parent = self.parent[id(node)]
-        self.children[id(parent)].remove(node)
+        siblings = self.children[id(self.parent[id(node)])]
+        del siblings[next(i for i, s in enumerate(siblings) if s is node)]
         for member in members:
             del self.parent[id(member)]
-            del self.nodes[id(member)]
+            del self.depth[id(member)]
         internal_children = {id(m): self.children.pop(id(m)) for m in members}
         # Keep the internal structure on the node objects for packaging.
         self._detached_children = internal_children
@@ -88,13 +94,10 @@ def _package_subtree(state: _TreeState, members: list, designated: dict) -> Hier
     """Wrap a detached subtree into a T-node (Tree-merge of the subtree)."""
     root = members[0]
     index_of = {id(member): pos for pos, member in enumerate(members)}
-    member_parent = {}
+    parent_pos: list = [None] * len(members)
     for pos, member in enumerate(members):
-        member_parent[pos] = None
-        for other_pos, other in enumerate(members):
-            if member in state._detached_children.get(id(other), []):
-                member_parent[pos] = other_pos
-                break
+        for child in state._detached_children[id(member)]:
+            parent_pos[index_of[id(child)]] = pos
     t_out = {lane: designated[lane] for lane in root.lanes}
     return HierarchyNode(
         kind="T",
@@ -102,7 +105,7 @@ def _package_subtree(state: _TreeState, members: list, designated: dict) -> Hier
         t_in=dict(root.t_in),
         t_out=t_out,
         children=list(members),
-        member_parent=member_parent,
+        member_parent=dict(enumerate(parent_pos)),
         root_member=0,
     )
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.klane_graph import KLaneGraph, bridge_merge, parent_merge
 from repro.courcelle.algebra import BoundedAlgebra
 from repro.graphs import Graph, edge_key
 
@@ -121,74 +120,238 @@ def hierarchy_depth(root: HierarchyNode) -> int:
     return 1 + max(hierarchy_depth(child) for child in root.children)
 
 
-def validate_hierarchy(root: HierarchyNode, graph: Graph) -> None:
-    """Check the hierarchy is a faithful decomposition of ``graph``.
+def validate_hierarchy(root: HierarchyNode, graph: Graph) -> int:
+    """Check the hierarchy is a faithful decomposition of ``graph``;
+    return its depth.
 
-    Edge sets of all nodes must partition E(graph); terminal maps must be
-    consistent with the explicit Bridge/Parent/Tree-merge semantics; and
-    the Observation 5.5 depth bound must hold.
+    One bottom-up pass over terminal maps and vertex sets, on explicit
+    stacks (member trees are about n/w deep), without building graphs.
+    It checks what the reference merges of :mod:`repro.core.klane_graph`
+    check, node by node:
+
+    * V/E/P leaves cover exactly their lanes with injective terminals
+      and no self-loop;
+    * a B node has exactly two children with disjoint lane sets and
+      disjoint vertex sets, and its bridge lanes on the matching sides;
+    * a T node's member tree reaches every member once from its root
+      member, siblings use disjoint lanes (Tree-merge), and each
+      Parent-merge has child lanes inside the parent's, shares exactly
+      the glued terminals, and meets in-terminals with out-terminals
+      lane by lane; the merged out-terminals stay injective;
+    * every node's stored ``lanes``/``t_in``/``t_out`` equal the merged
+      ones (the certificates carry the stored maps);
+    * the owned edges partition E(graph) with matching tags, the
+      vertices are V(graph), and the depth meets Observation 5.5.
+
+    Vertex sets merge smaller-into-larger.  Every failure is a
+    ``ValueError``.
     """
-    edges = root.all_edges()
-    keys = [key for key, _tag in edges]
-    if len(keys) != len(set(keys)):
-        raise ValueError("hierarchy nodes own overlapping edge sets")
-    if set(keys) != set(graph.edges()):
+    owned: set = set()
+    entered: set = set()
+    merged: dict = {}  # id(node) -> _Merged, consumed by the parent
+    stack = [(root, False)]
+    while stack:
+        node, ready = stack.pop()
+        if ready:
+            kids = [merged.pop(id(child)) for child in node.children]
+            merged[id(node)] = _merge_node(node, kids, graph, owned)
+            continue
+        if id(node) in entered:
+            raise ValueError(f"{node!r} appears twice in the hierarchy")
+        entered.add(id(node))
+        stack.append((node, True))
+        stack.extend((child, False) for child in reversed(node.children))
+    top = merged.pop(id(root))
+    if len(owned) != graph.m:
         raise ValueError("hierarchy edges do not match the graph")
-    for key, tag in edges:
-        if graph.edge_label(*key) != tag:
-            raise ValueError(f"tag mismatch on edge {key!r}")
-    if root.all_vertices() != set(graph.vertices()):
+    if len(top.vertices) != graph.n or not all(v in graph for v in top.vertices):
         raise ValueError("hierarchy vertices do not match the graph")
-    width = len(root.lanes)
-    if hierarchy_depth(root) > 2 * width:
+    if top.depth > 2 * len(top.lanes):
         raise ValueError("Observation 5.5 depth bound violated")
-    to_klane(root)  # raises on structural inconsistencies
+    return top.depth
 
 
-def to_klane(node: HierarchyNode) -> KLaneGraph:
-    """Materialize the node's k-lane graph via the reference merges."""
-    if node.kind == "V":
-        g = Graph(vertices=[node.vertex])
-        lane = node.lanes[0]
-        return KLaneGraph(g, frozenset(node.lanes), {lane: node.vertex}, {lane: node.vertex})
-    if node.kind == "E":
-        u, v = node.edge
-        g = Graph(edges=[(u, v)])
-        g.set_edge_label(u, v, node.edge_tag)
-        lane = node.lanes[0]
-        return KLaneGraph(g, frozenset(node.lanes), {lane: u}, {lane: v})
+class _Merged:
+    """What one node's subgraph merges to: the k-lane graph's lanes,
+    terminals and vertex set, plus the subtree's depth."""
+
+    __slots__ = ("lanes", "t_in", "t_out", "vertices", "depth")
+
+    def __init__(self, lanes, t_in, t_out, vertices, depth=1):
+        self.lanes = lanes
+        self.t_in = t_in
+        self.t_out = t_out
+        self.vertices = vertices
+        self.depth = depth
+
+
+def _merge_node(node, kids, graph, owned) -> _Merged:
+    """Merge one node from its children's results (Defs 5.3/5.4)."""
+    try:
+        lanes = frozenset(node.lanes)
+    except TypeError:
+        raise ValueError(f"a {node.kind} node has no lane set") from None
+    if node.kind in ("V", "E", "P"):
+        if kids:
+            raise ValueError(f"leaf {node!r} has children")
+        result = _merge_leaf(node, lanes, graph, owned)
+    elif node.kind == "B":
+        result = _merge_bridge(node, kids, graph, owned)
+    elif node.kind == "T":
+        result = _merge_tree(node, kids)
+    else:
+        raise ValueError(f"unknown node kind {node.kind!r}")
+    if len(node.lanes) != len(result.lanes) or lanes != result.lanes:
+        raise ValueError(f"{node!r}: stored lanes differ from the merged ones")
+    if node.t_in != result.t_in or node.t_out != result.t_out:
+        raise ValueError(f"{node!r}: stored terminals differ from the merged ones")
+    return result
+
+
+def _merge_leaf(node, lanes, graph, owned) -> _Merged:
     if node.kind == "P":
-        g = Graph(vertices=node.path_vertices)
-        for (a, b), tag in zip(
-            zip(node.path_vertices, node.path_vertices[1:]), node.path_tags
-        ):
-            g.add_edge(a, b)
-            g.set_edge_label(a, b, tag)
-        terminals = {lane: v for lane, v in zip(node.lanes, node.path_vertices)}
-        return KLaneGraph(g, frozenset(node.lanes), dict(terminals), dict(terminals))
-    if node.kind == "B":
-        left, right = node.children
-        i, j = node.bridge
-        return bridge_merge(to_klane(left), to_klane(right), i, j, node.bridge_tag)
-    if node.kind == "T":
-        members = [to_klane(member) for member in node.children]
-        return _tree_contract(node, members)
-    raise ValueError(f"unknown node kind {node.kind!r}")
+        path = tuple(node.path_vertices)
+        tags = tuple(node.path_tags)
+        if len(set(path)) != len(path) or len(path) != len(node.lanes):
+            raise ValueError(f"{node!r}: path must be one distinct vertex per lane")
+        if len(tags) != len(path) - 1:
+            raise ValueError(f"{node!r}: need one tag per path edge")
+        for a, b, tag in zip(path, path[1:], tags):
+            _own(owned, graph, a, b, tag)
+        terminals = dict(zip(node.lanes, path))
+        return _Merged(lanes, terminals, dict(terminals), set(path))
+    if len(node.lanes) != 1:
+        raise ValueError(f"{node!r} must cover exactly one lane")
+    (lane,) = lanes
+    if node.kind == "V":
+        return _Merged(lanes, {lane: node.vertex}, {lane: node.vertex}, {node.vertex})
+    if not isinstance(node.edge, tuple) or len(node.edge) != 2:
+        raise ValueError(f"{node!r} must own one edge")
+    u, v = node.edge
+    _own(owned, graph, u, v, node.edge_tag)
+    return _Merged(lanes, {lane: u}, {lane: v}, {u, v})
 
 
-def _tree_contract(node: HierarchyNode, members: list) -> KLaneGraph:
-    children: dict = {index: [] for index in range(len(members))}
+def _merge_bridge(node, kids, graph, owned) -> _Merged:
+    """Bridge-merge: disjoint lanes and vertices, one new edge."""
+    if len(kids) != 2:
+        raise ValueError(f"{node!r} must have exactly two children")
+    if not isinstance(node.bridge, tuple) or len(node.bridge) != 2:
+        raise ValueError(f"{node!r} must name one lane per side")
+    left, right = kids
+    i, j = node.bridge
+    if left.lanes & right.lanes:
+        raise ValueError(f"{node!r}: Bridge-merge requires disjoint lane sets")
+    if i not in left.lanes or j not in right.lanes:
+        raise ValueError(f"{node!r}: bridge lanes must belong to their sides")
+    vertices = _union(left.vertices, right.vertices, frozenset())
+    _own(owned, graph, left.t_out[i], right.t_out[j], node.bridge_tag)
+    return _Merged(
+        left.lanes | right.lanes,
+        {**left.t_in, **right.t_in},
+        {**left.t_out, **right.t_out},
+        vertices,
+        1 + max(left.depth, right.depth),
+    )
+
+
+def _merge_tree(node, members) -> _Merged:
+    """Tree-merge: contract the member tree from its root member down,
+    kids in sorted order, on an explicit stack of ``(member index,
+    accumulator, pending kids, lanes the kids used)`` frames."""
+    count = len(members)
+    if not count:
+        raise ValueError(f"{node!r} has no members")
+    kids_of: list = [[] for _ in range(count)]
     for index, parent in node.member_parent.items():
+        if not _is_index(index, count) or not (
+            parent is None or _is_index(parent, count)
+        ):
+            raise ValueError(f"{node!r}: member parent entry out of range")
         if parent is not None:
-            children[parent].append(index)
+            kids_of[parent].append(index)
+    if not _is_index(node.root_member, count) or node.member_parent.get(
+        node.root_member
+    ) is not None:
+        raise ValueError(f"{node!r}: bad root member")
+    entered = [False] * count
 
-    def contract(index: int) -> KLaneGraph:
-        result = members[index]
-        for kid in sorted(children[index]):
-            result = parent_merge(contract(kid), result)
-        return result
+    def enter(index: int) -> list:
+        if entered[index]:
+            raise ValueError(f"{node!r}: member parents form a cycle")
+        entered[index] = True
+        member = members[index]
+        acc = _Merged(
+            member.lanes, member.t_in, dict(member.t_out), member.vertices
+        )
+        return [index, acc, iter(sorted(kids_of[index])), set()]
 
-    return contract(node.root_member)
+    stack = [enter(node.root_member)]
+    while True:
+        _index, acc, kids, used = stack[-1]
+        kid = next(kids, None)
+        if kid is not None:
+            if not used.isdisjoint(members[kid].lanes):
+                raise ValueError(f"{node!r}: sibling members share a lane")
+            used |= members[kid].lanes
+            stack.append(enter(kid))
+            continue
+        stack.pop()
+        if not stack:
+            break
+        _parent_merge_check(node, stack[-1][1], acc)
+    if not all(entered):
+        raise ValueError(f"{node!r}: a member is unreachable from the root member")
+    acc.depth = 1 + max(member.depth for member in members)
+    return acc
+
+
+def _parent_merge_check(node, parent: _Merged, child: _Merged) -> None:
+    """Parent-merge ``child`` into ``parent`` in place: glue the child's
+    in-terminals onto the parent's out-terminals lane by lane."""
+    if not child.lanes <= parent.lanes:
+        raise ValueError(f"{node!r}: Parent-merge requires T(child) ⊆ T(parent)")
+    glued = set()
+    for lane in child.lanes:
+        if child.t_in[lane] != parent.t_out[lane]:
+            raise ValueError(
+                f"{node!r}: lane {lane} in-terminal does not meet out-terminal"
+            )
+        glued.add(child.t_in[lane])
+    parent.vertices = _union(parent.vertices, child.vertices, glued)
+    for lane in child.lanes:
+        parent.t_out[lane] = child.t_out[lane]
+    if len(set(parent.t_out.values())) != len(parent.t_out):
+        raise ValueError(f"{node!r}: merged out-terminals are not injective")
+
+
+def _union(a: set, b: set, shared) -> set:
+    """Union two vertex sets that may meet only in ``shared``, merging the
+    smaller into the larger (which is reused)."""
+    small, large = (a, b) if len(a) <= len(b) else (b, a)
+    for v in small:
+        if v in large and v not in shared:
+            raise ValueError(f"vertex {v!r} appears on both sides of a merge")
+    large.update(small)
+    return large
+
+
+def _own(owned: set, graph: Graph, a, b, tag) -> None:
+    """Record one owned edge: a tagged edge of ``graph``, owned once."""
+    if a == b:
+        raise ValueError(f"self-loop at {a!r}")
+    key = edge_key(a, b)
+    if key in owned:
+        raise ValueError(f"edge {key!r} is owned twice")
+    if not graph.has_edge(a, b):
+        raise ValueError(f"edge {key!r} is not in the graph")
+    if graph.edge_label(a, b) != tag:
+        raise ValueError(f"tag mismatch on edge {key!r}")
+    owned.add(key)
+
+
+def _is_index(value, count: int) -> bool:
+    return isinstance(value, int) and 0 <= value < count
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """k-lane graphs and their merges (Definitions 5.3-5.4) — reference form.
 
 These are *explicit* graph-level semantics of Bridge-merge, Parent-merge
-and Tree-merge, used to validate the hierarchy builder of Proposition 5.6
-and to state Observation 5.5's invariants in executable form.  The
-certification pipeline itself works on :class:`HierarchyNode` summaries;
-agreement between the two is asserted in the test suite.
+and Tree-merge, and :func:`to_klane` materializes a hierarchy node's
+k-lane graph through them.  They are the test oracle: the prover checks
+its hierarchies with the one-pass
+:func:`~repro.core.hierarchy.validate_hierarchy`, and the test suite
+asserts that every corruption these merges catch, that check catches
+too.
 """
 
 from __future__ import annotations
@@ -125,3 +127,35 @@ def tree_merge(members: list, parent_of: dict, root_index: int) -> KLaneGraph:
         return result
 
     return contract(root_index)
+
+
+def to_klane(node) -> KLaneGraph:
+    """Materialize a :class:`~repro.core.hierarchy.HierarchyNode`'s
+    k-lane graph via the reference merges (recursive; test sizes only)."""
+    if node.kind == "V":
+        g = Graph(vertices=[node.vertex])
+        lane = node.lanes[0]
+        return KLaneGraph(g, frozenset(node.lanes), {lane: node.vertex}, {lane: node.vertex})
+    if node.kind == "E":
+        u, v = node.edge
+        g = Graph(edges=[(u, v)])
+        g.set_edge_label(u, v, node.edge_tag)
+        lane = node.lanes[0]
+        return KLaneGraph(g, frozenset(node.lanes), {lane: u}, {lane: v})
+    if node.kind == "P":
+        g = Graph(vertices=node.path_vertices)
+        for (a, b), tag in zip(
+            zip(node.path_vertices, node.path_vertices[1:]), node.path_tags
+        ):
+            g.add_edge(a, b)
+            g.set_edge_label(a, b, tag)
+        terminals = {lane: v for lane, v in zip(node.lanes, node.path_vertices)}
+        return KLaneGraph(g, frozenset(node.lanes), dict(terminals), dict(terminals))
+    if node.kind == "B":
+        left, right = node.children
+        i, j = node.bridge
+        return bridge_merge(to_klane(left), to_klane(right), i, j, node.bridge_tag)
+    if node.kind == "T":
+        members = [to_klane(member) for member in node.children]
+        return tree_merge(members, node.member_parent, node.root_member)
+    raise ValueError(f"unknown node kind {node.kind!r}")

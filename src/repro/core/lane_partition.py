@@ -20,6 +20,11 @@ The implementation follows the proof verbatim:
 * assemble lanes ``S1``, ``S2``, and one lane per (class, side, recursive
   lane index), and embed the lane edges as in Cases 1, 2.1, and 2.2 of
   the proof.
+
+:func:`greedy_lanes` is the cheap alternative the Theorem-1 prover tries
+first: Observation 4.3's at most ``k`` lanes, embedded along shortest
+paths, kept whenever it meets the bounds above
+(:func:`check_lane_bounds`).
 """
 
 from __future__ import annotations
@@ -83,16 +88,58 @@ def build_lane_partition(
     for key, path in paths.items():
         if len(path) >= 2:
             weak.add_path(key, path)
-
-    # E2: connect consecutive lane heads with arbitrary (shortest) paths —
-    # the "second statement" of Proposition 4.6.
-    head = Embedding(graph)
-    heads = partition.heads()
-    for a, b in zip(heads, heads[1:]):
-        if graph.has_edge(a, b):
-            continue  # already a real edge; nothing to embed
-        head.add_path(edge_key(a, b), graph.shortest_path(a, b))
+    head = _shortest_path_embedding(graph, [partition.heads()])
     return LanePartitionResult(partition, weak, head)
+
+
+def greedy_lanes(graph: Graph, rep: IntervalRepresentation) -> LanePartitionResult:
+    """Observation 4.3's lanes, embedded along shortest paths.
+
+    :func:`greedy_lane_partition` yields at most ``rep.width()`` lanes;
+    each consecutive in-lane pair and head pair that is not already an
+    edge of ``graph`` embeds along ``graph.shortest_path``.  A pair that
+    is a real edge gets no path: a path keyed on a real edge would stand
+    in for that edge's own label.  Nothing bounds the congestion here;
+    the caller compares it with ``h(width)``.
+    """
+    if graph.n == 0:
+        raise ValueError("graph must be non-empty")
+    if not graph.is_connected():
+        raise ValueError("embedding lanes requires a connected graph")
+    partition = greedy_lane_partition(rep)
+    return LanePartitionResult(
+        partition,
+        _shortest_path_embedding(graph, partition.lanes),
+        _shortest_path_embedding(graph, [partition.heads()]),
+    )
+
+
+def check_lane_bounds(
+    result: LanePartitionResult, congestion: int, width: int
+) -> None:
+    """Raise ``AssertionError`` unless a lane partition of a width-``width``
+    representation meets Proposition 4.6's bounds: at most ``f(width)``
+    lanes and completion congestion at most ``h(width)``."""
+    if result.partition.width > f_bound(width):
+        raise AssertionError(
+            f"{result.partition.width} lanes exceed f({width}) = {f_bound(width)}"
+        )
+    if congestion > h_bound(width):
+        raise AssertionError(
+            f"completion congestion {congestion} exceeds h({width}) = {h_bound(width)}"
+        )
+
+
+def _shortest_path_embedding(graph: Graph, sequences) -> Embedding:
+    """Embed each consecutive pair of every sequence that is not already
+    an edge along a shortest path (E2, the "second statement" of
+    Proposition 4.6, embeds the lane heads this way)."""
+    embedding = Embedding(graph)
+    for sequence in sequences:
+        for a, b in zip(sequence, sequence[1:]):
+            if not graph.has_edge(a, b):
+                embedding.add_path(edge_key(a, b), graph.shortest_path(a, b))
+    return embedding
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,8 @@
 ``Theorem1Scheme`` certifies ``φ ∧ (pathwidth ≤ k)`` on a configuration:
 the prover runs the full pipeline — path decomposition → interval
 representation → lane partition with low-congestion embedding
-(Proposition 4.6) → completion → construction sequence (Proposition 5.2)
+(Observation 4.3's greedy lanes, or Proposition 4.6 when they miss its
+bounds) → completion → construction sequence (Proposition 5.2)
 → hierarchy (Proposition 5.6) → homomorphism classes (Proposition 6.1) →
 certificates (Lemmas 6.4/6.5 + embedding records) — and the verifier is
 :func:`repro.core.verifier.verify_theorem1`.

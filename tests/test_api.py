@@ -6,6 +6,7 @@ hierarchy running exactly once per graph), fingerprint caching in the
 lanewidth matcher, and the decomposition stage's parameter checks.
 """
 
+import json
 import random
 
 import pytest
@@ -20,16 +21,21 @@ from repro.api import (
     MatchSequenceStage,
     PipelineContext,
     PlanRunner,
+    SerialExecutor,
+    VerificationEngine,
     certify,
+    make_executor,
     theorem1_plan,
 )
 from repro.core import (
     LanewidthScheme,
     Theorem1Scheme,
     apply_construction,
+    f_bound,
+    h_bound,
     random_lanewidth_sequence,
 )
-from repro.experiments import lanewidth_workload
+from repro.experiments import lanewidth_workload, pathwidth_workload
 from repro.graphs import Graph
 from repro.graphs.generators import (
     caterpillar_graph,
@@ -279,6 +285,55 @@ class TestPipelineDirectly:
         refused = certify(cycle_graph(7), "bipartite", k=2)
         assert "refused" in refused.summary()
         assert isinstance(report, CertificationReport)
+
+
+class TestLaneChoice:
+    """``LaneStage`` keeps Observation 4.3's greedy lanes when they meet
+    Proposition 4.6's bounds and runs the recursion otherwise."""
+
+    @staticmethod
+    def _certify(n, k, seed, **kwargs):
+        graph, decomposition = pathwidth_workload(n, k, seed)
+        report = certify(
+            graph, "connected", k=k, rng=random.Random(seed),
+            decomposer=lambda _g: decomposition, **kwargs,
+        )
+        return report, decomposition.to_interval_representation().width()
+
+    @pytest.mark.parametrize("n,k,seed", [(64, 2, 1), (128, 3, 2), (96, 3, 5)])
+    def test_default_path_keeps_greedy(self, n, k, seed):
+        report, width = self._certify(n, k, seed, verify=False)
+        stats = report.lane_stats
+        assert stats["builder"] == "greedy"
+        assert stats["width"] == width
+        assert report.lane_count <= width
+        assert stats["congestion"] <= stats["h_bound"] == h_bound(width)
+        assert report.hierarchy_depth <= 2 * report.lane_count
+
+    def test_fallback_runs_prop_46_and_verifies(self, monkeypatch):
+        greedy, _width = self._certify(48, 3, 1, verify=False)
+        monkeypatch.setattr(pipeline_module, "h_bound", lambda _w: 0)
+        for engine in (
+            VerificationEngine(SerialExecutor()),
+            VerificationEngine(make_executor("vectorized")),
+        ):
+            report, width = self._certify(48, 3, 1, engine=engine)
+            stats = report.lane_stats
+            assert stats["builder"] == "prop-4.6"
+            assert report.accepted, engine
+            assert report.lane_count > greedy.lane_count
+            # The stage asserted the paper's (unpatched) bounds on it.
+            assert report.lane_count <= f_bound(width)
+            assert stats["congestion"] <= h_bound(width)
+
+    def test_lane_stats_round_trip(self):
+        report, _width = self._certify(32, 2, 3, verify=False)
+        data = json.loads(report.to_json())
+        assert CertificationReport.from_dict(data).lane_stats == report.lane_stats
+        sequence, _graph = lanewidth_workload(2, 16, 3)
+        lanewidth = certify(sequence, "connected", verify=False)
+        assert lanewidth.lane_stats is None
+        assert "lane_stats" not in lanewidth.to_dict()
 
 
 class TestBatchKeyAndArgumentHandling:

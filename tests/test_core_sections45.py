@@ -3,6 +3,7 @@ merges, hierarchies — every bound the paper states, asserted."""
 
 import random
 import sys
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -28,12 +29,12 @@ from repro.core import (
     tree_merge,
     validate_hierarchy,
 )
-from repro.core.hierarchy import to_klane
-from repro.core.klane_graph import KLaneGraph
+from repro.core.klane_graph import KLaneGraph, to_klane
 from repro.core.lanewidth import final_designated
 from repro.courcelle import algebra_for
 from repro.courcelle.boundary import REAL, VIRTUAL
-from repro.experiments import lanewidth_workload
+from repro.core.lane_partition import greedy_lanes
+from repro.experiments import lanewidth_workload, pathwidth_workload
 from repro.graphs import Graph
 from repro.graphs.generators import (
     caterpillar_graph,
@@ -51,6 +52,20 @@ from repro.pathwidth.exact import exact_path_decomposition
 
 def _rep_of(graph):
     return exact_path_decomposition(graph).to_interval_representation()
+
+
+@contextmanager
+def _recursion_headroom(frames: int):
+    """Run the body under a recursion limit ``frames`` above the caller."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 class TestBoundFunctions:
@@ -324,15 +339,8 @@ class TestProposition56:
         algebra = algebra_for("connected")
         expected = evaluate_hierarchy(root, algebra)
 
-        depth, frame = 0, sys._getframe()
-        while frame is not None:
-            depth, frame = depth + 1, frame.f_back
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(depth + 40)
-        try:
+        with _recursion_headroom(40):
             constrained = evaluate_hierarchy(root, algebra)
-        finally:
-            sys.setrecursionlimit(limit)
 
         assert constrained.node_eval == expected.node_eval
         assert constrained.subtree_eval == expected.subtree_eval
@@ -350,3 +358,230 @@ class TestProposition56:
             validate_hierarchy(root, completion.graph)
             evaluation = evaluate_hierarchy(root, algebra_for("connected"))
             assert evaluation.accepts(root)  # real subgraph is connected
+
+
+def _one_lane_chain(length: int) -> ConstructionSequence:
+    """Width 2, then ``length`` V-inserts on lane 0: one member chain."""
+    return ConstructionSequence(
+        width=2,
+        initial_vertices=(0, 1),
+        initial_edge_tags=(REAL,),
+        ops=[("V", 0, v, REAL) for v in range(2, 2 + length)],
+    )
+
+
+def _reference_check(root, graph) -> None:
+    """The prover's self-check before the one-pass check: edge, tag,
+    vertex and depth checks over whole-subtree walks, then the reference
+    k-lane merges."""
+    edges = root.all_edges()
+    keys = [key for key, _tag in edges]
+    if len(keys) != len(set(keys)) or set(keys) != set(graph.edges()):
+        raise ValueError("edges")
+    for key, tag in edges:
+        if graph.edge_label(*key) != tag:
+            raise ValueError("tags")
+    if root.all_vertices() != set(graph.vertices()):
+        raise ValueError("vertices")
+    if hierarchy_depth(root) > 2 * len(root.lanes):
+        raise ValueError("depth")
+    to_klane(root)
+
+
+def _reference_rejects(root, graph) -> bool:
+    try:
+        _reference_check(root, graph)
+    except Exception:  # the reference merges fail in many shapes
+        return True
+    return False
+
+
+def _honest(seed: int):
+    rng = random.Random(seed)
+    seq = random_lanewidth_sequence(
+        rng.choice([2, 3, 4]), rng.randrange(4, 30), rng
+    )
+    return build_hierarchy(seq), apply_construction(seq), rng
+
+
+def _drop_leaf_member(t_node, rng) -> bool:
+    """Remove a member with no kids (not the root member) from a T node."""
+    parents = set(t_node.member_parent.values())
+    leaves = [
+        index for index in range(len(t_node.children))
+        if index not in parents and index != t_node.root_member
+    ]
+    if not leaves:
+        return False
+    gone = rng.choice(leaves)
+    del t_node.children[gone]
+    t_node.member_parent = {
+        index - (index > gone): (
+            None if parent is None else parent - (parent > gone)
+        )
+        for index, parent in t_node.member_parent.items()
+        if index != gone
+    }
+    t_node.root_member -= t_node.root_member > gone
+    return True
+
+
+def _corrupt(root, graph, kind: str, rng):
+    """Apply one corruption to the hierarchy (or, for
+    ``extra-graph-edge``, to the graph) in place; return the (possibly
+    new) root."""
+    nodes = list(root.walk())
+    if kind == "swap-terminal":
+        node = rng.choice([x for x in nodes if len(x.lanes) >= 2])
+        terminals = rng.choice([node.t_in, node.t_out])
+        a, b = rng.sample(sorted(terminals), 2)
+        terminals[a], terminals[b] = terminals[b], terminals[a]
+    elif kind == "wrong-terminal":
+        node = rng.choice(nodes)
+        lane = rng.choice(sorted(node.t_out))
+        node.t_out[lane] = rng.choice(sorted(graph.vertices()))
+    elif kind == "duplicate-edge":
+        e_nodes = [x for x in nodes if x.kind == "E"]
+        if len(e_nodes) >= 2:
+            a, b = rng.sample(e_nodes, 2)
+            a.edge, a.edge_tag = b.edge, b.edge_tag
+    elif kind == "flip-tag":
+        e_nodes = [x for x in nodes if x.kind == "E"]
+        if e_nodes:
+            node = rng.choice(e_nodes)
+            node.edge_tag = VIRTUAL if node.edge_tag == REAL else REAL
+    elif kind == "extra-graph-edge":
+        vertices = sorted(graph.vertices())
+        missing = [
+            (u, v) for u in vertices for v in vertices
+            if u < v and not graph.has_edge(u, v)
+        ]
+        if missing:
+            u, v = rng.choice(missing)
+            graph.add_edge(u, v)
+            graph.set_edge_label(u, v, REAL)
+    elif kind == "drop-vertex":
+        t_nodes = [x for x in nodes if x.kind == "T"]
+        rng.shuffle(t_nodes)
+        any(_drop_leaf_member(t_node, rng) for t_node in t_nodes)
+    elif kind == "overlapping-bridge":
+        b_nodes = [x for x in nodes if x.kind == "B"]
+        if b_nodes:
+            node = rng.choice(b_nodes)
+            lane = node.bridge[0]
+            right = node.children[1]
+            if right.kind == "V":
+                right.lanes = (lane,)
+                right.t_in = {lane: right.vertex}
+                right.t_out = {lane: right.vertex}
+            node.bridge = (lane, lane)
+    elif kind == "reparent-member":
+        t_node = rng.choice([x for x in nodes if x.kind == "T"])
+        if len(t_node.children) >= 2:
+            member = rng.choice(
+                [i for i in range(len(t_node.children)) if i != t_node.root_member]
+            )
+            t_node.member_parent[member] = rng.choice(
+                [i for i in range(len(t_node.children)) if i != member]
+            )
+    elif kind == "depth-overflow":
+        # Single-member T wrappers keep every other condition intact.
+        from repro.core.hierarchy import HierarchyNode
+
+        for _ in range(2 * len(root.lanes) + rng.choice([0, 3000])):
+            root = HierarchyNode(
+                kind="T",
+                lanes=root.lanes,
+                t_in=dict(root.t_in),
+                t_out=dict(root.t_out),
+                children=[root],
+                member_parent={0: None},
+                root_member=0,
+            )
+    else:
+        raise AssertionError(kind)
+    return root
+
+
+CORRUPTIONS = (
+    "swap-terminal",
+    "wrong-terminal",
+    "duplicate-edge",
+    "flip-tag",
+    "extra-graph-edge",
+    "drop-vertex",
+    "overlapping-bridge",
+    "reparent-member",
+    "depth-overflow",
+)
+
+
+class TestOnePassValidation:
+    """``validate_hierarchy`` checks what the reference k-lane merges
+    check, in one pass, on explicit stacks."""
+
+    def test_validation_stack_depth_is_independent_of_member_chains(self):
+        """Greedy lanes make member chains about n/3 deep; a width-2
+        chain of 2 × the recursion limit V-inserts is one member chain
+        that long.  Validate both under a recursion limit a few dozen
+        frames above the caller."""
+        seq, graph = lanewidth_workload(3, 256, 1)
+        root = build_hierarchy(seq)
+        chain = _one_lane_chain(2 * sys.getrecursionlimit())
+        chain_root = build_hierarchy(chain)
+        chain_graph = apply_construction(chain)
+        with _recursion_headroom(40):
+            depths = (
+                validate_hierarchy(root, graph),
+                validate_hierarchy(chain_root, chain_graph),
+            )
+        assert depths == (hierarchy_depth(root), hierarchy_depth(chain_root))
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_honest_random_hierarchies_pass_both_checks(self, seed):
+        root, graph, _rng = _honest(seed)
+        assert validate_hierarchy(root, graph) == hierarchy_depth(root)
+        _reference_check(root, graph)
+
+    @pytest.mark.parametrize("builder", ["greedy", "prop-4.6"])
+    def test_honest_theorem1_hierarchies_pass_both_checks(self, builder):
+        for n, k, seed in ((40, 2, 1), (60, 3, 2), (80, 3, 3)):
+            graph, decomposition = pathwidth_workload(n, k, seed)
+            rep = decomposition.to_interval_representation()
+            build = greedy_lanes if builder == "greedy" else build_lane_partition
+            completion = build_completion(graph, build(graph, rep).partition)
+            root = build_hierarchy(
+                construction_sequence_from_completion(completion)
+            )
+            assert validate_hierarchy(root, completion.graph) == hierarchy_depth(
+                root
+            )
+            _reference_check(root, completion.graph)
+
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.sampled_from(CORRUPTIONS),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_corruptions_the_reference_catches_are_caught(self, seed, kind):
+        root, graph, rng = _honest(seed)
+        root = _corrupt(root, graph, kind, rng)
+        try:
+            validate_hierarchy(root, graph)
+        except ValueError:
+            return  # the only exception type it may raise
+        assert not _reference_rejects(root, graph), kind
+
+    @pytest.mark.parametrize("kind", CORRUPTIONS)
+    def test_each_corruption_is_caught(self, kind):
+        """Every corruption kind, on a host where it bites."""
+        for seed in range(200):
+            root, graph, rng = _honest(seed)
+            root = _corrupt(root, graph, kind, rng)
+            if _reference_rejects(root, graph):
+                with pytest.raises(ValueError):
+                    validate_hierarchy(root, graph)
+                return
+        raise AssertionError(f"no host where {kind} bites")
+

@@ -411,8 +411,10 @@ class TestLabelNode:
         # Every structural and evaluate key is the one written before the
         # label node carried wire bytes (pinned through the evaluate key,
         # which chains every structural node); the label key is not.
+        # The theorem1 evaluate key is the one written since the lanes
+        # key named the builder policy (greedy first, Prop. 4.6 fallback).
         pinned = {
-            "theorem1": ("c691ca04731f6f1bbe364fae6dfc7235cdc50295",
+            "theorem1": ("73e9d05454d781aeef13715ab50504d57fb47bbb",
                          "350192c9b4219347b30533d5470fcafc94f6b186"),
             "lanewidth": ("dcf0300235c59ad2f039dd39f335f5099a95cbb9",
                           "8f98297e49c55236b755aa71c907f0e725619095"),
