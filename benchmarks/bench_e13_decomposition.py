@@ -7,17 +7,22 @@ Three series, one per claim the PR 9 engine makes:
   case — asserted, not just recorded — with wall-clock for both engines
   and the heuristic portfolio's width alongside;
 * **scale** (planted ``random_pathwidth_graph`` instances far past the
-  DP's 2^n wall): the search must *prove* optimality within the budget
-  (default: n=50, pathwidth ≤ 6, 10 s) — the regime where the subset DP
-  is simply infeasible (2^50 states);
+  DP's 2^n wall): the search must *prove* optimality within its node
+  budget (default: n=50, pathwidth ≤ 6, 200,000 nodes) — the regime
+  where the subset DP is simply infeasible (2^50 states);
 * **e2e** (end-to-end certification buckets): ``certify`` runs twice on
   graphs where the heuristic portfolio is measurably suboptimal — once
-  heuristic-only (no budget) and once with ``exact_budget_ms`` — and the
-  series records achieved width, hierarchy depth, and measured label
-  bits for both.  The E1/E4 benches are lanewidth workloads with no
-  decompose stage, so this is where the decomposition engine's
-  downstream effect on depth/bits lives.  Gate: the budgeted width is
-  never worse than the heuristic's.
+  with the default witness search (at ``k`` = the heuristic width it
+  keeps the heuristic witness) and once with a ``decomposer=`` that runs
+  the branch-and-bound seeded with the heuristic ordering under a node
+  budget — and the series records achieved width, hierarchy depth, and
+  measured label bits for both.  The E1/E4 benches are lanewidth
+  workloads with no decompose stage, so this is where the decomposition
+  engine's downstream effect on depth/bits lives.  Gates: the
+  branch-and-bound width is never worse than the heuristic's, and the
+  first bucket's search, run twice, expands the same nodes to the same
+  width (node budgets, not wall-clock ones, so every field but the
+  ``*_s`` timings and ``elapsed_ms`` regenerates identically).
 
 Output follows the house pattern: a ``BENCH_JSON`` line on stdout plus
 a JSON file (``E13_OUT``, default ``BENCH_E13.json`` in the working
@@ -26,9 +31,9 @@ refused unless ``E13_OUT`` names it explicitly).
 
 Environment knobs (CI's smoke step shrinks everything):
 ``E13_SMALL_SIZES``, ``E13_SMALL_TRIALS``, ``E13_SCALE_N``,
-``E13_SCALE_K``, ``E13_SCALE_TRIALS``, ``E13_SCALE_BUDGET_MS``,
+``E13_SCALE_K``, ``E13_SCALE_TRIALS``, ``E13_SCALE_NODE_BUDGET``,
 ``E13_E2E_BUCKETS`` (``n:p:seed`` triples, comma-separated; empty
-skips the series), ``E13_E2E_BUDGET_MS``, ``E13_OUT``.
+skips the series), ``E13_E2E_NODE_BUDGET``, ``E13_OUT``.
 """
 
 import json
@@ -37,10 +42,15 @@ import random
 import time
 
 from repro.api import certify
+from repro.api.pipeline import bnb_stats
 from repro.experiments import Table
 from repro.graphs import Graph
 from repro.graphs.generators import random_pathwidth_graph
-from repro.pathwidth import branch_and_bound_ordering
+from repro.pathwidth import (
+    branch_and_bound_decomposition,
+    branch_and_bound_ordering,
+)
+from repro.pathwidth.branch_and_bound import ordering_from_decomposition
 from repro.pathwidth.exact import subset_dp_pathwidth
 from repro.pathwidth.heuristics import heuristic_path_decomposition
 
@@ -51,9 +61,9 @@ SMALL_TRIALS = int(os.environ.get("E13_SMALL_TRIALS", "3"))
 SCALE_N = int(os.environ.get("E13_SCALE_N", "50"))
 SCALE_K = int(os.environ.get("E13_SCALE_K", "6"))
 SCALE_TRIALS = int(os.environ.get("E13_SCALE_TRIALS", "5"))
-SCALE_BUDGET_MS = float(os.environ.get("E13_SCALE_BUDGET_MS", "10000"))
+SCALE_NODE_BUDGET = int(os.environ.get("E13_SCALE_NODE_BUDGET", "200000"))
 E2E_BUCKETS = os.environ.get("E13_E2E_BUCKETS", "40:0.07:4,40:0.07:5,60:0.05:4")
-E2E_BUDGET_MS = float(os.environ.get("E13_E2E_BUDGET_MS", "4000"))
+E2E_NODE_BUDGET = int(os.environ.get("E13_E2E_NODE_BUDGET", "120000"))
 OUT_PATH = os.environ.get("E13_OUT", "BENCH_E13.json")
 BASELINE_PATH = os.path.join(os.path.dirname(__file__), "BENCH_E13.json")
 
@@ -121,7 +131,7 @@ def _small_series():
 def _scale_series():
     table = Table(
         f"E13b: planted n={SCALE_N}, pathwidth <= {SCALE_K} "
-        f"(budget {SCALE_BUDGET_MS:g} ms; DP infeasible at 2^n states)",
+        f"(budget {SCALE_NODE_BUDGET} nodes; DP infeasible at 2^n states)",
         ["seed", "heur_width", "bnb_width", "optimal", "bnb_s", "nodes"],
     )
     series = []
@@ -131,14 +141,14 @@ def _scale_series():
         )
         heur_width = heuristic_path_decomposition(g).width()
         t0 = time.perf_counter()
-        result = branch_and_bound_ordering(g, budget_ms=SCALE_BUDGET_MS)
+        result = branch_and_bound_ordering(g, node_budget=SCALE_NODE_BUDGET)
         bnb_s = time.perf_counter() - t0
         assert result.width <= heur_width
         assert result.width <= SCALE_K
         # The scale gate: optimality *proven* within budget, in a size
         # regime the subset DP cannot touch.
         assert result.optimal, (
-            f"budget {SCALE_BUDGET_MS}ms expired on seed {seed} "
+            f"budget of {SCALE_NODE_BUDGET} nodes spent on seed {seed} "
             f"(incumbent width {result.width})"
         )
         series.append(
@@ -167,8 +177,19 @@ def _scale_series():
     return series
 
 
+def _bnb_witness(graph):
+    """``decomposer=`` hook: the heuristic-seeded, node-budgeted search."""
+    seeded = heuristic_path_decomposition(graph)
+    decomposition, result = branch_and_bound_decomposition(
+        graph,
+        node_budget=E2E_NODE_BUDGET,
+        seed_ordering=ordering_from_decomposition(seeded),
+    )
+    return decomposition, bnb_stats(decomposition, result, seeded.width())
+
+
 def _e2e_series():
-    """Certification buckets: heuristic-only vs budgeted-B&B witness."""
+    """Certification buckets: heuristic vs node-budgeted B&B witness."""
     table = Table(
         "E13c: end-to-end certify (heuristic vs bnb witness)",
         [
@@ -198,7 +219,7 @@ def _e2e_series():
         )
         budgeted = certify(
             g, "connected", k=k, rng=random.Random(rng_ids.random()),
-            verify=False, exact_budget_ms=E2E_BUDGET_MS,
+            verify=False, decomposer=_bnb_witness,
         )
         assert not heuristic.refused and not budgeted.refused
         h_stats = heuristic.decomposition_stats
@@ -210,6 +231,15 @@ def _e2e_series():
             f"bnb width {b_stats['width']} exceeds heuristic "
             f"{h_stats['width']} on n={n} seed={seed}"
         )
+        if not series:
+            # Reproducibility gate: a node budget, not a deadline, so a
+            # second run of the same search ends in the same place.
+            _again, again = _bnb_witness(g)
+            for field in ("width", "optimal", "nodes_expanded"):
+                assert again[field] == b_stats[field], (
+                    f"bnb {field} {again[field]} != {b_stats[field]} on "
+                    f"rerun of n={n} seed={seed}"
+                )
         series.append(
             {
                 "n": n,
@@ -228,7 +258,8 @@ def _e2e_series():
                     "hierarchy_depth": budgeted.hierarchy_depth,
                     "total_label_bits": budgeted.total_label_bits,
                     "max_label_bits": budgeted.max_label_bits,
-                    "nodes_expanded": b_stats.get("nodes_expanded"),
+                    "nodes_expanded": b_stats["nodes_expanded"],
+                    "node_budget": b_stats["node_budget"],
                 },
             }
         )
@@ -277,4 +308,4 @@ def test_e13_decomposition(benchmark):
     g, _bags = random_pathwidth_graph(
         min(SCALE_N, 30), min(SCALE_K, 3), rng=random.Random(0)
     )
-    benchmark(branch_and_bound_ordering, g, 5_000)
+    benchmark(branch_and_bound_ordering, g)

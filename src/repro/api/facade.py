@@ -39,7 +39,6 @@ def certify(
     *,
     rng: Optional[random.Random] = None,
     decomposer: Optional[Callable] = None,
-    exact_budget_ms: Optional[float] = None,
     verify: bool = True,
     engine: Optional[VerificationEngine] = None,
     store=None,
@@ -63,13 +62,10 @@ def certify(
         Identifier source for bare-graph targets.
     decomposer:
         Optional witness decomposition override, ``graph ->
-        PathDecomposition``.
-    exact_budget_ms:
-        Wall-clock budget authorizing exact branch-and-bound attempts on
-        graphs above the exact cutoff (see
-        :class:`repro.api.pipeline.DecomposeStage`); a timeout falls back
-        to the best incumbent (never worse than the heuristic), recorded
-        in ``report.decomposition_stats``.
+        PathDecomposition`` (or ``(PathDecomposition, stats)``).  Without
+        one the witness search is a fixed policy of the graph and ``k``
+        (see :class:`repro.api.pipeline.DecomposeStage`), recorded in
+        ``report.decomposition_stats``.
     verify:
         ``False`` skips the verification round (prove only); replay it
         later with ``CertificationSession.verify``.
@@ -100,7 +96,6 @@ def certify(
     session = CertificationSession(
         k=k,
         decomposer=decomposer,
-        exact_budget_ms=exact_budget_ms,
         rng=rng,
         engine=engine,
         store=store,

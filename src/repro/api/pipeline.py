@@ -62,10 +62,16 @@ from repro.pls.scheme import Labeling, ProverFailure
 from repro.api.store import StoredLabels
 
 #: Instance-size cutoff up to which :class:`DecomposeStage` always runs
-#: an exact engine to completion.  Above it, exact search only happens
-#: when an ``exact_budget_ms`` deadline authorizes a budgeted
-#: branch-and-bound attempt.
+#: the branch-and-bound to completion.
 DEFAULT_EXACT_DECOMPOSITION_LIMIT = 14
+
+#: Expanded-node cap of the seeded branch-and-bound that
+#: :class:`DecomposeStage` runs above the cutoff when the heuristic
+#: witness is wider than ``k``.  Measured: width-3 rescues at k=3 take
+#: 16–250 nodes up to n=1024; a refusal that spends the whole budget
+#: searches for 0.16–2.0 s on 6x10 to 32x32 grids (the heuristic alone
+#: takes 38 s on the 32x32 one).
+BNB_NODE_BUDGET = 4096
 
 #: Stage names that must rerun for every property; every other stage's
 #: artifacts depend only on the graph.
@@ -181,46 +187,33 @@ class DecomposeStage(Stage):
     k:
         The pathwidth bound being certified.
     decomposer:
-        Optional override ``graph -> PathDecomposition`` (generators that
-        already know a witness pass it here and skip the search).
-        Without one, instances with ``n <=``
-        :data:`DEFAULT_EXACT_DECOMPOSITION_LIMIT` always get a
-        *complete* branch-and-bound vertex-separation search; larger
-        ones get a budgeted attempt when ``exact_budget_ms`` is set, and
-        the heuristic portfolio otherwise.
-    exact_budget_ms:
-        Wall-clock budget for exact search above the cutoff.  The
-        search is seeded with the heuristic incumbent, so a timeout
-        falls back to an ordering at least as good as the heuristic's,
-        with the attempt recorded in the
-        ``decomposition_stats`` artifact.  ``None`` (default) disables
-        exact attempts above the cutoff.
+        Optional override ``graph -> PathDecomposition`` or ``graph ->
+        (PathDecomposition, stats)`` (generators that already know a
+        witness pass it here and skip the search).
+
+    Without a decomposer the witness search is a fixed policy of the
+    graph and ``k`` (see :meth:`default_decomposer`): instances with
+    ``n <=`` :data:`DEFAULT_EXACT_DECOMPOSITION_LIMIT` get a *complete*
+    branch-and-bound; larger ones keep the heuristic portfolio's witness
+    when its width is at most ``k``, and otherwise run a branch-and-bound
+    seeded with it and capped at :data:`BNB_NODE_BUDGET` expanded nodes
+    before refusing.
     """
 
     name = "decompose"
     inputs = ("graph",)
     outputs = ("decomposition", "max_width", "decomposition_stats")
 
-    def __init__(
-        self,
-        k: int,
-        decomposer: Optional[Callable] = None,
-        exact_budget_ms: Optional[float] = None,
-    ):
+    def __init__(self, k: int, decomposer: Optional[Callable] = None):
         if k < 1:
             raise ValueError("pathwidth bound must be at least 1")
-        if exact_budget_ms is not None and exact_budget_ms <= 0:
-            raise ValueError("exact_budget_ms must be positive")
         self.k = k
         self.decomposer = decomposer
-        self.exact_budget_ms = exact_budget_ms
 
     def _engine_params(self):
-        # The cutoff stays in the key so node keys (and persisted
-        # artifacts) match those written while it was a parameter.
         return (
             "k", self.k, "exact_limit", DEFAULT_EXACT_DECOMPOSITION_LIMIT,
-            "exact_budget_ms", self.exact_budget_ms,
+            "policy", "heuristic-then-bnb", "bnb_node_budget", BNB_NODE_BUDGET,
         )
 
     def plan_params(self):
@@ -248,54 +241,46 @@ class DecomposeStage(Stage):
         heuristic width, and (for the branch-and-bound) the search
         counters.  It travels through the plan cache as the
         ``decomposition_stats`` artifact and surfaces in
-        :class:`~repro.api.results.CertificationReport`.
+        :class:`~repro.api.results.CertificationReport`.  The choice
+        reads only ``n`` and the heuristic width, never the clock.
         """
-        # Complete branch-and-bound below the size gate, a budgeted
-        # attempt above it when authorized, heuristic otherwise.
-        exact = graph.n <= DEFAULT_EXACT_DECOMPOSITION_LIMIT
-        if not exact and self.exact_budget_ms is None:
-            decomposition = heuristic_path_decomposition(graph)
-            return decomposition, {
+        if graph.n <= DEFAULT_EXACT_DECOMPOSITION_LIMIT:
+            # The search seeds itself from the heuristic portfolio, so
+            # its seed width is the heuristic width.
+            decomposition, result = branch_and_bound_decomposition(graph)
+            return decomposition, bnb_stats(
+                decomposition, result, result.stats.seed_width
+            )
+        seeded = heuristic_path_decomposition(graph)
+        width = seeded.width()
+        if width <= self.k:
+            return seeded, {
                 "engine": "heuristic",
                 "optimal": False,
-                "width": decomposition.width(),
-                "heuristic_width": decomposition.width(),
+                "width": width,
+                "heuristic_width": width,
             }
-        seed_ordering = None
-        heuristic_width = None
-        if not exact:
-            seeded = heuristic_path_decomposition(graph)
-            heuristic_width = seeded.width()
-            seed_ordering = ordering_from_decomposition(seeded)
         decomposition, result = branch_and_bound_decomposition(
             graph,
-            budget_ms=self.exact_budget_ms,
-            seed_ordering=seed_ordering,
+            node_budget=BNB_NODE_BUDGET,
+            seed_ordering=ordering_from_decomposition(seeded),
         )
-        if heuristic_width is None:
-            # Small instances skip the explicit portfolio run; the search
-            # seeds itself, and its seed width is the heuristic width.
-            heuristic_width = result.stats.seed_width
-        stats = {
-            "engine": "bnb",
-            "optimal": result.optimal,
-            "width": decomposition.width(),
-            "heuristic_width": heuristic_width,
-        }
-        stats.update(result.stats.to_dict())
-        return decomposition, stats
+        return decomposition, bnb_stats(decomposition, result, width)
 
     def run(self, ctx: PipelineContext) -> None:
         graph = ctx.graph
         if graph.n < 2:
-            raise ProverFailure("certification needs at least two vertices")
+            raise ProverFailure(
+                "certification needs at least two vertices", "too-small"
+            )
         if not graph.is_connected():
-            raise ProverFailure("the network must be connected")
+            raise ProverFailure(
+                "the network must be connected", "disconnected"
+            )
         if self.decomposer is not None:
             produced = self.decomposer(graph)
             # Custom decomposers may return a bare decomposition or
-            # delegate to ``default_decomposer`` and return its
-            # ``(decomposition, stats)`` pair.
+            # a ``(decomposition, stats)`` pair.
             if isinstance(produced, tuple):
                 decomposition, stats = produced
             else:
@@ -310,11 +295,34 @@ class DecomposeStage(Stage):
         if decomposition.width() > self.k:
             raise ProverFailure(
                 f"no witness decomposition of width <= {self.k} found "
-                f"(got {decomposition.width()})"
+                f"({_widths_tried(stats, decomposition.width())})",
+                "width",
             )
         ctx.decomposition = decomposition
         ctx.decomposition_stats = stats
         ctx.max_width = f_bound(self.k + 1)
+
+
+def bnb_stats(decomposition, result, heuristic_width) -> dict:
+    """The ``decomposition_stats`` of a branch-and-bound witness."""
+    stats = {
+        "engine": "bnb",
+        "optimal": result.optimal,
+        "width": decomposition.width(),
+        "heuristic_width": heuristic_width,
+    }
+    stats.update(result.stats.to_dict())
+    return stats
+
+
+def _widths_tried(stats: dict, width: int) -> str:
+    """Name the widths the witness search reached, for a refusal."""
+    if stats.get("engine") != "bnb":
+        return f"got {width}"
+    return (
+        f"heuristic {stats.get('heuristic_width')}, branch-and-bound "
+        f"{width} after {stats.get('nodes_expanded')} nodes"
+    )
 
 
 class LaneStage(Stage):
@@ -428,7 +436,9 @@ class MatchSequenceStage(Stage):
     def run(self, ctx: PipelineContext) -> None:
         observed = ctx.graph.fingerprint(include_labels=False)
         if observed != self.expected_fingerprint():
-            raise ProverFailure("configuration does not match the construction")
+            raise ProverFailure(
+                "configuration does not match the construction", "mismatch"
+            )
         ctx.sequence = self.sequence
         ctx.embedding = Embedding(ctx.graph)
         ctx.max_width = self.sequence.width
@@ -473,9 +483,11 @@ class EvaluateStage(Stage):
         except ArityLimitExceeded as exc:
             # A capacity limit of the algebra, not a false property:
             # refuse with the algebra's own explanation.
-            raise ProverFailure(str(exc)) from exc
+            raise ProverFailure(str(exc), "unsupported") from exc
         if not ctx.evaluation.accepts(ctx.root):
-            raise ProverFailure("property does not hold on the real subgraph")
+            raise ProverFailure(
+                "property does not hold on the real subgraph", "false"
+            )
 
 
 class LabelStage(Stage):

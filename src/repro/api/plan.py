@@ -259,17 +259,11 @@ class PlanRunner:
 # ----------------------------------------------------------------------
 # The two proving modes as plans.
 # ----------------------------------------------------------------------
-def theorem1_plan(
-    k: int,
-    decomposer=None,
-    exact_budget_ms: Optional[float] = None,
-) -> CertificationPlan:
+def theorem1_plan(k: int, decomposer=None) -> CertificationPlan:
     """The full Theorem 1 stage DAG for pathwidth-bounded certification."""
     return CertificationPlan(
         [
-            DecomposeStage(
-                k, decomposer=decomposer, exact_budget_ms=exact_budget_ms
-            ),
+            DecomposeStage(k, decomposer=decomposer),
             LaneStage(),
             CompletionStage(),
             HierarchyStage(),

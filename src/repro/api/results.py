@@ -64,9 +64,13 @@ class CertificationReport:
     property_key: str
     accepted: bool
     #: True when the honest prover refused the instance (property false,
-    #: width over bound, disconnected network, ...) — ``refusal`` says why.
+    #: width over bound, disconnected network, ...) — ``refusal`` says
+    #: why, and ``refusal_reason`` is its code (``too-small``,
+    #: ``disconnected``, ``width``, ``mismatch``, ``false``,
+    #: ``unsupported``; see :class:`~repro.pls.scheme.ProverFailure`).
     refused: bool = False
     refusal: Optional[str] = None
+    refusal_reason: Optional[str] = None
 
     # Instance shape.
     n: int = 0
@@ -99,8 +103,8 @@ class CertificationReport:
     #: How the witness decomposition was obtained (``None`` in lanewidth
     #: mode or on refusal before the decompose stage): engine name
     #: ("bnb"/"heuristic"/"witness"), achieved vs heuristic width,
-    #: and — for the branch-and-bound — nodes expanded, memo hits,
-    #: optimality/timeout flags.
+    #: and — for the branch-and-bound — nodes expanded, memo hits, the
+    #: node budget and the ``optimal``/``exhausted`` flags.
     decomposition_stats: Optional[dict] = None
     #: Which lane builder the Theorem-1 prover kept (``None`` in
     #: lanewidth mode or on refusal): ``builder`` ("greedy" for
@@ -189,10 +193,13 @@ class CertificationReport:
                 else None
             ),
         }
-        # Store entries embed this dict: leaving the key out when there
-        # is nothing to say keeps lanewidth-mode entries byte-identical.
+        # Store entries embed this dict: leaving these keys out when
+        # there is nothing to say keeps accepted lanewidth-mode entries
+        # byte-identical.
         if self.lane_stats is not None:
             data["lane_stats"] = dict(self.lane_stats)
+        if self.refusal_reason is not None:
+            data["refusal_reason"] = self.refusal_reason
         return data
 
     def to_json(self, **kwargs) -> str:
@@ -206,6 +213,7 @@ class CertificationReport:
             accepted=data["accepted"],
             refused=data.get("refused", False),
             refusal=data.get("refusal"),
+            refusal_reason=data.get("refusal_reason"),
             n=data.get("n", 0),
             m=data.get("m", 0),
             max_width=data.get("max_width"),

@@ -92,12 +92,10 @@ class CertificationSession:
         Pathwidth bound used when certifying :class:`Graph` /
         :class:`Configuration` targets (Theorem 1 mode).  Sequence
         targets carry their own width and ignore ``k``.
-    decomposer, exact_budget_ms:
-        Forwarded to :class:`repro.api.pipeline.DecomposeStage` —
-        ``exact_budget_ms`` authorizes a budgeted exact attempt above
-        the exact cutoff.  ``decomposer`` may be reassigned between
-        calls; structures cached under another decomposer never satisfy
-        it.
+    decomposer:
+        Forwarded to :class:`repro.api.pipeline.DecomposeStage`.  It may
+        be reassigned between calls; structures cached under another
+        decomposer never satisfy it.
     rng:
         Source of vertex identifiers for bare-graph targets.
     engine:
@@ -122,11 +120,9 @@ class CertificationSession:
         engine: Optional[VerificationEngine] = None,
         store=None,
         artifacts: Optional[ArtifactCache] = None,
-        exact_budget_ms: Optional[float] = None,
     ):
         self.k = k
         self.decomposer = decomposer
-        self.exact_budget_ms = exact_budget_ms
         self.rng = rng or random.Random()
         self.engine = engine if engine is not None else VerificationEngine()
         self.store = store
@@ -303,11 +299,7 @@ class CertificationSession:
                 "CertificationSession needs a pathwidth bound k to certify "
                 "graph targets (sequence targets carry their own width)"
             )
-        return theorem1_plan(
-            self.k,
-            decomposer=self.decomposer,
-            exact_budget_ms=self.exact_budget_ms,
-        )
+        return theorem1_plan(self.k, decomposer=self.decomposer)
 
     def _structure_for(self, config, sequence, fingerprint) -> _Structure:
         """Resolve the structural phase, running only unresolved nodes.
@@ -321,13 +313,7 @@ class CertificationSession:
         if sequence is not None:
             mode_key = ("lanewidth", fingerprint)
         else:
-            mode_key = (
-                "theorem1",
-                self.k,
-                self.decomposer,
-                self.exact_budget_ms,
-                fingerprint,
-            )
+            mode_key = ("theorem1", self.k, self.decomposer, fingerprint)
         plan = self._plan_for(sequence, mode_key)
         ctx = PipelineContext(config=config)
         source_keys = {
@@ -356,12 +342,7 @@ class CertificationSession:
             scheme = LanewidthScheme(algebra, structure.sequence)
             scheme.match_stage = structure.match_stage
             return scheme
-        return Theorem1Scheme(
-            algebra,
-            self.k,
-            decomposer=self.decomposer,
-            exact_budget_ms=self.exact_budget_ms,
-        )
+        return Theorem1Scheme(algebra, self.k, decomposer=self.decomposer)
 
     # ------------------------------------------------------------------
     def _property_keys(self, structure, algebra) -> dict:
@@ -487,6 +468,7 @@ class CertificationSession:
             accepted=False,
             refused=True,
             refusal=str(failure),
+            refusal_reason=getattr(failure, "reason", None),
             n=config.graph.n,
             m=config.graph.m,
             stage_timings=tuple(stage_timings),

@@ -140,22 +140,10 @@ class StoreMetrics:
     :meth:`~CertificateStore.compact` removed, ``orphans_cleaned``
     stale temp files removed, ``migrated`` flat-layout entries moved
     into their shard, and ``decodes`` stored labelings actually decoded
-    (by a load, or by a reverify round that read its labels).  The
-    incremental layer (:mod:`repro.incremental`) records its reuse
-    against the store that backs it — :data:`INCREMENTAL_FIELDS`:
-    ``updates`` edit batches applied, ``bags_dirtied`` by their
-    decomposition repairs, ``artifacts_reused`` resolved from the
-    artifact cache instead of re-proven, and ``full_fallbacks``
-    (repairs that gave up and re-ran the full search).  :meth:`snapshot` returns a JSON-safe dict; the
-    service layer embeds it in its own metrics snapshot.
+    (by a load, or by a reverify round that read its labels).
+    :meth:`snapshot` returns a JSON-safe dict; the service layer embeds
+    it in its own metrics snapshot.
     """
-
-    INCREMENTAL_FIELDS = (
-        "updates",
-        "bags_dirtied",
-        "artifacts_reused",
-        "full_fallbacks",
-    )
 
     FIELDS = (
         "hits",
@@ -166,7 +154,7 @@ class StoreMetrics:
         "orphans_cleaned",
         "migrated",
         "decodes",
-    ) + INCREMENTAL_FIELDS
+    )
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -477,7 +465,6 @@ class CertificateStore:
             else:
                 shards.add(path.parent.name)
         orphans = len(self._orphan_paths(max_age_seconds=None))
-        snapshot = self.metrics.snapshot()
         return {
             "entries": len(paths),
             "bytes": total,
@@ -485,12 +472,6 @@ class CertificateStore:
             "flat_entries": flat,
             "tmp_orphans": orphans,
             "byte_budget": self.byte_budget,
-            # Edit-stream accounting (repro.incremental) rides along so
-            # one stats() call answers "how much work did reuse save".
-            "incremental": {
-                name: snapshot[name]
-                for name in StoreMetrics.INCREMENTAL_FIELDS
-            },
         }
 
     # ------------------------------------------------------------------

@@ -90,9 +90,8 @@ class CertifyingScheme(ProofLabelingScheme):
 class Theorem1Scheme(CertifyingScheme):
     """Certify ``φ ∧ (pathwidth ≤ k)`` with O(log n)-bit edge labels.
 
-    ``decomposer`` overrides the witness search and ``exact_budget_ms``
-    authorizes a budgeted branch-and-bound attempt above the exact
-    cutoff (see :class:`repro.api.pipeline.DecomposeStage`).
+    ``decomposer`` overrides the witness search (see
+    :class:`repro.api.pipeline.DecomposeStage`).
     """
 
     def __init__(
@@ -100,23 +99,17 @@ class Theorem1Scheme(CertifyingScheme):
         algebra,
         k: int,
         decomposer: Optional[Callable] = None,
-        exact_budget_ms: Optional[float] = None,
     ):
         if k < 1:
             raise ValueError("pathwidth bound must be at least 1")
         super().__init__(algebra, max_width=f_bound(k + 1))
         self.k = k
         self.decomposer = decomposer
-        self.exact_budget_ms = exact_budget_ms
 
     def prove(self, config: Configuration) -> Labeling:
         from repro.api.plan import run_plan, theorem1_plan
 
-        plan = theorem1_plan(
-            self.k,
-            decomposer=self.decomposer,
-            exact_budget_ms=self.exact_budget_ms,
-        )
+        plan = theorem1_plan(self.k, decomposer=self.decomposer)
         return run_plan(plan, config, self.algebra)
 
 

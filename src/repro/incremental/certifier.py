@@ -186,7 +186,6 @@ class IncrementalCertifier:
         session: Optional[CertificationSession] = None,
         store=None,
         decomposer=None,
-        exact_budget_ms: Optional[float] = None,
         rng: Optional[random.Random] = None,
         max_dirty_fraction: float = DEFAULT_MAX_DIRTY_FRACTION,
         full_round_every: int = 0,
@@ -205,7 +204,6 @@ class IncrementalCertifier:
             session = CertificationSession(
                 k=k,
                 decomposer=decomposer,
-                exact_budget_ms=exact_budget_ms,
                 rng=rng,
                 store=store,
             )
@@ -379,7 +377,6 @@ class IncrementalCertifier:
         stages_run = sum(self.session.stage_counters.values()) - before
         reused = max(0, self._expected_stage_runs() - stages_run)
         self.metrics.artifacts_reused += reused
-        self._record_store_metrics(repair, reused)
 
         # Commit the new state before the round: the certification
         # exists regardless of what the round concludes about it.
@@ -457,7 +454,6 @@ class IncrementalCertifier:
         repair = RepairResult(
             None, (), fallback=True, reason="no live decomposition"
         )
-        self._record_store_metrics(repair, reused=0)
         return IncrementalReport(
             accepted=base.accepted,
             mode="fallback",
@@ -470,19 +466,6 @@ class IncrementalCertifier:
             elapsed_seconds=perf_counter() - start,
             fingerprint=self.graph.fingerprint(),
         )
-
-    def _record_store_metrics(self, repair: RepairResult, reused: int) -> None:
-        """Mirror the update into the backing store's lifetime counters."""
-        metrics = getattr(self.session.store, "metrics", None)
-        if metrics is None:
-            return
-        metrics.add("updates")
-        if repair.fallback:
-            metrics.add("full_fallbacks")
-        elif repair.dirty_count:
-            metrics.add("bags_dirtied", repair.dirty_count)
-        if reused:
-            metrics.add("artifacts_reused", reused)
 
     def _expected_stage_runs(self) -> int:
         """Stage runs a cold certify of the current batch would cost."""

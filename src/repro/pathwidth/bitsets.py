@@ -76,30 +76,34 @@ def boundary_size(subset_mask: int, masks: Sequence[int]) -> int:
     return count
 
 
-def vertex_separation_of_order(order: Sequence[int], masks: Sequence[int]) -> int:
-    """Return the vertex separation of a dense-index ordering.
+def place(placed: int, boundary: int, v: int, masks: Sequence[int]):
+    """Return ``(placed', boundary')`` after appending vertex ``v``.
 
-    Maintains the boundary incrementally: placing ``v`` removes every
-    placed vertex whose last outside neighbor was ``v`` and adds ``v``
-    itself when it still has unplaced neighbors.
+    Placing ``v`` retires every boundary neighbor whose last outside
+    neighbor was ``v`` and adds ``v`` itself when it still has unplaced
+    neighbors.
     """
+    placed |= 1 << v
+    retire = 0
+    candidates = boundary & masks[v]
+    while candidates:
+        low = candidates & -candidates
+        if not masks[low.bit_length() - 1] & ~placed:
+            retire |= low
+        candidates ^= low
+    boundary &= ~retire
+    if masks[v] & ~placed:
+        boundary |= 1 << v
+    return placed, boundary
+
+
+def vertex_separation_of_order(order: Sequence[int], masks: Sequence[int]) -> int:
+    """Return the vertex separation of a dense-index ordering."""
     placed = 0
     boundary = 0
     worst = 0
     for index in order:
-        bit = 1 << index
-        placed |= bit
-        # Neighbors of v already on the boundary may retire.
-        retire = 0
-        candidates = boundary & masks[index]
-        while candidates:
-            low = candidates & -candidates
-            if not masks[low.bit_length() - 1] & ~placed:
-                retire |= low
-            candidates ^= low
-        boundary &= ~retire
-        if masks[index] & ~placed:
-            boundary |= bit
+        placed, boundary = place(placed, boundary, index, masks)
         count = bin(boundary).count("1")
         if count > worst:
             worst = count

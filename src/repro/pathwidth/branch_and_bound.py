@@ -30,21 +30,24 @@ bounded-pathwidth inputs:
   never spans components, so the separation is the max over parts).
 
 The search is anytime: it starts from a caller-supplied (or heuristic)
-incumbent ordering and only improves it, so a ``budget_ms`` timeout
-returns a valid ordering that is never worse than the seed, with
-``optimal=False`` recorded in the stats.
+incumbent ordering and only improves it, so a search stopped by its
+``node_budget`` of expanded nodes returns a valid ordering that is never
+worse than the seed, with ``optimal=False`` and ``exhausted`` recorded in
+the stats.  No decision reads the clock: the same graph, seed and budget
+give the same ordering on any machine.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from time import perf_counter
 from typing import Optional, Sequence
 
 from repro.graphs import Graph
 from repro.pathwidth.bitsets import (
     iter_bits,
     neighbor_masks,
+    place,
     subgraph_masks,
     vertex_separation_of_order,
 )
@@ -54,9 +57,6 @@ from repro.pathwidth.path_decomposition import PathDecomposition
 #: Stop recording new memo entries beyond this many (lookups continue);
 #: keeps worst-case memory bounded on adversarial inputs.
 DEFAULT_MEMO_LIMIT = 1 << 20
-
-#: Consult the wall clock once per this many expanded nodes.
-_TICK_MASK = 0x3FF
 
 
 @dataclass
@@ -71,22 +71,11 @@ class BnBStats:
     lower_bound: int = 0
     seed_width: Optional[int] = None
     elapsed_ms: float = 0.0
-    budget_ms: Optional[float] = None
-    timed_out: bool = False
+    node_budget: Optional[int] = None
+    exhausted: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "nodes_expanded": self.nodes_expanded,
-            "memo_hits": self.memo_hits,
-            "memo_entries": self.memo_entries,
-            "greedy_commits": self.greedy_commits,
-            "components": self.components,
-            "lower_bound": self.lower_bound,
-            "seed_width": self.seed_width,
-            "elapsed_ms": self.elapsed_ms,
-            "budget_ms": self.budget_ms,
-            "timed_out": self.timed_out,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -94,8 +83,8 @@ class BnBResult:
     """Ordering + width from a branch-and-bound run.
 
     ``optimal`` is True only when every component's search ran to
-    completion (no budget timeout), i.e. ``width`` is the exact vertex
-    separation number = pathwidth of the input.
+    completion (the node budget was not exhausted), i.e. ``width`` is
+    the exact vertex separation number = pathwidth of the input.
     """
 
     ordering: list
@@ -104,22 +93,22 @@ class BnBResult:
     stats: BnBStats = field(default_factory=BnBStats)
 
 
-class _Timeout(Exception):
-    """Internal unwind signal when the budget deadline passes."""
+class _Exhausted(Exception):
+    """Internal unwind signal when the node budget is spent."""
 
 
 class _ComponentSearch:
     """Exact vertex-separation search over one component's local masks."""
 
     def __init__(self, masks, incumbent_order, incumbent_width, lower_bound,
-                 deadline, stats, memo_limit):
+                 node_budget, stats, memo_limit):
         self.masks = masks
         self.n = len(masks)
         self.full = (1 << self.n) - 1
         self.best_order = list(incumbent_order)
         self.best_width = incumbent_width
         self.lower_bound = lower_bound
-        self.deadline = deadline
+        self.node_budget = node_budget
         self.stats = stats
         # prefix set -> (internal vsep at last visit, prunable-forever flag)
         self.memo = {}
@@ -128,33 +117,27 @@ class _ComponentSearch:
     def run(self) -> None:
         if self.n == 0 or self.best_width <= self.lower_bound:
             return
-        self._search(0, [], 0, 0)
+        # Depth-first over an explicit stack of open prefixes: a dive
+        # can go one level per vertex, far past the recursion limit.
+        stack = []
+        child = (0, [], 0, 0)
+        while True:
+            if child is not None:
+                frame = self._open(*child)
+                if frame is not None:
+                    stack.append(frame)
+            if not stack:
+                return
+            child = self._next_child(stack[-1])
+            if child is None:
+                self._close(stack.pop())
 
     # -- search internals -------------------------------------------------
 
     def _tick(self) -> None:
+        if self.stats.nodes_expanded == self.node_budget:
+            raise _Exhausted
         self.stats.nodes_expanded += 1
-        if (self.stats.nodes_expanded & _TICK_MASK) == 0 and (
-            self.deadline is not None and time.perf_counter() > self.deadline
-        ):
-            raise _Timeout
-
-    def _place(self, prefix_mask: int, boundary: int, v: int):
-        """Return ``(prefix', boundary')`` after appending vertex ``v``."""
-        masks = self.masks
-        bit = 1 << v
-        prefix_mask |= bit
-        retire = 0
-        candidates = boundary & masks[v]
-        while candidates:
-            low = candidates & -candidates
-            if not masks[low.bit_length() - 1] & ~prefix_mask:
-                retire |= low
-            candidates ^= low
-        boundary &= ~retire
-        if masks[v] & ~prefix_mask:
-            boundary |= bit
-        return prefix_mask, boundary
 
     def _greedy_extend(self, prefix_mask: int, order: list, boundary: int):
         """Apply the two zero-cost commitment rules to a fixed point.
@@ -186,7 +169,9 @@ class _ComponentSearch:
                 scan ^= low
                 v = low.bit_length() - 1
                 if not masks[v] & ~prefix_mask:  # rule (i)
-                    prefix_mask, boundary = self._place(prefix_mask, boundary, v)
+                    prefix_mask, boundary = place(
+                        prefix_mask, boundary, v, masks
+                    )
                     order.append(v)
                     self.stats.greedy_commits += 1
                     changed = True
@@ -198,32 +183,39 @@ class _ComponentSearch:
                 outside = masks[u] & ~prefix_mask
                 if outside and not (outside & (outside - 1)):  # rule (ii)
                     w = outside.bit_length() - 1
-                    prefix_mask, boundary = self._place(prefix_mask, boundary, w)
+                    prefix_mask, boundary = place(
+                        prefix_mask, boundary, w, masks
+                    )
                     order.append(w)
                     self.stats.greedy_commits += 1
                     changed = True
         return prefix_mask, boundary
 
-    def _search(self, prefix_mask: int, order: list, boundary: int, vsep: int):
+    def _open(self, prefix_mask: int, order: list, boundary: int, vsep: int):
+        """Enter a prefix (``order`` is the caller's fresh list).
+
+        Returns ``None`` when the prefix is pruned or completes the
+        ordering, else its frame ``(entry_key, entry_best, vsep,
+        prefix_mask, boundary, order, candidates)``.
+        """
         if vsep >= self.best_width or self.best_width <= self.lower_bound:
-            return
+            return None
         entry = self.memo.get(prefix_mask)
         if entry is not None:
             stored_vsep, prunable = entry
             if prunable or vsep >= stored_vsep:
                 self.stats.memo_hits += 1
-                return
+                return None
         self._tick()
         entry_key = prefix_mask  # memoize the set as *reached*, pre-greedy
         entry_best = self.best_width
-        order = list(order)
         prefix_mask, boundary = self._greedy_extend(prefix_mask, order, boundary)
         if prefix_mask == self.full:
             # Greedy placements never increase the separation, so vsep
             # still bounds the whole ordering; vsep < best_width here.
             self.best_width = vsep
-            self.best_order = list(order)
-            return
+            self.best_order = order
+            return None
         # Only vertices adjacent to the boundary can retire anyone or reuse
         # a slot; every other unplaced vertex has all-unplaced neighborhoods
         # and lands at exactly |boundary| + 1.
@@ -242,7 +234,7 @@ class _ComponentSearch:
             low = scan & -scan
             scan ^= low
             v = low.bit_length() - 1
-            _, after = self._place(prefix_mask, boundary, v)
+            _, after = place(prefix_mask, boundary, v, masks)
             b_after = bin(after).count("1")
             if max(vsep, b_after) < self.best_width:
                 candidates.append((b_after, v))
@@ -254,16 +246,27 @@ class _ComponentSearch:
                 scan ^= low
                 candidates.append((far_b, low.bit_length() - 1))
         candidates.sort()
+        return (entry_key, entry_best, vsep, prefix_mask, boundary, order,
+                iter(candidates))
+
+    def _next_child(self, frame):
+        """The frame's next unpruned child prefix, or ``None`` when done."""
+        if self.best_width <= self.lower_bound:
+            return None
+        _key, _best, vsep, prefix_mask, boundary, order, candidates = frame
         for b_after, v in candidates:
             next_vsep = vsep if b_after <= vsep else b_after
             if next_vsep >= self.best_width:
                 continue  # incumbent improved since candidate generation
-            child_mask, child_boundary = self._place(prefix_mask, boundary, v)
-            order.append(v)
-            self._search(child_mask, order, child_boundary, next_vsep)
-            order.pop()
-            if self.best_width <= self.lower_bound:
-                break
+            child_mask, child_boundary = place(
+                prefix_mask, boundary, v, self.masks
+            )
+            return child_mask, order + [v], child_boundary, next_vsep
+        return None
+
+    def _close(self, frame) -> None:
+        """Memoize a fully explored prefix set."""
+        entry_key, entry_best, vsep = frame[:3]
         # A completion through this set costs >= vsep, so an improvement
         # found here pins best_width >= vsep; only best_width == vsep
         # leaves room for a revisit with a cheaper internal ordering.
@@ -327,32 +330,31 @@ def ordering_from_decomposition(decomposition: PathDecomposition) -> list:
 
 
 def _seed_orderings(graph: Graph, seed_ordering: Optional[Sequence]) -> list:
+    """The caller's seed alone, else the heuristic portfolio's orderings."""
+    if seed_ordering is not None:
+        return [list(seed_ordering)]
     from repro.pathwidth.heuristics import bfs_ordering, greedy_boundary_ordering
 
-    seeds = []
-    if seed_ordering is not None:
-        seeds.append(list(seed_ordering))
-    seeds.append(bfs_ordering(graph))
-    seeds.append(greedy_boundary_ordering(graph))
-    return seeds
+    return [bfs_ordering(graph), greedy_boundary_ordering(graph)]
 
 
 def branch_and_bound_ordering(
     graph: Graph,
-    budget_ms: Optional[float] = None,
+    node_budget: Optional[int] = None,
     seed_ordering: Optional[Sequence] = None,
     memo_limit: int = DEFAULT_MEMO_LIMIT,
 ) -> BnBResult:
     """Return a minimum vertex-separation ordering of ``graph``.
 
-    Runs the branch-and-bound per connected component, seeded by the best
-    of ``seed_ordering`` (if given) and the heuristic portfolio.  With a
-    ``budget_ms`` deadline the result is anytime — never worse than the
-    seed — and ``result.optimal`` reports whether the search completed.
+    Runs the branch-and-bound per connected component, seeded by
+    ``seed_ordering`` when given, else by the best of the heuristic
+    portfolio.  With a ``node_budget`` the search expands at most that
+    many nodes over all components; the result is then anytime — never
+    worse than the seed — and ``result.optimal`` reports whether the
+    search completed.
     """
-    stats = BnBStats(budget_ms=budget_ms)
-    started = time.perf_counter()
-    deadline = started + budget_ms / 1000.0 if budget_ms is not None else None
+    stats = BnBStats(node_budget=node_budget)
+    started = perf_counter()
     if graph.n == 0:
         return BnBResult(ordering=[], width=-1, optimal=True, stats=stats)
 
@@ -364,19 +366,17 @@ def branch_and_bound_ordering(
     best_seed_width = None
     for seed in _seed_orderings(graph, seed_ordering):
         if len(seed) != graph.n or set(seed) != set(vertices):
-            continue
+            raise ValueError("seed_ordering must order every vertex once")
         width = vertex_separation_of_order([index_of[v] for v in seed], masks)
         if best_seed_width is None or width < best_seed_width:
             best_seed_width = width
             best_seed = seed
-    assert best_seed is not None and best_seed_width is not None
     stats.seed_width = best_seed_width
 
     components = graph.connected_components()
     stats.components = len(components)
     ordering: list = []
     width = 0
-    optimal = True
     for component in components:
         members = sorted(index_of[v] for v in component)
         local_masks = subgraph_masks(masks, members)
@@ -388,30 +388,25 @@ def branch_and_bound_ordering(
         lower = _contraction_degeneracy(local_masks)
         stats.lower_bound = max(stats.lower_bound, lower)
         search = _ComponentSearch(
-            local_masks, local_seed, local_width, lower, deadline, stats,
+            local_masks, local_seed, local_width, lower, node_budget, stats,
             memo_limit,
         )
-        if deadline is not None and time.perf_counter() > deadline:
-            stats.timed_out = True
-            optimal = False
-        else:
-            try:
-                search.run()
-            except _Timeout:
-                stats.timed_out = True
-                optimal = False
+        try:
+            search.run()
+        except _Exhausted:
+            stats.exhausted = True
         stats.memo_entries += len(search.memo)
         ordering.extend(vertices[members[local]] for local in search.best_order)
         if search.best_width > width:
             width = search.best_width
-    stats.elapsed_ms = (time.perf_counter() - started) * 1000.0
-    return BnBResult(ordering=ordering, width=width, optimal=optimal,
-                     stats=stats)
+    stats.elapsed_ms = (perf_counter() - started) * 1000.0
+    return BnBResult(ordering=ordering, width=width,
+                     optimal=not stats.exhausted, stats=stats)
 
 
 def branch_and_bound_decomposition(
     graph: Graph,
-    budget_ms: Optional[float] = None,
+    node_budget: Optional[int] = None,
     seed_ordering: Optional[Sequence] = None,
 ) -> "tuple[PathDecomposition, BnBResult]":
     """Return ``(decomposition, result)`` from a branch-and-bound run."""
@@ -420,7 +415,7 @@ def branch_and_bound_decomposition(
             PathDecomposition(graph, [], validate=False),
             BnBResult(ordering=[], width=-1, optimal=True),
         )
-    result = branch_and_bound_ordering(graph, budget_ms=budget_ms,
+    result = branch_and_bound_ordering(graph, node_budget=node_budget,
                                        seed_ordering=seed_ordering)
     rep = IntervalRepresentation.from_ordering(graph, result.ordering)
     return PathDecomposition.from_interval_representation(rep), result

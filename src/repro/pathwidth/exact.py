@@ -8,11 +8,10 @@ prefix.  Two exact searches share the bitset substrate in
 
 * every function here except :func:`subset_dp_pathwidth` runs the
   Coudert–Mazauric–Nisse branch-and-bound in
-  :mod:`repro.pathwidth.branch_and_bound`.  No size cap;
-  bounded-pathwidth inputs at n ≈ 50–100 typically prove optimal in
-  well under a second.  An optional ``budget_ms`` deadline turns it into
-  a strict attempt: on timeout a ``ValueError`` is raised (callers who
-  want the anytime incumbent instead should use
+  :mod:`repro.pathwidth.branch_and_bound`, run to completion.  No size
+  cap; bounded-pathwidth inputs at n ≈ 50–100 typically prove optimal
+  in well under a second (callers who want a node-budgeted anytime
+  incumbent instead use
   :func:`~repro.pathwidth.branch_and_bound.branch_and_bound_ordering`
   directly, as ``DecomposeStage`` does);
 * :func:`subset_dp_pathwidth` — the Held–Karp-style subset DP
@@ -24,8 +23,6 @@ prefix.  Two exact searches share the bitset substrate in
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.graphs import Graph
 from repro.pathwidth.bitsets import boundary_size, neighbor_masks, vertex_separation_of_order
 from repro.pathwidth.interval import IntervalRepresentation
@@ -34,33 +31,20 @@ from repro.pathwidth.path_decomposition import PathDecomposition
 _EXACT_LIMIT = 24
 
 
-def exact_pathwidth(graph: Graph, budget_ms: Optional[float] = None) -> int:
-    """Return the exact pathwidth of ``graph``.
-
-    Raises ``ValueError`` when a ``budget_ms`` deadline expires before
-    optimality is proven.
-    """
+def exact_pathwidth(graph: Graph) -> int:
+    """Return the exact pathwidth of ``graph`` (max over its components)."""
     if graph.n == 0:
         return -1
-    ordering = optimal_vertex_ordering(graph, budget_ms=budget_ms)
-    return _vertex_separation_of(graph, ordering)
+    return _vertex_separation_of(graph, optimal_vertex_ordering(graph))
 
 
-def optimal_vertex_ordering(
-    graph: Graph, budget_ms: Optional[float] = None
-) -> list:
+def optimal_vertex_ordering(graph: Graph) -> list:
     """Return a vertex ordering achieving the minimum vertex separation."""
     if graph.n == 0:
         return []
     from repro.pathwidth.branch_and_bound import branch_and_bound_ordering
 
-    result = branch_and_bound_ordering(graph, budget_ms=budget_ms)
-    if not result.optimal:
-        raise ValueError(
-            "branch-and-bound budget of %r ms expired before optimality "
-            "was proven (incumbent width %d)" % (budget_ms, result.width)
-        )
-    return result.ordering
+    return branch_and_bound_ordering(graph).ordering
 
 
 def subset_dp_pathwidth(graph: Graph) -> int:
@@ -120,9 +104,7 @@ def _vertex_separation_of(graph: Graph, ordering: list) -> int:
     return vertex_separation_of_order([index_of[v] for v in ordering], nbr_masks)
 
 
-def exact_path_decomposition(
-    graph: Graph, budget_ms: Optional[float] = None
-) -> PathDecomposition:
+def exact_path_decomposition(graph: Graph) -> PathDecomposition:
     """Return an optimal-width path decomposition.
 
     The optimal ordering is converted into an interval representation via
@@ -131,33 +113,6 @@ def exact_path_decomposition(
     """
     if graph.n == 0:
         return PathDecomposition(graph, [], validate=False)
-    ordering = optimal_vertex_ordering(graph, budget_ms=budget_ms)
+    ordering = optimal_vertex_ordering(graph)
     rep = IntervalRepresentation.from_ordering(graph, ordering)
     return PathDecomposition.from_interval_representation(rep)
-
-
-def pathwidth_at_most(
-    graph: Graph, k: int, budget_ms: Optional[float] = None
-) -> bool:
-    """Return whether ``pw(graph) <= k`` (exact)."""
-    if graph.n == 0:
-        return True
-    return exact_pathwidth(graph, budget_ms=budget_ms) <= k
-
-
-def exact_pathwidth_of_components(
-    graph: Graph, budget_ms: Optional[float] = None
-) -> int:
-    """Return pathwidth of a possibly disconnected graph (max over parts).
-
-    The branch-and-bound splits components internally; this wrapper
-    keeps the per-component contract for callers that iterate components
-    themselves.
-    """
-    if graph.n == 0:
-        return -1
-    best = 0
-    for component in graph.connected_components():
-        sub = graph.induced_subgraph(component)
-        best = max(best, exact_pathwidth(sub, budget_ms=budget_ms))
-    return best

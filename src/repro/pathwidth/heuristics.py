@@ -18,7 +18,6 @@ Two strategies are implemented and the best result is kept:
 
 from __future__ import annotations
 
-import random
 from typing import Optional
 
 from repro.graphs import Graph
@@ -42,13 +41,10 @@ def bfs_ordering(graph: Graph, source=None) -> list:
     return order
 
 
-def greedy_boundary_ordering(
-    graph: Graph, beam_width: int = 4, rng: Optional[random.Random] = None
-) -> list:
+def greedy_boundary_ordering(graph: Graph, beam_width: int = 4) -> list:
     """Return an ordering via beam-searched greedy boundary minimization."""
     if graph.n == 0:
         return []
-    rng = rng or random.Random(0)
     vertices, masks = neighbor_masks(graph)
     index_of = {v: i for i, v in enumerate(vertices)}
     full = (1 << graph.n) - 1
@@ -93,12 +89,12 @@ def greedy_boundary_ordering(
 
 
 def heuristic_path_decomposition(
-    graph: Graph, beam_width: int = 4, rng: Optional[random.Random] = None
+    graph: Graph, beam_width: int = 4
 ) -> PathDecomposition:
     """Return the best decomposition found by the heuristic portfolio."""
     if graph.n == 0:
         return PathDecomposition(graph, [], validate=False)
-    orderings = [bfs_ordering(graph), greedy_boundary_ordering(graph, beam_width, rng)]
+    orderings = [bfs_ordering(graph), greedy_boundary_ordering(graph, beam_width)]
     best: Optional[PathDecomposition] = None
     for ordering in orderings:
         rep = IntervalRepresentation.from_ordering(graph, ordering)

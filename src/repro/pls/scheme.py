@@ -91,4 +91,13 @@ class ProofLabelingScheme(ABC):
 
 
 class ProverFailure(Exception):
-    """Raised by provers on configurations violating the predicate."""
+    """Raised by provers on configurations violating the predicate.
+
+    ``reason`` is a short machine-readable code for the refusal (the
+    Theorem-1 and lanewidth stages use ``too-small``, ``disconnected``,
+    ``width``, ``mismatch``, ``false`` and ``unsupported``), or ``None``.
+    """
+
+    def __init__(self, message: str = "", reason: Optional[str] = None):
+        super().__init__(message)
+        self.reason = reason

@@ -107,10 +107,12 @@ class ServiceMetrics:
       full decomposition search;
     * decomposition counters (PR 9): per-engine run counts
       (``bnb``/``heuristic``/``witness``), branch-and-bound
-      ``nodes expanded`` / ``memo hits`` totals, ``timeouts`` (budget
-      expiries that fell back to the incumbent), and
-      ``width_improvements`` — runs whose exact width beat the
+      ``nodes expanded`` / ``memo hits`` totals, ``budget_exhausted``
+      (searches that spent their node budget and kept the incumbent),
+      and ``width_improvements`` — runs whose exact width beat the
       heuristic portfolio's;
+    * ``refusals`` — refused reports of the ``certify`` and ``update``
+      ops counted by their ``refusal_reason`` code;
     * per-op latency histograms.
     """
 
@@ -140,8 +142,9 @@ class ServiceMetrics:
         self.decomposition_engines: dict = {}  # engine name -> runs
         self.decomposition_nodes = 0
         self.decomposition_memo_hits = 0
-        self.decomposition_timeouts = 0
+        self.decomposition_budget_exhausted = 0
         self.decomposition_width_improvements = 0
+        self.refusals: dict = {}  # refusal_reason -> reports
         self._latency: dict = {}  # op -> LatencyHistogram
 
     # ------------------------------------------------------------------
@@ -217,12 +220,18 @@ class ServiceMetrics:
             )
             self.decomposition_nodes += int(stats.get("nodes_expanded", 0))
             self.decomposition_memo_hits += int(stats.get("memo_hits", 0))
-            if stats.get("timed_out"):
-                self.decomposition_timeouts += 1
+            if stats.get("exhausted"):
+                self.decomposition_budget_exhausted += 1
             width = stats.get("width")
             heuristic = stats.get("heuristic_width")
             if width is not None and heuristic is not None and width < heuristic:
                 self.decomposition_width_improvements += 1
+
+    def refusal(self, reason) -> None:
+        """Record one refused report under its ``refusal_reason``."""
+        key = str(reason)
+        with self._lock:
+            self.refusals[key] = self.refusals.get(key, 0) + 1
 
     def incremental_update(
         self,
@@ -276,11 +285,12 @@ class ServiceMetrics:
                     "engines": dict(self.decomposition_engines),
                     "nodes_expanded": self.decomposition_nodes,
                     "memo_hits": self.decomposition_memo_hits,
-                    "timeouts": self.decomposition_timeouts,
+                    "budget_exhausted": self.decomposition_budget_exhausted,
                     "width_improvements": (
                         self.decomposition_width_improvements
                     ),
                 },
+                "refusals": dict(self.refusals),
                 "latency": {
                     op: histogram.snapshot()
                     for op, histogram in sorted(self._latency.items())

@@ -328,6 +328,8 @@ class CertificationService:
                 reports[prop] = report
                 served[prop] = "prover"
                 self.metrics.store_served(False)
+                if report.refused:
+                    self.metrics.refusal(report.refusal_reason)
                 self.metrics.encode_run(
                     getattr(report, "encode_seconds", 0.0)
                 )
@@ -474,6 +476,10 @@ class CertificationService:
                     if self._incremental.get(registry_key) is entry:
                         del self._incremental[registry_key]
                     self._incremental[new_key] = entry
+        for outcome in (baseline, update):
+            for report in getattr(outcome, "reports", {}).values():
+                if report.refused:
+                    self.metrics.refusal(report.refusal_reason)
         return {
             "fingerprint": certifier.graph.fingerprint(),
             "base_fingerprint": fingerprint,

@@ -59,17 +59,20 @@ class TestProverFailureReports:
         report = certify(Graph(vertices=[0]), "connected", k=1)
         assert report.refused and not report.accepted
         assert "two vertices" in report.refusal
+        assert report.refusal_reason == "too-small"
 
     def test_disconnected_refused(self):
         g = Graph(edges=[(0, 1), (2, 3)])
         report = certify(g, "connected", k=1)
         assert report.refused
         assert "connected" in report.refusal
+        assert report.refusal_reason == "disconnected"
 
     def test_width_over_bound_refused(self):
         report = certify(complete_graph(6), "connected", k=1)
         assert report.refused
         assert "witness decomposition" in report.refusal
+        assert report.refusal_reason == "width"
         # Structural refusals keep the timings of the stages that ran.
         assert [t.name for t in report.stage_timings] == ["decompose"]
 
@@ -77,6 +80,7 @@ class TestProverFailureReports:
         report = certify(cycle_graph(7), "bipartite", k=2)
         assert report.refused
         assert "does not hold" in report.refusal
+        assert report.refusal_reason == "false"
         # The structural work succeeded; only evaluation refused.
         assert report.hierarchy_depth is not None
         assert report.stage_seconds("evaluate") >= 0.0
@@ -89,6 +93,7 @@ class TestProverFailureReports:
         report = CertificationSession().certify(sequence, "colorable-3")
         assert report.refused and not report.accepted
         assert "boundary arity <= 8 (got 9)" in report.refusal
+        assert report.refusal_reason == "unsupported"
         # The structural work succeeded; only evaluation refused.
         assert report.hierarchy_depth is not None
         assert report.stage_counters["evaluate"] == 1
@@ -98,6 +103,15 @@ class TestProverFailureReports:
         reports = certify(g, ["connected", "acyclic", "even-order"], k=1)
         assert set(reports) == {"connected", "acyclic", "even-order"}
         assert all(r.refused for r in reports.values())
+        assert {r.refusal_reason for r in reports.values()} == {"disconnected"}
+
+    def test_refusal_reason_serializes_only_when_set(self):
+        refused = certify(complete_graph(6), "connected", k=1)
+        data = refused.to_dict()
+        assert data["refusal_reason"] == "width"
+        assert CertificationReport.from_dict(data).refusal_reason == "width"
+        accepted = certify(path_graph(6), "connected", k=1)
+        assert "refusal_reason" not in accepted.to_dict()
 
     def test_legacy_scheme_still_raises(self):
         scheme = Theorem1Scheme("connected", 1)
@@ -230,16 +244,15 @@ class TestFingerprintCaching:
         seq = random_lanewidth_sequence(2, 6, random.Random(7))
         stage = MatchSequenceStage(seq)
         wrong = Configuration.with_random_ids(path_graph(4), random.Random(8))
-        with pytest.raises(ProverFailure, match="does not match"):
+        with pytest.raises(ProverFailure, match="does not match") as info:
             stage.run(PipelineContext(config=wrong))
+        assert info.value.reason == "mismatch"
 
 
 class TestDecomposeStageParameters:
     def test_stage_validates_parameters(self):
         with pytest.raises(ValueError):
             DecomposeStage(0)
-        with pytest.raises(ValueError):
-            DecomposeStage(1, exact_budget_ms=0)
         with pytest.raises(ValueError):
             Theorem1Scheme("connected", 0)
 

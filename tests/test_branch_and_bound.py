@@ -1,6 +1,6 @@
-"""PR 9 — branch-and-bound vertex separation: equivalence and threading.
+"""Branch-and-bound vertex separation: equivalence, policy and threading.
 
-Three layers of assurance for the new default exact engine:
+Four layers of assurance for the exact engine:
 
 * **B&B ≡ subset DP** — a hypothesis suite draws random (possibly
   disconnected) graphs up to the DP's comfortable size and asserts the
@@ -9,20 +9,31 @@ Three layers of assurance for the new default exact engine:
   constructors (which re-check the structural invariants);
 * **regression corpus** — graph families with known pathwidth, sized
   well past the old ``_EXACT_LIMIT`` wall, must come back optimal;
-* **knob threading** — ``exact_budget_ms`` reaches the decompose stage
-  through the facade/session, and the run's
-  ``decomposition_stats`` survive the report round-trip and feed the
-  service metrics.
+* **witness policy** — above the exact cutoff a heuristic witness wider
+  than ``k`` gets a seeded branch-and-bound capped at
+  ``BNB_NODE_BUDGET`` expanded nodes before the stage refuses; the
+  outcome depends on the graph and ``k`` alone, never on the clock, and
+  the budget names every Theorem-1 plan key;
+* **threading** — the run's ``decomposition_stats`` reach the report
+  through the facade/session, survive the report round-trip and feed
+  the service metrics.
 """
 
+import inspect
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import certify
+import repro.api.pipeline as pipeline
+import repro.pathwidth.branch_and_bound as bnb
+from repro.api import VerificationEngine, certify, make_executor
+from repro.api.pipeline import BNB_NODE_BUDGET, DecomposeStage
+from repro.api.plan import lanewidth_plan, theorem1_plan
 from repro.api.results import CertificationReport
+from repro.experiments import lanewidth_workload, pathwidth_workload
 from repro.graphs import Graph
 from repro.graphs.generators import (
     caterpillar_graph,
@@ -42,7 +53,7 @@ from repro.pathwidth import (
     exact_pathwidth,
 )
 from repro.pathwidth.exact import subset_dp_pathwidth
-from repro.pathwidth.heuristics import heuristic_path_decomposition
+from repro.pathwidth.heuristics import bfs_ordering
 from repro.service.metrics import ServiceMetrics
 
 
@@ -110,7 +121,8 @@ class TestRegressionCorpus:
             g, _bags = random_pathwidth_graph(
                 50, 4, rng=random.Random(seed)
             )
-            result = branch_and_bound_ordering(g, budget_ms=10_000)
+            result = branch_and_bound_ordering(g)
+            assert result.optimal
             assert result.width <= 4
             assert sorted(result.ordering) == sorted(g.vertices())
 
@@ -124,13 +136,24 @@ class TestRegressionCorpus:
 class TestBudget:
     def test_budget_keeps_anytime_invariants(self):
         g = _random_graph(random.Random(11), 60)
-        result = branch_and_bound_ordering(g, budget_ms=5)
-        # A 5ms budget may or may not prove optimality (the lower bound
-        # can close it instantly) — but the anytime invariants hold.
+        result = branch_and_bound_ordering(g, node_budget=50)
+        # 50 nodes may or may not prove optimality (the lower bound can
+        # close it instantly) — but the anytime invariants hold.
         assert sorted(result.ordering) == sorted(g.vertices())
         assert result.width <= result.stats.seed_width
-        if not result.optimal:
-            assert result.stats.timed_out
+        assert result.stats.nodes_expanded <= 50
+        assert result.optimal is not result.stats.exhausted
+        if result.stats.exhausted:
+            assert result.stats.nodes_expanded == 50
+
+    def test_caller_seed_is_the_only_seed(self):
+        g = grid_graph(3, 6)
+        seed = sorted(g.vertices())  # row by row: width 6
+        result = branch_and_bound_ordering(g, node_budget=0, seed_ordering=seed)
+        assert result.stats.seed_width == 6
+        assert result.width == 6 and result.stats.exhausted
+        with pytest.raises(ValueError):
+            branch_and_bound_ordering(g, seed_ordering=seed[1:])
 
     def test_stats_to_dict_keys(self):
         g = grid_graph(3, 5)
@@ -145,8 +168,8 @@ class TestBudget:
             "lower_bound",
             "seed_width",
             "elapsed_ms",
-            "budget_ms",
-            "timed_out",
+            "node_budget",
+            "exhausted",
         ):
             assert key in stats
 
@@ -172,17 +195,6 @@ class TestKnobThreading:
         report = certify(g, "connected", k=6, verify=False)
         assert report.decomposition_stats["engine"] == "heuristic"
 
-    def test_budget_authorizes_bnb_past_the_gate(self):
-        g, _bags = random_pathwidth_graph(40, 3, rng=random.Random(2))
-        report = certify(
-            g, "connected", k=6, verify=False, exact_budget_ms=5_000
-        )
-        stats = report.decomposition_stats
-        assert stats["engine"] == "bnb"
-        heuristic = heuristic_path_decomposition(g).width()
-        assert stats["width"] <= heuristic
-        assert stats["heuristic_width"] == heuristic
-
     def test_report_roundtrip_preserves_stats(self):
         g = path_graph(8)
         report = certify(g, "connected", k=2, verify=False)
@@ -196,7 +208,7 @@ class TestKnobThreading:
                 "engine": "bnb",
                 "nodes_expanded": 12,
                 "memo_hits": 3,
-                "timed_out": False,
+                "exhausted": False,
                 "width": 4,
                 "heuristic_width": 5,
             }
@@ -206,12 +218,92 @@ class TestKnobThreading:
                 "engine": "heuristic",
                 "width": 6,
                 "heuristic_width": 6,
-                "timed_out": True,
+                "exhausted": True,
             }
         )
         snapshot = metrics.snapshot()["decomposition"]
         assert snapshot["engines"] == {"bnb": 1, "heuristic": 1}
         assert snapshot["nodes_expanded"] == 12
         assert snapshot["memo_hits"] == 3
-        assert snapshot["timeouts"] == 1
+        assert snapshot["budget_exhausted"] == 1
         assert snapshot["width_improvements"] == 1
+
+
+def _comparable(stats: dict) -> dict:
+    """Stats minus the one measurement that reads the clock."""
+    return {key: value for key, value in stats.items() if key != "elapsed_ms"}
+
+
+class TestWitnessPolicy:
+    """Above the exact cutoff: the heuristic witness when it fits ``k``,
+    else a seeded branch-and-bound capped at ``BNB_NODE_BUDGET`` nodes
+    before the stage refuses."""
+
+    @pytest.mark.parametrize("kind", ["serial", "vectorized"])
+    def test_bnb_rescues_a_heuristic_miss(self, kind):
+        g, _planted = pathwidth_workload(64, 3, 1)
+        engine = VerificationEngine(make_executor(kind))
+        report = certify(g, "connected", k=3, rng=random.Random(1),
+                         engine=engine)
+        assert report.accepted, report.summary()
+        stats = report.decomposition_stats
+        assert stats["engine"] == "bnb"
+        assert stats["heuristic_width"] == 4
+        assert stats["width"] == 3
+        assert stats["node_budget"] == BNB_NODE_BUDGET
+        assert not stats["exhausted"]
+
+    def test_refusal_spends_at_most_the_budget(self):
+        g = grid_graph(6, 10)  # pathwidth 6
+        report = certify(g, "connected", k=5, verify=False)
+        assert report.refused
+        assert report.refusal_reason == "width"
+        assert (
+            f"heuristic 6, branch-and-bound 6 after {BNB_NODE_BUDGET} nodes"
+            in report.refusal
+        )
+        _decomposition, stats = DecomposeStage(5).default_decomposer(g)
+        assert stats["engine"] == "bnb" and stats["exhausted"]
+        assert not stats["optimal"]
+        assert stats["nodes_expanded"] == BNB_NODE_BUDGET
+
+    def test_deep_dive_runs_without_recursion(self):
+        # A BFS seed of width 6 sends the search on a single dive of
+        # about 128 nodes to width 3; Python frames must not grow with it.
+        g, _planted = pathwidth_workload(512, 3, 1)
+        seed = bfs_ordering(g)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 60)
+        try:
+            result = branch_and_bound_ordering(
+                g, node_budget=BNB_NODE_BUDGET, seed_ordering=seed
+            )
+        finally:
+            sys.setrecursionlimit(limit)
+        assert result.stats.seed_width == 6
+        assert result.width == 3 and result.stats.nodes_expanded > 60
+
+    def test_no_decision_reads_the_clock(self, monkeypatch):
+        cases = [(pathwidth_workload(64, 3, 1)[0], 3), (grid_graph(6, 10), 5)]
+        before = [DecomposeStage(k).default_decomposer(g) for g, k in cases]
+        ticks = iter(range(10 ** 6))
+        monkeypatch.setattr(bnb, "perf_counter", lambda: 60.0 * next(ticks))
+        after = [DecomposeStage(k).default_decomposer(g) for g, k in cases]
+        for (dec_a, stats_a), (dec_b, stats_b) in zip(before, after):
+            assert dec_a.bags == dec_b.bags
+            assert _comparable(stats_a) == _comparable(stats_b)
+            assert stats_b["elapsed_ms"] >= 60_000  # the patch took
+
+    def test_budget_names_every_theorem1_key(self, monkeypatch):
+        seq, _graph = lanewidth_workload(3, 32, 1)
+        sources = {"graph": "fp", "config": "cfp", "algebra": "connected"}
+        plans = {"theorem1": theorem1_plan(3), "lanewidth": lanewidth_plan(seq)}
+        before = {mode: plan.chain_keys(sources) for mode, plan in plans.items()}
+        monkeypatch.setattr(pipeline, "BNB_NODE_BUDGET", BNB_NODE_BUDGET + 1)
+        after = {mode: plan.chain_keys(sources) for mode, plan in plans.items()}
+        theorem1 = [name for name in after["theorem1"]
+                    if name not in sources]
+        assert "decomposition" in theorem1
+        for name in theorem1:
+            assert after["theorem1"][name] != before["theorem1"][name], name
+        assert after["lanewidth"] == before["lanewidth"]

@@ -31,8 +31,6 @@ from repro.pathwidth import (
 )
 from repro.pathwidth.exact import (
     exact_path_decomposition,
-    exact_pathwidth_of_components,
-    pathwidth_at_most,
     subset_dp_pathwidth,
 )
 from repro.pathwidth.heuristics import bfs_ordering, greedy_boundary_ordering
@@ -162,13 +160,9 @@ class TestExactPathwidth:
             d = exact_path_decomposition(g)
             assert d.width() == exact_pathwidth(g)
 
-    def test_pathwidth_at_most(self):
-        assert pathwidth_at_most(path_graph(6), 1)
-        assert not pathwidth_at_most(cycle_graph(6), 1)
-
     def test_components(self):
         g = path_graph(4).disjoint_union(cycle_graph(5).relabeled({i: i + 10 for i in range(5)}))
-        assert exact_pathwidth_of_components(g) == 2
+        assert exact_pathwidth(g) == 2
 
     def test_dp_size_limit(self):
         with pytest.raises(ValueError):

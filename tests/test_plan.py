@@ -411,10 +411,11 @@ class TestLabelNode:
         # Every structural and evaluate key is the one written before the
         # label node carried wire bytes (pinned through the evaluate key,
         # which chains every structural node); the label key is not.
-        # The theorem1 evaluate key is the one written since the lanes
-        # key named the builder policy (greedy first, Prop. 4.6 fallback).
+        # The theorem1 evaluate key is the one written since the
+        # decompose key named the witness-search policy and its node
+        # budget (the lanes key names its builder policy too).
         pinned = {
-            "theorem1": ("73e9d05454d781aeef13715ab50504d57fb47bbb",
+            "theorem1": ("8846644749e35b80b48d235227b0221f9b2709a2",
                          "350192c9b4219347b30533d5470fcafc94f6b186"),
             "lanewidth": ("dcf0300235c59ad2f039dd39f335f5099a95cbb9",
                           "8f98297e49c55236b755aa71c907f0e725619095"),

@@ -27,6 +27,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import lanewidth_workload
+from repro.graphs import Graph
 from repro.graphs.generators import cycle_graph, path_graph
 from repro.service import (
     Coalescer,
@@ -554,6 +555,33 @@ class TestServiceHandle:
         assert snap["stage_counters"], "prover stages should have counted"
         assert snap["latency"]["certify"]["count"] == 1
         json.dumps(snap)  # the whole snapshot must be wire-safe
+
+    def test_refusals_counted_by_reason(self, tmp_path):
+        service = _service(tmp_path, worker_threads=1)
+        split = Graph(edges=[(0, 1), (2, 3)])
+        cut = {
+            "id": 3,
+            "op": "update",
+            "graph": graph_to_wire(path_graph(6)),
+            "properties": ["connected"],
+            "edits": [["remove_edge", 2, 3]],
+        }
+
+        async def scenario():
+            refused = await service.handle(_certify_request(split, 1))
+            await service.handle(_certify_request(_graph(seed=51), 2))
+            updated = await service.handle(cut)
+            metrics = await service.handle({"id": 4, "op": "metrics"})
+            return refused, updated, metrics
+
+        try:
+            refused, updated, response = asyncio.run(scenario())
+        finally:
+            service.close_blocking()
+        report = refused["result"]["reports"]["connected"]
+        assert report["refused"] and report["refusal_reason"] == "disconnected"
+        assert not updated["result"]["update"]["accepted"]
+        assert response["result"]["refusals"] == {"disconnected": 2}
 
     def test_handle_refused_after_close(self, tmp_path):
         service = _service(tmp_path)
