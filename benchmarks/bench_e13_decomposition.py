@@ -1,6 +1,6 @@
 """E13 — exact decomposition engines: branch-and-bound vs DP vs heuristic.
 
-Three series, one per claim the PR 9 engine makes:
+Four series, one per claim the decomposition engines make:
 
 * **small** (n ≤ 14, the old ``_EXACT_LIMIT`` regime): the
   branch-and-bound width must equal the subset-DP optimum on *every*
@@ -22,7 +22,13 @@ Three series, one per claim the PR 9 engine makes:
   branch-and-bound width is never worse than the heuristic's, and the
   first bucket's search, run twice, expands the same nodes to the same
   width (node budgets, not wall-clock ones, so every field but the
-  ``*_s`` timings and ``elapsed_ms`` regenerates identically).
+  ``*_s`` timings, ``elapsed_ms`` and the heuristic series' growth
+  ratios regenerates identically);
+* **heuristic** (scale): the stage's default decomposer at ``k=8`` on
+  ``pathwidth_workload(n, 3, 1)``, the median of three runs per ``n``.
+  Gates: at most 0.5 s at n=1024, and at most 3× per doubling of ``n``
+  (a quadratic step reads about 4×), so the next quadratic in
+  decompose fails here before a certify at realistic size meets it.
 
 Output follows the house pattern: a ``BENCH_JSON`` line on stdout plus
 a JSON file (``E13_OUT``, default ``BENCH_E13.json`` in the working
@@ -33,17 +39,20 @@ Environment knobs (CI's smoke step shrinks everything):
 ``E13_SMALL_SIZES``, ``E13_SMALL_TRIALS``, ``E13_SCALE_N``,
 ``E13_SCALE_K``, ``E13_SCALE_TRIALS``, ``E13_SCALE_NODE_BUDGET``,
 ``E13_E2E_BUCKETS`` (``n:p:seed`` triples, comma-separated; empty
-skips the series), ``E13_E2E_NODE_BUDGET``, ``E13_OUT``.
+skips the series), ``E13_E2E_NODE_BUDGET``, ``E13_HEUR_SIZES``
+(ascending, comma-separated; empty skips the series), ``E13_OUT``.
 """
 
 import json
+import math
 import os
 import random
+import statistics
 import time
 
 from repro.api import certify
-from repro.api.pipeline import bnb_stats
-from repro.experiments import Table
+from repro.api.pipeline import DecomposeStage, bnb_stats
+from repro.experiments import Table, pathwidth_workload
 from repro.graphs import Graph
 from repro.graphs.generators import random_pathwidth_graph
 from repro.pathwidth import (
@@ -64,6 +73,15 @@ SCALE_TRIALS = int(os.environ.get("E13_SCALE_TRIALS", "5"))
 SCALE_NODE_BUDGET = int(os.environ.get("E13_SCALE_NODE_BUDGET", "200000"))
 E2E_BUCKETS = os.environ.get("E13_E2E_BUCKETS", "40:0.07:4,40:0.07:5,60:0.05:4")
 E2E_NODE_BUDGET = int(os.environ.get("E13_E2E_NODE_BUDGET", "120000"))
+HEUR_SIZES = tuple(
+    int(n)
+    for n in os.environ.get("E13_HEUR_SIZES", "1024,2048,4096").split(",")
+    if n
+)
+HEUR_RUNS = 3
+#: Heuristic-series gates: seconds at n=1024, and growth per doubling.
+HEUR_MAX_S_AT_1024 = 0.5
+HEUR_MAX_GROWTH = 3.0
 OUT_PATH = os.environ.get("E13_OUT", "BENCH_E13.json")
 BASELINE_PATH = os.path.join(os.path.dirname(__file__), "BENCH_E13.json")
 
@@ -277,12 +295,64 @@ def _e2e_series():
     return series
 
 
+def _heuristic_series():
+    """The default decomposer's cost as ``n`` doubles (scale gate)."""
+    table = Table(
+        f"E13d: default decomposer, k=8, pathwidth_workload(n, 3, 1), "
+        f"median of {HEUR_RUNS}",
+        ["n", "engine", "width", "median_s", "x_per_doubling"],
+    )
+    stage = DecomposeStage(8)
+    series = []
+    previous = None
+    for n in HEUR_SIZES:
+        graph, _planted = pathwidth_workload(n, 3, 1)
+        graph.csr  # built once per graph; time the decomposer alone
+        seconds = []
+        for _ in range(HEUR_RUNS):
+            t0 = time.perf_counter()
+            decomposition, stats = stage.default_decomposer(graph)
+            seconds.append(time.perf_counter() - t0)
+        median = statistics.median(seconds)
+        row = {
+            "n": n,
+            "engine": stats["engine"],
+            "width": decomposition.width(),
+            "median_s": round(median, 6),
+        }
+        growth = None
+        if previous is not None:
+            doublings = math.log2(n / previous[0])
+            growth = (median / previous[1]) ** (1.0 / doublings)
+            row["growth_per_doubling"] = round(growth, 3)
+            assert growth <= HEUR_MAX_GROWTH, (
+                f"default decomposer grew {growth:.2f}x per doubling "
+                f"from n={previous[0]} to n={n}"
+            )
+        if n == 1024:
+            assert median <= HEUR_MAX_S_AT_1024, (
+                f"default decomposer took {median:.3f} s at n=1024"
+            )
+        series.append(row)
+        table.add(
+            n,
+            stats["engine"],
+            decomposition.width(),
+            f"{median:.4f}",
+            "" if growth is None else f"{growth:.2f}",
+        )
+        previous = (n, median)
+    table.show()
+    return series
+
+
 def test_e13_decomposition(benchmark):
     payload = {
         "bench": "e13_decomposition",
         "small": _small_series(),
         "scale": _scale_series(),
         "e2e": _e2e_series(),
+        "heuristic": _heuristic_series(),
     }
     improved = sum(
         1

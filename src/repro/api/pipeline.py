@@ -69,8 +69,8 @@ DEFAULT_EXACT_DECOMPOSITION_LIMIT = 14
 #: :class:`DecomposeStage` runs above the cutoff when the heuristic
 #: witness is wider than ``k``.  Measured: width-3 rescues at k=3 take
 #: 16–250 nodes up to n=1024; a refusal that spends the whole budget
-#: searches for 0.16–2.0 s on 6x10 to 32x32 grids (the heuristic alone
-#: takes 38 s on the 32x32 one).
+#: searches for 0.17–1.6 s on 6x10 to 32x32 grids (the heuristic takes
+#: 0.22 s on the 32x32 one).
 BNB_NODE_BUDGET = 4096
 
 #: Stage names that must rerun for every property; every other stage's

@@ -39,6 +39,7 @@ give the same ordering on any machine.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import asdict, dataclass, field
 from time import perf_counter
 from typing import Optional, Sequence
@@ -283,26 +284,33 @@ class _ComponentSearch:
 def _contraction_degeneracy(masks: Sequence[int]) -> int:
     """Contraction degeneracy of the graph given by local masks.
 
-    Repeatedly contracts a minimum-degree vertex into its least-degree
-    neighbor and reports the largest minimum degree seen.  Every
-    contraction step yields a minor, and min-degree ≤ degeneracy ≤
-    treewidth ≤ pathwidth, so the maximum is a valid pathwidth lower
-    bound — strictly stronger in practice than plain degeneracy, and
-    often tight enough to stop the search the moment the incumbent
-    matches it.
+    Repeatedly contracts a minimum-degree vertex (the least index among
+    ties) into its least-degree neighbor and reports the largest minimum
+    degree seen.  Every contraction step yields a minor, and min-degree ≤
+    degeneracy ≤ treewidth ≤ pathwidth, so the maximum is a valid
+    pathwidth lower bound — strictly stronger in practice than plain
+    degeneracy, and often tight enough to stop the search the moment the
+    incumbent matches it.  The minimum-degree vertex comes off a heap
+    keyed on ``(degree, index)``: every degree change pushes a fresh
+    entry, and entries whose degree is stale are skipped when popped.
     """
     n = len(masks)
     if n <= 1:
         return 0
     adjacency = [set(iter_bits(m)) for m in masks]
-    alive = set(range(n))
+    heap = [(len(adjacency[v]), v) for v in range(n)]
+    heapq.heapify(heap)
+    removed = [False] * n
+    alive = n
     worst = 0
-    while len(alive) > 1:
-        v = min(alive, key=lambda x: len(adjacency[x]))
-        degree = len(adjacency[v])
+    while alive > 1:
+        degree, v = heapq.heappop(heap)
+        if removed[v] or degree != len(adjacency[v]):
+            continue
         if degree > worst:
             worst = degree
-        alive.discard(v)
+        removed[v] = True
+        alive -= 1
         if degree == 0:
             continue
         u = min(adjacency[v], key=lambda x: len(adjacency[x]))
@@ -313,6 +321,8 @@ def _contraction_degeneracy(masks: Sequence[int]) -> int:
                 adjacency[w].discard(v)
                 adjacency[w].add(u)
                 adjacency[u].add(w)
+                heapq.heappush(heap, (len(adjacency[w]), w))
+        heapq.heappush(heap, (len(adjacency[u]), u))
         adjacency[v].clear()
     return worst
 

@@ -13,17 +13,18 @@ Two strategies are implemented and the best result is kept:
   path-shaped graphs);
 * **greedy boundary minimization with beam search** — extend a partial
   ordering by the vertex minimizing the resulting boundary, keeping the
-  ``beam_width`` best partial orderings per step.
+  :data:`BEAM_WIDTH` best partial orderings per step.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.graphs import Graph
-from repro.pathwidth.bitsets import boundary_size, neighbor_masks
+from repro.pathwidth.bitsets import neighbor_masks
 from repro.pathwidth.interval import IntervalRepresentation
 from repro.pathwidth.path_decomposition import PathDecomposition
+
+#: Partial orderings :func:`greedy_boundary_ordering` keeps per step.
+BEAM_WIDTH = 4
 
 
 def bfs_ordering(graph: Graph, source=None) -> list:
@@ -41,66 +42,93 @@ def bfs_ordering(graph: Graph, source=None) -> list:
     return order
 
 
-def greedy_boundary_ordering(graph: Graph, beam_width: int = 4) -> list:
-    """Return an ordering via beam-searched greedy boundary minimization."""
+def greedy_boundary_ordering(graph: Graph) -> list:
+    """Return an ordering via beam-searched greedy boundary minimization.
+
+    Every step extends each kept partial ordering by each vertex of its
+    frontier (by every unplaced vertex when the frontier is empty) and
+    keeps the :data:`BEAM_WIDTH` extensions of least running maximum
+    boundary, at most one per placed set, ties broken by the extended
+    orderings' lexicographic order.
+
+    A beam entry carries its placed set ``S``, boundary count, frontier
+    ``N(S) \\ S``, a link to its parent entry and its lexicographic rank
+    among the kept entries, so a candidate ``v`` is scored from ``N(v)``
+    alone (the Coudert–Mazauric–Nisse ``vsep_updated`` rule): with
+    ``S' = S ∪ {v}``, ``v`` joins the boundary when ``N(v) ⊄ S'`` and
+    every ``u ∈ N(v) ∩ S`` with ``N(u) ⊆ S'`` leaves it.  Kept entries
+    have distinct orderings of equal length, so comparing two extended
+    orderings is comparing ``(parent rank, v)``; the ordering itself is
+    read back from the links once, at the end.
+    """
     if graph.n == 0:
         return []
     vertices, masks = neighbor_masks(graph)
-    index_of = {v: i for i, v in enumerate(vertices)}
     full = (1 << graph.n) - 1
-    # Each beam entry: (worst boundary so far, ordering tuple, placed mask).
-    start = min(vertices, key=graph.degree)
-    beams = [(0, (start,), 1 << index_of[start])]
+    first = graph.csr.index[min(vertices, key=graph.degree)]
+    # links[i] = (vertex, index of the parent's link); beams are in rank
+    # order, each (worst boundary so far, placed, boundary, frontier, link).
+    links = [(first, -1)]
+    beams = [(0, 1 << first, 1 if masks[first] else 0, masks[first], 0)]
     for _ in range(graph.n - 1):
         candidates = []
-        for worst, ordering, placed in beams:
-            frontier = 0
-            scan = placed
+        for rank, (worst, placed, boundary, frontier, _link) in enumerate(beams):
+            unplaced = full ^ placed
+            scan = frontier or unplaced  # disconnected remainder: pick globally
             while scan:
                 low = scan & -scan
                 scan ^= low
-                frontier |= masks[low.bit_length() - 1]
-            frontier &= ~placed
-            if not frontier:  # disconnected remainder: pick globally
-                frontier = full & ~placed
-            scan = frontier
-            while scan:
-                low = scan & -scan
-                scan ^= low
-                boundary = boundary_size(placed | low, masks)
-                candidates.append(
-                    (
-                        max(worst, boundary),
-                        ordering + (vertices[low.bit_length() - 1],),
-                        placed | low,
-                    )
-                )
-        candidates.sort(key=lambda item: (item[0], item[1]))
+                v = low.bit_length() - 1
+                count = boundary + 1 if masks[v] & unplaced else boundary
+                near = masks[v] & placed
+                while near:
+                    bit = near & -near
+                    near ^= bit
+                    if masks[bit.bit_length() - 1] & unplaced == low:
+                        count -= 1
+                candidates.append((count if count > worst else worst, rank, v, count))
+        candidates.sort()
+        kept = []
         seen_sets = set()
-        beams = []
-        for entry in candidates:
-            if entry[2] in seen_sets:
+        for worst, rank, v, count in candidates:
+            placed = beams[rank][1] | (1 << v)
+            if placed in seen_sets:
                 continue
-            seen_sets.add(entry[2])
-            beams.append(entry)
-            if len(beams) >= beam_width:
+            seen_sets.add(placed)
+            kept.append((rank, v, worst, placed, count))
+            if len(kept) == BEAM_WIDTH:
                 break
-    return list(beams[0][1])
+        kept.sort()  # (parent rank, v): the extended orderings' lex order
+        next_beams = []
+        for rank, v, worst, placed, count in kept:
+            parent = beams[rank]
+            frontier = (parent[3] | masks[v]) & (full ^ placed)
+            next_beams.append((worst, placed, count, frontier, len(links)))
+            links.append((v, parent[4]))
+        beams = next_beams
+    # Every extension of the last step places the whole vertex set, so
+    # the set dedup leaves exactly one entry: the best.
+    link = beams[0][4]
+    order = []
+    while link >= 0:
+        v, link = links[link]
+        order.append(vertices[v])
+    order.reverse()
+    return order
 
 
-def heuristic_path_decomposition(
-    graph: Graph, beam_width: int = 4
-) -> PathDecomposition:
-    """Return the best decomposition found by the heuristic portfolio."""
+def heuristic_path_decomposition(graph: Graph) -> PathDecomposition:
+    """Return the best decomposition found by the heuristic portfolio.
+
+    The BFS and greedy orderings are compared by the width of their
+    interval representations (decomposition width + 1), BFS winning
+    ties, and only the winner is turned into bags.
+    """
     if graph.n == 0:
         return PathDecomposition(graph, [], validate=False)
-    orderings = [bfs_ordering(graph), greedy_boundary_ordering(graph, beam_width)]
-    best: Optional[PathDecomposition] = None
-    for ordering in orderings:
-        rep = IntervalRepresentation.from_ordering(graph, ordering)
-        decomposition = PathDecomposition.from_interval_representation(rep)
-        if best is None or decomposition.width() < best.width():
-            best = decomposition
-    assert best is not None
-    return best
-
+    reps = [
+        IntervalRepresentation.from_ordering(graph, ordering)
+        for ordering in (bfs_ordering(graph), greedy_boundary_ordering(graph))
+    ]
+    best = min(reps, key=IntervalRepresentation.width)
+    return PathDecomposition.from_interval_representation(best)

@@ -51,10 +51,13 @@ class PathDecomposition:
         for v, indices in seen.items():
             if indices[-1] - indices[0] + 1 != len(indices):
                 raise ValueError(f"vertex {v!r} occurs in non-contiguous bags {indices}")
-        # (P1): every edge inside some bag.
-        bag_sets = [set(bag) for bag in self.bags]
+        # (P1): every edge inside some bag.  By (P2) each vertex occupies
+        # the bag-index interval [first, last], so an edge lies inside a
+        # bag exactly when its endpoints' intervals overlap.
         for u, v in self.graph.edges():
-            if not any(u in bag and v in bag for bag in bag_sets):
+            at_u = seen[u]
+            at_v = seen[v]
+            if max(at_u[0], at_v[0]) > min(at_u[-1], at_v[-1]):
                 raise ValueError(f"edge {u!r}-{v!r} not covered by any bag")
 
     # ------------------------------------------------------------------
@@ -94,16 +97,26 @@ class PathDecomposition:
         """Return the bag form of an interval representation.
 
         Bag ``X_p`` (for each integer point ``p`` in the span) holds the
-        vertices whose interval covers ``p``; empty bags are dropped.
+        vertices whose interval covers ``p``; empty bags are dropped.  One
+        sweep over the points keeps the covering set, adding intervals at
+        their left end and dropping them after their right end, so the
+        cost is O(span + n + total bag size).
         """
         if not rep.intervals:
             return cls(rep.graph, [], validate=False)
         lo, hi = rep.span()
+        opening: dict = {}
+        closing: dict = {}
+        for v, (left, right) in rep.intervals.items():
+            opening.setdefault(left, []).append(v)
+            closing.setdefault(right, []).append(v)
+        active: set = set()
         bags = []
         for p in range(lo, hi + 1):
-            bag = [v for v, (l, r) in rep.intervals.items() if l <= p <= r]
-            if bag:
-                bags.append(bag)
+            active.update(opening.get(p, ()))
+            if active:
+                bags.append(list(active))
+            active.difference_update(closing.get(p, ()))
         return cls(rep.graph, bags)
 
     @classmethod

@@ -52,6 +52,7 @@ from repro.pathwidth import (
     branch_and_bound_ordering,
     exact_pathwidth,
 )
+from repro.pathwidth.bitsets import iter_bits, neighbor_masks
 from repro.pathwidth.exact import subset_dp_pathwidth
 from repro.pathwidth.heuristics import bfs_ordering
 from repro.service.metrics import ServiceMetrics
@@ -94,6 +95,56 @@ class TestEquivalenceWithDP:
             g = _random_graph(random.Random(seed), 20)
             result = branch_and_bound_ordering(g)
             assert result.width <= result.stats.seed_width
+
+
+def _scan_contraction_degeneracy(masks) -> int:
+    """The lower bound with each minimum-degree vertex found by a scan
+    of the alive set: the oracle for the heap-driven one."""
+    n = len(masks)
+    if n <= 1:
+        return 0
+    adjacency = [set(iter_bits(m)) for m in masks]
+    alive = set(range(n))
+    worst = 0
+    while len(alive) > 1:
+        v = min(alive, key=lambda x: len(adjacency[x]))
+        degree = len(adjacency[v])
+        worst = max(worst, degree)
+        alive.discard(v)
+        if degree == 0:
+            continue
+        u = min(adjacency[v], key=lambda x: len(adjacency[x]))
+        for w in adjacency[v]:
+            adjacency[w].discard(v)
+            if w != u:
+                adjacency[w].add(u)
+                adjacency[u].add(w)
+        adjacency[v].clear()
+    return worst
+
+
+class TestLowerBound:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 60))
+    def test_heap_matches_scan_on_random_graphs(self, seed, n):
+        masks = neighbor_masks(_random_graph(random.Random(seed), n))[1]
+        assert bnb._contraction_degeneracy(masks) == (
+            _scan_contraction_degeneracy(masks)
+        )
+
+    @pytest.mark.parametrize(
+        "graph",
+        [pytest.param(pathwidth_workload(256, 3, s)[0], id=f"workload256s{s}")
+         for s in (1, 2, 11)]
+        + [pytest.param(grid_graph(6, 10), id="grid6x10"),
+           pytest.param(grid_graph(16, 16), id="grid16x16"),
+           pytest.param(cycle_graph(40), id="cycle40")],
+    )
+    def test_heap_matches_scan_on_hosts_and_grids(self, graph):
+        masks = neighbor_masks(graph)[1]
+        assert bnb._contraction_degeneracy(masks) == (
+            _scan_contraction_degeneracy(masks)
+        )
 
 
 class TestRegressionCorpus:

@@ -1,4 +1,11 @@
-"""Tests for interval representations, path/tree decompositions, exact DP."""
+"""Tests for interval representations, path/tree decompositions, exact DP.
+
+The heuristic portfolio and the bag conversion are also checked against
+test-only references: the beam search that rescores every candidate's
+boundary from its whole placed set and copies its ordering, the
+one-bag-per-point scan over all intervals, and the (P1) check that
+tests every edge against every bag.
+"""
 
 import random
 
@@ -6,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments import pathwidth_workload
 from repro.graphs import Graph
 from repro.graphs.generators import (
     caterpillar_graph,
@@ -29,6 +37,7 @@ from repro.pathwidth import (
     heuristic_path_decomposition,
     optimal_vertex_ordering,
 )
+from repro.pathwidth.bitsets import boundary_size, iter_bits, neighbor_masks
 from repro.pathwidth.exact import (
     exact_path_decomposition,
     subset_dp_pathwidth,
@@ -218,6 +227,217 @@ class TestHeuristics:
                 break
             d = heuristic_path_decomposition(g)
             assert d.width() >= exact_pathwidth(g)
+
+
+def _reference_greedy_ordering(graph, beam_width=4) -> list:
+    """The beam search with per-candidate boundary rescans and copies."""
+    if graph.n == 0:
+        return []
+    vertices, masks = neighbor_masks(graph)
+    index_of = {v: i for i, v in enumerate(vertices)}
+    full = (1 << graph.n) - 1
+    start = min(vertices, key=graph.degree)
+    beams = [(0, (start,), 1 << index_of[start])]
+    for _ in range(graph.n - 1):
+        candidates = []
+        for worst, ordering, placed in beams:
+            frontier = 0
+            for i in iter_bits(placed):
+                frontier |= masks[i]
+            frontier &= ~placed
+            if not frontier:
+                frontier = full & ~placed
+            for i in iter_bits(frontier):
+                after = placed | (1 << i)
+                candidates.append(
+                    (
+                        max(worst, boundary_size(after, masks)),
+                        ordering + (vertices[i],),
+                        after,
+                    )
+                )
+        candidates.sort(key=lambda item: (item[0], item[1]))
+        seen_sets = set()
+        beams = []
+        for entry in candidates:
+            if entry[2] in seen_sets:
+                continue
+            seen_sets.add(entry[2])
+            beams.append(entry)
+            if len(beams) >= beam_width:
+                break
+    return list(beams[0][1])
+
+
+def _reference_bags(rep) -> list:
+    """One bag per point of the span, each a scan over all intervals."""
+    if not rep.intervals:
+        return []
+    lo, hi = rep.span()
+    bags = []
+    for p in range(lo, hi + 1):
+        bag = [v for v, (l, r) in rep.intervals.items() if l <= p <= r]
+        if bag:
+            bags.append(sorted(set(bag)))
+    return bags
+
+
+def _reference_heuristic_bags(graph) -> list:
+    """Both orderings turned into bags; the first of least width wins."""
+    best = None
+    for ordering in (bfs_ordering(graph), _reference_greedy_ordering(graph)):
+        rep = IntervalRepresentation.from_ordering(graph, ordering)
+        bags = _reference_bags(rep)
+        width = max(len(bag) for bag in bags) - 1
+        if best is None or width < best[0]:
+            best = (width, bags)
+    return best[1]
+
+
+def _reference_rejection(graph, bags):
+    """The validation with a per-bag (P1) scan: its message, or None."""
+    bags = [sorted(set(bag)) for bag in bags]
+    seen: dict = {}
+    for index, bag in enumerate(bags):
+        for v in bag:
+            if v not in graph:
+                return f"bag vertex {v!r} not in graph"
+            seen.setdefault(v, []).append(index)
+    missing = set(graph.vertices()) - set(seen)
+    if missing:
+        return f"vertices missing from all bags: {sorted(missing)!r}"
+    for v, indices in seen.items():
+        if indices[-1] - indices[0] + 1 != len(indices):
+            return f"vertex {v!r} occurs in non-contiguous bags {indices}"
+    bag_sets = [set(bag) for bag in bags]
+    for u, v in graph.edges():
+        if not any(u in bag and v in bag for bag in bag_sets):
+            return f"edge {u!r}-{v!r} not covered by any bag"
+    return None
+
+
+def _rejection(graph, bags):
+    try:
+        PathDecomposition(graph, bags)
+    except ValueError as error:
+        return str(error)
+    return None
+
+
+def _names(draw, rng, n) -> list:
+    """Integer names, or strings whose order ("v10" < "v2") is not numeric."""
+    names = [f"v{i}" for i in range(n)] if draw(st.booleans()) else list(range(n))
+    rng.shuffle(names)
+    return names
+
+
+@st.composite
+def _graphs(draw, max_n=60):
+    """Random graphs, connected (a random tree plus chords) or not."""
+    n = draw(st.integers(1, max_n))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    p = draw(st.sampled_from((0.0, 0.02, 0.06, 0.15)))
+    connected = draw(st.booleans())
+    names = _names(draw, rng, n)
+    g = Graph(vertices=names)
+    for i in range(1, n):
+        if connected:
+            g.add_edge(names[i], names[rng.randrange(i)])
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                g.add_edge(names[i], names[j])
+    return g
+
+
+@st.composite
+def _interval_representations(draw):
+    """Arbitrary representations: gap points, shared points, any offset."""
+    n = draw(st.integers(1, 30))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    span = draw(st.integers(0, 40))
+    names = _names(draw, rng, n)
+    intervals = {}
+    for v in names:
+        left = rng.randint(-5, span)
+        intervals[v] = (left, left + rng.randint(0, 6))
+    g = Graph(vertices=names)
+    for i, u in enumerate(names):
+        for v in names[i + 1:]:
+            (lu, ru), (lv, rv) = intervals[u], intervals[v]
+            if max(lu, lv) <= min(ru, rv) and rng.random() < 0.5:
+                g.add_edge(u, v)
+    return IntervalRepresentation(g, intervals)
+
+
+class TestAgainstReference:
+    @settings(max_examples=80, deadline=None)
+    @given(graph=_graphs())
+    def test_greedy_ordering_matches(self, graph):
+        assert greedy_boundary_ordering(graph) == _reference_greedy_ordering(graph)
+
+    @settings(max_examples=60, deadline=None)
+    @given(graph=_graphs())
+    def test_heuristic_bags_match(self, graph):
+        bags = heuristic_path_decomposition(graph).bags
+        assert bags == _reference_heuristic_bags(graph)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rep=_interval_representations())
+    def test_bags_match_on_arbitrary_representations(self, rep):
+        bags = PathDecomposition.from_interval_representation(rep).bags
+        assert bags == _reference_bags(rep)
+
+    def test_gap_and_idle_points(self):
+        # Points 2-3 are covered by no interval (no bag); points 6-8 by
+        # one no interval starts or ends at (one bag each).
+        g = Graph(vertices=["a", "b", "c"])
+        g.add_edge("b", "c")
+        rep = IntervalRepresentation(
+            g, {"a": (0, 1), "b": (4, 9), "c": (5, 5)}
+        )
+        bags = PathDecomposition.from_interval_representation(rep).bags
+        assert bags == _reference_bags(rep)
+        assert bags == [["a"], ["a"], ["b"], ["b", "c"]] + [["b"]] * 4
+
+    @settings(max_examples=150, deadline=None)
+    @given(rep=_interval_representations(), data=st.data())
+    def test_validate_rejects_what_the_reference_rejects(self, rep, data):
+        graph = rep.graph
+        bags = _reference_bags(rep)
+        v = data.draw(st.sampled_from(graph.vertices()))
+        holding = [i for i, bag in enumerate(bags) if v in bag]
+        kind = data.draw(st.sampled_from(("drop", "gap", "trim", "none")))
+        if kind == "drop":  # a vertex leaves every bag
+            bags = [[u for u in bag if u != v] for bag in bags]
+        elif kind == "gap":  # a vertex lands in one more, maybe distant, bag
+            i = data.draw(st.integers(0, len(bags) - 1))
+            bags[i] = bags[i] + [v]
+        elif kind == "trim":  # a vertex leaves its first or last bag
+            i = holding[-1] if data.draw(st.booleans()) else holding[0]
+            bags[i] = [u for u in bags[i] if u != v]
+        assert _rejection(graph, bags) == _reference_rejection(graph, bags)
+
+    def test_each_corruption_is_rejected(self):
+        g = path_graph(4)
+        good = [[0, 1], [1, 2], [2, 3]]
+        for bags in (
+            [[0, 1], [1], [3]],  # 2 dropped
+            [[0, 1], [1, 2], [2, 3], [0]],  # 0 occurs non-contiguously
+            [[0, 1], [2], [2, 3]],  # edge 1-2 uncovered
+        ):
+            assert _reference_rejection(g, bags) is not None
+            assert _rejection(g, bags) == _reference_rejection(g, bags)
+        assert _rejection(g, good) is None
+
+    @pytest.mark.parametrize("seed", [1, 11, 17, 24])
+    def test_heuristic_misses_keep_their_bags(self, seed):
+        # The n=256 workload hosts on which the heuristic misses the
+        # planted width 3.
+        graph, _planted = pathwidth_workload(256, 3, seed)
+        decomposition = heuristic_path_decomposition(graph)
+        assert decomposition.width() == 4
+        assert decomposition.bags == _reference_heuristic_bags(graph)
 
 
 class TestTreeDecomposition:
