@@ -29,6 +29,10 @@ Four series, one per claim the decomposition engines make:
   Gates: at most 0.5 s at n=1024, and at most 3× per doubling of ``n``
   (a quadratic step reads about 4×), so the next quadratic in
   decompose fails here before a certify at realistic size meets it.
+  A second, disconnected row (``heuristic_disconnected``) runs
+  ``heuristic_path_decomposition`` on ``n/2`` disjoint edges under the
+  same gates: every component start empties the greedy search's
+  frontier.
 
 Output follows the house pattern: a ``BENCH_JSON`` line on stdout plus
 a JSON file (``E13_OUT``, default ``BENCH_E13.json`` in the working
@@ -295,23 +299,34 @@ def _e2e_series():
     return series
 
 
-def _heuristic_series():
-    """The default decomposer's cost as ``n`` doubles (scale gate)."""
+def _disjoint_edges(n: int) -> Graph:
+    """``n/2`` disjoint edges: a component start at every other vertex."""
+    graph = Graph(vertices=range(n))
+    for u in range(0, n - 1, 2):
+        graph.add_edge(u, u + 1)
+    return graph
+
+
+def _heuristic_only(graph):
+    return heuristic_path_decomposition(graph), {"engine": "heuristic"}
+
+
+def _doubling_series(title, make_graph, decompose, label):
+    """Median of ``HEUR_RUNS`` timings of ``decompose`` per ``n`` in
+    ``HEUR_SIZES``, gated at n=1024 and per doubling."""
     table = Table(
-        f"E13d: default decomposer, k=8, pathwidth_workload(n, 3, 1), "
-        f"median of {HEUR_RUNS}",
+        f"{title}, median of {HEUR_RUNS}",
         ["n", "engine", "width", "median_s", "x_per_doubling"],
     )
-    stage = DecomposeStage(8)
     series = []
     previous = None
     for n in HEUR_SIZES:
-        graph, _planted = pathwidth_workload(n, 3, 1)
+        graph = make_graph(n)
         graph.csr  # built once per graph; time the decomposer alone
         seconds = []
         for _ in range(HEUR_RUNS):
             t0 = time.perf_counter()
-            decomposition, stats = stage.default_decomposer(graph)
+            decomposition, stats = decompose(graph)
             seconds.append(time.perf_counter() - t0)
         median = statistics.median(seconds)
         row = {
@@ -326,12 +341,12 @@ def _heuristic_series():
             growth = (median / previous[1]) ** (1.0 / doublings)
             row["growth_per_doubling"] = round(growth, 3)
             assert growth <= HEUR_MAX_GROWTH, (
-                f"default decomposer grew {growth:.2f}x per doubling "
+                f"{label} grew {growth:.2f}x per doubling "
                 f"from n={previous[0]} to n={n}"
             )
         if n == 1024:
             assert median <= HEUR_MAX_S_AT_1024, (
-                f"default decomposer took {median:.3f} s at n=1024"
+                f"{label} took {median:.3f} s at n=1024"
             )
         series.append(row)
         table.add(
@@ -346,6 +361,26 @@ def _heuristic_series():
     return series
 
 
+def _heuristic_series():
+    """The default decomposer's cost as ``n`` doubles (scale gate)."""
+    return _doubling_series(
+        "E13d: default decomposer, k=8, pathwidth_workload(n, 3, 1)",
+        lambda n: pathwidth_workload(n, 3, 1)[0],
+        DecomposeStage(8).default_decomposer,
+        "default decomposer",
+    )
+
+
+def _disconnected_series():
+    """The heuristic on n/2 disjoint edges (the empty-frontier path)."""
+    return _doubling_series(
+        "E13e: heuristic_path_decomposition, n/2 disjoint edges",
+        _disjoint_edges,
+        _heuristic_only,
+        "heuristic on disjoint edges",
+    )
+
+
 def test_e13_decomposition(benchmark):
     payload = {
         "bench": "e13_decomposition",
@@ -353,6 +388,7 @@ def test_e13_decomposition(benchmark):
         "scale": _scale_series(),
         "e2e": _e2e_series(),
         "heuristic": _heuristic_series(),
+        "heuristic_disconnected": _disconnected_series(),
     }
     improved = sum(
         1

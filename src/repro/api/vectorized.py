@@ -185,10 +185,11 @@ def _boundaries(*cols):
 class _Interner:
     """Content-interning with an id() fast path.
 
-    The prover shares record objects across edges but also builds fresh
-    equal-content objects per call (``BasicInfo``); interning first by
-    object identity and then by content collapses both into one dense
-    id.  Interned objects are kept alive so id() keys stay valid.
+    The prover shares record and ``BasicInfo`` objects across edges, but
+    other label sources (a decoded wire form, a tampered copy) can hold
+    equal-content objects; interning first by object identity and then
+    by content collapses both into one dense id.  Interned objects are
+    kept alive so id() keys stay valid.
     """
 
     __slots__ = ("by_id", "by_key", "objs")

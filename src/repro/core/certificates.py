@@ -193,6 +193,12 @@ class CertificateBuilder:
         # dominates ``basic_info`` without it.  Values hold the state,
         # so ids cannot be reused while the builder lives.
         self._fingerprints: dict = {}
+        # node_id -> B(N), and member node_id -> B(Tree-merge(T_member)):
+        # one object per hierarchy node and per member subtree, shared by
+        # every record that carries it, so the encoder and the compiler's
+        # id()-keyed memos see each once.
+        self._node_infos: dict = {}
+        self._subtree_infos: dict = {}
 
     def _class_of(self, state) -> None:
         hit = self._fingerprints.get(id(state))
@@ -221,9 +227,16 @@ class CertificateBuilder:
         )
 
     def node_info(self, node: HierarchyNode) -> BasicInfo:
-        return self.basic_info(node, self.evaluation.for_node(node))
+        info = self._node_infos.get(node.node_id)
+        if info is None:
+            info = self.basic_info(node, self.evaluation.for_node(node))
+            self._node_infos[node.node_id] = info
+        return info
 
     def subtree_info(self, t_node: HierarchyNode, member: HierarchyNode) -> BasicInfo:
+        info = self._subtree_infos.get(member.node_id)
+        if info is not None:
+            return info
         sub = self.evaluation.for_subtree(member)
         info = BasicInfo(
             kind="T",
@@ -238,6 +251,7 @@ class CertificateBuilder:
             state=sub.state,
         )
         self._class_of(sub.state)
+        self._subtree_infos[member.node_id] = info
         return info
 
     # ------------------------------------------------------------------
@@ -330,25 +344,41 @@ class CertificateBuilder:
 
     def _pointer_labels(self, t_node: HierarchyNode) -> dict:
         """Prop 2.2 labels over the T-node's subgraph, rooted in the root
-        member (certifying that the internal root exists)."""
-        from repro.graphs import Graph
+        member (certifying that the internal root exists).
 
-        subgraph = Graph(vertices=t_node.all_vertices())
-        for key, _tag in t_node.all_edges():
-            subgraph.add_edge(*key)
+        One BFS over the node's own edge list: the subgraph is connected
+        (Section 5.3), and its edges come as distinct canonical keys.
+        """
+        edges = [key for key, _tag in t_node.all_edges()]
+        adjacency: dict = {}
+        for u, v in edges:
+            adjacency.setdefault(u, []).append(v)
+            adjacency.setdefault(v, []).append(u)
         root_member = t_node.children[t_node.root_member]
         target = root_member.t_in[min(root_member.lanes)]
-        distances = subgraph.distances_from(target)
-        labels = {}
-        for u, v in subgraph.edges():
-            labels[edge_key(u, v)] = PointerLabel(
-                target_id=self.ids[target],
-                id_a=self.ids[u],
+        distances = {target: 0}
+        frontier = [target]
+        while frontier:
+            reached = []
+            for u in frontier:
+                step = distances[u] + 1
+                for w in adjacency.get(u, ()):
+                    if w not in distances:
+                        distances[w] = step
+                        reached.append(w)
+            frontier = reached
+        ids = self.ids
+        target_id = ids[target]
+        return {
+            (u, v): PointerLabel(
+                target_id=target_id,
+                id_a=ids[u],
                 dist_a=distances[u],
-                id_b=self.ids[v],
+                id_b=ids[v],
                 dist_b=distances[v],
             )
-        return labels
+            for u, v in edges
+        }
 
     # ------------------------------------------------------------------
     def physical_labels(self, embedding: Embedding) -> dict:

@@ -27,7 +27,13 @@ full record content (success and ``_Reject`` outcomes alike), which
 keeps verdicts identical by construction — a vertex learns nothing it
 did not already hold in its own view, the locality boundary is
 untouched, and adversarial records that fail to hash simply bypass the
-cache.
+cache.  Below this memo, each algebra operation is itself a lookup in
+the algebra's transition table (:mod:`repro.courcelle.algebra`); the
+memo still pays for the boundary bookkeeping around those calls:
+without it, serial rounds on ``pathwidth_workload(256, 3, s)`` hosts
+took about 18% longer (2-core box).
+Prover labels share their ``BasicInfo`` objects, so the content keys
+of one hierarchy node usually compare by identity.
 """
 
 from __future__ import annotations

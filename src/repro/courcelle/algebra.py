@@ -18,14 +18,31 @@ non-glued slots in increasing order; ``forget(keep)`` maps result slot
 Virtual edges (tag ``"virtual"``) are completion scaffolding from the
 Theorem 1 pipeline and are invisible to property algebras: the base-class
 ``add_edge`` filters them before calling ``_add_real_edge``.
+
+The class set is finite (Proposition 2.4), so the four operations are a
+finite transition table.  The public ``new_vertices``/``add_edge``/
+``join``/``forget`` fill that table as they are used: each looks its
+arguments up in the instance's table and runs the subclass's
+``_new_vertices``/``_add_real_edge``/``_join``/``_forget`` only on a
+miss, so equal inputs get the very same result object back.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from typing import Optional
+from weakref import WeakKeyDictionary
 
 from repro.courcelle.boundary import VIRTUAL, BoundariedGraph
+
+#: algebra -> {(op, *arguments) -> result}: the transition table each
+#: instance fills as it is used.  Weakly keyed and kept outside the
+#: instance, so it never travels with a pickle of the algebra (artifact
+#: keys and sizes stay those of the bare algebra) and dies with it;
+#: cleared when full, so long-lived algebras cannot grow it without limit.
+_TABLES: WeakKeyDictionary = WeakKeyDictionary()
+_TABLE_LIMIT = 1 << 16
+_MISS = object()
 
 
 class ArityLimitExceeded(ValueError):
@@ -38,15 +55,19 @@ class ArityLimitExceeded(ValueError):
 
 
 class BoundedAlgebra(ABC):
-    """Finite-state algebra over boundaried graphs for one property."""
+    """Finite-state algebra over boundaried graphs for one property.
+
+    Subclasses implement the underscored operations; callers use the
+    public ones, which go through the instance's transition table.
+    """
 
     #: short identifier used in registries and labels
     key: str = "abstract"
 
     # ------------------------------------------------------------------
-    @abstractmethod
     def new_vertices(self, count: int):
         """Return the state of ``count`` fresh isolated boundary vertices."""
+        return self._tabulated(("new", count), self._new_vertices, count)
 
     def add_edge(self, state, a: int, b: int, tag: Optional[str] = None):
         """Return the state after adding an edge between slots ``a``, ``b``.
@@ -56,19 +77,66 @@ class BoundedAlgebra(ABC):
         """
         if tag == VIRTUAL:
             return state
-        return self._add_real_edge(state, a, b)
+        return self._tabulated(
+            ("edge", state, a, b), self._add_real_edge, state, a, b
+        )
+
+    def join(self, state1, arity1: int, state2, arity2: int, identify: tuple):
+        """Return the state of the gluing (see module docstring for slots)."""
+        return self._tabulated(
+            ("join", state1, arity1, state2, arity2, identify),
+            self._join,
+            state1,
+            arity1,
+            state2,
+            arity2,
+            identify,
+        )
+
+    def forget(self, state, arity: int, keep: tuple):
+        """Return the state with boundary restricted/reordered to ``keep``."""
+        return self._tabulated(
+            ("forget", state, arity, keep), self._forget, state, arity, keep
+        )
+
+    def _tabulated(self, key, compute, *args):
+        """Return ``compute(*args)``, from the transition table when the
+        same ``key`` was computed before.
+
+        Unhashable arguments (an adversarial label can carry any object
+        in a state field) and algebras that cannot be weakly referenced
+        compute directly; a raised error is never stored.
+        """
+        try:
+            table = _TABLES.get(self)
+            if table is None:
+                table = _TABLES[self] = {}
+            hit = table.get(key, _MISS)
+        except TypeError:
+            return compute(*args)
+        if hit is not _MISS:
+            return hit
+        value = compute(*args)
+        if len(table) >= _TABLE_LIMIT:
+            table.clear()
+        table[key] = value
+        return value
+
+    @abstractmethod
+    def _new_vertices(self, count: int):
+        """Compute the state of ``count`` fresh isolated boundary vertices."""
 
     @abstractmethod
     def _add_real_edge(self, state, a: int, b: int):
-        """Return the state after adding a *real* edge between two slots."""
+        """Compute the state after adding a *real* edge between two slots."""
 
     @abstractmethod
-    def join(self, state1, arity1: int, state2, arity2: int, identify: tuple):
-        """Return the state of the gluing (see module docstring for slots)."""
+    def _join(self, state1, arity1: int, state2, arity2: int, identify: tuple):
+        """Compute the state of the gluing."""
 
     @abstractmethod
-    def forget(self, state, arity: int, keep: tuple):
-        """Return the state with boundary restricted/reordered to ``keep``."""
+    def _forget(self, state, arity: int, keep: tuple):
+        """Compute the state with boundary restricted/reordered to ``keep``."""
 
     @abstractmethod
     def accepts(self, state, arity: int) -> bool:
@@ -186,7 +254,7 @@ class WholeGraphAlgebra(BoundedAlgebra):
     def __init__(self, checker):
         self.checker = checker
 
-    def new_vertices(self, count: int):
+    def _new_vertices(self, count: int):
         return BoundariedGraph.new(count)
 
     def add_edge(self, state, a: int, b: int, tag: Optional[str] = None):
@@ -197,11 +265,16 @@ class WholeGraphAlgebra(BoundedAlgebra):
     def _add_real_edge(self, state, a: int, b: int):  # pragma: no cover
         return state.add_edge(a, b)
 
-    def join(self, state1, arity1, state2, arity2, identify):
+    def _join(self, state1, arity1, state2, arity2, identify):
         return state1.join(state2, identify)
 
-    def forget(self, state, arity, keep):
+    def _forget(self, state, arity, keep):
         return state.forget(keep)
+
+    # The oracle is untabulated: every operation really runs.
+    new_vertices = _new_vertices
+    join = _join
+    forget = _forget
 
     def accepts(self, state, arity) -> bool:
         return bool(self.checker(state.real_subgraph()))
@@ -225,21 +298,21 @@ class ProductAlgebra(BoundedAlgebra):
         self.mode = mode
         self.key = f"product-{mode}(" + ",".join(a.key for a in self.algebras) + ")"
 
-    def new_vertices(self, count: int):
+    def _new_vertices(self, count: int):
         return tuple(a.new_vertices(count) for a in self.algebras)
 
     def _add_real_edge(self, state, a: int, b: int):
         return tuple(
-            alg._add_real_edge(s, a, b) for alg, s in zip(self.algebras, state)
+            alg.add_edge(s, a, b) for alg, s in zip(self.algebras, state)
         )
 
-    def join(self, state1, arity1, state2, arity2, identify):
+    def _join(self, state1, arity1, state2, arity2, identify):
         return tuple(
             alg.join(s1, arity1, s2, arity2, identify)
             for alg, s1, s2 in zip(self.algebras, state1, state2)
         )
 
-    def forget(self, state, arity, keep):
+    def _forget(self, state, arity, keep):
         return tuple(
             alg.forget(s, arity, keep) for alg, s in zip(self.algebras, state)
         )

@@ -22,16 +22,16 @@ class ParityAlgebra(BoundedAlgebra):
         self.residue = residue % modulus
         self.key = f"order-mod-{modulus}-is-{self.residue}"
 
-    def new_vertices(self, count: int):
+    def _new_vertices(self, count: int):
         return count % self.modulus
 
     def _add_real_edge(self, state, a: int, b: int):
         return state
 
-    def join(self, state1, arity1, state2, arity2, identify):
+    def _join(self, state1, arity1, state2, arity2, identify):
         return (state1 + state2 - len(identify)) % self.modulus
 
-    def forget(self, state, arity, keep):
+    def _forget(self, state, arity, keep):
         return state
 
     def accepts(self, state, arity) -> bool:
@@ -47,16 +47,16 @@ class SizeThresholdAlgebra(BoundedAlgebra):
         self.threshold = threshold
         self.key = f"order-at-least-{threshold}"
 
-    def new_vertices(self, count: int):
+    def _new_vertices(self, count: int):
         return min(count, self.threshold)
 
     def _add_real_edge(self, state, a: int, b: int):
         return state
 
-    def join(self, state1, arity1, state2, arity2, identify):
+    def _join(self, state1, arity1, state2, arity2, identify):
         return min(state1 + state2 - len(identify), self.threshold)
 
-    def forget(self, state, arity, keep):
+    def _forget(self, state, arity, keep):
         return state
 
     def accepts(self, state, arity) -> bool:
@@ -80,7 +80,7 @@ class DegreeAlgebra(BoundedAlgebra):
     def _cap(self, d: int) -> int:
         return min(d, self.delta + 1)
 
-    def new_vertices(self, count: int):
+    def _new_vertices(self, count: int):
         return (tuple([0] * count), False)
 
     def _add_real_edge(self, state, a: int, b: int):
@@ -91,7 +91,7 @@ class DegreeAlgebra(BoundedAlgebra):
         violated = violated or new[a] > self.delta or new[b] > self.delta
         return (tuple(new), violated)
 
-    def join(self, state1, arity1, state2, arity2, identify):
+    def _join(self, state1, arity1, state2, arity2, identify):
         degrees1, violated1 = state1
         degrees2, violated2 = state2
         slot_map = join_slot_map(arity1, arity2, identify)
@@ -103,7 +103,7 @@ class DegreeAlgebra(BoundedAlgebra):
         violated = violated1 or violated2 or any(d > self.delta for d in new)
         return (tuple(new), violated)
 
-    def forget(self, state, arity, keep):
+    def _forget(self, state, arity, keep):
         degrees, violated = state
         return (tuple(degrees[k] for k in keep), violated)
 

@@ -58,7 +58,7 @@ class ConnectivityAlgebra(BoundedAlgebra):
 
     key = "connected"
 
-    def new_vertices(self, count: int):
+    def _new_vertices(self, count: int):
         return (singleton_partition(count), 0)
 
     def _add_real_edge(self, state, a: int, b: int):
@@ -67,7 +67,7 @@ class ConnectivityAlgebra(BoundedAlgebra):
         uf.union(a, b)
         return (uf.blocks(self._arity_of(partition)), interior)
 
-    def join(self, state1, arity1, state2, arity2, identify):
+    def _join(self, state1, arity1, state2, arity2, identify):
         partition1, interior1 = state1
         partition2, interior2 = state2
         slot_map = join_slot_map(arity1, arity2, identify)
@@ -83,7 +83,7 @@ class ConnectivityAlgebra(BoundedAlgebra):
         interior = min(2, interior1 + interior2)
         return (uf.blocks(new_arity), interior)
 
-    def forget(self, state, arity, keep):
+    def _forget(self, state, arity, keep):
         partition, interior = state
         mapping = {old: new for new, old in enumerate(keep)}
         new_blocks = []
@@ -128,7 +128,7 @@ class AcyclicityAlgebra(BoundedAlgebra):
 
     key = "acyclic"
 
-    def new_vertices(self, count: int):
+    def _new_vertices(self, count: int):
         return (singleton_partition(count), False)
 
     def _add_real_edge(self, state, a: int, b: int):
@@ -138,7 +138,7 @@ class AcyclicityAlgebra(BoundedAlgebra):
         size = sum(len(block) for block in partition)
         return (uf.blocks(size), has_cycle or redundant)
 
-    def join(self, state1, arity1, state2, arity2, identify):
+    def _join(self, state1, arity1, state2, arity2, identify):
         partition1, cycle1 = state1
         partition2, cycle2 = state2
         slot_map = join_slot_map(arity1, arity2, identify)
@@ -159,7 +159,7 @@ class AcyclicityAlgebra(BoundedAlgebra):
                     has_cycle = True
         return (uf.blocks(new_arity), has_cycle)
 
-    def forget(self, state, arity, keep):
+    def _forget(self, state, arity, keep):
         partition, has_cycle = state
         mapping = {old: new for new, old in enumerate(keep)}
         new_blocks = []
@@ -186,7 +186,7 @@ class BipartiteAlgebra(BoundedAlgebra):
 
     key = "bipartite"
 
-    def new_vertices(self, count: int):
+    def _new_vertices(self, count: int):
         blocks = tuple(((i, 0),) for i in range(count))
         return (blocks, False)
 
@@ -248,7 +248,7 @@ class BipartiteAlgebra(BoundedAlgebra):
         odd |= uf.union(a, b, 1)
         return (self._extract(uf, size), odd)
 
-    def join(self, state1, arity1, state2, arity2, identify):
+    def _join(self, state1, arity1, state2, arity2, identify):
         blocks1, odd1 = state1
         blocks2, odd2 = state2
         slot_map = join_slot_map(arity1, arity2, identify)
@@ -259,7 +259,7 @@ class BipartiteAlgebra(BoundedAlgebra):
         odd |= self._replay(uf, blocks2, slot_map)
         return (self._extract(uf, new_arity), odd)
 
-    def forget(self, state, arity, keep):
+    def _forget(self, state, arity, keep):
         blocks, odd = state
         mapping = {old: new for new, old in enumerate(keep)}
         new_blocks = []

@@ -104,7 +104,7 @@ class _SpanningPathAlgebra(BoundedAlgebra):
 
     allow_cycle = False
 
-    def new_vertices(self, count: int):
+    def _new_vertices(self, count: int):
         _guard(count, self.key)
         profile = frozenset(_comp(i, i, True) for i in range(count))
         return (frozenset({profile}), False)
@@ -164,7 +164,7 @@ class _SpanningPathAlgebra(BoundedAlgebra):
         return e2 if e1 == used_slot else e1
 
     # ------------------------------------------------------------------
-    def join(self, state1, arity1, state2, arity2, identify):
+    def _join(self, state1, arity1, state2, arity2, identify):
         profiles1, grown1 = state1
         profiles2, grown2 = state2
         new_arity = arity1 + arity2 - len(identify)
@@ -296,7 +296,7 @@ class _SpanningPathAlgebra(BoundedAlgebra):
         return new_pool, False
 
     # ------------------------------------------------------------------
-    def forget(self, state, arity, keep):
+    def _forget(self, state, arity, keep):
         profiles, grown = state
         kept = {old: new for new, old in enumerate(keep)}
         grown = grown or len(keep) < arity
@@ -385,7 +385,7 @@ class PathLengthAlgebra(BoundedAlgebra):
                     used.add(e)
         return used
 
-    def new_vertices(self, count: int):
+    def _new_vertices(self, count: int):
         _guard(count, self.key)
         return (frozenset({frozenset()}), False)
 
@@ -455,7 +455,7 @@ class PathLengthAlgebra(BoundedAlgebra):
         return frozenset(new)
 
     # ------------------------------------------------------------------
-    def join(self, state1, arity1, state2, arity2, identify):
+    def _join(self, state1, arity1, state2, arity2, identify):
         profiles1, found1 = state1
         profiles2, found2 = state2
         new_arity = arity1 + arity2 - len(identify)
@@ -527,7 +527,7 @@ class PathLengthAlgebra(BoundedAlgebra):
         return frozenset(pool)
 
     # ------------------------------------------------------------------
-    def forget(self, state, arity, keep):
+    def _forget(self, state, arity, keep):
         profiles, found = state
         if found:
             return state

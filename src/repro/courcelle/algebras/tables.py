@@ -43,7 +43,7 @@ class ColoringAlgebra(BoundedAlgebra):
         self.q = q
         self.key = f"colorable-{q}"
 
-    def new_vertices(self, count: int):
+    def _new_vertices(self, count: int):
         _check_arity(count, _PROFILE_ARITY_LIMIT, self.key)
         colorings = [()]
         for _ in range(count):
@@ -53,7 +53,7 @@ class ColoringAlgebra(BoundedAlgebra):
     def _add_real_edge(self, state, a: int, b: int):
         return frozenset(c for c in state if c[a] != c[b])
 
-    def join(self, state1, arity1, state2, arity2, identify):
+    def _join(self, state1, arity1, state2, arity2, identify):
         new_arity = arity1 + arity2 - len(identify)
         _check_arity(new_arity, _PROFILE_ARITY_LIMIT, self.key)
         slot_map = join_slot_map(arity1, arity2, identify)
@@ -66,7 +66,7 @@ class ColoringAlgebra(BoundedAlgebra):
                     result.add(c1 + tuple(c2[j] for j in appended))
         return frozenset(result)
 
-    def forget(self, state, arity, keep):
+    def _forget(self, state, arity, keep):
         return frozenset(tuple(c[k] for k in keep) for c in state)
 
     def accepts(self, state, arity) -> bool:
@@ -94,7 +94,7 @@ class VertexCoverAlgebra(BoundedAlgebra):
     def _cap(self, v: int) -> int:
         return min(v, self.c + 1)
 
-    def new_vertices(self, count: int):
+    def _new_vertices(self, count: int):
         _check_arity(count, _DENSE_ARITY_LIMIT, self.key)
         return tuple(0 for _mask in range(1 << count))
 
@@ -104,7 +104,7 @@ class VertexCoverAlgebra(BoundedAlgebra):
             v if (mask & need) else self.c + 1 for mask, v in enumerate(state)
         )
 
-    def join(self, state1, arity1, state2, arity2, identify):
+    def _join(self, state1, arity1, state2, arity2, identify):
         new_arity = arity1 + arity2 - len(identify)
         _check_arity(new_arity, _DENSE_ARITY_LIMIT, self.key)
         slot_map = join_slot_map(arity1, arity2, identify)
@@ -119,7 +119,7 @@ class VertexCoverAlgebra(BoundedAlgebra):
             result.append(self._cap(state1[a1] + state2[a2]))
         return tuple(result)
 
-    def forget(self, state, arity, keep):
+    def _forget(self, state, arity, keep):
         new_arity = len(keep)
         best = [self.c + 1] * (1 << new_arity)
         for mask, v in enumerate(state):
@@ -162,7 +162,7 @@ class IndependentSetAlgebra(BoundedAlgebra):
     def _cap(self, v: int) -> int:
         return min(v, self.c)
 
-    def new_vertices(self, count: int):
+    def _new_vertices(self, count: int):
         _check_arity(count, _DENSE_ARITY_LIMIT, self.key)
         return tuple(0 for _mask in range(1 << count))
 
@@ -172,7 +172,7 @@ class IndependentSetAlgebra(BoundedAlgebra):
             -1 if (mask & both) == both else v for mask, v in enumerate(state)
         )
 
-    def join(self, state1, arity1, state2, arity2, identify):
+    def _join(self, state1, arity1, state2, arity2, identify):
         new_arity = arity1 + arity2 - len(identify)
         _check_arity(new_arity, _DENSE_ARITY_LIMIT, self.key)
         slot_map = join_slot_map(arity1, arity2, identify)
@@ -190,7 +190,7 @@ class IndependentSetAlgebra(BoundedAlgebra):
             result.append(self._cap(state1[a1] + state2[a2]))
         return tuple(result)
 
-    def forget(self, state, arity, keep):
+    def _forget(self, state, arity, keep):
         new_arity = len(keep)
         best = [-1] * (1 << new_arity)
         for mask, v in enumerate(state):
@@ -227,7 +227,7 @@ class PerfectMatchingAlgebra(BoundedAlgebra):
 
     key = "perfect-matching"
 
-    def new_vertices(self, count: int):
+    def _new_vertices(self, count: int):
         _check_arity(count, _DENSE_ARITY_LIMIT, self.key)
         return frozenset({0})
 
@@ -236,7 +236,7 @@ class PerfectMatchingAlgebra(BoundedAlgebra):
         extended = {m | edge_mask for m in state if not (m & edge_mask)}
         return frozenset(state) | extended
 
-    def join(self, state1, arity1, state2, arity2, identify):
+    def _join(self, state1, arity1, state2, arity2, identify):
         new_arity = arity1 + arity2 - len(identify)
         _check_arity(new_arity, _DENSE_ARITY_LIMIT, self.key)
         slot_map = join_slot_map(arity1, arity2, identify)
@@ -253,7 +253,7 @@ class PerfectMatchingAlgebra(BoundedAlgebra):
                 result.add(mapped)
         return frozenset(result)
 
-    def forget(self, state, arity, keep):
+    def _forget(self, state, arity, keep):
         kept = set(keep)
         forgotten_mask = 0
         for s in range(arity):
@@ -299,7 +299,7 @@ class DominatingSetAlgebra(BoundedAlgebra):
     def _canonical(table: dict) -> tuple:
         return tuple(sorted(table.items()))
 
-    def new_vertices(self, count: int):
+    def _new_vertices(self, count: int):
         _check_arity(count, _PROFILE_ARITY_LIMIT, self.key)
         table: dict = {}
         for mask in range(1 << count):
@@ -322,7 +322,7 @@ class DominatingSetAlgebra(BoundedAlgebra):
                 table[key] = v
         return self._canonical(table)
 
-    def join(self, state1, arity1, state2, arity2, identify):
+    def _join(self, state1, arity1, state2, arity2, identify):
         new_arity = arity1 + arity2 - len(identify)
         _check_arity(new_arity, _PROFILE_ARITY_LIMIT, self.key)
         slot_map = join_slot_map(arity1, arity2, identify)
@@ -349,7 +349,7 @@ class DominatingSetAlgebra(BoundedAlgebra):
                     table[key] = value
         return self._canonical(table)
 
-    def forget(self, state, arity, keep):
+    def _forget(self, state, arity, keep):
         kept = set(keep)
         table: dict = {}
         for profile, v in state:

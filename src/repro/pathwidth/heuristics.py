@@ -26,6 +26,10 @@ from repro.pathwidth.path_decomposition import PathDecomposition
 #: Partial orderings :func:`greedy_boundary_ordering` keeps per step.
 BEAM_WIDTH = 4
 
+#: Candidates of one beam entry that can survive the set dedup: each
+#: other entry duplicates at most one of its extended sets.
+_SPAN = 2 * BEAM_WIDTH - 1
+
 
 def bfs_ordering(graph: Graph, source=None) -> list:
     """Return a BFS vertex ordering from ``source`` (default: min vertex)."""
@@ -60,11 +64,20 @@ def greedy_boundary_ordering(graph: Graph) -> list:
     have distinct orderings of equal length, so comparing two extended
     orderings is comparing ``(parent rank, v)``; the ordering itself is
     read back from the links once, at the end.
+
+    An empty frontier means a disconnected remainder and a boundary of
+    0, so every unplaced ``v`` scores ``[N(v) ≠ ∅]`` and equal scores go
+    by index.  Another entry can duplicate at most one of this entry's
+    extended sets, so at most the first ``2·BEAM_WIDTH − 1`` of its
+    candidates can be kept: only the lowest that many isolated and
+    non-isolated unplaced vertices are scored.
     """
     if graph.n == 0:
         return []
     vertices, masks = neighbor_masks(graph)
     full = (1 << graph.n) - 1
+    isolated = sum(1 << v for v, mask in enumerate(masks) if not mask)
+    linked = full ^ isolated
     first = graph.csr.index[min(vertices, key=graph.degree)]
     # links[i] = (vertex, index of the parent's link); beams are in rank
     # order, each (worst boundary so far, placed, boundary, frontier, link).
@@ -74,7 +87,10 @@ def greedy_boundary_ordering(graph: Graph) -> list:
         candidates = []
         for rank, (worst, placed, boundary, frontier, _link) in enumerate(beams):
             unplaced = full ^ placed
-            scan = frontier or unplaced  # disconnected remainder: pick globally
+            scan = frontier or (
+                _lowest_bits(unplaced & isolated, _SPAN)
+                | _lowest_bits(unplaced & linked, _SPAN)
+            )
             while scan:
                 low = scan & -scan
                 scan ^= low
@@ -115,6 +131,17 @@ def greedy_boundary_ordering(graph: Graph) -> list:
         order.append(vertices[v])
     order.reverse()
     return order
+
+
+def _lowest_bits(mask: int, count: int) -> int:
+    """Return the ``count`` lowest set bits of ``mask`` (all, if fewer)."""
+    kept = 0
+    while mask and count:
+        low = mask & -mask
+        kept |= low
+        mask ^= low
+        count -= 1
+    return kept
 
 
 def heuristic_path_decomposition(graph: Graph) -> PathDecomposition:

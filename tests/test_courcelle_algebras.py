@@ -7,6 +7,7 @@ the explicit :class:`BoundariedGraph` reference, and the verdicts must
 agree with the property's independent ground-truth checker.
 """
 
+import pickle
 import random
 
 import pytest
@@ -22,6 +23,8 @@ from repro.courcelle import (
     available_algebra_keys,
     random_op_sequence,
 )
+from repro.courcelle import algebra as algebra_module
+from repro.courcelle.algebra import canonical_state_repr
 from repro.courcelle.boundary import OpSequence, REAL, VIRTUAL
 from repro.graphs import Graph
 from repro.graphs.minors import _has_path_of_order
@@ -340,3 +343,181 @@ class TestArityGuards:
         for key, arity in (("colorable-3", 12), ("hamiltonian-path", 13)):
             with pytest.raises(ArityLimitExceeded, match="boundary arity"):
                 algebra_for(key).new_vertices(arity)
+
+
+#: The algebras E9's zoo certifies (``tree`` is the product of
+#: connectivity and acyclicity).
+E9_KEYS = (
+    "connected",
+    "acyclic",
+    "bipartite",
+    "tree",
+    "colorable-3",
+    "vertex-cover-2",
+    "independent-set-2",
+    "dominating-set-2",
+    "perfect-matching",
+    "hamiltonian-cycle",
+    "hamiltonian-path",
+    "even-order",
+    "max-degree-2",
+)
+
+
+def _replay(seq, new_vertices, add_edge, join, forget) -> list:
+    """Run ``seq`` through the four given operations; return every
+    intermediate state, in op order."""
+    stack: list = []
+    states: list = []
+    for op in seq.ops:
+        if op[0] == "new":
+            stack.append((new_vertices(op[1]), op[1]))
+        elif op[0] == "edge":
+            state, arity = stack.pop()
+            stack.append((add_edge(state, op[1], op[2], op[3]), arity))
+        elif op[0] == "join":
+            state2, arity2 = stack.pop()
+            state1, arity1 = stack.pop()
+            identify = tuple(op[1])
+            joined = join(state1, arity1, state2, arity2, identify)
+            stack.append((joined, arity1 + arity2 - len(identify)))
+        else:
+            state, arity = stack.pop()
+            keep = tuple(op[1])
+            stack.append((forget(state, arity, keep), len(keep)))
+        states.append(stack[-1][0])
+    return states
+
+
+def _tabulated_states(algebra, seq) -> list:
+    return _replay(
+        seq, algebra.new_vertices, algebra.add_edge, algebra.join, algebra.forget
+    )
+
+
+def _raw_states(algebra, seq) -> list:
+    """The same replay on the subclass's own operations, table bypassed."""
+
+    def add_edge(state, a, b, tag):
+        return state if tag == VIRTUAL else algebra._add_real_edge(state, a, b)
+
+    return _replay(
+        seq, algebra._new_vertices, add_edge, algebra._join, algebra._forget
+    )
+
+
+class TestTransitionTable:
+    """The public operations read and fill a per-instance table; they
+    must return exactly what the subclass computes."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        cap=st.sampled_from((None, 1, 3, 8)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_tabulated_equals_raw(self, seed, cap):
+        original = algebra_module._TABLE_LIMIT
+        if cap is not None:
+            algebra_module._TABLE_LIMIT = cap
+        try:
+            for key in E9_KEYS:
+                rng = random.Random(seed)
+                seqs = [
+                    random_op_sequence(
+                        rng, max_new=3, steps=10, virtual_probability=0.2
+                    )
+                    for _ in range(3)
+                ]
+                tabulated = algebra_for(key)
+                raw = algebra_for(key)
+                # Three sequences from one stream share prefixes of the
+                # table, and the replay runs twice: the second pass hits.
+                for seq in seqs + seqs:
+                    try:
+                        want = _raw_states(raw, seq)
+                    except ArityLimitExceeded:
+                        with pytest.raises(ArityLimitExceeded):
+                            _tabulated_states(tabulated, seq)
+                        continue
+                    got = _tabulated_states(tabulated, seq)
+                    assert got == want, (key, seq.ops)
+                    assert [canonical_state_repr(x) for x in got] == [
+                        canonical_state_repr(x) for x in want
+                    ], (key, seq.ops)
+                    table = algebra_module._TABLES.get(tabulated, {})
+                    assert len(table) <= algebra_module._TABLE_LIMIT
+        finally:
+            algebra_module._TABLE_LIMIT = original
+
+    def test_small_cap_clears_mid_sequence(self, monkeypatch):
+        monkeypatch.setattr(algebra_module, "_TABLE_LIMIT", 2)
+        algebra = algebra_for("connected")
+        state = algebra.new_vertices(3)
+        state = algebra.add_edge(state, 0, 1)
+        assert len(algebra_module._TABLES[algebra]) == 2
+        state = algebra.forget(state, 3, (0, 2))
+        assert len(algebra_module._TABLES[algebra]) == 1
+        assert state == algebra._forget(
+            algebra._add_real_edge(algebra._new_vertices(3), 0, 1), 3, (0, 2)
+        )
+
+    def test_a_hit_returns_the_same_object(self):
+        algebra = algebra_for("acyclic")
+        first = algebra.join(
+            algebra.new_vertices(2), 2, algebra.new_vertices(2), 2, ((1, 0),)
+        )
+        again = algebra.join(
+            algebra._new_vertices(2), 2, algebra._new_vertices(2), 2, ((1, 0),)
+        )
+        assert again is first
+        assert algebra.new_vertices(2) is algebra.new_vertices(2)
+
+    def test_instances_keep_separate_tables(self):
+        one, two = algebra_for("connected"), algebra_for("connected")
+        state = one.new_vertices(2)
+        assert two.new_vertices(2) is not state
+        assert algebra_module._TABLES[one] is not algebra_module._TABLES[two]
+
+    def test_unhashable_arguments_pass_straight_through(self):
+        algebra = algebra_for("max-degree-2")
+        state = ([0, 0, 0], False)  # a list field: unhashable
+        assert algebra.forget(state, 3, (2, 0)) == ((0, 0), False)
+        assert algebra.add_edge(state, 0, 1) == ((1, 1, 0), False)
+        assert len(algebra_module._TABLES.get(algebra, {})) == 0
+
+    def test_raised_errors_are_not_stored(self):
+        algebra = algebra_for("colorable-3")
+        for _ in range(2):
+            with pytest.raises(ArityLimitExceeded):
+                algebra.new_vertices(12)
+        assert ("new", 12) not in algebra_module._TABLES.get(algebra, {})
+
+    def test_virtual_edges_skip_the_table(self):
+        algebra = algebra_for("connected")
+        state = algebra.new_vertices(2)
+        assert algebra.add_edge(state, 0, 1, VIRTUAL) is state
+        assert len(algebra_module._TABLES[algebra]) == 1
+
+    @pytest.mark.parametrize("key", E9_KEYS)
+    def test_pickle_is_unchanged_by_a_full_table(self, key):
+        algebra = algebra_for(key)
+        before = pickle.dumps(algebra)
+        for seed in range(4):
+            seq = random_op_sequence(
+                random.Random(seed), max_new=3, steps=10, virtual_probability=0.2
+            )
+            try:
+                seq.run_algebra(algebra)
+            except ArityLimitExceeded:
+                pass
+        assert len(algebra_module._TABLES[algebra]) > 0
+        assert pickle.dumps(algebra) == before
+        clone = pickle.loads(before)
+        assert clone not in algebra_module._TABLES
+
+    def test_whole_graph_oracle_is_untabulated(self):
+        algebra = WholeGraphAlgebra(lambda g: g.is_connected())
+        seq = random_op_sequence(random.Random(3), max_new=3, steps=10)
+        seq.run_algebra(algebra)
+        seq.run_algebra(algebra)
+        assert algebra not in algebra_module._TABLES

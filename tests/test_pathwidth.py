@@ -351,6 +351,31 @@ def _graphs(draw, max_n=60):
 
 
 @st.composite
+def _fragmented_graphs(draw, max_n=60):
+    """Many components and many isolated vertices: each vertex joins one
+    of a few small components (a random tree plus chords) or stays alone,
+    so the greedy search meets an empty frontier again and again."""
+    n = draw(st.integers(1, max_n))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    isolated_share = draw(st.sampled_from((0.0, 0.2, 0.5, 0.9)))
+    parts = draw(st.integers(1, max(1, n // 2)))
+    names = _names(draw, rng, n)
+    g = Graph(vertices=names)
+    components: list = [[] for _ in range(parts)]
+    for v in names:
+        if rng.random() >= isolated_share:
+            components[rng.randrange(parts)].append(v)
+    for members in components:
+        for i in range(1, len(members)):
+            g.add_edge(members[i], members[rng.randrange(i)])
+        for i in range(len(members)):
+            for j in range(i + 1, len(members)):
+                if rng.random() < 0.1 and not g.has_edge(members[i], members[j]):
+                    g.add_edge(members[i], members[j])
+    return g
+
+
+@st.composite
 def _interval_representations(draw):
     """Arbitrary representations: gap points, shared points, any offset."""
     n = draw(st.integers(1, 30))
@@ -379,6 +404,18 @@ class TestAgainstReference:
     @settings(max_examples=60, deadline=None)
     @given(graph=_graphs())
     def test_heuristic_bags_match(self, graph):
+        bags = heuristic_path_decomposition(graph).bags
+        assert bags == _reference_heuristic_bags(graph)
+
+    @settings(max_examples=120, deadline=None)
+    @given(graph=_fragmented_graphs())
+    def test_greedy_ordering_matches_on_fragmented_graphs(self, graph):
+        # An empty frontier scores only a bounded number of candidates.
+        assert greedy_boundary_ordering(graph) == _reference_greedy_ordering(graph)
+
+    @settings(max_examples=40, deadline=None)
+    @given(graph=_fragmented_graphs())
+    def test_heuristic_bags_match_on_fragmented_graphs(self, graph):
         bags = heuristic_path_decomposition(graph).bags
         assert bags == _reference_heuristic_bags(graph)
 

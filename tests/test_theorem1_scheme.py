@@ -12,6 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api.pipeline import PipelineContext
+from repro.api.plan import (
+    PlanRunner,
+    algebra_source_key,
+    config_fingerprint,
+    lanewidth_plan,
+    theorem1_plan,
+)
 from repro.core import (
     LanewidthScheme,
     Theorem1Scheme,
@@ -19,6 +27,13 @@ from repro.core import (
     certify_lanewidth_graph,
     random_lanewidth_sequence,
 )
+from repro.core.certificates import (
+    BLevelRecord,
+    CertificateBuilder,
+    TLevelRecord,
+)
+from repro.experiments import lanewidth_workload, pathwidth_workload
+from repro.graphs import Graph, edge_key
 from repro.graphs.generators import (
     caterpillar_graph,
     cycle_graph,
@@ -37,6 +52,7 @@ from repro.pls.adversary import (
     transplant_labels,
 )
 from repro.pls.model import Configuration
+from repro.pls.pointer import PointerLabel
 from repro.pls.scheme import Labeling, ProverFailure
 from repro.pls.simulator import prove_and_verify, run_verification
 from repro.pls.transforms import EdgeToVertexScheme
@@ -292,3 +308,112 @@ class TestLabelSizes:
         labeling, result = prove_and_verify(config, wrapped)
         assert result.accepted
         assert labeling.location == "vertices"
+
+
+# ----------------------------------------------------------------------
+# The label builder: shared basic infos and the pointer BFS
+# ----------------------------------------------------------------------
+def _proven_context(mode: str, n: int, seed: int) -> PipelineContext:
+    """Run a whole plan on one host; return the context it filled."""
+    if mode == "lanewidth":
+        sequence, graph = lanewidth_workload(3, n, seed)
+        plan = lanewidth_plan(sequence)
+    else:
+        graph, decomposition = pathwidth_workload(n, 3, seed)
+        plan = theorem1_plan(3, decomposer=lambda _g: decomposition)
+    config = Configuration.with_random_ids(graph, random.Random(seed))
+    ctx = PipelineContext(config=config, algebra="connected")
+    PlanRunner().run(
+        plan,
+        ctx,
+        {
+            "graph": graph.fingerprint("edges"),
+            "config": config_fingerprint(config),
+            "algebra": algebra_source_key("connected")[0],
+        },
+    )
+    return ctx
+
+
+def _builder(ctx) -> CertificateBuilder:
+    return CertificateBuilder(ctx.config, ctx.root, ctx.evaluation)
+
+
+def _infos_by_role(labels) -> dict:
+    """``(role, node_id) -> {id(BasicInfo)}`` over every record of every
+    certificate, own or embedded; a member subtree's B(...) has its own
+    role, since it names the member's node_id with other content."""
+    seen: dict = {}
+
+    def note(role, info):
+        seen.setdefault((role, info.node_id), set()).add(id(info))
+
+    for label in labels.values():
+        certificates = [label.certificate] + [
+            record.payload for record in label.embedded
+        ]
+        for certificate in certificates:
+            for record in certificate.stack:
+                note("node", record.info)
+                if isinstance(record, TLevelRecord):
+                    note("node", record.member_info)
+                    note("subtree", record.member_subtree)
+                    for child in record.child_subtrees:
+                        note("subtree", child)
+                elif isinstance(record, BLevelRecord):
+                    note("node", record.left)
+                    note("node", record.right)
+    return seen
+
+
+def _reference_pointer_labels(builder, t_node) -> dict:
+    """The BFS over a ``Graph`` built from the T-node's subgraph."""
+    subgraph = Graph(vertices=t_node.all_vertices())
+    for key, _tag in t_node.all_edges():
+        subgraph.add_edge(*key)
+    root_member = t_node.children[t_node.root_member]
+    target = root_member.t_in[min(root_member.lanes)]
+    distances = subgraph.distances_from(target)
+    return {
+        edge_key(u, v): PointerLabel(
+            target_id=builder.ids[target],
+            id_a=builder.ids[u],
+            dist_a=distances[u],
+            id_b=builder.ids[v],
+            dist_b=distances[v],
+        )
+        for u, v in subgraph.edges()
+    }
+
+
+class TestLabelBuilder:
+    @pytest.mark.parametrize("mode", ["lanewidth", "theorem1"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_one_basic_info_per_hierarchy_node(self, mode, seed):
+        ctx = _proven_context(mode, 64, seed)
+        labels = _builder(ctx).physical_labels(ctx.embedding)
+        seen = _infos_by_role(labels)
+        assert all(len(ids) == 1 for ids in seen.values()), sorted(
+            key for key, ids in seen.items() if len(ids) > 1
+        )
+        node_ids = {node.node_id for node in ctx.root.walk()}
+        assert {node_id for role, node_id in seen if role == "node"} <= node_ids
+        # Sharing changes no content: the labels still match the ones
+        # the plan encoded.
+        assert labels == dict(ctx.labeling.mapping)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        mode=st.sampled_from(["lanewidth", "theorem1"]),
+        n=st.integers(8, 72),
+        seed=st.integers(0, 10_000),
+    )
+    def test_pointer_labels_match_the_graph_bfs(self, mode, n, seed):
+        ctx = _proven_context(mode, n, seed)
+        builder = _builder(ctx)
+        t_nodes = [node for node in ctx.root.walk() if node.kind == "T"]
+        assert t_nodes
+        for node in t_nodes:
+            assert builder._pointer_labels(node) == _reference_pointer_labels(
+                builder, node
+            )

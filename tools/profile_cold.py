@@ -3,19 +3,19 @@
 The cold path is one ``certify`` call in a fresh session: decompose the
 host, prove the hierarchy, assemble + wire-encode the labels, compile
 the vectorized verification round, and run it.  This harness drives
-exactly that under :mod:`cProfile`, once per input mode — a lanewidth
-host (a construction sequence, so no decompose) and then a Theorem-1
+exactly that twice per input mode — a lanewidth host (a construction sequence, so no decompose) and then a Theorem-1
 host (a plain graph from ``pathwidth_workload(n, 3, seed)`` certified at
 ``k=8``, the perfbench ``theorem1-cold`` setting, because the heuristic
 decomposer sometimes returns width 4–6) — and reports two views per
-mode:
+mode, each from its own fresh-session certify:
 
-* a **stage table** — wall-clock seconds per pipeline stage (from the
-  report's own ``stage_timings``) plus the PR 10 cold-path counters
-  (``encode_seconds``, ``compile_seconds``, verifier round time), each
-  with its share of the end-to-end total;
-* the **top-N profile rows** by cumulative time, for drilling into
-  whatever stage dominates.
+* a **stage table**, timed on a plain pass (no profiler, so the
+  Python-heavy stages are not inflated) — wall-clock seconds per
+  pipeline stage (from the report's own ``stage_timings``) plus the
+  cold-path counters (``encode_seconds``, ``compile_seconds``, verifier
+  round time), each with its share of the end-to-end total;
+* the **top-N profile rows** by cumulative time, from a second pass
+  under :mod:`cProfile`, for drilling into whatever stage dominates.
 
 After the cold runs, the lanewidth certificate is saved into a
 temporary store and re-verified twice with a vectorized executor, each
@@ -125,14 +125,12 @@ def stage_rows(report, total_s: float):
 
 
 def profile_mode(mode: str, args):
-    """Profile one mode and print its tables.
+    """Time one mode plainly, then profile a second run; print both.
 
-    Returns its JSON block and the report (``None`` when it refused).
+    Returns its JSON block and the plain run's report (``None`` when it
+    refused).
     """
-    profiler = cProfile.Profile()
-    profiler.enable()
     report, total_s = run_cold(mode, args.n, args.seed, args.engine)
-    profiler.disable()
     print(f"cold path, mode={mode}, n={args.n}, engine={args.engine}")
     if report.refused:
         print(f"prover refused: {report.refusal}", file=sys.stderr)
@@ -146,6 +144,10 @@ def profile_mode(mode: str, args):
         print(f"{name:<12}{seconds:>10.4f}{share:>7.1%}")
     print(f"{'total':<12}{total_s:>10.4f}")
 
+    profiler = cProfile.Profile()
+    profiler.enable()
+    run_cold(mode, args.n, args.seed, args.engine)
+    profiler.disable()
     stats = pstats.Stats(profiler, stream=io.StringIO())
     stream = io.StringIO()
     stats.stream = stream
