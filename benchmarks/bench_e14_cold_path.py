@@ -9,9 +9,12 @@ first run in a fresh process, nothing resident:
   the labeling's wire digest; a restarted process attaches it with
   zero recompilation (``compiled_round_cached=True``,
   ``compile_seconds == 0``).
-* **wire encode** — the per-label bit loop is replaced by the columnar
-  bulk encoder (one interned field column + one vectorized packing),
-  byte-identical by construction and asserted here.
+* **wire encode** — the per-label bit loop is replaced by the bulk
+  encoder: one walk interns the labeling into a record table
+  (``repro.codec.table``), then each distinct info, record and stack is
+  packed once from the table's integer columns and every label is
+  written with ``int.to_bytes`` — byte-identical by construction and
+  asserted here.
 
 Two legs per n:
 
@@ -21,8 +24,9 @@ Two legs per n:
   *warmed* directory (attach + verify) — the restarted-process story.
 * ``encode_perlabel_s`` vs ``encode_bulk_s`` — the per-label
   ``encode_label`` loop (one header, no shared interning — what a
-  caller without the bulk entry point pays) vs the columnar bulk
-  encoder over the same labeling, byte-identity asserted against the
+  caller without the bulk entry point pays) vs the bulk encoder
+  (``encode_labeling_columnar``: table walk + pack) over the same
+  labeling, byte-identity asserted against the
   reference ``encode_labeling``.  The legs run interleaved (same loop
   iteration, per-round ratios, median reported) because sequential
   timing on a noisy box skews either way by 30-50%.
@@ -150,7 +154,7 @@ def test_e14_cold_path(benchmark):
                     restart_report.kernel_stats.get("compile_seconds") == 0
                 ), "attached round reported nonzero compile time"
             # Encode legs, interleaved: the per-label encode_label loop
-            # vs the columnar bulk encoder, per-round ratios, median.
+            # vs the bulk encoder, per-round ratios, median.
             # Collector paused over the timed region (standard bench
             # hygiene — cyclic-GC pauses land on whichever leg is
             # running and at these sizes swamp the signal).

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import Callable, Optional
 
-from repro.codec import WIRE_VERSION, encode_labeling_columnar
+from repro.codec import WIRE_VERSION, RecordTable, encode_table
 from repro.core.certificates import CertificateBuilder, accounted_label_bits
 from repro.core.completion import build_completion
 from repro.core.construction import build_hierarchy
@@ -497,9 +497,12 @@ class LabelStage(Stage):
     embedding path's records in one sweep and assembles the full
     ``edge -> Theorem1Label`` mapping in a single pass, so the cold
     path pays per-batch rather than per-edge overheads (PR 10).  The
-    node then encodes the labels once and serves them through a
-    read-only :class:`~repro.api.store.StoredLabels`, which pickles as
-    its wire form, and sizes them with the ``label_bits`` arithmetic:
+    node then interns the labels once into a
+    :class:`~repro.codec.table.RecordTable`, encodes them from it, and
+    serves them through a read-only
+    :class:`~repro.api.store.StoredLabels` that keeps the table in
+    memory for the round compiler and pickles as its wire form alone.
+    It sizes the labels with the ``label_bits`` arithmetic:
     the artifact holds the wire bytes once, and a hit yields every size
     figure without reading a label.  The wire form is part of the
     output, so the key names the wire version.
@@ -518,7 +521,8 @@ class LabelStage(Stage):
         mapping = builder.physical_labels(ctx.embedding)
         size_ctx = SizeContext(ctx.config.n, class_count=indexer.class_count)
         began = perf_counter()
-        encoded = encode_labeling_columnar(Labeling("edges", mapping, size_ctx))
+        table = RecordTable(list(mapping), list(mapping.values()))
+        encoded = encode_table(table, table.header(size_ctx))
         ctx.encode_seconds = perf_counter() - began
         memo: dict = {}
         sizes = [
@@ -530,5 +534,5 @@ class LabelStage(Stage):
         )
         ctx.class_count = indexer.class_count
         ctx.labeling = Labeling(
-            "edges", StoredLabels._from_prover(encoded, mapping), size_ctx
+            "edges", StoredLabels._from_prover(encoded, mapping, table), size_ctx
         )

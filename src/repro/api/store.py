@@ -197,7 +197,9 @@ class StoredLabels(Mapping):
     decode raises :class:`StoreError`.  ``len()`` answers from the
     wire form.  The label stage builds every honest labeling's mapping
     with :meth:`_from_prover`, which serves the prover's own label
-    objects, so nothing is decoded there; the same mapping read back
+    objects, so nothing is decoded there, and keeps their
+    :class:`~repro.codec.table.RecordTable` as :attr:`table` for the
+    vectorized round compiler; the same mapping read back
     from a label artifact on disk decodes on first read, like a stored
     one.  :meth:`encoded` hands out a copy of the wire form.
 
@@ -210,10 +212,12 @@ class StoredLabels(Mapping):
     labels, copy them into a plain ``dict``; a plain mapping has no
     wire identity, so its rounds always compile.
 
-    It pickles as its wire form and source alone.
+    It pickles as its wire form and source alone: the table is an
+    in-memory index of the prover's objects, so a mapping read back from
+    disk has ``table`` None and the compiler walks its labels instead.
     """
 
-    __slots__ = ("_encoded", "_digest", "_decoded", "source")
+    __slots__ = ("_encoded", "_digest", "_decoded", "source", "table")
 
     def __init__(self, encoded: EncodedLabeling, source: str):
         self._encoded = EncodedLabeling(
@@ -222,10 +226,14 @@ class StoredLabels(Mapping):
         self._digest = labeling_digest(self._encoded)
         self._decoded = None
         self.source = source
+        self.table = None
 
     @classmethod
-    def _from_prover(cls, encoded: EncodedLabeling, labels) -> "StoredLabels":
-        """Serve ``labels``, which ``encoded`` was just encoded from.
+    def _from_prover(
+        cls, encoded: EncodedLabeling, labels, table
+    ) -> "StoredLabels":
+        """Serve ``labels``, which ``encoded`` was just encoded from
+        through their record ``table``.
 
         Nothing checks that the two agree, so only the label stage
         (:class:`~repro.api.pipeline.LabelStage`) calls this, on the
@@ -234,6 +242,7 @@ class StoredLabels(Mapping):
         """
         stored = cls(encoded, "prover")
         stored._decoded = dict(labels)
+        stored.table = table
         return stored
 
     def __reduce__(self):

@@ -4,14 +4,16 @@ The reference verifier (:mod:`repro.core.verifier`) checks one
 :class:`~repro.pls.model.LocalView` at a time in pure python.  This
 module evaluates a *whole round* as flat array kernels instead:
 
-1. **Compile** — every edge certificate is interned by content
-   (records, infos, stacks, tags all become dense integer ids), the
-   pure per-record re-derivations (leaf classes, ``f_B`` bridge
-   recompositions, ``f_P`` member folds) are evaluated once per unique
-   record through the reference's own memoized functions, and each
-   stack is assigned a *path id* chain mirroring the reference's
-   recursive grouping (T-levels split by member node, B-levels by
-   side).
+1. **Compile** — the labels' :class:`~repro.codec.table.RecordTable`
+   already interns records, infos, stacks and tags as dense integer
+   ids.  The per-record columns come from its columns by array
+   operations, the pure re-derivations (leaf classes, ``f_B`` bridge
+   recompositions, ``f_P`` member folds) run once per distinct integer
+   key through the reference's own memoized functions, and each stack
+   gets a *path id* chain mirroring the reference's recursive grouping
+   (T-levels split by member node, B-levels by side).  A fresh
+   certify's mapping hands over the prover's table; any other mapping
+   gets one from a walk over the round's edge-label column.
 2. **Kernel** — the round's (vertex, depth) incidences are expanded
    into rows, one ``np.lexsort`` over ``(vertex, path, next-path)``
    makes every reference "group" a contiguous segment, and all
@@ -20,9 +22,10 @@ module evaluates a *whole round* as flat array kernels instead:
    and sorted-key joins.
 3. **Fallback** — the kernels are *accept-only*: a vertex is
    kernel-accepted only when every reference check provably passes on
-   the interned representation.  Anything unrepresentable (non-integer
-   identifiers, unhashable adversarial fields, exotic record shapes)
-   or failing *flags* the vertex, and flagged vertices are re-checked
+   the interned representation.  Anything the table marks (a field of
+   the wrong type or range, an unhashable adversarial value, an exotic
+   record shape) or anything failing *flags* the vertex, and flagged
+   vertices are re-checked
    by the reference ``LocalView`` path — so rejections keep full
    per-vertex diagnostics and the round verdict is identical to the
    reference executors' by construction.  The hypothesis differential
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+from itertools import chain
 from time import perf_counter
 from typing import Optional
 
@@ -55,41 +59,28 @@ from repro.api.runtime import (
     register_executor,
 )
 from repro.api.store import StoredLabels
-from repro.core.certificates import (
-    BasicInfo,
-    BLevelRecord,
-    EdgeCertificate,
-    ELevelRecord,
-    PLevelRecord,
-    Theorem1Label,
-    TLevelRecord,
-)
 from repro.core.scheme import CertifyingScheme
 from repro.core.verifier import (
     recompute_bridge,
     recompute_leaf_state,
     recompute_parent_fold,
 )
-from repro.codec.wire import WIRE_VERSION
+from repro.codec.table import B as _B, E as _E, P as _P, T as _T
+from repro.codec.table import RecordTable
+from repro.codec.wire import _KIND_CODES, WIRE_VERSION
 from repro.courcelle.boundary import REAL, VIRTUAL
 from repro.pls.arrays import NONE_ID, NotVectorizable, RoundArrays
 from repro.pls.model import ViewFactory
-from repro.pls.pointer import PointerLabel
 
 HAVE_NUMPY = np is not None
 
-#: Record-type codes (column ``r_type``); -1 marks an unrepresentable
-#: record, which flags every stack containing it.
-_T, _B, _E, _P = 0, 1, 2, 3
-
-#: Bound on any integer stored in a kernel column.  Far inside int64 so
-#: packed keys and ``x - 1`` arithmetic can never wrap or collide with
-#: the sentinels below.
-_LIM = 1 << 60
+#: Record-type codes (column ``r_type``) are the record table's kinds
+#: (``T, B, E, P = 0, 1, 2, 3``); -1 marks a record the table marked,
+#: which flags every stack containing it.
 
 #: "no value" sentinel (missing pointer record, ``out_id(...) is None``).
-#: Outside the validated ``(-_LIM, _LIM)`` range, so it never equals a
-#: real identifier or distance.
+#: Outside the table's ``(-2**60, 2**60)`` field range, so it never
+#: equals a real identifier or distance.
 _MISS = NONE_ID
 
 _SEG_SHIFT = 1 << 31
@@ -144,23 +135,6 @@ class Unvectorizable(Exception):
         super().__init__(reason)
 
 
-class _BadRecord(Exception):
-    """A record field the kernels cannot represent soundly."""
-
-
-def _ival(x) -> int:
-    """Validate a plain bounded int (bools and int subclasses rejected).
-
-    The kernels compare identifiers with ``==`` on int64 columns; any
-    value whose python ``==`` semantics differ from int64 equality
-    (floats, bools, custom classes) must flag the record instead, so
-    the reference path decides.
-    """
-    if type(x) is not int or not (-_LIM < x < _LIM):
-        raise _BadRecord("unrepresentable integer field")
-    return x
-
-
 def _grouped_arange(counts):
     """[0..c0-1, 0..c1-1, ...] for an int64 counts array."""
     total = int(counts.sum())
@@ -182,38 +156,49 @@ def _boundaries(*cols):
     return np.flatnonzero(change)
 
 
-class _Interner:
-    """Content-interning with an id() fast path.
+def _indptr(counts):
+    """CSR-style offsets of a ragged column with ``counts`` per row."""
+    return np.concatenate([np.zeros(1, np.int64), np.cumsum(counts)])
 
-    The prover shares record and ``BasicInfo`` objects across edges, but
-    other label sources (a decoded wire form, a tampered copy) can hold
-    equal-content objects; interning first by object identity and then
-    by content collapses both into one dense id.  Interned objects are
-    kept alive so id() keys stay valid.
+
+def _gather(starts, counts):
+    """Flat positions of the segments at ``starts``, ``counts`` long."""
+    return np.repeat(starts, counts) + _grouped_arange(counts)
+
+
+def _first(flat, starts, counts):
+    """First entry of each segment; -1 for an empty one."""
+    out = np.full(starts.shape, -1, np.int64)
+    has = counts > 0
+    out[has] = flat[starts[has]]
+    return out
+
+
+def _flat(rows, total):
+    """The ``total`` ints of a ragged column's rows, concatenated."""
+    return np.fromiter(chain.from_iterable(rows), np.int64, total)
+
+
+def _kind_rows(table, kind, width):
+    """One record kind's field rows as an ``(n, width)`` array, and ids."""
+    rows = table.rows[kind]
+    return (
+        np.array(rows, np.int64).reshape(len(rows), width),
+        np.array(table.rids[kind], np.int64),
+    )
+
+
+def _per_key(compute, *columns):
+    """Run ``compute(*key)`` once per distinct row of ``columns``.
+
+    ``compute`` returns a tuple of ints; the result holds one int64 row
+    per input row.
     """
-
-    __slots__ = ("by_id", "by_key", "objs")
-
-    def __init__(self):
-        self.by_id = {}
-        self.by_key = {}
-        self.objs = []
-
-    def __len__(self) -> int:
-        return len(self.objs)
-
-    def intern(self, obj) -> int:
-        oid = id(obj)
-        hit = self.by_id.get(oid)
-        if hit is not None:
-            return hit
-        cid = self.by_key.get(obj)  # TypeError (unhashable) propagates
-        if cid is None:
-            cid = len(self.objs)
-            self.by_key[obj] = cid
-        self.objs.append(obj)  # keep alive: id() keys must stay unique
-        self.by_id[oid] = cid
-        return cid
+    keys, inverse = np.unique(
+        np.stack(columns, axis=1), axis=0, return_inverse=True
+    )
+    values = np.array([compute(*key) for key in keys.tolist()], np.int64)
+    return values.reshape(keys.shape[0], -1)[inverse.reshape(-1)]
 
 
 class _Tables:
@@ -221,749 +206,408 @@ class _Tables:
 
 
 class RoundCompiler:
-    """Compiles one round's labels into a compiled-round envelope state.
+    """Compiles one round's record table into a compiled-round envelope state.
 
     Parameters
     ----------
     arrays:
         :class:`~repro.pls.arrays.RoundArrays` — CSR + identifiers.
-    edge_labels:
-        Per-edge label column aligned with the CSR edge index
-        (``ViewFactory.edge_certificates``).
+    table:
+        The labels' :class:`~repro.codec.table.RecordTable`.
+    edge_rows:
+        Per CSR edge index, the edge's label row in ``table`` (-1 when
+        the edge has no label).
     algebra, max_width:
         The Theorem 1 verifier profile of the scheme.
 
-    :meth:`compile` interns every edge's certificate, pre-evaluates
-    every virtual-port grouping and returns the state that
-    :meth:`KernelRound.from_state` attaches.
+    :meth:`compile` derives the per-record kernel columns from the
+    table's integer columns with array operations, runs each algebra
+    re-derivation (the root class, the ``f_P`` member fold, the ``f_B``
+    bridge, the leaf class) once per distinct integer key through the
+    reference's own memoized functions, assigns stack path ids level by
+    level (T levels split by member node, B levels by side, as the
+    reference groups them), pre-evaluates every virtual-port grouping,
+    and returns the state that :meth:`KernelRound.from_state` attaches.
     """
 
-    def __init__(self, arrays: RoundArrays, edge_labels, algebra, max_width):
+    def __init__(self, arrays: RoundArrays, table, edge_rows, algebra, max_width):
         self._n = arrays.n
         self._m = arrays.m
         self._indptr = arrays.indptr
         self._incident = arrays.incident
-        self._ids_py = [int(x) for x in arrays.identifiers.tolist()]
-        self._edge_labels = edge_labels
+        self._ids_py = arrays.identifiers.tolist()
+        self._table = table
+        self._edge_rows = edge_rows
         self._algebra = algebra
         self._max_width = max_width
 
-        self._infos = _Interner()
-        self._tags = _Interner()
-        self._misc = _Interner()
-        self._tags.intern(REAL)  # _REAL_TAG
-        self._tags.intern(VIRTUAL)  # _VIRTUAL_TAG
+    # -- re-derivations, once per distinct key ----------------------------
 
-        self._rec_by_id = {}
-        self._rec_by_key = {}
-        self._keep = []
-        self._info_meta = {}
-        self._idcode = {}
-        # Int-keyed memos over interned sub-components: the deep
-        # recomputations (folds, bridges) and derived columns repeat
-        # across records that share members, and hashing small int
-        # tuples is far cheaper than hashing nested dataclasses.
-        self._cs_memo = {}
-        self._minp_memo = {}
-        self._fold_memo = {}
-        self._rmc_memo = {}
-        self._bok_memo = {}
-        self._tin_keys = []
-        self._pid_entries = []
-        self._paths = {}
-        self._path_count = 1  # 0 is the root path
-
-        # Per-record columns (python lists; finalized to numpy).
-        self._r_type = []
-        self._r_info = []
-        self._r_sel = []
-        self._r_root = []
-        self._r_rmid = []
-        self._r_minfo = []
-        self._r_msub = []
-        self._r_cs = []
-        self._r_fold = []
-        self._r_rmc = []
-        self._r_ptok = []
-        self._r_ptgt = []
-        self._r_pida = []
-        self._r_pda = []
-        self._r_pidb = []
-        self._r_pdb = []
-        self._r_children = []
-        self._r_chids = []
-        self._r_minpairs = []
-        self._r_bleft = []
-        self._r_bright = []
-        self._r_bbr = []
-        self._r_btag = []
-        self._r_bok = []
-        self._r_side = []
-        self._r_bkl = []
-        self._r_bkr = []
-        self._r_ep1 = []
-        self._r_ep2 = []
-        self._r_etag = []
-        self._r_ein = []
-        self._r_eout = []
-        self._r_eok = []
-        self._r_leaf = []
-        self._r_pvids = []
-        self._r_ptags = []
-        self._r_ppos = []
-        self._r_ptagc = []
-        self._r_ptagok = []
-        self._r_pok = []
-        self._r_plen = []
-
-        # Per-stack tables (flattened at finalize).
-        self._cert_by_id = {}
-        self._stack_by_key = {}
-        self._s_recs = []
-        self._s_path = []
-        self._s_next = []
-        self._s_flag = []
-
-        self._edge_sid = np.full(self._m, -3, dtype=np.int64)
-        self._edge_emb = {}
-
-    # -- value/paths interning ------------------------------------------
-
-    def _code_of(self, value: int) -> int:
-        code = self._idcode.get(value)
-        if code is None:
-            code = len(self._idcode)
-            self._idcode[value] = code
-        return code
-
-    def _path_of(self, parent: int, token) -> int:
-        key = (parent, token)
-        pid = self._paths.get(key)
-        if pid is None:
-            pid = self._path_count
-            self._path_count += 1
-            self._paths[key] = pid
-        return pid
-
-    # -- record extraction ----------------------------------------------
-
-    def _new_record(self, rec, hashable: bool) -> int:
-        cid = len(self._r_type)
-        self._r_type.append(-1)
-        self._r_info.append(0)
-        self._r_sel.append(("bad",))
-        self._r_root.append(False)
-        self._r_rmid.append(0)
-        self._r_minfo.append(0)
-        self._r_msub.append(0)
-        self._r_cs.append(0)
-        self._r_fold.append(False)
-        self._r_rmc.append(False)
-        self._r_ptok.append(False)
-        self._r_ptgt.append(0)
-        self._r_pida.append(_MISS)
-        self._r_pda.append(0)
-        self._r_pidb.append(_MISS)
-        self._r_pdb.append(0)
-        self._r_children.append(())
-        self._r_chids.append(())
-        self._r_minpairs.append(())
-        self._r_bleft.append(0)
-        self._r_bright.append(0)
-        self._r_bbr.append(0)
-        self._r_btag.append(0)
-        self._r_bok.append(False)
-        self._r_side.append(0)
-        self._r_bkl.append(False)
-        self._r_bkr.append(False)
-        self._r_ep1.append(_MISS)
-        self._r_ep2.append(_MISS)
-        self._r_etag.append(0)
-        self._r_ein.append(0)
-        self._r_eout.append(0)
-        self._r_eok.append(False)
-        self._r_leaf.append(False)
-        self._r_pvids.append(0)
-        self._r_ptags.append(0)
-        self._r_ppos.append(0)
-        self._r_ptagc.append(0)
-        self._r_ptagok.append(False)
-        self._r_pok.append(False)
-        self._r_plen.append(0)
-        if hashable:
-            self._rec_by_key[rec] = cid
+    def _root_ok(self, info):
+        info = self._table.infos[info]
+        width = len(info.lanes)
         try:
-            self._extract(rec, cid)
-        except Exception:
-            # Unrepresentable record: every stack holding it is flagged
-            # and its vertices take the reference path.
-            self._r_type[cid] = -1
-        return cid
-
-    def _intern_record(self, rec) -> int:
-        oid = id(rec)
-        hit = self._rec_by_id.get(oid)
-        if hit is not None:
-            return hit
-        self._keep.append(rec)
-        try:
-            cid = self._rec_by_key.get(rec)
-            hashable = True
-        except TypeError:
-            cid = None
-            hashable = False
-        if cid is None:
-            cid = self._new_record(rec, hashable)
-        self._rec_by_id[oid] = cid
-        return cid
-
-    def _info_meta_for(self, info: BasicInfo, icid: int) -> dict:
-        meta = self._info_meta.get(icid)
-        if meta is not None:
-            return meta
-        t_ok = True
-        try:
-            pairs = [(_ival(lane), _ival(x)) for lane, x in info.in_ids]
-        except Exception:
-            t_ok = False
-            pairs = []
-        if t_ok:
-            for lane, x in pairs:
-                if 0 <= lane < 256:
-                    code = self._code_of(x)
-                    self._tin_keys.append((((icid << 8) | lane) << 31) | code)
-        try:
-            lanes = info.lanes
-            width = len(lanes)
-            root_ok = 1 <= width <= self._max_width and lanes == tuple(
-                range(width)
-            )
-            if root_ok:
-                root_ok = bool(
+            return (
+                1 <= width <= self._max_width
+                and info.lanes == tuple(range(width))
+                and bool(
                     self._algebra.accepts(info.state, len(info.boundary_ids))
-                )
-        except Exception:
-            root_ok = False
-        meta = {"t_ok": t_ok, "root_ok": bool(root_ok)}
-        self._info_meta[icid] = meta
-        return meta
-
-    def _extract(self, rec, cid: int) -> None:
-        info = rec.info
-        if not isinstance(info, BasicInfo):
-            raise _BadRecord("info is not a BasicInfo")
-        icid = self._infos.intern(info)
-        self._r_info[cid] = icid
-        if isinstance(rec, TLevelRecord):
-            self._extract_t(rec, cid, info, icid)
-        elif isinstance(rec, BLevelRecord):
-            self._extract_b(rec, cid, info)
-        elif isinstance(rec, ELevelRecord):
-            self._extract_e(rec, cid, info)
-        elif isinstance(rec, PLevelRecord):
-            self._extract_p(rec, cid, info)
-        else:
-            raise _BadRecord("unknown record type")
-
-    def _extract_t(self, rec, cid: int, info, icid: int) -> None:
-        meta = self._info_meta_for(info, icid)
-        if not meta["t_ok"]:
-            raise _BadRecord("T info in-terminals unrepresentable")
-        minfo = rec.member_info
-        msub = rec.member_subtree
-        if not isinstance(minfo, BasicInfo) or not isinstance(msub, BasicInfo):
-            raise _BadRecord("member infos are not BasicInfo")
-        mnode = _ival(minfo.node_id)
-        rmid = _ival(rec.root_member_id)
-        cs = rec.child_subtrees
-        if not isinstance(cs, tuple):
-            raise _BadRecord("child_subtrees is not a tuple")
-        ptr = rec.pointer
-        if not isinstance(ptr, PointerLabel):
-            raise _BadRecord("pointer is not a PointerLabel")
-        self._r_ptgt[cid] = _ival(ptr.target_id)
-        self._r_pida[cid] = _ival(ptr.id_a)
-        self._r_pda[cid] = _ival(ptr.dist_a)
-        self._r_pidb[cid] = _ival(ptr.id_b)
-        self._r_pdb[cid] = _ival(ptr.dist_b)
-        self._r_ptok[cid] = True
-        minfo_cid = self._infos.intern(minfo)
-        msub_cid = self._infos.intern(msub)
-        cs_cid = self._misc.intern(cs)
-        cs_cols = self._cs_memo.get(cs_cid)
-        if cs_cols is None:
-            try:
-                children = []
-                chids = []
-                for child in cs:
-                    if not isinstance(child, BasicInfo):
-                        raise _BadRecord("child subtree is not a BasicInfo")
-                    children.append(self._infos.intern(child))
-                    chids.append(
-                        tuple(_ival(x) for _lane, x in child.in_ids)
-                    )
-                cs_cols = (tuple(children), tuple(chids))
-            except Exception:
-                cs_cols = False
-            self._cs_memo[cs_cid] = cs_cols
-        if cs_cols is False:
-            raise _BadRecord("child subtree unrepresentable")
-        minp = self._minp_memo.get(msub_cid)
-        if minp is None:
-            try:
-                minp = tuple(
-                    (_ival(lane), _ival(x)) for lane, x in msub.in_ids
-                )
-            except Exception:
-                minp = False
-            self._minp_memo[msub_cid] = minp
-        if minp is False:
-            raise _BadRecord("member in-terminals unrepresentable")
-        self._r_minpairs[cid] = minp
-        self._r_minfo[cid] = minfo_cid
-        self._r_msub[cid] = msub_cid
-        self._r_cs[cid] = cs_cid
-        self._r_children[cid] = cs_cols[0]
-        self._r_chids[cid] = cs_cols[1]
-        self._r_rmid[cid] = rmid
-        self._r_sel[cid] = ("m", mnode)
-        self._r_root[cid] = meta["root_ok"]
-        fold_key = (minfo_cid, msub_cid, cs_cid)
-        fold_ok = self._fold_memo.get(fold_key)
-        if fold_ok is None:
-            try:
-                state, _b, in_ids, out_ids = recompute_parent_fold(
-                    self._algebra, minfo, cs
-                )
-                fold_ok = (
-                    state == msub.state
-                    and in_ids == msub.in_ids
-                    and out_ids == msub.out_ids
-                )
-            except Exception:
-                fold_ok = False
-            fold_ok = bool(fold_ok)
-            self._fold_memo[fold_key] = fold_ok
-        self._r_fold[cid] = fold_ok
-        if mnode == rmid:
-            rmc_key = (msub_cid, icid)
-            rmc = self._rmc_memo.get(rmc_key)
-            if rmc is None:
-                try:
-                    rmc = (
-                        msub.state == info.state
-                        and msub.in_ids == info.in_ids
-                        and msub.out_ids == info.out_ids
-                        and msub.lanes == info.lanes
-                    )
-                except Exception:
-                    rmc = False
-                rmc = bool(rmc)
-                self._rmc_memo[rmc_key] = rmc
-            self._r_rmc[cid] = rmc
-        else:
-            self._r_rmc[cid] = True
-        self._r_type[cid] = _T
-
-    def _extract_b(self, rec, cid: int, info) -> None:
-        left = rec.left
-        right = rec.right
-        if not isinstance(left, BasicInfo) or not isinstance(right, BasicInfo):
-            raise _BadRecord("bridge children are not BasicInfo")
-        bridge = rec.bridge
-        if not isinstance(bridge, tuple) or len(bridge) != 2:
-            raise _BadRecord("bridge is not a 2-tuple")
-        i, j = bridge
-        side = rec.side
-        if side not in (-1, 0, 1):
-            raise _BadRecord("invalid bridge side marker")
-        self._r_side[cid] = int(side)
-        self._r_sel[cid] = ("s", side)
-        left_cid = self._infos.intern(left)
-        right_cid = self._infos.intern(right)
-        br_cid = self._misc.intern(bridge)
-        btag_cid = self._tags.intern(rec.bridge_tag)
-        self._r_bleft[cid] = left_cid
-        self._r_bright[cid] = right_cid
-        self._r_bbr[cid] = br_cid
-        self._r_btag[cid] = btag_cid
-        icid = self._r_info[cid]
-        bok_key = (left_cid, right_cid, br_cid, btag_cid, icid)
-        cols = self._bok_memo.get(bok_key)
-        if cols is None:
-            try:
-                ep1 = left.out_id(i)
-                ep2 = right.out_id(j)
-                ep1 = _MISS if ep1 is None else _ival(ep1)
-                ep2 = _MISS if ep2 is None else _ival(ep2)
-            except Exception:
-                cols = False
-                self._bok_memo[bok_key] = cols
-            if cols is None:
-                try:
-                    state, _b, in_ids, out_ids = recompute_bridge(
-                        self._algebra, left, right, i, j, rec.bridge_tag
-                    )
-                    ok = (
-                        state == info.state
-                        and in_ids == info.in_ids
-                        and out_ids == info.out_ids
-                    )
-                except Exception:
-                    ok = False
-                for child in (left, right):
-                    if child.kind == "V":
-                        try:
-                            vok = (
-                                child.in_ids == child.out_ids
-                                and len(child.lanes) == 1
-                                and child.state
-                                == self._algebra.new_vertices(1)
-                            )
-                        except Exception:
-                            vok = False
-                        ok = ok and vok
-                cols = (
-                    bool(ok),
-                    ep1,
-                    ep2,
-                    left.kind == "T",
-                    right.kind == "T",
-                )
-                self._bok_memo[bok_key] = cols
-        if cols is False:
-            raise _BadRecord("bridge endpoints unrepresentable")
-        self._r_bok[cid] = cols[0]
-        self._r_ep1[cid] = cols[1]
-        self._r_ep2[cid] = cols[2]
-        self._r_bkl[cid] = cols[3]
-        self._r_bkr[cid] = cols[4]
-        self._r_type[cid] = _B
-
-    def _extract_e(self, rec, cid: int, info) -> None:
-        e_in = _ival(rec.in_id)
-        e_out = _ival(rec.out_id)
-        self._r_etag[cid] = self._tags.intern(rec.tag)
-        self._r_ein[cid] = e_in
-        self._r_eout[cid] = e_out
-        try:
-            lanes = info.lanes
-            lane = lanes[0]
-            shape = (
-                len(lanes) == 1
-                and info.in_ids == ((lane, rec.in_id),)
-                and info.out_ids == ((lane, rec.out_id),)
+                ),
             )
         except Exception:
-            shape = False
-        self._r_eok[cid] = bool(shape and e_in != e_out)
-        try:
-            self._r_leaf[cid] = bool(
-                recompute_leaf_state(self._algebra, rec) == info.state
-            )
-        except Exception:
-            self._r_leaf[cid] = False
-        self._r_sel[cid] = ("x",)
-        self._r_type[cid] = _E
+            return (False,)
 
-    def _extract_p(self, rec, cid: int, info) -> None:
-        ids = rec.vertex_ids
-        tags = rec.tags
-        if not isinstance(ids, tuple) or not isinstance(tags, tuple):
-            raise _BadRecord("P-node ids/tags are not tuples")
-        vals = [_ival(x) for x in ids]
-        pos = rec.position
-        if type(pos) is not int or not (-_LIM < pos < _LIM):
-            raise _BadRecord("P-node position unrepresentable")
-        self._r_pvids[cid] = self._misc.intern(ids)
-        self._r_ptags[cid] = self._misc.intern(tags)
-        self._r_ppos[cid] = pos
+    def _fold_ok(self, member, subtree, kids):
+        infos = self._table.infos
+        subtree = infos[subtree]
+        kids = tuple([infos[kid] for kid in self._table.children[kids]])
         try:
-            tag_at = tags[pos]
-        except Exception:
-            self._r_ptagok[cid] = False
-        else:
-            self._r_ptagc[cid] = self._tags.intern(tag_at)
-            self._r_ptagok[cid] = True
-        try:
-            lanes = info.lanes
-            shape = (
-                len(lanes) == len(ids)
-                and info.in_ids == tuple(zip(lanes, ids))
-                and info.out_ids == tuple(zip(lanes, ids))
+            state, _b, in_ids, out_ids = recompute_parent_fold(
+                self._algebra, infos[member], kids
+            )
+            return (
+                bool(
+                    state == subtree.state
+                    and in_ids == subtree.in_ids
+                    and out_ids == subtree.out_ids
+                ),
             )
         except Exception:
-            shape = False
-        self._r_pok[cid] = bool(
-            len(set(vals)) == len(vals)
-            and len(tags) == len(ids) - 1
-            and shape
+            return (False,)
+
+    def _root_member_ok(self, subtree, info):
+        subtree, info = self._table.infos[subtree], self._table.infos[info]
+        try:
+            return (
+                bool(
+                    subtree.state == info.state
+                    and subtree.in_ids == info.in_ids
+                    and subtree.out_ids == info.out_ids
+                    and subtree.lanes == info.lanes
+                ),
+            )
+        except Exception:
+            return (False,)
+
+    def _bridge(self, left, right, i, j, tag, info):
+        """``(f_B recomputes info, left endpoint id, right endpoint id)``."""
+        infos = self._table.infos
+        left, right, info = infos[left], infos[right], infos[info]
+        ep1, ep2 = left.out_id(i), right.out_id(j)
+        try:
+            state, _b, in_ids, out_ids = recompute_bridge(
+                self._algebra, left, right, i, j, self._table.tags[tag]
+            )
+            ok = bool(
+                state == info.state
+                and in_ids == info.in_ids
+                and out_ids == info.out_ids
+            )
+            for child in (left, right):
+                if child.kind == "V":
+                    ok = ok and bool(
+                        child.in_ids == child.out_ids
+                        and len(child.lanes) == 1
+                        and child.state == self._algebra.new_vertices(1)
+                    )
+        except Exception:
+            ok = False
+        return (
+            ok,
+            _MISS if ep1 is None else ep1,
+            _MISS if ep2 is None else ep2,
         )
-        self._r_plen[cid] = len(ids)
-        for t_index, x in enumerate(vals):
-            self._pid_entries.append(
-                (cid * _SEG_SHIFT + self._code_of(x), t_index)
-            )
+
+    def _leaf_ok(self, rid) -> bool:
+        table = self._table
         try:
-            self._r_leaf[cid] = bool(
-                recompute_leaf_state(self._algebra, rec) == info.state
+            return bool(
+                recompute_leaf_state(self._algebra, table.records[rid])
+                == table.infos[table.r_info[rid]].state
             )
         except Exception:
-            self._r_leaf[cid] = False
-        self._r_sel[cid] = ("x",)
-        self._r_type[cid] = _P
+            return False
 
-    # -- stack + edge compilation ---------------------------------------
+    # -- per-record columns -------------------------------------------------
 
-    def _compile_stack(self, recs: tuple) -> int:
-        sid = len(self._s_recs)
-        path = 0
-        paths = []
-        nexts = []
-        flagged = False
-        last_index = len(recs) - 1
-        for depth, rc in enumerate(recs):
-            paths.append(path)
-            nxt = self._path_of(path, self._r_sel[rc])
-            nexts.append(nxt)
-            path = nxt
-            rtype = self._r_type[rc]
-            last = depth == last_index
-            if rtype == _T:
-                if last or (
-                    self._r_info[recs[depth + 1]] != self._r_minfo[rc]
-                ):
-                    flagged = True
-            elif rtype == _B:
-                side = self._r_side[rc]
-                if side == -1:
-                    if not last:
-                        flagged = True
-                else:
-                    child = (
-                        self._r_bleft[rc] if side == 0 else self._r_bright[rc]
-                    )
-                    kind_t = (
-                        self._r_bkl[rc] if side == 0 else self._r_bkr[rc]
-                    )
-                    if (
-                        last
-                        or not kind_t
-                        or self._r_type[recs[depth + 1]] != _T
-                        or self._r_info[recs[depth + 1]] != child
-                    ):
-                        flagged = True
-            elif rtype in (_E, _P):
-                if not last or not self._r_leaf[rc]:
-                    flagged = True
-            else:
-                flagged = True
-        if self._r_type[recs[0]] != _T:
-            flagged = True
-        self._s_recs.append(recs)
-        self._s_path.append(tuple(paths))
-        self._s_next.append(tuple(nexts))
-        self._s_flag.append(flagged)
-        return sid
+    def _record_columns(self, t):
+        """Fill the ``r_*``, child, member and P-node columns of ``t``.
 
-    def _intern_cert(self, cert) -> int:
-        oid = id(cert)
-        hit = self._cert_by_id.get(oid)
-        if hit is not None:
-            return hit
-        self._keep.append(cert)
-        sid = -1
-        if isinstance(cert, EdgeCertificate):
-            stack = cert.stack
-            if isinstance(stack, (tuple, list)) and len(stack) >= 1:
-                recs = tuple(self._intern_record(r) for r in stack)
-                sid = self._stack_by_key.get(recs)
-                if sid is None:
-                    sid = self._compile_stack(recs)
-                    self._stack_by_key[recs] = sid
-        self._cert_by_id[oid] = sid
-        return sid
-
-    def _compile_edge(self, index: int) -> None:
-        label = self._edge_labels[index]
-        if not isinstance(label, Theorem1Label):
-            self._edge_sid[index] = -1
-            return
-        try:
-            embedded = tuple(label.embedded)
-        except Exception:
-            self._edge_sid[index] = -1
-            return
-        self._edge_sid[index] = self._intern_cert(label.certificate)
-        if embedded:
-            self._edge_emb[index] = embedded
-
-    # -- the embedded / virtual-port pass (python; rare) ----------------
-
-    def _virtual_ports(self, dense: int):
-        """Mirror ``_reconstruct_ports``' embedded grouping for one vertex.
-
-        Returns ``(payload_sids, ok)``; ``ok=False`` flags the vertex.
+        Returns the per-record columns only the stack pass reads: the
+        member node, whether each bridge child is a T node, and the
+        leaf class check.
         """
-        me = self._ids_py[dense]
-        groups: dict = {}
-        start = int(self._indptr[dense])
-        stop = int(self._indptr[dense + 1])
-        for position in range(start, stop):
-            emb = self._edge_emb.get(int(self._incident[position]))
-            if emb is None:
-                continue
-            for record in emb:
-                try:
-                    key = (record.u_id, record.v_id, record.payload)
-                    groups.setdefault(key, []).append(
-                        (record.forward, record.backward)
-                    )
-                except Exception:
-                    return [], False
-        out = []
-        for (u_id, v_id, payload), hits in groups.items():
-            try:
-                totals = {f + b for f, b in hits}
-                if len(totals) != 1:
-                    return [], False
-                total = totals.pop()
-                if not all(1 <= f <= total - 1 for f, _b in hits):
-                    return [], False
-                if me == u_id:
-                    if not (len(hits) == 1 and hits[0][0] == 1):
-                        return [], False
-                    out.append(payload)
-                elif me == v_id:
-                    if not (len(hits) == 1 and hits[0][1] == 1):
-                        return [], False
-                    out.append(payload)
-                else:
-                    if len(hits) != 2:
-                        return [], False
-                    (f1, _), (f2, _) = hits
-                    if abs(f1 - f2) != 1:
-                        return [], False
-            except Exception:
-                return [], False
-        return [self._intern_cert(p) for p in out], True
-
-    # -- finalize -------------------------------------------------------
-
-    def _finalize(self) -> _Tables:
-        if (
-            len(self._infos) >= (1 << 24)
-            or len(self._r_type) >= _SEG_SHIFT
-            or self._path_count >= _SEG_SHIFT
-            or len(self._idcode) >= _SEG_SHIFT
-        ):
-            raise Unvectorizable("intern tables exceed packed-key range")
-        t = _Tables()
+        tab = self._table
         i64 = np.int64
-        t.r_type = np.array(self._r_type, i64)
-        t.r_info = np.array(self._r_info, i64)
-        t.r_root = np.array(self._r_root, bool)
-        t.r_rmid = np.array(self._r_rmid, i64)
-        t.r_minfo = np.array(self._r_minfo, i64)
-        t.r_msub = np.array(self._r_msub, i64)
-        t.r_cs = np.array(self._r_cs, i64)
-        t.r_fold = np.array(self._r_fold, bool)
-        t.r_rmc = np.array(self._r_rmc, bool)
-        t.r_ptok = np.array(self._r_ptok, bool)
-        t.r_ptgt = np.array(self._r_ptgt, i64)
-        t.r_pida = np.array(self._r_pida, i64)
-        t.r_pda = np.array(self._r_pda, i64)
-        t.r_pidb = np.array(self._r_pidb, i64)
-        t.r_pdb = np.array(self._r_pdb, i64)
-        t.r_bleft = np.array(self._r_bleft, i64)
-        t.r_bright = np.array(self._r_bright, i64)
-        t.r_bbr = np.array(self._r_bbr, i64)
-        t.r_btag = np.array(self._r_btag, i64)
-        t.r_bok = np.array(self._r_bok, bool)
-        t.r_side = np.array(self._r_side, i64)
-        t.r_ep1 = np.array(self._r_ep1, i64)
-        t.r_ep2 = np.array(self._r_ep2, i64)
-        t.r_etag = np.array(self._r_etag, i64)
-        t.r_ein = np.array(self._r_ein, i64)
-        t.r_eout = np.array(self._r_eout, i64)
-        t.r_eok = np.array(self._r_eok, bool)
-        t.r_pvids = np.array(self._r_pvids, i64)
-        t.r_ptags = np.array(self._r_ptags, i64)
-        t.r_ppos = np.array(self._r_ppos, i64)
-        t.r_ptagc = np.array(self._r_ptagc, i64)
-        t.r_ptagok = np.array(self._r_ptagok, bool)
-        t.r_pok = np.array(self._r_pok, bool)
-        t.r_plen = np.array(self._r_plen, i64)
+        nrec = len(tab.records)
+        for name in _STATE_RECORD_COLS:
+            dtype = bool if name in _STATE_BOOL_COLS else i64
+            setattr(t, name, np.zeros(nrec, dtype))
+        t.r_type[:] = tab.r_kind
+        t.r_info[:] = tab.r_info
+        for name in ("r_pida", "r_pidb", "r_ep1", "r_ep2"):
+            getattr(t, name)[:] = _MISS
+        idval = np.array(tab.id_values, i64)
+        tagc = np.arange(len(tab.tags), dtype=i64) + 2
+        for tag, code in ((REAL, _REAL_TAG), (VIRTUAL, _VIRTUAL_TAG)):
+            found = tab.tag_id.get((repr(tag), tag))
+            if found is not None:
+                tagc[found] = code
+        i_len = np.array([len(lanes) for lanes in tab.i_lanes], i64)
+        i_ptr = _indptr(i_len)
+        total = int(i_ptr[-1])
+        i_lane = _flat(tab.i_lanes, total)
+        i_in = _flat(tab.i_in, total)
+        i_out = _flat(tab.i_out, total)
+        i_node = np.array(tab.i_node, i64)
+        i_kind = np.array(tab.i_kind, i64)
+        member_node = np.zeros(nrec, i64)
+        kid_t = (np.zeros(nrec, bool), np.zeros(nrec, bool))
+        leaf = np.zeros(nrec, bool)
 
-        ch_counts = np.array([len(c) for c in self._r_children], i64)
-        t.ch_counts = ch_counts
-        t.ch_indptr = np.concatenate(
-            [np.zeros(1, i64), np.cumsum(ch_counts)]
-        )
-        t.ch_cid = np.array(
-            [c for row in self._r_children for c in row], i64
-        )
-        ids_counts = np.array(
-            [len(ids) for row in self._r_chids for ids in row], i64
-        )
-        t.ch_ids_counts = ids_counts
-        t.ch_ids_indptr = np.concatenate(
-            [np.zeros(1, i64), np.cumsum(ids_counts)]
-        )
-        t.ch_ids_flat = np.array(
-            [x for row in self._r_chids for ids in row for x in ids], i64
-        )
-        min_counts = np.array([len(p) for p in self._r_minpairs], i64)
-        t.min_counts = min_counts
-        t.min_indptr = np.concatenate(
-            [np.zeros(1, i64), np.cumsum(min_counts)]
-        )
-        t.min_lane = np.array(
-            [lane for row in self._r_minpairs for lane, _x in row], i64
-        )
-        t.min_id = np.array(
-            [x for row in self._r_minpairs for _lane, x in row], i64
-        )
-        t.tin = np.unique(np.array(self._tin_keys, i64))
-        if self._pid_entries:
-            keys = np.array([k for k, _t in self._pid_entries], i64)
-            tpos = np.array([tp for _k, tp in self._pid_entries], i64)
-            ordering = np.argsort(keys, kind="stable")
-            t.pid_keys = keys[ordering]
-            t.pid_t = tpos[ordering]
-        else:
-            t.pid_keys = np.zeros(0, i64)
-            t.pid_t = np.zeros(0, i64)
+        rows, rid = _kind_rows(tab, _T, 10)
+        t.ch_cid = t.ch_ids_counts = t.ch_ids_flat = np.zeros(0, i64)
+        t.min_lane = t.min_id = t.tin = np.zeros(0, i64)
+        if rid.size:
+            info, member, subtree, kids, root = (
+                rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3], rows[:, 9]
+            )
+            t.r_minfo[rid] = member
+            t.r_msub[rid] = subtree
+            t.r_cs[rid] = kids
+            t.r_rmid[rid] = root
+            t.r_ptgt[rid] = idval[rows[:, 4]]
+            t.r_pida[rid] = idval[rows[:, 5]]
+            t.r_pda[rid] = rows[:, 6]
+            t.r_pidb[rid] = idval[rows[:, 7]]
+            t.r_pdb[rid] = rows[:, 8]
+            t.r_ptok[rid] = True
+            t.r_root[rid] = _per_key(self._root_ok, info)[:, 0] > 0
+            t.r_fold[rid] = (
+                _per_key(self._fold_ok, member, subtree, kids)[:, 0] > 0
+            )
+            member_node[rid] = i_node[member]
+            rmc = np.ones(rid.size, bool)
+            named = i_node[member] == root
+            if named.any():
+                rmc[named] = (
+                    _per_key(
+                        self._root_member_ok, subtree[named], info[named]
+                    )[:, 0]
+                    > 0
+                )
+            t.r_rmc[rid] = rmc
+            kid_len = np.array([len(c) for c in tab.children], i64)
+            kid_ptr = _indptr(kid_len)
+            kid_flat = _flat(tab.children, int(kid_ptr[-1]))
+            t.ch_counts[rid] = kid_len[kids]
+            t.ch_cid = kid_flat[_gather(kid_ptr[kids], kid_len[kids])]
+            t.ch_ids_counts = i_len[t.ch_cid]
+            t.ch_ids_flat = idval[
+                i_in[_gather(i_ptr[t.ch_cid], t.ch_ids_counts)]
+            ]
+            t.min_counts[rid] = i_len[subtree]
+            where = _gather(i_ptr[subtree], i_len[subtree])
+            t.min_lane = i_lane[where]
+            t.min_id = idval[i_in[where]]
+            # (T info, lane, identifier) keys of every T node's in-terminals.
+            owners = np.unique(info)
+            where = _gather(i_ptr[owners], i_len[owners])
+            owner = np.repeat(owners, i_len[owners])
+            lane = i_lane[where]
+            keys = (((owner << 8) | lane) << 31) | i_in[where]
+            t.tin = np.unique(keys[lane < 256])
+        t.ch_indptr = _indptr(t.ch_counts)
+        t.ch_ids_indptr = _indptr(t.ch_ids_counts)
+        t.min_indptr = _indptr(t.min_counts)
 
-        lens = np.array([len(r) for r in self._s_recs], i64)
+        rows, rid = _kind_rows(tab, _B, 7)
+        if rid.size:
+            info, left, right, i, j, tag, side = rows.T
+            t.r_bleft[rid] = left
+            t.r_bright[rid] = right
+            t.r_bbr[rid] = np.unique(
+                rows[:, 3:5], axis=0, return_inverse=True
+            )[1].reshape(-1)
+            t.r_btag[rid] = tagc[tag]
+            t.r_side[rid] = side
+            derived = _per_key(self._bridge, left, right, i, j, tag, info)
+            t.r_bok[rid] = derived[:, 0] > 0
+            t.r_ep1[rid] = derived[:, 1]
+            t.r_ep2[rid] = derived[:, 2]
+            kid_t[0][rid] = i_kind[left] == _KIND_CODES["T"]
+            kid_t[1][rid] = i_kind[right] == _KIND_CODES["T"]
+
+        rows, rid = _kind_rows(tab, _E, 4)
+        if rid.size:
+            info, a, b, tag = rows.T
+            t.r_etag[rid] = tagc[tag]
+            t.r_ein[rid] = idval[a]
+            t.r_eout[rid] = idval[b]
+            starts, counts = i_ptr[info], i_len[info]
+            t.r_eok[rid] = (
+                (counts == 1)
+                & (_first(i_in, starts, counts) == a)
+                & (_first(i_out, starts, counts) == b)
+                & (a != b)
+            )
+
+        pid_keys, pid_t = [], []
+        for rid, (info, ids, tags, position) in zip(tab.rids[_P], tab.rows[_P]):
+            codes = tab.id_lists[ids]
+            tag_ids = tab.tag_lists[tags]
+            t.r_pvids[rid] = ids
+            t.r_ptags[rid] = tags
+            t.r_ppos[rid] = position
+            t.r_plen[rid] = len(codes)
+            if position < len(tag_ids):
+                t.r_ptagc[rid] = tagc[tag_ids[position]]
+                t.r_ptagok[rid] = True
+            t.r_pok[rid] = (
+                len(set(codes)) == len(codes)
+                and len(tag_ids) == len(codes) - 1
+                and tab.i_in[info] == codes
+                and tab.i_out[info] == codes
+            )
+            for index, code in enumerate(codes):
+                pid_keys.append(rid * _SEG_SHIFT + code)
+                pid_t.append(index)
+        keys = np.array(pid_keys, i64)
+        ordering = np.argsort(keys, kind="stable")
+        t.pid_keys = keys[ordering]
+        t.pid_t = np.array(pid_t, i64)[ordering]
+        for rid in chain(tab.rids[_E], tab.rids[_P]):
+            leaf[rid] = self._leaf_ok(rid)
+        return member_node, kid_t, leaf
+
+    # -- stacks, edges and virtual ports ----------------------------------
+
+    def _stack_columns(self, t, member_node, kid_t, leaf) -> None:
+        """Fill the ``st_*`` columns: records, path ids and flags."""
+        tab = self._table
+        i64 = np.int64
+        lens = np.array([len(stack) for stack in tab.stacks], i64)
         t.st_len = lens
-        t.st_indptr = np.concatenate([np.zeros(1, i64), np.cumsum(lens)])
-        t.st_rec = np.array(
-            [rc for recs in self._s_recs for rc in recs], i64
+        t.st_indptr = _indptr(lens)
+        total = int(t.st_indptr[-1])
+        rec = t.st_rec = _flat(tab.stacks, total)
+        kind = t.r_type
+        # The reference groups a T level by member node, a B level by
+        # side, and every leaf alike; one token per distinct grouping.
+        token = np.unique(
+            np.stack(
+                [
+                    np.where(kind < 0, 3, np.minimum(kind, 2)),
+                    np.where(
+                        kind == _T,
+                        member_node,
+                        np.where(kind == _B, t.r_side, 0),
+                    ),
+                ],
+                axis=1,
+            ),
+            axis=0,
+            return_inverse=True,
+        )[1].reshape(-1)[rec]
+        path = np.zeros(total, i64)
+        nxt = np.zeros(total, i64)
+        starts = t.st_indptr[:-1]
+        count = 1  # 0 is the root path
+        for level in range(int(lens.max(initial=0))):
+            rows = starts[lens > level] + level
+            parent = nxt[rows - 1] if level else np.zeros(rows.size, i64)
+            keys, inverse = np.unique(
+                parent * _SEG_SHIFT + token[rows], return_inverse=True
+            )
+            path[rows] = parent
+            nxt[rows] = count + inverse.reshape(-1)
+            count += keys.size
+            if count >= _SEG_SHIFT:
+                raise Unvectorizable("intern tables exceed packed-key range")
+        t.st_path = path
+        t.st_next = nxt
+        if not total:
+            t.st_flag = np.zeros(lens.size, bool)
+            return
+        # A stack is well shaped when each level names the level below
+        # it (T: its member; B: the T child on its side, or the bridge
+        # edge last) and only a leaf whose class checks out ends it.
+        below = rec[np.minimum(np.arange(1, total + 1), total - 1)]
+        stack_of = np.repeat(np.arange(lens.size), lens)
+        last = _grouped_arange(lens) == lens[stack_of] - 1
+        rt = kind[rec]
+        side = t.r_side[rec]
+        child = np.where(side == 0, t.r_bleft[rec], t.r_bright[rec])
+        child_t = np.where(side == 0, kid_t[0][rec], kid_t[1][rec])
+        bad = np.where(
+            rt == _T,
+            last | (t.r_info[below] != t.r_minfo[rec]),
+            np.where(
+                rt == _B,
+                np.where(
+                    side == -1,
+                    ~last,
+                    last
+                    | ~child_t
+                    | (kind[below] != _T)
+                    | (t.r_info[below] != child),
+                ),
+                np.where(rt >= _E, ~last | ~leaf[rec], True),
+            ),
         )
-        t.st_path = np.array(
-            [p for paths in self._s_path for p in paths], i64
-        )
-        t.st_next = np.array(
-            [p for nexts in self._s_next for p in nexts], i64
-        )
-        t.st_flag = np.array(self._s_flag, bool)
-        t.me_code = np.array(
-            [self._idcode.get(x, -1) for x in self._ids_py], i64
-        )
-        return t
+        t.st_flag = (
+            np.bincount(stack_of, weights=bad, minlength=lens.size) > 0
+        ) | (kind[rec[starts]] != _T)
 
-    # -- the envelope state ---------------------------------------------
-
-    def _emb_vertices(self):
-        """Dense vertices incident to an edge with embedded records."""
+    def _emb_vertices(self, edges):
+        """Dense vertices incident to one of ``edges``."""
         edge_has = np.zeros(self._m, dtype=bool)
-        edge_has[np.array(list(self._edge_emb), dtype=np.int64)] = True
+        edge_has[np.array(list(edges), dtype=np.int64)] = True
         counts = np.diff(self._indptr)
         vertex_of_pos = np.repeat(
             np.arange(self._n, dtype=np.int64), counts
         )
         return np.unique(vertex_of_pos[edge_has[self._incident]])
+
+    def _virtual_ports(self, dense, emb_of_edge, me):
+        """Mirror ``_reconstruct_ports``' embedded grouping for one vertex.
+
+        Returns the payload stack ids of its virtual ports, or ``None``
+        to flag the vertex.
+        """
+        embedded = self._table.embedded
+        groups: dict = {}
+        start = int(self._indptr[dense])
+        stop = int(self._indptr[dense + 1])
+        for edge in self._incident[start:stop].tolist():
+            if edge not in emb_of_edge:
+                continue
+            emb = emb_of_edge[edge]
+            if emb is None:
+                return None
+            for row in emb:
+                u, v, forward, backward, payload = embedded[row]
+                groups.setdefault((u, v, payload), []).append(
+                    (forward, backward)
+                )
+        out = []
+        for (u, v, payload), hits in groups.items():
+            total = hits[0][0] + hits[0][1]
+            if any(f + b != total or not 1 <= f <= total - 1 for f, b in hits):
+                return None
+            if me == u:
+                if not (len(hits) == 1 and hits[0][0] == 1):
+                    return None
+                out.append(payload)
+            elif me == v:
+                if not (len(hits) == 1 and hits[0][1] == 1):
+                    return None
+                out.append(payload)
+            elif len(hits) != 2 or abs(hits[0][0] - hits[1][0]) != 1:
+                return None
+        return out
+
+    # -- the envelope state ---------------------------------------------
 
     def compile(self) -> dict:
         """Compile the whole round into its envelope state.
@@ -975,20 +619,33 @@ class RoundCompiler:
         signature; ``from_state`` raises on a mismatch, which callers
         treat as a cache miss.
         """
-        for index in range(self._m):
-            self._compile_edge(index)
+        tab = self._table
+        if (
+            len(tab.infos) >= (1 << 24)
+            or len(tab.records) >= _SEG_SHIFT
+            or len(tab.id_values) >= _SEG_SHIFT
+        ):
+            raise Unvectorizable("intern tables exceed packed-key range")
+        t = _Tables()
+        self._stack_columns(t, *self._record_columns(t))
+        me_code = [tab.id_code.get(x, -1) for x in self._ids_py]
+        t.me_code = np.array(me_code, np.int64)
+        rows = self._edge_rows
+        edge_sid = np.array(tab.l_stack + [-1], np.int64)[rows]
+        # Edges with embedded records; ``None`` marks a malformed list.
+        emb_of_edge = {}
+        for edge, row in enumerate(rows.tolist()):
+            if row >= 0 and tab.l_emb[row] != ():
+                emb_of_edge[edge] = tab.l_emb[row]
         vp_map = {}
         vp_bad = []
-        if self._edge_emb:
-            for dense in self._emb_vertices().tolist():
-                sids, ok = self._virtual_ports(dense)
-                # A payload that is no certificate interns as -1; the
-                # state holds only real stack ids, so flag the vertex.
-                if not ok or any(sid < 0 for sid in sids):
+        if emb_of_edge:
+            for dense in self._emb_vertices(emb_of_edge).tolist():
+                sids = self._virtual_ports(dense, emb_of_edge, me_code[dense])
+                if sids is None:
                     vp_bad.append(dense)
                 elif sids:
                     vp_map[dense] = tuple(sids)
-        t = self._finalize()
         tables = {
             name: getattr(t, name)
             for name in _STATE_I64_COLS + _STATE_BOOL_COLS
@@ -999,7 +656,7 @@ class RoundCompiler:
             "dtypes": _dtype_signature(),
             "n": self._n,
             "m": self._m,
-            "edge_sid": self._edge_sid,
+            "edge_sid": edge_sid,
             "tables": tables,
             "vp_map": vp_map,
             "vp_bad": vp_bad,
@@ -1560,6 +1217,22 @@ def _compiled_round_cache_key(config, scheme, digest):
     return f"compiled-round:{token}"
 
 
+def _round_table(mapping, factory):
+    """The round's record table, and each CSR edge's label row in it.
+
+    A fresh certify's mapping carries the prover's table; every other
+    mapping (a plain dict, a stored or a decoded labeling) gets one from
+    a walk over the round's edge-label column.
+    """
+    edges = factory.csr.edges
+    table = mapping.table if isinstance(mapping, StoredLabels) else None
+    if table is None:
+        table = RecordTable(edges, factory.edge_certificates)
+        return table, np.arange(len(edges), dtype=np.int64)
+    rows = {key: row for row, key in enumerate(table.keys)}
+    return table, np.array([rows.get(e, -1) for e in edges], np.int64)
+
+
 def _attach_compiled_round(state, arrays):
     """Attach an envelope state; ``None`` when absent or on any mismatch."""
     if not isinstance(state, dict):
@@ -1655,9 +1328,14 @@ class VectorizedExecutor(VerificationExecutor):
         if round_ is not None:
             return round_, 0.0, True
         algebra, max_width = profile
-        edge_labels = factory.edge_certificates
+        # Reading the certificate column decodes a stored labeling: that
+        # is decode time, so it happens before the compile clock starts.
+        factory.edge_certificates
         began = perf_counter()
-        state = RoundCompiler(arrays, edge_labels, algebra, max_width).compile()
+        table, edge_rows = _round_table(mapping, factory)
+        state = RoundCompiler(
+            arrays, table, edge_rows, algebra, max_width
+        ).compile()
         compile_seconds = perf_counter() - began
         round_ = KernelRound.from_state(arrays, state)
         self._keep_state(key, state, compile_seconds)

@@ -15,9 +15,12 @@ them.  This package materializes every
   interns structure shared across edges, and the per-label reference
   writer (:func:`encode_label`, :func:`encode_labeling`) that tests
   use as the byte-identity oracle;
-* :mod:`repro.codec.columnar` — :class:`ColumnarEncoder` behind
-  :func:`encode_labeling_columnar`, the one encoder the library runs,
-  byte-identical to the reference writer.
+* :mod:`repro.codec.table` — :class:`RecordTable`, one walk that
+  interns every label field once into integer columns; the encoder and
+  the vectorized round compiler both read it;
+* :mod:`repro.codec.columnar` — :func:`encode_table` behind
+  :func:`encode_labeling_columnar`, the one encoder the library runs:
+  it packs a table's columns, byte-identical to the reference writer.
 
 The byte-level layout is specified in ``docs/FORMAT.md``; persistence of
 encoded labelings lives in :class:`repro.api.store.CertificateStore`.
@@ -42,10 +45,8 @@ from repro.codec.wire import (
     encode_labeling,
     labeling_digest,
 )
-from repro.codec.columnar import (
-    ColumnarEncoder,
-    encode_labeling_columnar,
-)
+from repro.codec.table import RecordTable
+from repro.codec.columnar import encode_labeling_columnar, encode_table
 
 __all__ = [
     "BitReader",
@@ -62,7 +63,8 @@ __all__ = [
     "decode_label",
     "encode_labeling",
     "labeling_digest",
-    "ColumnarEncoder",
+    "RecordTable",
     "decode_labeling_columnar",
     "encode_labeling_columnar",
+    "encode_table",
 ]

@@ -10,55 +10,13 @@ The writer tracks the exact number of *semantic* bits
 (:attr:`BitWriter.bit_length`) separately from the zero-padded byte
 output of :meth:`BitWriter.to_bytes` — the measured certificate size the
 reports quote is the former, never the padding.
-
-:meth:`BitWriter.write_many` is the bulk twin of :meth:`BitWriter.write`:
-given parallel value/width sequences it packs every field in one
-numpy pass (expand fields to a flat bit array, ``np.packbits``), falling
-back to the scalar loop when numpy is unavailable or a field is wider
-than an ``int64`` can carry.  Both paths produce identical streams.
 """
 
 from __future__ import annotations
 
-try:  # pragma: no cover - exercised through both branches in CI
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 
 class BitStreamError(ValueError):
     """Raised on malformed writes (value overflow) or truncated reads."""
-
-
-_IOTA = None  # grow-only arange cache shared by every _field_bits call
-
-
-def _iota(total):
-    """Return ``arange(total)`` from a grow-only shared buffer."""
-    global _IOTA
-    if _IOTA is None or _IOTA.shape[0] < total:
-        _IOTA = _np.arange(max(total, 1 << 16), dtype=_np.int64)
-    return _IOTA[:total]
-
-
-def _field_bits(values, widths):
-    """Flat 0/1 ``uint8`` array of ``values`` expanded MSB-first.
-
-    ``values``/``widths`` are equal-length ``int64`` arrays with every
-    width in ``0..63`` and every value non-negative and in range.
-    """
-    total = int(widths.sum())
-    if total == 0:
-        return _np.zeros(0, dtype=_np.uint8)
-    # Expand all 64 bits of every value once (big-endian, so bit 0 of
-    # the expansion is the value's MSB), then gather each field's low
-    # ``width`` bits: output bit p of field f at local offset o from the
-    # field's MSB is expansion bit 64*f + (64 - widths[f] + o).
-    allbits = _np.unpackbits(values.astype(">i8").view(_np.uint8))
-    starts = _np.cumsum(widths) - widths
-    base = 64 * _iota(values.shape[0]) + 64 - widths - starts
-    index = _np.repeat(base, widths) + _iota(total)
-    return allbits[index]
 
 
 class BitWriter:
@@ -92,59 +50,6 @@ class BitWriter:
             acc &= (1 << rest) - 1
         self._acc = acc
         self._acc_bits = rest
-
-    def write_many(self, values, widths) -> None:
-        """Append many fixed-width fields in one vectorized pass.
-
-        Equivalent to ``for v, w in zip(values, widths): self.write(v, w)``
-        but packed through numpy (one bit-expansion + ``np.packbits``
-        per call) — the bulk path :class:`repro.codec.columnar
-        .ColumnarEncoder` uses to pack a whole labeling at once.  Falls
-        back to the scalar loop when numpy is missing, a value exceeds
-        ``int64`` range, or a field is wider than 63 bits, so the output
-        stream is identical either way.
-        """
-        if _np is not None:
-            try:
-                varr = _np.asarray(values, dtype=_np.int64)
-                warr = _np.asarray(widths, dtype=_np.int64)
-            except (OverflowError, TypeError, ValueError):
-                varr = None
-            if (
-                varr is not None
-                and varr.shape == warr.shape
-                and varr.ndim == 1
-                and (varr.size == 0 or int(warr.max()) <= 63)
-                and (varr.size == 0 or int(warr.min()) >= 0)
-            ):
-                if varr.size and ((varr < 0) | (varr >> warr != 0)).any():
-                    bad = int(_np.argmax((varr < 0) | (varr >> warr != 0)))
-                    raise BitStreamError(
-                        f"value {int(varr[bad])} does not fit in "
-                        f"{int(warr[bad])} bits"
-                    )
-                self._append_bits(_field_bits(varr, warr))
-                return
-        for value, width in zip(values, widths):
-            self.write(value, width)
-
-    def _append_bits(self, bits) -> None:
-        """Append a flat 0/1 ``uint8`` bit array to the stream."""
-        if bits.size == 0:
-            return
-        if self._acc_bits:
-            prefix = _np.zeros(self._acc_bits, dtype=_np.uint8)
-            for index in range(self._acc_bits):
-                prefix[self._acc_bits - 1 - index] = (self._acc >> index) & 1
-            bits = _np.concatenate([prefix, bits])
-        whole = bits.size >> 3
-        if whole:
-            self._bytes += _np.packbits(bits[: whole * 8]).tobytes()
-        acc = 0
-        for bit in bits[whole * 8:].tolist():
-            acc = (acc << 1) | int(bit)
-        self._acc = acc
-        self._acc_bits = bits.size & 7
 
     def to_bytes(self) -> bytes:
         """Return the stream, zero-padded up to the next byte boundary."""

@@ -18,8 +18,9 @@ layout is specified in ``docs/FORMAT.md``; the short version:
   then the embedded virtual-edge records.  :func:`decode_label` inverts
   it exactly — ``decode(encode(label)) == label`` is a tier-1 property
   test, not an aspiration.  That per-label writer is the reference: the
-  library encodes through the bulk encoder of :mod:`repro.codec.columnar`,
-  which is tested byte-identical to it.
+  library encodes from a :class:`~repro.codec.table.RecordTable` through
+  the bulk encoder of :mod:`repro.codec.columnar`, which is tested
+  byte-identical to it.
 * :class:`EncodedLabeling` holds a whole encoded
   :class:`~repro.pls.scheme.Labeling` and reports *measured* sizes (the
   exact bit counts of the encodings, padding excluded), which
@@ -82,47 +83,20 @@ class CodecError(ValueError):
     """Raised on labels the format cannot carry or malformed streams."""
 
 
-# ----------------------------------------------------------------------
-# Identity-keyed memoization for one header walk.
-#
-# The prover shares certificate sub-objects aggressively: one
-# ``BasicInfo`` appears in every record stack that passes over its
-# hierarchy node (measured: ~18 references per unique info on a
-# 128-vertex labeling), and whole ``EdgeCertificate`` stacks recur as
-# embedded payloads.  Without memoization the collector re-validates
-# each shared object once per reference — the canonical-state recursion
-# alone dominates the header walk.  Keying on ``id()`` is sound here
-# because every memo value keeps a strong reference to its key object
-# (no id reuse while the memo lives), the object graph is immutable
-# during the pass, and the memo never outlives the pass.  The header is
-# identical to the memo-free walk's.
-# ----------------------------------------------------------------------
-class _EncodeMemo:
-    """Per-pass caches shared by the collector and the bulk encoder."""
+class _Collector:
+    """Accumulates the header dictionaries from a deterministic walk.
 
-    __slots__ = ("canon", "seen")
+    The prover shares sub-objects across edges (one ``BasicInfo`` per
+    hierarchy node, whole stacks as embedded payloads), so the walk
+    skips every info, record and certificate it has visited — a revisit
+    adds the same maxima and entries again — and resolves each state's
+    canonical form once.  Both caches key on ``id()`` and pin their
+    objects, so an id is never reused while the walk runs.
+    """
 
     def __init__(self):
-        self.canon = {}  # id(state) -> (state, canonical_state_repr)
-        self.seen = {}  # id(obj)   -> obj   (collector visited set)
-
-    def canonical(self, state) -> str:
-        hit = self.canon.get(id(state))
-        if hit is None:
-            hit = (state, canonical_state_repr(state))
-            self.canon[id(state)] = hit
-        return hit[1]
-
-
-# ----------------------------------------------------------------------
-# Header construction: one traversal collects every dictionary and the
-# maximum value of every counter-like field.
-# ----------------------------------------------------------------------
-class _Collector:
-    """Accumulates the header dictionaries from a deterministic walk."""
-
-    def __init__(self, memo: "Optional[_EncodeMemo]" = None):
-        self._memo = memo
+        self._seen = {}  # id(obj) -> obj
+        self._canon = {}  # id(state) -> (state, canonical form)
         self.ids = set()
         self.states = []  # first-seen order
         self._state_index = {}  # repr(state) -> index
@@ -136,6 +110,12 @@ class _Collector:
         self.max_path = 0
         self.max_children = 0
 
+    def _revisit(self, obj) -> bool:
+        if id(obj) in self._seen:
+            return True
+        self._seen[id(obj)] = obj
+        return False
+
     def counter(self, value: int) -> None:
         if value < 0:
             raise CodecError(f"counter field cannot be negative ({value})")
@@ -148,12 +128,8 @@ class _Collector:
             self.tags.append(tag)
 
     def info(self, info: BasicInfo) -> None:
-        if self._memo is not None:
-            # A revisit contributes the same maxima and dictionary
-            # entries again — skipping it is a pure no-op.
-            if id(info) in self._memo.seen:
-                return
-            self._memo.seen[id(info)] = info
+        if self._revisit(info):
+            return
         if info.kind not in _KIND_CODES:
             raise CodecError(f"unknown node kind {info.kind!r}")
         if info.node_id < -1:
@@ -177,10 +153,11 @@ class _Collector:
         # Canonical form, not raw repr: states that crossed a process
         # boundary (pool-resident per-property proving) must dedupe into
         # the same dictionary slot as their locally built equals.
-        if self._memo is not None:
-            key = self._memo.canonical(info.state)
-        else:
-            key = canonical_state_repr(info.state)
+        hit = self._canon.get(id(info.state))
+        if hit is None:
+            hit = (info.state, canonical_state_repr(info.state))
+            self._canon[id(info.state)] = hit
+        key = hit[1]
         if key not in self._state_index:
             self._state_index[key] = len(self.states)
             self.states.append(info.state)
@@ -191,10 +168,8 @@ class _Collector:
         self.counter(pointer.dist_b)
 
     def record(self, record) -> None:
-        if self._memo is not None:
-            if id(record) in self._memo.seen:
-                return
-            self._memo.seen[id(record)] = record
+        if self._revisit(record):
+            return
         self.info(record.info)
         if isinstance(record, TLevelRecord):
             if record.info.kind != "T":
@@ -241,10 +216,8 @@ class _Collector:
             )
 
     def certificate(self, cert: EdgeCertificate) -> None:
-        if self._memo is not None:
-            if id(cert) in self._memo.seen:
-                return
-            self._memo.seen[id(cert)] = cert
+        if self._revisit(cert):
+            return
         if not cert.stack:
             raise CodecError("empty certificate stack")
         self.max_depth = max(self.max_depth, len(cert.stack))
@@ -314,18 +287,19 @@ class WireHeader:
 
     # ------------------------------------------------------------------
     @classmethod
-    def for_labeling(
-        cls,
-        labeling: Labeling,
-        memo: "Optional[_EncodeMemo]" = None,
-    ) -> "WireHeader":
-        """Build the header for one labeling's label set."""
+    def for_labeling(cls, labeling: Labeling) -> "WireHeader":
+        """Build the header for one labeling's label set.
+
+        The reference walk the per-label oracle uses; the library
+        derives the same header from its record table
+        (:meth:`repro.codec.table.RecordTable.header`).
+        """
         if labeling.location != "edges":
             raise CodecError(
                 "the wire format carries edge labelings "
                 f"(got location={labeling.location!r})"
             )
-        collector = _Collector(memo)
+        collector = _Collector()
         for key in sorted(labeling.mapping, key=repr):
             collector.label(labeling.mapping[key])
         ctx = labeling.size_context
@@ -520,8 +494,8 @@ def encode_label(label: Theorem1Label, header: WireHeader) -> EncodedLabel:
 # record-identity tuples) and constructed exactly once per decoder.
 # Because interned sub-objects are unique per content, the
 # identity-based record and stack keys are content-faithful without
-# ever hashing a dataclass, and the kernel compiler's ``id()`` memo then
-# hits once per distinct certificate instead of once per edge.
+# ever hashing a dataclass, and the record table's ``id()`` caches then
+# hit once per distinct certificate instead of once per edge.
 # ----------------------------------------------------------------------
 class _LabelDecoder:
     """Shared interning state for decoding labels against one header."""

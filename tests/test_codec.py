@@ -6,11 +6,14 @@ produce, and the *measured* encoded size never exceeding the arithmetic
 ``label_bits`` accounting the reports used to quote.
 """
 
+import dataclasses
 import pickle
 import random
+import subprocess
+import sys
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import CertificationSession, certify
@@ -19,7 +22,7 @@ from repro.codec import (
     BitStreamError,
     BitWriter,
     CodecError,
-    ColumnarEncoder,
+    RecordTable,
     WireHeader,
     decode_label,
     encode_label,
@@ -29,11 +32,12 @@ from repro.codec import (
     width_for,
     width_for_value,
 )
-from repro.codec.wire import _EncodeMemo
 from repro.core import LanewidthScheme, Theorem1Scheme
-from repro.core.certificates import label_bits
+from repro.core.certificates import EdgeCertificate, label_bits
 from repro.experiments import lanewidth_workload, pathwidth_workload
+from repro.pls.adversary import corrupt_one_label
 from repro.pls.model import Configuration
+from repro.pls.scheme import Labeling
 
 
 # ----------------------------------------------------------------------
@@ -291,12 +295,11 @@ class TestColumnarEncoderByteIdentity:
     )
     @settings(max_examples=12, deadline=None)
     def test_direct_encoder_byte_identity(self, width, n, seed):
-        """ColumnarEncoder driven directly, with the header walk's memo."""
+        """The bulk encoder driven with the reference walk's header."""
         labeling = _lanewidth_labeling(width, n, seed).labeling
         ref = encode_labeling(labeling)
-        memo = _EncodeMemo()
-        header = WireHeader.for_labeling(labeling, memo)
-        bulk = ColumnarEncoder(header, memo).encode(labeling)
+        header = WireHeader.for_labeling(labeling)
+        bulk = encode_labeling_columnar(labeling, header)
         _assert_byte_identical(bulk, ref)
 
     def test_wrapper_byte_identity_and_round_trip(self):
@@ -317,9 +320,8 @@ class TestColumnarEncoderByteIdentity:
         )
         assert report.accepted
         ref = encode_labeling(report.labeling)
-        memo = _EncodeMemo()
-        header = WireHeader.for_labeling(report.labeling, memo)
-        bulk = ColumnarEncoder(header, memo).encode(report.labeling)
+        header = WireHeader.for_labeling(report.labeling)
+        bulk = encode_labeling_columnar(report.labeling, header)
         _assert_byte_identical(bulk, ref)
 
 
@@ -333,48 +335,141 @@ class TestColumnarEncoderContract:
         b = _lanewidth_labeling(2, 12, seed=941)
         header_a = WireHeader.for_labeling(a.labeling)
         with pytest.raises(CodecError):
-            ColumnarEncoder(header_a, _EncodeMemo()).encode(b.labeling)
+            encode_labeling_columnar(b.labeling, header_a)
 
-    @given(
-        st.lists(
-            st.integers(min_value=1, max_value=200).flatmap(
-                lambda w: st.tuples(
-                    st.integers(min_value=0, max_value=2**w - 1), st.just(w)
-                )
-            ),
-            max_size=30,
-        )
-    )
-    @example([(3, 2), (2**130 - 3, 130), (1, 1)])
-    @settings(max_examples=60, deadline=None)
-    def test_pack_fields_matches_bit_writer(self, fields):
-        """Fields wider than one column entry (57 bits) are split
-        MSB-first; the packed stream equals BitWriter.write's."""
-        from repro.codec.columnar import _PACK_LIMIT, _pack_fields
-
-        out = []
-        total = _pack_fields(
-            [v for v, _w in fields], [w for _v, w in fields], out
-        )
-        assert all(0 < entry & 63 <= _PACK_LIMIT for entry in out)
-        packed = BitWriter()
-        for entry in out:
-            packed.write(entry >> 6, entry & 63)
-        reference = BitWriter()
-        for value, width in fields:
-            reference.write(value, width)
-        assert total == packed.bit_length == reference.bit_length
-        assert packed.to_bytes() == reference.to_bytes()
-
-    def test_without_numpy_matches_reference_writer(self, monkeypatch):
-        import repro.codec.bitio as bitio
-        import repro.codec.columnar as columnar
-
+    def test_without_numpy_matches_reference_writer(self):
+        """The encoder needs no numpy: in a process where ``import
+        numpy`` fails, it writes the reference writer's bytes."""
         labeling = _lanewidth_labeling(3, 40, seed=17).labeling
-        ref = encode_labeling(labeling)
-        monkeypatch.setattr(columnar, "_np", None)
-        monkeypatch.setattr(bitio, "_np", None)
-        _assert_byte_identical(encode_labeling_columnar(labeling), ref)
+        expected = labeling_digest(encode_labeling(labeling))
+        script = (
+            "import random, sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from repro.api import certify\n"
+            "from repro.codec import encode_labeling_columnar, labeling_digest\n"
+            "from repro.experiments import lanewidth_workload\n"
+            "sequence, _graph = lanewidth_workload(3, 40, 17)\n"
+            "report = certify(sequence, 'connected', rng=random.Random(18),"
+            " verify=False)\n"
+            "print(labeling_digest(encode_labeling_columnar(report.labeling)))\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, check=True,
+        )
+        assert run.stdout.strip() == expected
+
+
+# ----------------------------------------------------------------------
+# One field rule: the record table marks a field of the wrong type or
+# range, and the encoder turns the mark into CodecError — never another
+# error, and never a bool or float written into an identifier or counter.
+# ----------------------------------------------------------------------
+def _with_first_label(labeling, rebuild):
+    """``labeling`` with its first label (in key order) rebuilt."""
+    mapping = dict(labeling.mapping)
+    key = sorted(mapping, key=repr)[0]
+    mapping[key] = rebuild(mapping[key])
+    return Labeling(labeling.location, mapping, labeling.size_context)
+
+
+def _root_record(label, **fields):
+    """``label`` with fields of its root (T) record replaced."""
+    stack = label.certificate.stack
+    root = dataclasses.replace(stack[0], **fields)
+    return dataclasses.replace(
+        label, certificate=EdgeCertificate((root,) + stack[1:])
+    )
+
+
+def _pointer(**fields):
+    return lambda label: _root_record(
+        label,
+        pointer=dataclasses.replace(
+            label.certificate.stack[0].pointer, **fields
+        ),
+    )
+
+
+_UNCARRIABLE = [
+    *[(f"dist_a={v!r}", _pointer(dist_a=v)) for v in (1.5, None, "x", [], True)],
+    *[(f"id_a={v!r}", _pointer(id_a=v)) for v in (1.5, True)],
+    *[
+        (
+            f"root_member_id={v!r}",
+            lambda label, v=v: _root_record(label, root_member_id=v),
+        )
+        for v in (None, 1.5, -5)
+    ],
+    (
+        "lanes=None",
+        lambda label: _root_record(
+            label,
+            info=dataclasses.replace(label.certificate.stack[0].info, lanes=None),
+        ),
+    ),
+    ("embedded=None", lambda label: dataclasses.replace(label, embedded=None)),
+]
+
+
+class TestEncoderFieldContract:
+    @pytest.mark.parametrize(
+        "rebuild", [r for _n, r in _UNCARRIABLE], ids=[n for n, _r in _UNCARRIABLE]
+    )
+    def test_uncarriable_field_raises_codec_error(self, rebuild):
+        sequence, _graph = lanewidth_workload(3, 24, 1)
+        report = certify(
+            sequence, "connected", rng=random.Random(1), verify=False
+        )
+        bad = _with_first_label(report.labeling, rebuild)
+        mapping = bad.mapping
+        table = RecordTable(list(mapping), list(mapping.values()))
+        assert table.bad is not None  # marked, not raised
+        with pytest.raises(CodecError):
+            encode_labeling_columnar(bad)
+
+
+# ----------------------------------------------------------------------
+# The header derived from the record table is the reference walk's.
+# ----------------------------------------------------------------------
+def _labelings_both_modes():
+    lanewidth = _lanewidth_labeling(3, 32, seed=4).labeling
+    graph, decomposition = pathwidth_workload(24, 2, seed=5)
+    theorem1 = certify(
+        graph,
+        "connected",
+        k=2,
+        rng=random.Random(6),
+        decomposer=lambda _g: decomposition,
+        verify=False,
+    ).labeling
+    return {"lanewidth": lanewidth, "theorem1": theorem1}
+
+
+class TestTableHeader:
+    @pytest.mark.parametrize("mode", ["lanewidth", "theorem1"])
+    def test_honest_and_mutated_headers_match_the_reference(self, mode):
+        honest = _labelings_both_modes()[mode]
+        candidates = [honest] + [
+            corrupt_one_label(honest, random.Random(seed))
+            for seed in range(40)
+        ]
+        carried = 0
+        for labeling in candidates:
+            mapping = labeling.mapping
+            table = RecordTable(list(mapping), list(mapping.values()))
+            try:
+                reference = encode_labeling(labeling)
+            except Exception:
+                # What the reference cannot carry, the table refuses.
+                with pytest.raises(CodecError):
+                    encode_labeling_columnar(labeling)
+                continue
+            carried += 1
+            assert table.header(labeling.size_context) == reference.header
+            assert reference.header == WireHeader.for_labeling(labeling)
+            _assert_byte_identical(encode_labeling_columnar(labeling), reference)
+        assert carried >= 10  # both branches run
 
 
 # ----------------------------------------------------------------------

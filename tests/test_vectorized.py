@@ -86,6 +86,16 @@ def _case(seed: int, extra: int = 8, prop: str = "connected"):
     return config, scheme, labeling
 
 
+def _theorem1_case():
+    """A Theorem-1 host: ``pathwidth_workload(14, 2, 1)`` at k=2."""
+    graph, _decomposition = pathwidth_workload(14, 2, 1)
+    report = CertificationSession(k=2, rng=random.Random(1)).certify(
+        graph, "connected", verify=False
+    )
+    assert not report.refused, report.refusal
+    return report.config, report.scheme, report.labeling
+
+
 def _assert_equivalent(config, scheme, labeling, executor=None):
     """Reference == vectorized on verdicts, acceptance, rejecting set."""
     serial = VerificationEngine(SerialExecutor()).verify(
@@ -178,14 +188,17 @@ class TestVectorizedDifferential:
                 _assert_equivalent(config, scheme, candidate)
 
     def test_honest_round_is_fully_kernel_accepted(self):
-        config, scheme, labeling = _case(21, extra=12)
-        _, report = _assert_equivalent(config, scheme, labeling)
-        stats = report.kernel_stats
-        assert stats["mode"] == "kernel"
-        assert stats["engine"] == "vectorized"
-        assert stats["kernel_accepted"] == config.graph.n
-        assert stats["fallback_vertices"] == 0
-        assert stats["compiled_vertices"] == config.graph.n
+        for config, scheme, labeling in (
+            _case(21, extra=12),
+            _theorem1_case(),
+        ):
+            _, report = _assert_equivalent(config, scheme, labeling)
+            stats = report.kernel_stats
+            assert stats["mode"] == "kernel"
+            assert stats["engine"] == "vectorized"
+            assert stats["kernel_accepted"] == config.graph.n
+            assert stats["fallback_vertices"] == 0
+            assert stats["compiled_vertices"] == config.graph.n
 
     def test_mutation_exercises_reference_fallback(self):
         """A dropped label cannot be kernel-accepted: it must be flagged
@@ -841,3 +854,189 @@ class TestTamperAfterCertify:
             assert verification.kernel_stats["compile_seconds"] > 0
             assert verification.accepted
         assert rounds[0].verdicts == rounds[1].verdicts
+
+
+@needs_numpy
+class TestRecordTableCompile:
+    """A fresh certify's round compiles from the prover's record table;
+    every other mapping compiles from a walk over its edge labels."""
+
+    @pytest.mark.parametrize("mode", ["lanewidth", "theorem1"])
+    def test_prover_table_compiles_like_a_plain_copy(self, mode):
+        import numpy as np
+
+        from repro.api.vectorized import RoundCompiler, _round_table
+        from repro.pls.model import ViewFactory
+
+        if mode == "lanewidth":
+            sequence, _graph = lanewidth_workload(3, 48, 5)
+            report = CertificationSession(rng=random.Random(5)).certify(
+                sequence, "connected", verify=False
+            )
+            config, scheme, labeling = (
+                report.config, report.scheme, report.labeling
+            )
+        else:
+            config, scheme, labeling = _theorem1_case()
+        mapping = labeling.mapping
+        assert mapping.table is not None
+        states = []
+        for labels in (mapping, dict(mapping)):
+            factory = ViewFactory(config, labels, "edges")
+            table, rows = _round_table(labels, factory)
+            assert (table is mapping.table) == (labels is mapping)
+            states.append(
+                RoundCompiler(
+                    factory.round_arrays(), table, rows,
+                    scheme.algebra, scheme.max_width,
+                ).compile()
+            )
+        prover, plain = states
+        assert prover.keys() == plain.keys()
+        assert prover["tables"].keys() == plain["tables"].keys()
+        for name, column in prover["tables"].items():
+            other = plain["tables"][name]
+            assert column.dtype == other.dtype, name
+            assert np.array_equal(column, other), name
+        assert np.array_equal(prover["edge_sid"], plain["edge_sid"])
+        for name in prover.keys() - {"tables", "edge_sid"}:
+            assert prover[name] == plain[name], name
+        if mode == "theorem1":
+            assert prover["vp_map"], "the host routes no virtual edge"
+
+
+#: Wrong-typed values, rotated over the fields of one honest label.
+_WRONG_VALUES = (None, True, 1.5, "x", [], -1, 2**70)
+
+
+def _field_edits(labeling):
+    """``(key, field, rebuild)`` for every field of every label part.
+
+    ``rebuild(value)`` returns the honest label at ``key`` rebuilt with
+    ``value`` in ``field``: each record kind's own fields, its
+    ``BasicInfo``'s and the T record's ``PointerLabel``'s (on the first
+    label holding that kind), an embedded record's, the label's own,
+    and the stack container itself.
+    """
+    import dataclasses
+
+    from repro.core.certificates import (
+        BasicInfo,
+        BLevelRecord,
+        EdgeCertificate,
+        ELevelRecord,
+        PLevelRecord,
+        TLevelRecord,
+    )
+    from repro.pls.pointer import PointerLabel
+
+    mapping = labeling.mapping
+    keys = sorted(mapping, key=repr)
+    edits = []
+
+    def record_edit(label, position, rebuild_record):
+        stack = label.certificate.stack
+
+        def rebuild(value):
+            record = rebuild_record(stack[position], value)
+            return dataclasses.replace(
+                label,
+                certificate=EdgeCertificate(
+                    stack[:position] + (record,) + stack[position + 1:]
+                ),
+            )
+
+        return rebuild
+
+    for kind in (TLevelRecord, BLevelRecord, ELevelRecord, PLevelRecord):
+        found = [
+            (key, position)
+            for key in keys
+            for position, record in enumerate(mapping[key].certificate.stack)
+            if type(record) is kind
+        ]
+        if not found:
+            continue
+        key, position = found[0]
+        label = mapping[key]
+        parts = [(kind, None), (BasicInfo, "info")]
+        if kind is TLevelRecord:
+            parts.append((PointerLabel, "pointer"))
+        for part, attribute in parts:
+            for field in dataclasses.fields(part):
+                if attribute is None:
+                    def rebuild_record(record, value, name=field.name):
+                        return dataclasses.replace(record, **{name: value})
+                else:
+                    def rebuild_record(
+                        record, value, name=field.name, attribute=attribute
+                    ):
+                        inner = dataclasses.replace(
+                            getattr(record, attribute), **{name: value}
+                        )
+                        return dataclasses.replace(
+                            record, **{attribute: inner}
+                        )
+                edits.append((
+                    key,
+                    f"{kind.__name__}.{attribute or ''}.{field.name}",
+                    record_edit(label, position, rebuild_record),
+                ))
+    with_embedded = [key for key in keys if mapping[key].embedded]
+    if with_embedded:
+        key = with_embedded[0]
+        label = mapping[key]
+        for field in dataclasses.fields(EmbeddedRecord):
+            def rebuild(value, name=field.name, label=label):
+                first = dataclasses.replace(
+                    label.embedded[0], **{name: value}
+                )
+                return dataclasses.replace(
+                    label, embedded=(first,) + label.embedded[1:]
+                )
+            edits.append((key, f"EmbeddedRecord.{field.name}", rebuild))
+    label = mapping[keys[0]]
+    for field in dataclasses.fields(Theorem1Label):
+        def rebuild(value, name=field.name, label=label):
+            return dataclasses.replace(label, **{name: value})
+        edits.append((keys[0], f"Theorem1Label.{field.name}", rebuild))
+    edits.append((
+        keys[0],
+        "EdgeCertificate.stack",
+        lambda value, label=label: dataclasses.replace(
+            label, certificate=EdgeCertificate(value)
+        ),
+    ))
+    return edits
+
+
+@needs_numpy
+class TestWrongTypeFields:
+    """One honest label rebuilt with a wrong-typed value in one field at
+    a time: the audit-mode vectorized engine returns the serial engine's
+    verdicts, and neither engine raises.  The record table marks such a
+    record, and the compiler flags it into the reference path."""
+
+    def test_both_engines_agree_on_every_field(self):
+        covered = set()
+        for offset, (config, scheme, labeling) in enumerate(
+            (_case(7), _theorem1_case())
+        ):
+            for index, (key, field, rebuild) in enumerate(
+                _field_edits(labeling)
+            ):
+                value = _WRONG_VALUES[(index + 3 * offset) % len(_WRONG_VALUES)]
+                mapping = dict(labeling.mapping)
+                mapping[key] = rebuild(value)
+                tampered = Labeling(
+                    labeling.location, mapping, labeling.size_context
+                )
+                _serial, vectorized = _assert_equivalent(
+                    config, scheme, tampered
+                )
+                assert vectorized.kernel_stats["mode"] == "kernel", field
+                covered.add(field.split(".")[0])
+        assert covered == {
+            "TLevelRecord", "BLevelRecord", "ELevelRecord", "PLevelRecord",
+            "EmbeddedRecord", "Theorem1Label", "EdgeCertificate",
+        }
