@@ -15,14 +15,11 @@ Run:  python examples/self_stabilizing_monitor.py
 
 import random
 
+from repro.api import DecomposeStage, witness_decomposer
 from repro.graphs import EditBatch, apply_edits
 from repro.graphs.edits import add_edge, remove_edge, set_vertex_label
 from repro.graphs.generators import random_pathwidth_graph
-from repro.incremental import (
-    DirtyRegionExecutor,
-    IncrementalCertifier,
-    witness_decomposer,
-)
+from repro.incremental import DirtyRegionExecutor, IncrementalCertifier
 from repro.pathwidth import PathDecomposition
 from repro.pls.model import Configuration
 
@@ -34,8 +31,8 @@ def drift(monitor, rng):
 
     Mostly load relabels (cheap: the certification identity is
     untouched), occasionally a link failure with a replacement spliced
-    in between nearby nodes — links that already share a bag of the
-    maintained decomposition, so the repair stays local.
+    in between nearby nodes — nodes that share a bag of the current
+    graph's default decomposition, so the pathwidth stays within ``k``.
     """
     graph = monitor.graph
     if rng.random() < 0.5:
@@ -46,10 +43,11 @@ def drift(monitor, rng):
         for u, v in sorted(graph.edges(), key=repr)
         if _still_connected(graph, u, v)
     ]
+    decomposition, _stats = DecomposeStage(monitor.k).default_decomposer(graph)
     spare = sorted(
         {
             (u, v)
-            for bag in monitor.decomposition.bags
+            for bag in decomposition.bags
             for u in bag
             for v in bag
             if u < v and not graph.has_edge(u, v)

@@ -63,6 +63,7 @@ from repro.api.pipeline import (
     MatchSequenceStage,
     PipelineContext,
     Stage,
+    witness_decomposer,
 )
 from repro.api.audit import (
     AdversarialInstance,
@@ -145,6 +146,7 @@ __all__ = [
     "PipelineContext",
     "Stage",
     "DecomposeStage",
+    "witness_decomposer",
     "LaneStage",
     "CompletionStage",
     "MatchSequenceStage",

@@ -22,6 +22,7 @@ operational).
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import Callable, Optional
@@ -55,6 +56,7 @@ from repro.pathwidth.branch_and_bound import (
     ordering_from_decomposition,
 )
 from repro.pathwidth.heuristics import heuristic_path_decomposition
+from repro.pathwidth.path_decomposition import PathDecomposition
 from repro.pls.bits import ClassIndexer, SizeContext
 from repro.pls.model import Configuration
 from repro.pls.scheme import Labeling, ProverFailure
@@ -301,6 +303,28 @@ class DecomposeStage(Stage):
         ctx.decomposition = decomposition
         ctx.decomposition_stats = stats
         ctx.max_width = f_bound(self.k + 1)
+
+
+def witness_decomposer(decomposition: PathDecomposition):
+    """Wrap a known decomposition as a plan-cacheable decomposer.
+
+    Pass the result as a :class:`DecomposeStage` (or session)
+    ``decomposer`` to pin the witness for the graph it was built for.
+    The ``cache_key`` digests the *bag contents*, so two different
+    witnesses of the same graph never collide in the artifact cache:
+    the fingerprint chain stays honest about what was decomposed how.
+    """
+    bags = [tuple(bag) for bag in decomposition.bags]
+    digest = hashlib.blake2b(digest_size=12)
+    for bag in bags:
+        digest.update(repr(bag).encode())
+        digest.update(b"\x00")
+
+    def decompose(graph) -> PathDecomposition:
+        return PathDecomposition(graph, bags, validate=False)
+
+    decompose.cache_key = "bags:" + digest.hexdigest()
+    return decompose
 
 
 def bnb_stats(decomposition, result, heuristic_width) -> dict:

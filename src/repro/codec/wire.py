@@ -182,6 +182,10 @@ class _Collector:
             for child in record.child_subtrees:
                 self.info(child)
             self.pointer(record.pointer)
+            if record.root_member_id < -1:
+                raise CodecError(
+                    f"root member id {record.root_member_id} below -1"
+                )
             self.max_node_id = max(self.max_node_id, record.root_member_id + 1)
         elif isinstance(record, BLevelRecord):
             if record.info.kind != "B":

@@ -6,14 +6,12 @@ closes that loop over the reproduction's pipeline:
 
 * :mod:`repro.graphs.edits` (substrate layer) declares the edit
   vocabulary and applies batches strictly;
-* :mod:`repro.incremental.diff` maps a batch to dirty bags of the
-  cached path decomposition and repairs it locally, falling back to the
-  full search when the width bound or dirty-fraction threshold trips;
 * :mod:`repro.incremental.executor` re-verifies only the dirty region
   plus a certified frontier, with a full-round escape hatch;
-* :mod:`repro.incremental.certifier` ties the layers together over a
-  :class:`~repro.api.session.CertificationSession`, reusing untouched
-  plan-DAG artifacts through the content-fingerprint chain.
+* :mod:`repro.incremental.certifier` certifies each evolved graph
+  through a :class:`~repro.api.session.CertificationSession` (the same
+  witness policy as a cold certify), reusing untouched plan-DAG
+  artifacts through the content-fingerprint chain.
 
 The service (:mod:`repro.service`) exposes the whole path as an
 ``update`` op, so deployments stream edits instead of re-shipping
@@ -25,12 +23,6 @@ from repro.incremental.certifier import (
     IncrementalMetrics,
     IncrementalReport,
 )
-from repro.incremental.diff import (
-    DEFAULT_MAX_DIRTY_FRACTION,
-    RepairResult,
-    repair_decomposition,
-    witness_decomposer,
-)
 from repro.incremental.executor import (
     DEFAULT_FRONTIER_HOPS,
     DirtyRegionExecutor,
@@ -41,10 +33,6 @@ __all__ = [
     "IncrementalCertifier",
     "IncrementalMetrics",
     "IncrementalReport",
-    "DEFAULT_MAX_DIRTY_FRACTION",
-    "RepairResult",
-    "repair_decomposition",
-    "witness_decomposer",
     "DEFAULT_FRONTIER_HOPS",
     "DirtyRegionExecutor",
     "RegionReport",

@@ -15,9 +15,9 @@ Why this is sound, and what it does and does not claim:
   coincide — this equivalence is *property-tested* in the tier-1 suite
   rather than assumed.
 * Against an adversary who tampers with certificates **in or near the
-  dirty region** (the stale-after-edit and forged-repair attacks the
-  audit campaign mounts), the region round rejects exactly like a full
-  round would: every touched vertex re-runs the same deterministic
+  dirty region** (the stale-after-edit and forged-certificate attacks
+  the audit campaign mounts), the region round rejects exactly like a
+  full round would: every touched vertex re-runs the same deterministic
   ``scheme.verify``.
 * A corruption placed *outside* the region is, by definition, outside
   what this round re-checks.  That is the standard locality trade-off

@@ -100,11 +100,9 @@ class ServiceMetrics:
       ``compiled_vertices`` across them — the observable proof that the
       ``vectorized`` engine actually decided vertices in the batched
       kernels rather than the reference path;
-    * incremental counters (the ``update`` op): ``updates`` applied,
-      ``bags_dirtied`` across their decomposition repairs,
-      ``artifacts_reused`` from the plan DAG instead of re-run, and
-      ``full_fallbacks`` — updates whose repair gave up and re-ran the
-      full decomposition search;
+    * incremental counters (the ``update`` op): ``updates`` applied and
+      ``artifacts_reused`` — plan-DAG nodes their certifies resolved
+      from the cache instead of re-running;
     * decomposition counters (PR 9): per-engine run counts
       (``bnb``/``heuristic``/``witness``), branch-and-bound
       ``nodes expanded`` / ``memo hits`` totals, ``budget_exhausted``
@@ -128,9 +126,7 @@ class ServiceMetrics:
         self.store_hits = 0
         self.store_misses = 0
         self.updates = 0
-        self.bags_dirtied = 0
         self.artifacts_reused = 0
-        self.full_fallbacks = 0
         self.kernel_rounds = 0
         self.kernel_accepted = 0
         self.kernel_fallback = 0
@@ -233,19 +229,11 @@ class ServiceMetrics:
         with self._lock:
             self.refusals[key] = self.refusals.get(key, 0) + 1
 
-    def incremental_update(
-        self,
-        bags_dirtied: int = 0,
-        artifacts_reused: int = 0,
-        fallback: bool = False,
-    ) -> None:
+    def incremental_update(self, artifacts_reused: int) -> None:
         """Record one applied edit batch (the ``update`` op)."""
         with self._lock:
             self.updates += 1
-            self.bags_dirtied += bags_dirtied
             self.artifacts_reused += artifacts_reused
-            if fallback:
-                self.full_fallbacks += 1
 
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
@@ -277,9 +265,7 @@ class ServiceMetrics:
                 },
                 "incremental": {
                     "updates": self.updates,
-                    "bags_dirtied": self.bags_dirtied,
                     "artifacts_reused": self.artifacts_reused,
-                    "full_fallbacks": self.full_fallbacks,
                 },
                 "decomposition": {
                     "engines": dict(self.decomposition_engines),

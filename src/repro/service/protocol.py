@@ -32,12 +32,15 @@ Every request is ``{"id": <any JSON scalar>, "op": <str>, ...params}``:
     ``full_round_every``); evolve with ``fingerprint`` (the previous
     response's ``result["fingerprint"]``) + non-empty ``edits`` (wire
     form of :meth:`~repro.graphs.edits.EditBatch.to_wire`), optional
-    ``force_full`` to escalate the round.  The response's new
+    ``force_full`` to escalate the round.  Each batch certifies the
+    evolved graph through the daemon's decomposer policy, as a cold
+    ``certify`` would.  The response carries ``baseline`` (only on the
+    request that first certified the stream, else ``null``), ``update``
+    (``mode`` ``region`` or ``full``) and the stream's counters; its new
     ``fingerprint`` addresses the evolved state for the next update.
 ``metrics``
     Service + store counters as one JSON snapshot (including the
-    incremental ``updates`` / ``bags_dirtied`` / ``artifacts_reused`` /
-    ``full_fallbacks`` counters).
+    incremental ``updates`` / ``artifacts_reused`` counters).
 ``shutdown``
     Ask the daemon to drain and exit (responds before exiting).
 
@@ -57,7 +60,7 @@ import json
 from repro.graphs import Graph
 
 #: Protocol version, echoed by ``ping``; bump on breaking wire changes.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Upper bound on one framed line.  Generous (a graph with millions of
 #: edges fits), but bounded — a stream that claims more is a broken or

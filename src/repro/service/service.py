@@ -461,14 +461,7 @@ class CertificationService:
             update = None
             if batch is not None:
                 update = certifier.update(batch, force_full=force_full)
-                self.metrics.incremental_update(
-                    bags_dirtied=(
-                        0 if update.repair.fallback
-                        else update.repair.dirty_count
-                    ),
-                    artifacts_reused=update.artifacts_reused,
-                    fallback=update.repair.fallback,
-                )
+                self.metrics.incremental_update(update.artifacts_reused)
                 new_key = (
                     update.fingerprint, tuple(properties), k,
                 )

@@ -411,12 +411,17 @@ _UNCARRIABLE = [
     ("embedded=None", lambda label: dataclasses.replace(label, embedded=None)),
 ]
 
+#: Probes the reference header walk must refuse with ``CodecError`` too.
+#: It expects well-typed fields, so a value of the wrong type is outside
+#: its contract; a value out of range is not.
+_REFERENCE_REFUSES = ("root_member_id=-5",)
+
 
 class TestEncoderFieldContract:
     @pytest.mark.parametrize(
-        "rebuild", [r for _n, r in _UNCARRIABLE], ids=[n for n, _r in _UNCARRIABLE]
+        "name, rebuild", _UNCARRIABLE, ids=[n for n, _r in _UNCARRIABLE]
     )
-    def test_uncarriable_field_raises_codec_error(self, rebuild):
+    def test_uncarriable_field_raises_codec_error(self, name, rebuild):
         sequence, _graph = lanewidth_workload(3, 24, 1)
         report = certify(
             sequence, "connected", rng=random.Random(1), verify=False
@@ -427,6 +432,9 @@ class TestEncoderFieldContract:
         assert table.bad is not None  # marked, not raised
         with pytest.raises(CodecError):
             encode_labeling_columnar(bad)
+        if name in _REFERENCE_REFUSES:
+            with pytest.raises(CodecError):
+                encode_labeling(bad)
 
 
 # ----------------------------------------------------------------------

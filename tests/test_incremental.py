@@ -4,21 +4,21 @@ The acceptance contract of the incremental subsystem:
 
 * **strict edits** — batches are declarative, canonical on the wire,
   and all-or-nothing against the base graph;
-* **repair validity** — a non-fallback repair is a valid path
-  decomposition of the edited graph within the width bound (hypothesis
-  property over random graphs and edit streams), and the fallback
-  reasons fire exactly when promised;
+* **one witness policy** — every update certifies the evolved graph
+  through the session's decompose policy: the pinned witness for the
+  base graph's identity, the default decomposer for every other;
 * **incremental ≡ cold** — after any stream of edit batches, the
   incremental report matches a cold certification of the evolved graph
-  over the same witness bags: verdict, measured encoded bits, class
-  counts — including through the fallback path;
+  under that policy: verdict, measured encoded bits, class counts —
+  refusals included;
+* **identifiers pinned** — drawn once, kept through refusals, and a
+  refused stream recovers with one certification and a full round;
 * **region ≡ full** — the dirty-region verdict equals the full-round
   verdict on honest updates, and rejects forged/stale certificates in
   the dirty region exactly like a full round (AuditPlan campaign);
 * **observability** — certifier/store/service counters (updates,
-  bags_dirtied, artifacts_reused, full_fallbacks) stay truthful.
+  artifacts_reused, region and full rounds, refusals) stay truthful.
 """
-
 import asyncio
 import random
 
@@ -32,8 +32,10 @@ from repro.api import (
     AuditCase,
     AuditPlan,
     CertificationSession,
+    DecomposeStage,
     MutationAttack,
     VerificationEngine,
+    witness_decomposer,
 )
 from repro.graphs import Edit, EditBatch, EditError, apply_edits
 from repro.graphs.edits import (
@@ -47,12 +49,7 @@ from repro.graphs.generators import (
     path_graph,
     random_pathwidth_graph,
 )
-from repro.incremental import (
-    DirtyRegionExecutor,
-    IncrementalCertifier,
-    repair_decomposition,
-    witness_decomposer,
-)
+from repro.incremental import DirtyRegionExecutor, IncrementalCertifier
 from repro.pathwidth import PathDecomposition
 from repro.pls.model import Configuration
 from repro.service import CertificationService, ServiceConfig, graph_to_wire
@@ -190,92 +187,6 @@ class TestEdits:
 
 
 # ----------------------------------------------------------------------
-# Decomposition repair.
-# ----------------------------------------------------------------------
-class TestRepair:
-    def test_remove_edge_never_falls_back(self):
-        graph, decomposition = _instance(20, 2, seed=3)
-        u, v = sorted(graph.edges(), key=repr)[0]
-        batch = EditBatch([remove_edge(u, v)])
-        new_graph = apply_edits(graph, batch)
-        result = repair_decomposition(decomposition, new_graph, batch, 2)
-        assert not result.fallback
-        assert result.dirty_bags  # the covering bags are dirty
-        result.decomposition.validate()
-
-    def test_vertex_labels_dirty_nothing(self):
-        graph, decomposition = _instance(16, 2, seed=4)
-        batch = EditBatch([set_vertex_label(3, "m"), set_vertex_label(5, "n")])
-        new_graph = apply_edits(graph, batch)
-        result = repair_decomposition(decomposition, new_graph, batch, 2)
-        assert not result.fallback
-        assert result.dirty_bags == ()
-
-    def test_add_edge_covered_is_free(self):
-        # A path's decomposition has a bag per edge; adding an edge
-        # whose endpoints share a bag must not extend anything.
-        graph = path_graph(6)
-        bags = [[i, i + 1] for i in range(5)]
-        decomposition = PathDecomposition(graph, bags)
-        graph2 = graph.copy()
-        graph2.remove_edge(2, 3)
-        decomp2 = PathDecomposition(graph2, bags)
-        batch = EditBatch([add_edge(2, 3)])
-        result = repair_decomposition(decomp2, graph, batch, 1)
-        assert not result.fallback and result.extended_bags == 0
-
-    def test_add_edge_bridges_disjoint_intervals(self):
-        graph = path_graph(6)
-        bags = [[i, i + 1] for i in range(5)]
-        decomposition = PathDecomposition(graph, bags)
-        batch = EditBatch([add_edge(0, 5)])
-        new_graph = apply_edits(graph, batch)
-        # k=1 cannot absorb a third vertex per bag: must fall back.
-        tight = repair_decomposition(decomposition, new_graph, batch, 1)
-        assert tight.fallback and "width" in tight.reason
-        # k=2 can: the repair extends bags and stays valid.
-        wide = repair_decomposition(
-            decomposition, new_graph, batch, 2, max_dirty_fraction=1.0
-        )
-        assert not wide.fallback and wide.extended_bags > 0
-        wide.decomposition.validate()
-        assert wide.decomposition.width() <= 2
-
-    def test_dirty_fraction_fallback(self):
-        graph, decomposition = _instance(20, 2, seed=5)
-        u, v = sorted(graph.edges(), key=repr)[0]
-        batch = EditBatch([remove_edge(u, v)])
-        new_graph = apply_edits(graph, batch)
-        result = repair_decomposition(
-            decomposition, new_graph, batch, 2, max_dirty_fraction=0.0
-        )
-        assert result.fallback and "dirty region" in result.reason
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        n=st.integers(min_value=8, max_value=24),
-        seed=st.integers(min_value=0, max_value=10_000),
-    )
-    def test_repair_is_valid_or_fallback(self, n, seed):
-        """Any applicable batch: repaired decomposition is valid, in-bound."""
-        rng = random.Random(seed)
-        graph, decomposition = _instance(n, 2, seed)
-        batch = _random_batch(graph, rng)
-        new_graph = apply_edits(graph, batch)
-        result = repair_decomposition(
-            decomposition, new_graph, batch, 2, max_dirty_fraction=1.0
-        )
-        if result.fallback:
-            assert "width" in result.reason
-            return
-        result.decomposition.validate()  # P1 + P2 + coverage, or raises
-        assert result.decomposition.width() <= 2
-        assert all(
-            0 <= i < len(decomposition.bags) for i in result.dirty_bags
-        )
-
-
-# ----------------------------------------------------------------------
 # Dirty-region executor.
 # ----------------------------------------------------------------------
 class TestDirtyRegionExecutor:
@@ -334,10 +245,16 @@ class TestDirtyRegionExecutor:
 # ----------------------------------------------------------------------
 # The incremental certifier: equivalence with cold certification.
 # ----------------------------------------------------------------------
-def _cold_facts(inc, properties=("connected",)):
-    """Cold-certify the certifier's current state over the same bags."""
+def _cold_facts(inc, base_graph, decomposition, properties=("connected",)):
+    """Cold-certify the certifier's current state under its witness rule.
+
+    The pinned witness ``decomposition`` certifies ``base_graph``'s
+    identity; every other identity gets the default decomposer.
+    """
+    pinned = inc.graph.fingerprint("edges") == base_graph.fingerprint("edges")
     session = CertificationSession(
-        k=inc.k, decomposer=witness_decomposer(inc.decomposition)
+        k=inc.k,
+        decomposer=witness_decomposer(decomposition) if pinned else None,
     )
     facts = {}
     for key, report in session.certify(
@@ -414,25 +331,6 @@ class TestIncrementalCertifier:
         ]
         assert inc.metrics.full_rounds == 1
 
-    def test_fallback_path_recertifies_fully(self):
-        graph, decomposition = _instance(16, 2, seed=16)
-        inc = _certifier(graph, decomposition, max_dirty_fraction=0.0)
-        inc.baseline()
-        u, v = next(
-            (a, b)
-            for a, b in sorted(graph.edges(), key=repr)
-            if _still_connected(graph, a, b)
-        )
-        report = inc.update(EditBatch([remove_edge(u, v)]))
-        assert report.mode == "fallback"
-        assert report.repair.fallback
-        assert inc.metrics.full_fallbacks == 1
-        # The full round ran (the fallback escape hatch).
-        assert report.rounds["connected"].mode == "full"
-        # Equivalence holds through the fallback too: the certifier's
-        # recorded decomposition is the one the session actually used.
-        assert _incremental_facts(report) == _cold_facts(inc)
-
     def test_disconnecting_edit_refuses_and_recovers(self):
         graph = path_graph(8)
         bags = [[i, i + 1] for i in range(7)]
@@ -445,38 +343,50 @@ class TestIncrementalCertifier:
         assert healed.accepted
 
     def test_refused_fallback_rebaselines_on_next_update(self):
-        # A width fallback whose from-scratch search refuses leaves no
-        # live decomposition; the stream must recover once an edit
-        # brings the graph back within reach.
+        # A refused state keeps the stream's identifiers; the healing
+        # update is one certification (resolved from the cache, since
+        # the base identity returns) checked by a full round.
         graph = path_graph(6)
         bags = [[i, i + 1] for i in range(5)]
         inc = _certifier(graph, PathDecomposition(graph, bags), k=1)
         inc.baseline()
+        ids = dict(inc.config.ids)
         grow = inc.update(EditBatch([add_edge(0, 5)]))  # pathwidth 2 > k
-        assert grow.mode == "fallback" and not grow.accepted
-        assert "width" in grow.repair.reason
-        assert not inc.baselined
+        assert not grow.accepted
+        assert grow.reports["connected"].refusal_reason == "width"
+        assert inc.baselined and dict(inc.config.ids) == ids
         healed = inc.update(EditBatch([remove_edge(0, 5)]))
-        assert healed.mode == "fallback" and healed.accepted
-        assert healed.repair.reason == "no live decomposition"
-        assert inc.baselined
-        assert inc.metrics.full_fallbacks == 2
+        assert healed.accepted and healed.mode == "full"
+        assert healed.rounds["connected"].mode == "full"
+        assert healed.stages_run == 0
+        assert dict(inc.config.ids) == ids
+        assert inc.metrics.full_rounds == 1
 
-    def test_policy_fallback_keeps_repaired_witness(self):
-        # A dirty-fraction fallback rebuilt every certificate but the
-        # repaired bags stayed the witness — no re-search happened.
-        graph, decomposition = _instance(16, 2, seed=17)
-        inc = _certifier(graph, decomposition, max_dirty_fraction=0.0)
+    def test_structural_update_certifies_on_the_default_witness(
+        self, monkeypatch
+    ):
+        default = DecomposeStage.default_decomposer
+        witnesses = {}
+
+        def recording(stage, target):
+            witness, stats = default(stage, target)
+            witnesses[target.fingerprint("edges")] = witness.bags
+            return witness, stats
+
+        monkeypatch.setattr(DecomposeStage, "default_decomposer", recording)
+        graph, decomposition = _instance(20, 2, seed=18)
+        inc = _certifier(graph, decomposition)
         inc.baseline()
+        assert not witnesses  # the base graph certifies on its pinned witness
         u, v = next(
             (a, b)
             for a, b in sorted(graph.edges(), key=repr)
             if _still_connected(graph, a, b)
         )
         report = inc.update(EditBatch([remove_edge(u, v)]))
-        assert report.mode == "fallback" and report.accepted
-        assert inc.baselined
-        inc.decomposition.validate()
+        assert report.accepted
+        expected, _stats = default(DecomposeStage(inc.k), inc.graph)
+        assert witnesses[inc.graph.fingerprint("edges")] == expected.bags
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -505,12 +415,9 @@ class TestIncrementalCertifier:
                     prop_report.labeling,
                 )
                 assert report.rounds[key].accepted == full.accepted
-        if inc.decomposition is None:
-            # The stream ran out of witnesses (a width fallback whose
-            # re-search refused); the reports must say so honestly.
-            assert all(r.refused for r in report.reports.values())
-        else:
-            assert _incremental_facts(report) == _cold_facts(inc)
+        assert _incremental_facts(report) == _cold_facts(
+            inc, graph, decomposition
+        )
 
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -521,7 +428,9 @@ class TestIncrementalCertifier:
         rng = random.Random(seed)
         report = inc.update(_random_batch(inc.graph, rng, structural_ok=False))
         assert report.stages_run == 0
-        assert _incremental_facts(report) == _cold_facts(inc)
+        assert _incremental_facts(report) == _cold_facts(
+            inc, graph, decomposition
+        )
 
 
 # ----------------------------------------------------------------------
@@ -645,7 +554,7 @@ class TestIncrementalMetrics:
         snapshot = inc.metrics.to_dict()
         assert snapshot["updates"] == 2
         assert snapshot["artifacts_reused"] >= 6
-        assert snapshot["bags_dirtied"] >= 1
+        assert snapshot["region_rounds"] == 2
         assert "updates" not in store.metrics.snapshot()
         assert "incremental" not in store.stats()
         assert store.metrics.snapshot()["saves"] >= 1
@@ -656,13 +565,11 @@ class TestIncrementalMetrics:
         inc.baseline()
         inc.update(EditBatch([set_vertex_label(0, 1)]))
         snap = inc.metrics.to_dict()
-        assert snap["updates"] == 1
-        assert snap["region_rounds"] == 1
-        assert set(snap) >= {
-            "updates",
-            "bags_dirtied",
-            "artifacts_reused",
-            "full_fallbacks",
+        assert snap == {
+            "updates": 1,
+            "artifacts_reused": 6,
+            "region_rounds": 1,
+            "full_rounds": 0,
         }
 
 
@@ -725,12 +632,48 @@ class TestServiceUpdateOp:
             return boot, metrics["result"]
 
         _boot, snapshot = asyncio.run(scenario())
+        assert set(snapshot["incremental"]) == {"updates", "artifacts_reused"}
         assert snapshot["incremental"]["updates"] == 2
         assert snapshot["incremental"]["artifacts_reused"] >= 6
-        assert snapshot["incremental"]["bags_dirtied"] >= 1
         assert "incremental" not in snapshot["store"]
         assert "updates" not in snapshot["store_metrics"]
         service.close_blocking()
+
+    def test_refused_stream_heals_without_rebaseline(self, tmp_path):
+        service = _service(tmp_path)
+
+        async def scenario():
+            request = {"op": "update", "properties": ["connected"], "k": 1}
+            grow = await service.handle(
+                dict(
+                    request,
+                    id=1,
+                    graph=graph_to_wire(path_graph(6)),
+                    edits=[["add_edge", 0, 5]],
+                )
+            )
+            heal = await service.handle(
+                dict(
+                    request,
+                    id=2,
+                    fingerprint=grow["result"]["fingerprint"],
+                    edits=[["remove_edge", 0, 5]],
+                )
+            )
+            metrics = await service.handle({"id": 3, "op": "metrics"})
+            return grow, heal, metrics["result"]
+
+        grow, heal, snapshot = asyncio.run(scenario())
+        service.close_blocking()
+        assert grow["ok"] and heal["ok"], (grow, heal)
+        assert grow["result"]["baseline"]["accepted"]
+        assert not grow["result"]["update"]["accepted"]
+        assert heal["result"]["baseline"] is None
+        body = heal["result"]["update"]
+        assert body["accepted"] and body["mode"] == "full"
+        assert body["rounds"]["connected"]["mode"] == "full"
+        assert snapshot["refusals"] == {"width": 1}
+        assert snapshot["prover_runs"] == 1
 
     def test_stale_and_malformed_addressing(self, tmp_path):
         service = _service(tmp_path)
