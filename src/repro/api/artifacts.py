@@ -17,21 +17,23 @@ artifacts the node produced, in two layers:
   directory next to the certificates (``<store>/artifacts/``), which is
   how sessions with a store get persistence for free.
 
-Envelope format (see ``docs/FORMAT.md`` § "Artifact envelopes"): a magic
-prefix, a 16-byte blake2b digest of the payload, then the payload — a
-pickled manifest ``{artifact_version, key, stage, outputs, seconds}``.
-The payload is arbitrary prover state (graphs, decompositions,
-hierarchies, evaluations), so the container uses pickle exactly like the
-certificate store envelope.  The digest is checked before unpickling
-(a bit-flipped pickle can still load, with changed values) and the
-recorded ``key`` after; a mismatched, truncated, or unreadable entry is
-treated as a **miss** — a corrupt cache must never break certification,
-only slow it down.
+Envelopes (``docs/FORMAT.md`` § "Envelopes"): every file the library
+writes — these artifacts, compiled rounds and certificate store entries
+— is a magic prefix, a 16-byte blake2b digest of the payload, then the
+payload, a pickled manifest (here ``{artifact_version, key, stage,
+outputs, seconds}``).  :func:`seal` builds one, :func:`publish` writes
+it and :func:`unseal` reads it: the digest is checked before the
+payload loads (a bit-flipped pickle can still load, with changed
+values), and the load resolves only allow-listed classes, so it runs no
+code a writer chose.  A mismatched, truncated, crafted or unreadable
+artifact is a **miss** — a corrupt cache must never break
+certification, only slow it down.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import itertools
 import os
 import pickle
@@ -50,6 +52,110 @@ ARTIFACT_DIGEST_SIZE = 16
 #: invalidates all previously persisted artifacts at once (used when a
 #: stage's semantics change without its parameters changing).
 PLAN_CACHE_VERSION = 1
+
+#: Packages whose classes an envelope may name.  None of them touches
+#: files, sockets, threads or processes.
+_TRUSTED_PACKAGES = (
+    "repro.graphs",
+    "repro.pathwidth",
+    "repro.core",
+    "repro.courcelle",
+    "repro.codec",
+    "repro.pls",
+)
+#: The other globals an envelope may name: the stored labels' mapping,
+#: and what a pickled numpy array and its dtype refer to.
+_TRUSTED_GLOBALS = frozenset(
+    {
+        ("repro.api.store", "StoredLabels"),
+        ("numpy", "ndarray"),
+        ("numpy", "dtype"),
+        ("numpy._core.multiarray", "_reconstruct"),  # numpy 2
+        ("numpy.core.multiarray", "_reconstruct"),  # numpy 1
+    }
+)
+
+
+def _trusted(module: str) -> bool:
+    return any(
+        module == package or module.startswith(package + ".")
+        for package in _TRUSTED_PACKAGES
+    )
+
+
+class _Loader(pickle.Unpickler):
+    """Unpickler that resolves only allow-listed globals.
+
+    A payload can name any global, and loading calls what it names, so
+    an open loader runs whatever the writer chose.  This one admits the
+    pairs in :data:`_TRUSTED_GLOBALS` and undotted names of classes
+    defined in :data:`_TRUSTED_PACKAGES`; builtins, functions, dotted
+    names and classes merely imported into those packages raise.
+    """
+
+    def find_class(self, module, name):
+        if (module, name) in _TRUSTED_GLOBALS:
+            return super().find_class(module, name)
+        if _trusted(module) and "." not in name:
+            found = super().find_class(module, name)
+            if isinstance(found, type) and _trusted(found.__module__):
+                return found
+        raise pickle.UnpicklingError(f"envelope names {module}.{name}")
+
+
+def seal(manifest: dict) -> bytes:
+    """The envelope of ``manifest``: magic, payload digest, payload."""
+    body = pickle.dumps(manifest, protocol=4)
+    digest = hashlib.blake2b(body, digest_size=ARTIFACT_DIGEST_SIZE)
+    return ARTIFACT_MAGIC + digest.digest() + body
+
+
+def unseal(payload: bytes) -> dict:
+    """The manifest :func:`seal` put in ``payload``.
+
+    Raises :class:`ValueError` when the magic or the digest does not
+    match, when the payload does not load through the allow-list, or
+    when it does not hold a dict.
+    """
+    if not payload.startswith(ARTIFACT_MAGIC):
+        raise ValueError("not an envelope")
+    start = len(ARTIFACT_MAGIC) + ARTIFACT_DIGEST_SIZE
+    body = payload[start:]
+    digest = hashlib.blake2b(body, digest_size=ARTIFACT_DIGEST_SIZE)
+    if payload[len(ARTIFACT_MAGIC):start] != digest.digest():
+        raise ValueError("payload digest mismatch")
+    try:
+        manifest = _Loader(io.BytesIO(body)).load()
+    except Exception as exc:
+        raise ValueError(f"payload does not load: {exc!r}") from exc
+    if not isinstance(manifest, dict):
+        raise ValueError("payload holds no manifest")
+    return manifest
+
+
+def publish(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` atomically.
+
+    The bytes go to a uniquely named ``<name>.<pid>.<counter>.tmp`` next
+    to ``path``, published with :func:`os.replace`: a reader never sees
+    a partial file, and two writers of one path never share a temp file,
+    so the last publish wins wholesale.  A crash leaves only the temp
+    file, which :meth:`~repro.api.store.CertificateStore.clean_orphans`
+    removes once stale.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.parent / (
+        f"{path.name}.{os.getpid()}.{next(_TMP_COUNTER):x}.tmp"
+    )
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            tmp.unlink()
+        except OSError:
+            pass
+        raise
 
 
 class ArtifactEntry:
@@ -163,7 +269,6 @@ class ArtifactCache:
 
     # ------------------------------------------------------------------
     def _write(self, key: str, entry: ArtifactEntry) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
         manifest = {
             "artifact_version": ARTIFACT_VERSION,
             "key": key,
@@ -172,50 +277,21 @@ class ArtifactCache:
             "seconds": entry.seconds,
         }
         try:
-            body = pickle.dumps(manifest, protocol=4)
+            data = seal(manifest)
         except Exception:
             # Unpicklable prover state (exotic custom algebras): the
             # memory layer still serves this session; disk just misses.
             return
-        path = self.path_for(key)
-        # Unique temp name (as in the certificate store): two processes
-        # resolving the same node concurrently must never interleave
-        # bytes in a shared temp file — last publish wins wholesale.
-        tmp = path.parent / (
-            f"{path.name}.{os.getpid()}.{next(_TMP_COUNTER):x}.tmp"
-        )
-        digest = hashlib.blake2b(body, digest_size=ARTIFACT_DIGEST_SIZE)
-        try:
-            tmp.write_bytes(ARTIFACT_MAGIC + digest.digest() + body)
-            os.replace(tmp, path)  # atomic publish
-        except BaseException:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-            raise
+        publish(self.path_for(key), data)
 
     def _read(self, key: str) -> Optional[ArtifactEntry]:
         path = self.path_for(key)
         if path is None:
             return None
         try:
-            payload = path.read_bytes()
-        except OSError:
-            return None
-        if not payload.startswith(ARTIFACT_MAGIC):
-            return None
-        start = len(ARTIFACT_MAGIC) + ARTIFACT_DIGEST_SIZE
-        body = payload[start:]
-        digest = hashlib.blake2b(body, digest_size=ARTIFACT_DIGEST_SIZE)
-        if payload[len(ARTIFACT_MAGIC):start] != digest.digest():
-            return None  # truncated / bit-flipped: recompute
-        try:
-            manifest = pickle.loads(body)
-        except Exception:
-            return None  # written by an incompatible build
-        if not isinstance(manifest, dict):
-            return None
+            manifest = unseal(path.read_bytes())
+        except (OSError, ValueError):
+            return None  # absent, truncated, bit-flipped or forbidden
         if manifest.get("artifact_version") != ARTIFACT_VERSION:
             return None
         if manifest.get("key") != key:

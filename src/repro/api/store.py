@@ -17,13 +17,16 @@ process can :meth:`load` the entry and run
     loaded = store.load(graph.fingerprint(), "connected")
     verification = store_session.verify(loaded)              # no proving
 
-The on-disk envelope is a pickled manifest (magic-prefixed, versioned):
-graphs, identifiers, and algebra states are arbitrary Python values, so
-the *container* uses pickle while the certificate payloads themselves
-stay raw codec bytes — the part whose size the paper bounds and the
-reports measure.  Entries record the graph fingerprint they were proven
-against and :meth:`load` recomputes it, so a corrupted or swapped graph
-is rejected instead of silently verified.
+Each entry is one envelope, the format every file the library writes
+takes (:func:`~repro.api.artifacts.seal`; ``docs/FORMAT.md`` §
+"Envelopes"): a magic, a payload digest, and a pickled manifest that
+loads through an allow-list of the library's own classes.  Graphs,
+identifiers, and algebra states are Python values, so the *container*
+is a pickle, while the certificate payloads themselves stay raw codec
+bytes — the part whose size the paper bounds and the reports measure.
+Entries record the graph fingerprint they were proven against and
+:meth:`load` recomputes it, so a corrupted or swapped graph is rejected
+instead of silently verified.
 
 Decoding the labels is most of what a load costs, so :meth:`reverify`
 defers it to the first read (:class:`StoredLabels`).  That read-only
@@ -32,22 +35,21 @@ vectorized executor's compiled rounds: :meth:`reverify` attaches the
 round a certify persisted, while a default :meth:`load` hands back a
 plain decoded ``dict``, which has no wire identity and compiles.
 
-Layout (v2, service-grade)
---------------------------
+Layout
+------
 Entries live in **fingerprint-prefix shards**: ``<root>/<fp[:2]>/<fp
 prefix>-<property slug>.cert``.  256 shards keep directory listings
 short under millions of entries and let concurrent writers touch
-disjoint directories.  The original flat layout (every entry directly
-under ``<root>``) is still read — a flat entry found by :meth:`load` is
-atomically migrated into its shard — so stores written before the shard
-layout keep working (see ``docs/FORMAT.md`` § "Sharded store layout").
+disjoint directories (see ``docs/FORMAT.md`` § "Sharded store layout").
 
-Concurrent-writer safety: :meth:`save` writes to a uniquely named temp
-file in the destination shard and publishes it with :func:`os.replace`,
-so readers never observe half an entry and two processes saving the same
-key cannot interleave bytes — last writer wins wholesale.  A crash
+Concurrent-writer safety: :meth:`save` publishes through
+:func:`~repro.api.artifacts.publish` (a uniquely named temp file in the
+destination shard, then :func:`os.replace`), as the artifact cache does,
+so readers never observe half an entry and two processes saving the
+same key cannot interleave bytes — last writer wins wholesale.  A crash
 between write and publish leaves only a ``*.tmp`` orphan, which
-:meth:`clean_orphans` (called by :meth:`compact`) removes once stale.
+:meth:`clean_orphans` (called by :meth:`compact`) removes once stale,
+in the shards and in ``artifacts/`` alike.
 
 Capacity: pass ``byte_budget=`` to bound the store's on-disk size.
 :meth:`compact` (triggered by :meth:`save` when a budget is set) evicts
@@ -59,9 +61,7 @@ the service layer's observability snapshot.
 
 from __future__ import annotations
 
-import itertools
 import os
-import pickle
 import re
 import threading
 import time
@@ -71,6 +71,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Optional
 
+from repro.api.artifacts import ArtifactCache, publish, seal, unseal
 from repro.codec import (
     WIRE_VERSION,
     CodecError,
@@ -86,12 +87,10 @@ from repro.courcelle.registry import resolve_algebra
 from repro.pls.model import Configuration
 from repro.pls.scheme import Labeling
 
-#: File magic + envelope version; bumped when the manifest layout changes
-#: (the label payload format is versioned separately by WIRE_VERSION).
-#: The *directory* layout (flat vs sharded) is not part of the envelope:
-#: v1 envelopes read identically from either location.
-STORE_MAGIC = b"repro-cert\x00"
-STORE_VERSION = 1
+#: Manifest version; bumped when the manifest layout changes (the label
+#: payload format is versioned separately by WIRE_VERSION).  Version 1
+#: entries were bare pickles, which no reader opens any more.
+STORE_VERSION = 2
 
 #: Shard name length: 2 hex characters of the fingerprint = 256 shards.
 SHARD_PREFIX_LEN = 2
@@ -121,7 +120,6 @@ _PARSE_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
 
 _SLUG_RE = re.compile(r"[^A-Za-z0-9._-]+")
 _SHARD_RE = re.compile(r"^[0-9a-f]{%d}$" % SHARD_PREFIX_LEN)
-_TMP_COUNTER = itertools.count()
 
 
 class StoreError(ValueError):
@@ -138,9 +136,8 @@ class StoreMetrics:
     does not decode adds one more miss), ``saves`` successful
     publishes, ``evictions``/``bytes_evicted`` what
     :meth:`~CertificateStore.compact` removed, ``orphans_cleaned``
-    stale temp files removed, ``migrated`` flat-layout entries moved
-    into their shard, and ``decodes`` stored labelings actually decoded
-    (by a load, or by a reverify round that read its labels).
+    stale temp files removed, and ``decodes`` stored labelings actually
+    decoded (by a load, or by a reverify round that read its labels).
     :meth:`snapshot` returns a JSON-safe dict; the service layer embeds
     it in its own metrics snapshot.
     """
@@ -152,7 +149,6 @@ class StoreMetrics:
         "evictions",
         "bytes_evicted",
         "orphans_cleaned",
-        "migrated",
         "decodes",
     )
 
@@ -346,101 +342,46 @@ class CertificateStore:
         graph runs zero structural prover stages.
         """
         if self._artifact_cache is None:
-            from repro.api.artifacts import ArtifactCache
-
             self._artifact_cache = ArtifactCache(self.root / "artifacts")
         return self._artifact_cache
 
     # ------------------------------------------------------------------
-    # Layout: shards, legacy flat paths, migration.
+    # Layout: shards.
     # ------------------------------------------------------------------
     def shard_for(self, fingerprint: str) -> Path:
         """The shard directory owning ``fingerprint``."""
         return self.root / fingerprint[:SHARD_PREFIX_LEN]
 
-    def _entry_name(self, fingerprint: str, property_key: str) -> str:
-        return f"{fingerprint[:16]}-{_slug(property_key)}{self.suffix}"
-
     def path_for(self, fingerprint: str, property_key: str) -> Path:
-        """Canonical (sharded) entry path for one ``(graph, property)``."""
-        return self.shard_for(fingerprint) / self._entry_name(
-            fingerprint, property_key
+        """The entry path for one ``(graph, property)``."""
+        return self.shard_for(fingerprint) / (
+            f"{fingerprint[:16]}-{_slug(property_key)}{self.suffix}"
         )
 
-    def flat_path_for(self, fingerprint: str, property_key: str) -> Path:
-        """The pre-shard (flat) path the v1 layout used for this entry."""
-        return self.root / self._entry_name(fingerprint, property_key)
-
-    def _locate(self, fingerprint: str, property_key: str) -> Path:
-        """Resolve the entry path, migrating a flat-layout entry.
-
-        Prefers the sharded path; a legacy flat entry is moved into its
-        shard with :func:`os.replace` (racing migrators are harmless —
-        the loser's replace finds the source gone and simply retargets
-        the shard path).  Returns the sharded path whether or not
-        anything exists there, so callers get one canonical location.
-        """
-        sharded = self.path_for(fingerprint, property_key)
-        if sharded.exists():
-            return sharded
-        flat = self.flat_path_for(fingerprint, property_key)
-        if flat.exists():
-            try:
-                sharded.parent.mkdir(parents=True, exist_ok=True)
-                os.replace(flat, sharded)
-                self.metrics.add("migrated")
-            except OSError:
-                # Lost the migration race (or read-only media): whoever
-                # won left the entry at the shard path; fall through.
-                pass
-        return sharded
-
-    def migrate_flat(self) -> int:
-        """Move every flat-layout entry into its shard; return the count.
-
-        Idempotent and concurrent-safe (each move is an
-        :func:`os.replace`).  :meth:`load` migrates lazily on access;
-        this walks the whole root for stores that want the layout
-        settled in one pass.
-        """
-        moved = 0
-        for path in sorted(self.root.glob(f"*{self.suffix}")):
-            try:
-                manifest = self._read(path)
-            except StoreError:
-                continue  # unreadable flat entry: leave it for forensics
-            target = self.path_for(
-                manifest["fingerprint"], manifest["property_key"]
-            )
-            try:
-                target.parent.mkdir(parents=True, exist_ok=True)
-                os.replace(path, target)
-            except OSError:
-                continue
-            moved += 1
-        if moved:
-            self.metrics.add("migrated", moved)
-        return moved
-
-    def _entry_paths(self) -> list:
-        """Every entry file, sharded and (legacy) flat, sorted."""
+    def _shards(self) -> list:
+        """Every shard directory."""
         if not self.root.is_dir():
             return []
-        paths = list(self.root.glob(f"*{self.suffix}"))
-        for shard in self.root.iterdir():
-            if shard.is_dir() and _SHARD_RE.match(shard.name):
-                paths.extend(shard.glob(f"*{self.suffix}"))
-        return sorted(paths)
+        return [
+            path
+            for path in self.root.iterdir()
+            if path.is_dir() and _SHARD_RE.match(path.name)
+        ]
+
+    def _entry_paths(self) -> list:
+        """Every entry file, sorted."""
+        return sorted(
+            path
+            for shard in self._shards()
+            for path in shard.glob(f"*{self.suffix}")
+        )
 
     # ------------------------------------------------------------------
     # Enumeration and accounting.
     # ------------------------------------------------------------------
     def __contains__(self, key) -> bool:
         fingerprint, property_key = key
-        return (
-            self.path_for(fingerprint, property_key).exists()
-            or self.flat_path_for(fingerprint, property_key).exists()
-        )
+        return self.path_for(fingerprint, property_key).exists()
 
     def __len__(self) -> int:
         return len(self._entry_paths())
@@ -462,23 +403,16 @@ class CertificateStore:
         """
         paths = self._entry_paths()
         total = 0
-        shards = set()
-        flat = 0
         for path in paths:
             try:
                 total += path.stat().st_size
             except OSError:
                 continue  # evicted/replaced underneath us mid-walk
-            if path.parent == self.root:
-                flat += 1
-            else:
-                shards.add(path.parent.name)
         orphans = len(self._orphan_paths(max_age_seconds=None))
         return {
             "entries": len(paths),
             "bytes": total,
-            "shards": len(shards),
-            "flat_entries": flat,
+            "shards": len({path.parent for path in paths}),
             "tmp_orphans": orphans,
             "byte_budget": self.byte_budget,
         }
@@ -487,13 +421,13 @@ class CertificateStore:
     # Eviction / compaction / orphan cleanup.
     # ------------------------------------------------------------------
     def _orphan_paths(self, max_age_seconds: Optional[float]) -> list:
-        """Temp files (optionally: older than ``max_age_seconds``)."""
-        if not self.root.is_dir():
-            return []
-        candidates = list(self.root.glob("*.tmp"))
-        for shard in self.root.iterdir():
-            if shard.is_dir() and _SHARD_RE.match(shard.name):
-                candidates.extend(shard.glob("*.tmp"))
+        """Temp files in the shards and the artifact cache (optionally:
+        older than ``max_age_seconds``)."""
+        candidates = [
+            path
+            for directory in self._shards() + [self.artifact_cache().root]
+            for path in directory.glob("*.tmp")
+        ]
         if max_age_seconds is None:
             return sorted(candidates)
         deadline = time.time() - max_age_seconds
@@ -511,7 +445,9 @@ class CertificateStore:
     ) -> int:
         """Remove stale ``*.tmp`` crash orphans; return how many.
 
-        A temp file younger than ``max_age_seconds`` may be another
+        Both the store and its artifact cache publish through temp
+        files, so this sweeps the shards and ``artifacts/``.  A temp
+        file younger than ``max_age_seconds`` may be another
         process's write in flight and is left alone — pass ``0`` only
         when no writer can be active (tests, offline compaction).
         """
@@ -576,9 +512,8 @@ class CertificateStore:
         along so :meth:`load` can hand back a fully populated
         :class:`~repro.api.results.CertificationReport`.
 
-        The write is atomic and concurrent-safe: the envelope goes to a
-        uniquely named ``*.tmp`` in the destination shard, then is
-        published with :func:`os.replace`.  A reader never sees a
+        The write is atomic and concurrent-safe
+        (:func:`~repro.api.artifacts.publish`): a reader never sees a
         partial entry; a crash mid-write leaves only a temp orphan for
         :meth:`clean_orphans`.
         """
@@ -620,24 +555,7 @@ class CertificateStore:
             "report": report.to_dict(),
         }
         path = self.path_for(fingerprint, report.property_key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = STORE_MAGIC + pickle.dumps(manifest, protocol=4)
-        # Unique temp name: two concurrent writers of the same entry
-        # never share a temp file, so neither can publish the other's
-        # half-written bytes.  Deliberately matches the "*.tmp" orphan
-        # glob and not the "*.cert" entry glob.
-        tmp = path.parent / (
-            f"{path.name}.{os.getpid()}.{next(_TMP_COUNTER):x}.tmp"
-        )
-        try:
-            tmp.write_bytes(payload)
-            os.replace(tmp, path)  # atomic publish
-        except BaseException:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-            raise
+        publish(path, seal(manifest))
         self.metrics.add("saves")
         if self.byte_budget is not None:
             self.compact()
@@ -646,21 +564,15 @@ class CertificateStore:
     # ------------------------------------------------------------------
     def _read(self, path: Path) -> dict:
         try:
-            payload = Path(path).read_bytes()
+            manifest = unseal(path.read_bytes())
         except OSError as exc:
             raise StoreError(f"cannot read store entry {path}: {exc}") from exc
-        if not payload.startswith(STORE_MAGIC):
-            raise StoreError(f"{path} is not a certificate store entry")
-        try:
-            manifest = pickle.loads(payload[len(STORE_MAGIC):])
-        except Exception as exc:
-            # Truncated/bit-flipped envelopes must surface as the
-            # documented StoreError, not a raw pickle exception.
+        except ValueError as exc:
+            # Wrong magic (a version 1 entry, say), a digest mismatch, or
+            # a payload that names a global outside the allow-list.
             raise StoreError(
                 f"corrupted store envelope in {path}: {exc}"
             ) from exc
-        if not isinstance(manifest, dict):
-            raise StoreError(f"corrupted store envelope in {path}")
         if manifest.get("store_version") != STORE_VERSION:
             raise StoreError(
                 f"unsupported store version {manifest.get('store_version')} "
@@ -689,7 +601,7 @@ class CertificateStore:
                 f"store entry {path} has mistyped fields: {', '.join(mistyped)}"
             )
         # Unpickling restores a header's fields without running its
-        # constructor, so a corrupt envelope can yield a header missing
+        # constructor, so a crafted envelope can yield a header missing
         # one; rebuilding it checks every field is present.
         header = manifest["header"]
         try:
@@ -704,13 +616,7 @@ class CertificateStore:
             raise StoreError(f"corrupted wire header in {path}: {exc}") from exc
         return manifest
 
-    def load(
-        self,
-        fingerprint: str,
-        property_key: str,
-        path: Optional[Path] = None,
-        decode: bool = True,
-    ):
+    def load(self, fingerprint: str, property_key: str, decode: bool = True):
         """Rehydrate one entry as a ready-to-verify report.
 
         Returns a :class:`~repro.api.results.CertificationReport` whose
@@ -736,11 +642,10 @@ class CertificateStore:
         miss here; its mapping is a plain ``dict``, so a round over it
         compiles rather than attaches.
 
-        Flat-layout (pre-shard) entries are found and migrated into
-        their shard; serving an entry bumps its mtime, which is the
-        recency signal :meth:`compact` evicts against.
+        Serving an entry bumps its mtime, which is the recency signal
+        :meth:`compact` evicts against.
         """
-        path = path or self._locate(fingerprint, property_key)
+        path = self.path_for(fingerprint, property_key)
         try:
             manifest = self._read(path)
             if manifest["property_key"] != property_key:

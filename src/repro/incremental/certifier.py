@@ -44,7 +44,6 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Optional
 
-from repro.api.plan import theorem1_plan
 from repro.api.session import CertificationSession
 from repro.graphs import Graph
 from repro.graphs.edits import EditBatch, apply_edits
@@ -309,14 +308,25 @@ class IncrementalCertifier:
             rounds=rounds,
             batch=batch,
             update_index=self.metrics.updates if batch is not None else 0,
-            artifacts_reused=max(0, self._expected_stage_runs() - stages_run),
+            artifacts_reused=_reused(reports),
             stages_run=stages_run,
             elapsed_seconds=perf_counter() - start,
             fingerprint=graph.fingerprint(),
         )
 
-    def _expected_stage_runs(self) -> int:
-        """Stage runs a cold certify of the current batch would cost."""
-        plan = theorem1_plan(self.k)
-        per_property = len(plan.property_nodes()) * len(self.properties)
-        return len(plan.structural_nodes()) + per_property
+
+def _reused(reports: dict) -> int:
+    """Plan nodes the certify resolved from the cache.
+
+    Each report replays its cached nodes as ``cached`` stage timings.
+    The structural rows are the same objects in every report of one
+    certify, so each structural node counts once.
+    """
+    return len(
+        {
+            id(timing)
+            for report in reports.values()
+            for timing in report.stage_timings
+            if timing.cached
+        }
+    )

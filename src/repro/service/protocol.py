@@ -60,7 +60,7 @@ import json
 from repro.graphs import Graph
 
 #: Protocol version, echoed by ``ping``; bump on breaking wire changes.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: Upper bound on one framed line.  Generous (a graph with millions of
 #: edges fits), but bounded — a stream that claims more is a broken or

@@ -295,6 +295,30 @@ class TestIncrementalCertifier:
         assert report.artifacts_reused == 6
         assert inc.metrics.updates == 1
 
+    def test_relabel_counts_each_structural_node_once(self):
+        graph, decomposition = _instance(18, 2, seed=11)
+        inc = _certifier(
+            graph, decomposition, properties=("connected", "even-order")
+        )
+        inc.baseline()
+        report = inc.update(EditBatch([set_vertex_label(2, "hot")]))
+        assert report.stages_run == 0
+        # Four structural nodes, then evaluate and label per property.
+        assert report.artifacts_reused == 4 + 2 * 2
+
+    def test_refused_update_reuses_nothing(self):
+        # The 6-cycle exceeds k=1: decompose runs, refuses, and no node
+        # comes from the cache.
+        inc = IncrementalCertifier(
+            path_graph(6), ["connected"], k=1, rng=random.Random(7)
+        )
+        inc.baseline()
+        report = inc.update(EditBatch([add_edge(0, 5)]))
+        assert report.reports["connected"].refusal_reason == "width"
+        assert report.stages_run == 1
+        assert report.artifacts_reused == 0
+        assert inc.metrics.artifacts_reused == 0
+
     def test_update_auto_baselines(self):
         graph, decomposition = _instance(12, 2, seed=12)
         inc = _certifier(graph, decomposition)

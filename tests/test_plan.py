@@ -14,6 +14,7 @@ The acceptance contract of the plan refactor:
   as failures.
 """
 
+import hashlib
 import os
 import pickle
 import random
@@ -40,11 +41,17 @@ from repro.api import (
     run_plan,
     theorem1_plan,
 )
+from repro.api.artifacts import (
+    ARTIFACT_DIGEST_SIZE,
+    ARTIFACT_MAGIC,
+    seal,
+    unseal,
+)
 from repro.api.store import StoredLabels
 from repro.codec import WIRE_VERSION, encode_labeling
 from repro.core import apply_construction, random_lanewidth_sequence
 from repro.experiments import lanewidth_workload
-from repro.graphs.generators import random_pathwidth_graph
+from repro.graphs.generators import path_graph, random_pathwidth_graph
 from repro.pls.model import Configuration
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -208,6 +215,37 @@ class TestWarmCacheStageCounters:
         }
         assert set(STRUCTURAL_T1) <= cached_names
 
+    @pytest.mark.parametrize("mode", ["theorem1", "lanewidth"])
+    def test_second_cache_resolves_every_node_from_disk(self, tmp_path, mode):
+        # Each session has its own cache over one directory, so the warm
+        # one reads every node back through the envelope loader.
+        if mode == "theorem1":
+            target, _bags = random_pathwidth_graph(16, 2, random.Random(33))
+        else:
+            target, _graph = lanewidth_workload(2, 20, 41)
+        art_dir = tmp_path / "artifacts"
+        runs = []
+        for _run in ("cold", "warm"):
+            cache = ArtifactCache(art_dir)
+            session = CertificationSession(
+                k=2, rng=random.Random(34), artifacts=cache
+            )
+            reports = session.certify(
+                target, ["connected", "even-order"], verify=False
+            )
+            runs.append((session, cache, reports))
+        (cold, _cold_cache, cold_reports), (warm, cache, reports) = runs
+        assert sum(cold.stage_counters.values()) == len(
+            list(art_dir.glob("*.art"))
+        )
+        assert warm.stage_counters == {}
+        assert cache.misses == 0 and cache.hits > 0
+        for key, report in reports.items():
+            assert report.accepted and report.structure_cached
+            assert all(t.cached for t in report.stage_timings)
+            cold_labels = cold_reports[key].labeling.mapping
+            assert report.labeling.mapping == cold_labels
+
     def test_fresh_interpreter_runs_zero_structural_nodes(self, tmp_path):
         """The tentpole acceptance, literally: a separate process with a
         warm disk cache batch-certifies a previously seen graph with
@@ -364,6 +402,61 @@ class TestWarmCacheStageCounters:
         assert ev2.for_node(root2).boundary == ev.for_node(ctx.root).boundary
 
 
+class TestEnvelopes:
+    """One envelope format for every file: ``seal`` writes it and
+    ``unseal`` reads it through an allow-list of globals."""
+
+    @staticmethod
+    def _enveloped(body: bytes) -> bytes:
+        """Raw pickle opcodes behind the magic and their own digest."""
+        digest = hashlib.blake2b(body, digest_size=ARTIFACT_DIGEST_SIZE)
+        return ARTIFACT_MAGIC + digest.digest() + body
+
+    def test_seal_writes_the_artifact_bytes(self):
+        manifest = {
+            "artifact_version": 2,
+            "key": "k",
+            "outputs": {"x": (1, 2.5, "s", b"b", None, frozenset({3}))},
+        }
+        sealed = seal(manifest)
+        assert sealed == self._enveloped(pickle.dumps(manifest, protocol=4))
+        assert unseal(sealed) == manifest
+
+    def test_library_types_and_numpy_arrays_load(self):
+        numpy = pytest.importorskip("numpy")
+        graph = path_graph(5)
+        loaded = unseal(seal({"graph": graph, "column": numpy.arange(4)}))
+        assert loaded["graph"].fingerprint() == graph.fingerprint()
+        assert loaded["column"].tolist() == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"cbuiltins\nopen\n.",  # a builtin
+            b"cos\nsystem\n.",  # a function outside the library
+            b"crepro.graphs.generators\npath_graph\n.",  # a library function
+            b"crepro.graphs.graph\ndeque\n.",  # a class imported there
+            b"crepro.api.session\nCertificationSession\n.",  # another package
+            b"\x80\x04crepro.graphs\ngraph.Graph\n.",  # a dotted name
+        ],
+    )
+    def test_unseal_refuses_every_other_global(self, body):
+        with pytest.raises(ValueError, match="does not load"):
+            unseal(self._enveloped(body))
+
+    def test_unseal_refuses_what_seal_did_not_write(self):
+        manifest = {"store_version": 1}
+        sealed = seal(manifest)
+        for payload, reason in [
+            (b"repro-cert\x00" + pickle.dumps(manifest, protocol=4), "not an"),
+            (sealed[:-1], "digest"),
+            (sealed[:-1] + bytes([sealed[-1] ^ 1]), "digest"),
+            (seal([manifest]), "no manifest"),
+        ]:
+            with pytest.raises(ValueError, match=reason):
+                unseal(payload)
+
+
 class TestLabelNode:
     """The label node emits its labels in final form: encoded once,
     served read-only through ``StoredLabels``, sized, and keyed on the
@@ -371,10 +464,7 @@ class TestLabelNode:
 
     @staticmethod
     def _manifest(path):
-        from repro.api.artifacts import ARTIFACT_DIGEST_SIZE, ARTIFACT_MAGIC
-
-        start = len(ARTIFACT_MAGIC) + ARTIFACT_DIGEST_SIZE
-        return pickle.loads(path.read_bytes()[start:])
+        return unseal(path.read_bytes())
 
     def test_label_artifact_is_written_once_in_wire_form(self, tmp_path):
         seq, _graph = lanewidth_workload(3, 48, 5)

@@ -18,6 +18,7 @@ import asyncio
 import json
 import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -26,6 +27,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.api.artifacts import unseal
 from repro.experiments import lanewidth_workload
 from repro.graphs import Graph
 from repro.graphs.generators import cycle_graph, path_graph
@@ -316,6 +318,40 @@ class TestServiceHandle:
         assert snap["store_hits"] == 1
         assert snap["store_misses"] == 2
         assert snap["completed"]["certify"] == 3
+
+    def test_version_1_entry_is_reproved(self, tmp_path):
+        # A version 1 entry (its own magic, then a bare pickle) is one
+        # counted store miss: certify proves the graph again and
+        # rewrites the entry, which serves the next request.
+        service = _service(tmp_path, worker_threads=1)
+        graph = _graph(seed=44)
+
+        async def scenario():
+            cold = await service.handle(_certify_request(graph, 1))
+            path = service.store.path_for(
+                cold["result"]["fingerprint"], "connected"
+            )
+            manifest = unseal(path.read_bytes())
+            manifest["store_version"] = 1
+            path.write_bytes(
+                b"repro-cert\x00" + pickle.dumps(manifest, protocol=4)
+            )
+            legacy = await service.handle(_certify_request(graph, 2))
+            warm = await service.handle(_certify_request(graph, 3))
+            return cold, legacy, warm
+
+        try:
+            cold, legacy, warm = asyncio.run(scenario())
+        finally:
+            service.close_blocking()
+        assert cold["result"]["served"] == {"connected": "prover"}
+        assert legacy["result"]["served"] == {"connected": "prover"}
+        assert warm["result"]["served"] == {"connected": "store"}
+        for response in (legacy, warm):
+            assert response["result"]["reports"]["connected"]["accepted"]
+        counts = service.store.metrics.snapshot()
+        assert (counts["hits"], counts["misses"]) == (1, 1)
+        assert service.metrics.snapshot()["prover_runs"] == 2
 
     def test_concurrent_identical_requests_coalesce(self, tmp_path):
         """The headline behaviour: M identical concurrent certify

@@ -23,7 +23,8 @@ from repro.api import (
     certify,
     make_executor,
 )
-from repro.api.store import STORE_MAGIC, StoredLabels
+from repro.api.artifacts import ARTIFACT_MAGIC, seal, unseal
+from repro.api.store import StoredLabels
 from repro.experiments import lanewidth_workload
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -67,10 +68,22 @@ def _truncate_one_payload(manifest):
 
 
 def _rewrite_manifest(path, edit):
-    """Unpickle the entry at ``path``, apply ``edit``, write it back."""
-    manifest = pickle.loads(path.read_bytes()[len(STORE_MAGIC):])
+    """Unseal the entry at ``path``, apply ``edit``, seal it back, so the
+    edit reaches the checks behind the payload digest."""
+    manifest = unseal(path.read_bytes())
     edit(manifest)
-    path.write_bytes(STORE_MAGIC + pickle.dumps(manifest, protocol=4))
+    path.write_bytes(seal(manifest))
+
+
+class _Opens:
+    """Pickles as a call to ``open(path, "w")``: loading it through an
+    open unpickler creates the marker file."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __reduce__(self):
+        return open, (self.path, "w")
 
 
 def _drop_report_key(manifest):
@@ -229,7 +242,7 @@ class TestIntegrity:
         path.write_bytes(payload[: len(payload) // 2])
         with pytest.raises(StoreError):
             store.load(graph.fingerprint(), "connected")
-        path.write_bytes(STORE_MAGIC + b"\x80garbage")
+        path.write_bytes(ARTIFACT_MAGIC + b"\x80garbage")
         with pytest.raises(StoreError):
             store.load(graph.fingerprint(), "connected")
 
@@ -237,21 +250,23 @@ class TestIntegrity:
         store = CertificateStore(tmp_path)
         report, graph = _certified(tmp_path, seed=67, store=store)
         path = store.path_for(graph.fingerprint(), "connected")
-        manifest = pickle.loads(path.read_bytes()[len(STORE_MAGIC):])
-        del manifest["labels"]
-        path.write_bytes(STORE_MAGIC + pickle.dumps(manifest, protocol=4))
+        _rewrite_manifest(path, lambda manifest: manifest.pop("labels"))
         with pytest.raises(StoreError, match="missing fields"):
             store.load(graph.fingerprint(), "connected")
 
     def test_fingerprint_mismatch_rejected(self, tmp_path):
+        # Another graph's entry moved onto the requested path: the
+        # manifest's fingerprint is not the one asked for.
         store = CertificateStore(tmp_path)
-        report, graph = _certified(tmp_path, seed=64, store=store)
-        with pytest.raises(StoreError):
-            store.load(
-                "f" * len(graph.fingerprint()),
-                "connected",
-                path=store.path_for(graph.fingerprint(), "connected"),
-            )
+        _report, graph = _certified(tmp_path, seed=64, store=store)
+        _other, other = _certified(tmp_path, seed=65, store=store)
+        os.replace(
+            store.path_for(other.fingerprint(), "connected"),
+            store.path_for(graph.fingerprint(), "connected"),
+        )
+        with pytest.raises(StoreError, match="holds fingerprint"):
+            store.load(graph.fingerprint(), "connected")
+        assert store.metrics.snapshot()["misses"] == 1
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -317,14 +332,115 @@ class TestIntegrity:
         store = CertificateStore(tmp_path)
         report, graph = _certified(tmp_path, seed=65, store=store)
         path = store.path_for(graph.fingerprint(), "connected")
-        manifest = pickle.loads(path.read_bytes()[len(STORE_MAGIC):])
         # Truncate one certificate payload: the decoder must flag it.
-        key = next(iter(manifest["labels"]))
-        data, bits = manifest["labels"][key]
-        manifest["labels"][key] = (data[: max(1, len(data) // 4)], bits)
-        path.write_bytes(STORE_MAGIC + pickle.dumps(manifest, protocol=4))
+        _rewrite_manifest(path, _truncate_one_payload)
         with pytest.raises(StoreError):
             store.load(graph.fingerprint(), "connected")
+
+    def test_version_1_entry_is_a_counted_miss(self, tmp_path):
+        # A version 1 entry (its own magic, then a bare pickle) is never
+        # unpickled: it is one StoreError and one miss.
+        store = CertificateStore(tmp_path)
+        _report, graph = _certified(tmp_path, seed=66, store=store)
+        path = store.path_for(graph.fingerprint(), "connected")
+        manifest = unseal(path.read_bytes())
+        manifest["store_version"] = 1
+        path.write_bytes(
+            b"repro-cert\x00" + pickle.dumps(manifest, protocol=4)
+        )
+        with pytest.raises(StoreError, match="corrupted store envelope"):
+            store.load(graph.fingerprint(), "connected")
+        assert store.metrics.snapshot()["misses"] == 1
+
+
+class TestCraftedEnvelopes:
+    """A sealed payload (valid digest) whose manifest pickles a call to
+    ``open(marker, "w")`` runs nothing: every reader refuses the global
+    before calling it, as a typed error or a counted miss."""
+
+    @pytest.mark.parametrize("reader", ["load", "serial", "vectorized"])
+    def test_crafted_entry_is_a_counted_store_error(self, tmp_path, reader):
+        store_root = tmp_path / "store"
+        fingerprint = _certified_vectorized(CertificateStore(store_root))
+        marker = tmp_path / "marker"
+        store = CertificateStore(store_root)
+        _rewrite_manifest(
+            store.path_for(fingerprint, "connected"),
+            lambda manifest: manifest.update(graph=_Opens(marker)),
+        )
+        with pytest.raises(StoreError, match="envelope"):
+            if reader == "load":
+                store.load(fingerprint, "connected")
+            else:
+                store.reverify(
+                    fingerprint,
+                    "connected",
+                    engine=VerificationEngine(make_executor(reader)),
+                )
+        assert not marker.exists()
+        counts = store.metrics.snapshot()
+        assert (counts["hits"], counts["misses"]) == (0, 1)
+
+    def test_crafted_artifacts_are_recomputed(self, tmp_path):
+        # A session certify over the store's artifact directory: every
+        # node misses and reruns, to the same labels and verdicts.
+        sequence, _graph = lanewidth_workload(3, 24, 5)
+
+        def certify_into(store_root):
+            session = CertificationSession(
+                store=CertificateStore(store_root), rng=random.Random(5)
+            )
+            return session, session.certify(sequence, "connected")
+
+        store_root = tmp_path / "store"
+        cold_session, cold = certify_into(store_root)
+        marker = tmp_path / "marker"
+        paths = sorted((store_root / "artifacts").glob("*.art"))
+        for path in paths:
+            manifest = unseal(path.read_bytes())
+            manifest["outputs"] = {
+                name: _Opens(marker) for name in manifest["outputs"]
+            }
+            path.write_bytes(seal(manifest))
+        session, report = certify_into(store_root)
+        assert not marker.exists()
+        assert session.artifacts.hits == 0
+        assert session.artifacts.misses == len(paths)
+        assert session.stage_counters == cold_session.stage_counters
+        assert report.labeling.mapping == cold.labeling.mapping
+        assert report.verification.verdicts == cold.verification.verdicts
+        assert report.accepted
+
+    def test_crafted_compiled_round_recompiles(self, tmp_path):
+        store_root = tmp_path / "store"
+        fingerprint = _certified_vectorized(CertificateStore(store_root))
+        honest = CertificateStore(store_root).reverify(
+            fingerprint,
+            "connected",
+            engine=VerificationEngine(make_executor("vectorized")),
+        )
+        marker = tmp_path / "marker"
+        replaced = 0
+        for path in (store_root / "artifacts").glob("*.art"):
+            manifest = unseal(path.read_bytes())
+            if manifest["stage"] == "compiled-round":
+                manifest["outputs"]["state"] = _Opens(marker)
+                path.write_bytes(seal(manifest))
+                replaced += 1
+        assert replaced == 1
+        store = CertificateStore(store_root)
+        report = store.reverify(
+            fingerprint,
+            "connected",
+            engine=VerificationEngine(make_executor("vectorized")),
+        )
+        assert not marker.exists()
+        assert store.artifact_cache().misses == 1
+        stats = report.verification.kernel_stats
+        assert stats["mode"] == "kernel"
+        assert stats["compiled_round_cached"] is False
+        assert report.verification.verdicts == honest.verification.verdicts
+        assert report.accepted
 
 
 class TestDeferredDecode:

@@ -1,14 +1,13 @@
-"""Tests for the sharded certificate-store layout (repro.api.store v2).
+"""Tests for the sharded certificate-store layout (repro.api.store).
 
-The PR 6 store contract: entries live in fingerprint-prefix shards,
-writes are atomic under concurrent writers (unique temp + os.replace),
-flat pre-shard stores keep loading (dual-read + lazy migration), the
+The store contract: entries live in fingerprint-prefix shards, writes
+are atomic under concurrent writers (unique temp + os.replace), stale
+temp files are reaped in the shards and the artifact cache alike, the
 store accounts for itself (stats/len/entries + StoreMetrics), and a
 byte budget evicts least-recently-used entries.
 """
 
 import os
-import pickle
 import random
 import subprocess
 import sys
@@ -23,7 +22,8 @@ from repro.api import (
     StoreMetrics,
     certify,
 )
-from repro.api.store import SHARD_PREFIX_LEN, STORE_MAGIC
+from repro.api.artifacts import seal, unseal
+from repro.api.store import ORPHAN_AGE_SECONDS, SHARD_PREFIX_LEN
 from repro.experiments import lanewidth_workload
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -52,8 +52,8 @@ class TestShardedLayout:
         fingerprint = graph.fingerprint()
         assert path.parent == tmp_path / fingerprint[:SHARD_PREFIX_LEN]
         assert path == store.path_for(fingerprint, "connected")
-        # Nothing cert-shaped sits at the legacy flat location.
-        assert not store.flat_path_for(fingerprint, "connected").exists()
+        # Nothing cert-shaped sits directly under the root.
+        assert not list(tmp_path.glob("*.cert"))
 
     def test_distinct_prefixes_get_distinct_shards(self, tmp_path):
         store = CertificateStore(tmp_path)
@@ -71,20 +71,18 @@ class TestShardedLayout:
         assert stats["entries"] == len(fingerprints)
 
     def test_stats_len_entries_across_layouts(self, tmp_path):
+        # Store-backed certifies fill the shards and the artifact cache;
+        # only the shards hold entries.
         store = CertificateStore(tmp_path)
-        report_a, graph_a = _certified(seed=83)
-        report_b, graph_b = _certified(seed=84)
-        path_a = store.save(report_a)
-        store.save(report_b)
-        # Demote one entry to the legacy flat layout by hand.
-        flat_a = store.flat_path_for(graph_a.fingerprint(), "connected")
-        os.replace(path_a, flat_a)
+        _report_a, graph_a = _certified(seed=83, store=store)
+        _report_b, graph_b = _certified(seed=84, store=store)
+        assert list((tmp_path / "artifacts").glob("*.art"))
 
         assert len(store) == 2
         stats = store.stats()
         assert stats["entries"] == 2
-        assert stats["flat_entries"] == 1
-        assert stats["shards"] == 1
+        shards = {graph_a.fingerprint()[:2], graph_b.fingerprint()[:2]}
+        assert stats["shards"] == len(shards)
         assert stats["bytes"] == sum(
             p.stat().st_size for _f, _k, p in store.entries()
         )
@@ -102,83 +100,6 @@ class TestShardedLayout:
         assert len(store) == 0
         assert store.entries() == []
         assert store.stats()["entries"] == 0
-
-
-class TestFlatMigration:
-    def test_load_migrates_flat_entry(self, tmp_path):
-        store = CertificateStore(tmp_path)
-        report, graph = _certified(seed=85, store=store)
-        fingerprint = graph.fingerprint()
-        sharded = store.path_for(fingerprint, "connected")
-        flat = store.flat_path_for(fingerprint, "connected")
-        os.replace(sharded, flat)
-
-        assert (fingerprint, "connected") in store  # dual-read membership
-        loaded = store.load(fingerprint, "connected")
-        assert loaded.accepted
-        # The act of serving moved the entry to its canonical shard.
-        assert sharded.exists()
-        assert not flat.exists()
-        assert store.metrics.snapshot()["migrated"] == 1
-        # Second load is a plain sharded hit, no further migration.
-        store.load(fingerprint, "connected")
-        assert store.metrics.snapshot()["migrated"] == 1
-
-    def test_migrate_flat_walks_everything(self, tmp_path):
-        store = CertificateStore(tmp_path)
-        graphs = []
-        for seed in (86, 87):
-            report, graph = _certified(seed=seed)
-            path = store.save(report)
-            os.replace(
-                path, store.flat_path_for(graph.fingerprint(), "connected")
-            )
-            graphs.append(graph)
-        # A non-envelope straggler must be left alone, not destroyed.
-        bogus = tmp_path / "notes.cert"
-        bogus.write_bytes(b"not an envelope")
-
-        assert store.migrate_flat() == 2
-        assert store.stats()["flat_entries"] == 1  # just the bogus file
-        assert bogus.exists()
-        for graph in graphs:
-            assert store.path_for(graph.fingerprint(), "connected").exists()
-        assert store.migrate_flat() == 0  # idempotent
-
-    def test_fresh_process_reads_flat_layout_store(self, tmp_path):
-        """A store written before the shard layout still serves a fresh
-        interpreter, which transparently settles the entry into its
-        shard — the ISSUE's compatibility acceptance criterion."""
-        store = CertificateStore(tmp_path)
-        report, graph = _certified(seed=88, store=store)
-        fingerprint = graph.fingerprint()
-        # Recreate the pre-shard world: entry directly under root.
-        os.replace(
-            store.path_for(fingerprint, "connected"),
-            store.flat_path_for(fingerprint, "connected"),
-        )
-        script = (
-            "import sys\n"
-            "from repro.api import CertificateStore, CertificationSession\n"
-            "store = CertificateStore(sys.argv[1])\n"
-            "report = store.load(sys.argv[2], 'connected')\n"
-            "session = CertificationSession()\n"
-            "verification = session.verify(report)\n"
-            "assert verification.accepted, verification.summary()\n"
-            "assert session.stage_counters == {}, session.stage_counters\n"
-            "assert store.metrics.snapshot()['migrated'] == 1\n"
-            "print('MIGRATED-AND-REVERIFIED')\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path), fingerprint],
-            capture_output=True,
-            text=True,
-            env=_subprocess_env(),
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "MIGRATED-AND-REVERIFIED" in proc.stdout
-        assert store.path_for(fingerprint, "connected").exists()
 
 
 class TestAtomicSave:
@@ -259,7 +180,7 @@ class TestAtomicSave:
         report, graph = _certified(seed=92, store=store)
         shard = store.shard_for(graph.fingerprint())
         crash_a = shard / "half-written.cert.1234.a.tmp"
-        crash_b = tmp_path / "flat-era-crash.cert.tmp"
+        crash_b = tmp_path / "artifacts" / "half-written.art.1234.b.tmp"
         crash_a.write_bytes(b"partial")
         crash_b.write_bytes(b"partial")
         assert store.stats()["tmp_orphans"] == 2
@@ -274,6 +195,30 @@ class TestAtomicSave:
         assert store.metrics.snapshot()["orphans_cleaned"] == 2
         # The real entry survived the sweep.
         assert store.load(graph.fingerprint(), "connected").accepted
+
+    def test_artifact_orphans_follow_the_age_rule(self, tmp_path):
+        # The artifact cache publishes through temp files too: a stale
+        # one is reaped, a fresh one may be a write in flight.
+        store = CertificateStore(tmp_path)
+        _certified(seed=93, store=store)
+        artifacts = tmp_path / "artifacts"
+        published = sorted(artifacts.glob("*.art"))
+        stale = artifacts / f"{published[0].name}.123.0.tmp"
+        fresh = artifacts / f"{published[0].name}.123.1.tmp"
+        stale.write_bytes(b"partial")
+        fresh.write_bytes(b"partial")
+        old = time.time() - 2 * ORPHAN_AGE_SECONDS
+        os.utime(stale, (old, old))
+        assert store.stats()["tmp_orphans"] == 2
+
+        assert store.clean_orphans() == 1
+        assert not stale.exists() and fresh.exists()
+        assert store.stats()["tmp_orphans"] == 1
+        assert store.metrics.snapshot()["orphans_cleaned"] == 1
+        # Compaction sweeps orphans, never published artifacts.
+        store.compact(byte_budget=1)
+        assert len(store) == 0
+        assert sorted(artifacts.glob("*.art")) == published
 
 
 class TestEviction:
@@ -356,11 +301,11 @@ class TestSharedMetrics:
             store.load("0" * 64, "connected")
         # A corrupt certificate payload is unusable too: one more miss.
         path = store.path_for(graph.fingerprint(), "connected")
-        manifest = pickle.loads(path.read_bytes()[len(STORE_MAGIC):])
+        manifest = unseal(path.read_bytes())
         key = next(iter(manifest["labels"]))
         data, bits = manifest["labels"][key]
         manifest["labels"][key] = (data[:1], bits)
-        path.write_bytes(STORE_MAGIC + pickle.dumps(manifest, protocol=4))
+        path.write_bytes(seal(manifest))
         with pytest.raises(StoreError):
             store.load(graph.fingerprint(), "connected")
         snap = metrics.snapshot()

@@ -49,6 +49,7 @@ from repro.api import (
     make_executor,
     register_executor,
 )
+from repro.api.artifacts import seal, unseal
 from repro.codec import decode_labeling_columnar, encode_labeling
 from repro.core import certify_lanewidth_graph, random_lanewidth_sequence
 from repro.core.certificates import EmbeddedRecord, Theorem1Label
@@ -566,26 +567,8 @@ class TestCompiledRoundPersistence:
     # -- envelope guards (PR 10 satellite): stale/corrupt == miss ------
     @staticmethod
     def _manifest(path):
-        """An artifact envelope's manifest, read past the payload digest."""
-        import pickle
-
-        from repro.api.artifacts import ARTIFACT_DIGEST_SIZE, ARTIFACT_MAGIC
-
-        start = len(ARTIFACT_MAGIC) + ARTIFACT_DIGEST_SIZE
-        return pickle.loads(path.read_bytes()[start:])
-
-    @staticmethod
-    def _signed(manifest) -> bytes:
-        """A re-signed envelope, so tampering tests reach the guards
-        behind the payload digest."""
-        import hashlib
-        import pickle
-
-        from repro.api.artifacts import ARTIFACT_DIGEST_SIZE, ARTIFACT_MAGIC
-
-        body = pickle.dumps(manifest, protocol=4)
-        digest = hashlib.blake2b(body, digest_size=ARTIFACT_DIGEST_SIZE)
-        return ARTIFACT_MAGIC + digest.digest() + body
+        """An artifact envelope's manifest."""
+        return unseal(path.read_bytes())
 
     @classmethod
     def _envelopes(cls, root):
@@ -612,7 +595,7 @@ class TestCompiledRoundPersistence:
         assert envelopes, "cold run stored no compiled-round envelope"
         for path, manifest in envelopes:
             mutate(manifest["outputs"]["state"])
-            path.write_bytes(self._signed(manifest))
+            path.write_bytes(seal(manifest))
         report = VerificationEngine(
             VectorizedExecutor(artifacts=ArtifactCache(root=tmp_path))
         ).verify(config, scheme, labeling)
