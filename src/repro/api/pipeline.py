@@ -27,8 +27,8 @@ from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import Callable, Optional
 
-from repro.codec import WIRE_VERSION, RecordTable, encode_table
-from repro.core.certificates import CertificateBuilder, accounted_label_bits
+from repro.codec import WIRE_VERSION, encode_table
+from repro.core.certificates import CertificateBuilder
 from repro.core.completion import build_completion
 from repro.core.construction import build_hierarchy
 from repro.core.embedding import Embedding
@@ -515,19 +515,17 @@ class EvaluateStage(Stage):
 
 
 class LabelStage(Stage):
-    """Lemmas 6.4/6.5: build the physical edge certificates, in final form.
+    """Lemmas 6.4/6.5: write the physical edge certificates, in final form.
 
-    Label assembly is batch-wise: the builder materializes each
-    embedding path's records in one sweep and assembles the full
-    ``edge -> Theorem1Label`` mapping in a single pass, so the cold
-    path pays per-batch rather than per-edge overheads (PR 10).  The
-    node then interns the labels once into a
-    :class:`~repro.codec.table.RecordTable`, encodes them from it, and
-    serves them through a read-only
+    The builder walks the hierarchy once and writes every label straight
+    into a :class:`~repro.codec.table.RecordTable`, without building a
+    label object.  The node encodes from that table, sizes every label
+    with the ``label_bits`` arithmetic (each distinct row once), and
+    serves the labels through a read-only
     :class:`~repro.api.store.StoredLabels` that keeps the table in
-    memory for the round compiler and pickles as its wire form alone.
-    It sizes the labels with the ``label_bits`` arithmetic:
-    the artifact holds the wire bytes once, and a hit yields every size
+    memory for the round compiler, builds label objects from it only
+    when something reads a label, and pickles as its wire form alone.
+    The artifact holds the wire bytes once, and a hit yields every size
     figure without reading a label.  The wire form is part of the
     output, so the key names the wire version.
     """
@@ -542,21 +540,17 @@ class LabelStage(Stage):
     def run(self, ctx: PipelineContext) -> None:
         indexer = ClassIndexer()
         builder = CertificateBuilder(ctx.config, ctx.root, ctx.evaluation, indexer)
-        mapping = builder.physical_labels(ctx.embedding)
+        table = builder.record_table(ctx.embedding)
         size_ctx = SizeContext(ctx.config.n, class_count=indexer.class_count)
         began = perf_counter()
-        table = RecordTable(list(mapping), list(mapping.values()))
         encoded = encode_table(table, table.header(size_ctx))
         ctx.encode_seconds = perf_counter() - began
-        memo: dict = {}
-        sizes = [
-            accounted_label_bits(x, size_ctx, memo) for x in mapping.values()
-        ]
+        sizes = table.accounted_bits(size_ctx)
         total = sum(sizes)
         ctx.accounted_bits = (
             max(sizes, default=0), total / max(len(sizes), 1), total
         )
         ctx.class_count = indexer.class_count
         ctx.labeling = Labeling(
-            "edges", StoredLabels._from_prover(encoded, mapping, table), size_ctx
+            "edges", StoredLabels._from_prover(encoded, table), size_ctx
         )

@@ -187,30 +187,33 @@ class StoredLabels(Mapping):
 
     It holds a private copy of an encoded labeling and that labeling's
     content :attr:`digest` (:func:`~repro.codec.labeling_digest`),
-    computed when the mapping is built.  The first key lookup or
-    iteration runs the one decoder, ``decode_labeling_columnar``
+    computed when the mapping is built.  ``len()`` answers from the wire
+    form; the label objects are built on the first key lookup or
+    iteration, and only then.  The label stage builds every honest
+    labeling's mapping with :meth:`_from_prover`, which keeps the
+    prover's :class:`~repro.codec.table.RecordTable` as :attr:`table`:
+    the vectorized round compiler reads that table, and a first read
+    materializes the labels from it
+    (:meth:`~repro.codec.table.RecordTable.materialize`, one object per
+    distinct row), so a prover's mapping never decodes.  Without a table
+    (a mapping read back from a label artifact or a store entry), the
+    first read runs the one decoder, ``decode_labeling_columnar``
     (looked up by name at read time), and a payload that does not
-    decode raises :class:`StoreError`.  ``len()`` answers from the
-    wire form.  The label stage builds every honest labeling's mapping
-    with :meth:`_from_prover`, which serves the prover's own label
-    objects, so nothing is decoded there, and keeps their
-    :class:`~repro.codec.table.RecordTable` as :attr:`table` for the
-    vectorized round compiler; the same mapping read back
-    from a label artifact on disk decodes on first read, like a stored
-    one.  :meth:`encoded` hands out a copy of the wire form.
+    decode raises :class:`StoreError`.  :meth:`encoded` hands out a copy
+    of the wire form.
 
     No public path changes the labels it serves: item assignment raises
     ``TypeError`` and :attr:`decoded` is a read-only view.  So the
     digest always names the labels served, and the vectorized executor
-    keys compiled rounds on it: a reverify round that attaches a
-    persisted compiled round and kernel-accepts every vertex never
-    reads the labels, and nothing is decoded.  To tamper with the
+    keys compiled rounds on it: a round whose kernels accept every
+    vertex never reads the labels, so no label object is built (and,
+    for a stored mapping, nothing is decoded).  To tamper with the
     labels, copy them into a plain ``dict``; a plain mapping has no
     wire identity, so its rounds always compile.
 
-    It pickles as its wire form and source alone: the table is an
-    in-memory index of the prover's objects, so a mapping read back from
-    disk has ``table`` None and the compiler walks its labels instead.
+    It pickles as its wire form and source alone: the table lives in
+    memory only, so a mapping read back from disk has ``table`` None and
+    the compiler walks its decoded labels instead.
     """
 
     __slots__ = ("_encoded", "_digest", "_decoded", "source", "table")
@@ -225,19 +228,16 @@ class StoredLabels(Mapping):
         self.table = None
 
     @classmethod
-    def _from_prover(
-        cls, encoded: EncodedLabeling, labels, table
-    ) -> "StoredLabels":
-        """Serve ``labels``, which ``encoded`` was just encoded from
-        through their record ``table``.
+    def _from_prover(cls, encoded: EncodedLabeling, table) -> "StoredLabels":
+        """Serve the labels of ``table``, which ``encoded`` was just
+        encoded from.
 
         Nothing checks that the two agree, so only the label stage
         (:class:`~repro.api.pipeline.LabelStage`) calls this, on the
-        labels it has just encoded; everyone else builds the mapping
+        table it has just encoded; everyone else builds the mapping
         from the wire form alone.
         """
         stored = cls(encoded, "prover")
-        stored._decoded = dict(labels)
         stored.table = table
         return stored
 
@@ -256,14 +256,17 @@ class StoredLabels(Mapping):
 
     @property
     def decoded(self):
-        """A read-only view of the labels once held, else ``None``."""
+        """A read-only view of the labels once read, else ``None``."""
         if self._decoded is None:
             return None
         return MappingProxyType(self._decoded)
 
     def _labels(self) -> dict:
         if self._decoded is None:
-            self._decoded = _decode_labels(self._encoded, self.source)
+            if self.table is not None:
+                self._decoded = self.table.materialize()
+            else:
+                self._decoded = _decode_labels(self._encoded, self.source)
         return self._decoded
 
     def __getitem__(self, key):
@@ -387,10 +390,20 @@ class CertificateStore:
         return len(self._entry_paths())
 
     def entries(self) -> list:
-        """Return ``(fingerprint, property_key, path)`` for every entry."""
+        """Return ``(fingerprint, property_key, path)`` for every readable
+        entry.
+
+        An entry that does not read (a version 1, crafted or corrupt
+        envelope, or a file removed mid-walk) is left out and counted as
+        one miss, so one bad entry does not hide the others.
+        """
         out = []
         for path in self._entry_paths():
-            manifest = self._read(path)
+            try:
+                manifest = self._read(path)
+            except StoreError:
+                self.metrics.add("misses")
+                continue
             out.append((manifest["fingerprint"], manifest["property_key"], path))
         return out
 

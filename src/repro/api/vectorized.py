@@ -1330,7 +1330,9 @@ class VectorizedExecutor(VerificationExecutor):
         algebra, max_width = profile
         # Reading the certificate column decodes a stored labeling: that
         # is decode time, so it happens before the compile clock starts.
-        factory.edge_certificates
+        # A mapping that brings its table is not read at all.
+        if getattr(mapping, "table", None) is None:
+            factory.edge_certificates
         began = perf_counter()
         table, edge_rows = _round_table(mapping, factory)
         state = RoundCompiler(

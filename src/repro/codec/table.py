@@ -3,32 +3,42 @@
 Theorem 1's labels are stacks of at most ``2w`` records (Obs. 5.5), and
 each record is a few fixed-width integer fields (``docs/FORMAT.md`` fixes
 every width per header).  :class:`RecordTable` holds a labeling in that
-shape.  One walk over its :class:`~repro.core.certificates.Theorem1Label`
-objects fills it:
+shape:
 
-* each ``BasicInfo`` is interned by content, once per distinct object;
+* each ``BasicInfo`` is interned by content;
 * records, child-subtree tuples, P-node lists and stacks are keyed by
-  tuples of integer ids interned before them, so no label object is
-  hashed twice;
+  tuples of integer ids interned before them;
 * identifiers, homomorphism-class states and edge tags go into
-  first-seen dictionaries.
+  dictionaries.
+
+The prover writes its labels straight into a table
+(:meth:`CertificateBuilder.record_table
+<repro.core.certificates.CertificateBuilder.record_table>`), building
+no label object but its E and P leaf records.  Any other mapping, a
+tampered copy or a decoded labeling, gets its table from one walk over
+its :class:`~repro.core.certificates.Theorem1Label` objects.
 
 The wire encoder (:func:`repro.codec.columnar.encode_table`) derives the
 header from the table and packs every label from its columns.  The
 round compiler (:class:`repro.api.vectorized.RoundCompiler`) emits its
-kernel columns from the same table.  Both rest on one field rule: an
-integer field is a plain ``int`` (``type(x) is int``, so never a bool or
-a float) inside the range the format gives it, and a container has the
-type the format fixes.  A record, stack or label that breaks the rule is
-*marked*, not raised: :attr:`RecordTable.bad` keeps the first reason.
-The encoder turns a mark into :class:`~repro.codec.wire.CodecError`,
-and the compiler flags the record so that the reference verifier
-decides.
+kernel columns from the same table, the label stage sizes the labels
+from it (:meth:`RecordTable.accounted_bits`), and
+:meth:`RecordTable.materialize` builds the label objects back when
+something reads them.  All rest on one field rule: an integer field is a
+plain ``int`` (``type(x) is int``, so never a bool or a float) inside the
+range the format gives it, and a container has the type the format
+fixes.  The walk *marks* a record, stack or label that breaks the rule
+instead of raising: :attr:`RecordTable.bad` keeps the first reason.  The
+encoder turns a mark into :class:`~repro.codec.wire.CodecError`, and the
+compiler flags the record so that the reference verifier decides.  To
+the prover's writer a field that breaks the rule is that
+:class:`~repro.codec.wire.CodecError`.
 
-The walk visits labels in ``repr`` order of their keys and each label's
-fields in wire order, as :meth:`WireHeader.for_labeling` does, so
-:meth:`RecordTable.header` rebuilds that header with the same
-first-seen state and tag order.  A table lives in memory only.
+:meth:`RecordTable.header` meets states and tags in the order
+:meth:`WireHeader.for_labeling` does, labels in ``repr`` order of their
+keys and each label's fields in wire order, so it rebuilds that header
+with the same first-seen state and tag order whichever writer filled
+the table.  A table lives in memory only.
 """
 
 from __future__ import annotations
@@ -42,6 +52,9 @@ from repro.core.certificates import (
     PLevelRecord,
     Theorem1Label,
     TLevelRecord,
+    embedded_bits,
+    fixed_record_bits,
+    info_bits,
 )
 from repro.courcelle.algebra import canonical_state_repr
 from repro.codec.bitio import width_for_value
@@ -62,8 +75,11 @@ LIMIT = 1 << 60
 _TERMINALS = "terminal identifiers must list exactly the lane set"
 
 
-class _Bad(Exception):
-    """A field the format cannot carry; the message names it."""
+class _Bad(CodecError):
+    """A field the format cannot carry; the message names it.
+
+    The walk marks the record that holds it; to the prover's writer it
+    is the :class:`~repro.codec.wire.CodecError` it subclasses."""
 
 
 def _int(x, low: int, what: str) -> int:
@@ -74,36 +90,50 @@ def _int(x, low: int, what: str) -> int:
 
 
 class RecordTable:
-    """Struct-of-arrays view of one labeling, built by one walk.
+    """Struct-of-arrays form of one labeling.
 
-    ``RecordTable(keys, labels)`` walks ``labels`` (aligned with
-    ``keys``; ``None`` stands for a missing label) in ``repr`` order of
-    the keys.  The columns are plain lists:
+    Two writers fill it.  The prover
+    (:meth:`CertificateBuilder.record_table
+    <repro.core.certificates.CertificateBuilder.record_table>`) starts
+    from ``RecordTable([])``, writes rows with the ``add_*`` methods and
+    the field rules (:meth:`info_id`, :meth:`code`, :meth:`tag_code`,
+    :meth:`field`), and ends with :meth:`close`.  ``RecordTable(keys,
+    labels)`` walks label objects instead (``labels`` aligned with
+    ``keys``; ``None`` stands for a missing label), in ``repr`` order of
+    the keys: that is how a mapping the library did not build, such as a
+    tampered copy or a decoded labeling, gets its table.  The columns
+    are plain lists:
 
-    * dictionaries, in first-seen order: ``id_values`` (code ->
-      identifier, with ``id_code`` the inverse), ``states`` /
-      ``state_reprs`` (state id -> first object, canonical form) and
-      ``tags`` / ``tag_reprs``;
-    * infos, one row per distinct content: ``infos`` (the first object),
-      ``i_kind`` (wire kind code), ``i_node``, ``i_lanes``, ``i_in`` /
-      ``i_out`` (identifier codes in lane order) and ``i_state``;
-    * records: ``records`` (the first object), ``r_kind``, ``r_info``,
-      and per kind the field rows ``rows[kind]`` of the records
-      ``rids[kind]``.  A T row is ``(info, member info, member subtree,
-      children, target, id a, dist a, id b, dist b, root member id)``,
-      a B row ``(info, left, right, lane i, lane j, tag, side)``, an E
-      row ``(info, in id, out id, tag)`` and a P row ``(info, id list,
-      tag list, position)``, with identifiers as codes;
+    * dictionaries: ``id_values`` (code -> identifier, with ``id_code``
+      the inverse), ``states`` / ``state_reprs`` (state id -> first
+      object, canonical form) and ``tags`` / ``tag_reprs`` (with
+      ``tag_id`` keyed by ``(repr, tag)``);
+    * infos, one row per distinct content: ``infos`` (the first
+      ``BasicInfo``), ``i_kind`` (wire kind code), ``i_node``,
+      ``i_lanes``, ``i_in`` / ``i_out`` (identifier codes in lane order)
+      and ``i_state``;
+    * records: ``records`` (the object the row came from; ``None`` for
+      the prover's T and B rows, which exist only as rows), ``r_kind``,
+      ``r_info``, and per kind the field rows ``rows[kind]`` of the
+      records ``rids[kind]``.  A T row is ``(info, member info, member
+      subtree, children, target, id a, dist a, id b, dist b, root member
+      id)``, a B row ``(info, left, right, lane i, lane j, tag, side)``,
+      an E row ``(info, in id, out id, tag)`` and a P row ``(info, id
+      list, tag list, position)``, with identifiers as codes;
     * ragged segments: ``children`` (info ids), ``id_lists`` and
       ``tag_lists`` (the P-node lists) and ``stacks`` (record ids);
     * labels, one row per key: ``l_stack`` (stack id, -1 when the label
       or its certificate is malformed) and ``l_emb`` (ids into
       ``embedded``, ``None`` when malformed), where an embedded row is
       ``(u, v, forward, backward, payload stack id)``.
+
+    Records, infos, child lists and stacks are interned by content, so
+    both writers give one row per distinct value.  :meth:`materialize`
+    builds the label objects back from the rows.
     """
 
-    def __init__(self, keys, labels):
-        self.keys = keys
+    def __init__(self, keys, labels=None):
+        self.keys = list(keys)
         self.bad = None
         self.id_values, self.id_code = [], {}
         self.states, self.state_reprs, self._state_id = [], [], {}
@@ -120,24 +150,72 @@ class RecordTable:
         self.tag_lists, self._tag_list_id = [], {}
         self.stacks, self._stack_id = [], {}
         self.embedded = []
-        self.l_stack = [-1] * len(keys)
-        self.l_emb = [None] * len(keys)
-        # id(object) -> interned id, one cache per role.  ``labels``
-        # holds every object the walk reaches until it ends, so no id is
-        # reused mid-walk.
+        self.l_stack = [-1] * len(self.keys)
+        self.l_emb = [None] * len(self.keys)
+        # id(object) -> interned id, one cache per role.  The writer holds
+        # every object it interns until :meth:`close`, so no id is reused
+        # meanwhile.
         self._cert_seen, self._record_seen, self._info_seen = {}, {}, {}
         self._state_seen, self._tag_seen = {}, {}
-        reprs = [repr(key) for key in keys]
-        for row in sorted(range(len(keys)), key=reprs.__getitem__):
-            self._label(row, labels[row])
+        if labels is not None:
+            reprs = [repr(key) for key in self.keys]
+            for row in sorted(range(len(self.keys)), key=reprs.__getitem__):
+                self._label(row, labels[row])
+            self.close()
+
+    def close(self) -> None:
+        """End writing: drop the interning indexes, which no reader uses."""
         del self._cert_seen, self._record_seen, self._info_seen
         del self._state_seen, self._tag_seen
+        del self._state_id, self._info_id, self._record_id
+        del self._children_id, self._id_list_id, self._tag_list_id
+        del self._stack_id
 
     def _mark(self, reason: str) -> None:
         if self.bad is None:
             self.bad = reason
 
-    # -- labels and stacks ---------------------------------------------
+    # -- the prover's writer ---------------------------------------------
+    #: The one integer field rule, for the writer's counters and lanes.
+    field = staticmethod(_int)
+
+    def add_leaf(self, record) -> int:
+        """Intern an E or P record object, which the table keeps: the
+        round compiler re-derives leaf classes from it."""
+        kind = _KINDS[type(record)]
+        return self._add(kind, _FIELDS[kind](self, record), record)
+
+    def add_record(self, kind: str, row: tuple) -> int:
+        """Intern a ``"T"`` or ``"B"`` row of interned ids and checked
+        ints; :meth:`materialize` builds its object."""
+        return self._add(_KIND_OF[kind], row, None)
+
+    def children_id(self, info_ids: tuple) -> int:
+        """Intern one T record's child-subtree info ids."""
+        return _intern(self._children_id, self.children, info_ids)
+
+    def add_stack(self, record_ids: tuple) -> int:
+        """Intern one stack of record ids, root first."""
+        return _intern(self._stack_id, self.stacks, record_ids)
+
+    def add_embedded(self, u: int, v: int, forward, backward, stack: int) -> int:
+        """Append one hop of a virtual edge's path (``u``, ``v`` are codes)."""
+        self.embedded.append((
+            u,
+            v,
+            _int(forward, 0, "forward rank"),
+            _int(backward, 0, "backward rank"),
+            stack,
+        ))
+        return len(self.embedded) - 1
+
+    def add_label(self, key, stack: int, embedded: tuple) -> None:
+        """Append the label on ``key``: its stack and embedded row ids."""
+        self.keys.append(key)
+        self.l_stack.append(stack)
+        self.l_emb.append(embedded)
+
+    # -- the walk: labels and stacks ---------------------------------------
     def _label(self, row: int, label) -> None:
         if type(label) is not Theorem1Label:
             self._mark(f"expected a Theorem1Label, got {type(label).__name__}")
@@ -153,8 +231,8 @@ class RecordTable:
                 return
             try:
                 fields = (
-                    self._id(record.u_id),
-                    self._id(record.v_id),
+                    self.code(record.u_id),
+                    self.code(record.v_id),
                     _int(record.forward, 0, "forward rank"),
                     _int(record.backward, 0, "backward rank"),
                 )
@@ -178,15 +256,11 @@ class RecordTable:
             self._mark("certificate stack is empty or malformed")
             sid = -1
         else:
-            recs = tuple([self._record(record) for record in stack])
-            sid = self._stack_id.get(recs)
-            if sid is None:
-                sid = self._stack_id[recs] = len(self.stacks)
-                self.stacks.append(recs)
+            sid = self.add_stack(tuple([self._record(record) for record in stack]))
         seen[id(cert)] = sid
         return sid
 
-    # -- records ---------------------------------------------------------
+    # -- records -----------------------------------------------------------
     def _record(self, record) -> int:
         seen = self._record_seen
         rid = seen.get(id(record))
@@ -196,15 +270,18 @@ class RecordTable:
         try:
             if kind == BAD:
                 raise _Bad(f"unknown record type {type(record).__name__}")
-            row = _FIELDS[kind](self, record)
-            by_row = self._record_id[kind]
-            rid = by_row.get(row)
-            if rid is None:
-                rid = by_row[row] = self._new_record(record, kind, row)
+            rid = self._add(kind, _FIELDS[kind](self, record), record)
         except _Bad as exc:
             self._mark(str(exc))
             rid = self._new_record(record, BAD, None)
         seen[id(record)] = rid
+        return rid
+
+    def _add(self, kind: int, row: tuple, record) -> int:
+        by_row = self._record_id[kind]
+        rid = by_row.get(row)
+        if rid is None:
+            rid = by_row[row] = self._new_record(record, kind, row)
         return rid
 
     def _new_record(self, record, kind: int, row) -> int:
@@ -218,13 +295,13 @@ class RecordTable:
         return rid
 
     def _t_row(self, record) -> tuple:
-        info = self._info(record.info, "T")
-        member = self._info(record.member_info)
-        subtree = self._info(record.member_subtree)
+        info = self.info_id(record.info, "T")
+        member = self.info_id(record.member_info)
+        subtree = self.info_id(record.member_subtree)
         kids = record.child_subtrees
         if type(kids) is not tuple:
             raise _Bad("child subtrees are not a tuple")
-        kids = tuple([self._info(kid) for kid in kids])
+        kids = tuple([self.info_id(kid) for kid in kids])
         pointer = record.pointer
         if type(pointer) is not PointerLabel:
             raise _Bad("pointer is not a PointerLabel")
@@ -232,46 +309,46 @@ class RecordTable:
             info,
             member,
             subtree,
-            _intern(self._children_id, self.children, kids),
-            self._id(pointer.target_id),
-            self._id(pointer.id_a),
+            self.children_id(kids),
+            self.code(pointer.target_id),
+            self.code(pointer.id_a),
             _int(pointer.dist_a, 0, "pointer distance"),
-            self._id(pointer.id_b),
+            self.code(pointer.id_b),
             _int(pointer.dist_b, 0, "pointer distance"),
             _int(record.root_member_id, -1, "root member id"),
         )
 
     def _b_row(self, record) -> tuple:
-        info = self._info(record.info, "B")
-        left = self._info(record.left)
-        right = self._info(record.right)
+        info = self.info_id(record.info, "B")
+        left = self.info_id(record.left)
+        right = self.info_id(record.right)
         bridge = record.bridge
         if type(bridge) is not tuple or len(bridge) != 2:
             raise _Bad(f"bridge {bridge!r} is not a lane pair")
         i = _int(bridge[0], 0, "bridge lane")
         j = _int(bridge[1], 0, "bridge lane")
-        tag = self._tag(record.bridge_tag)
+        tag = self.tag_code(record.bridge_tag)
         side = _int(record.side, -1, "bridge side")
         if side > 1:
             raise _Bad(f"bridge side {side!r} out of range")
         return (info, left, right, i, j, tag, side)
 
     def _e_row(self, record) -> tuple:
-        info = self._info(record.info, "E")
+        info = self.info_id(record.info, "E")
         return (
             info,
-            self._id(record.in_id),
-            self._id(record.out_id),
-            self._tag(record.tag),
+            self.code(record.in_id),
+            self.code(record.out_id),
+            self.tag_code(record.tag),
         )
 
     def _p_row(self, record) -> tuple:
-        info = self._info(record.info, "P")
+        info = self.info_id(record.info, "P")
         ids, tags = record.vertex_ids, record.tags
         if type(ids) is not tuple or type(tags) is not tuple:
             raise _Bad("P-node ids and tags are not tuples")
-        ids = tuple([self._id(x) for x in ids])
-        tags = tuple([self._tag(tag) for tag in tags])
+        ids = tuple([self.code(x) for x in ids])
+        tags = tuple([self.tag_code(tag) for tag in tags])
         return (
             info,
             _intern(self._id_list_id, self.id_lists, ids),
@@ -279,8 +356,11 @@ class RecordTable:
             _int(record.position, 0, "path position"),
         )
 
-    # -- infos and dictionaries ----------------------------------------
-    def _info(self, info, kind=None) -> int:
+    # -- infos and dictionaries: the field rules ---------------------------
+    def info_id(self, info, kind=None) -> int:
+        """Intern a ``BasicInfo`` by content; with ``kind``, it must be a
+        ``kind`` node's.  Raises the :class:`CodecError` subclass the walk
+        marks on."""
         seen = self._info_seen
         iid = seen.get(id(info))
         if iid is None:
@@ -339,10 +419,11 @@ class RecordTable:
             if type(first) is not int or first != lane:
                 raise _Bad(_TERMINALS)
             code = id_code.get(x) if type(x) is int else None
-            codes.append(self._id(x) if code is None else code)
+            codes.append(self.code(x) if code is None else code)
         return tuple(codes)
 
-    def _id(self, x) -> int:
+    def code(self, x) -> int:
+        """An identifier's code, interning it when new."""
         if type(x) is int:  # checked before the lookup: True == 1
             code = self.id_code.get(x)
             if code is not None:
@@ -357,7 +438,8 @@ class RecordTable:
             self._state_id, self.states, self.state_reprs,
         )
 
-    def _tag(self, tag) -> int:
+    def tag_code(self, tag) -> int:
+        """An edge tag's id, interning it when new."""
         return _dictionary(
             self._tag_seen, tag, repr, self.tag_id, self.tags, self.tag_reprs
         )
@@ -392,19 +474,66 @@ class RecordTable:
             ),
         }
 
+    def _first_seen(self) -> tuple:
+        """State ids and tag ids in the order a walk over the labels
+        meets them.
+
+        It visits the labels in ``repr`` order of their keys, a label's
+        own stack and then its embedded payloads, each stack's records
+        in order, and each record's infos and then its tags in wire
+        order, each once: the order of :meth:`WireHeader.for_labeling`.
+        """
+        row_of = [None] * len(self.r_kind)
+        for kind in (T, B, E, P):
+            for rid, row in zip(self.rids[kind], self.rows[kind]):
+                row_of[rid] = row
+        stack_seen = bytearray(len(self.stacks))
+        record_seen = bytearray(len(self.r_kind))
+        info_seen = bytearray(len(self.infos))
+        states, tags = {}, {}  # insertion-ordered sets
+        reprs = [repr(key) for key in self.keys]
+        for label in sorted(range(len(self.keys)), key=reprs.__getitem__):
+            sids = [self.l_stack[label]]
+            sids += [self.embedded[row][4] for row in self.l_emb[label]]
+            for sid in sids:
+                if stack_seen[sid]:
+                    continue
+                stack_seen[sid] = 1
+                for rid in self.stacks[sid]:
+                    if record_seen[rid]:
+                        continue
+                    record_seen[rid] = 1
+                    kind, row = self.r_kind[rid], row_of[rid]
+                    if kind == T:
+                        infos, rtags = row[:3] + self.children[row[3]], ()
+                    elif kind == B:
+                        infos, rtags = row[:3], row[5:6]
+                    elif kind == E:
+                        infos, rtags = row[:1], row[3:4]
+                    else:
+                        infos, rtags = row[:1], self.tag_lists[row[2]]
+                    for iid in infos:
+                        if not info_seen[iid]:
+                            info_seen[iid] = 1
+                            states.setdefault(self.i_state[iid])
+                    for tag in rtags:
+                        tags.setdefault(tag)
+        return list(states), list(tags)
+
     def header(self, size_context) -> WireHeader:
         """This labeling's :class:`WireHeader`.
 
         Equal to :meth:`WireHeader.for_labeling` over the same labels;
-        raises :class:`CodecError` when the walk marked a field.
+        raises :class:`CodecError` when the table is marked.
         """
         if self.bad is not None:
             raise CodecError(self.bad)
+        state_ids, tag_ids = self._first_seen()
         states, tags = {}, {}
-        for text, state in zip(self.state_reprs, self.states):
-            states.setdefault(text, state)
-        for text, tag in zip(self.tag_reprs, self.tags):
-            tags.setdefault(text, tag)
+        for sid in state_ids:
+            states.setdefault(self.state_reprs[sid], self.states[sid])
+        for tid in tag_ids:
+            tags.setdefault(self.tag_reprs[tid], self.tags[tid])
         return WireHeader(
             version=WIRE_VERSION,
             n=size_context.n,
@@ -417,6 +546,114 @@ class RecordTable:
             tags=tuple(tags.values()),
             **self.widths(size_context.n),
         )
+
+    # -- reading ----------------------------------------------------------
+    def accounted_bits(self, size_context) -> list:
+        """Every label's ``label_bits`` arithmetic
+        (:mod:`repro.core.certificates`), in key order.
+
+        A label is sized at its own width, its root record's lane count,
+        and each distinct info, record and stack once per width.
+        """
+        extra = embedded_bits(size_context)
+        by_width: dict = {}
+        sizes = []
+        for sid, emb in zip(self.l_stack, self.l_emb):
+            width = len(self.i_lanes[self.r_info[self.stacks[sid][0]]])
+            stack_bits = by_width.get(width)
+            if stack_bits is None:
+                stack_bits = by_width[width] = self._stack_bits(
+                    size_context, width
+                )
+            size = stack_bits[sid]
+            for row in emb:
+                size += extra + stack_bits[self.embedded[row][4]]
+            sizes.append(size)
+        return sizes
+
+    def _stack_bits(self, ctx, width: int) -> list:
+        """Accounted bits of every stack at one width."""
+        info = [
+            info_bits(len(ins) + len(outs), ctx, width)
+            for ins, outs in zip(self.i_in, self.i_out)
+        ]
+        bits = [0] * len(self.r_kind)
+        fixed = fixed_record_bits("T", ctx, width)
+        for rid, row in zip(self.rids[T], self.rows[T]):
+            kids = sum([info[kid] for kid in self.children[row[3]]])
+            bits[rid] = info[row[0]] + info[row[1]] + info[row[2]] + kids + fixed
+        fixed = fixed_record_bits("B", ctx, width)
+        for rid, row in zip(self.rids[B], self.rows[B]):
+            bits[rid] = info[row[0]] + info[row[1]] + info[row[2]] + fixed
+        fixed = fixed_record_bits("E", ctx, width)
+        for rid, row in zip(self.rids[E], self.rows[E]):
+            bits[rid] = info[row[0]] + fixed
+        for rid, row in zip(self.rids[P], self.rows[P]):
+            bits[rid] = info[row[0]] + fixed_record_bits(
+                "P", ctx, width,
+                len(self.id_lists[row[1]]), len(self.tag_lists[row[2]]),
+            )
+        return [sum([bits[rid] for rid in stack]) for stack in self.stacks]
+
+    def materialize(self) -> dict:
+        """``key -> Theorem1Label`` for every label, in key order.
+
+        One object per distinct row: infos are the table's own
+        ``BasicInfo`` objects and E/P records the objects it keeps, and
+        every T and B record, stack, pointer, child list and embedded row
+        is built once.  A marked table raises :class:`CodecError`.
+        """
+        if self.bad is not None:
+            raise CodecError(self.bad)
+        infos, ids, tags = self.infos, self.id_values, self.tags
+        kids = [tuple([infos[kid] for kid in row]) for row in self.children]
+        records = list(self.records)
+        for rid, row in zip(self.rids[T], self.rows[T]):
+            info, member, subtree, children, target = row[:5]
+            records[rid] = TLevelRecord(
+                info=infos[info],
+                member_info=infos[member],
+                member_subtree=infos[subtree],
+                child_subtrees=kids[children],
+                pointer=PointerLabel(
+                    target_id=ids[target],
+                    id_a=ids[row[5]],
+                    dist_a=row[6],
+                    id_b=ids[row[7]],
+                    dist_b=row[8],
+                ),
+                root_member_id=row[9],
+            )
+        for rid, (info, left, right, i, j, tag, side) in zip(
+            self.rids[B], self.rows[B]
+        ):
+            records[rid] = BLevelRecord(
+                info=infos[info],
+                left=infos[left],
+                right=infos[right],
+                bridge=(i, j),
+                bridge_tag=tags[tag],
+                side=side,
+            )
+        certs = [
+            EdgeCertificate(tuple([records[rid] for rid in stack]))
+            for stack in self.stacks
+        ]
+        embedded = [
+            EmbeddedRecord(
+                u_id=ids[u], v_id=ids[v], forward=forward, backward=backward,
+                payload=certs[sid],
+            )
+            for u, v, forward, backward, sid in self.embedded
+        ]
+        empty: tuple = ()
+        return {
+            key: Theorem1Label(
+                certificate=certs[sid],
+                embedded=tuple([embedded[row] for row in emb]) if emb else empty,
+            )
+            for key, sid, emb in zip(self.keys, self.l_stack, self.l_emb)
+        }
 
 
 def _dictionary(seen, value, text_of, ids, values, texts) -> int:
@@ -450,6 +687,8 @@ def _intern(ids: dict, values: list, key: tuple) -> int:
         values.append(key)
     return found
 
+
+_KIND_OF = {"T": T, "B": B}
 
 _FIELDS = {
     T: RecordTable._t_row,

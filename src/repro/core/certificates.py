@@ -23,6 +23,11 @@ it (endpoint identifiers, forward/backward ranks, and the virtual edge's
 full certificate — congestion is O(1) by Proposition 4.6, so this stays
 O(log n)).
 
+The prover (:class:`CertificateBuilder`) writes these labels as integer
+rows of a :class:`~repro.codec.table.RecordTable`.  The dataclasses
+below are what that table materializes when something reads a label,
+what the wire decoder builds, and what the reference verifier reads.
+
 Homomorphism classes are shipped as algebra states (finite domain for
 fixed property and lanewidth) and *charged* as ``ceil(log2 |C|)``-bit
 indices via the :class:`ClassIndexer` — see DESIGN.md's accounting note.
@@ -46,9 +51,7 @@ from repro.core.hierarchy import (
     HierarchyEvaluation,
     HierarchyNode,
     NodeEvaluation,
-    canonical_boundary,
 )
-from repro.courcelle.boundary import REAL, VIRTUAL
 from repro.graphs import edge_key
 from repro.pls.bits import ClassIndexer, SizeContext
 from repro.pls.model import Configuration
@@ -173,7 +176,17 @@ class Theorem1Label:
 # The prover
 # ----------------------------------------------------------------------
 class CertificateBuilder:
-    """Assigns Lemma 6.4/6.5 certificates for one proven hierarchy."""
+    """Writes the Lemma 6.4/6.5 certificates of one proven hierarchy.
+
+    :meth:`record_table` walks the hierarchy once and writes every
+    physical label of G straight into a
+    :class:`~repro.codec.table.RecordTable`: one info row per hierarchy
+    node and per member subtree, one record row per node and role, each
+    edge's stack as a tuple of record ids, and one embedded row per hop
+    of a virtual edge's path.  The only record objects it builds are the
+    E and P leaves, which the table keeps for the round compiler's leaf
+    checks; the table materializes the labels when something reads one.
+    """
 
     def __init__(
         self,
@@ -194,11 +207,12 @@ class CertificateBuilder:
         # so ids cannot be reused while the builder lives.
         self._fingerprints: dict = {}
         # node_id -> B(N), and member node_id -> B(Tree-merge(T_member)):
-        # one object per hierarchy node and per member subtree, shared by
-        # every record that carries it, so the encoder and the compiler's
-        # id()-keyed memos see each once.
+        # one object per hierarchy node and per member subtree, so the
+        # table interns each once.
         self._node_infos: dict = {}
         self._subtree_infos: dict = {}
+        #: The table :meth:`record_table` writes.
+        self.table = None
 
     def _class_of(self, state) -> None:
         hit = self._fingerprints.get(id(state))
@@ -208,110 +222,128 @@ class CertificateBuilder:
         self.indexer.index_of(hit[1])
 
     # ------------------------------------------------------------------
-    def basic_info(self, node: HierarchyNode, evaluation: NodeEvaluation) -> BasicInfo:
+    def basic_info(
+        self, kind: str, node_id: int, evaluation: NodeEvaluation
+    ) -> BasicInfo:
+        """B(N) of one evaluated node or member subtree."""
         state = evaluation.state
         self._class_of(state)
+        ids, t_in, t_out = self.ids, evaluation.t_in, evaluation.t_out
+        lanes = tuple(sorted(evaluation.lanes))
         return BasicInfo(
-            kind=node.kind,
-            node_id=node.node_id,
-            lanes=tuple(sorted(evaluation.lanes)),
-            in_ids=tuple(
-                (lane, self.ids[evaluation.t_in[lane]])
-                for lane in sorted(evaluation.lanes)
-            ),
-            out_ids=tuple(
-                (lane, self.ids[evaluation.t_out[lane]])
-                for lane in sorted(evaluation.lanes)
-            ),
+            kind=kind,
+            node_id=node_id,
+            lanes=lanes,
+            in_ids=tuple([(lane, ids[t_in[lane]]) for lane in lanes]),
+            out_ids=tuple([(lane, ids[t_out[lane]]) for lane in lanes]),
             state=state,
         )
 
     def node_info(self, node: HierarchyNode) -> BasicInfo:
         info = self._node_infos.get(node.node_id)
         if info is None:
-            info = self.basic_info(node, self.evaluation.for_node(node))
-            self._node_infos[node.node_id] = info
+            info = self._node_infos[node.node_id] = self.basic_info(
+                node.kind, node.node_id, self.evaluation.for_node(node)
+            )
         return info
 
-    def subtree_info(self, t_node: HierarchyNode, member: HierarchyNode) -> BasicInfo:
+    def subtree_info(self, member: HierarchyNode) -> BasicInfo:
+        """B(Tree-merge(T_member)): the member's subtree, as a T node."""
         info = self._subtree_infos.get(member.node_id)
-        if info is not None:
-            return info
-        sub = self.evaluation.for_subtree(member)
-        info = BasicInfo(
-            kind="T",
-            node_id=member.node_id,
-            lanes=tuple(sorted(sub.lanes)),
-            in_ids=tuple(
-                (lane, self.ids[sub.t_in[lane]]) for lane in sorted(sub.lanes)
-            ),
-            out_ids=tuple(
-                (lane, self.ids[sub.t_out[lane]]) for lane in sorted(sub.lanes)
-            ),
-            state=sub.state,
-        )
-        self._class_of(sub.state)
-        self._subtree_infos[member.node_id] = info
+        if info is None:
+            info = self._subtree_infos[member.node_id] = self.basic_info(
+                "T", member.node_id, self.evaluation.for_subtree(member)
+            )
         return info
 
     # ------------------------------------------------------------------
-    def edge_certificates(self) -> dict:
-        """Return ``edge key -> EdgeCertificate`` for every edge of G'."""
-        certificates: dict = {}
-        self._assign(self.root, (), certificates)
-        return certificates
+    def record_table(self, embedding: Embedding):
+        """Write every physical label of G into a new record table.
 
-    def _assign(self, node: HierarchyNode, stack: tuple, certificates: dict) -> None:
+        Labels are keyed by the real edges in walk order.  Each virtual
+        edge's stack rides on the real edges of its embedding path as
+        embedded rows (endpoint identifiers and forward/backward ranks).
+        A field the format cannot carry raises
+        :class:`~repro.codec.wire.CodecError`.
+        """
+        from repro.codec.table import RecordTable
+
+        table = self.table = RecordTable([])
+        stacks: dict = {}  # edge key of G' -> stack id
+        self._write(self.root, (), stacks)
+        ids = self.ids
+        embedded: dict = {}
+        for key, path in embedding.paths.items():
+            sid = stacks[key]
+            u, v = table.code(ids[path[0]]), table.code(ids[path[-1]])
+            length = len(path) - 1
+            for rank, (a, b) in enumerate(zip(path, path[1:]), 1):
+                row = table.add_embedded(u, v, rank, length + 1 - rank, sid)
+                embedded.setdefault(edge_key(a, b), []).append(row)
+        for key, sid in stacks.items():
+            if key not in embedding.paths:
+                table.add_label(key, sid, tuple(embedded.get(key, ())))
+        table.close()
+        return table
+
+    def _write(self, node: HierarchyNode, stack: tuple, stacks: dict) -> None:
+        """Write the stack of every edge in ``node``'s subgraph.
+
+        ``stack`` holds the levels above ``node``, root first: a record
+        id per B level, and per T level the T row without its pointer
+        fields plus the T node's pointer fields per edge, since a T
+        record is the only one that differs from edge to edge.
+        """
+        table = self.table
+        ids = self.ids
         if node.kind == "E":
             u, v = node.edge
             record = ELevelRecord(
                 info=self.node_info(node),
-                in_id=self.ids[u],
-                out_id=self.ids[v],
+                in_id=ids[u],
+                out_id=ids[v],
                 tag=node.edge_tag,
             )
-            certificates[edge_key(u, v)] = EdgeCertificate(stack + (record,))
+            self._finish(edge_key(u, v), stack, table.add_leaf(record), stacks)
             return
         if node.kind == "P":
             info = self.node_info(node)
-            ids = tuple(self.ids[v] for v in node.path_vertices)
+            vertex_ids = tuple(ids[v] for v in node.path_vertices)
+            tags = tuple(node.path_tags)
             for position, (a, b) in enumerate(
                 zip(node.path_vertices, node.path_vertices[1:])
             ):
                 record = PLevelRecord(
-                    info=info,
-                    vertex_ids=ids,
-                    tags=tuple(node.path_tags),
-                    position=position,
+                    info=info, vertex_ids=vertex_ids, tags=tags, position=position
                 )
-                certificates[edge_key(a, b)] = EdgeCertificate(stack + (record,))
+                self._finish(edge_key(a, b), stack, table.add_leaf(record), stacks)
             return
         if node.kind == "V":
             return  # owns no edges
         if node.kind == "B":
-            info = self.node_info(node)
             left, right = node.children
-            left_info = self.node_info(left)
-            right_info = self.node_info(right)
             i, j = node.bridge
-            bridge_edge = edge_key(left.t_out[i], right.t_out[j])
-            base = dict(
-                info=info,
-                left=left_info,
-                right=right_info,
-                bridge=(i, j),
-                bridge_tag=node.bridge_tag,
+            row = (
+                table.info_id(self.node_info(node), "B"),
+                table.info_id(self.node_info(left)),
+                table.info_id(self.node_info(right)),
+                table.field(i, 0, "bridge lane"),
+                table.field(j, 0, "bridge lane"),
+                table.tag_code(node.bridge_tag),
             )
-            certificates[bridge_edge] = EdgeCertificate(
-                stack + (BLevelRecord(side=-1, **base),)
-            )
-            self._assign(left, stack + (BLevelRecord(side=0, **base),), certificates)
-            self._assign(right, stack + (BLevelRecord(side=1, **base),), certificates)
+            bridge = table.add_record("B", row + (-1,))
+            self._finish(edge_key(left.t_out[i], right.t_out[j]), stack, bridge, stacks)
+            for side, child in enumerate(node.children):
+                # A side record for a child that owns no edge (a V node)
+                # would sit on no stack, yet widen the table and the
+                # compiled round.
+                if _owns_edges(child):
+                    rid = table.add_record("B", row + (side,))
+                    self._write(child, stack + (rid,), stacks)
             return
         if node.kind == "T":
-            info = self.node_info(node)
-            root_member_id = node.children[node.root_member].node_id
-            pointer_by_edge = self._pointer_labels(node)
+            info = table.info_id(self.node_info(node), "T")
+            pointers = self._pointer_rows(node)
             internal_children: dict = {
                 index: [] for index in range(len(node.children))
             }
@@ -319,35 +351,48 @@ class CertificateBuilder:
                 if parent is not None:
                     internal_children[parent].append(index)
             for index, member in enumerate(node.children):
-                child_infos = tuple(
-                    self.subtree_info(node, node.children[c])
+                # Every member's classes count toward the class index
+                # width, whether or not the member owns an edge.
+                kids = [
+                    self.subtree_info(node.children[c])
                     for c in sorted(internal_children[index])
+                ]
+                member_info = self.node_info(member)
+                subtree = self.subtree_info(member)
+                if not _owns_edges(member):
+                    continue
+                prefix = (
+                    info,
+                    table.info_id(member_info),
+                    table.info_id(subtree),
+                    table.children_id(
+                        tuple([table.info_id(kid) for kid in kids])
+                    ),
                 )
-                member_record_base = dict(
-                    info=info,
-                    member_info=self.node_info(member),
-                    member_subtree=self.subtree_info(node, member),
-                    child_subtrees=child_infos,
-                    root_member_id=root_member_id,
-                )
-                member_certs: dict = {}
-                self._assign(member, (), member_certs)
-                for key, cert in member_certs.items():
-                    record = TLevelRecord(
-                        pointer=pointer_by_edge[key], **member_record_base
-                    )
-                    certificates[key] = EdgeCertificate(
-                        stack + (record,) + cert.stack
-                    )
+                self._write(member, stack + ((prefix, pointers),), stacks)
             return
         raise ValueError(f"unknown node kind {node.kind!r}")
 
-    def _pointer_labels(self, t_node: HierarchyNode) -> dict:
-        """Prop 2.2 labels over the T-node's subgraph, rooted in the root
-        member (certifying that the internal root exists).
+    def _finish(self, key, stack: tuple, leaf: int, stacks: dict) -> None:
+        """Intern the stack of edge ``key``: ``stack``'s levels, then ``leaf``."""
+        table = self.table
+        records = [
+            level if type(level) is int
+            else table.add_record("T", level[0] + level[1][key])
+            for level in stack
+        ]
+        records.append(leaf)
+        stacks[key] = table.add_stack(tuple(records))
 
-        One BFS over the node's own edge list: the subgraph is connected
-        (Section 5.3), and its edges come as distinct canonical keys.
+    def _pointer_rows(self, t_node: HierarchyNode) -> dict:
+        """Prop 2.2 pointer fields over the T-node's subgraph, rooted in
+        the root member (certifying that the internal root exists).
+
+        Returns ``edge -> (target, id a, dist a, id b, dist b, root
+        member id)``, the tail of the edge's T row, with identifiers as
+        table codes.  One BFS over the node's own edge list: the
+        subgraph is connected (Section 5.3), and its edges come as
+        distinct canonical keys.
         """
         edges = [key for key, _tag in t_node.all_edges()]
         adjacency: dict = {}
@@ -367,68 +412,32 @@ class CertificateBuilder:
                         distances[w] = step
                         reached.append(w)
             frontier = reached
-        ids = self.ids
-        target_id = ids[target]
+        table = self.table
+        # Every distance is a BFS count, so the largest is the one that
+        # can break the counter rule.
+        table.field(max(distances.values()), 0, "pointer distance")
+        root_member_id = table.field(root_member.node_id, -1, "root member id")
+        ids, code = self.ids, table.code
+        codes = {v: code(ids[v]) for v in distances}
+        target_code = codes[target]
         return {
-            (u, v): PointerLabel(
-                target_id=target_id,
-                id_a=ids[u],
-                dist_a=distances[u],
-                id_b=ids[v],
-                dist_b=distances[v],
+            (u, v): (
+                target_code, codes[u], distances[u], codes[v], distances[v],
+                root_member_id,
             )
             for u, v in edges
         }
 
-    # ------------------------------------------------------------------
-    def physical_labels(self, embedding: Embedding) -> dict:
-        """Attach virtual-edge certificates along their embedding paths.
 
-        Returns ``real edge key -> Theorem1Label``.  Real edges missing
-        from ``certificates`` cannot happen (every real edge is in G').
-        """
-        certificates = self.edge_certificates()
-        virtual_keys = set(embedding.paths)
-        # Pass 1 — materialize each path's records in one sweep (they
-        # share u_id/v_id/payload; only the rank pair varies), then
-        # bucket them under their carrier edges.
-        embedded: dict = {}
-        for key, path in embedding.paths.items():
-            payload = certificates[key]
-            u_id = self.ids[path[0]]
-            v_id = self.ids[path[-1]]
-            length = len(path) - 1
-            records = [
-                EmbeddedRecord(
-                    u_id=u_id,
-                    v_id=v_id,
-                    forward=rank,
-                    backward=length + 1 - rank,
-                    payload=payload,
-                )
-                for rank in range(1, length + 1)
-            ]
-            for record, a, b in zip(records, path, path[1:]):
-                carrier = edge_key(a, b)
-                bucket = embedded.get(carrier)
-                if bucket is None:
-                    embedded[carrier] = [record]
-                else:
-                    bucket.append(record)
-        # Pass 2 — assemble the whole mapping in one comprehension;
-        # edges without embedded traffic share a single empty tuple.
-        # Virtual edges have no physical carrier of their own.
-        empty: tuple = ()
-        return {
-            key: Theorem1Label(
-                certificate=certificate,
-                embedded=(
-                    tuple(embedded[key]) if key in embedded else empty
-                ),
-            )
-            for key, certificate in certificates.items()
-            if key not in virtual_keys
-        }
+def _owns_edges(node: HierarchyNode) -> bool:
+    """Whether some edge of G' has ``node`` on its ownership path."""
+    if node.kind == "V":
+        return False
+    if node.kind == "P":
+        return len(node.path_vertices) > 1
+    if node.kind == "T":
+        return any(_owns_edges(member) for member in node.children)
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -437,9 +446,8 @@ class CertificateBuilder:
 _KIND_BITS = 3
 
 
-def basic_info_bits(info: BasicInfo, ctx: SizeContext, width: int) -> int:
-    """Encoded size of one B(N) record."""
-    terminal_fields = len(info.in_ids) + len(info.out_ids)
+def info_bits(terminal_fields: int, ctx: SizeContext, width: int) -> int:
+    """Encoded size of one B(N) record with ``terminal_fields`` identifiers."""
     return (
         _KIND_BITS
         + ctx.counter_bits  # node id
@@ -447,6 +455,30 @@ def basic_info_bits(info: BasicInfo, ctx: SizeContext, width: int) -> int:
         + terminal_fields * ctx.id_bits
         + ctx.class_bits  # homomorphism class index
     )
+
+
+def basic_info_bits(info: BasicInfo, ctx: SizeContext, width: int) -> int:
+    """Encoded size of one B(N) record."""
+    return info_bits(len(info.in_ids) + len(info.out_ids), ctx, width)
+
+
+def fixed_record_bits(
+    kind: str, ctx: SizeContext, width: int, path_ids: int = 0, path_tags: int = 0
+) -> int:
+    """Encoded size of a ``kind`` record's fields besides its B(N)s
+    (``path_ids`` and ``path_tags`` size a P record's topology)."""
+    if kind == "T":
+        return 3 * ctx.id_bits + 2 * ctx.counter_bits  # pointer record
+    if kind == "B":
+        return 2 * width.bit_length() + 2 + 2  # bridge lanes, tag, side
+    if kind == "E":
+        return 2 * ctx.id_bits + 2
+    return path_ids * ctx.id_bits + path_tags * 2 + ctx.counter_bits  # + position
+
+
+def embedded_bits(ctx: SizeContext) -> int:
+    """Encoded size of an embedded record's fields besides its payload."""
+    return 2 * ctx.id_bits + 2 * ctx.counter_bits
 
 
 def record_bits(record, ctx: SizeContext, width: int, memo=None) -> int:
@@ -468,32 +500,23 @@ def record_bits(record, ctx: SizeContext, width: int, memo=None) -> int:
 
 
 def _record_bits_direct(record, ctx: SizeContext, width: int) -> int:
+    path = ()
     if isinstance(record, TLevelRecord):
-        total = basic_info_bits(record.info, ctx, width)
-        total += basic_info_bits(record.member_info, ctx, width)
-        total += basic_info_bits(record.member_subtree, ctx, width)
-        for child in record.child_subtrees:
-            total += basic_info_bits(child, ctx, width)
-        total += 3 * ctx.id_bits + 2 * ctx.counter_bits  # pointer record
-        return total
-    if isinstance(record, BLevelRecord):
-        total = basic_info_bits(record.info, ctx, width)
-        total += basic_info_bits(record.left, ctx, width)
-        total += basic_info_bits(record.right, ctx, width)
-        total += 2 * width.bit_length() + 2 + 2  # bridge lanes, tag, side
-        return total
-    if isinstance(record, ELevelRecord):
-        return (
-            basic_info_bits(record.info, ctx, width) + 2 * ctx.id_bits + 2
-        )
-    if isinstance(record, PLevelRecord):
-        return (
-            basic_info_bits(record.info, ctx, width)
-            + len(record.vertex_ids) * ctx.id_bits
-            + len(record.tags) * 2
-            + ctx.counter_bits  # position
-        )
-    raise TypeError(f"unknown record type {type(record).__name__}")
+        kind = "T"
+        infos = [record.info, record.member_info, record.member_subtree]
+        infos.extend(record.child_subtrees)
+    elif isinstance(record, BLevelRecord):
+        kind, infos = "B", [record.info, record.left, record.right]
+    elif isinstance(record, ELevelRecord):
+        kind, infos = "E", [record.info]
+    elif isinstance(record, PLevelRecord):
+        kind, infos = "P", [record.info]
+        path = (len(record.vertex_ids), len(record.tags))
+    else:
+        raise TypeError(f"unknown record type {type(record).__name__}")
+    return sum(
+        basic_info_bits(info, ctx, width) for info in infos
+    ) + fixed_record_bits(kind, ctx, width, *path)
 
 
 def certificate_bits(
@@ -522,7 +545,7 @@ def label_bits(
     """Encoded size of one physical label (certificate + embeddings)."""
     total = certificate_bits(label.certificate, ctx, width, memo)
     for record in label.embedded:
-        total += 2 * ctx.id_bits + 2 * ctx.counter_bits
+        total += embedded_bits(ctx)
         total += certificate_bits(record.payload, ctx, width, memo)
     return total
 

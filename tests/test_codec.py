@@ -478,6 +478,10 @@ class TestTableHeader:
             assert reference.header == WireHeader.for_labeling(labeling)
             _assert_byte_identical(encode_labeling_columnar(labeling), reference)
         assert carried >= 10  # both branches run
+        # The table the prover wrote, not walked, gives the same header.
+        assert honest.mapping.table.header(
+            honest.size_context
+        ) == WireHeader.for_labeling(honest)
 
 
 # ----------------------------------------------------------------------
@@ -491,6 +495,9 @@ class TestWireV1Golden:
 
     @staticmethod
     def _assert_digest(labeling, expected):
+        # The label stage's own wire form (what the store persists),
+        # then both encoders over the label objects.
+        assert labeling_digest(labeling.mapping.encoded()) == expected
         assert labeling_digest(encode_labeling_columnar(labeling)) == expected
         assert labeling_digest(encode_labeling(labeling)) == expected
 

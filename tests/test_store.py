@@ -24,8 +24,8 @@ from repro.api import (
     make_executor,
 )
 from repro.api.artifacts import ARTIFACT_MAGIC, seal, unseal
-from repro.api.store import StoredLabels
-from repro.experiments import lanewidth_workload
+from repro.api.store import StoredLabels, _decode_labels
+from repro.experiments import lanewidth_workload, pathwidth_workload
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -352,6 +352,22 @@ class TestIntegrity:
             store.load(graph.fingerprint(), "connected")
         assert store.metrics.snapshot()["misses"] == 1
 
+    def test_unreadable_entry_is_left_out_of_the_listing(self, tmp_path):
+        # One version 1 entry among readable ones: the listing skips it
+        # as one counted miss and still names every other entry.
+        store = CertificateStore(tmp_path)
+        _certified(tmp_path, seed=66, store=store)
+        _report, graph = _certified(tmp_path, seed=67, store=store)
+        path = store.path_for(graph.fingerprint(), "connected")
+        path.write_bytes(
+            b"repro-cert\x00" + pickle.dumps({"store_version": 1}, protocol=4)
+        )
+        assert len(store) == 2 and store.stats()["entries"] == 2
+        (entry,) = store.entries()
+        assert entry[2] != path
+        assert store.load(entry[0], entry[1]).labeling.mapping
+        assert store.metrics.snapshot()["misses"] == 1
+
 
 class TestCraftedEnvelopes:
     """A sealed payload (valid digest) whose manifest pickles a call to
@@ -468,6 +484,31 @@ class TestDeferredDecode:
         assert isinstance(mapping, StoredLabels) and mapping.decoded is None
         # The attach vouched for the bytes: reading them afterwards works.
         assert mapping == store.load(fingerprint, "connected").labeling.mapping
+
+    @pytest.mark.parametrize("mode", ["lanewidth", "theorem1"])
+    def test_kernel_accepted_certify_builds_no_label(self, mode, monkeypatch):
+        # A fresh certify's round compiles from the prover's record
+        # table; when the kernels accept every vertex nothing reads a
+        # label, so no label object exists.  The first read builds them
+        # from the table, equal to what the wire form decodes to.
+        monkeypatch.delenv("REPRO_VECTORIZED_AUDIT", raising=False)
+        engine = VerificationEngine(make_executor("vectorized"))
+        if mode == "lanewidth":
+            target, _graph = lanewidth_workload(3, 48, 5)
+            session = CertificationSession(rng=random.Random(5), engine=engine)
+        else:
+            target, _decomposition = pathwidth_workload(64, 3, 1)
+            session = CertificationSession(
+                k=8, rng=random.Random(5), engine=engine
+            )
+        report = session.certify(target, "connected")
+        stats = report.verification.kernel_stats
+        assert stats["mode"] == "kernel" and stats["fallback_vertices"] == 0
+        mapping = report.labeling.mapping
+        assert mapping.table is not None and mapping.decoded is None
+        labels = _decode_labels(mapping.encoded(), "the label stage")
+        assert dict(mapping) == labels
+        assert mapping.decoded is not None
 
     def test_reverify_without_persisted_round_decodes_once(self, tmp_path):
         # A serial certify persists no compiled round, so the vectorized

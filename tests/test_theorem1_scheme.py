@@ -20,6 +20,7 @@ from repro.api.plan import (
     lanewidth_plan,
     theorem1_plan,
 )
+from repro.codec import decode_labeling_columnar
 from repro.core import (
     LanewidthScheme,
     Theorem1Scheme,
@@ -391,16 +392,28 @@ class TestLabelBuilder:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_one_basic_info_per_hierarchy_node(self, mode, seed):
         ctx = _proven_context(mode, 64, seed)
-        labels = _builder(ctx).physical_labels(ctx.embedding)
+        table = _builder(ctx).record_table(ctx.embedding)
+        labels = table.materialize()
         seen = _infos_by_role(labels)
         assert all(len(ids) == 1 for ids in seen.values()), sorted(
             key for key, ids in seen.items() if len(ids) > 1
         )
         node_ids = {node.node_id for node in ctx.root.walk()}
         assert {node_id for role, node_id in seen if role == "node"} <= node_ids
-        # Sharing changes no content: the labels still match the ones
-        # the plan encoded.
-        assert labels == dict(ctx.labeling.mapping)
+        # The materialized labels carry the table's own info rows, one
+        # per hierarchy node and per member subtree that some record
+        # holds, and every record row sits on some stack.
+        assert {i for ids in seen.values() for i in ids} == {
+            id(info) for info in table.infos
+        }
+        assert {rid for stack in table.stacks for rid in stack} == set(
+            range(len(table.records))
+        )
+        # The rows are the labels the plan encoded, read back from the
+        # wire.
+        assert labels == decode_labeling_columnar(
+            ctx.labeling.mapping.encoded()
+        ).mapping
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -411,9 +424,22 @@ class TestLabelBuilder:
     def test_pointer_labels_match_the_graph_bfs(self, mode, n, seed):
         ctx = _proven_context(mode, n, seed)
         builder = _builder(ctx)
+        ids = builder.record_table(ctx.embedding).id_values
         t_nodes = [node for node in ctx.root.walk() if node.kind == "T"]
         assert t_nodes
         for node in t_nodes:
-            assert builder._pointer_labels(node) == _reference_pointer_labels(
-                builder, node
-            )
+            root_member_id = node.children[node.root_member].node_id
+            rows = builder._pointer_rows(node)
+            assert {row[5] for row in rows.values()} == {root_member_id}
+            pointers = {
+                key: PointerLabel(
+                    target_id=ids[target],
+                    id_a=ids[id_a],
+                    dist_a=dist_a,
+                    id_b=ids[id_b],
+                    dist_b=dist_b,
+                )
+                for key, (target, id_a, dist_a, id_b, dist_b, _root)
+                in rows.items()
+            }
+            assert pointers == _reference_pointer_labels(builder, node)

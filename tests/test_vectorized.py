@@ -839,16 +839,59 @@ class TestTamperAfterCertify:
         assert rounds[0].verdicts == rounds[1].verdicts
 
 
+#: Per-record kernel columns that hold an info, child-list, P-list or
+#: tag id, with the record type that fills each (``None``: every
+#: record): they depend on the table's numbering, every other ``r_``
+#: column holds a value.
+_NUMBERED_COLS = {
+    "r_info": None,
+    "r_minfo": 0, "r_msub": 0, "r_cs": 0,
+    "r_bleft": 1, "r_bright": 1, "r_btag": 1,
+    "r_etag": 2,
+    "r_pvids": 3, "r_ptags": 3, "r_ptagc": 3,
+}
+
+
+def _state_stacks(state):
+    """Every stack a compiled round's kernels read, as record id arrays:
+    each CSR edge's, then each virtual port's, in order."""
+    tables = state["tables"]
+    starts, lengths = tables["st_indptr"], tables["st_len"]
+    sids = list(state["edge_sid"].tolist())
+    for dense in sorted(state["vp_map"]):
+        sids.extend(state["vp_map"][dense])
+    return [
+        tables["st_rec"][starts[sid]:starts[sid] + lengths[sid]].tolist()
+        if sid >= 0 else None
+        for sid in sids
+    ]
+
+
+def _one_to_one(pairs) -> bool:
+    """Whether ``(a, b)`` pairs relate each ``a`` to one ``b`` and back."""
+    forward, backward = {}, {}
+    return all(
+        forward.setdefault(a, b) == b and backward.setdefault(b, a) == a
+        for a, b in pairs
+    )
+
+
 @needs_numpy
 class TestRecordTableCompile:
     """A fresh certify's round compiles from the prover's record table;
-    every other mapping compiles from a walk over its edge labels."""
+    every other mapping compiles from a walk over its edge labels.  The
+    two tables number records, infos and stacks in different orders, so
+    the rounds agree up to that numbering."""
 
     @pytest.mark.parametrize("mode", ["lanewidth", "theorem1"])
     def test_prover_table_compiles_like_a_plain_copy(self, mode):
         import numpy as np
 
-        from repro.api.vectorized import RoundCompiler, _round_table
+        from repro.api.vectorized import (
+            KernelRound,
+            RoundCompiler,
+            _round_table,
+        )
         from repro.pls.model import ViewFactory
 
         if mode == "lanewidth":
@@ -863,29 +906,63 @@ class TestRecordTableCompile:
             config, scheme, labeling = _theorem1_case()
         mapping = labeling.mapping
         assert mapping.table is not None
-        states = []
+        states, accepts = [], []
         for labels in (mapping, dict(mapping)):
             factory = ViewFactory(config, labels, "edges")
             table, rows = _round_table(labels, factory)
             assert (table is mapping.table) == (labels is mapping)
-            states.append(
-                RoundCompiler(
-                    factory.round_arrays(), table, rows,
-                    scheme.algebra, scheme.max_width,
-                ).compile()
+            arrays = factory.round_arrays()
+            state = RoundCompiler(
+                arrays, table, rows, scheme.algebra, scheme.max_width
+            ).compile()
+            states.append(state)
+            accept, _stats = KernelRound.from_state(arrays, state).run(
+                range(arrays.n)
             )
+            accepts.append(accept)
         prover, plain = states
         assert prover.keys() == plain.keys()
         assert prover["tables"].keys() == plain["tables"].keys()
         for name, column in prover["tables"].items():
-            other = plain["tables"][name]
-            assert column.dtype == other.dtype, name
-            assert np.array_equal(column, other), name
-        assert np.array_equal(prover["edge_sid"], plain["edge_sid"])
-        for name in prover.keys() - {"tables", "edge_sid"}:
-            assert prover[name] == plain[name], name
+            assert column.dtype == plain["tables"][name].dtype, name
         if mode == "theorem1":
             assert prover["vp_map"], "the host routes no virtual edge"
+        assert prover["vp_map"].keys() == plain["vp_map"].keys()
+        assert prover["vp_bad"] == plain["vp_bad"] == []
+        # Per CSR edge and per virtual port, the stacks hold the same
+        # records position by position: one record map, one-to-one, over
+        # every record of both rounds.
+        pairs = []
+        for ours, theirs in zip(_state_stacks(prover), _state_stacks(plain)):
+            assert (ours is None) == (theirs is None)
+            if ours is not None:
+                assert len(ours) == len(theirs)
+                pairs.extend(zip(ours, theirs))
+        assert _one_to_one(pairs)
+        record_map = dict(pairs)
+        count = prover["tables"]["r_type"].shape[0]
+        assert sorted(record_map) == list(range(count))
+        assert sorted(record_map.values()) == list(
+            range(plain["tables"]["r_type"].shape[0])
+        )
+        theirs = np.array([record_map[rid] for rid in range(count)])
+        types = prover["tables"]["r_type"]
+        for name, column in prover["tables"].items():
+            if not name.startswith("r_"):
+                continue
+            other = plain["tables"][name][theirs]
+            if name not in _NUMBERED_COLS:
+                assert np.array_equal(column, other), name
+                continue
+            kind = _NUMBERED_COLS[name]
+            held = np.ones(count, bool) if kind is None else types == kind
+            assert held.any(), name
+            assert _one_to_one(
+                zip(column[held].tolist(), other[held].tolist())
+            ), name
+        # The kernels decide every vertex alike: all accepted, honest.
+        assert np.array_equal(accepts[0], accepts[1])
+        assert accepts[0].all()
 
 
 #: Wrong-typed values, rotated over the fields of one honest label.

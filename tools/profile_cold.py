@@ -17,6 +17,13 @@ mode, each from its own fresh-session certify:
 * the **top-N profile rows** by cumulative time, from a second pass
   under :mod:`cProfile`, for drilling into whatever stage dominates.
 
+The plain pass also times the interpreter's cyclic garbage collector
+(through :data:`gc.callbacks`): the seconds spent inside collections and
+the number of full (generation-2) collections, printed under the stage
+table and kept as ``gc_s`` / ``gc_full`` in the mode's JSON block.  They
+are informational: collections run inside the stage rows, so no row is
+net of them, and nothing gates on them.
+
 After the cold runs, the lanewidth certificate is saved into a
 temporary store and re-verified twice with a vectorized executor, each
 time from a fresh ``CertificateStore``: the first ``store.reverify``
@@ -48,6 +55,7 @@ Usage::
 
 import argparse
 import cProfile
+import gc
 import io
 import json
 import pstats
@@ -109,6 +117,30 @@ def run_cold(mode: str, n: int, seed: int, engine_kind: str):
     return report, total_s
 
 
+@contextmanager
+def gc_timer():
+    """Time cyclic collections while the block runs.
+
+    Yields a dict whose ``gc_s`` (seconds inside collections) and
+    ``gc_full`` (generation-2 collections) fill in as the block runs.
+    """
+    totals = {"gc_s": 0.0, "gc_full": 0}
+    began = []
+
+    def callback(phase, info):
+        if phase == "start":
+            began.append(time.perf_counter())
+        elif began:
+            totals["gc_s"] += time.perf_counter() - began.pop()
+            totals["gc_full"] += info["generation"] == 2
+
+    gc.callbacks.append(callback)
+    try:
+        yield totals
+    finally:
+        gc.callbacks.remove(callback)
+
+
 def stage_rows(report, total_s: float):
     """(name, seconds) rows for the summary table, coarsest first."""
     decompose_s = report.stage_seconds("decompose")
@@ -138,7 +170,8 @@ def profile_mode(mode: str, args):
     Returns its JSON block and the plain run's report (``None`` when it
     refused).
     """
-    report, total_s = run_cold(mode, args.n, args.seed, args.engine)
+    with gc_timer() as collected:
+        report, total_s = run_cold(mode, args.n, args.seed, args.engine)
     print(f"cold path, mode={mode}, n={args.n}, engine={args.engine}")
     if report.refused:
         print(f"prover refused: {report.refusal}", file=sys.stderr)
@@ -155,6 +188,12 @@ def profile_mode(mode: str, args):
     print(
         f"unattributed: {other_share:.1%} of the total "
         f"(gate {MAX_OTHER_SHARE:.0%})"
+    )
+    gc_s = collected["gc_s"]
+    print(
+        f"cyclic gc: {gc_s:.4f} s ({gc_s / total_s if total_s else 0.0:.1%}), "
+        f"{collected['gc_full']} full collections "
+        "(inside the rows above; not gated)"
     )
 
     profiler = cProfile.Profile()
@@ -180,6 +219,8 @@ def profile_mode(mode: str, args):
         "total_s": round(total_s, 6),
         "stages": {name: round(seconds, 6) for name, seconds in rows},
         "other_share": round(other_share, 6),
+        "gc_s": round(gc_s, 6),
+        "gc_full": collected["gc_full"],
         "compiled_round_cached": bool(
             kernel_stats.get("compiled_round_cached", False)
         ),
