@@ -22,6 +22,8 @@ Two legs per n:
   fresh executor over an empty cache directory (compile + verify +
   envelope store) vs a fresh executor + fresh cache object over the
   *warmed* directory (attach + verify) — the restarted-process story.
+* ``round_kb`` — the size of the compiled-round envelope file the
+  cold leg wrote (KiB), the bytes a restart reads back.
 * ``encode_perlabel_s`` vs ``encode_bulk_s`` — the per-label
   ``encode_label`` loop (one header, no shared interning — what a
   caller without the bulk entry point pays) vs the bulk encoder
@@ -46,6 +48,7 @@ import os
 import statistics
 import tempfile
 import time
+from pathlib import Path
 
 from repro.api import (
     ArtifactCache,
@@ -101,6 +104,7 @@ def test_e14_cold_path(benchmark):
             "cold_s",
             "restart_s",
             "cold_x",
+            "round_kb",
             "enc_perlabel_s",
             "enc_bulk_s",
             "enc_x",
@@ -126,6 +130,10 @@ def test_e14_cold_path(benchmark):
             cold_report, cold_s = _timed_verify(
                 cold_engine, config, scheme, labeling
             )
+            round_kb = sum(
+                path.stat().st_size
+                for path in Path(cache_root).glob("compiled-round*")
+            ) / 1024
             # Restart leg: fresh executor + fresh cache object over the
             # warmed directory — a restarted process attaching the
             # persisted compiled round.
@@ -189,6 +197,7 @@ def test_e14_cold_path(benchmark):
                 "cold_s": round(cold_s, 6),
                 "restart_s": round(restart_s, 6),
                 "cold_speedup": round(cold_x, 2),
+                "round_kb": round(round_kb, 2),
                 "encode_perlabel_s": round(encode_perlabel_s, 6),
                 "encode_bulk_s": round(encode_bulk_s, 6),
                 "encode_speedup": round(encode_x, 2),
@@ -203,6 +212,7 @@ def test_e14_cold_path(benchmark):
                 f"{cold_s:.3f}",
                 f"{restart_s:.3f}",
                 f"{cold_x:.1f}x",
+                f"{round_kb:.1f}",
                 f"{encode_perlabel_s:.4f}",
                 f"{encode_bulk_s:.4f}",
                 f"{encode_x:.1f}x",

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Optional
 
+from repro.graphs.csr import nul_terminated
 from repro.pls.scheme import Labeling, ProverFailure
 
 from repro.api.artifacts import PLAN_CACHE_VERSION, ArtifactCache
@@ -318,9 +319,8 @@ def config_fingerprint(config) -> str:
     # stage, so label artifacts stay valid across vertex relabelings.
     digest.update(config.graph.fingerprint("edges").encode())
     digest.update(b"\x00")
-    for vertex, identifier in sorted(config.ids.items(), key=repr):
-        digest.update(repr((vertex, identifier)).encode())
-        digest.update(b"\x00")
+    # Each ``(vertex, identifier)`` pair as its repr, in repr order.
+    digest.update(nul_terminated(sorted(map(repr, config.ids.items()))))
     return digest.hexdigest()
 
 

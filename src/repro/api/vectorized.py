@@ -92,11 +92,13 @@ _REAL_TAG, _VIRTUAL_TAG = 0, 1
 #: Version of the persisted compiled-round envelope
 #: (:meth:`RoundCompiler.compile`).  Bumped whenever the kernel table
 #: layout or semantics change: a mismatched envelope is a cache *miss*
-#: (the round recompiles), never an error.
-COMPILED_ROUND_VERSION = 1
+#: (the round recompiles), never an error.  Version 2 stores each
+#: integer column at its narrowest dtype.
+COMPILED_ROUND_VERSION = 2
 
-#: ``_Tables`` columns by dtype — the envelope stores exactly these, and
-#: :meth:`KernelRound.from_state` re-coerces and bounds-checks each one.
+#: ``_Tables`` columns by dtype — the envelope stores exactly these (the
+#: integer ones at :func:`_narrowest`), and :meth:`KernelRound.from_state`
+#: kind-checks, widens and bounds-checks each one.
 _STATE_BOOL_COLS = (
     "r_root", "r_fold", "r_rmc", "r_ptok", "r_bok", "r_eok",
     "r_ptagok", "r_pok", "st_flag",
@@ -119,6 +121,21 @@ _STATE_I64_COLS = (
 _STATE_RECORD_COLS = tuple(
     c for c in _STATE_I64_COLS + _STATE_BOOL_COLS if c.startswith("r_")
 ) + ("ch_counts", "min_counts")
+
+
+#: Dtypes an envelope may store an integer column in, narrowest first.
+#: Unsigned ones stop at 32 bits, so widening to int64 is lossless.
+_NARROW_DTYPES = ("int8", "uint8", "int16", "uint16", "int32", "uint32")
+
+
+def _narrowest(col):
+    """``col`` (int64) at the narrowest dtype that holds its range."""
+    low, high = (int(col.min()), int(col.max())) if col.size else (0, 0)
+    for dtype in _NARROW_DTYPES:
+        info = np.iinfo(dtype)
+        if info.min <= low and high <= info.max:
+            return col.astype(dtype)
+    return col
 
 
 def _dtype_signature():
@@ -144,16 +161,47 @@ def _grouped_arange(counts):
     return np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
 
 
-def _boundaries(*cols):
-    """Start indices of maximal runs where every column is constant."""
-    nrows = cols[0].shape[0]
-    if nrows == 0:
-        return np.zeros(0, dtype=np.int64)
-    change = np.zeros(nrows, dtype=bool)
-    change[0] = True
+def _heads(*cols):
+    """Mask of the rows that start a maximal run where every column is
+    constant (row 0 always does)."""
+    head = np.zeros(cols[0].shape[0], dtype=bool)
+    head[:1] = True
     for col in cols:
-        change[1:] |= col[1:] != col[:-1]
-    return np.flatnonzero(change)
+        head[1:] |= col[1:] != col[:-1]
+    return head
+
+
+class _Segments:
+    """One run's segment layout: rows cut into contiguous segments.
+
+    ``head`` marks each segment's first row, row 0 included.  Each row's
+    segment id and the mask of rows that do not start a segment are
+    built once; every reduction is then one ``np.bincount`` over the
+    ids.  Built per run and never kept on a round.
+    """
+
+    def __init__(self, head):
+        self.starts = np.flatnonzero(head)
+        self.count = int(self.starts.shape[0])
+        self.ids = np.cumsum(head) - 1
+        self.inner = ~head
+
+    def tally(self, pred):
+        """Per segment, the number of rows where ``pred`` holds."""
+        return np.bincount(self.ids[pred], minlength=self.count)
+
+    def all(self, pred):
+        return self.tally(~pred) == 0
+
+    def any(self, pred):
+        return self.tally(pred) > 0
+
+    def eq(self, col):
+        """Per segment, whether ``col`` is the same on all its rows:
+        no row but the first differs from the row before it."""
+        changed = col[1:] != col[:-1]
+        changed &= self.inner[1:]
+        return np.bincount(self.ids[1:][changed], minlength=self.count) == 0
 
 
 def _indptr(counts):
@@ -647,16 +695,16 @@ class RoundCompiler:
                 elif sids:
                     vp_map[dense] = tuple(sids)
         tables = {
-            name: getattr(t, name)
-            for name in _STATE_I64_COLS + _STATE_BOOL_COLS
+            name: _narrowest(getattr(t, name)) for name in _STATE_I64_COLS
         }
+        tables.update((name, getattr(t, name)) for name in _STATE_BOOL_COLS)
         return {
             "compiled_round_version": COMPILED_ROUND_VERSION,
             "wire_version": WIRE_VERSION,
             "dtypes": _dtype_signature(),
             "n": self._n,
             "m": self._m,
-            "edge_sid": edge_sid,
+            "edge_sid": _narrowest(edge_sid),
             "tables": tables,
             "vp_map": vp_map,
             "vp_bad": vp_bad,
@@ -719,17 +767,29 @@ class KernelRound:
             state.get("n") == self._n and state.get("m") == self._m,
             "graph shape mismatch",
         )
+
+        def column(value, name, integer=True):
+            col = np.asarray(value)
+            kind, size = col.dtype.kind, col.dtype.itemsize
+            if integer:
+                # Widening is lossless only from these; a float, bool
+                # or wider unsigned column would be truncated or cast.
+                check(
+                    kind == "i" or (kind == "u" and size <= 4),
+                    f"column {name} is not an integer column",
+                )
+            else:
+                check(kind == "b", f"column {name} is not a flag column")
+            check(col.ndim == 1, f"column {name} is not flat")
+            return col.astype(np.int64 if integer else bool, copy=False)
+
         tables = state.get("tables")
         check(isinstance(tables, dict), "missing kernel tables")
         t = _Tables()
         for name in _STATE_I64_COLS:
-            col = np.asarray(tables[name], dtype=np.int64)
-            check(col.ndim == 1, f"column {name} is not flat")
-            setattr(t, name, col)
+            setattr(t, name, column(tables[name], name))
         for name in _STATE_BOOL_COLS:
-            col = np.asarray(tables[name], dtype=bool)
-            check(col.ndim == 1, f"column {name} is not flat")
-            setattr(t, name, col)
+            setattr(t, name, column(tables[name], name, integer=False))
         nrecords = int(t.r_type.shape[0])
         for name in _STATE_RECORD_COLS:
             check(
@@ -783,7 +843,7 @@ class KernelRound:
                 "searchsorted table is unsorted",
             )
         check(t.me_code.shape[0] == self._n, "me_code length mismatch")
-        edge_sid = np.asarray(state.get("edge_sid"), dtype=np.int64)
+        edge_sid = column(state.get("edge_sid"), "edge_sid")
         check(
             edge_sid.shape == (self._m,), "edge stack column misaligned"
         )
@@ -849,17 +909,6 @@ class KernelRound:
         }
         return accept, stats
 
-    def _seg_all(self, pred, starts):
-        return np.minimum.reduceat(pred.astype(np.int8), starts) > 0
-
-    def _seg_any(self, pred, starts):
-        return np.maximum.reduceat(pred.astype(np.int8), starts) > 0
-
-    def _seg_eq(self, col, starts):
-        return np.minimum.reduceat(col, starts) == np.maximum.reduceat(
-            col, starts
-        )
-
     def _kernels(self, req, vports, flagged_py):
         t = self._t
         flag = np.zeros(self._n, dtype=bool)
@@ -899,57 +948,37 @@ class KernelRound:
         lens = t.st_len[port_sid]
         if int(lens.sum()) == 0:
             return ~flag[req]
-        row_port = np.repeat(
-            np.arange(port_sid.shape[0], dtype=np.int64), lens
+        seg, seg_depth, row_vertex, row_tag, row_rec, row_next = self._rows(
+            port_vertex, port_sid, port_tag, lens
         )
-        row_vertex = port_vertex[row_port]
-        row_tag = port_tag[row_port]
-        row_depth = _grouped_arange(lens)
-        flat = np.repeat(t.st_indptr[port_sid], lens) + row_depth
-        row_rec = t.st_rec[flat]
-        row_path = t.st_path[flat]
-        row_next = t.st_next[flat]
-        ordering = np.lexsort((row_next, row_path, row_vertex))
-        row_vertex = row_vertex[ordering]
-        row_tag = row_tag[ordering]
-        row_depth = row_depth[ordering]
-        row_rec = row_rec[ordering]
-        row_path = row_path[ordering]
-        row_next = row_next[ordering]
         row_me = self._ids_np[row_vertex]
-
-        starts = _boundaries(row_vertex, row_path)
-        subs = _boundaries(row_vertex, row_path, row_next)
-        nrows = row_vertex.shape[0]
-        nsegs = starts.shape[0]
-        sizes = np.diff(np.append(starts, nrows))
+        starts = seg.starts
+        sizes = np.diff(np.append(starts, row_vertex.shape[0]))
         seg_v = row_vertex[starts]
         seg_me = row_me[starts]
-        seg_depth = row_depth[starts]
         first_rec = row_rec[starts]
 
-        rt = t.r_type[row_rec]
-        tmin = np.minimum.reduceat(rt, starts)
-        tmax = np.maximum.reduceat(rt, starts)
-        pure = tmin == tmax
+        # A segment of one record type has its first row's type.
+        seg_type = t.r_type[first_rec]
+        pure = seg.eq(t.r_type[row_rec])
         flag[seg_v[~pure]] = True
-        is_t = pure & (tmin == _T)
-        is_b = pure & (tmin == _B)
-        is_e = pure & (tmin == _E)
-        is_p = pure & (tmin == _P)
+        is_t = pure & (seg_type == _T)
+        is_b = pure & (seg_type == _B)
+        is_e = pure & (seg_type == _E)
+        is_p = pure & (seg_type == _P)
 
         # Root checks: the depth-0 segment must be all-T (single root
         # info via the equality check below) with an accepting class.
         d0 = seg_depth == 0
-        root_all = self._seg_all(t.r_root[row_rec], starts)
+        root_all = seg.all(t.r_root[row_rec])
         flag[seg_v[d0 & ~(is_t & root_all)]] = True
 
-        info_eq = self._seg_eq(t.r_info[row_rec], starts)
+        info_eq = seg.eq(t.r_info[row_rec])
 
         if is_t.any():
             self._t_kernels(
-                t, flag, row_vertex, row_me, row_rec, starts, subs,
-                seg_v, seg_me, first_rec, info_eq, is_t, nsegs,
+                t, flag, seg, row_vertex, row_me, row_rec, row_next,
+                seg_v, seg_me, first_rec, info_eq, is_t,
             )
         if is_b.any():
             rmask = t.r_btag[row_rec]
@@ -957,18 +986,15 @@ class KernelRound:
             ism1 = side == -1
             ok = (
                 info_eq
-                & self._seg_eq(t.r_bleft[row_rec], starts)
-                & self._seg_eq(t.r_bright[row_rec], starts)
-                & self._seg_eq(t.r_bbr[row_rec], starts)
-                & self._seg_eq(rmask, starts)
-                & self._seg_all(t.r_bok[row_rec], starts)
-                & ~(
-                    self._seg_any(side == 0, starts)
-                    & self._seg_any(side == 1, starts)
-                )
-                & self._seg_all(~ism1 | (row_tag == rmask), starts)
+                & seg.eq(t.r_bleft[row_rec])
+                & seg.eq(t.r_bright[row_rec])
+                & seg.eq(t.r_bbr[row_rec])
+                & seg.eq(rmask)
+                & seg.all(t.r_bok[row_rec])
+                & ~(seg.any(side == 0) & seg.any(side == 1))
+                & seg.all(~ism1 | (row_tag == rmask))
             )
-            cnt_m1 = np.add.reduceat(ism1.astype(np.int64), starts)
+            cnt_m1 = seg.tally(ism1)
             has_m1 = cnt_m1 > 0
             at_ep = (seg_me == t.r_ep1[first_rec]) | (
                 seg_me == t.r_ep2[first_rec]
@@ -989,16 +1015,16 @@ class KernelRound:
         if is_p.any():
             ok = (
                 info_eq
-                & self._seg_eq(t.r_pvids[row_rec], starts)
-                & self._seg_eq(t.r_ptags[row_rec], starts)
-                & self._seg_all(t.r_pok[row_rec], starts)
-                & self._seg_all(t.r_ptagok[row_rec], starts)
-                & self._seg_all(row_tag == t.r_ptagc[row_rec], starts)
+                & seg.eq(t.r_pvids[row_rec])
+                & seg.eq(t.r_ptags[row_rec])
+                & seg.all(t.r_pok[row_rec])
+                & seg.all(t.r_ptagok[row_rec])
+                & seg.all(row_tag == t.r_ptagc[row_rec])
             )
             code = t.me_code[seg_v]
             query = first_rec * _SEG_SHIFT + np.where(code >= 0, code, 0)
-            found = np.zeros(nsegs, dtype=bool)
-            tpos = np.zeros(nsegs, dtype=np.int64)
+            found = np.zeros(seg.count, dtype=bool)
+            tpos = np.zeros(seg.count, dtype=np.int64)
             if t.pid_keys.size:
                 lookup = np.searchsorted(t.pid_keys, query)
                 lookup_c = np.minimum(lookup, t.pid_keys.size - 1)
@@ -1008,8 +1034,13 @@ class KernelRound:
             e_low = tpos > 0
             e_high = tpos < plen - 1
             e_cnt = e_low.astype(np.int64) + e_high.astype(np.int64)
-            pmin = np.minimum.reduceat(t.r_ppos[row_rec], starts)
-            pmax = np.maximum.reduceat(t.r_ppos[row_rec], starts)
+            # Only segments of one or two rows can pass (``sizes ==
+            # e_cnt``), and over those the first and last row's
+            # positions give the minimum and maximum.
+            ppos = t.r_ppos[row_rec]
+            first_pos, last_pos = ppos[starts], ppos[starts + sizes - 1]
+            pmin = np.minimum(first_pos, last_pos)
+            pmax = np.maximum(first_pos, last_pos)
             single = np.where(e_low, tpos - 1, tpos)
             pos_ok = (sizes == e_cnt) & np.where(
                 e_cnt == 2,
@@ -1019,11 +1050,40 @@ class KernelRound:
             flag[seg_v[is_p & ~(ok & found & pos_ok)]] = True
         return ~flag[req]
 
-    def _t_kernels(
-        self, t, flag, row_vertex, row_me, row_rec, starts, subs,
-        seg_v, seg_me, first_rec, info_eq, is_t, nsegs,
-    ):
-        """All T-segment checks: pointers, folds, member rules."""
+    def _rows(self, port_vertex, port_sid, port_tag, lens):
+        """Expand the ports into one row per stack level (``lens`` per
+        port), sorted by ``(vertex, path, next path)``, and cut them into
+        the reference's groups: the rows of one vertex and one path.
+
+        Returns ``(seg, seg_depth, vertex, tag, rec, next)``: the
+        segment layout, each segment's stack depth, and the row columns
+        the checks read.  The expansion's other columns die here.
+        """
+        t = self._t
+        row_port = np.repeat(
+            np.arange(port_sid.shape[0], dtype=np.int64), lens
+        )
+        row_depth = _grouped_arange(lens)
+        flat = np.repeat(t.st_indptr[port_sid], lens) + row_depth
+        row_vertex = port_vertex[row_port]
+        row_path = t.st_path[flat]
+        row_next = t.st_next[flat]
+        ordering = np.lexsort((row_next, row_path, row_vertex))
+        row_vertex = row_vertex[ordering]
+        seg = _Segments(_heads(row_vertex, row_path[ordering]))
+        return (
+            seg,
+            row_depth[ordering[seg.starts]],
+            row_vertex,
+            port_tag[row_port[ordering]],
+            t.st_rec[flat[ordering]],
+            row_next[ordering],
+        )
+
+    def _t_level_ok(self, t, seg, row_me, row_rec, seg_me):
+        """Per segment, the checks on a T level's own records: the
+        pointer round (Prop. 2.2), the root member and the fold."""
+        starts = seg.starts
         ida = t.r_pida[row_rec]
         idb = t.r_pidb[row_rec]
         own = np.where(
@@ -1040,37 +1100,47 @@ class KernelRound:
         own_first = own[starts]
         is_target = seg_me == tgt[starts]
         ptr_ok = (
-            self._seg_all(t.r_ptok[row_rec], starts)
-            & self._seg_eq(tgt, starts)
-            & self._seg_all(own != _MISS, starts)
-            & self._seg_eq(own, starts)
+            seg.all(t.r_ptok[row_rec])
+            & seg.eq(tgt)
+            & seg.all(own != _MISS)
+            & seg.eq(own)
             & np.where(
                 is_target,
                 own_first == 0,
-                (own_first != 0)
-                & self._seg_any(other == own - 1, starts),
+                (own_first != 0) & seg.any(other == own - 1),
             )
         )
-        ok = (
-            info_eq
-            & self._seg_eq(t.r_rmid[row_rec], starts)
-            & self._seg_all(t.r_fold[row_rec], starts)
-            & self._seg_all(t.r_rmc[row_rec], starts)
+        return (
+            seg.eq(t.r_rmid[row_rec])
+            & seg.all(t.r_fold[row_rec])
+            & seg.all(t.r_rmc[row_rec])
             & ptr_ok
         )
+
+    def _t_kernels(
+        self, t, flag, seg, row_vertex, row_me, row_rec, row_next,
+        seg_v, seg_me, first_rec, info_eq, is_t,
+    ):
+        """All T-segment checks: pointers, folds, member rules."""
+        ok = info_eq & self._t_level_ok(t, seg, row_me, row_rec, seg_me)
         flag[seg_v[is_t & ~ok]] = True
 
-        # Member sub-segments (the reference's member_groups).
-        seg_of_sub = np.searchsorted(starts, subs, side="right") - 1
+        # Member sub-segments (the reference's member_groups): each
+        # segment cut again where the next path id changes.
+        head = ~seg.inner
+        head[1:] |= row_next[1:] != row_next[:-1]
+        sub = _Segments(head)
+        subs = sub.starts
+        seg_of_sub = seg.ids[subs]
         member_mask = is_t[seg_of_sub]
         m_first = subs[member_mask]
         if m_first.size == 0:
             return
         m_seg = seg_of_sub[member_mask]
         sub_ok = (
-            self._seg_eq(t.r_minfo[row_rec], subs)
-            & self._seg_eq(t.r_msub[row_rec], subs)
-            & self._seg_eq(t.r_cs[row_rec], subs)
+            sub.eq(t.r_minfo[row_rec])
+            & sub.eq(t.r_msub[row_rec])
+            & sub.eq(t.r_cs[row_rec])
         )[member_mask]
         m_v = row_vertex[m_first]
         flag[m_v[~sub_ok]] = True
@@ -1166,7 +1236,7 @@ class KernelRound:
                 > 0
             )
         non_anchored = np.bincount(
-            m_seg, weights=~anchored_any, minlength=nsegs
+            m_seg, weights=~anchored_any, minlength=seg.count
         )
         flag[seg_v[is_t & (non_anchored > 1)]] = True
 

@@ -43,7 +43,9 @@ never more than the accounted ``id_bits``.  Decoding restores the exact
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional
 
 from repro.core.certificates import (
@@ -77,6 +79,10 @@ WIRE_VERSION = 1
 _KIND_CODES = {"V": 0, "E": 1, "P": 2, "B": 3, "T": 4}
 _KIND_NAMES = {code: kind for kind, code in _KIND_CODES.items()}
 _KIND_BITS = 3
+
+#: Byte lengths of a label's key repr, bytes and bit-length digits, the
+#: frame :func:`labeling_digest` puts before each label's fields.
+_FIELD_LENGTHS = struct.Struct(">QQQ")
 
 
 class CodecError(ValueError):
@@ -818,13 +824,17 @@ def labeling_digest(encoded: EncodedLabeling) -> str:
 
     Covers the canonical header fields and every label's key, bytes,
     and exact bit length (keys sorted by ``repr`` so dict order never
-    matters).  This is the content link in the compiled-round envelope
-    key (:mod:`repro.api.vectorized`): an attached round's kernels
-    accept without re-deriving anything from the certificates, so the
-    digest that vouches "same certificates" must be
-    collision-resistant — hence blake2b, not a structural fingerprint.
-    A :class:`~repro.api.store.StoredLabels` mapping computes it once,
-    when it is built, over its own copy of the wire form.
+    matters).  Each label's three fields are framed by their byte
+    lengths, so two different labelings never feed the hash the same
+    stream (moving a digit of the bit length onto the end of the bytes
+    changes the lengths).  This is the content link in the
+    compiled-round envelope key (:mod:`repro.api.vectorized`): an
+    attached round's kernels accept without re-deriving anything from
+    the certificates, so the digest that vouches "same certificates"
+    must be collision-resistant — hence blake2b, not a structural
+    fingerprint.  A :class:`~repro.api.store.StoredLabels` mapping
+    computes it once, when it is built, over its own copy of the wire
+    form.
     """
     h = encoded.header
     digest = hashlib.blake2b(digest_size=16)
@@ -849,10 +859,15 @@ def labeling_digest(encoded: EncodedLabeling) -> str:
         ).encode()
     )
     digest.update(repr(encoded.location).encode())
-    for key in sorted(encoded.labels, key=repr):
-        entry = encoded.labels[key]
-        digest.update(repr(key).encode())
-        digest.update(entry.data)
-        digest.update(str(entry.bit_length).encode())
+    labels = encoded.labels
+    # One small buffer per label, never one for the whole labeling,
+    # which would hold a second copy of every label's bytes.
+    for text, entry in sorted(
+        zip(map(repr, labels), labels.values()), key=itemgetter(0)
+    ):
+        key, data = text.encode(), entry.data
+        bits = str(entry.bit_length).encode()
+        frame = _FIELD_LENGTHS.pack(len(key), len(data), len(bits))
+        digest.update(b"".join((frame, key, data, bits)))
     return digest.hexdigest()
 

@@ -211,6 +211,9 @@ class CertificateBuilder:
         # table interns each once.
         self._node_infos: dict = {}
         self._subtree_infos: dict = {}
+        # T node_id -> the edge keys of the node's subgraph, while
+        # :meth:`record_table` runs.
+        self._edge_keys: dict = {}
         #: The table :meth:`record_table` writes.
         self.table = None
 
@@ -271,6 +274,7 @@ class CertificateBuilder:
         table = self.table = RecordTable([])
         stacks: dict = {}  # edge key of G' -> stack id
         self._write(self.root, (), stacks)
+        self._edge_keys = {}
         ids = self.ids
         embedded: dict = {}
         for key, path in embedding.paths.items():
@@ -394,7 +398,7 @@ class CertificateBuilder:
         subgraph is connected (Section 5.3), and its edges come as
         distinct canonical keys.
         """
-        edges = [key for key, _tag in t_node.all_edges()]
+        edges = self._subgraph_edges(t_node)
         adjacency: dict = {}
         for u, v in edges:
             adjacency.setdefault(u, []).append(v)
@@ -427,6 +431,21 @@ class CertificateBuilder:
             )
             for u, v in edges
         }
+
+    def _subgraph_edges(self, node: HierarchyNode) -> list:
+        """The edge keys of ``node``'s subgraph, in ``all_edges`` order.
+
+        A T node's list is kept for the rest of :meth:`record_table`, so
+        each subtree is walked once: the T nodes below it reuse theirs.
+        """
+        keys = self._edge_keys.get(node.node_id)
+        if keys is None:
+            keys = [key for key, _tag in node.owned_edges()]
+            for child in node.children:
+                keys += self._subgraph_edges(child)
+            if node.kind == "T":
+                self._edge_keys[node.node_id] = keys
+        return keys
 
 
 def _owns_edges(node: HierarchyNode) -> bool:

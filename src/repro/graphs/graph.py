@@ -74,6 +74,7 @@ class Graph:
         "_csr",
         "_labels_version",
         "_fp_cache",
+        "_label_bytes",
     )
 
     def __init__(
@@ -88,6 +89,7 @@ class Graph:
         self._csr: Optional[CSRAdjacency] = None
         self._labels_version: int = 0
         self._fp_cache: dict = {}
+        self._label_bytes: Optional[tuple] = None
         if vertices is not None:
             for v in vertices:
                 self.add_vertex(v)
@@ -127,6 +129,7 @@ class Graph:
         self._m = sum(len(nbrs) for nbrs in self._adj.values()) // 2
         self._csr = None
         self._fp_cache = {}
+        self._label_bytes = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -554,9 +557,12 @@ class Graph:
         (:meth:`CSRAdjacency.fingerprint_base`) and the final string is
         memoized per ``(snapshot, labels_version)``, so repeated calls —
         session normalization, artifact-cache keys, store lookups — cost
-        a dict probe instead of an O(n + m) rehash.  Structural mutation
-        replaces the snapshot and label mutation bumps the version, so a
-        stale value can never be returned.
+        a dict probe instead of an O(n + m) rehash.  The sorted label
+        bytes are built once per ``labels_version`` and shared by every
+        mode, so ``fingerprint()`` then ``fingerprint("edges")`` sorts
+        and encodes the edge labels once.  Structural mutation replaces
+        the snapshot and label mutation bumps the version, so a stale
+        value can never be returned.
         """
         csr = self.csr
         cached = self._fp_cache.get(include_labels)
@@ -568,17 +574,27 @@ class Graph:
             return cached[2]
         digest = csr.fingerprint_base().copy()
         if include_labels:
-            # Each ``(name, label)`` pair as its repr, in repr order.
+            vertex_bytes, edge_bytes = self._sorted_label_bytes()
             if include_labels != "edges":
                 digest.update(b"\x02")
-                pairs = map(repr, self._vertex_labels.items())
-                digest.update(nul_terminated(sorted(pairs)))
+                digest.update(vertex_bytes)
             digest.update(b"\x03")
-            pairs = map(repr, self._edge_labels.items())
-            digest.update(nul_terminated(sorted(pairs)))
+            digest.update(edge_bytes)
         value = digest.hexdigest()
         self._fp_cache[include_labels] = (csr, self._labels_version, value)
         return value
+
+    def _sorted_label_bytes(self) -> tuple:
+        """The vertex and edge labels' hash input: each ``(name, label)``
+        pair as its repr, in repr order (memoized per labels version)."""
+        cached = self._label_bytes
+        if cached is None or cached[0] != self._labels_version:
+            cached = self._label_bytes = (
+                self._labels_version,
+                nul_terminated(sorted(map(repr, self._vertex_labels.items()))),
+                nul_terminated(sorted(map(repr, self._edge_labels.items()))),
+            )
+        return cached[1:]
 
     def same_graph(self, other: "Graph") -> bool:
         """Return whether self and other have identical vertices and edges.

@@ -7,6 +7,7 @@ produce, and the *measured* encoded size never exceeding the arithmetic
 """
 
 import dataclasses
+import hashlib
 import pickle
 import random
 import subprocess
@@ -34,6 +35,7 @@ from repro.codec import (
 )
 from repro.core import LanewidthScheme, Theorem1Scheme
 from repro.core.certificates import EdgeCertificate, label_bits
+from repro.courcelle.algebra import canonical_state_repr
 from repro.experiments import lanewidth_workload, pathwidth_workload
 from repro.pls.adversary import corrupt_one_label
 from repro.pls.model import Configuration
@@ -489,26 +491,74 @@ class TestTableHeader:
 # every label's bytes, and were fixed once; both encoders must keep
 # reproducing them.
 # ----------------------------------------------------------------------
+def _v1_pin(encoded):
+    """The blake2b digest the golden v1 values were fixed over.
+
+    Its stream is the first ``labeling_digest``'s, kept verbatim: each
+    label's key repr, bytes and bit length with no framing between
+    them.  ``labeling_digest`` length-prefixes those fields; this pin
+    keeps the wire bytes tied to the values fixed with wire v1, where no
+    collision can matter.
+    """
+    h = encoded.header
+    digest = hashlib.blake2b(digest_size=16)
+    digest.update(
+        repr(
+            (
+                h.version,
+                h.n,
+                h.universe_bits,
+                h.class_count,
+                tuple(h.id_table),
+                tuple(canonical_state_repr(s) for s in h.states),
+                tuple(repr(t) for t in h.tags),
+                h.lane_bits,
+                h.node_width,
+                h.counter_width,
+                h.depth_width,
+                h.embed_width,
+                h.path_width,
+                h.child_width,
+            )
+        ).encode()
+    )
+    digest.update(repr(encoded.location).encode())
+    for key in sorted(encoded.labels, key=repr):
+        entry = encoded.labels[key]
+        digest.update(repr(key).encode())
+        digest.update(entry.data)
+        digest.update(str(entry.bit_length).encode())
+    return digest.hexdigest()
+
+
 class TestWireV1Golden:
     """Every prove path pins the same bytes: ``certify``, the scheme's
-    own ``prove`` on the same configuration, and ``report.scheme.prove``."""
+    own ``prove`` on the same configuration, and ``report.scheme.prove``.
+
+    Each mode pins two values: the v1 stream (:func:`_v1_pin`), fixed
+    when wire v1 was, and the framed ``labeling_digest`` that keys
+    compiled rounds."""
 
     @staticmethod
-    def _assert_digest(labeling, expected):
+    def _assert_digest(labeling, pin, digest):
         # The label stage's own wire form (what the store persists),
         # then both encoders over the label objects.
-        assert labeling_digest(labeling.mapping.encoded()) == expected
-        assert labeling_digest(encode_labeling_columnar(labeling)) == expected
-        assert labeling_digest(encode_labeling(labeling)) == expected
+        for encoded in (
+            labeling.mapping.encoded(),
+            encode_labeling_columnar(labeling),
+            encode_labeling(labeling),
+        ):
+            assert _v1_pin(encoded) == pin
+            assert labeling_digest(encoded) == digest
 
-    def _assert_every_path(self, report, scheme, graph, expected):
+    def _assert_every_path(self, report, scheme, graph, pin, digest):
         config = Configuration.with_random_ids(graph, random.Random(6))
         for labeling in (
             report.labeling,
             scheme.prove(config),
             report.scheme.prove(report.config),
         ):
-            self._assert_digest(labeling, expected)
+            self._assert_digest(labeling, pin, digest)
 
     def test_lanewidth_mode_digest(self):
         sequence, graph = lanewidth_workload(3, 64, 5)
@@ -520,6 +570,7 @@ class TestWireV1Golden:
             LanewidthScheme("connected", sequence),
             graph,
             "0e039c77789e7b3ecacf8c64e1f1c342",
+            "9663706db07708c250509024f2460334",
         )
 
     def test_pathwidth_mode_digest(self):
@@ -538,4 +589,5 @@ class TestWireV1Golden:
             graph,
             # Greedy (Obs. 4.3) lanes: the labeling changed, the format not.
             "e1f17f89ab2139ae493ae755f5d13137",
+            "3afb1a64eed4ddb2f33c2813691a1528",
         )

@@ -459,6 +459,46 @@ class TestCraftedEnvelopes:
         assert report.accepted
 
 
+class TestDigestFraming:
+    """The labeling digest frames each label's fields.  Moving the
+    first digit of a label's bit length onto the end of its bytes keeps
+    an unframed stream, which would let the tampered entry attach the
+    honest compiled round and be accepted; framed, its digest differs,
+    the round compiles, and the payload that does not decode is a
+    counted miss."""
+
+    @staticmethod
+    def _shift_digit(manifest):
+        labels = manifest["labels"]
+        key = next(
+            key
+            for key in sorted(labels, key=repr)
+            if len(str(labels[key][1])) > 1 and str(labels[key][1])[1] != "0"
+        )
+        data, bits = labels[key]
+        digits = str(bits)
+        labels[key] = (data + digits[:1].encode(), int(digits[1:]))
+
+    @pytest.mark.parametrize("kind", ["serial", "vectorized"])
+    def test_shifted_bit_length_digit_is_a_counted_store_error(
+        self, tmp_path, kind
+    ):
+        fingerprint = _certified_vectorized(CertificateStore(tmp_path))
+        store = CertificateStore(tmp_path)
+        _rewrite_manifest(
+            store.path_for(fingerprint, "connected"), self._shift_digit
+        )
+        if kind == "vectorized":
+            executor = make_executor(kind, artifacts=store.artifact_cache())
+        else:
+            executor = make_executor(kind)
+        with pytest.raises(StoreError, match="corrupted certificate payload"):
+            store.reverify(
+                fingerprint, "connected", engine=VerificationEngine(executor)
+            )
+        assert store.metrics.snapshot()["misses"] == 1
+
+
 class TestDeferredDecode:
     """When a stored labeling is decoded: only when a round reads it."""
 

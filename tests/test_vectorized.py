@@ -60,6 +60,7 @@ from repro.experiments import (
 )
 from repro.graphs.generators import cycle_graph
 from repro.pls import HAVE_NUMPY
+from repro.pls.arrays import NONE_ID
 from repro.pls.adversary import (
     corrupt_one_label,
     drop_one_label,
@@ -69,6 +70,11 @@ from repro.pls.bits import SizeContext
 from repro.pls.model import Configuration
 from repro.pls.scheme import Labeling, ProofLabelingScheme
 from repro.service.service import CertificationService, ServiceConfig
+
+try:
+    import numpy as np
+except ImportError:  # pragma: no cover - the kernel tests skip
+    np = None
 
 needs_numpy = pytest.mark.skipif(
     not HAVE_NUMPY, reason="numpy unavailable: kernel path cannot run"
@@ -159,6 +165,83 @@ class TestExecutorRegistry:
         register_executor("custom-test", Custom)
         assert "custom-test" in executor_names()
         assert isinstance(make_executor("custom-test"), Custom)
+
+
+_EDGE_VALUES = (NONE_ID, 2**60, -(2**60), 2**60 - 1, -(2**60) + 1)
+
+
+@st.composite
+def _segmented_columns(draw):
+    """Random int64 and bool columns and strictly increasing segment
+    starts from 0: random cuts, one row per segment, or one segment."""
+    nrows = draw(st.integers(min_value=1, max_value=60))
+    ints = draw(
+        st.lists(
+            st.one_of(
+                st.integers(min_value=-3, max_value=3),
+                st.sampled_from(_EDGE_VALUES),
+            ),
+            min_size=nrows,
+            max_size=nrows,
+        )
+    )
+    flags = draw(st.lists(st.booleans(), min_size=nrows, max_size=nrows))
+    layout = draw(st.sampled_from(["random", "rows", "whole"]))
+    if layout == "rows":
+        starts = list(range(nrows))
+    elif layout == "whole":
+        starts = [0]
+    else:
+        cuts = draw(st.sets(st.integers(min_value=0, max_value=nrows - 1)))
+        starts = sorted(cuts | {0})
+    return (
+        np.array(ints, np.int64),
+        np.array(flags, bool),
+        np.array(starts, np.int64),
+    )
+
+
+@needs_numpy
+class TestSegmentReductions:
+    """The kernels' per-run segment layout (``_heads`` and
+    ``_Segments``) against ``reduceat`` over the same starts."""
+
+    @given(_segmented_columns())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reduceat(self, case):
+        from repro.api.vectorized import _Segments, _heads
+
+        ints, flags, starts = case
+        head = np.zeros(ints.shape[0], bool)
+        head[starts] = True
+        seg = _Segments(head)
+        assert seg.starts.tolist() == starts.tolist()
+        assert seg.count == starts.shape[0]
+        assert np.array_equal(
+            seg.eq(ints),
+            np.minimum.reduceat(ints, starts)
+            == np.maximum.reduceat(ints, starts),
+        )
+        assert np.array_equal(
+            seg.eq(flags),
+            np.minimum.reduceat(flags.astype(np.int8), starts)
+            == np.maximum.reduceat(flags.astype(np.int8), starts),
+        )
+        assert np.array_equal(
+            seg.all(flags),
+            np.minimum.reduceat(flags.astype(np.int8), starts) > 0,
+        )
+        assert np.array_equal(
+            seg.any(flags),
+            np.maximum.reduceat(flags.astype(np.int8), starts) > 0,
+        )
+        assert np.array_equal(
+            seg.tally(flags), np.add.reduceat(flags.astype(np.int64), starts)
+        )
+        # Runs of equal values start exactly where ``_heads`` says.
+        runs = _Segments(_heads(ints))
+        assert runs.eq(ints).all()
+        assert not (ints[runs.starts[1:]] == ints[runs.starts[1:] - 1]).any()
 
 
 @needs_numpy
@@ -638,6 +721,39 @@ class TestCompiledRoundPersistence:
 
     def test_gutted_state_envelope_recompiles(self, tmp_path):
         self._tampered_run(tmp_path, lambda state: state.clear())
+
+    @pytest.mark.parametrize(
+        "name, dtype",
+        [
+            ("r_info", "float64"),  # widening would truncate 1.7 to 1
+            ("r_info", "uint64"),  # not lossless in int64
+            ("r_info", "bool"),
+            ("r_root", "int8"),  # an int column is not a flag column
+            ("edge_sid", "float64"),
+        ],
+    )
+    def test_wrong_kind_column_envelope_recompiles(
+        self, tmp_path, name, dtype
+    ):
+        def recast(state):
+            owner = state if name == "edge_sid" else state["tables"]
+            owner[name] = owner[name].astype(dtype)
+
+        self._tampered_run(tmp_path, recast)
+
+    def test_envelope_columns_at_narrowest_dtype(self, tmp_path):
+        from repro.api.vectorized import _STATE_I64_COLS, _narrowest
+
+        config, scheme, labeling = self._stamped_case(9)
+        VerificationEngine(
+            VectorizedExecutor(artifacts=ArtifactCache(root=tmp_path))
+        ).verify(config, scheme, labeling)
+        [(_path, manifest)] = self._envelopes(tmp_path)
+        state = manifest["outputs"]["state"]
+        columns = [state["tables"][name] for name in _STATE_I64_COLS]
+        for col in columns + [state["edge_sid"]]:
+            assert col.dtype == _narrowest(col.astype(np.int64)).dtype
+        assert min(col.dtype.itemsize for col in columns) == 1
 
     # -- fresh interpreter (PR 10 satellite) ---------------------------
     def test_persisted_round_survives_fresh_interpreter(self, tmp_path):

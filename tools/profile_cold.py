@@ -28,7 +28,8 @@ After the cold runs, the lanewidth certificate is saved into a
 temporary store and re-verified twice with a vectorized executor, each
 time from a fresh ``CertificateStore``: the first ``store.reverify``
 compiles the round and persists it, the second attaches it.  These run
-without cProfile; each leg prints rows for load, decode, artifact get,
+without cProfile; each leg prints rows for load, decode, hash (graph
+fingerprint, configuration key and labeling digest), artifact get,
 compile/attach, kernel and fallback views (self times), plus the
 number of labelings decoded, ``compiled_round_cached`` and the round's
 ``compile_seconds``.
@@ -64,6 +65,7 @@ import tempfile
 import time
 from contextlib import contextmanager
 
+import repro.api.plan as plan_module
 import repro.api.store as store_module
 import repro.api.vectorized as vectorized_module
 from repro.api import (
@@ -74,6 +76,7 @@ from repro.api import (
     make_executor,
 )
 from repro.experiments import lanewidth_workload, pathwidth_workload, seed_stream
+from repro.graphs import Graph
 
 #: Pipeline stages folded into the "prove" row of the summary table —
 #: everything between the decomposition and the wire encode.
@@ -91,10 +94,16 @@ MAX_OTHER_SHARE = 0.05
 
 #: Reverify layers timed by wrapping the callable that runs them:
 #: (row, owner, attribute).  Compile and kernel time come from the
-#: round's own ``kernel_stats``.
+#: round's own ``kernel_stats``.  The ``hash`` row is every identity
+#: hash a reverify computes: the graph fingerprint the load checks, the
+#: configuration key and the labeling digest the compiled round is
+#: keyed on.
 REVERIFY_LAYERS = (
     ("load", CertificateStore, "load"),
     ("decode", store_module, "decode_labeling_columnar"),
+    ("hash", Graph, "fingerprint"),
+    ("hash", plan_module, "config_fingerprint"),
+    ("hash", store_module, "labeling_digest"),
     ("artifact get", ArtifactCache, "get"),
     ("attach", vectorized_module, "_attach_compiled_round"),
     ("fallback views", vectorized_module, "_run_views"),
@@ -270,6 +279,7 @@ def reverify_leg(root, fingerprint: str) -> dict:
     rows = [
         ("load", seconds["load"]),
         ("decode", seconds["decode"]),
+        ("hash", seconds["hash"]),
         ("artifact get", seconds["artifact get"]),
         ("compile/attach", stats.get("compile_seconds", 0.0) + seconds["attach"]),
         ("kernel", stats.get("kernel_seconds", 0.0)),
