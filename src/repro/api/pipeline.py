@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import Callable, Optional
 
-from repro.codec import WIRE_VERSION, encode_table
+from repro.codec import WIRE_VERSION, CodecError, encode_table
 from repro.core.certificates import CertificateBuilder
 from repro.core.completion import build_completion
 from repro.core.construction import build_hierarchy
@@ -540,10 +540,16 @@ class LabelStage(Stage):
     def run(self, ctx: PipelineContext) -> None:
         indexer = ClassIndexer()
         builder = CertificateBuilder(ctx.config, ctx.root, ctx.evaluation, indexer)
-        table = builder.record_table(ctx.embedding)
-        size_ctx = SizeContext(ctx.config.n, class_count=indexer.class_count)
-        began = perf_counter()
-        encoded = encode_table(table, table.header(size_ctx))
+        try:
+            table = builder.record_table(ctx.embedding)
+            size_ctx = SizeContext(ctx.config.n, class_count=indexer.class_count)
+            began = perf_counter()
+            encoded = encode_table(table, table.header(size_ctx))
+        except CodecError as exc:
+            # A value the wire format cannot carry (an identifier past
+            # its range, say) is a capacity limit of the prover, not a
+            # false property: refuse with the codec's explanation.
+            raise ProverFailure(str(exc), "unsupported") from exc
         ctx.encode_seconds = perf_counter() - began
         sizes = table.accounted_bits(size_ctx)
         total = sum(sizes)

@@ -5,7 +5,8 @@ each record is a few fixed-width integer fields (``docs/FORMAT.md`` fixes
 every width per header).  :class:`RecordTable` holds a labeling in that
 shape:
 
-* each ``BasicInfo`` is interned by content;
+* each ``BasicInfo`` is one row: the prover writes one per hierarchy
+  node and member subtree, and a walk interns them by content;
 * records, child-subtree tuples, P-node lists and stacks are keyed by
   tuples of integer ids interned before them;
 * identifiers, homomorphism-class states and edge tags go into
@@ -96,8 +97,8 @@ class RecordTable:
     (:meth:`CertificateBuilder.record_table
     <repro.core.certificates.CertificateBuilder.record_table>`) starts
     from ``RecordTable([])``, writes rows with the ``add_*`` methods and
-    the field rules (:meth:`info_id`, :meth:`code`, :meth:`tag_code`,
-    :meth:`field`), and ends with :meth:`close`.  ``RecordTable(keys,
+    the field rules (:meth:`code`, :meth:`tag_code`, :meth:`field`), and
+    ends with :meth:`close`.  ``RecordTable(keys,
     labels)`` walks label objects instead (``labels`` aligned with
     ``keys``; ``None`` stands for a missing label), in ``repr`` order of
     the keys: that is how a mapping the library did not build, such as a
@@ -127,9 +128,11 @@ class RecordTable:
       ``embedded``, ``None`` when malformed), where an embedded row is
       ``(u, v, forward, backward, payload stack id)``.
 
-    Records, infos, child lists and stacks are interned by content, so
-    both writers give one row per distinct value.  :meth:`materialize`
-    builds the label objects back from the rows.
+    Records, child lists and stacks are interned by content, and so are
+    a walk's infos; the prover's infos are one object per hierarchy node
+    and member subtree.  So both writers give one row per distinct
+    value.  :meth:`materialize` builds the label objects back from the
+    rows.
     """
 
     def __init__(self, keys, labels=None):
@@ -179,9 +182,42 @@ class RecordTable:
     #: The one integer field rule, for the writer's counters and lanes.
     field = staticmethod(_int)
 
+    def add_info(self, info) -> int:
+        """The row of a ``BasicInfo`` the prover has built, written on
+        the first call for that object.
+
+        Every value passes the field rule: the node id, each lane, every
+        identifier (through :meth:`code`) and the state.  The tuple
+        shapes are the builder's own and are not checked again, and no
+        content index is kept: the prover builds one object per
+        hierarchy node and per member subtree.  :meth:`info_id` of the
+        same object returns the same row.
+        """
+        seen = self._info_seen
+        iid = seen.get(id(info))
+        if iid is None:
+            node = _int(info.node_id, -1, "node id")
+            lanes = info.lanes
+            for lane in lanes:
+                _int(lane, 0, "lane")
+            code = self.code
+            ins = tuple([code(x) for _lane, x in info.in_ids])
+            outs = tuple([code(x) for _lane, x in info.out_ids])
+            state = self._state(info.state)
+            iid = seen[id(info)] = len(self.infos)
+            self.infos.append(info)
+            self.i_kind.append(_KIND_CODES[info.kind])
+            self.i_node.append(node)
+            self.i_lanes.append(lanes)
+            self.i_in.append(ins)
+            self.i_out.append(outs)
+            self.i_state.append(state)
+        return iid
+
     def add_leaf(self, record) -> int:
         """Intern an E or P record object, which the table keeps: the
         round compiler re-derives leaf classes from it."""
+        self.add_info(record.info)
         kind = _KINDS[type(record)]
         return self._add(kind, _FIELDS[kind](self, record), record)
 

@@ -42,7 +42,7 @@ measured ≤ accounted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Optional
 
@@ -61,7 +61,41 @@ from repro.pls.pointer import PointerLabel
 # ----------------------------------------------------------------------
 # Label data types
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
+def _label_value(cls):
+    """A frozen dataclass that hashes its fields once per object.
+
+    A round hashes and compares the same shared label objects many
+    times: memo keys, root sets, embedded-record groups.  The generated
+    ``__hash__`` walks every field each time; here its value is kept on
+    the object after the first call, and an object equals itself without
+    a field walk.  Both give the generated methods' values.  The kept
+    hash never enters a pickle or a copy: a string field hashes
+    differently in another process, so ``__getstate__`` holds the
+    fields alone.
+    """
+    cls = dataclass(frozen=True)(cls)
+    field_hash, field_eq = cls.__hash__, cls.__eq__
+    names = tuple(f.name for f in fields(cls))
+
+    def __hash__(self):
+        value = self._hash
+        if value is None:
+            value = self.__dict__["_hash"] = field_hash(self)
+        return value
+
+    def __eq__(self, other):
+        return self is other or field_eq(self, other)
+
+    def __getstate__(self):
+        state = self.__dict__
+        return {name: state[name] for name in names}
+
+    cls._hash = None  # set after the dataclass pass, so not a field
+    cls.__hash__, cls.__eq__, cls.__getstate__ = __hash__, __eq__, __getstate__
+    return cls
+
+
+@_label_value
 class BasicInfo:
     """B(N): lane set, homomorphism class, terminal identifiers."""
 
@@ -91,8 +125,8 @@ class BasicInfo:
         Cached: the verifier's hierarchy walk asks for this repeatedly
         per record, and the fields it derives from are frozen.
         (``cached_property`` writes to ``__dict__`` directly, so the
-        frozen-dataclass ``__setattr__`` guard is not in play; equality
-        and hashing still cover only the declared fields.)
+        frozen-dataclass ``__setattr__`` guard is not in play; equality,
+        hashing and pickles cover only the declared fields.)
         """
         ids = []
         for lane in self.lanes:
@@ -102,7 +136,7 @@ class BasicInfo:
         return tuple(ids)
 
 
-@dataclass(frozen=True)
+@_label_value
 class TLevelRecord:
     """One edge's record for a T-node on its ownership path."""
 
@@ -114,7 +148,7 @@ class TLevelRecord:
     root_member_id: int  # node id of the internal root member
 
 
-@dataclass(frozen=True)
+@_label_value
 class BLevelRecord:
     """One edge's record for a B-node on its ownership path."""
 
@@ -126,7 +160,7 @@ class BLevelRecord:
     side: int  # 0 = inside left child, 1 = inside right child, -1 = bridge edge
 
 
-@dataclass(frozen=True)
+@_label_value
 class ELevelRecord:
     """Leaf record: a single-edge node (full topology included)."""
 
@@ -136,7 +170,7 @@ class ELevelRecord:
     tag: object
 
 
-@dataclass(frozen=True)
+@_label_value
 class PLevelRecord:
     """Leaf record: the initial-path node (full topology included)."""
 
@@ -146,14 +180,14 @@ class PLevelRecord:
     position: int  # this edge joins path positions (position, position+1)
 
 
-@dataclass(frozen=True)
+@_label_value
 class EdgeCertificate:
     """The ownership-path stack for one edge of G'."""
 
     stack: tuple  # root-first records
 
 
-@dataclass(frozen=True)
+@_label_value
 class EmbeddedRecord:
     """A virtual edge's certificate carried on one real edge of its path."""
 
@@ -164,7 +198,7 @@ class EmbeddedRecord:
     payload: EdgeCertificate
 
 
-@dataclass(frozen=True)
+@_label_value
 class Theorem1Label:
     """The physical label on one real edge of G."""
 
@@ -208,7 +242,7 @@ class CertificateBuilder:
         self._fingerprints: dict = {}
         # node_id -> B(N), and member node_id -> B(Tree-merge(T_member)):
         # one object per hierarchy node and per member subtree, so the
-        # table interns each once.
+        # table writes each one's row once (``RecordTable.add_info``).
         self._node_infos: dict = {}
         self._subtree_infos: dict = {}
         # T node_id -> the edge keys of the node's subgraph, while
@@ -328,9 +362,9 @@ class CertificateBuilder:
             left, right = node.children
             i, j = node.bridge
             row = (
-                table.info_id(self.node_info(node), "B"),
-                table.info_id(self.node_info(left)),
-                table.info_id(self.node_info(right)),
+                table.add_info(self.node_info(node)),
+                table.add_info(self.node_info(left)),
+                table.add_info(self.node_info(right)),
                 table.field(i, 0, "bridge lane"),
                 table.field(j, 0, "bridge lane"),
                 table.tag_code(node.bridge_tag),
@@ -346,7 +380,7 @@ class CertificateBuilder:
                     self._write(child, stack + (rid,), stacks)
             return
         if node.kind == "T":
-            info = table.info_id(self.node_info(node), "T")
+            info = table.add_info(self.node_info(node))
             pointers = self._pointer_rows(node)
             internal_children: dict = {
                 index: [] for index in range(len(node.children))
@@ -367,10 +401,10 @@ class CertificateBuilder:
                     continue
                 prefix = (
                     info,
-                    table.info_id(member_info),
-                    table.info_id(subtree),
+                    table.add_info(member_info),
+                    table.add_info(subtree),
                     table.children_id(
-                        tuple([table.info_id(kid) for kid in kids])
+                        tuple([table.add_info(kid) for kid in kids])
                     ),
                 )
                 self._write(member, stack + ((prefix, pointers),), stacks)

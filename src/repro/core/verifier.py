@@ -30,10 +30,12 @@ untouched, and adversarial records that fail to hash simply bypass the
 cache.  Below this memo, each algebra operation is itself a lookup in
 the algebra's transition table (:mod:`repro.courcelle.algebra`); the
 memo still pays for the boundary bookkeeping around those calls:
-without it, serial rounds on ``pathwidth_workload(256, 3, s)`` hosts
-took about 18% longer (2-core box).
-Prover labels share their ``BasicInfo`` objects, so the content keys
-of one hierarchy node usually compare by identity.
+without it, the walk over every view of ``pathwidth_workload(256, 3, s)``
+hosts, s = 1–8, took about 38% longer (2-core box).
+Prover labels share their label objects, and each label value object
+keeps its field hash after the first ``hash()``
+(:mod:`repro.core.certificates`), so the content keys of one hierarchy
+node hash once per round and usually compare by identity.
 """
 
 from __future__ import annotations
@@ -273,245 +275,264 @@ def _reconstruct_ports(view: LocalView) -> list:
 # ----------------------------------------------------------------------
 # The hierarchy walk
 # ----------------------------------------------------------------------
-def _check_level(view, algebra, ports, depth, t_in_context) -> None:
+def _check_level(view, algebra, ports, depth) -> None:
     """Verify one node's claims at this vertex; recurse into sub-levels.
 
     ``ports``: (tag, cert) pairs whose stacks agree above ``depth`` and
-    whose records at ``depth`` name the same node.  ``t_in_context`` is
-    the set of (lane, id) in-terminal claims of the enclosing T-node
-    (used by the anchored-member rule), or ``None`` at the root.
+    whose records at ``depth`` name the same node.  Each kind's checks
+    read every record of the level in one pass where they can; the order
+    of the checks does not matter, since any failed one rejects.
     """
     records = [cert.stack[depth] for _tag, cert in ports]
     first = records[0]
     if isinstance(first, TLevelRecord):
-        _require(
-            all(
-                isinstance(r, TLevelRecord)
-                and r.info == first.info
-                and r.root_member_id == first.root_member_id
-                for r in records
-            ),
-            "inconsistent T-node records",
+        _check_t_level(view, algebra, ports, depth, records, first)
+    elif isinstance(first, BLevelRecord):
+        _check_b_level(view, algebra, ports, depth, records, first)
+    elif isinstance(first, ELevelRecord):
+        _check_e_level(view, ports, depth, first)
+    elif isinstance(first, PLevelRecord):
+        _check_p_level(view, ports, depth, records, first)
+    else:
+        raise _Reject("unknown record type")
+
+
+def _check_t_level(view, algebra, ports, depth, records, first) -> None:
+    info, root_member_id = first.info, first.root_member_id
+    pointers = []
+    # member node id -> [its first record, the ports of its records]
+    members: dict = {}
+    for port, record in zip(ports, records):
+        if not (
+            isinstance(record, TLevelRecord)
+            and record.info == info
+            and record.root_member_id == root_member_id
+        ):
+            raise _Reject("inconsistent T-node records")
+        pointers.append(record.pointer)
+        member_id = record.member_info.node_id
+        member = members.get(member_id)
+        if member is None:
+            member = members[member_id] = [record, []]
+        base = member[0]
+        if not (
+            record.member_info == base.member_info
+            and record.member_subtree == base.member_subtree
+            and record.child_subtrees == base.child_subtrees
+        ):
+            raise _Reject("inconsistent member records")
+        member[1].append(port)
+    if not verify_pointer_ports(view.identifier, pointers):
+        raise _Reject("pointer check failed")
+    groups = [(member_id, member[0]) for member_id, member in members.items()]
+    for _member_id, base in groups:
+        # f_P fold recomputation (memoized: pure in the records).
+        state, _boundary, in_ids, out_ids = recompute_parent_fold(
+            algebra, base.member_info, base.child_subtrees
         )
-        _require(
-            verify_pointer_ports(view.identifier, [r.pointer for r in records]),
-            "pointer check failed",
-        )
-        # Group by member.
-        member_groups: dict = {}
-        for port, record in zip(ports, records):
-            member_groups.setdefault(record.member_info.node_id, []).append(
-                (port, record)
-            )
-        subtree_by_member = {}
-        for member_id, entries in member_groups.items():
-            base = entries[0][1]
-            _require(
-                all(
-                    r.member_info == base.member_info
-                    and r.member_subtree == base.member_subtree
-                    and r.child_subtrees == base.child_subtrees
-                    for _p, r in entries
-                ),
-                "inconsistent member records",
-            )
-            subtree_by_member[member_id] = base
-            # f_P fold recomputation (memoized: pure in the records).
-            state, _boundary, in_ids, out_ids = recompute_parent_fold(
-                algebra, base.member_info, base.child_subtrees
-            )
-            _require(state == base.member_subtree.state, "member fold class mismatch")
-            _require(
-                in_ids == base.member_subtree.in_ids,
-                "member fold in-terminals mismatch",
-            )
-            _require(
-                out_ids == base.member_subtree.out_ids,
-                "member fold out-terminals mismatch",
-            )
-        # Out-terminal materialization (the paper's "each out-terminal of
-        # G' can locally check if it is the right in-terminal of the right
-        # graph Tree-merge(T_{G_i})"): if a member record claims a child
-        # subtree glued at this vertex, edges of that subtree's root member
-        # must actually be incident here.
-        me = view.identifier
-        for member_id, entries in member_groups.items():
-            base = entries[0][1]
-            for claimed in base.child_subtrees:
-                if me not in {x for _l, x in claimed.in_ids}:
-                    continue
-                _require(
-                    any(
-                        other[0][1].member_subtree == claimed
-                        for other_id, other in member_groups.items()
-                        if other_id != member_id
-                    ),
-                    "claimed child subtree has no edges at its glue vertex",
-                )
-        # Anchored-member chain rule.
-        non_anchored = 0
-        for member_id, entries in member_groups.items():
-            base = entries[0][1]
-            anchored_lanes = [
-                lane for lane, x in base.member_subtree.in_ids if x == me
-            ]
-            if not anchored_lanes:
-                non_anchored += 1
+        subtree = base.member_subtree
+        if not state == subtree.state:
+            raise _Reject("member fold class mismatch")
+        if not in_ids == subtree.in_ids:
+            raise _Reject("member fold in-terminals mismatch")
+        if not out_ids == subtree.out_ids:
+            raise _Reject("member fold out-terminals mismatch")
+    # Out-terminal materialization (the paper's "each out-terminal of
+    # G' can locally check if it is the right in-terminal of the right
+    # graph Tree-merge(T_{G_i})"): if a member record claims a child
+    # subtree glued at this vertex, edges of that subtree's root member
+    # must actually be incident here.
+    me = view.identifier
+    for member_id, base in groups:
+        for claimed in base.child_subtrees:
+            if me not in {x for _l, x in claimed.in_ids}:
                 continue
-            for lane in anchored_lanes:
-                has_parent = any(
-                    base.member_subtree in other[0][1].child_subtrees
-                    for other_id, other in member_groups.items()
-                    if other_id != member_id
+            if not any(
+                other.member_subtree == claimed
+                for other_id, other in groups
+                if other_id != member_id
+            ):
+                raise _Reject(
+                    "claimed child subtree has no edges at its glue vertex"
                 )
-                is_t_in = (lane, me) in first.info.in_ids
-                _require(has_parent or is_t_in, "dangling member gluing")
-        _require(non_anchored <= 1, "vertex interior to two members")
-        # The T-node's own basic info must match its root member's subtree
-        # (checkable whenever this vertex holds root-member edges).
-        for member_id, entries in member_groups.items():
-            base = entries[0][1]
-            if base.member_info.node_id == first.root_member_id:
-                _require(
-                    base.member_subtree.state == first.info.state
-                    and base.member_subtree.in_ids == first.info.in_ids
-                    and base.member_subtree.out_ids == first.info.out_ids
-                    and base.member_subtree.lanes == first.info.lanes,
-                    "T-node info does not match root member subtree",
-                )
-        # Recurse into each member.
-        for member_id, entries in member_groups.items():
-            base = entries[0][1]
-            sub_ports = [p for p, _r in entries]
-            for _tag, cert in sub_ports:
-                _require(len(cert.stack) > depth + 1, "truncated stack in member")
-                _require(
-                    cert.stack[depth + 1].info == base.member_info,
-                    "stack does not continue into its member",
-                )
-            _check_level(
-                view, algebra, sub_ports, depth + 1, set(first.info.in_ids)
+    # Anchored-member chain rule.
+    non_anchored = 0
+    for member_id, base in groups:
+        subtree = base.member_subtree
+        anchored_lanes = [lane for lane, x in subtree.in_ids if x == me]
+        if not anchored_lanes:
+            non_anchored += 1
+            continue
+        for lane in anchored_lanes:
+            has_parent = any(
+                subtree in other.child_subtrees
+                for other_id, other in groups
+                if other_id != member_id
             )
-        return
+            is_t_in = (lane, me) in info.in_ids
+            if not (has_parent or is_t_in):
+                raise _Reject("dangling member gluing")
+    if non_anchored > 1:
+        raise _Reject("vertex interior to two members")
+    # The T-node's own basic info must match its root member's subtree
+    # (checkable whenever this vertex holds root-member edges).
+    for _member_id, base in groups:
+        if base.member_info.node_id == root_member_id:
+            subtree = base.member_subtree
+            if not (
+                subtree.state == info.state
+                and subtree.in_ids == info.in_ids
+                and subtree.out_ids == info.out_ids
+                and subtree.lanes == info.lanes
+            ):
+                raise _Reject("T-node info does not match root member subtree")
+    # Recurse into each member.
+    below = depth + 1
+    for base, sub_ports in members.values():
+        member_info = base.member_info
+        for _tag, cert in sub_ports:
+            stack = cert.stack
+            if not len(stack) > below:
+                raise _Reject("truncated stack in member")
+            if not stack[below].info == member_info:
+                raise _Reject("stack does not continue into its member")
+        _check_level(view, algebra, sub_ports, below)
 
-    if isinstance(first, BLevelRecord):
-        _require(
-            all(
-                isinstance(r, BLevelRecord)
-                and r.info == first.info
-                and r.left == first.left
-                and r.right == first.right
-                and r.bridge == first.bridge
-                and r.bridge_tag == first.bridge_tag
-                for r in records
-            ),
-            "inconsistent B-node records",
-        )
-        i, j = first.bridge
-        state, _boundary, in_ids, out_ids = recompute_bridge(
-            algebra, first.left, first.right, i, j, first.bridge_tag
-        )
-        _require(state == first.info.state, "bridge class mismatch")
-        _require(
-            in_ids == first.info.in_ids and out_ids == first.info.out_ids,
-            "bridge terminals mismatch",
-        )
-        for child in (first.left, first.right):
-            if child.kind == "V":
-                _require(
-                    child.in_ids == child.out_ids and len(child.lanes) == 1,
-                    "malformed V-node info",
-                )
-                _require(
-                    child.state == algebra.new_vertices(1), "V-node class mismatch"
-                )
-        sides: dict = {}
-        for port, record in zip(ports, records):
-            _require(record.side in (-1, 0, 1), "invalid bridge side marker")
-            sides.setdefault(record.side, []).append((port, record))
-        _require(not (0 in sides and 1 in sides), "vertex on both bridge sides")
-        me = view.identifier
-        if me in (first.left.out_id(i), first.right.out_id(j)):
-            # A bridge endpoint must actually hold the bridge edge
-            # ("the unique edge between G1 and G2", Lemma 6.5).
-            _require(-1 in sides, "bridge endpoint missing the bridge edge")
-        if -1 in sides:
-            _require(len(sides[-1]) == 1, "duplicated bridge edge")
-            (tag, cert), record = sides[-1][0]
-            _require(len(cert.stack) == depth + 1, "bridge edge stack too deep")
-            _require(tag == first.bridge_tag, "bridge tag mismatch")
-            endpoints = {first.left.out_id(i), first.right.out_id(j)}
-            _require(me in endpoints, "bridge endpoint id mismatch")
-        for side, child in ((0, first.left), (1, first.right)):
-            if side not in sides:
-                continue
-            _require(child.kind == "T", "edges inside an edgeless child")
-            sub_ports = [p for p, _r in sides[side]]
-            for _tag, cert in sub_ports:
-                _require(len(cert.stack) > depth + 1, "truncated stack in B child")
-                _require(
-                    isinstance(cert.stack[depth + 1], TLevelRecord)
-                    and cert.stack[depth + 1].info == child,
-                    "stack does not continue into bridge child",
-                )
-            _check_level(view, algebra, sub_ports, depth + 1, None)
-        return
 
-    if isinstance(first, ELevelRecord):
-        _require(len(ports) == 1, "E-node with several incident edges")
-        tag, cert = ports[0]
-        _require(len(cert.stack) == depth + 1, "E-node is a leaf")
-        _require(tag == first.tag, "E-node tag mismatch")
-        me = view.identifier
-        _require(me in (first.in_id, first.out_id), "E-node endpoint mismatch")
-        _require(first.in_id != first.out_id, "degenerate E-node")
-        lane = first.info.lanes[0]
-        _require(len(first.info.lanes) == 1, "E-node with several lanes")
-        _require(
-            first.info.in_ids == ((lane, first.in_id),)
-            and first.info.out_ids == ((lane, first.out_id),),
-            "E-node terminal mismatch",
-        )
-        return
+def _check_b_level(view, algebra, ports, depth, records, first) -> None:
+    info, left, right = first.info, first.left, first.right
+    bridge, bridge_tag = first.bridge, first.bridge_tag
+    sides: dict = {}  # -1 (the bridge edge), 0 or 1 -> ports
+    for port, record in zip(ports, records):
+        if not (
+            isinstance(record, BLevelRecord)
+            and record.info == info
+            and record.left == left
+            and record.right == right
+            and record.bridge == bridge
+            and record.bridge_tag == bridge_tag
+        ):
+            raise _Reject("inconsistent B-node records")
+        side = record.side
+        if side not in (-1, 0, 1):
+            raise _Reject("invalid bridge side marker")
+        on_side = sides.get(side)
+        if on_side is None:
+            sides[side] = [port]
+        else:
+            on_side.append(port)
+    i, j = bridge
+    state, _boundary, in_ids, out_ids = recompute_bridge(
+        algebra, left, right, i, j, bridge_tag
+    )
+    if not state == info.state:
+        raise _Reject("bridge class mismatch")
+    if not (in_ids == info.in_ids and out_ids == info.out_ids):
+        raise _Reject("bridge terminals mismatch")
+    for child in (left, right):
+        if child.kind == "V":
+            if not (child.in_ids == child.out_ids and len(child.lanes) == 1):
+                raise _Reject("malformed V-node info")
+            if not child.state == algebra.new_vertices(1):
+                raise _Reject("V-node class mismatch")
+    if 0 in sides and 1 in sides:
+        raise _Reject("vertex on both bridge sides")
+    me = view.identifier
+    ends = (left.out_id(i), right.out_id(j))
+    if me in ends and -1 not in sides:
+        # A bridge endpoint must actually hold the bridge edge
+        # ("the unique edge between G1 and G2", Lemma 6.5).
+        raise _Reject("bridge endpoint missing the bridge edge")
+    if -1 in sides:
+        if len(sides[-1]) != 1:
+            raise _Reject("duplicated bridge edge")
+        tag, cert = sides[-1][0]
+        if not len(cert.stack) == depth + 1:
+            raise _Reject("bridge edge stack too deep")
+        if not tag == bridge_tag:
+            raise _Reject("bridge tag mismatch")
+        if me not in set(ends):
+            raise _Reject("bridge endpoint id mismatch")
+    below = depth + 1
+    for side, child in ((0, left), (1, right)):
+        sub_ports = sides.get(side)
+        if sub_ports is None:
+            continue
+        if not child.kind == "T":
+            raise _Reject("edges inside an edgeless child")
+        for _tag, cert in sub_ports:
+            stack = cert.stack
+            if not len(stack) > below:
+                raise _Reject("truncated stack in B child")
+            if not (
+                isinstance(stack[below], TLevelRecord)
+                and stack[below].info == child
+            ):
+                raise _Reject("stack does not continue into bridge child")
+        _check_level(view, algebra, sub_ports, below)
 
-    if isinstance(first, PLevelRecord):
-        base = first
-        _require(
-            all(
-                isinstance(r, PLevelRecord)
-                and r.info == base.info
-                and r.vertex_ids == base.vertex_ids
-                and r.tags == base.tags
-                for r in records
-            ),
-            "inconsistent P-node records",
-        )
-        ids = base.vertex_ids
-        _require(len(ids) == len(set(ids)), "P-node repeats a vertex")
-        _require(len(base.tags) == len(ids) - 1, "P-node tag count")
-        me = view.identifier
-        _require(me in ids, "vertex not on the initial path")
-        t = ids.index(me)
-        expected = set()
-        if t > 0:
-            expected.add(t - 1)
-        if t < len(ids) - 1:
-            expected.add(t)
-        positions = sorted(r.position for r in records)
-        _require(positions == sorted(expected), "P-node incident positions wrong")
-        for (tag, cert), record in zip(ports, records):
-            _require(len(cert.stack) == depth + 1, "P-node is a leaf")
-            _require(tag == base.tags[record.position], "P-node tag mismatch")
-        lanes = base.info.lanes
-        _require(len(lanes) == len(ids), "P-node lane count mismatch")
-        _require(
-            base.info.in_ids == tuple(zip(lanes, ids))
-            and base.info.out_ids == tuple(zip(lanes, ids)),
-            "P-node terminal mismatch",
-        )
-        return
 
-    raise _Reject("unknown record type")
+def _check_e_level(view, ports, depth, first) -> None:
+    if len(ports) != 1:
+        raise _Reject("E-node with several incident edges")
+    tag, cert = ports[0]
+    if not len(cert.stack) == depth + 1:
+        raise _Reject("E-node is a leaf")
+    if not tag == first.tag:
+        raise _Reject("E-node tag mismatch")
+    if view.identifier not in (first.in_id, first.out_id):
+        raise _Reject("E-node endpoint mismatch")
+    if not first.in_id != first.out_id:
+        raise _Reject("degenerate E-node")
+    lane = first.info.lanes[0]
+    if len(first.info.lanes) != 1:
+        raise _Reject("E-node with several lanes")
+    if not (
+        first.info.in_ids == ((lane, first.in_id),)
+        and first.info.out_ids == ((lane, first.out_id),)
+    ):
+        raise _Reject("E-node terminal mismatch")
+
+
+def _check_p_level(view, ports, depth, records, first) -> None:
+    info, ids, tags = first.info, first.vertex_ids, first.tags
+    for record in records:
+        if not (
+            isinstance(record, PLevelRecord)
+            and record.info == info
+            and record.vertex_ids == ids
+            and record.tags == tags
+        ):
+            raise _Reject("inconsistent P-node records")
+    if len(ids) != len(set(ids)):
+        raise _Reject("P-node repeats a vertex")
+    if len(tags) != len(ids) - 1:
+        raise _Reject("P-node tag count")
+    me = view.identifier
+    if me not in ids:
+        raise _Reject("vertex not on the initial path")
+    t = ids.index(me)
+    expected = set()
+    if t > 0:
+        expected.add(t - 1)
+    if t < len(ids) - 1:
+        expected.add(t)
+    positions = sorted(record.position for record in records)
+    if not positions == sorted(expected):
+        raise _Reject("P-node incident positions wrong")
+    for (tag, cert), record in zip(ports, records):
+        if not len(cert.stack) == depth + 1:
+            raise _Reject("P-node is a leaf")
+        if not tag == tags[record.position]:
+            raise _Reject("P-node tag mismatch")
+    lanes = info.lanes
+    if len(lanes) != len(ids):
+        raise _Reject("P-node lane count mismatch")
+    if not (
+        info.in_ids == tuple(zip(lanes, ids))
+        and info.out_ids == tuple(zip(lanes, ids))
+    ):
+        raise _Reject("P-node terminal mismatch")
 
 
 def verify_theorem1(view: LocalView, algebra, max_width: int) -> bool:
@@ -545,7 +566,7 @@ def verify_theorem1(view: LocalView, algebra, max_width: int) -> bool:
                     recompute_leaf_state(algebra, leaf) == leaf.info.state,
                     "leaf class mismatch",
                 )
-        _check_level(view, algebra, ports, 0, None)
+        _check_level(view, algebra, ports, 0)
         return True
     except _Reject:
         return False

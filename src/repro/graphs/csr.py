@@ -30,6 +30,8 @@ indexed access is the workload, and the package stays dependency-free.
 
 from __future__ import annotations
 
+from itertools import accumulate, chain
+
 
 def nul_terminated(texts) -> bytes:
     """UTF-8 of each string followed by a NUL byte, concatenated.
@@ -65,31 +67,33 @@ class CSRAdjacency:
     def __init__(self, adjacency: dict):
         verts = sorted(adjacency)
         index = {v: i for i, v in enumerate(verts)}
-        n = len(verts)
-        indptr = [0] * (n + 1)
-        neighbors: list = []
-        degrees = [0] * n
-        for i, v in enumerate(verts):
-            row = sorted(index[u] for u in adjacency[v])
-            neighbors.extend(row)
-            degrees[i] = len(row)
-            indptr[i + 1] = len(neighbors)
-        # Edge indexing: scanning rows in index order and keeping only
+        position = index.__getitem__
+        rows = [sorted(map(position, adjacency[v])) for v in verts]
+        degrees = [len(row) for row in rows]
+        indptr = [0, *accumulate(degrees)]
+        neighbors = list(chain.from_iterable(rows))
+        # Edge numbering: scanning rows in index order and keeping only
         # j > i yields the canonical keys already sorted (index order is
         # name order), so edge e here is edges()[e] of the legacy API.
+        # The same scan reaches each row's lower neighbours in ascending
+        # order, which is the order of their slots: ``cursor[j]`` is the
+        # next slot of row j to fill, and once the scan reaches row i it
+        # has filled every lower neighbour's and points at the first
+        # j > i.
         edges = []
         edge_index: dict = {}
-        for i in range(n):
-            for p in range(indptr[i], indptr[i + 1]):
-                j = neighbors[p]
-                if i < j:
-                    edge_index[(i, j)] = len(edges)
-                    edges.append((verts[i], verts[j]))
         incident = [0] * len(neighbors)
-        for i in range(n):
-            for p in range(indptr[i], indptr[i + 1]):
+        cursor = indptr[:-1]
+        for i in range(len(verts)):
+            name = verts[i]
+            for p in range(cursor[i], indptr[i + 1]):
                 j = neighbors[p]
-                incident[p] = edge_index[(i, j) if i < j else (j, i)]
+                e = len(edges)
+                edge_index[(i, j)] = e
+                edges.append((name, verts[j]))
+                incident[p] = e
+                incident[cursor[j]] = e
+                cursor[j] += 1
         self.vertices = tuple(verts)
         self.index = index
         self.indptr = indptr

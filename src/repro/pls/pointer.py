@@ -82,26 +82,39 @@ def verify_pointer_ports(identifier: int, labels: list) -> bool:
     """Run the local pointer checks for one vertex given its edge labels.
 
     Exposed as a function so composite schemes (Lemma 6.5) can reuse it on
-    embedded sub-certificates.
+    embedded sub-certificates.  One pass over the labels reads each
+    one's target, own distance and other distance; the checks then run
+    in this order: every label is a :class:`PointerLabel`, one target,
+    one own distance, the target test, and only then the parent test.
     """
     if not labels:
         return False  # an isolated vertex cannot certify connectivity
-    if any(not isinstance(label, PointerLabel) for label in labels):
+    targets, own, others = [], [], []
+    for label in labels:
+        if not isinstance(label, PointerLabel):
+            return False
+        targets.append(label.target_id)
+        if identifier == label.id_a:
+            own.append(label.dist_a)
+            others.append(label.dist_b)
+        elif identifier == label.id_b:
+            own.append(label.dist_b)
+            others.append(label.dist_a)
+        else:
+            own.append(None)  # not an endpoint: rejected below
+    # Set semantics, so a target or distance that cannot be hashed
+    # raises here, and equal values of two types count as one.
+    if len(set(targets)) != 1:
         return False
-    targets = {label.target_id for label in labels}
-    if len(targets) != 1:
+    distances = set(own)
+    if None in distances or len(distances) != 1:
         return False
-    target = targets.pop()
-    own = {label.record_for(identifier) for label in labels}
-    if None in own or len(own) != 1:
-        return False
-    d = own.pop()
-    if identifier == target:
+    d = own[0]
+    if identifier == targets[0]:
         return d == 0
     if d == 0:
         return False  # distance 0 is reserved for the designated vertex
-    others = [label.other_record(identifier) for label in labels]
-    return any(rec is not None and rec[1] == d - 1 for rec in others)
+    return any(rec == d - 1 for rec in others)
 
 
 class PointerScheme(ProofLabelingScheme):

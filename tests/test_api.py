@@ -13,6 +13,7 @@ import pytest
 
 import repro.api.pipeline as pipeline_module
 from repro.api import (
+    CertificateStore,
     CertificationReport,
     CertificationSession,
     DecomposeStage,
@@ -52,6 +53,20 @@ from repro.pls.simulator import run_verification
 
 
 STRUCTURAL = ("decompose", "lanes", "completion", "hierarchy")
+
+
+class _FirstDraw(random.Random):
+    """Draws ``first`` as its first identifier, then random ones."""
+
+    def __init__(self, first):
+        super().__init__(0)
+        self._first = first
+
+    def randrange(self, *args, **kwargs):
+        if self._first is not None:
+            first, self._first = self._first, None
+            return first
+        return super().randrange(*args, **kwargs)
 
 
 class TestProverFailureReports:
@@ -97,6 +112,36 @@ class TestProverFailureReports:
         # The structural work succeeded; only evaluation refused.
         assert report.hierarchy_depth is not None
         assert report.stage_counters["evaluate"] == 1
+
+    @pytest.mark.parametrize("mode", ["theorem1", "lanewidth"])
+    def test_identifier_past_the_wire_range_refused(self, mode, tmp_path):
+        """An identifier the wire format cannot carry (|x| >= 2**60) is a
+        capacity limit of the prover: the label stage refuses it as
+        ``unsupported`` instead of raising the codec's error out of the
+        facade, and nothing is cached or stored."""
+        big = 2**60 + 5
+        if mode == "theorem1":
+            graph, _decomposition = pathwidth_workload(20, 2, 1)
+            ids = {v: i + 1 for i, v in enumerate(graph.vertices())}
+            ids[graph.vertices()[0]] = big
+            target = Configuration(graph, ids)
+        else:
+            target, _graph = lanewidth_workload(2, 20, 1)
+
+        def draws():  # the first identifier drawn is the huge one
+            return None if mode == "theorem1" else _FirstDraw(big)
+
+        report = certify(target, "connected", k=2, rng=draws())
+        assert report.refused and not report.accepted
+        assert report.refusal_reason == "unsupported"
+        assert f"identifier {big}" in report.refusal
+        store = CertificateStore(tmp_path)
+        session = CertificationSession(k=2, store=store)
+        for attempt in (1, 2):
+            report = session.certify(target, "connected", rng=draws())
+            assert report.refusal_reason == "unsupported"
+            assert session.stage_counters["label"] == attempt
+        assert store.entries() == []
 
     def test_structural_refusal_covers_whole_batch(self):
         g = Graph(edges=[(0, 1), (2, 3)])

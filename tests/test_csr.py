@@ -9,6 +9,7 @@ fingerprints, and locally-built views must agree with the reference
 interleavings of mutation and reading.
 """
 
+import itertools
 import random
 
 from hypothesis import given, settings
@@ -38,6 +39,19 @@ def small_graphs(draw):
     for u, v in order:
         g.add_edge(u, v)
     return g
+
+
+@st.composite
+def adjacencies(draw):
+    """A symmetric adjacency dict on 0..12 vertices with arbitrary int
+    names, isolated vertices and the empty graph included."""
+    names = draw(st.lists(st.integers(-40, 40), max_size=12, unique=True))
+    adjacency = {v: set() for v in names}
+    for u, v in itertools.combinations(names, 2):
+        if draw(st.booleans()):
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+    return adjacency
 
 
 def _reference_edges(g: Graph) -> list:
@@ -116,6 +130,30 @@ class TestCSRAgreesWithDictBacking:
         clone.add_edge(0, 11) if not clone.has_edge(0, 11) else clone.remove_edge(0, 11)
         assert g.csr is snapshot  # original untouched
         assert clone._csr is not snapshot or clone._csr is None
+
+    @given(adjacencies())
+    @settings(max_examples=150, deadline=None)
+    def test_build_matches_the_definition(self, adjacency):
+        """Sorted vertices, sorted neighbour rows, the canonical edge keys
+        in sorted order, and ``incident[p]`` naming the edge to
+        ``neighbors[p]``."""
+        csr = CSRAdjacency(adjacency)
+        verts = sorted(adjacency)
+        index = {v: i for i, v in enumerate(verts)}
+        rows = [sorted(index[u] for u in adjacency[v]) for v in verts]
+        assert csr.vertices == tuple(verts) and csr.index == index
+        assert csr.neighbors == [j for row in rows for j in row]
+        assert csr.degrees == [len(row) for row in rows]
+        assert csr.indptr == [0] + list(itertools.accumulate(csr.degrees))
+        edges = sorted({edge_key(u, v) for u in verts for v in adjacency[u]})
+        assert csr.edges == tuple(edges)
+        assert len(csr.incident) == len(csr.neighbors)
+        for i, v in enumerate(verts):
+            for p in range(csr.indptr[i], csr.indptr[i + 1]):
+                u = verts[csr.neighbors[p]]
+                assert csr.edges[csr.incident[p]] == edge_key(v, u)
+        for e, (u, v) in enumerate(edges):
+            assert csr.edge_index_of(u, v) == csr.edge_index_of(v, u) == e
 
     def test_raw_csr_shape_invariants(self):
         g = Graph(edges=[(0, 2), (0, 1), (1, 2), (2, 3)])

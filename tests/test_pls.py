@@ -4,6 +4,8 @@ pointer scheme, transforms, and the lower-bound splice attack."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graphs import Graph
 from repro.graphs.generators import (
@@ -26,6 +28,7 @@ from repro.pls.adversary import corrupt_one_label, transplant_labels
 from repro.pls.bits import ClassIndexer, SizeContext, id_bits_for, uint_bits
 from repro.pls.classic import TREE_MARK
 from repro.pls.lower_bound import DistanceModScheme, find_collision, splice_attack
+from repro.pls.pointer import PointerLabel, verify_pointer_ports
 from repro.pls.scheme import ProverFailure
 from repro.pls.simulator import prove_and_verify
 
@@ -206,6 +209,82 @@ class TestPointerScheme:
         assert moved is not None
         result = run_verification(config_b, scheme, moved)
         assert not result.accepted
+
+
+def _set_based_pointer_ports(identifier, labels) -> bool:
+    """The pointer checks as separate set-building passes: the oracle for
+    :func:`verify_pointer_ports`, which reads its labels in one pass."""
+    if not labels:
+        return False
+    if any(not isinstance(label, PointerLabel) for label in labels):
+        return False
+    targets = {label.target_id for label in labels}
+    if len(targets) != 1:
+        return False
+    target = targets.pop()
+    own = {label.record_for(identifier) for label in labels}
+    if None in own or len(own) != 1:
+        return False
+    d = own.pop()
+    if identifier == target:
+        return d == 0
+    if d == 0:
+        return False
+    others = [label.other_record(identifier) for label in labels]
+    return any(rec is not None and rec[1] == d - 1 for rec in others)
+
+
+def _outcome(check, identifier, labels):
+    try:
+        return ("value", check(identifier, labels))
+    except Exception as exc:  # the class is what must agree
+        return ("raises", type(exc))
+
+
+_IDS = st.integers(1, 4)
+_DISTANCES = st.one_of(
+    st.integers(-1, 3), st.none(), st.booleans(), st.text(max_size=2),
+    st.sampled_from([0.0, 1.0, 0.5]),
+)
+_POINTER_LABELS = st.builds(
+    PointerLabel,
+    target_id=st.one_of(_IDS, st.sampled_from(["1", True])),
+    id_a=_IDS,
+    dist_a=_DISTANCES,
+    id_b=_IDS,
+    dist_b=_DISTANCES,
+)
+
+
+class TestPointerPorts:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        identifier=_IDS,
+        labels=st.lists(
+            st.one_of(
+                _POINTER_LABELS,
+                _POINTER_LABELS,
+                _POINTER_LABELS,
+                st.sampled_from([None, 0, "label", (1, 0)]),
+            ),
+            max_size=5,
+        ),
+    )
+    def test_one_pass_matches_the_set_based_checks(self, identifier, labels):
+        """Same value, or the same exception class, as the oracle on
+        non-labels, odd distance types, mixed targets, an identifier no
+        label names and the target itself (the identifiers are 1..4)."""
+        assert _outcome(verify_pointer_ports, identifier, labels) == _outcome(
+            _set_based_pointer_ports, identifier, labels
+        )
+
+    def test_parent_test_waits_for_the_target_test(self):
+        """A str distance only breaks the parent test's ``d - 1``: the
+        target itself answers ``d == 0`` first, anyone else raises."""
+        label = PointerLabel(target_id=1, id_a=1, dist_a="x", id_b=2, dist_b="x")
+        assert verify_pointer_ports(1, [label]) is False
+        with pytest.raises(TypeError):
+            verify_pointer_ports(2, [label])
 
 
 class TestEdgeToVertexTransform:

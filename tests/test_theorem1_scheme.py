@@ -5,8 +5,14 @@ property.  Soundness: predicate-violating tampering => some vertex
 rejects.  Label sizes: O(log n) accounting sanity.
 """
 
+import dataclasses
 import itertools
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +27,7 @@ from repro.api.plan import (
     theorem1_plan,
 )
 from repro.codec import decode_labeling_columnar
+from repro.codec.table import RecordTable
 from repro.core import (
     LanewidthScheme,
     Theorem1Scheme,
@@ -29,8 +36,12 @@ from repro.core import (
     random_lanewidth_sequence,
 )
 from repro.core.certificates import (
+    BasicInfo,
     BLevelRecord,
     CertificateBuilder,
+    EdgeCertificate,
+    EmbeddedRecord,
+    Theorem1Label,
     TLevelRecord,
 )
 from repro.experiments import lanewidth_workload, pathwidth_workload
@@ -367,6 +378,42 @@ def _infos_by_role(labels) -> dict:
     return seen
 
 
+def _info_rows(table) -> list:
+    """Every info row of ``table``, identifier codes and state id read
+    back as values, so two tables compare whatever their numbering."""
+    ids, states = table.id_values, table.state_reprs
+    return [
+        (
+            kind, node, lanes,
+            tuple([ids[code] for code in ins]),
+            tuple([ids[code] for code in outs]),
+            states[state],
+        )
+        for kind, node, lanes, ins, outs, state in zip(
+            table.i_kind, table.i_node, table.i_lanes,
+            table.i_in, table.i_out, table.i_state,
+        )
+    ]
+
+
+def _label_values(labels) -> list:
+    """Every distinct label value object reachable from ``labels``."""
+    seen: dict = {}
+
+    def visit(value):
+        if id(value) in seen or not dataclasses.is_dataclass(value):
+            return
+        seen[id(value)] = value
+        for field in dataclasses.fields(value):
+            item = getattr(value, field.name)
+            for part in item if type(item) is tuple else (item,):
+                visit(part)
+
+    for label in labels:
+        visit(label)
+    return list(seen.values())
+
+
 def _reference_pointer_labels(builder, t_node) -> dict:
     """The BFS over a ``Graph`` built from the T-node's subgraph."""
     subgraph = Graph(vertices=t_node.all_vertices())
@@ -415,6 +462,20 @@ class TestLabelBuilder:
             ctx.labeling.mapping.encoded()
         ).mapping
 
+    @pytest.mark.parametrize("mode", ["lanewidth", "theorem1"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_info_rows_match_the_walk(self, mode, seed):
+        """The prover writes one info row per hierarchy node and per
+        member subtree, without a content index: exactly the rows the
+        walk over the materialized labels writes, up to row order."""
+        ctx = _proven_context(mode, 64, seed)
+        table = _builder(ctx).record_table(ctx.embedding)
+        labels = table.materialize()
+        keys = list(labels)
+        walked = RecordTable(keys, [labels[key] for key in keys])
+        assert walked.bad is None
+        assert sorted(_info_rows(table)) == sorted(_info_rows(walked))
+
     @settings(max_examples=25, deadline=None)
     @given(
         mode=st.sampled_from(["lanewidth", "theorem1"]),
@@ -443,3 +504,107 @@ class TestLabelBuilder:
                 in rows.items()
             }
             assert pointers == _reference_pointer_labels(builder, node)
+
+
+#: Builds one of each label value class with string fields (kinds and
+#: tags, whose hashes follow ``PYTHONHASHSEED``), hashes them all and
+#: pickles them with this interpreter's ``hash("T")``.
+_PICKLE_LABEL_VALUES = """
+import pickle, sys
+from repro.core.certificates import (
+    BasicInfo, BLevelRecord, EdgeCertificate, ELevelRecord, EmbeddedRecord,
+    PLevelRecord, Theorem1Label, TLevelRecord,
+)
+from repro.pls.pointer import PointerLabel
+state = (((0, 1),), 0)
+t_info = BasicInfo("T", 1, (0, 1), ((0, 5), (1, 6)), ((0, 7), (1, 8)), state)
+b_info = BasicInfo("B", 2, (0, 1), ((0, 5), (1, 6)), ((0, 7), (1, 8)), state)
+e_info = BasicInfo("E", 3, (0,), ((0, 5),), ((0, 7),), state)
+p_info = BasicInfo("P", 4, (0, 1), ((0, 5), (1, 6)), ((0, 5), (1, 6)), state)
+t = TLevelRecord(t_info, b_info, t_info, (t_info,), PointerLabel(5, 5, 0, 7, 1), 2)
+b = BLevelRecord(b_info, t_info, t_info, (0, 1), "real", 0)
+e = ELevelRecord(e_info, 5, 7, "virtual")
+p = PLevelRecord(p_info, (5, 6), ("real",), 0)
+cert = EdgeCertificate((t, b, e))
+embedded = EmbeddedRecord(5, 6, 1, 1, EdgeCertificate((p,)))
+label = Theorem1Label(cert, (embedded,))
+values = [t_info, b_info, e_info, p_info, t, b, e, p, cert, embedded, label]
+for value in values:
+    hash(value)
+sys.stdout.buffer.write(pickle.dumps((hash("T"), values)))
+"""
+
+#: Loads them under another ``PYTHONHASHSEED``: each must hash like an
+#: equal object built here.
+_CHECK_LABEL_VALUES = """
+import dataclasses, pickle, sys
+their_hash, values = pickle.loads(sys.stdin.buffer.read())
+assert hash("T") != their_hash, "same string hashes: the check proves nothing"
+for value in values:
+    assert len({value, dataclasses.replace(value)}) == 1, type(value).__name__
+print(len(values))
+"""
+
+
+class TestLabelValues:
+    @staticmethod
+    def _values() -> list:
+        ctx = _proven_context("theorem1", 32, 1)
+        labels = _builder(ctx).record_table(ctx.embedding).materialize()
+        values = _label_values(labels.values())
+        kinds = {type(value) for value in values}
+        assert {BasicInfo, TLevelRecord, BLevelRecord, EdgeCertificate,
+                EmbeddedRecord, Theorem1Label} <= kinds
+        return values
+
+    def test_hash_and_equality_are_the_generated_ones(self):
+        """The kept hash has the generated ``__hash__``'s value (the hash
+        of the field tuple), a field-equal copy equals and hashes alike,
+        and a copy with one field changed is not equal."""
+        for value in self._values():
+            fields = dataclasses.fields(value)
+            assert hash(value) == hash(
+                tuple([getattr(value, field.name) for field in fields])
+            )
+            assert value == value
+            twin = dataclasses.replace(value)
+            assert twin is not value and twin == value
+            assert hash(twin) == hash(value)
+            if isinstance(value, BasicInfo):
+                other = dataclasses.replace(value, node_id=value.node_id + 1)
+                assert other != value and value != other
+
+    def test_pickles_and_copies_hold_the_fields_alone(self):
+        for value in self._values():
+            hash(value)
+            names = {field.name for field in dataclasses.fields(value)}
+            assert set(value.__getstate__()) == names
+            for copy in (pickle.loads(pickle.dumps(value)),):
+                assert set(copy.__dict__) == names
+                assert copy == value and hash(copy) == hash(value)
+
+    def test_kept_hash_stays_in_its_process(self):
+        """A label value hashed, pickled and loaded under another
+        ``PYTHONHASHSEED`` hashes like an equal object built there.  A
+        hash kept in the pickle would break ``len(roots) == 1`` in the
+        round for honest labels read from another process."""
+        # src/repro/core/certificates.py -> src
+        src = str(Path(sys.modules[BasicInfo.__module__].__file__).parents[2])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [part for part in [env.get("PYTHONPATH")] if part]
+        )
+        made = subprocess.run(
+            [sys.executable, "-c", _PICKLE_LABEL_VALUES],
+            env=dict(env, PYTHONHASHSEED="1"),
+            capture_output=True,
+            check=True,
+        )
+        checked = subprocess.run(
+            [sys.executable, "-c", _CHECK_LABEL_VALUES],
+            env=dict(env, PYTHONHASHSEED="2"),
+            input=made.stdout,
+            capture_output=True,
+        )
+        assert checked.returncode == 0, checked.stderr.decode()
+        assert checked.stdout.decode().strip() == "11"
