@@ -24,6 +24,10 @@ Two legs per n:
   *warmed* directory (attach + verify) — the restarted-process story.
 * ``round_kb`` — the size of the compiled-round envelope file the
   cold leg wrote (KiB), the bytes a restart reads back.
+* ``derivations`` — the algebra re-derivations the cold leg's compile
+  ran (``kernel_stats["derivations"]``, one per shape of each check).
+  The bench asserts it is below the round's record count: a compile
+  that re-derives per key or per record would not be.
 * ``encode_perlabel_s`` vs ``encode_bulk_s`` — the per-label
   ``encode_label`` loop (one header, no shared interning — what a
   caller without the bulk entry point pays) vs the bulk encoder
@@ -105,6 +109,7 @@ def test_e14_cold_path(benchmark):
             "restart_s",
             "cold_x",
             "round_kb",
+            "derivations",
             "enc_perlabel_s",
             "enc_bulk_s",
             "enc_x",
@@ -149,7 +154,14 @@ def test_e14_cold_path(benchmark):
             assert restart_report.verdicts == cold_report.verdicts
             assert restart_report.accepted == cold_report.accepted
             kernel = (cold_report.kernel_stats or {}).get("mode") == "kernel"
+            stats = cold_report.kernel_stats or {}
+            derivations = stats.get("derivations", 0)
             if kernel:
+                assert derivations < cold_report.kernel_stats["records"], (
+                    f"cold compile ran {derivations} re-derivations for "
+                    f"{cold_report.kernel_stats['records']} records"
+                )
+                assert restart_report.kernel_stats.get("derivations") == 0
                 assert (
                     cold_report.kernel_stats.get("compiled_round_cached")
                     is False
@@ -198,6 +210,7 @@ def test_e14_cold_path(benchmark):
                 "restart_s": round(restart_s, 6),
                 "cold_speedup": round(cold_x, 2),
                 "round_kb": round(round_kb, 2),
+                "derivations": derivations,
                 "encode_perlabel_s": round(encode_perlabel_s, 6),
                 "encode_bulk_s": round(encode_bulk_s, 6),
                 "encode_speedup": round(encode_x, 2),
@@ -213,6 +226,7 @@ def test_e14_cold_path(benchmark):
                 f"{restart_s:.3f}",
                 f"{cold_x:.1f}x",
                 f"{round_kb:.1f}",
+                derivations,
                 f"{encode_perlabel_s:.4f}",
                 f"{encode_bulk_s:.4f}",
                 f"{encode_x:.1f}x",

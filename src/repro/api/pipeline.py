@@ -419,15 +419,22 @@ class MatchSequenceStage(Stage):
     The expected graph is replayed once and kept as a fingerprint on the
     stage instance, so repeated proofs against the same sequence compare
     one hash instead of rebuilding and comparing full edge/vertex sets.
+    A caller that has replayed the sequence already passes that graph's
+    bare (V, E) fingerprint as ``expected_fingerprint``, and the stage
+    replays nothing.
     """
 
     name = "match"
     inputs = ("graph",)
     outputs = ("sequence", "embedding", "max_width")
 
-    def __init__(self, sequence: ConstructionSequence):
+    def __init__(
+        self,
+        sequence: ConstructionSequence,
+        expected_fingerprint: Optional[str] = None,
+    ):
         self.sequence = sequence
-        self._expected_fingerprint: Optional[str] = None
+        self._expected_fingerprint = expected_fingerprint
         self._sequence_digest: Optional[str] = None
 
     def plan_params(self):

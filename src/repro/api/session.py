@@ -291,7 +291,12 @@ class CertificationSession:
         if sequence is not None:
             match_stage = self._match_stages.get(mode_key)
             if match_stage is None:
-                match_stage = MatchSequenceStage(sequence)
+                # ``_normalize`` has replayed the sequence: the stage
+                # checks against that graph instead of a second replay.
+                _seq, _fp, graph = self._sequence_keys[id(sequence)]
+                match_stage = MatchSequenceStage(
+                    sequence, graph.fingerprint(include_labels=False)
+                )
                 self._match_stages[mode_key] = match_stage
             return lanewidth_plan(sequence, match_stage=match_stage)
         if self.k is None:

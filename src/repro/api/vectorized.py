@@ -7,10 +7,13 @@ module evaluates a *whole round* as flat array kernels instead:
 1. **Compile** — the labels' :class:`~repro.codec.table.RecordTable`
    already interns records, infos, stacks and tags as dense integer
    ids.  The per-record columns come from its columns by array
-   operations, the pure re-derivations (leaf classes, ``f_B`` bridge
-   recompositions, ``f_P`` member folds) run once per distinct integer
-   key through the reference's own memoized functions, and each stack
-   gets a *path id* chain mirroring the reference's recursive grouping
+   operations, and identifiers stay the table's codes.  The pure
+   re-derivations (root classes, leaf classes, ``f_B`` bridge
+   recompositions, ``f_P`` member folds) run once per *shape* of their
+   key, the key with its identifiers renamed by first appearance,
+   through the reference's own memoized functions (see
+   :class:`RoundCompiler` for why that is sound).  Each stack gets a
+   *path id* chain mirroring the reference's recursive grouping
    (T-levels split by member node, B-levels by side).  A fresh
    certify's mapping hands over the prover's table; any other mapping
    gets one from a walk over the round's edge-label column.
@@ -78,12 +81,27 @@ HAVE_NUMPY = np is not None
 #: (``T, B, E, P = 0, 1, 2, 3``); -1 marks a record the table marked,
 #: which flags every stack containing it.
 
-#: "no value" sentinel (missing pointer record, ``out_id(...) is None``).
-#: Outside the table's ``(-2**60, 2**60)`` field range, so it never
-#: equals a real identifier or distance.
+#: "no value" sentinel of a distance column (no pointer distance at
+#: this vertex).  Outside the table's ``(-2**60, 2**60)`` field range,
+#: so it never equals a real distance.
 _MISS = NONE_ID
 
+#: "no value" sentinel of an identifier-code column (no bridge endpoint
+#: on a missing lane, or a column the record's kind does not fill).  A
+#: vertex whose identifier is not in the table has ``me_code`` -1, so
+#: this must differ from -1: were the two equal, such a vertex would
+#: match a missing bridge endpoint.
+_NO_CODE = -2
+
 _SEG_SHIFT = 1 << 31
+
+#: Most lanes per info, and most infos per key, that a re-derivation
+#: key is shaped for (:class:`RoundCompiler`).  It bounds a shape row at
+#: ``16 * (3 + 2 * 16)`` int32 cells whatever the labels hold; honest
+#: labels stay below it unless the host's lanes number more than 14.  A
+#: table with a wider info re-derives once per distinct key, and so does
+#: a check whose keys name more infos.
+_SHAPE_WIDTH = 16
 
 #: Tag ids of the REAL and VIRTUAL port tags: the compiler interns them
 #: first, in this order, and the kernels read them as constants.
@@ -93,8 +111,9 @@ _REAL_TAG, _VIRTUAL_TAG = 0, 1
 #: (:meth:`RoundCompiler.compile`).  Bumped whenever the kernel table
 #: layout or semantics change: a mismatched envelope is a cache *miss*
 #: (the round recompiles), never an error.  Version 2 stores each
-#: integer column at its narrowest dtype.
-COMPILED_ROUND_VERSION = 2
+#: integer column at its narrowest dtype; version 3 holds identifiers as
+#: the table's codes (:data:`_CODE_COLS`), not as identifier values.
+COMPILED_ROUND_VERSION = 3
 
 #: ``_Tables`` columns by dtype — the envelope stores exactly these (the
 #: integer ones at :func:`_narrowest`), and :meth:`KernelRound.from_state`
@@ -115,6 +134,13 @@ _STATE_I64_COLS = (
     "tin", "pid_keys", "pid_t",
     "st_len", "st_indptr", "st_rec", "st_path", "st_next",
     "me_code",
+)
+
+#: Columns holding identifier codes (``RecordTable.id_code``, or
+#: :data:`_NO_CODE`); the kernels compare them with ``me_code``.
+_CODE_COLS = (
+    "r_ptgt", "r_pida", "r_pidb", "r_ep1", "r_ep2", "r_ein", "r_eout",
+    "ch_ids_flat", "min_id",
 )
 
 #: Columns with one entry per interned record.
@@ -236,17 +262,78 @@ def _kind_rows(table, kind, width):
     )
 
 
-def _per_key(compute, *columns):
-    """Run ``compute(*key)`` once per distinct row of ``columns``.
+def _unique_rows(matrix):
+    """``(first, inverse)`` over the rows of a 2-D int array.
 
-    ``compute`` returns a tuple of ints; the result holds one int64 row
-    per input row.
+    ``first`` holds the index of each distinct row's first occurrence,
+    ``inverse`` each row's position in ``first``.  The rows are compared
+    as raw bytes, one sort of one void column, not field by field as
+    ``np.unique(..., axis=0)`` does.
     """
-    keys, inverse = np.unique(
-        np.stack(columns, axis=1), axis=0, return_inverse=True
+    matrix = np.ascontiguousarray(matrix)
+    rows = matrix.view(
+        np.dtype((np.void, matrix.dtype.itemsize * matrix.shape[1]))
+    ).reshape(-1)
+    _rows, first, inverse = np.unique(
+        rows, return_index=True, return_inverse=True
     )
-    values = np.array([compute(*key) for key in keys.tolist()], np.int64)
-    return values.reshape(keys.shape[0], -1)[inverse.reshape(-1)]
+    return first, inverse.reshape(-1)
+
+
+def _first_appearance(codes):
+    """Each row of a 2-D int array renamed 0, 1, 2, ... by first
+    appearance; -1 entries (padding) stay -1 and take no name.
+
+    Two rows come out equal exactly when one maps onto the other by an
+    injective renaming of their non-padding values.
+    """
+    rows, cols = codes.shape
+    if codes.size == 0:
+        return codes.copy()
+    flat = codes.reshape(-1)
+    # Flat positions, each row's sorted by value.
+    order = (
+        np.argsort(codes, axis=1) + np.arange(0, flat.size, cols)[:, None]
+    ).reshape(-1)
+    ranked = flat[order]
+    head = np.empty(flat.size, bool)
+    head[1:] = ranked[1:] != ranked[:-1]
+    head[::cols] = True
+    # A run of one value in a sorted row first appears at the run's
+    # smallest position.
+    first = np.empty(flat.size, np.int64)
+    first[order] = np.minimum.reduceat(order, np.flatnonzero(head))[
+        np.cumsum(head) - 1
+    ]
+    pad = flat == -1
+    named = (first == np.arange(flat.size)) & ~pad
+    names = np.cumsum(named.reshape(rows, cols), axis=1).reshape(-1) - 1
+    out = names[first].astype(codes.dtype)
+    out[pad] = -1
+    return out.reshape(rows, cols)
+
+
+def _padded(flat, starts, counts):
+    """Ragged segments as rows of a 2-D array, -1 padded."""
+    rows = counts.shape[0]
+    out = np.full((rows, int(counts.max(initial=0))), -1, flat.dtype)
+    out[np.repeat(np.arange(rows), counts), _grouped_arange(counts)] = flat[
+        _gather(starts, counts)
+    ]
+    return out
+
+
+def _out_codes(info, lane, i_len, i_ptr, i_lane, i_out):
+    """Per row, the out-terminal code of ``info[row]`` on lane
+    ``lane[row]`` (``BasicInfo.out_id``), or :data:`_NO_CODE`."""
+    counts = i_len[info]
+    where = _gather(i_ptr[info], counts)
+    owner = np.repeat(np.arange(info.shape[0]), counts)
+    hit = i_lane[where] == lane[owner]
+    out = np.full(info.shape[0], _NO_CODE, np.int64)
+    # Reversed, so that the first matching lane is the one that stays.
+    out[owner[hit][::-1]] = i_out[where[hit]][::-1]
+    return out
 
 
 class _Tables:
@@ -270,12 +357,34 @@ class RoundCompiler:
 
     :meth:`compile` derives the per-record kernel columns from the
     table's integer columns with array operations, runs each algebra
-    re-derivation (the root class, the ``f_P`` member fold, the ``f_B``
-    bridge, the leaf class) once per distinct integer key through the
-    reference's own memoized functions, assigns stack path ids level by
-    level (T levels split by member node, B levels by side, as the
-    reference groups them), pre-evaluates every virtual-port grouping,
-    and returns the state that :meth:`KernelRound.from_state` attaches.
+    re-derivation (the root class, the ``f_P`` member fold, the root
+    member match, the ``f_B`` bridge, the leaf class) once per *shape*
+    through the reference's own memoized functions, assigns stack path
+    ids level by level (T levels split by member node, B levels by side,
+    as the reference groups them), pre-evaluates every virtual-port
+    grouping, and returns the state that :meth:`KernelRound.from_state`
+    attaches.
+
+    A key's shape lists, for each info the key names in key order, the
+    info's kind, lane tuple and state id; then all of the key's terminal
+    identifier codes renamed 0, 1, 2, ... by first appearance across the
+    whole key; then the key's own lane, tag and length fields.  Each
+    shape is derived once, on its first key, and the result holds for
+    every key of that shape.  That is sound because these checks read an
+    identifier only through equality (glue positions,
+    ``boundary.index``, terminal-map comparisons, ``len`` of a boundary):
+    renaming every identifier of a key by one injective map leaves each
+    check's outcome as it was, and two keys of one shape differ by
+    exactly such a renaming.  The type of a boundaried graph does not
+    depend on its vertex names.  The bridge endpoints, which the kernels
+    compare with a vertex's own code, are read per record.  A table
+    with an info of more than ``_SHAPE_WIDTH`` lanes, or a check whose
+    keys name more infos than that, re-derives once per distinct key
+    instead.  The reference verifier (:mod:`repro.core.verifier`)
+    derives per record, so the audit-mode differential still checks
+    the compile against an independent path.
+
+    :attr:`derivations` counts the re-derivations the compile ran.
     """
 
     def __init__(self, arrays: RoundArrays, table, edge_rows, algebra, max_width):
@@ -288,10 +397,16 @@ class RoundCompiler:
         self._edge_rows = edge_rows
         self._algebra = algebra
         self._max_width = max_width
+        #: Re-derivations run so far (one per shape of each check).
+        self.derivations = 0
+        # Per info (and one padding row last): kind, lane-tuple id and
+        # state id, and the in- then out-terminal codes, -1 padded.
+        # ``None`` when the table is too wide for shapes.
+        self._info_desc = self._info_codes = None
 
-    # -- re-derivations, once per distinct key ----------------------------
+    # -- re-derivations, once per shape -----------------------------------
 
-    def _root_ok(self, info):
+    def _root_ok(self, info) -> bool:
         info = self._table.infos[info]
         width = len(info.lanes)
         try:
@@ -300,12 +415,12 @@ class RoundCompiler:
                 and info.lanes == tuple(range(width))
                 and bool(
                     self._algebra.accepts(info.state, len(info.boundary_ids))
-                ),
+                )
             )
         except Exception:
-            return (False,)
+            return False
 
-    def _fold_ok(self, member, subtree, kids):
+    def _fold_ok(self, member, subtree, kids) -> bool:
         infos = self._table.infos
         subtree = infos[subtree]
         kids = tuple([infos[kid] for kid in self._table.children[kids]])
@@ -313,35 +428,30 @@ class RoundCompiler:
             state, _b, in_ids, out_ids = recompute_parent_fold(
                 self._algebra, infos[member], kids
             )
-            return (
-                bool(
-                    state == subtree.state
-                    and in_ids == subtree.in_ids
-                    and out_ids == subtree.out_ids
-                ),
+            return bool(
+                state == subtree.state
+                and in_ids == subtree.in_ids
+                and out_ids == subtree.out_ids
             )
         except Exception:
-            return (False,)
+            return False
 
-    def _root_member_ok(self, subtree, info):
+    def _root_member_ok(self, subtree, info) -> bool:
         subtree, info = self._table.infos[subtree], self._table.infos[info]
         try:
-            return (
-                bool(
-                    subtree.state == info.state
-                    and subtree.in_ids == info.in_ids
-                    and subtree.out_ids == info.out_ids
-                    and subtree.lanes == info.lanes
-                ),
+            return bool(
+                subtree.state == info.state
+                and subtree.in_ids == info.in_ids
+                and subtree.out_ids == info.out_ids
+                and subtree.lanes == info.lanes
             )
         except Exception:
-            return (False,)
+            return False
 
-    def _bridge(self, left, right, i, j, tag, info):
-        """``(f_B recomputes info, left endpoint id, right endpoint id)``."""
+    def _bridge_ok(self, left, right, info, i, j, tag) -> bool:
+        """Whether ``f_B`` recomputes ``info`` and both V children check."""
         infos = self._table.infos
         left, right, info = infos[left], infos[right], infos[info]
-        ep1, ep2 = left.out_id(i), right.out_id(j)
         try:
             state, _b, in_ids, out_ids = recompute_bridge(
                 self._algebra, left, right, i, j, self._table.tags[tag]
@@ -358,13 +468,9 @@ class RoundCompiler:
                         and len(child.lanes) == 1
                         and child.state == self._algebra.new_vertices(1)
                     )
+            return ok
         except Exception:
-            ok = False
-        return (
-            ok,
-            _MISS if ep1 is None else ep1,
-            _MISS if ep2 is None else ep2,
-        )
+            return False
 
     def _leaf_ok(self, rid) -> bool:
         table = self._table
@@ -375,6 +481,66 @@ class RoundCompiler:
             )
         except Exception:
             return False
+
+    def _describe_infos(self, i_len, i_in, i_out, i_kind) -> None:
+        """Fill the per-info shape columns, unless an info is too wide."""
+        tab = self._table
+        width = int(i_len.max(initial=0))
+        if width > _SHAPE_WIDTH:
+            return
+        count = len(tab.infos)
+        lane_ids: dict = {}
+        desc = np.full((count + 1, 3), -1, np.int32)
+        desc[:-1, 0] = i_kind
+        desc[:-1, 1] = [
+            lane_ids.setdefault(lanes, len(lane_ids)) for lanes in tab.i_lanes
+        ]
+        desc[:-1, 2] = tab.i_state
+        codes = np.full((count + 1, 2 * width), -1, np.int32)
+        owner = np.repeat(np.arange(count), i_len)
+        slot = _grouped_arange(i_len)
+        codes[owner, slot] = i_in
+        codes[owner, slot + width] = i_out
+        self._info_desc, self._info_codes = desc, codes
+
+    def _shapes(self, infos, fields=None):
+        """Shape rows of keys naming ``infos`` (one row per key, -1 for
+        no info) with their own ``fields``; ``None`` for no shapes."""
+        if self._info_codes is None or infos.shape[1] > _SHAPE_WIDTH:
+            return None
+        rows = infos.shape[0]
+        at = np.where(infos >= 0, infos, self._info_codes.shape[0] - 1)
+        parts = [
+            self._info_desc[at].reshape(rows, -1),
+            _first_appearance(self._info_codes[at].reshape(rows, -1)),
+        ]
+        if fields is not None:
+            wide = fields.size and (
+                int(fields.min()) < -(1 << 31) or int(fields.max()) >= 1 << 31
+            )
+            parts.append(fields if wide else fields.astype(np.int32))
+        return np.concatenate(parts, axis=1)
+
+    def _derive(self, check, keys, describe):
+        """``check(*key)`` for every row of the int matrix ``keys``, run
+        once per shape.
+
+        ``describe(distinct)`` maps the distinct keys to the infos they
+        name and their own fields, the arguments of :meth:`_shapes`.
+        """
+        first, inverse = _unique_rows(keys)
+        distinct = keys[first]
+        shapes = self._shapes(*describe(distinct))
+        if shapes is None:
+            reps = np.arange(first.shape[0])
+            group = reps
+        else:
+            reps, group = _unique_rows(shapes)
+        self.derivations += int(reps.shape[0])
+        values = np.array(
+            [check(*key) for key in distinct[reps].tolist()], bool
+        )
+        return values[group][inverse]
 
     # -- per-record columns -------------------------------------------------
 
@@ -393,9 +559,9 @@ class RoundCompiler:
             setattr(t, name, np.zeros(nrec, dtype))
         t.r_type[:] = tab.r_kind
         t.r_info[:] = tab.r_info
-        for name in ("r_pida", "r_pidb", "r_ep1", "r_ep2"):
-            getattr(t, name)[:] = _MISS
-        idval = np.array(tab.id_values, i64)
+        for name in _CODE_COLS:
+            if name.startswith("r_"):
+                getattr(t, name)[:] = _NO_CODE
         tagc = np.arange(len(tab.tags), dtype=i64) + 2
         for tag, code in ((REAL, _REAL_TAG), (VIRTUAL, _VIRTUAL_TAG)):
             found = tab.tag_id.get((repr(tag), tag))
@@ -409,6 +575,7 @@ class RoundCompiler:
         i_out = _flat(tab.i_out, total)
         i_node = np.array(tab.i_node, i64)
         i_kind = np.array(tab.i_kind, i64)
+        self._describe_infos(i_len, i_in, i_out, i_kind)
         member_node = np.zeros(nrec, i64)
         kid_t = (np.zeros(nrec, bool), np.zeros(nrec, bool))
         leaf = np.zeros(nrec, bool)
@@ -424,40 +591,48 @@ class RoundCompiler:
             t.r_msub[rid] = subtree
             t.r_cs[rid] = kids
             t.r_rmid[rid] = root
-            t.r_ptgt[rid] = idval[rows[:, 4]]
-            t.r_pida[rid] = idval[rows[:, 5]]
+            t.r_ptgt[rid] = rows[:, 4]
+            t.r_pida[rid] = rows[:, 5]
             t.r_pda[rid] = rows[:, 6]
-            t.r_pidb[rid] = idval[rows[:, 7]]
+            t.r_pidb[rid] = rows[:, 7]
             t.r_pdb[rid] = rows[:, 8]
             t.r_ptok[rid] = True
-            t.r_root[rid] = _per_key(self._root_ok, info)[:, 0] > 0
-            t.r_fold[rid] = (
-                _per_key(self._fold_ok, member, subtree, kids)[:, 0] > 0
+            t.r_root[rid] = self._derive(
+                self._root_ok, rows[:, :1], lambda keys: (keys,)
+            )
+            kid_len = np.array([len(c) for c in tab.children], i64)
+            kid_ptr = _indptr(kid_len)
+            kid_flat = _flat(tab.children, int(kid_ptr[-1]))
+
+            def fold_infos(keys):
+                lists = keys[:, 2]
+                named = _padded(kid_flat, kid_ptr[lists], kid_len[lists])
+                return (
+                    np.concatenate([keys[:, :2], named], axis=1),
+                    kid_len[lists][:, None],
+                )
+
+            t.r_fold[rid] = self._derive(
+                self._fold_ok, rows[:, 1:4], fold_infos
             )
             member_node[rid] = i_node[member]
             rmc = np.ones(rid.size, bool)
             named = i_node[member] == root
             if named.any():
-                rmc[named] = (
-                    _per_key(
-                        self._root_member_ok, subtree[named], info[named]
-                    )[:, 0]
-                    > 0
+                rmc[named] = self._derive(
+                    self._root_member_ok,
+                    np.stack([subtree[named], info[named]], axis=1),
+                    lambda keys: (keys,),
                 )
             t.r_rmc[rid] = rmc
-            kid_len = np.array([len(c) for c in tab.children], i64)
-            kid_ptr = _indptr(kid_len)
-            kid_flat = _flat(tab.children, int(kid_ptr[-1]))
             t.ch_counts[rid] = kid_len[kids]
             t.ch_cid = kid_flat[_gather(kid_ptr[kids], kid_len[kids])]
             t.ch_ids_counts = i_len[t.ch_cid]
-            t.ch_ids_flat = idval[
-                i_in[_gather(i_ptr[t.ch_cid], t.ch_ids_counts)]
-            ]
+            t.ch_ids_flat = i_in[_gather(i_ptr[t.ch_cid], t.ch_ids_counts)]
             t.min_counts[rid] = i_len[subtree]
             where = _gather(i_ptr[subtree], i_len[subtree])
             t.min_lane = i_lane[where]
-            t.min_id = idval[i_in[where]]
+            t.min_id = i_in[where]
             # (T info, lane, identifier) keys of every T node's in-terminals.
             owners = np.unique(info)
             where = _gather(i_ptr[owners], i_len[owners])
@@ -474,24 +649,30 @@ class RoundCompiler:
             info, left, right, i, j, tag, side = rows.T
             t.r_bleft[rid] = left
             t.r_bright[rid] = right
-            t.r_bbr[rid] = np.unique(
-                rows[:, 3:5], axis=0, return_inverse=True
-            )[1].reshape(-1)
+            t.r_bbr[rid] = _unique_rows(rows[:, 3:5])[1]
             t.r_btag[rid] = tagc[tag]
             t.r_side[rid] = side
-            derived = _per_key(self._bridge, left, right, i, j, tag, info)
-            t.r_bok[rid] = derived[:, 0] > 0
-            t.r_ep1[rid] = derived[:, 1]
-            t.r_ep2[rid] = derived[:, 2]
+            # Key: (left, right, info, i, j, tag).
+            t.r_bok[rid] = self._derive(
+                self._bridge_ok,
+                rows[:, [1, 2, 0, 3, 4, 5]],
+                lambda keys: (keys[:, :3], keys[:, 3:]),
+            )
+            ends = ((t.r_ep1, left, i), (t.r_ep2, right, j))
+            for column, child, lane in ends:
+                column[rid] = _out_codes(
+                    child, lane, i_len, i_ptr, i_lane, i_out
+                )
             kid_t[0][rid] = i_kind[left] == _KIND_CODES["T"]
             kid_t[1][rid] = i_kind[right] == _KIND_CODES["T"]
 
         rows, rid = _kind_rows(tab, _E, 4)
+        leaf_keys = []
         if rid.size:
             info, a, b, tag = rows.T
             t.r_etag[rid] = tagc[tag]
-            t.r_ein[rid] = idval[a]
-            t.r_eout[rid] = idval[b]
+            t.r_ein[rid] = a
+            t.r_eout[rid] = b
             starts, counts = i_ptr[info], i_len[info]
             t.r_eok[rid] = (
                 (counts == 1)
@@ -499,8 +680,12 @@ class RoundCompiler:
                 & (_first(i_out, starts, counts) == b)
                 & (a != b)
             )
+            # Key: (record, info, kind, tag, path length).
+            kind = np.full(rid.size, _E)
+            length = np.zeros(rid.size, i64)
+            leaf_keys.append(np.stack([rid, info, kind, tag, length], axis=1))
 
-        pid_keys, pid_t = [], []
+        pid_keys, pid_t, p_keys = [], [], []
         for rid, (info, ids, tags, position) in zip(tab.rids[_P], tab.rows[_P]):
             codes = tab.id_lists[ids]
             tag_ids = tab.tag_lists[tags]
@@ -520,12 +705,20 @@ class RoundCompiler:
             for index, code in enumerate(codes):
                 pid_keys.append(rid * _SEG_SHIFT + code)
                 pid_t.append(index)
+            p_keys.append((rid, info, _P, tags, len(codes)))
         keys = np.array(pid_keys, i64)
         ordering = np.argsort(keys, kind="stable")
         t.pid_keys = keys[ordering]
         t.pid_t = np.array(pid_t, i64)[ordering]
-        for rid in chain(tab.rids[_E], tab.rids[_P]):
-            leaf[rid] = self._leaf_ok(rid)
+        if p_keys:
+            leaf_keys.append(np.array(p_keys, i64))
+        if leaf_keys:
+            keys = np.concatenate(leaf_keys)
+            leaf[keys[:, 0]] = self._derive(
+                lambda rid, *_fields: self._leaf_ok(rid),
+                keys,
+                lambda keys: (keys[:, 1:2], keys[:, 2:]),
+            )
         return member_node, kid_t, leaf
 
     # -- stacks, edges and virtual ports ----------------------------------
@@ -542,21 +735,15 @@ class RoundCompiler:
         kind = t.r_type
         # The reference groups a T level by member node, a B level by
         # side, and every leaf alike; one token per distinct grouping.
-        token = np.unique(
-            np.stack(
-                [
-                    np.where(kind < 0, 3, np.minimum(kind, 2)),
-                    np.where(
-                        kind == _T,
-                        member_node,
-                        np.where(kind == _B, t.r_side, 0),
-                    ),
-                ],
-                axis=1,
-            ),
-            axis=0,
-            return_inverse=True,
-        )[1].reshape(-1)[rec]
+        # Member nodes are in [-1, 2**60) and sides in [-1, 1], so the
+        # (group, value + 1) pair packs into one int64 in pair order.
+        group = np.where(kind < 0, 3, np.minimum(kind, 2))
+        value = np.where(
+            kind == _T, member_node, np.where(kind == _B, t.r_side, 0)
+        )
+        token = np.unique((group << 61) | (value + 1), return_inverse=True)[
+            1
+        ].reshape(-1)[rec]
         path = np.zeros(total, i64)
         nxt = np.zeros(total, i64)
         starts = t.st_indptr[:-1]
@@ -715,8 +902,9 @@ class KernelRound:
     """One compiled round attached for the kernels.
 
     Built only by :meth:`from_state`, from the
-    :class:`~repro.pls.arrays.RoundArrays` (CSR + identifiers) of the
-    round and an envelope state.  ``run(order)`` returns
+    :class:`~repro.pls.arrays.RoundArrays` of the round and an envelope
+    state.  The kernels never read an identifier: each vertex has its
+    table code in ``me_code``.  ``run(order)`` returns
     ``(accept, stats)``: ``accept[i]`` is True iff the kernels *prove*
     the reference verifier accepts dense vertex ``order[i]``; every
     other vertex must go through the reference fallback.
@@ -727,7 +915,6 @@ class KernelRound:
         self._m = arrays.m
         self._indptr = arrays.indptr
         self._incident = arrays.incident
-        self._ids_np = arrays.identifiers
         self._t: Optional[_Tables] = None
         self._edge_sid = None
         self._vp_map: dict = {}
@@ -951,11 +1138,11 @@ class KernelRound:
         seg, seg_depth, row_vertex, row_tag, row_rec, row_next = self._rows(
             port_vertex, port_sid, port_tag, lens
         )
-        row_me = self._ids_np[row_vertex]
+        row_code = t.me_code[row_vertex]
         starts = seg.starts
         sizes = np.diff(np.append(starts, row_vertex.shape[0]))
         seg_v = row_vertex[starts]
-        seg_me = row_me[starts]
+        seg_code = row_code[starts]
         first_rec = row_rec[starts]
 
         # A segment of one record type has its first row's type.
@@ -977,8 +1164,8 @@ class KernelRound:
 
         if is_t.any():
             self._t_kernels(
-                t, flag, seg, row_vertex, row_me, row_rec, row_next,
-                seg_v, seg_me, first_rec, info_eq, is_t,
+                t, flag, seg, row_vertex, row_code, row_rec, row_next,
+                seg_v, seg_code, first_rec, info_eq, is_t,
             )
         if is_b.any():
             rmask = t.r_btag[row_rec]
@@ -996,8 +1183,8 @@ class KernelRound:
             )
             cnt_m1 = seg.tally(ism1)
             has_m1 = cnt_m1 > 0
-            at_ep = (seg_me == t.r_ep1[first_rec]) | (
-                seg_me == t.r_ep2[first_rec]
+            at_ep = (seg_code == t.r_ep1[first_rec]) | (
+                seg_code == t.r_ep2[first_rec]
             )
             ok &= (~at_ep | has_m1) & (cnt_m1 <= 1) & (~has_m1 | at_ep)
             flag[seg_v[is_b & ~ok]] = True
@@ -1007,8 +1194,8 @@ class KernelRound:
                 & t.r_eok[first_rec]
                 & (row_tag[starts] == t.r_etag[first_rec])
                 & (
-                    (seg_me == t.r_ein[first_rec])
-                    | (seg_me == t.r_eout[first_rec])
+                    (seg_code == t.r_ein[first_rec])
+                    | (seg_code == t.r_eout[first_rec])
                 )
             )
             flag[seg_v[is_e & ~ok]] = True
@@ -1021,14 +1208,15 @@ class KernelRound:
                 & seg.all(t.r_ptagok[row_rec])
                 & seg.all(row_tag == t.r_ptagc[row_rec])
             )
-            code = t.me_code[seg_v]
-            query = first_rec * _SEG_SHIFT + np.where(code >= 0, code, 0)
+            query = first_rec * _SEG_SHIFT + np.where(
+                seg_code >= 0, seg_code, 0
+            )
             found = np.zeros(seg.count, dtype=bool)
             tpos = np.zeros(seg.count, dtype=np.int64)
             if t.pid_keys.size:
                 lookup = np.searchsorted(t.pid_keys, query)
                 lookup_c = np.minimum(lookup, t.pid_keys.size - 1)
-                found = (code >= 0) & (t.pid_keys[lookup_c] == query)
+                found = (seg_code >= 0) & (t.pid_keys[lookup_c] == query)
                 tpos = t.pid_t[lookup_c]
             plen = t.r_plen[first_rec]
             e_low = tpos > 0
@@ -1080,25 +1268,25 @@ class KernelRound:
             row_next[ordering],
         )
 
-    def _t_level_ok(self, t, seg, row_me, row_rec, seg_me):
+    def _t_level_ok(self, t, seg, row_code, row_rec, seg_code):
         """Per segment, the checks on a T level's own records: the
         pointer round (Prop. 2.2), the root member and the fold."""
         starts = seg.starts
         ida = t.r_pida[row_rec]
         idb = t.r_pidb[row_rec]
         own = np.where(
-            row_me == ida,
+            row_code == ida,
             t.r_pda[row_rec],
-            np.where(row_me == idb, t.r_pdb[row_rec], _MISS),
+            np.where(row_code == idb, t.r_pdb[row_rec], _MISS),
         )
         other = np.where(
-            row_me == ida,
+            row_code == ida,
             t.r_pdb[row_rec],
-            np.where(row_me == idb, t.r_pda[row_rec], _MISS),
+            np.where(row_code == idb, t.r_pda[row_rec], _MISS),
         )
         tgt = t.r_ptgt[row_rec]
         own_first = own[starts]
-        is_target = seg_me == tgt[starts]
+        is_target = seg_code == tgt[starts]
         ptr_ok = (
             seg.all(t.r_ptok[row_rec])
             & seg.eq(tgt)
@@ -1118,11 +1306,11 @@ class KernelRound:
         )
 
     def _t_kernels(
-        self, t, flag, seg, row_vertex, row_me, row_rec, row_next,
-        seg_v, seg_me, first_rec, info_eq, is_t,
+        self, t, flag, seg, row_vertex, row_code, row_rec, row_next,
+        seg_v, seg_code, first_rec, info_eq, is_t,
     ):
         """All T-segment checks: pointers, folds, member rules."""
-        ok = info_eq & self._t_level_ok(t, seg, row_me, row_rec, seg_me)
+        ok = info_eq & self._t_level_ok(t, seg, row_code, row_rec, seg_code)
         flag[seg_v[is_t & ~ok]] = True
 
         # Member sub-segments (the reference's member_groups): each
@@ -1145,7 +1333,7 @@ class KernelRound:
         m_v = row_vertex[m_first]
         flag[m_v[~sub_ok]] = True
         m_rec = row_rec[m_first]
-        m_me = row_me[m_first]
+        m_code = row_code[m_first]
         m_msub = t.r_msub[m_rec]
         nmembers = m_rec.shape[0]
         member_keys = np.sort(m_seg * _SEG_SHIFT + m_msub)
@@ -1186,11 +1374,11 @@ class KernelRound:
                     np.repeat(t.ch_ids_indptr[ch_slot], id_counts)
                     + _grouped_arange(id_counts)
                 ]
-                claim_me = m_me[ch_parent]
+                claim_code = m_code[ch_parent]
                 anchored_claim = (
                     np.bincount(
                         id_claim,
-                        weights=(id_val == claim_me[id_claim]),
+                        weights=(id_val == claim_code[id_claim]),
                         minlength=total_children,
                     )
                     > 0
@@ -1214,11 +1402,10 @@ class KernelRound:
                 t.min_indptr[m_rec], a_counts
             ) + _grouped_arange(a_counts)
             a_lane = t.min_lane[a_slot]
-            a_id = t.min_id[a_slot]
-            anchored = a_id == m_me[a_parent]
+            a_code = m_code[a_parent]
+            anchored = t.min_id[a_slot] == a_code
             seg_info = t.r_info[first_rec]
             a_info = seg_info[m_seg[a_parent]]
-            a_code = t.me_code[m_v[a_parent]]
             lane_ok = (a_lane >= 0) & (a_lane < 256) & (a_code >= 0)
             query = (
                 ((a_info << 8) | np.where(lane_ok, a_lane, 0)) << 31
@@ -1335,6 +1522,9 @@ class VectorizedExecutor(VerificationExecutor):
     ``audit=True`` cross-checks every kernel-accepted vertex against
     the reference verifier and raises on divergence — the differential
     test harness runs under it to localize any kernel bug.
+
+    ``kernel_stats["derivations"]`` counts the re-derivations a compile
+    ran (:class:`RoundCompiler`); an attached round reports 0.
     """
 
     name = "vectorized"
@@ -1375,7 +1565,8 @@ class VectorizedExecutor(VerificationExecutor):
             return
 
     def _round_for(self, config, scheme, mapping, factory):
-        """``(round, compile_seconds, cached)`` for one round.
+        """``(round, compile_seconds, cached, derivations)`` for one
+        round (``derivations``: the compile's re-derivations).
 
         Raises :class:`Unvectorizable` when the round must run on the
         reference path.
@@ -1396,7 +1587,7 @@ class VectorizedExecutor(VerificationExecutor):
             key = _compiled_round_cache_key(config, scheme, mapping.digest)
         round_ = _attach_compiled_round(self._stored_state(key), arrays)
         if round_ is not None:
-            return round_, 0.0, True
+            return round_, 0.0, True, 0
         algebra, max_width = profile
         # Reading the certificate column decodes a stored labeling: that
         # is decode time, so it happens before the compile clock starts.
@@ -1405,13 +1596,12 @@ class VectorizedExecutor(VerificationExecutor):
             factory.edge_certificates
         began = perf_counter()
         table, edge_rows = _round_table(mapping, factory)
-        state = RoundCompiler(
-            arrays, table, edge_rows, algebra, max_width
-        ).compile()
+        compiler = RoundCompiler(arrays, table, edge_rows, algebra, max_width)
+        state = compiler.compile()
         compile_seconds = perf_counter() - began
         round_ = KernelRound.from_state(arrays, state)
         self._keep_state(key, state, compile_seconds)
-        return round_, compile_seconds, False
+        return round_, compile_seconds, False, compiler.derivations
 
     def execute(self, config, scheme, mapping, location, vertices, fail_fast):
         if not vertices:
@@ -1419,7 +1609,7 @@ class VectorizedExecutor(VerificationExecutor):
         factory = ViewFactory(config, mapping, location)
         order = [factory.index_of(v) for v in vertices]
         try:
-            round_, compile_seconds, cached = self._round_for(
+            round_, compile_seconds, cached, derivations = self._round_for(
                 config, scheme, mapping, factory
             )
         except Unvectorizable as exc:
@@ -1434,6 +1624,7 @@ class VectorizedExecutor(VerificationExecutor):
             "engine": self.name,
             **stats,
             "compile_seconds": compile_seconds,
+            "derivations": derivations,
             "mode": "kernel",
             "compiled_round_cached": cached,
         }

@@ -57,6 +57,7 @@ from repro.core.certificates import (
     PLevelRecord,
     Theorem1Label,
     TLevelRecord,
+    dict_init,
 )
 from repro.courcelle.algebra import canonical_state_repr
 from repro.pls.bits import SizeContext
@@ -467,6 +468,7 @@ def _encode_certificate(w: BitWriter, cert: EdgeCertificate, h: WireHeader):
         _encode_record(w, record, h)
 
 
+@dict_init
 @dataclass(frozen=True)
 class EncodedLabel:
     """One label's wire encoding: the bytes and the exact bit count."""

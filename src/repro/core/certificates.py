@@ -42,7 +42,7 @@ measured ≤ accounted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 from typing import Optional
 
@@ -61,6 +61,33 @@ from repro.pls.pointer import PointerLabel
 # ----------------------------------------------------------------------
 # Label data types
 # ----------------------------------------------------------------------
+def dict_init(cls):
+    """Give a frozen dataclass an ``__init__`` that writes each field
+    straight into ``__dict__``.
+
+    The generated frozen ``__init__`` goes through ``object.__setattr__``
+    once per field, which costs more than the write itself, and label
+    values are built by the thousand per labeling.  The new one takes
+    the same parameters and defaults, so every caller and
+    ``dataclasses.replace`` build through it unchanged.
+    """
+    params, lines, namespace = [], ["    d = self.__dict__"], {}
+    for field in fields(cls):
+        if field.default is MISSING:
+            params.append(field.name)
+        else:
+            namespace[f"_default_{field.name}"] = field.default
+            params.append(f"{field.name}=_default_{field.name}")
+        lines.append(f"    d[{field.name!r}] = {field.name}")
+    source = f"def __init__(self, {', '.join(params)}):\n" + "\n".join(lines)
+    exec(source, namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    cls.__init__ = init
+    return cls
+
+
 def _label_value(cls):
     """A frozen dataclass that hashes its fields once per object.
 
@@ -71,9 +98,9 @@ def _label_value(cls):
     a field walk.  Both give the generated methods' values.  The kept
     hash never enters a pickle or a copy: a string field hashes
     differently in another process, so ``__getstate__`` holds the
-    fields alone.
+    fields alone.  Objects are built through :func:`dict_init`.
     """
-    cls = dataclass(frozen=True)(cls)
+    cls = dict_init(dataclass(frozen=True)(cls))
     field_hash, field_eq = cls.__hash__, cls.__eq__
     names = tuple(f.name for f in fields(cls))
 

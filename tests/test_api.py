@@ -285,6 +285,40 @@ class TestFingerprintCaching:
         scheme.prove(config)
         assert len(calls) == 1  # expected graph built once, then hashed
 
+    def test_session_certify_replays_sequence_once(self, monkeypatch):
+        """A fresh session's sequence certify replays the sequence once
+        and builds one CSR snapshot: the match stage checks against the
+        graph the session replayed, and the plan keys do not change."""
+        import repro.api.session as session_module
+        import repro.graphs.graph as graph_module
+
+        replays, builds = [], []
+        for module in (pipeline_module, session_module):
+            def counting_apply(seq, real=module.apply_construction):
+                replays.append(seq)
+                return real(seq)
+
+            monkeypatch.setattr(module, "apply_construction", counting_apply)
+
+        class CountingCSR(graph_module.CSRAdjacency):
+            def __init__(self, *args, **kwargs):
+                builds.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(graph_module, "CSRAdjacency", CountingCSR)
+        seq, _graph = lanewidth_workload(3, 24, 1)
+        replays.clear()
+        builds.clear()
+        session = CertificationSession(rng=random.Random(1))
+        report = session.certify(seq, "connected")
+        assert report.accepted
+        assert len(replays) == 1
+        assert len(builds) == 1
+        # The stage's plan key is the sequence digest alone, as when it
+        # replays for itself.
+        (stage,) = session._match_stages.values()
+        assert stage.plan_params() == MatchSequenceStage(seq).plan_params()
+
     def test_match_stage_rejects_wrong_graph(self):
         seq = random_lanewidth_sequence(2, 6, random.Random(7))
         stage = MatchSequenceStage(seq)

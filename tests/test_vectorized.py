@@ -14,10 +14,12 @@ Also covered: the executor registry (:func:`repro.api.make_executor`),
 the ``AuditPlan`` engine override with the transplant-attack regression,
 the full attack catalogue on both engines and both input modes,
 the interning wire decoder, the service-level engine selection, the
-persisted compiled-round envelope, and verdicts under labels tampered
-with after certify.
+persisted compiled-round envelope, verdicts under labels tampered
+with after certify, and the compiler's re-derivations once per shape
+(against a per-key compile, on renamed and tampered tables).
 """
 
+import dataclasses
 import json
 import os
 import random
@@ -27,7 +29,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.api import (
@@ -694,6 +696,33 @@ class TestCompiledRoundPersistence:
             lambda state: state.update(compiled_round_version=999),
         )
 
+    def test_version_2_envelope_is_a_counted_miss(self, tmp_path, monkeypatch):
+        """A version 2 envelope (identifier values, not codes) sits under
+        its own version's key: the current executor counts a miss and
+        recompiles, and the old envelope is never attached."""
+        import repro.api.vectorized as vectorized
+
+        config, scheme, labeling = self._stamped_case(9)
+        monkeypatch.setattr(vectorized, "COMPILED_ROUND_VERSION", 2)
+        VerificationEngine(
+            VectorizedExecutor(artifacts=ArtifactCache(root=tmp_path))
+        ).verify(config, scheme, labeling)
+        monkeypatch.undo()
+        cache = ArtifactCache(root=tmp_path)
+        report = VerificationEngine(
+            VectorizedExecutor(artifacts=cache, audit=True)
+        ).verify(config, scheme, labeling)
+        stats = report.kernel_stats
+        assert stats["compiled_round_cached"] is False
+        assert stats["derivations"] > 0
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert report.accepted
+        versions = sorted(
+            manifest["outputs"]["state"]["compiled_round_version"]
+            for _path, manifest in self._envelopes(tmp_path)
+        )
+        assert versions == [2, 3]
+
     def test_stale_wire_version_envelope_recompiles(self, tmp_path):
         self._tampered_run(
             tmp_path, lambda state: state.update(wire_version=999)
@@ -730,6 +759,8 @@ class TestCompiledRoundPersistence:
             ("r_info", "bool"),
             ("r_root", "int8"),  # an int column is not a flag column
             ("edge_sid", "float64"),
+            ("r_ep1", "float64"),  # identifier codes are integer columns
+            ("min_id", "uint64"),
         ],
     )
     def test_wrong_kind_column_envelope_recompiles(
@@ -742,7 +773,11 @@ class TestCompiledRoundPersistence:
         self._tampered_run(tmp_path, recast)
 
     def test_envelope_columns_at_narrowest_dtype(self, tmp_path):
-        from repro.api.vectorized import _STATE_I64_COLS, _narrowest
+        from repro.api.vectorized import (
+            _CODE_COLS,
+            _STATE_I64_COLS,
+            _narrowest,
+        )
 
         config, scheme, labeling = self._stamped_case(9)
         VerificationEngine(
@@ -754,6 +789,9 @@ class TestCompiledRoundPersistence:
         for col in columns + [state["edge_sid"]]:
             assert col.dtype == _narrowest(col.astype(np.int64)).dtype
         assert min(col.dtype.itemsize for col in columns) == 1
+        # Identifiers are stored as table codes, not 32-bit identifiers.
+        for name in _CODE_COLS:
+            assert state["tables"][name].dtype.itemsize <= 2, name
 
     # -- fresh interpreter (PR 10 satellite) ---------------------------
     def test_persisted_round_survives_fresh_interpreter(self, tmp_path):
@@ -1004,6 +1042,7 @@ class TestRecordTableCompile:
         import numpy as np
 
         from repro.api.vectorized import (
+            _CODE_COLS,
             KernelRound,
             RoundCompiler,
             _round_table,
@@ -1022,7 +1061,7 @@ class TestRecordTableCompile:
             config, scheme, labeling = _theorem1_case()
         mapping = labeling.mapping
         assert mapping.table is not None
-        states, accepts = [], []
+        states, accepts, id_values = [], [], []
         for labels in (mapping, dict(mapping)):
             factory = ViewFactory(config, labels, "edges")
             table, rows = _round_table(labels, factory)
@@ -1032,6 +1071,7 @@ class TestRecordTableCompile:
                 arrays, table, rows, scheme.algebra, scheme.max_width
             ).compile()
             states.append(state)
+            id_values.append(table.id_values)
             accept, _stats = KernelRound.from_state(arrays, state).run(
                 range(arrays.n)
             )
@@ -1067,6 +1107,14 @@ class TestRecordTableCompile:
             if not name.startswith("r_"):
                 continue
             other = plain["tables"][name][theirs]
+            if name in _CODE_COLS:
+                # Identifier codes number identifiers per table.
+                column, other = (
+                    [ids[code] if code >= 0 else code for code in col.tolist()]
+                    for ids, col in zip(id_values, (column, other))
+                )
+                assert column == other, name
+                continue
             if name not in _NUMBERED_COLS:
                 assert np.array_equal(column, other), name
                 continue
@@ -1216,3 +1264,426 @@ class TestWrongTypeFields:
             "TLevelRecord", "BLevelRecord", "ELevelRecord", "PLevelRecord",
             "EmbeddedRecord", "Theorem1Label", "EdgeCertificate",
         }
+
+
+# ----------------------------------------------------------------------
+# Re-derivations once per shape
+# ----------------------------------------------------------------------
+def _first_appearance_py(row):
+    """A row renamed 0, 1, 2, ... by first appearance; -1 stays -1."""
+    names = {}
+    return [-1 if x == -1 else names.setdefault(x, len(names)) for x in row]
+
+
+def _map_labels(mapping, ident=lambda x: x, info_edit=None, record_edit=None):
+    """``mapping`` with every label rebuilt: each identifier ``x`` becomes
+    ``ident(x)``, and ``info_edit(old, new)`` / ``record_edit(old, new)``
+    may replace the rebuilt ``new`` of an info or record.  An object
+    shared by several labels is rebuilt once and stays shared."""
+    from repro.core.certificates import (
+        BLevelRecord,
+        EdgeCertificate,
+        ELevelRecord,
+        TLevelRecord,
+    )
+
+    replace = dataclasses.replace
+    memo = {}
+
+    def once(value, build):
+        hit = memo.get(id(value))
+        if hit is None:
+            hit = memo[id(value)] = (value, build(value))
+        return hit[1]
+
+    def terminals(pairs):
+        return tuple([(lane, ident(x)) for lane, x in pairs])
+
+    def build_info(old):
+        new = replace(
+            old, in_ids=terminals(old.in_ids), out_ids=terminals(old.out_ids)
+        )
+        return info_edit(old, new) if info_edit else new
+
+    def info(value):
+        return once(value, build_info)
+
+    def build_record(old):
+        kind = type(old)
+        if kind is TLevelRecord:
+            pointer = old.pointer
+            new = replace(
+                old,
+                info=info(old.info),
+                member_info=info(old.member_info),
+                member_subtree=info(old.member_subtree),
+                child_subtrees=tuple(info(c) for c in old.child_subtrees),
+                pointer=replace(
+                    pointer,
+                    target_id=ident(pointer.target_id),
+                    id_a=ident(pointer.id_a),
+                    id_b=ident(pointer.id_b),
+                ),
+            )
+        elif kind is BLevelRecord:
+            new = replace(
+                old,
+                info=info(old.info),
+                left=info(old.left),
+                right=info(old.right),
+            )
+        elif kind is ELevelRecord:
+            new = replace(
+                old,
+                info=info(old.info),
+                in_id=ident(old.in_id),
+                out_id=ident(old.out_id),
+            )
+        else:
+            new = replace(
+                old,
+                info=info(old.info),
+                vertex_ids=tuple(ident(x) for x in old.vertex_ids),
+            )
+        return record_edit(old, new) if record_edit else new
+
+    def cert(value):
+        return once(
+            value,
+            lambda old: EdgeCertificate(
+                tuple(once(r, build_record) for r in old.stack)
+            ),
+        )
+
+    def label(old):
+        return Theorem1Label(
+            cert(old.certificate),
+            tuple(
+                replace(
+                    e, u_id=ident(e.u_id), v_id=ident(e.v_id),
+                    payload=cert(e.payload),
+                )
+                for e in old.embedded
+            ),
+        )
+
+    return {key: label(value) for key, value in mapping.items()}
+
+
+def _label_parts(mapping):
+    """Every distinct record and info of ``mapping``, in key order."""
+    records, infos, seen = [], [], set()
+    for key in sorted(mapping, key=repr):
+        label = mapping[key]
+        stacks = [label.certificate] + [e.payload for e in label.embedded]
+        for cert in stacks:
+            for record in cert.stack:
+                if id(record) in seen:
+                    continue
+                seen.add(id(record))
+                records.append(record)
+                for name in ("info", "member_info", "member_subtree",
+                             "left", "right"):
+                    part = getattr(record, name, None)
+                    if part is not None and id(part) not in seen:
+                        seen.add(id(part))
+                        infos.append(part)
+    return records, infos
+
+
+def _edited(mapping, edit, rng):
+    """A tampered copy of ``mapping``: one object changed wherever it
+    occurs.  ``edit`` is ``terminal`` (an info's in-terminal identifier
+    replaced by another identifier of the labeling), ``children`` (a T
+    record's child subtrees swapped), ``state`` (an info's state replaced
+    by another info's) or ``endpoint`` (a bridge lane moved off its left
+    child's lanes, so the bridge has no left endpoint)."""
+    from repro.core.certificates import BLevelRecord, TLevelRecord
+
+    records, infos = _label_parts(mapping)
+    info_edit = record_edit = None
+    if edit == "terminal":
+        target = rng.choice([b for b in infos if b.in_ids])
+        position = rng.randrange(len(target.in_ids))
+        others = sorted(
+            {x for b in infos for _l, x in b.in_ids + b.out_ids}
+            - {target.in_ids[position][1]}
+        )
+        other = rng.choice(others)
+
+        def info_edit(old, new):
+            if old is not target:
+                return new
+            ins = list(new.in_ids)
+            ins[position] = (ins[position][0], other)
+            return dataclasses.replace(new, in_ids=tuple(ins))
+    elif edit == "state":
+        target = rng.choice(infos)
+        states = [b.state for b in infos if b.state != target.state]
+        state = rng.choice(states) if states else target.state
+
+        def info_edit(old, new):
+            if old is not target:
+                return new
+            return dataclasses.replace(new, state=state)
+    elif edit == "children":
+        swappable = [
+            r for r in records
+            if type(r) is TLevelRecord and len(r.child_subtrees) >= 2
+        ]
+        target = rng.choice(swappable) if swappable else None
+
+        def record_edit(old, new):
+            if old is not target:
+                return new
+            kids = new.child_subtrees
+            return dataclasses.replace(new, child_subtrees=kids[1:] + kids[:1])
+    else:
+        bridges = [r for r in records if type(r) is BLevelRecord]
+        target = rng.choice(bridges) if bridges else None
+        lane = max(target.left.lanes, default=-1) + 1 if bridges else 0
+
+        def record_edit(old, new):
+            if old is not target:
+                return new
+            return dataclasses.replace(new, bridge=(lane, new.bridge[1]))
+    return _map_labels(mapping, info_edit=info_edit, record_edit=record_edit)
+
+
+def _derived(compiler_class, config, scheme, mapping):
+    """The re-derived per-record columns of one compile, its
+    re-derivation count, and the table it compiled."""
+    from repro.api.vectorized import _Tables, _round_table
+    from repro.pls.model import ViewFactory
+
+    factory = ViewFactory(config, mapping, "edges")
+    table, rows = _round_table(mapping, factory)
+    compiler = compiler_class(
+        factory.round_arrays(), table, rows, scheme.algebra, scheme.max_width
+    )
+    t = _Tables()
+    _member_node, _kid_t, leaf = compiler._record_columns(t)
+    columns = {
+        name: getattr(t, name)
+        for name in ("r_root", "r_fold", "r_rmc", "r_bok", "r_ep1", "r_ep2")
+    }
+    columns["leaf"] = leaf
+    return columns, compiler.derivations, table
+
+
+def _endpoints(table):
+    """``(r_ep1, r_ep2)`` by hand: the codes of ``left.out_id(i)`` and
+    ``right.out_id(j)`` of every bridge record, ``_NO_CODE`` for none."""
+    from repro.api.vectorized import _NO_CODE
+    from repro.codec.table import B
+
+    count = len(table.records)
+    ends = (np.full(count, _NO_CODE), np.full(count, _NO_CODE))
+    for rid, (_info, left, right, i, j, _tag, _side) in zip(
+        table.rids[B], table.rows[B]
+    ):
+        for column, child, lane in ((ends[0], left, i), (ends[1], right, j)):
+            found = table.infos[child].out_id(lane)
+            if found is not None:
+                column[rid] = table.id_code[found]
+    return ends
+
+
+@needs_numpy
+class TestShapeDerivations:
+    """The compiler re-derives each class once per shape, not once per
+    key.  A per-key compile (every key its own shape) is the oracle for
+    the derived columns, hand-read ``out_id`` codes for the bridge
+    endpoints, and the serial engine for the verdicts."""
+
+    @staticmethod
+    def _per_key_compiler():
+        from repro.api.vectorized import RoundCompiler
+
+        class PerKey(RoundCompiler):
+            def _shapes(self, infos, fields=None):
+                return None
+
+        return PerKey
+
+    @given(
+        st.lists(
+            st.lists(
+                st.sampled_from([-1, -1, 0, 1, 2, 3, 7, 2**40]),
+                min_size=0,
+                max_size=9,
+            ),
+            min_size=0,
+            max_size=8,
+        ),
+        st.integers(min_value=1, max_value=9),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_first_appearance_matches_python(self, rows, cols):
+        from repro.api.vectorized import _first_appearance, _unique_rows
+
+        matrix = np.array(
+            [(row + [-1] * cols)[:cols] for row in rows], np.int64
+        ).reshape(len(rows), cols)
+        renamed = _first_appearance(matrix)
+        assert renamed.dtype == matrix.dtype
+        assert renamed.tolist() == [
+            _first_appearance_py(row) for row in matrix.tolist()
+        ]
+        if rows:
+            first, inverse = _unique_rows(matrix)
+            listed = [tuple(row) for row in matrix.tolist()]
+            assert sorted(first.tolist()) == sorted(
+                {row: listed.index(row) for row in listed}.values()
+            )
+            for index, row in enumerate(listed):
+                assert listed[first[inverse[index]]] == row
+
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.sampled_from(["lanewidth", "theorem1"]),
+        st.sampled_from(
+            ["honest", "renamed", "terminal", "children", "state", "endpoint"]
+        ),
+    )
+    @settings(max_examples=14, deadline=None)
+    @example(seed=0, mode="lanewidth", edit="honest")
+    @example(seed=1, mode="lanewidth", edit="renamed")
+    @example(seed=2, mode="lanewidth", edit="terminal")
+    @example(seed=3, mode="lanewidth", edit="children")
+    @example(seed=4, mode="lanewidth", edit="state")
+    @example(seed=5, mode="lanewidth", edit="endpoint")
+    @example(seed=1, mode="theorem1", edit="honest")
+    @example(seed=2, mode="theorem1", edit="renamed")
+    @example(seed=3, mode="theorem1", edit="terminal")
+    @example(seed=4, mode="theorem1", edit="children")
+    @example(seed=5, mode="theorem1", edit="state")
+    @example(seed=6, mode="theorem1", edit="endpoint")
+    def test_shapes_derive_like_keys(self, seed, mode, edit):
+        from repro.api.vectorized import RoundCompiler
+
+        if mode == "lanewidth":
+            config, scheme, labeling = _case(seed)
+        else:
+            graph, _decomposition = pathwidth_workload(14, 2, seed % 50)
+            report = CertificationSession(
+                k=2, rng=random.Random(seed)
+            ).certify(graph, "connected", verify=False)
+            assert not report.refused, report.refusal
+            config, scheme, labeling = (
+                report.config, report.scheme, report.labeling
+            )
+        rng = random.Random(seed)
+        mapping = labeling.mapping
+        if edit == "renamed":
+            # One injection over every identifier: the same columns and
+            # the same number of shapes as the labels it renames (walked
+            # alike, so the records are numbered alike).
+            honest, honest_count, _table = _derived(
+                RoundCompiler, config, scheme, dict(mapping)
+            )
+            ids = sorted(config.ids.values())
+            drawn = rng.sample(range(-(2**40), 2**40), len(ids))
+            rename = dict(zip(ids, drawn))
+            config = Configuration(
+                config.graph, {v: rename[x] for v, x in config.ids.items()}
+            )
+            mapping = _map_labels(mapping, ident=rename.__getitem__)
+        elif edit != "honest":
+            mapping = _edited(mapping, edit, rng)
+        shaped, derivations, table = _derived(
+            RoundCompiler, config, scheme, mapping
+        )
+        keyed, per_key, _table = _derived(
+            self._per_key_compiler(), config, scheme, mapping
+        )
+        for name, column in keyed.items():
+            assert np.array_equal(shaped[name], column), name
+        ep1, ep2 = _endpoints(table)
+        assert np.array_equal(shaped["r_ep1"], ep1)
+        assert np.array_equal(shaped["r_ep2"], ep2)
+        assert derivations <= per_key
+        if edit == "honest":
+            assert mapping.table is table  # the prover's own table
+        if edit == "renamed":
+            assert derivations == honest_count
+            for name in ("r_root", "r_fold", "r_rmc", "r_bok", "leaf"):
+                assert np.array_equal(shaped[name], honest[name]), name
+        _assert_equivalent(
+            config,
+            scheme,
+            Labeling(labeling.location, mapping, labeling.size_context),
+        )
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_wide_keys_derive_once_per_key(self, monkeypatch, width):
+        """Past ``_SHAPE_WIDTH`` (lanes of an info at 1, infos of a fold
+        key at 3) the compile falls back to one derivation per key."""
+        import repro.api.vectorized as vectorized
+
+        config, scheme, labeling = _case(8, extra=16)
+        mapping = dict(labeling.mapping)
+        keyed, per_key, _table = _derived(
+            self._per_key_compiler(), config, scheme, mapping
+        )
+        monkeypatch.setattr(vectorized, "_SHAPE_WIDTH", width)
+        wide, count, _table = _derived(
+            vectorized.RoundCompiler, config, scheme, mapping
+        )
+        for name, column in keyed.items():
+            assert np.array_equal(wide[name], column), name
+        if width == 1:
+            assert count == per_key
+        else:
+            assert count < per_key
+
+    def test_missing_endpoint_never_matches_an_outside_vertex(self):
+        """A bridge lane off its child's lanes has no endpoint, coded
+        ``_NO_CODE``; a vertex whose identifier is in no label has
+        ``me_code`` -1.  The two codes differ, so no such vertex sits at
+        a missing endpoint, and the verdicts stay the serial engine's."""
+        from repro.api.vectorized import _NO_CODE, RoundCompiler, _round_table
+        from repro.pls.model import ViewFactory
+
+        config, scheme, labeling = _case(12)
+        mapping = _edited(labeling.mapping, "endpoint", random.Random(12))
+        outside = sorted(config.graph.vertices(), key=repr)[0]
+        ids = dict(config.ids)
+        ids[outside] = max(ids.values()) + 1
+        config = Configuration(config.graph, ids)
+        factory = ViewFactory(config, mapping, "edges")
+        table, rows = _round_table(mapping, factory)
+        state = RoundCompiler(
+            factory.round_arrays(), table, rows, scheme.algebra,
+            scheme.max_width,
+        ).compile()
+        tables = state["tables"]
+        me_code = tables["me_code"]
+        dense = factory.index_of(outside)
+        assert _NO_CODE != -1
+        assert me_code[dense] == -1
+        assert (tables["r_ep1"] == _NO_CODE).any()
+        for name in ("r_ep1", "r_ep2"):
+            assert not (tables[name] == me_code[dense]).any(), name
+        _assert_equivalent(
+            config,
+            scheme,
+            Labeling(labeling.location, mapping, labeling.size_context),
+        )
+
+    def test_honest_lanewidth_round_derives_per_shape(self):
+        from repro.api.vectorized import RoundCompiler
+
+        config, scheme, labeling = _case(3, extra=48)
+        shaped, derivations, table = _derived(
+            RoundCompiler, config, scheme, labeling.mapping
+        )
+        _keyed, per_key, _table = _derived(
+            self._per_key_compiler(), config, scheme, labeling.mapping
+        )
+        assert derivations < per_key
+        assert derivations < len(table.records)
+        report = VerificationEngine(VectorizedExecutor()).verify(
+            config, scheme, labeling
+        )
+        assert report.kernel_stats["derivations"] == derivations

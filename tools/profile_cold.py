@@ -26,7 +26,10 @@ Each plain pass also times the interpreter's cyclic garbage collector
 the number of full (generation-2) collections, printed under the stage
 table and kept as ``gc_s`` / ``gc_full`` in the mode's JSON block (from
 the median pass).  They are informational: collections run inside the
-stage rows, so no row is net of them, and nothing gates on them.
+stage rows, so no row is net of them, and nothing gates on them.  The
+line after them gives the round compile's re-derivations
+(``kernel_stats["derivations"]``, 0 on the serial engine), kept as
+``derivations`` in the same block.
 
 After the cold runs, the lanewidth certificate is saved into a
 temporary store and re-verified twice with a vectorized executor, each
@@ -203,6 +206,7 @@ def cold_pass(mode: str, n: int, seed: int, engine_kind: str) -> dict:
             kernel_stats.get("compiled_round_cached", False)
         ),
         "kernel_mode": kernel_stats.get("mode"),
+        "derivations": kernel_stats.get("derivations", 0),
     }
 
 
@@ -254,6 +258,10 @@ def profile_mode(mode: str, args):
         f"{chosen['gc_full']} full collections "
         "(inside the rows above; not gated)"
     )
+    print(
+        f"compile re-derivations: {chosen['derivations']} "
+        "(one per shape of each check)"
+    )
 
     profiler = cProfile.Profile()
     profiler.enable()
@@ -278,6 +286,7 @@ def profile_mode(mode: str, args):
         "gc_full": chosen["gc_full"],
         "compiled_round_cached": chosen["compiled_round_cached"],
         "kernel_mode": chosen["kernel_mode"],
+        "derivations": chosen["derivations"],
     }
     return block, report
 
