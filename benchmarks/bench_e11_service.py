@@ -13,10 +13,12 @@ round stays replayable on demand (the fourth regime):
 * **cold** — G distinct graphs certified for the first time (every
   request proves: decomposition, hierarchy, evaluation, labeling);
 * **warm** — the same G requests again; every certificate is served
-  from the sharded store without re-decoding the per-edge payloads
-  (``load(decode=False)``) — certify-once, serve-many;
+  from the sharded store without decoding the per-edge payloads
+  (``load()`` decodes them only on first read) — certify-once,
+  serve-many;
 * **reverify** — the round replayed from the store for each graph
-  (decode + full verification, zero prover stages).
+  (full verification, zero prover stages; the round attaches or
+  compiles, and decodes only what it reads).
 
 The series — requests/second per regime, per host size — is persisted
 for trajectory tracking: one machine-readable ``BENCH_JSON`` line on

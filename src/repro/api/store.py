@@ -28,12 +28,13 @@ Entries record the graph fingerprint they were proven against and
 :meth:`load` recomputes it, so a corrupted or swapped graph is rejected
 instead of silently verified.
 
-Decoding the labels is most of what a load costs, so :meth:`reverify`
-defers it to the first read (:class:`StoredLabels`).  That read-only
+Decoding the labels is most of what a load would cost, so a loaded
+labeling decodes on first read (:class:`StoredLabels`).  That read-only
 mapping also carries the digest of its wire form, which keys the
-vectorized executor's compiled rounds: :meth:`reverify` attaches the
-round a certify persisted, while a default :meth:`load` hands back a
-plain decoded ``dict``, which has no wire identity and compiles.
+vectorized executor's compiled rounds: a round over a loaded report,
+:meth:`reverify`'s included, attaches the round a certify persisted,
+and one that compiles reads the labels as a record table, building no
+label object.
 
 Layout
 ------
@@ -136,8 +137,10 @@ class StoreMetrics:
     does not decode adds one more miss), ``saves`` successful
     publishes, ``evictions``/``bytes_evicted`` what
     :meth:`~CertificateStore.compact` removed, ``orphans_cleaned``
-    stale temp files removed, and ``decodes`` stored labelings actually
-    decoded (by a load, or by a reverify round that read its labels).
+    stale temp files removed, and ``decodes`` the record-table decodes
+    :meth:`~CertificateStore.reverify` rounds ran (at most one per
+    round: a compile or the first label read decodes, an attached
+    round whose kernels accept every vertex does not).
     :meth:`snapshot` returns a JSON-safe dict; the service layer embeds
     it in its own metrics snapshot.
     """
@@ -170,50 +173,35 @@ class StoreMetrics:
         return f"StoreMetrics({pairs})"
 
 
-def _decode_labels(encoded: EncodedLabeling, source: str) -> dict:
-    """Decode a stored labeling's labels; :class:`StoreError` if corrupt."""
-    try:
-        # Shares sub-structure across edges, so rounds (and kernel
-        # compiles) see interned objects.
-        return decode_labeling_columnar(encoded).mapping
-    except (CodecError,) + _PARSE_ERRORS as exc:
-        raise StoreError(
-            f"corrupted certificate payload in {source}: {exc}"
-        ) from exc
-
-
 class StoredLabels(Mapping):
     """A read-only ``edge -> label`` mapping that carries its wire form.
 
     It holds a private copy of an encoded labeling and that labeling's
     content :attr:`digest` (:func:`~repro.codec.labeling_digest`),
     computed when the mapping is built.  ``len()`` answers from the wire
-    form; the label objects are built on the first key lookup or
-    iteration, and only then.  The label stage builds every honest
-    labeling's mapping with :meth:`_from_prover`, which keeps the
-    prover's :class:`~repro.codec.table.RecordTable` as :attr:`table`:
-    the vectorized round compiler reads that table, and a first read
-    materializes the labels from it
+    form.  The labels' :class:`~repro.codec.table.RecordTable` is
+    :attr:`table`: the prover's, kept by :meth:`_from_prover` (the label
+    stage builds every honest labeling's mapping that way), or ``None``
+    until :meth:`record_table` decodes the wire form into one, through
+    the one decoder, ``decode_labeling_columnar`` (looked up by name at
+    read time).  A payload that does not decode raises
+    :class:`StoreError`.  The vectorized round compiler reads the table;
+    the first key lookup or iteration builds the label objects from it
     (:meth:`~repro.codec.table.RecordTable.materialize`, one object per
-    distinct row), so a prover's mapping never decodes.  Without a table
-    (a mapping read back from a label artifact or a store entry), the
-    first read runs the one decoder, ``decode_labeling_columnar``
-    (looked up by name at read time), and a payload that does not
-    decode raises :class:`StoreError`.  :meth:`encoded` hands out a copy
-    of the wire form.
+    distinct row), and only then.  :meth:`encoded` hands out a copy of
+    the wire form.
 
     No public path changes the labels it serves: item assignment raises
     ``TypeError`` and :attr:`decoded` is a read-only view.  So the
     digest always names the labels served, and the vectorized executor
     keys compiled rounds on it: a round whose kernels accept every
     vertex never reads the labels, so no label object is built (and,
-    for a stored mapping, nothing is decoded).  To tamper with the
-    labels, copy them into a plain ``dict``; a plain mapping has no
-    wire identity, so its rounds always compile.
+    for a stored mapping that attaches its round, nothing is decoded).
+    To tamper with the labels, copy them into a plain ``dict``; a plain
+    mapping has no wire identity, so its rounds always compile.
 
     It pickles as its wire form and source alone: the table lives in
-    memory only, so a mapping read back from disk has ``table`` None and
-    the compiler walks its decoded labels instead.
+    memory only, so a mapping read back from disk decodes again.
     """
 
     __slots__ = ("_encoded", "_digest", "_decoded", "source", "table")
@@ -261,12 +249,21 @@ class StoredLabels(Mapping):
             return None
         return MappingProxyType(self._decoded)
 
+    def record_table(self):
+        """The labels' record table, decoded from the wire form on the
+        first call when the prover did not hand one over."""
+        if self.table is None:
+            try:
+                self.table = decode_labeling_columnar(self._encoded)
+            except (CodecError,) + _PARSE_ERRORS as exc:
+                raise StoreError(
+                    f"corrupted certificate payload in {self.source}: {exc}"
+                ) from exc
+        return self.table
+
     def _labels(self) -> dict:
         if self._decoded is None:
-            if self.table is not None:
-                self._decoded = self.table.materialize()
-            else:
-                self._decoded = _decode_labels(self._encoded, self.source)
+            self._decoded = self.record_table().materialize()
         return self._decoded
 
     def __getitem__(self, key):
@@ -629,31 +626,25 @@ class CertificateStore:
             raise StoreError(f"corrupted wire header in {path}: {exc}") from exc
         return manifest
 
-    def load(self, fingerprint: str, property_key: str, decode: bool = True):
+    def load(self, fingerprint: str, property_key: str):
         """Rehydrate one entry as a ready-to-verify report.
 
         Returns a :class:`~repro.api.results.CertificationReport` whose
-        artifacts (``config``, verifier-half ``scheme``, decoded
-        ``labeling``, and the wire-form ``encoded``) are reconstructed
-        from disk: ``session.verify(report)`` or a bare
+        artifacts (``config``, verifier-half ``scheme``, ``labeling``,
+        and the wire-form ``encoded``) are reconstructed from disk:
+        ``session.verify(report)`` or a bare
         :class:`~repro.api.runtime.VerificationEngine` can run the round
         immediately, with zero prover stages.  The stored graph is
         re-fingerprinted on load and must match both the requested and
         the recorded fingerprint.
 
-        ``decode=False`` leaves the per-edge certificates undecoded:
-        ``report.labeling`` is a :class:`~repro.pls.scheme.Labeling`
-        whose mapping is a :class:`StoredLabels`, decoded the first time
-        anything reads a label (and then raising :class:`StoreError` if
-        the payload is corrupt).  Decoding dominates rehydration cost,
-        so this serves callers that never read the labels (the service
-        layer's ``verify: false`` certify requests) and
-        :meth:`reverify`, whose round reads them only when it compiles
-        or builds a view, and which attaches a persisted compiled round
-        through the mapping's digest.  The default decodes before
-        returning, so a corrupt payload is a :class:`StoreError` and a
-        miss here; its mapping is a plain ``dict``, so a round over it
-        compiles rather than attaches.
+        The labeling's mapping is a :class:`StoredLabels`: the labels
+        are decoded the first time anything reads them, and a payload
+        that does not decode raises :class:`StoreError` then.  A round
+        over the report attaches a persisted compiled round through the
+        mapping's digest, or compiles from the decoded record table;
+        either way the kernels build no label object.  A damaged entry
+        fails here, on its envelope digest.
 
         Serving an entry bumps its mtime, which is the recency signal
         :meth:`compact` evicts against.
@@ -672,7 +663,7 @@ class CertificateStore:
                     f"{manifest['fingerprint'][:16]}..., caller asked for "
                     f"{fingerprint[:16]}..."
                 )
-            report = self._rehydrate(manifest, path, decode=decode)
+            report = self._rehydrate(manifest, path)
         except StoreError:
             # Absent, mismatched or corrupt: the entry is unusable.
             self.metrics.add("misses")
@@ -684,12 +675,12 @@ class CertificateStore:
             pass  # read-only store: eviction recency degrades to save time
         return report
 
-    def _rehydrate(self, manifest: dict, path: Path, decode: bool = True):
+    def _rehydrate(self, manifest: dict, path: Path):
         """Build the ready-to-verify report from a validated manifest.
 
-        Raises :class:`StoreError` when the graph, identifiers, algebra,
-        report or (with ``decode``) certificate payload of the entry do
-        not parse.
+        Raises :class:`StoreError` when the graph, identifiers, algebra
+        or report of the entry do not parse; its labels decode on first
+        read.
         """
         from repro.api.results import CertificationReport
 
@@ -721,14 +712,11 @@ class CertificateStore:
             report = CertificationReport.from_dict(manifest["report"])
             labeling = Labeling(
                 location=encoded.location,
-                mapping=None if decode else StoredLabels(encoded, str(path)),
+                mapping=StoredLabels(encoded, str(path)),
                 size_context=encoded.header.size_context(),
             )
         except _PARSE_ERRORS as exc:
             raise StoreError(f"corrupted store entry {path}: {exc!r}") from exc
-        if decode:
-            labeling.mapping = _decode_labels(encoded, str(path))
-            self.metrics.add("decodes")
         report.config = config
         report.scheme = scheme
         report.labeling = labeling
@@ -757,18 +745,19 @@ class CertificateStore:
         ``report.accepted`` refreshed by the round — the certify-once /
         re-verify-many fast path, with no prover stage anywhere.
 
-        The entry is loaded undecoded (``load(decode=False)``), so the
-        labels are decoded only if the round reads them: a compile, a
-        fallback view, audit mode or the serial engine do, an attached
-        round whose kernels accept every vertex does not.  The store
-        lends its artifact cache to an executor that has none, so a bare
-        vectorized engine attaches too.  A payload that does not decode
-        raises :class:`StoreError` and counts as a miss; once this
-        returns, ``report.labeling`` reads without error.
+        The labels are decoded only if the round reads them: a compile
+        reads them once, as a record table, and a fallback view, audit
+        mode or the serial engine materialize label objects from that
+        table; an attached round whose kernels accept every vertex reads
+        nothing.  The store lends its artifact cache to an executor that
+        has none, so a bare vectorized engine attaches too.  A payload
+        that does not decode raises :class:`StoreError` and counts as a
+        miss; once this returns, ``report.labeling`` reads without
+        error.  A round that decoded the labels counts one ``decodes``.
         """
         from repro.api.runtime import VerificationEngine, lend_artifacts
 
-        report = self.load(fingerprint, property_key, decode=False)
+        report = self.load(fingerprint, property_key)
         engine = engine or VerificationEngine()
         lend_artifacts(engine, self.artifact_cache())
         try:
@@ -778,7 +767,7 @@ class CertificateStore:
         except StoreError:
             self.metrics.add("misses")
             raise
-        if report.labeling.mapping.decoded is not None:
+        if report.labeling.mapping.table is not None:
             self.metrics.add("decodes")
         report.verification = verification
         report.result = verification.as_result()

@@ -1477,15 +1477,16 @@ def _compiled_round_cache_key(config, scheme, digest):
 def _round_table(mapping, factory):
     """The round's record table, and each CSR edge's label row in it.
 
-    A fresh certify's mapping carries the prover's table; every other
-    mapping (a plain dict, a stored or a decoded labeling) gets one from
-    a walk over the round's edge-label column.
+    A :class:`~repro.api.store.StoredLabels` mapping hands over its
+    table: the prover's, or the one its wire form decodes to.  Any other
+    mapping (a plain dict, such as a tampered copy) gets one from a walk
+    over the round's edge-label column.
     """
     edges = factory.csr.edges
-    table = mapping.table if isinstance(mapping, StoredLabels) else None
-    if table is None:
+    if not isinstance(mapping, StoredLabels):
         table = RecordTable(edges, factory.edge_certificates)
         return table, np.arange(len(edges), dtype=np.int64)
+    table = mapping.record_table()
     rows = {key: row for row, key in enumerate(table.keys)}
     return table, np.array([rows.get(e, -1) for e in edges], np.int64)
 
@@ -1589,10 +1590,13 @@ class VectorizedExecutor(VerificationExecutor):
         if round_ is not None:
             return round_, 0.0, True, 0
         algebra, max_width = profile
-        # Reading the certificate column decodes a stored labeling: that
-        # is decode time, so it happens before the compile clock starts.
-        # A mapping that brings its table is not read at all.
-        if getattr(mapping, "table", None) is None:
+        # Decoding is decode time, so it happens before the compile
+        # clock starts: a stored labeling decodes into its record table
+        # (the prover's needs none), and a plain mapping's labels are
+        # read.
+        if isinstance(mapping, StoredLabels):
+            mapping.record_table()
+        else:
             factory.edge_certificates
         began = perf_counter()
         table, edge_rows = _round_table(mapping, factory)

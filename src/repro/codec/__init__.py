@@ -7,20 +7,24 @@ them.  This package materializes every
 * :mod:`repro.codec.bitio` — MSB-first :class:`BitWriter` /
   :class:`BitReader` primitives;
 * :mod:`repro.codec.wire` — the versioned wire format (v1): a shared
-  :class:`WireHeader` per labeling plus per-edge encodings, with
-  ``decode(encode(label)) == label`` guaranteed by tier-1 property
-  tests and the measured bit counts feeding
-  :class:`~repro.api.results.CertificationReport`.  It holds the one
-  decoder (:meth:`EncodedLabeling.decode`, :func:`decode_label`), which
-  interns structure shared across edges, and the per-label reference
-  writer (:func:`encode_label`, :func:`encode_labeling`) that tests
-  use as the byte-identity oracle;
-* :mod:`repro.codec.table` — :class:`RecordTable`, one walk that
-  interns every label field once into integer columns; the encoder and
-  the vectorized round compiler both read it;
+  :class:`WireHeader` per labeling plus per-edge encodings, and the
+  per-label reference writer (:func:`encode_label`,
+  :func:`encode_labeling`) that tests use as the byte-identity oracle;
+  the measured bit counts feed
+  :class:`~repro.api.results.CertificationReport`;
+* :mod:`repro.codec.table` — :class:`RecordTable`, every label field
+  interned once into integer columns; the prover and the decoder write
+  it, a walk fills it from label objects, and the encoder, the
+  vectorized round compiler and the size accounting read it, while
+  :meth:`RecordTable.materialize` is the one place label objects are
+  built from it;
 * :mod:`repro.codec.columnar` — :func:`encode_table` behind
-  :func:`encode_labeling_columnar`, the one encoder the library runs:
-  it packs a table's columns, byte-identical to the reference writer.
+  :func:`encode_labeling_columnar`, the one encoder the library runs,
+  byte-identical to the reference writer, and
+  :func:`decode_labeling_columnar`, the one decoder, which reads an
+  encoded labeling straight into a :class:`RecordTable`
+  (``decode_labeling_columnar(encode_table(t, h)).materialize()`` is
+  ``t.materialize()``, a tier-1 property test).
 
 The byte-level layout is specified in ``docs/FORMAT.md``; persistence of
 encoded labelings lives in :class:`repro.api.store.CertificateStore`.
@@ -39,14 +43,16 @@ from repro.codec.wire import (
     EncodedLabel,
     EncodedLabeling,
     WireHeader,
-    decode_label,
-    decode_labeling_columnar,
     encode_label,
     encode_labeling,
     labeling_digest,
 )
 from repro.codec.table import RecordTable
-from repro.codec.columnar import encode_labeling_columnar, encode_table
+from repro.codec.columnar import (
+    decode_labeling_columnar,
+    encode_labeling_columnar,
+    encode_table,
+)
 
 __all__ = [
     "BitReader",
@@ -60,7 +66,6 @@ __all__ = [
     "EncodedLabel",
     "EncodedLabeling",
     "encode_label",
-    "decode_label",
     "encode_labeling",
     "labeling_digest",
     "RecordTable",

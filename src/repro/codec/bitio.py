@@ -60,15 +60,20 @@ class BitWriter:
 
 
 class BitReader:
-    """Reads fixed-width unsigned integers back out of a bit stream."""
+    """Reads fixed-width unsigned integers back out of a bit stream.
+
+    The stream is held as one Python integer, so a field of any width is
+    one shift and one mask.
+    """
 
     def __init__(self, data: bytes, bit_length: int = None):
         """``bit_length`` bounds the readable bits (default: all of
         ``data``); reads past it raise :class:`BitStreamError` instead of
         silently consuming padding."""
-        self._data = data
-        self._limit = 8 * len(data) if bit_length is None else bit_length
-        if self._limit > 8 * len(data):
+        self._bits = 8 * len(data)
+        self._value = int.from_bytes(data, "big")
+        self._limit = self._bits if bit_length is None else bit_length
+        if self._limit > self._bits:
             raise BitStreamError("bit_length exceeds the supplied data")
         self._pos = 0
 
@@ -86,23 +91,13 @@ class BitReader:
         """Consume and return the next ``width``-bit unsigned field."""
         if width < 0:
             raise BitStreamError("field width must be non-negative")
-        if self._pos + width > self._limit:
+        pos = self._pos + width
+        if pos > self._limit:
             raise BitStreamError(
                 f"truncated stream: need {width} bits, have {self.remaining}"
             )
-        value = 0
-        pos = self._pos
-        need = width
-        while need:
-            byte = self._data[pos >> 3]
-            offset = pos & 7
-            take = min(8 - offset, need)
-            chunk = (byte >> (8 - offset - take)) & ((1 << take) - 1)
-            value = (value << take) | chunk
-            pos += take
-            need -= take
         self._pos = pos
-        return value
+        return (self._value >> (self._bits - pos)) & ((1 << width) - 1)
 
 
 def width_for(count: int) -> int:

@@ -6,7 +6,8 @@ every width per header).  :class:`RecordTable` holds a labeling in that
 shape:
 
 * each ``BasicInfo`` is one row: the prover writes one per hierarchy
-  node and member subtree, and a walk interns them by content;
+  node and member subtree, and a walk or the decoder interns them by
+  content;
 * records, child-subtree tuples, P-node lists and stacks are keyed by
   tuples of integer ids interned before them;
 * identifiers, homomorphism-class states and edge tags go into
@@ -15,25 +16,28 @@ shape:
 The prover writes its labels straight into a table
 (:meth:`CertificateBuilder.record_table
 <repro.core.certificates.CertificateBuilder.record_table>`), building
-no label object but its E and P leaf records.  Any other mapping, a
-tampered copy or a decoded labeling, gets its table from one walk over
-its :class:`~repro.core.certificates.Theorem1Label` objects.
+no label object but its infos and E and P leaf records, and the decoder
+(:func:`repro.codec.columnar.decode_labeling_columnar`) reads a stored
+labeling's bits into one through the same writer.  Any other mapping, a
+tampered copy say, gets its table from one walk over its
+:class:`~repro.core.certificates.Theorem1Label` objects.
 
 The wire encoder (:func:`repro.codec.columnar.encode_table`) derives the
 header from the table and packs every label from its columns.  The
 round compiler (:class:`repro.api.vectorized.RoundCompiler`) emits its
 kernel columns from the same table, the label stage sizes the labels
 from it (:meth:`RecordTable.accounted_bits`), and
-:meth:`RecordTable.materialize` builds the label objects back when
-something reads them.  All rest on one field rule: an integer field is a
-plain ``int`` (``type(x) is int``, so never a bool or a float) inside the
-range the format gives it, and a container has the type the format
-fixes.  The walk *marks* a record, stack or label that breaks the rule
-instead of raising: :attr:`RecordTable.bad` keeps the first reason.  The
-encoder turns a mark into :class:`~repro.codec.wire.CodecError`, and the
+:meth:`RecordTable.materialize`, the one place label objects are built
+from stored or decoded bytes, builds them back when something reads
+them.  All rest on one field rule: an integer field is a plain ``int``
+(``type(x) is int``, so never a bool or a float) inside the range the
+format gives it, and a container has the type the format fixes.  The
+walk *marks* a record, stack or label that breaks the rule instead of
+raising: :attr:`RecordTable.bad` keeps the first reason.  The encoder
+turns a mark into :class:`~repro.codec.wire.CodecError`, and the
 compiler flags the record so that the reference verifier decides.  To
-the prover's writer a field that breaks the rule is that
-:class:`~repro.codec.wire.CodecError`.
+the writer, the prover's and the decoder's alike, a field that breaks
+the rule is that :class:`~repro.codec.wire.CodecError`.
 
 :meth:`RecordTable.header` meets states and tags in the order
 :meth:`WireHeader.for_labeling` does, labels in ``repr`` order of their
@@ -93,17 +97,18 @@ def _int(x, low: int, what: str) -> int:
 class RecordTable:
     """Struct-of-arrays form of one labeling.
 
-    Two writers fill it.  The prover
+    Two writers fill it.  The writer starts from ``RecordTable([])``,
+    writes rows with the ``add_*`` methods and the field rules
+    (:meth:`code`, :meth:`state_code`, :meth:`tag_code`, :meth:`field`),
+    and ends with :meth:`close`; the prover
     (:meth:`CertificateBuilder.record_table
-    <repro.core.certificates.CertificateBuilder.record_table>`) starts
-    from ``RecordTable([])``, writes rows with the ``add_*`` methods and
-    the field rules (:meth:`code`, :meth:`tag_code`, :meth:`field`), and
-    ends with :meth:`close`.  ``RecordTable(keys,
-    labels)`` walks label objects instead (``labels`` aligned with
-    ``keys``; ``None`` stands for a missing label), in ``repr`` order of
-    the keys: that is how a mapping the library did not build, such as a
-    tampered copy or a decoded labeling, gets its table.  The columns
-    are plain lists:
+    <repro.core.certificates.CertificateBuilder.record_table>`) and the
+    decoder (:func:`~repro.codec.columnar.decode_labeling_columnar`) both
+    write through it.  ``RecordTable(keys, labels)`` walks label objects
+    instead (``labels`` aligned with ``keys``; ``None`` stands for a
+    missing label), in ``repr`` order of the keys: that is how a mapping
+    the library did not build, such as a tampered copy, gets its table.
+    The columns are plain lists:
 
     * dictionaries: ``id_values`` (code -> identifier, with ``id_code``
       the inverse), ``states`` / ``state_reprs`` (state id -> first
@@ -129,10 +134,10 @@ class RecordTable:
       ``(u, v, forward, backward, payload stack id)``.
 
     Records, child lists and stacks are interned by content, and so are
-    a walk's infos; the prover's infos are one object per hierarchy node
-    and member subtree.  So both writers give one row per distinct
-    value.  :meth:`materialize` builds the label objects back from the
-    rows.
+    the infos of a walk and of the decoder; the prover's infos are one
+    object per hierarchy node and member subtree.  So every table has
+    one row per distinct value.  :meth:`materialize` builds the label
+    objects back from the rows.
     """
 
     def __init__(self, keys, labels=None):
@@ -203,7 +208,7 @@ class RecordTable:
             code = self.code
             ins = tuple([code(x) for _lane, x in info.in_ids])
             outs = tuple([code(x) for _lane, x in info.out_ids])
-            state = self._state(info.state)
+            state = self.state_code(info.state)
             iid = seen[id(info)] = len(self.infos)
             self.infos.append(info)
             self.i_kind.append(_KIND_CODES[info.kind])
@@ -429,7 +434,7 @@ class RecordTable:
             previous = lane
         ins = self._terminals(info.in_ids, lanes)
         outs = self._terminals(info.out_ids, lanes)
-        key = (kind, node, lanes, ins, outs, self._state(info.state))
+        key = (kind, node, lanes, ins, outs, self.state_code(info.state))
         iid = self._info_id.get(key)
         if iid is None:
             iid = self._info_id[key] = len(self.infos)
@@ -468,7 +473,8 @@ class RecordTable:
         self.id_values.append(x)
         return code
 
-    def _state(self, state) -> int:
+    def state_code(self, state) -> int:
+        """A homomorphism-class state's id, interning it when new."""
         return _dictionary(
             self._state_seen, state, canonical_state_repr,
             self._state_id, self.states, self.state_reprs,

@@ -15,20 +15,21 @@ layout is specified in ``docs/FORMAT.md``; the short version:
   counter-like field.
 * Each label is encoded against that header by :func:`encode_label` as a
   stand-alone MSB-first bit string: the ownership-path record stack,
-  then the embedded virtual-edge records.  :func:`decode_label` inverts
-  it exactly — ``decode(encode(label)) == label`` is a tier-1 property
-  test, not an aspiration.  That per-label writer is the reference: the
-  library encodes from a :class:`~repro.codec.table.RecordTable` through
-  the bulk encoder of :mod:`repro.codec.columnar`, which is tested
-  byte-identical to it.
+  then the embedded virtual-edge records.  That per-label writer is the
+  reference: the library encodes from a
+  :class:`~repro.codec.table.RecordTable` through the bulk encoder of
+  :mod:`repro.codec.columnar`, which is tested byte-identical to it.
+  The one decoder, :func:`~repro.codec.columnar.decode_labeling_columnar`,
+  lives there too: it reads the bits straight back into a record table,
+  and :meth:`~repro.codec.table.RecordTable.materialize` builds the
+  labels from it, so decoding what was encoded gives back the same
+  labels (a tier-1 property test).
 * :class:`EncodedLabeling` holds a whole encoded
   :class:`~repro.pls.scheme.Labeling` and reports *measured* sizes (the
   exact bit counts of the encodings, padding excluded), which
   :class:`~repro.api.results.CertificationReport` now quotes instead of
   the arithmetic estimate of ``label_bits``.  The measured figure is
   asserted ``<=`` the accounted one in the tier-1 suite.
-  :meth:`EncodedLabeling.decode` runs the one decoder, which interns
-  structure shared across edges.
 
 Identifier fields deserve a note.  The simulator draws identifiers from
 a ``2^32`` universe to model adversarial freedom, while the paper (and
@@ -53,7 +54,6 @@ from repro.core.certificates import (
     BLevelRecord,
     EdgeCertificate,
     ELevelRecord,
-    EmbeddedRecord,
     PLevelRecord,
     Theorem1Label,
     TLevelRecord,
@@ -64,13 +64,7 @@ from repro.pls.bits import SizeContext
 from repro.pls.pointer import PointerLabel
 from repro.pls.scheme import Labeling
 
-from repro.codec.bitio import (
-    BitReader,
-    BitStreamError,
-    BitWriter,
-    width_for,
-    width_for_value,
-)
+from repro.codec.bitio import BitWriter, width_for, width_for_value
 
 #: Current wire-format version; bumped on any layout change (FORMAT.md
 #: records the versioning rules).
@@ -496,238 +490,6 @@ def encode_label(label: Theorem1Label, header: WireHeader) -> EncodedLabel:
 
 
 # ----------------------------------------------------------------------
-# Decoding.
-#
-# Certificates share sub-structure overwhelmingly (the same tree node's
-# info appears on every incident edge of its subtree), so the decoder
-# interns: every component is keyed by the raw wire codes that encode it
-# (infos by their code tuple, pointers by their code tuple, records by
-# component identities plus scalars, certificate stacks by
-# record-identity tuples) and constructed exactly once per decoder.
-# Because interned sub-objects are unique per content, the
-# identity-based record and stack keys are content-faithful without
-# ever hashing a dataclass, and the record table's ``id()`` caches then
-# hit once per distinct certificate instead of once per edge.
-# ----------------------------------------------------------------------
-class _LabelDecoder:
-    """Shared interning state for decoding labels against one header."""
-
-    __slots__ = ("header", "_infos", "_pointers", "_records", "_certs")
-
-    def __init__(self, header: WireHeader):
-        self.header = header
-        self._infos = {}
-        self._pointers = {}
-        self._records = {}
-        self._certs = {}
-
-    def _read_info(self, r: BitReader) -> BasicInfo:
-        h = self.header
-        kind_code = r.read(_KIND_BITS)
-        if kind_code not in _KIND_NAMES:
-            raise CodecError(f"invalid kind code {kind_code}")
-        node_raw = r.read(h.node_width)
-        mask = r.read(h.lane_bits)
-        lane_count = bin(mask).count("1")
-        in_codes = tuple(
-            r.read(h.id_index_bits) for _ in range(lane_count)
-        )
-        out_codes = tuple(
-            r.read(h.id_index_bits) for _ in range(lane_count)
-        )
-        state_code = r.read(h.class_bits)
-        key = (kind_code, node_raw, mask, in_codes, out_codes, state_code)
-        info = self._infos.get(key)
-        if info is None:
-            lanes = tuple(
-                lane for lane in range(h.lane_bits) if mask & (1 << lane)
-            )
-            info = BasicInfo(
-                kind=_KIND_NAMES[kind_code],
-                node_id=node_raw - 1,
-                lanes=lanes,
-                in_ids=tuple(
-                    (lane, h.id_table[code])
-                    for lane, code in zip(lanes, in_codes)
-                ),
-                out_ids=tuple(
-                    (lane, h.id_table[code])
-                    for lane, code in zip(lanes, out_codes)
-                ),
-                state=h.states[state_code],
-            )
-            self._infos[key] = info
-        return info
-
-    def _read_pointer(self, r: BitReader) -> PointerLabel:
-        h = self.header
-        key = (
-            r.read(h.id_index_bits),
-            r.read(h.id_index_bits),
-            r.read(h.counter_width),
-            r.read(h.id_index_bits),
-            r.read(h.counter_width),
-        )
-        pointer = self._pointers.get(key)
-        if pointer is None:
-            pointer = PointerLabel(
-                target_id=h.id_table[key[0]],
-                id_a=h.id_table[key[1]],
-                dist_a=key[2],
-                id_b=h.id_table[key[3]],
-                dist_b=key[4],
-            )
-            self._pointers[key] = pointer
-        return pointer
-
-    def _read_record(self, r: BitReader):
-        h = self.header
-        info = self._read_info(r)
-        if info.kind == "T":
-            member_info = self._read_info(r)
-            member_subtree = self._read_info(r)
-            children = tuple(
-                self._read_info(r) for _ in range(r.read(h.child_width))
-            )
-            pointer = self._read_pointer(r)
-            root_raw = r.read(h.node_width)
-            # Interned components are unique per content, so identity
-            # keys are content keys — no dataclass hashing anywhere.
-            key = (
-                "T",
-                id(info),
-                id(member_info),
-                id(member_subtree),
-                tuple(id(child) for child in children),
-                id(pointer),
-                root_raw,
-            )
-            record = self._records.get(key)
-            if record is None:
-                record = TLevelRecord(
-                    info=info,
-                    member_info=member_info,
-                    member_subtree=member_subtree,
-                    child_subtrees=children,
-                    pointer=pointer,
-                    root_member_id=root_raw - 1,
-                )
-                self._records[key] = record
-            return record
-        if info.kind == "B":
-            left = self._read_info(r)
-            right = self._read_info(r)
-            bridge = (r.read(h.lane_index_bits), r.read(h.lane_index_bits))
-            tag_code = r.read(h.tag_bits)
-            side_raw = r.read(2)
-            key = (
-                "B", id(info), id(left), id(right), bridge, tag_code,
-                side_raw,
-            )
-            record = self._records.get(key)
-            if record is None:
-                record = BLevelRecord(
-                    info=info,
-                    left=left,
-                    right=right,
-                    bridge=bridge,
-                    bridge_tag=h.tags[tag_code],
-                    side=side_raw - 1,
-                )
-                self._records[key] = record
-            return record
-        if info.kind == "E":
-            key = (
-                "E",
-                id(info),
-                r.read(h.id_index_bits),
-                r.read(h.id_index_bits),
-                r.read(h.tag_bits),
-            )
-            record = self._records.get(key)
-            if record is None:
-                record = ELevelRecord(
-                    info=info,
-                    in_id=h.id_table[key[2]],
-                    out_id=h.id_table[key[3]],
-                    tag=h.tags[key[4]],
-                )
-                self._records[key] = record
-            return record
-        if info.kind == "P":
-            id_codes = tuple(
-                r.read(h.id_index_bits)
-                for _ in range(r.read(h.path_width))
-            )
-            tag_codes = tuple(
-                r.read(h.tag_bits) for _ in range(r.read(h.path_width))
-            )
-            position = r.read(h.counter_width)
-            key = ("P", id(info), id_codes, tag_codes, position)
-            record = self._records.get(key)
-            if record is None:
-                record = PLevelRecord(
-                    info=info,
-                    vertex_ids=tuple(
-                        h.id_table[code] for code in id_codes
-                    ),
-                    tags=tuple(h.tags[code] for code in tag_codes),
-                    position=position,
-                )
-                self._records[key] = record
-            return record
-        raise CodecError(
-            f"record cannot start with a {info.kind!r} node info"
-        )
-
-    def _read_certificate(self, r: BitReader) -> EdgeCertificate:
-        depth = r.read(self.header.depth_width)
-        if depth < 1:
-            raise CodecError("certificate stack cannot be empty")
-        records = tuple(self._read_record(r) for _ in range(depth))
-        key = tuple(id(record) for record in records)
-        cert = self._certs.get(key)
-        if cert is None:
-            cert = EdgeCertificate(records)
-            self._certs[key] = cert
-        return cert
-
-    def decode_label(self, data: bytes, bit_length=None) -> Theorem1Label:
-        """Decode one label, sharing structure with earlier ones."""
-        h = self.header
-        try:
-            r = BitReader(data, bit_length)
-            certificate = self._read_certificate(r)
-            embedded = []
-            for _ in range(r.read(h.embed_width)):
-                embedded.append(
-                    EmbeddedRecord(
-                        u_id=h.id_table[r.read(h.id_index_bits)],
-                        v_id=h.id_table[r.read(h.id_index_bits)],
-                        forward=r.read(h.counter_width),
-                        backward=r.read(h.counter_width),
-                        payload=self._read_certificate(r),
-                    )
-                )
-            if bit_length is not None and r.position != bit_length:
-                raise CodecError(
-                    f"trailing data: read {r.position} of {bit_length} bits"
-                )
-        except (BitStreamError, IndexError) as exc:
-            raise CodecError(f"malformed label encoding: {exc}") from exc
-        return Theorem1Label(
-            certificate=certificate, embedded=tuple(embedded)
-        )
-
-
-def decode_label(
-    data: bytes, header: WireHeader, bit_length: Optional[int] = None
-) -> Theorem1Label:
-    """Decode one label encoded against ``header``."""
-    return _LabelDecoder(header).decode_label(data, bit_length)
-
-
-# ----------------------------------------------------------------------
 # Labeling-level API.
 # ----------------------------------------------------------------------
 @dataclass
@@ -768,23 +530,6 @@ class EncodedLabeling:
         """Measured encoded size of one edge's label."""
         return self.labels[key].bit_length
 
-    def decode(self) -> Labeling:
-        """Rebuild the structured :class:`Labeling` this was encoded from.
-
-        One decoder serves every edge, so sub-structure shared across
-        edges is decoded once and referenced everywhere it occurs.
-        """
-        decoder = _LabelDecoder(self.header)
-        mapping = {
-            key: decoder.decode_label(e.data, e.bit_length)
-            for key, e in self.labels.items()
-        }
-        return Labeling(
-            location=self.location,
-            mapping=mapping,
-            size_context=self.header.size_context(),
-        )
-
 
 def encode_labeling(
     labeling: Labeling, header: Optional[WireHeader] = None
@@ -810,15 +555,6 @@ def encode_labeling(
         },
         location=labeling.location,
     )
-
-
-def decode_labeling_columnar(encoded: EncodedLabeling) -> Labeling:
-    """Decode a whole labeling: ``encoded.decode()``.
-
-    The name :class:`~repro.api.store.CertificateStore` decodes through
-    when it rehydrates an entry.
-    """
-    return encoded.decode()
 
 
 def labeling_digest(encoded: EncodedLabeling) -> str:

@@ -24,9 +24,9 @@ full certificate — congestion is O(1) by Proposition 4.6, so this stays
 O(log n)).
 
 The prover (:class:`CertificateBuilder`) writes these labels as integer
-rows of a :class:`~repro.codec.table.RecordTable`.  The dataclasses
-below are what that table materializes when something reads a label,
-what the wire decoder builds, and what the reference verifier reads.
+rows of a :class:`~repro.codec.table.RecordTable`, and so does the wire
+decoder.  The dataclasses below are what that table materializes when
+something reads a label, and what the reference verifier reads.
 
 Homomorphism classes are shipped as algebra states (finite domain for
 fixed property and lanewidth) and *charged* as ``ceil(log2 |C|)``-bit

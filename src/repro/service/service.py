@@ -305,12 +305,9 @@ class CertificationService:
                     else:
                         # Serving without the round: the report JSON
                         # rides in the envelope, and this path never
-                        # reads the labeling, which load(decode=False)
-                        # returns undecoded — decode dominates
-                        # rehydration cost.
-                        report = self.store.load(
-                            fingerprint, prop, decode=False
-                        )
+                        # reads the labeling, which load() returns
+                        # undecoded — decode dominates rehydration cost.
+                        report = self.store.load(fingerprint, prop)
                     reports[prop] = report
                     served[prop] = "store"
                     self.metrics.store_served(True)

@@ -23,12 +23,15 @@ from repro.codec import (
     BitStreamError,
     BitWriter,
     CodecError,
+    EncodedLabel,
+    EncodedLabeling,
     RecordTable,
     WireHeader,
-    decode_label,
+    decode_labeling_columnar,
     encode_label,
     encode_labeling,
     encode_labeling_columnar,
+    encode_table,
     labeling_digest,
     width_for,
     width_for_value,
@@ -118,6 +121,27 @@ def _accounted_bits(label, ctx) -> int:
     return label_bits(label, ctx, width)
 
 
+def _decoded(encoded) -> dict:
+    """The labels the one decoder reads back from ``encoded``."""
+    return decode_labeling_columnar(encoded).materialize()
+
+
+def _decode_one(label: EncodedLabel, header: WireHeader):
+    """One label decoded against ``header``, as a labeling of one edge."""
+    return _decoded(EncodedLabeling(header, {"edge": label}))["edge"]
+
+
+def _assert_table_round_trip(labeling, encoded):
+    """``encoded`` (the labels of ``labeling`` against its header) reads
+    back into a table that materializes to those labels, re-encodes to
+    the same bytes and rebuilds the same header."""
+    table = decode_labeling_columnar(encoded)
+    assert table.materialize() == labeling.mapping
+    _assert_byte_identical(encode_table(table, encoded.header), encoded)
+    assert table.header(labeling.size_context) == encoded.header
+    assert encoded.header == WireHeader.for_labeling(labeling)
+
+
 class TestLabelRoundTrip:
     @given(
         width=st.integers(min_value=2, max_value=4),
@@ -128,14 +152,14 @@ class TestLabelRoundTrip:
     def test_lanewidth_round_trip_and_measured_bound(self, width, n, seed):
         report = _lanewidth_labeling(width, n, seed)
         labeling = report.labeling
-        header = WireHeader.for_labeling(labeling)
+        encoded = encode_labeling(labeling)
         ctx = labeling.size_context
         for key, label in labeling.mapping.items():
-            encoded = encode_label(label, header)
-            decoded = decode_label(encoded.data, header, encoded.bit_length)
-            assert decoded == label, f"round trip mismatch on edge {key}"
             # The wire encoding must never exceed the accounted size.
-            assert encoded.bit_length <= _accounted_bits(label, ctx), key
+            assert encoded.labels[key].bit_length <= _accounted_bits(
+                label, ctx
+            ), key
+        _assert_table_round_trip(labeling, encoded)
 
     def test_pathwidth_mode_round_trip(self):
         graph, decomposition = pathwidth_workload(24, 2, seed=5)
@@ -147,8 +171,9 @@ class TestLabelRoundTrip:
             decomposer=lambda _g: decomposition,
         )
         assert report.accepted
-        encoded = encode_labeling(report.labeling)
-        assert encoded.decode().mapping == report.labeling.mapping
+        _assert_table_round_trip(
+            report.labeling, encode_labeling(report.labeling)
+        )
 
     def test_labeling_level_encode_matches_report_metrics(self):
         report = _lanewidth_labeling(3, 24, seed=11)
@@ -174,9 +199,7 @@ class TestLabelRoundTrip:
         # still reproduces the exact labels.
         key = next(iter(labeling.mapping))
         enc = encode_label(labeling.mapping[key], h1)
-        assert decode_label(enc.data, revived, enc.bit_length) == (
-            labeling.mapping[key]
-        )
+        assert _decode_one(enc, revived) == labeling.mapping[key]
 
     def test_size_context_round_trip(self):
         report = _lanewidth_labeling(2, 16, seed=9)
@@ -203,8 +226,10 @@ class TestMalformedStreams:
             labeling.mapping, key=lambda k: len(labeling.mapping[k].certificate.stack)
         )
         enc = encode_label(labeling.mapping[key], header)
-        with pytest.raises(CodecError):
-            decode_label(enc.data[: len(enc.data) // 2], header)
+        half = enc.data[: len(enc.data) // 2]
+        for bits in (None, enc.bit_length):
+            with pytest.raises(CodecError):
+                _decode_one(EncodedLabel(half, bits), header)
 
     def test_wrong_bit_length_rejected(self):
         report = _lanewidth_labeling(2, 12, seed=22)
@@ -214,7 +239,7 @@ class TestMalformedStreams:
         enc = encode_label(labeling.mapping[key], header)
         with pytest.raises(CodecError):
             # Claiming extra trailing bits must be flagged, not ignored.
-            decode_label(enc.data, header, enc.bit_length - 1)
+            _decode_one(EncodedLabel(enc.data, enc.bit_length - 1), header)
 
     def test_non_theorem1_label_rejected(self):
         report = _lanewidth_labeling(2, 12, seed=23)
@@ -273,7 +298,7 @@ def test_session_batch_reports_measured_sizes():
         assert report.accepted, key
         assert report.max_label_bits == report.encoded.max_bits
         assert report.max_label_bits <= report.accounted_max_label_bits
-        assert report.encoded.decode().mapping == report.labeling.mapping
+        assert _decoded(report.encoded) == report.labeling.mapping
 
 
 # ----------------------------------------------------------------------
@@ -309,7 +334,7 @@ class TestColumnarEncoderByteIdentity:
         ref = encode_labeling(labeling)
         bulk = encode_labeling_columnar(labeling)
         _assert_byte_identical(bulk, ref)
-        assert bulk.decode().mapping == labeling.mapping
+        assert _decoded(bulk) == labeling.mapping
 
     def test_pathwidth_mode_byte_identity(self):
         graph, decomposition = pathwidth_workload(24, 2, seed=5)
@@ -479,11 +504,91 @@ class TestTableHeader:
             assert table.header(labeling.size_context) == reference.header
             assert reference.header == WireHeader.for_labeling(labeling)
             _assert_byte_identical(encode_labeling_columnar(labeling), reference)
+            _assert_table_round_trip(labeling, reference)
         assert carried >= 10  # both branches run
         # The table the prover wrote, not walked, gives the same header.
         assert honest.mapping.table.header(
             honest.size_context
         ) == WireHeader.for_labeling(honest)
+
+
+class TestTableDecode:
+    """The one decoder reads a labeling's wire form into a record table,
+    which materializes to the labels that were encoded."""
+
+    @given(
+        n=st.integers(min_value=8, max_value=40),
+        seed=st.integers(min_value=0, max_value=10**6),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_theorem1_round_trip(self, n, seed):
+        graph, decomposition = pathwidth_workload(n, 2, seed=seed)
+        report = certify(
+            graph,
+            "connected",
+            k=2,
+            rng=random.Random(seed),
+            decomposer=lambda _g: decomposition,
+            verify=False,
+        )
+        assert not report.refused, report.refusal
+        _assert_table_round_trip(
+            report.labeling, encode_labeling(report.labeling)
+        )
+        # The label stage's own wire form reads back the same way.
+        _assert_table_round_trip(report.labeling, report.encoded)
+
+    @pytest.mark.parametrize("mode", ["lanewidth", "theorem1"])
+    def test_decoded_table_writes_every_row_once(self, mode):
+        # Labels share their infos, records and stacks: the decoded
+        # table holds one row per distinct one, as many as the prover
+        # wrote, and builds no record object but the E and P leaves.
+        labeling = _labelings_both_modes()[mode]
+        prover = labeling.mapping.table
+        table = decode_labeling_columnar(labeling.mapping.encoded())
+        for column in ("infos", "r_kind", "stacks", "children", "embedded"):
+            assert len(getattr(table, column)) == len(
+                getattr(prover, column)
+            ), column
+        assert table.bad is None
+        assert all(
+            (record is None) == (kind in (0, 1))
+            for record, kind in zip(table.records, table.r_kind)
+        )
+
+    def test_repeated_header_identifier_gives_one_row(self):
+        # A header that lists one identifier twice, with half the labels
+        # naming it by its first code and half by its second: the labels
+        # read back as they were, and the table has one row per distinct
+        # info, record and stack, as the honest table does.
+        labeling = _labelings_both_modes()["lanewidth"]
+        honest = labeling.mapping.encoded()
+        h = honest.header
+        fields = {
+            f.name: getattr(h, f.name)
+            for f in dataclasses.fields(WireHeader)
+            if f.compare
+        }
+        fields["id_table"] = h.id_table + (h.id_table[0],)
+        table = decode_labeling_columnar(honest)
+        to_last = WireHeader(**fields)  # the lookup keeps the last code
+        to_first = WireHeader(**fields)
+        object.__setattr__(to_first, "_id_index", {
+            x: i for i, x in reversed(list(enumerate(fields["id_table"])))
+        })
+        first, last = (
+            encode_table(table, header).labels for header in (to_first, to_last)
+        )
+        keys = sorted(first, key=repr)
+        mixed = {key: first[key] for key in keys[::2]}
+        mixed.update((key, last[key]) for key in keys[1::2])
+        assert mixed != honest.labels
+        decoded = decode_labeling_columnar(EncodedLabeling(to_last, mixed))
+        assert decoded.materialize() == labeling.mapping
+        for column in ("infos", "r_kind", "stacks", "id_values"):
+            assert len(getattr(decoded, column)) == len(
+                getattr(table, column)
+            ), column
 
 
 # ----------------------------------------------------------------------

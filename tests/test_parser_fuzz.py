@@ -1,7 +1,7 @@
 """Byte-level fuzz of the untrusted parsers.
 
 Every boundary that reads outside input returns either a parsed value
-or one typed error: the label decoder behind a stored labeling
+or one typed error: the decoder behind a stored labeling
 (:class:`~repro.codec.CodecError`), edit batches off the wire
 (:class:`~repro.graphs.edits.EditError`), and service frames, request
 envelopes and graph payloads
@@ -18,7 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import certify
-from repro.codec import CodecError, decode_label
+from repro.codec import (
+    CodecError,
+    EncodedLabel,
+    EncodedLabeling,
+    RecordTable,
+    decode_labeling_columnar,
+    encode_table,
+)
 from repro.core.certificates import Theorem1Label
 from repro.experiments import lanewidth_workload
 from repro.graphs import Graph
@@ -40,12 +47,37 @@ def encoded():
     return report.encoded.header, list(report.encoded.labels.values())
 
 
-def _decodes_or_codec_error(data, header, bit_length):
+def _reads_or_codec_error(encoded_labeling):
+    """The decoder returns a table whose labels materialize, or raises
+    :class:`CodecError`; a table it returns re-encodes to the bits it
+    read whenever the header can carry them."""
     try:
-        label = decode_label(data, header, bit_length)
+        table = decode_labeling_columnar(encoded_labeling)
     except CodecError:
         return
-    assert isinstance(label, Theorem1Label)
+    assert isinstance(table, RecordTable) and table.bad is None
+    labels = table.materialize()
+    assert list(labels) == list(encoded_labeling.labels)
+    assert all(isinstance(label, Theorem1Label) for label in labels.values())
+    try:
+        again = encode_table(table, encoded_labeling.header)
+    except CodecError:
+        return  # e.g. a bridge lane past the header's lane mask
+    for key, label in encoded_labeling.labels.items():
+        bits = label.bit_length
+        if bits is None:
+            continue
+        assert again.labels[key].bit_length == bits
+        read = int.from_bytes(label.data, "big") >> (8 * len(label.data) - bits)
+        assert int.from_bytes(again.labels[key].data, "big") >> (
+            -bits % 8
+        ) == read
+
+
+def _decodes_or_codec_error(data, header, bit_length):
+    _reads_or_codec_error(
+        EncodedLabeling(header, {"edge": EncodedLabel(data, bit_length)})
+    )
 
 
 class TestLabelDecoderTotal:
@@ -73,6 +105,34 @@ class TestLabelDecoderTotal:
             data[bit >> 3] ^= 0x80 >> (bit & 7)
         bit_length = label.bit_length if keep_length else None
         _decodes_or_codec_error(bytes(data), header, bit_length)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        edits=st.lists(
+            st.tuples(
+                st.integers(min_value=0),
+                st.lists(st.integers(min_value=0), max_size=4),
+                st.integers(-9, 9),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_bit_flipped_labelings(self, encoded, edits):
+        # Whole labelings: some labels flipped or resized among honest
+        # ones, all read against one header by one decoder.
+        header, labels = encoded
+        edited = dict(enumerate(labels))
+        for pick, flips, resize in edits:
+            key = pick % len(labels)
+            label = edited[key]
+            data = bytearray(label.data)
+            for flip in flips:
+                bit = flip % (8 * len(data))
+                data[bit >> 3] ^= 0x80 >> (bit & 7)
+            bits = max(0, min(label.bit_length + resize, 8 * len(data)))
+            edited[key] = EncodedLabel(bytes(data), bits)
+        _reads_or_codec_error(EncodedLabeling(header, edited))
 
 
 #: JSON scalars, biased towards edit kinds and small vertex names.

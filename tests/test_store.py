@@ -6,6 +6,7 @@ asserted through the session stage counters, which must stay empty on
 the stored path.
 """
 
+import dataclasses
 import os
 import pickle
 import random
@@ -24,7 +25,16 @@ from repro.api import (
     make_executor,
 )
 from repro.api.artifacts import ARTIFACT_MAGIC, seal, unseal
-from repro.api.store import StoredLabels, _decode_labels
+from repro.api.store import StoredLabels
+from repro.codec import (
+    CodecError,
+    EncodedLabel,
+    EncodedLabeling,
+    WireHeader,
+    decode_labeling_columnar,
+    encode_table,
+)
+from repro.codec.table import B
 from repro.experiments import lanewidth_workload, pathwidth_workload
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -103,6 +113,91 @@ def _list_bit_length(manifest):
     key = next(iter(manifest["labels"]))
     data, bits = manifest["labels"][key]
     manifest["labels"][key] = (data, [bits])
+
+
+def _manifest_encoded(manifest) -> EncodedLabeling:
+    return EncodedLabeling(
+        manifest["header"],
+        {key: EncodedLabel(*entry) for key, entry in manifest["labels"].items()},
+        manifest["location"],
+    )
+
+
+def _with_header(encoded, **changes) -> EncodedLabeling:
+    """``encoded``'s labels against its header rebuilt with ``changes``."""
+    header = {
+        f.name: getattr(encoded.header, f.name)
+        for f in dataclasses.fields(WireHeader)
+        if f.compare
+    }
+    header.update(changes)
+    return EncodedLabeling(
+        WireHeader(**header), dict(encoded.labels), encoded.location
+    )
+
+
+def _last_entry(name, value):
+    """The header with the last entry of one dictionary replaced."""
+    def craft(encoded):
+        entries = getattr(encoded.header, name)
+        return _with_header(encoded, **{name: entries[:-1] + (value,)})
+    return craft
+
+
+def _dropped_entry(name):
+    """The header without the last entry of one dictionary, whose code
+    some label holds; every field width stays."""
+    def craft(encoded):
+        crafted = _with_header(
+            encoded, **{name: getattr(encoded.header, name)[:-1]}
+        )
+        widths = ("id_index_bits", "class_bits", "tag_bits")
+        assert [getattr(crafted.header, w) for w in widths] == [
+            getattr(encoded.header, w) for w in widths
+        ]
+        return crafted
+    return craft
+
+
+def _side_bits_11(encoded):
+    """One B record's side field written as ``11``."""
+    table = decode_labeling_columnar(encoded)
+    assert table.rows[B]
+    table.rows[B][0] = table.rows[B][0][:-1] + (2,)
+    return encode_table(table, encoded.header)
+
+
+def _one_label(edit):
+    """One label in the middle of the labeling edited, the rest honest."""
+    def craft(encoded):
+        labels = dict(encoded.labels)
+        key = sorted(labels, key=repr)[len(labels) // 2]
+        labels[key] = edit(labels[key])
+        return EncodedLabeling(encoded.header, labels, encoded.location)
+    return craft
+
+
+#: Wire forms behind a valid envelope digest that the decoder refuses.
+_CRAFTED = {
+    "identifier-str": _last_entry("id_table", "x"),
+    "identifier-bool": _last_entry("id_table", True),
+    "identifier-2**70": _last_entry("id_table", 2**70),
+    "state-unhashable": _last_entry("states", []),
+    "tag-unhashable": _last_entry("tags", []),
+    "side-bits-11": _side_bits_11,
+    "identifier-code-past-table": _dropped_entry("id_table"),
+    "state-code-past-table": _dropped_entry("states"),
+    "tag-code-past-table": _dropped_entry("tags"),
+    "truncated-label": _one_label(
+        lambda e: EncodedLabel(e.data[: len(e.data) // 2], e.bit_length)
+    ),
+    "over-long-label": _one_label(
+        lambda e: EncodedLabel(e.data + b"\0", e.bit_length + 8)
+    ),
+    "corrupt-label": _one_label(
+        lambda e: EncodedLabel(b"\xff" * len(e.data), e.bit_length)
+    ),
+}
 
 
 class TestSaveLoad:
@@ -332,10 +427,14 @@ class TestIntegrity:
         store = CertificateStore(tmp_path)
         report, graph = _certified(tmp_path, seed=65, store=store)
         path = store.path_for(graph.fingerprint(), "connected")
-        # Truncate one certificate payload: the decoder must flag it.
+        # Truncate one certificate payload behind a valid digest: the
+        # load succeeds, and the first read of the labels is the
+        # decoder's StoreError.
         _rewrite_manifest(path, _truncate_one_payload)
-        with pytest.raises(StoreError):
-            store.load(graph.fingerprint(), "connected")
+        mapping = store.load(graph.fingerprint(), "connected").labeling.mapping
+        with pytest.raises(StoreError, match="corrupted certificate payload"):
+            dict(mapping)
+        assert mapping.table is None and mapping.decoded is None
 
     def test_version_1_entry_is_a_counted_miss(self, tmp_path):
         # A version 1 entry (its own magic, then a bare pickle) is never
@@ -367,6 +466,38 @@ class TestIntegrity:
         assert entry[2] != path
         assert store.load(entry[0], entry[1]).labeling.mapping
         assert store.metrics.snapshot()["misses"] == 1
+
+
+class TestCraftedPayloads:
+    """Wire forms that unseal but do not decode: each is a
+    :class:`CodecError` from the decoder, and a reverify on either
+    engine is one counted :class:`StoreError` miss."""
+
+    @pytest.mark.parametrize("kind", ["serial", "vectorized"])
+    @pytest.mark.parametrize("craft", sorted(_CRAFTED))
+    def test_crafted_payload_is_a_counted_miss(self, tmp_path, craft, kind):
+        fingerprint = _certified_vectorized(CertificateStore(tmp_path))
+        store = CertificateStore(tmp_path)
+
+        def edit(manifest):
+            encoded = _CRAFTED[craft](_manifest_encoded(manifest))
+            with pytest.raises(CodecError):
+                decode_labeling_columnar(encoded)
+            manifest["header"] = encoded.header
+            manifest["labels"] = {
+                key: (label.data, label.bit_length)
+                for key, label in encoded.labels.items()
+            }
+
+        _rewrite_manifest(store.path_for(fingerprint, "connected"), edit)
+        with pytest.raises(StoreError, match="corrupted certificate payload"):
+            store.reverify(
+                fingerprint,
+                "connected",
+                engine=VerificationEngine(make_executor(kind)),
+            )
+        counts = store.metrics.snapshot()
+        assert (counts["hits"], counts["misses"], counts["decodes"]) == (1, 1, 0)
 
 
 class TestCraftedEnvelopes:
@@ -546,7 +677,7 @@ class TestDeferredDecode:
         assert stats["mode"] == "kernel" and stats["fallback_vertices"] == 0
         mapping = report.labeling.mapping
         assert mapping.table is not None and mapping.decoded is None
-        labels = _decode_labels(mapping.encoded(), "the label stage")
+        labels = decode_labeling_columnar(mapping.encoded()).materialize()
         assert dict(mapping) == labels
         assert mapping.decoded is not None
 
@@ -565,6 +696,44 @@ class TestDeferredDecode:
         self._reverify(fresh, graph.fingerprint())
         assert fresh.metrics.snapshot()["decodes"] == 0
 
+    def test_compiling_reverify_builds_no_label(self, tmp_path, monkeypatch):
+        # No persisted round: the vectorized round compiles from the
+        # record table the wire form decodes to.  The kernels accept
+        # every vertex, so no label object is built.
+        monkeypatch.delenv("REPRO_VECTORIZED_AUDIT", raising=False)
+        _report, graph = _certified(
+            tmp_path, seed=70, n=24, store=CertificateStore(tmp_path)
+        )
+        store = CertificateStore(tmp_path)
+        report = self._reverify(store, graph.fingerprint())
+        stats = report.verification.kernel_stats
+        assert stats["compiled_round_cached"] is False
+        assert stats["kernel_accepted"] == report.n
+        assert stats["fallback_vertices"] == 0
+        mapping = report.labeling.mapping
+        assert mapping.table is not None and mapping.decoded is None
+        assert store.metrics.snapshot()["decodes"] == 1
+
+    def test_loaded_report_attaches_the_persisted_round(
+        self, tmp_path, monkeypatch
+    ):
+        # A plain load's mapping carries its digest too, so a round over
+        # the loaded report attaches what a certify persisted.
+        monkeypatch.delenv("REPRO_VECTORIZED_AUDIT", raising=False)
+        fingerprint = _certified_vectorized(CertificateStore(tmp_path))
+        store = CertificateStore(tmp_path)
+        loaded = store.load(fingerprint, "connected")
+        engine = VerificationEngine(
+            make_executor("vectorized", artifacts=store.artifact_cache())
+        )
+        verification = engine.verify(
+            loaded.config, loaded.scheme, loaded.labeling
+        )
+        assert verification.accepted
+        assert verification.kernel_stats["compiled_round_cached"] is True
+        mapping = loaded.labeling.mapping
+        assert mapping.table is None and mapping.decoded is None
+
     def test_serial_reverify_decodes_once(self, tmp_path):
         fingerprint = _certified_vectorized(CertificateStore(tmp_path))
         store = CertificateStore(tmp_path)
@@ -576,16 +745,25 @@ class TestDeferredDecode:
         fingerprint = _certified_vectorized(CertificateStore(tmp_path))
         store = CertificateStore(tmp_path)
         loaded = store.load(fingerprint, "connected")
-        assert isinstance(loaded.labeling.mapping, dict)
-        assert store.metrics.snapshot()["decodes"] == 1
-        unread = store.load(fingerprint, "connected", decode=False)
-        assert store.metrics.snapshot()["decodes"] == 1
-        # The unread labeling pickles as its wire form, and decodes to
+        mapping = loaded.labeling.mapping
+        assert isinstance(mapping, StoredLabels)
+        assert mapping.table is None and mapping.decoded is None
+        assert len(mapping) == len(loaded.encoded.labels)
+        # The first read decodes the wire form into the mapping's record
+        # table once, and builds the labels from it.
+        labels = dict(mapping)
+        table = mapping.table
+        assert table is not None and mapping.decoded is not None
+        assert dict(mapping) == labels and mapping.table is table
+        # Only reverify rounds count decodes.
+        assert store.metrics.snapshot()["decodes"] == 0
+        # An unread labeling pickles as its wire form, and decodes to
         # the same labels on either side of the pickle.
+        unread = store.load(fingerprint, "connected")
         copy = pickle.loads(pickle.dumps(unread.labeling))
-        assert copy.mapping.decoded is None
-        assert len(copy.mapping) == len(loaded.labeling.mapping)
-        assert copy.mapping == unread.labeling.mapping == loaded.labeling.mapping
+        assert copy.mapping.decoded is None and copy.mapping.table is None
+        assert len(copy.mapping) == len(labels)
+        assert copy.mapping == unread.labeling.mapping == labels
 
     def test_audit_mode_reverify_decodes_once(self, tmp_path, monkeypatch):
         # Audit mode re-checks every kernel accept through reference

@@ -299,7 +299,9 @@ class TestSharedMetrics:
         store.load(graph.fingerprint(), "connected")
         with pytest.raises(StoreError):
             store.load("0" * 64, "connected")
-        # A corrupt certificate payload is unusable too: one more miss.
+        # A corrupt certificate payload is unusable too: its entry
+        # loads (one more hit), and the reverify round that reads the
+        # labels is one more miss.
         path = store.path_for(graph.fingerprint(), "connected")
         manifest = unseal(path.read_bytes())
         key = next(iter(manifest["labels"]))
@@ -307,10 +309,10 @@ class TestSharedMetrics:
         manifest["labels"][key] = (data[:1], bits)
         path.write_bytes(seal(manifest))
         with pytest.raises(StoreError):
-            store.load(graph.fingerprint(), "connected")
+            store.reverify(graph.fingerprint(), "connected")
         snap = metrics.snapshot()
         assert snap["saves"] == 1
-        assert snap["hits"] == 1
+        assert snap["hits"] == 2
         assert snap["misses"] == 2
 
     def test_shared_instance_aggregates_two_stores(self, tmp_path):

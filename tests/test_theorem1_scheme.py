@@ -460,7 +460,7 @@ class TestLabelBuilder:
         # wire.
         assert labels == decode_labeling_columnar(
             ctx.labeling.mapping.encoded()
-        ).mapping
+        ).materialize()
 
     @pytest.mark.parametrize("mode", ["lanewidth", "theorem1"])
     @pytest.mark.parametrize("seed", [1, 2, 3])

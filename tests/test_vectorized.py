@@ -465,18 +465,17 @@ class TestAttackCatalogueEngines:
 
 class TestColumnarDecode:
     def test_equals_reference_decode_with_sharing(self):
-        """The decode equals the labeling that was encoded, and every
-        equal-content record decodes to one shared object."""
+        """The decoded table materializes to the labeling that was
+        encoded, and every equal-content record to one shared object."""
         _config, _scheme, labeling = _case(41, extra=24)
         encoded = encode_labeling(labeling)
-        decoded = decode_labeling_columnar(encoded)
-        assert decoded.location == labeling.location
-        assert decoded.mapping == labeling.mapping
-        assert decoded.size_context.n == labeling.size_context.n
+        decoded = decode_labeling_columnar(encoded).materialize()
+        assert decoded == labeling.mapping
+        assert list(decoded) == list(encoded.labels)
 
         first_seen = {}
         occurrences = 0
-        for label in decoded.mapping.values():
+        for label in decoded.values():
             stacks = [label.certificate]
             stacks += [embedded.payload for embedded in label.embedded]
             for cert in stacks:
@@ -487,7 +486,7 @@ class TestColumnarDecode:
 
     @needs_numpy
     def test_store_reverify_round_trips_through_columnar(self):
-        """The store decodes through the interning decoder; a full
+        """The store decodes through the table reader; a full
         persist → rehydrate → vectorized round must still accept."""
         from repro.api import CertificateStore
 
@@ -958,9 +957,7 @@ class TestTamperAfterCertify:
         # The mapping keeps its own copy of the wire form, so an edit to
         # ``report.encoded`` changes neither its labels nor its key.
         store, _session, report = self._certified(tmp_path)
-        loaded = store.load(
-            report.config.graph.fingerprint(), "connected", decode=False
-        )
+        loaded = store.load(report.config.graph.fingerprint(), "connected")
         digest = loaded.labeling.mapping.digest
         labels = loaded.encoded.labels
         keys = sorted(labels, key=repr)
@@ -1030,19 +1027,75 @@ def _one_to_one(pairs) -> bool:
     )
 
 
+def _assert_same_round(prover, plain, id_values):
+    """Two compiled-round states of the same labels, from tables that
+    number records, infos, stacks and identifiers differently, agree up
+    to that numbering."""
+    import numpy as np
+
+    from repro.api.vectorized import _CODE_COLS
+
+    assert prover.keys() == plain.keys()
+    assert prover["tables"].keys() == plain["tables"].keys()
+    for name, column in prover["tables"].items():
+        assert column.dtype == plain["tables"][name].dtype, name
+    assert prover["vp_map"].keys() == plain["vp_map"].keys()
+    assert prover["vp_bad"] == plain["vp_bad"] == []
+    # Per CSR edge and per virtual port, the stacks hold the same
+    # records position by position: one record map, one-to-one, over
+    # every record of both rounds.
+    pairs = []
+    for ours, theirs in zip(_state_stacks(prover), _state_stacks(plain)):
+        assert (ours is None) == (theirs is None)
+        if ours is not None:
+            assert len(ours) == len(theirs)
+            pairs.extend(zip(ours, theirs))
+    assert _one_to_one(pairs)
+    record_map = dict(pairs)
+    count = prover["tables"]["r_type"].shape[0]
+    assert sorted(record_map) == list(range(count))
+    assert sorted(record_map.values()) == list(
+        range(plain["tables"]["r_type"].shape[0])
+    )
+    theirs = np.array([record_map[rid] for rid in range(count)])
+    types = prover["tables"]["r_type"]
+    for name, column in prover["tables"].items():
+        if not name.startswith("r_"):
+            continue
+        other = plain["tables"][name][theirs]
+        if name in _CODE_COLS:
+            # Identifier codes number identifiers per table.
+            column, other = (
+                [ids[code] if code >= 0 else code for code in col.tolist()]
+                for ids, col in zip(id_values, (column, other))
+            )
+            assert column == other, name
+            continue
+        if name not in _NUMBERED_COLS:
+            assert np.array_equal(column, other), name
+            continue
+        kind = _NUMBERED_COLS[name]
+        held = np.ones(count, bool) if kind is None else types == kind
+        assert held.any(), name
+        assert _one_to_one(
+            zip(column[held].tolist(), other[held].tolist())
+        ), name
+
+
 @needs_numpy
 class TestRecordTableCompile:
-    """A fresh certify's round compiles from the prover's record table;
-    every other mapping compiles from a walk over its edge labels.  The
-    two tables number records, infos and stacks in different orders, so
-    the rounds agree up to that numbering."""
+    """A fresh certify's round compiles from the prover's record table, a
+    stored labeling's from the table its wire form decodes to, and any
+    other mapping from a walk over its edge labels.  The tables number
+    records, infos and stacks in different orders, so the rounds agree
+    up to that numbering."""
 
     @pytest.mark.parametrize("mode", ["lanewidth", "theorem1"])
     def test_prover_table_compiles_like_a_plain_copy(self, mode):
         import numpy as np
 
+        from repro.api.store import StoredLabels
         from repro.api.vectorized import (
-            _CODE_COLS,
             KernelRound,
             RoundCompiler,
             _round_table,
@@ -1061,8 +1114,9 @@ class TestRecordTableCompile:
             config, scheme, labeling = _theorem1_case()
         mapping = labeling.mapping
         assert mapping.table is not None
+        stored = StoredLabels(mapping.encoded(), "test")
         states, accepts, id_values = [], [], []
-        for labels in (mapping, dict(mapping)):
+        for labels in (mapping, dict(mapping), stored):
             factory = ViewFactory(config, labels, "edges")
             table, rows = _round_table(labels, factory)
             assert (table is mapping.table) == (labels is mapping)
@@ -1076,56 +1130,17 @@ class TestRecordTableCompile:
                 range(arrays.n)
             )
             accepts.append(accept)
-        prover, plain = states
-        assert prover.keys() == plain.keys()
-        assert prover["tables"].keys() == plain["tables"].keys()
-        for name, column in prover["tables"].items():
-            assert column.dtype == plain["tables"][name].dtype, name
+        # The decoded table is the stored mapping's own, and building it
+        # built no label object.
+        assert stored.table is not None and stored.decoded is None
         if mode == "theorem1":
-            assert prover["vp_map"], "the host routes no virtual edge"
-        assert prover["vp_map"].keys() == plain["vp_map"].keys()
-        assert prover["vp_bad"] == plain["vp_bad"] == []
-        # Per CSR edge and per virtual port, the stacks hold the same
-        # records position by position: one record map, one-to-one, over
-        # every record of both rounds.
-        pairs = []
-        for ours, theirs in zip(_state_stacks(prover), _state_stacks(plain)):
-            assert (ours is None) == (theirs is None)
-            if ours is not None:
-                assert len(ours) == len(theirs)
-                pairs.extend(zip(ours, theirs))
-        assert _one_to_one(pairs)
-        record_map = dict(pairs)
-        count = prover["tables"]["r_type"].shape[0]
-        assert sorted(record_map) == list(range(count))
-        assert sorted(record_map.values()) == list(
-            range(plain["tables"]["r_type"].shape[0])
-        )
-        theirs = np.array([record_map[rid] for rid in range(count)])
-        types = prover["tables"]["r_type"]
-        for name, column in prover["tables"].items():
-            if not name.startswith("r_"):
-                continue
-            other = plain["tables"][name][theirs]
-            if name in _CODE_COLS:
-                # Identifier codes number identifiers per table.
-                column, other = (
-                    [ids[code] if code >= 0 else code for code in col.tolist()]
-                    for ids, col in zip(id_values, (column, other))
-                )
-                assert column == other, name
-                continue
-            if name not in _NUMBERED_COLS:
-                assert np.array_equal(column, other), name
-                continue
-            kind = _NUMBERED_COLS[name]
-            held = np.ones(count, bool) if kind is None else types == kind
-            assert held.any(), name
-            assert _one_to_one(
-                zip(column[held].tolist(), other[held].tolist())
-            ), name
-        # The kernels decide every vertex alike: all accepted, honest.
-        assert np.array_equal(accepts[0], accepts[1])
+            assert states[0]["vp_map"], "the host routes no virtual edge"
+        for other in (1, 2):
+            _assert_same_round(
+                states[0], states[other], (id_values[0], id_values[other])
+            )
+            # The kernels decide every vertex alike: all accepted, honest.
+            assert np.array_equal(accepts[0], accepts[other])
         assert accepts[0].all()
 
 

@@ -35,11 +35,13 @@ After the cold runs, the lanewidth certificate is saved into a
 temporary store and re-verified twice with a vectorized executor, each
 time from a fresh ``CertificateStore``: the first ``store.reverify``
 compiles the round and persists it, the second attaches it.  These run
-without cProfile; each leg prints rows for load, decode, hash (graph
-fingerprint, configuration key and labeling digest), artifact get,
-compile/attach, kernel and fallback views (self times), plus the
-number of labelings decoded, ``compiled_round_cached`` and the round's
-``compile_seconds``.
+without cProfile; each leg prints rows for load, decode (the record
+table decode, timed through the store's ``decode_labeling_columnar``),
+hash (graph fingerprint, configuration key and labeling digest),
+artifact get, compile/attach, kernel and fallback views (self times),
+plus the number of table decodes (calls of that decoder),
+whether a label object was built (``materialized``),
+``compiled_round_cached`` and the round's ``compile_seconds``.
 
 Output is human-readable on stdout plus one machine-readable JSON file
 (``--json``, default ``profile_cold.json``) and a ``PROFILE_JSON`` line,
@@ -48,7 +50,9 @@ trajectory convention the E-series benchmarks use.  The exit status is
 1 when either mode refuses or its verification round rejects, when a
 reverify round rejects, when the attach leg did not attach (it must
 report ``compiled_round_cached=True``, zero compile seconds and no
-decoded label, so a leg that silently recompiles fails), or when a cold
+decode, so a leg that silently recompiles fails), when the compiling
+leg decoded more than once, when either leg built a label object, or
+when a cold
 mode's median ``other`` share — time no stage row explains — exceeds 5%
 of that mode's total.  The reverify legs print their ``other`` share
 too, but it is not gated: those rows are wrapped callables, not the
@@ -293,14 +297,17 @@ def profile_mode(mode: str, args):
 
 @contextmanager
 def self_seconds(layers):
-    """Sum each layer's self time (nested layers charged to themselves)."""
+    """Sum each layer's self time (nested layers charged to themselves)
+    and count its calls; yields ``(seconds, calls)`` by row."""
     seconds = {row: 0.0 for row, _owner, _attribute in layers}
+    calls = dict.fromkeys(seconds, 0)
     children = []  # time spent in timed layers below the current one
     originals = []
     for row, owner, attribute in layers:
         function = getattr(owner, attribute)
 
         def timed(*args, _row=row, _function=function, **kwargs):
+            calls[_row] += 1
             children.append(0.0)
             began = time.perf_counter()
             try:
@@ -314,7 +321,7 @@ def self_seconds(layers):
         originals.append((owner, attribute, function))
         setattr(owner, attribute, timed)
     try:
-        yield seconds
+        yield seconds, calls
     finally:
         for owner, attribute, function in originals:
             setattr(owner, attribute, function)
@@ -324,7 +331,7 @@ def reverify_leg(root, fingerprint: str) -> dict:
     """One fresh-store ``store.reverify`` with a vectorized executor."""
     store = CertificateStore(root)
     engine = VerificationEngine(make_executor("vectorized"))
-    with self_seconds(REVERIFY_LAYERS) as seconds:
+    with self_seconds(REVERIFY_LAYERS) as (seconds, calls):
         started = time.perf_counter()
         report = store.reverify(fingerprint, "connected", engine=engine)
         total_s = time.perf_counter() - started
@@ -345,7 +352,8 @@ def reverify_leg(root, fingerprint: str) -> dict:
         "total_s": round(total_s, 6),
         "stages": {row: round(s, 6) for row, s in rows},
         "other_share": round(other / total_s if total_s else 0.0, 6),
-        "decodes": store.metrics.snapshot()["decodes"],
+        "decodes": calls["decode"],
+        "materialized": report.labeling.mapping.decoded is not None,
         "compiled_round_cached": bool(stats.get("compiled_round_cached", False)),
         "compile_seconds": stats.get("compile_seconds", 0.0),
     }
@@ -367,6 +375,7 @@ def profile_reverify(report) -> dict:
             print(f"unattributed: {block['other_share']:.1%} (not gated)")
             print(
                 f"accepted={block['accepted']} decodes={block['decodes']} "
+                f"materialized={block['materialized']} "
                 f"compiled_round_cached={block['compiled_round_cached']} "
                 f"compile_seconds={block['compile_seconds']:.4f}"
             )
@@ -375,14 +384,18 @@ def profile_reverify(report) -> dict:
 
 
 def reverify_ok(legs: dict) -> bool:
-    """Every leg accepts, and the attach leg really attached.
+    """Every leg accepts and builds no label object, the compiling leg
+    decodes at most once, and the attach leg really attached.
 
     The attach leg must report the round cached, no compile time and no
-    decoded label: a leg that silently recompiles fails.
+    decode: a leg that silently recompiles fails.  The compiling leg
+    compiles from the record table the wire form decodes to, once.
     """
     attach = legs["attach"]
     return (
         all(leg["accepted"] for leg in legs.values())
+        and not any(leg["materialized"] for leg in legs.values())
+        and legs["compile"]["decodes"] <= 1
         and attach["compiled_round_cached"]
         and attach["compile_seconds"] == 0
         and attach["decodes"] == 0
